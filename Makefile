@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
 
 all: build
 
@@ -52,10 +52,22 @@ bench-share:
 	dune exec bench/main.exe -- share
 
 # Regenerate the machine-readable scale-out record: frame-stack and
-# EDF pick-next micro-benches at 8/64/256 clients against the seed's
-# list-shaped baselines, plus an end-to-end many-domain run.
+# EDF pick-next micro-benches at 8/64/256 clients (every client
+# runnable, and three of them) against the seed's list-shaped
+# baselines, an end-to-end 32-domain run, and the speed ledger: events,
+# wall ms, us/event and words/event at 16/64/128 domains.
 bench-scale:
 	dune exec bench/main.exe -- scale
+
+# Build the outside-in benchmark (perfbench/) and run it for one second
+# on each workload. run.py exits non-zero when the build fails or any
+# output check fails (books, same-seed reruns, traced vs untraced), so
+# a library change that breaks the benchmark fails here.
+perfbench-smoke:
+	@for w in disk-paper many-domains fleet-degraded; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+			--trace 0 || exit 1; \
+	done
 
 # Quick end-to-end run of the policy-compare figure (two contrasting
 # policies, short duration).

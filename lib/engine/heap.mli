@@ -2,8 +2,9 @@
 
     Used as the simulator's pending-event queue: keys are
     [(time, sequence-number)] pairs encoded by the caller so that ties
-    break in insertion order. The implementation is a classic array
-    heap with amortised O(log n) push/pop. *)
+    break in insertion order. Keys, sub-keys and values live in three
+    parallel arrays, so neither [push] (amortised) nor [pop] allocates;
+    both are O(log n). *)
 
 type 'a t
 
@@ -17,9 +18,10 @@ val push : 'a t -> key:int -> sub:int -> 'a -> unit
 (** [push h ~key ~sub v] inserts [v] with primary priority [key];
     equal keys are ordered by the secondary priority [sub]. *)
 
-val pop : 'a t -> (int * int * 'a) option
-(** Remove and return the minimum element as [(key, sub, value)]. *)
+val top_key : 'a t -> int
+(** The minimum element's primary key. Raises [Invalid_argument] on an
+    empty heap. *)
 
-val peek : 'a t -> (int * int * 'a) option
-
-val clear : 'a t -> unit
+val pop : 'a t -> 'a
+(** Remove the minimum element and return its value. Raises
+    [Invalid_argument] on an empty heap. *)

@@ -1,16 +1,18 @@
-type handle = { mutable cancelled : bool; fn : unit -> unit; live : int ref }
+type handle = { mutable cancelled : bool; fn : unit -> unit; owner : t }
 
-type t = {
+and t = {
   mutable clock : Time.t;
   queue : handle Heap.t;
   mutable seq : int;
-  live : int ref; (* scheduled and not cancelled *)
+  mutable live : int; (* scheduled and not cancelled *)
+  mutable executed : int;
+  mutable cancelled_events : int;
   root_rng : Rng.t;
 }
 
 let create ?(seed = 42) () =
-  { clock = Time.zero; queue = Heap.create (); seq = 0; live = ref 0;
-    root_rng = Rng.create ~seed }
+  { clock = Time.zero; queue = Heap.create (); seq = 0; live = 0;
+    executed = 0; cancelled_events = 0; root_rng = Rng.create ~seed }
 
 let now t = t.clock
 
@@ -21,10 +23,10 @@ let at t time fn =
     invalid_arg
       (Format.asprintf "Sim.at: %a is in the past (now %a)" Time.pp time
          Time.pp t.clock);
-  let h = { cancelled = false; fn; live = t.live } in
+  let h = { cancelled = false; fn; owner = t } in
   Heap.push t.queue ~key:time ~sub:t.seq h;
   t.seq <- t.seq + 1;
-  incr t.live;
+  t.live <- t.live + 1;
   h
 
 let after t d fn = at t (Time.add t.clock d) fn
@@ -34,45 +36,35 @@ let after t d fn = at t (Time.add t.clock d) fn
 let cancel h =
   if not h.cancelled then begin
     h.cancelled <- true;
-    decr h.live
+    h.owner.live <- h.owner.live - 1;
+    h.owner.cancelled_events <- h.owner.cancelled_events + 1
   end
 
-let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, _, h) ->
-    if h.cancelled then step t
-    else begin
-      decr t.live;
-      t.clock <- time;
-      h.fn ();
-      true
-    end
+(* Pop the next event, allocating nothing, and run it unless it was
+   cancelled. *)
+let fire_next t =
+  let time = Heap.top_key t.queue in
+  let h = Heap.pop t.queue in
+  if h.cancelled then false
+  else begin
+    t.live <- t.live - 1;
+    t.executed <- t.executed + 1;
+    t.clock <- time;
+    h.fn ();
+    true
+  end
+
+let rec step t = (not (Heap.is_empty t.queue)) && (fire_next t || step t)
 
 let run ?until t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some (time, _, h) ->
-      let past_limit =
-        match until with Some limit -> time > limit | None -> false
-      in
-      if past_limit then begin
-        (match until with Some limit -> t.clock <- limit | None -> ());
-        continue := false
-      end
-      else begin
-        ignore (Heap.pop t.queue);
-        if not h.cancelled then begin
-          decr t.live;
-          t.clock <- time;
-          h.fn ()
-        end
-      end
+  let limit = match until with Some limit -> limit | None -> max_int in
+  while (not (Heap.is_empty t.queue)) && Heap.top_key t.queue <= limit do
+    ignore (fire_next t)
   done;
   match until with
   | Some limit when t.clock < limit -> t.clock <- limit
   | _ -> ()
 
-let pending t = !(t.live)
+let pending t = t.live
+let executed t = t.executed
+let cancelled t = t.cancelled_events

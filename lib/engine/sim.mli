@@ -39,3 +39,10 @@ val step : t -> bool
 
 val pending : t -> int
 (** Number of scheduled (uncancelled) events. *)
+
+val executed : t -> int
+(** Events whose handler has run since {!create}. Always counted. *)
+
+val cancelled : t -> int
+(** Events cancelled before they fired, since {!create}. Always
+    counted. *)

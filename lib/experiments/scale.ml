@@ -31,6 +31,7 @@ type result = {
   books_balanced : bool;
   usd_utilisation : float;
   revocations : int;
+  events : int;
 }
 
 (* Per-domain sizing. Guarantees only (o = 0): the point of the scale
@@ -165,7 +166,8 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
     guaranteed_total = Frames.guaranteed_total fr;
     books_balanced;
     usd_utilisation = Usbs.Usd.utilisation (System.usd sys);
-    revocations = Frames.revocations fr }
+    revocations = Frames.revocations fr;
+    events = Sim.executed (System.sim sys) }
 
 let ok r =
   r.violations = 0 && r.books_balanced && r.total_accesses > 0

@@ -53,6 +53,7 @@ type result = {
   books_balanced : bool;
   usd_utilisation : float;
   revocations : int;
+  events : int;  (** engine events executed over the run *)
 }
 
 val run : ?seed:int -> ?domains:int -> ?duration:Time.span -> unit -> result

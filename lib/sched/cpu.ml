@@ -15,9 +15,8 @@ type client = {
 type t = {
   sim : Sim.t;
   edf : Edf.t;
-  (* Clients indexed by EDF id: the scheduler looks members up on
-     every pick-next predicate call, so this must be O(1), not a
-     list scan. *)
+  (* Clients indexed by EDF id: the scheduler looks the winner up on
+     every decision, so this must be O(1), not a list scan. *)
   members : (int, client) Hashtbl.t;
   kick : Sync.Waitq.t;
   mutable running : bool;
@@ -26,24 +25,22 @@ type t = {
   slack_quantum : Time.span;
 }
 
-let find_member t e = Hashtbl.find_opt t.members e.Edf.id
+let member t e = Hashtbl.find t.members e.Edf.id
 
 (* Feed the QoS auditor at every period boundary: contracted slice vs
    what was actually consumed, and whether the client spent the whole
    period with work queued. *)
 let audit_boundary t e ~unused ~boundary ~grants:_ =
   if !Obs.enabled then begin
-    match find_member t e with
-    | None -> ()
-    | Some c ->
-      let period_start = Time.add boundary (-e.Edf.period) in
-      let backlogged =
-        match c.backlogged_since with
-        | Some since -> since <= period_start
-        | None -> false
-      in
-      Obs.Qos_audit.cpu_boundary ~now:boundary ~dom:e.Edf.cname
-        ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
+    let c = member t e in
+    let period_start = Time.add boundary (-e.Edf.period) in
+    let backlogged =
+      match c.backlogged_since with
+      | Some since -> since <= period_start
+      | None -> false
+    in
+    Obs.Qos_audit.cpu_boundary ~now:boundary ~dom:e.Edf.cname
+      ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
   end
 
 let create sim =
@@ -60,34 +57,26 @@ let edf_client (c : client) = c.edf
 
 let has_pending (c : client) = not (Queue.is_empty c.pending)
 
+(* A client is runnable, and backlogged, exactly while it has a
+   request queued. *)
+let sync_flags t (c : client) =
+  let busy = has_pending c in
+  Edf.set_runnable t.edf c.edf busy;
+  Edf.set_backlogged t.edf c.edf busy
+
 let rec scheduler_loop t =
   let now = Sim.now t.sim in
   Edf.replenish_due t.edf ~now;
-  let runnable e =
-    match find_member t e with Some c -> c.live && has_pending c | None -> false
-  in
-  match Edf.select t.edf ~only:runnable ~now with
+  match Edf.select t.edf ~now with
   | Some e -> run_chunk t e ~slack:false
   | None ->
-    (match Edf.select_slack t.edf ~only:runnable ~now with
+    (match Edf.select_slack t.edf ~now with
     | Some e -> run_chunk t e ~slack:true
     | None ->
       (* Nothing runnable: wait for work, but never past the next
          period boundary of a client that still has queued work (its
-         budget may return then). The min over the member table is
-         order-independent, so hash iteration order cannot leak into
-         scheduling decisions. *)
-      let next_dl =
-        Hashtbl.fold
-          (fun _ c best ->
-            if c.live && has_pending c then
-              match best with
-              | Some d when d <= c.edf.Edf.deadline -> best
-              | _ -> Some c.edf.Edf.deadline
-            else best)
-          t.members None
-      in
-      (match next_dl with
+         budget may return then). *)
+      (match Edf.next_backlogged_deadline t.edf with
       | Some d ->
         let span = max 0 (Time.diff d now) in
         ignore (Sync.Waitq.wait_timeout t.kick span)
@@ -95,24 +84,23 @@ let rec scheduler_loop t =
       scheduler_loop t)
 
 and run_chunk t e ~slack =
-  match find_member t e with
-  | None -> scheduler_loop t
-  | Some c ->
-    let req = Queue.peek c.pending in
-    let budget_cap =
-      if slack then t.slack_quantum else max 0 e.Edf.remaining
-    in
-    let chunk = min req.left budget_cap in
-    let chunk = max chunk 1 in
-    Proc.sleep chunk;
-    if slack then Edf.charge_slack e chunk else Edf.charge e chunk;
-    req.left <- req.left - chunk;
-    if req.left <= 0 then begin
-      ignore (Queue.pop c.pending);
-      if Queue.is_empty c.pending then c.backlogged_since <- None;
-      req.wake ()
+  let c = member t e in
+  let req = Queue.peek c.pending in
+  let budget_cap = if slack then t.slack_quantum else max 0 e.Edf.remaining in
+  let chunk = min req.left budget_cap in
+  let chunk = max chunk 1 in
+  Proc.sleep chunk;
+  if slack then Edf.charge_slack e chunk else Edf.charge e chunk;
+  req.left <- req.left - chunk;
+  if req.left <= 0 then begin
+    ignore (Queue.pop c.pending);
+    if Queue.is_empty c.pending then begin
+      c.backlogged_since <- None;
+      sync_flags t c
     end;
-    scheduler_loop t
+    req.wake ()
+  end;
+  scheduler_loop t
 
 let ensure_running t =
   if not t.running then begin
@@ -129,6 +117,7 @@ let admit t ~name ~period ~slice ?(extra = true) () =
         backlogged_since = None }
     in
     Hashtbl.replace t.members e.Edf.id c;
+    sync_flags t c;
     ensure_running t;
     Ok c
 
@@ -147,6 +136,7 @@ let consume t (c : client) span =
         if Queue.is_empty c.pending then
           c.backlogged_since <- Some (Sim.now t.sim);
         Queue.add { left = span; wake = (fun () -> wake ()) } c.pending;
+        sync_flags t c;
         Sync.Waitq.broadcast t.kick);
     Ok ()
   end

@@ -45,48 +45,57 @@ type client = {
 type t = {
   sim : Sim.t;
   dm : Disk_model.t;
+  (* Replenishes in admission order: the [Alloc] records it leads to
+     are compared bit-for-bit by tests. *)
   edf : Edf.t;
-  (* Streams in admission order (replenish iterates it, and the trace
-     it records is compared bit-for-bit by tests), plus an id-keyed
-     node table so the scheduler's per-decision member lookups are
-     O(1) rather than a list scan. *)
-  members : client Ilist.t;
-  nodes : (int, client Ilist.node) Hashtbl.t;
+  (* Streams indexed by EDF id, for the per-decision lookup. *)
+  members : (int, client) Hashtbl.t;
   kick : Sync.Waitq.t;
   events : event Trace.t;
   laxity_enabled : bool;
   mutable running : bool;
 }
 
-let find_member t e =
-  Option.map Ilist.value (Hashtbl.find_opt t.nodes e.Edf.id)
+let member t e = Hashtbl.find t.members e.Edf.id
 
-(* Feed the QoS auditor at stream period boundaries (cf. Cpu). *)
-let audit_boundary t e ~unused ~boundary ~grants:_ =
+let client_name (c : client) = c.edf.Edf.cname
+let has_pending (c : client) = not (Io_channel.is_empty c.channel)
+
+(* A stream is runnable until its lax allowance runs dry and
+   backlogged while its channel holds a request. *)
+let sync_flags t (c : client) =
+  Edf.set_runnable t.edf c.edf (not c.idled);
+  Edf.set_backlogged t.edf c.edf (has_pending c)
+
+(* At each stream period boundary: feed the QoS auditor (cf. Cpu),
+   then grant the new allocation — an idled client goes back on the
+   runnable queue with a fresh lax allowance. *)
+let on_boundary t e ~unused ~boundary ~grants:_ =
+  let c = member t e in
   if !Obs.enabled then begin
-    match find_member t e with
-    | None -> ()
-    | Some c ->
-      let period_start = Time.add boundary (-e.Edf.period) in
-      let backlogged =
-        match c.backlogged_since with
-        | Some since -> since <= period_start
-        | None -> false
-      in
-      Obs.Qos_audit.usd_boundary ~now:boundary ~stream:e.Edf.cname
-        ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
-  end
+    let period_start = Time.add boundary (-e.Edf.period) in
+    let backlogged =
+      match c.backlogged_since with
+      | Some since -> since <= period_start
+      | None -> false
+    in
+    Obs.Qos_audit.usd_boundary ~now:boundary ~stream:e.Edf.cname
+      ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
+  end;
+  c.idled <- false;
+  c.lax_left <- c.cqos.Qos.laxity;
+  sync_flags t c;
+  Trace.record t.events (Sim.now t.sim) (Alloc { client = client_name c })
 
 let create ?(rollover = true) ?(laxity_enabled = true) sim dm =
   let t =
-    { sim; dm; edf = Edf.create ~rollover (); members = Ilist.create ();
-      nodes = Hashtbl.create 64; kick = Sync.Waitq.create ();
+    { sim; dm; edf = Edf.create ~rollover ~order:Edf.By_admission ();
+      members = Hashtbl.create 64; kick = Sync.Waitq.create ();
       events = Trace.create (); laxity_enabled; running = false }
   in
-  Edf.set_boundary_hook t.edf (audit_boundary t);
+  Edf.set_boundary_hook t.edf (on_boundary t);
   t
 
-let client_name (c : client) = c.edf.Edf.cname
 let qos (c : client) = c.cqos
 let txn_count (c : client) = c.txns
 let bytes_moved (c : client) = c.bytes
@@ -97,26 +106,12 @@ let trace t = t.events
 let disk t = t.dm
 let utilisation t = Edf.utilisation t.edf
 
-let has_pending (c : client) = not (Io_channel.is_empty c.channel)
-
-(* Grant period-boundary allocations; a new allocation puts an idled
-   client back on the runnable queue with a fresh lax allowance. *)
-let replenish t ~now =
-  Ilist.iter
-    (fun (c : client) ->
-      if c.live then begin
-        let grants = Edf.replenish t.edf ~now c.edf in
-        if grants > 0 then begin
-          c.idled <- false;
-          c.lax_left <- c.cqos.Qos.laxity;
-          Trace.record t.events now (Alloc { client = client_name c })
-        end
-      end)
-    t.members
-
 let execute_txn t (c : client) ~slack =
   let req = Io_channel.recv c.channel in
-  if Io_channel.is_empty c.channel then c.backlogged_since <- None;
+  if Io_channel.is_empty c.channel then begin
+    c.backlogged_since <- None;
+    sync_flags t c
+  end;
   (* Injected client stall: the client's driver domain is wedged (e.g.
      a user-level pager not responding). The disk head is not held —
      the stall burns the client's own CPU-side time and is charged to
@@ -168,6 +163,11 @@ let execute_txn t (c : client) ~slack =
   | Error (_, { Disk_model.bad_lba; persistent }) ->
     Sync.Ivar.fill req.completion (Error (Media { bad_lba; persistent }))
 
+(* Off the runnable queue until the next allocation. *)
+let idle t (c : client) =
+  c.idled <- true;
+  sync_flags t c
+
 (* The earliest-deadline runnable client has no transaction pending:
    it holds the disk for up to its remaining lax allowance (bounded by
    its budget and by the next period boundary, after which the EDF
@@ -181,7 +181,7 @@ let lax_wait t (c : client) =
     | Some d -> min bound (max 1 (Time.diff d now))
     | None -> bound
   in
-  if bound <= 0 then c.idled <- true
+  if bound <= 0 then idle t c
   else begin
     ignore (Sync.Waitq.wait_timeout t.kick bound);
     let elapsed = Time.diff (Sim.now t.sim) now in
@@ -193,39 +193,28 @@ let lax_wait t (c : client) =
         (Lax { client = client_name c; dur = elapsed });
       if !Obs.enabled then
         Obs.Metrics.add ~label:(client_name c) "usd.lax_ns" elapsed;
-      if c.lax_left <= 0 then c.idled <- true
+      if c.lax_left <= 0 then idle t c
     end
   end
 
 let rec scheduler_loop t =
   let now = Sim.now t.sim in
-  replenish t ~now;
-  let runnable e =
-    match find_member t e with
-    | Some c -> c.live && not c.idled
-    | None -> false
-  in
-  (match Edf.select t.edf ~only:runnable ~now with
+  Edf.replenish_due t.edf ~now;
+  (match Edf.select t.edf ~now with
   | Some e ->
-    let c = Option.get (find_member t e) in
+    let c = member t e in
     if has_pending c then execute_txn t c ~slack:false
     else if t.laxity_enabled then lax_wait t c
-    else begin
+    else
       (* No laxity (ablation): plain EDF marks the client idle until
          its next periodic allocation — the short-block problem. *)
-      c.idled <- true
-    end
+      idle t c
   | None ->
     (* Nobody runnable with budget: optionally give slack time to an
        x-flagged client with queued work, else sleep to the next
        period boundary or new submission. *)
-    let slack_ok e =
-      match find_member t e with
-      | Some c -> c.live && has_pending c
-      | None -> false
-    in
-    (match Edf.select_slack t.edf ~only:slack_ok ~now with
-    | Some e -> execute_txn t (Option.get (find_member t e)) ~slack:true
+    (match Edf.select_slack t.edf ~now with
+    | Some e -> execute_txn t (member t e) ~slack:true
     | None ->
       (match Edf.next_deadline t.edf with
       | Some d ->
@@ -252,9 +241,8 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
         lax_left = qos.Qos.laxity; idled = false; live = true; txns = 0;
         bytes = 0; lax_used = 0; backlogged_since = None }
     in
-    let node = Ilist.make_node c in
-    Ilist.push_back t.members node;
-    Hashtbl.replace t.nodes e.Edf.id node;
+    Hashtbl.replace t.members e.Edf.id c;
+    sync_flags t c;
     ensure_running t;
     Sync.Waitq.broadcast t.kick;
     Ok c
@@ -273,11 +261,7 @@ let drain_cancelled (c : client) =
 let retire t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  (match Hashtbl.find_opt t.nodes c.edf.Edf.id with
-  | Some node ->
-    Ilist.remove t.members node;
-    Hashtbl.remove t.nodes c.edf.Edf.id
-  | None -> ());
+  Hashtbl.remove t.members c.edf.Edf.id;
   (* Unblock waiters: requests still queued will never be scheduled. *)
   drain_cancelled c;
   c.backlogged_since <- None;
@@ -294,7 +278,7 @@ let submit t (c : client) op ~lba ~nblocks =
        retired while we slept, the retire-time drain ran before our
        request landed and nothing will ever service it. Cancel it (and
        anything queued behind us) so no waiter blocks forever. *)
-    if not c.live then drain_cancelled c;
+    if not c.live then drain_cancelled c else sync_flags t c;
     Sync.Waitq.broadcast t.kick;
     Ok completion
   end

@@ -44,22 +44,15 @@ type t = {
   sim : Sim.t;
   lname : string;
   params : Net_params.t;
+  (* Replenishes in admission order, the order of the [Alloc] trace
+     records. *)
   edf : Edf.t;
-  (* Clients in admission order (replenish records trace events while
-     walking it) plus an id-keyed node table for O(1) member lookups
-     on the pick-next path. *)
-  members : client Ilist.t;
-  nodes : (int, client Ilist.node) Hashtbl.t;
+  (* Clients indexed by EDF id, for the per-decision lookup. *)
+  members : (int, client) Hashtbl.t;
   kick : Sync.Waitq.t;
   events : event Trace.t;
   mutable running : bool;
 }
-
-let create ?(name = "link") ?(params = Net_params.fast_ethernet)
-    ?(rollover = true) sim =
-  { sim; lname = name; params; edf = Edf.create ~rollover ();
-    members = Ilist.create (); nodes = Hashtbl.create 64;
-    kick = Sync.Waitq.create (); events = Trace.create (); running = false }
 
 let name t = t.lname
 let params t = t.params
@@ -71,20 +64,37 @@ let lax_time (c : client) = c.lax_used
 let trace t = t.events
 let utilisation t = Edf.utilisation t.edf
 
-let find_member t e =
-  Option.map Ilist.value (Hashtbl.find_opt t.nodes e.Edf.id)
-
+let member t e = Hashtbl.find t.members e.Edf.id
 let has_pending (c : client) = not (Queue.is_empty c.ring)
 
-let replenish t ~now =
-  Ilist.iter
-    (fun (c : client) ->
-      if c.live && Edf.replenish t.edf ~now c.edf > 0 then begin
-        c.idled <- false;
-        c.lax_left <- c.laxity;
-        Trace.record t.events now (Alloc { client = client_name c })
-      end)
-    t.members
+(* A client with no laxity is runnable only with packets queued (the
+   seed behaviour, bit-for-bit); a client holding a lax allowance
+   stays runnable while empty and burns laxity when selected. It is
+   backlogged while its ring holds a packet. *)
+let sync_flags t (c : client) =
+  Edf.set_runnable t.edf c.edf
+    ((not c.idled) && (has_pending c || c.laxity > 0));
+  Edf.set_backlogged t.edf c.edf (has_pending c)
+
+(* A new allocation puts an idled client back on the runnable queue
+   with a fresh lax allowance. *)
+let on_boundary t e ~unused:_ ~boundary:_ ~grants:_ =
+  let c = member t e in
+  c.idled <- false;
+  c.lax_left <- c.laxity;
+  sync_flags t c;
+  Trace.record t.events (Sim.now t.sim) (Alloc { client = client_name c })
+
+let create ?(name = "link") ?(params = Net_params.fast_ethernet)
+    ?(rollover = true) sim =
+  let t =
+    { sim; lname = name; params;
+      edf = Edf.create ~rollover ~order:Edf.By_admission ();
+      members = Hashtbl.create 64; kick = Sync.Waitq.create ();
+      events = Trace.create (); running = false }
+  in
+  Edf.set_boundary_hook t.edf (on_boundary t);
+  t
 
 let gauges t (c : client) =
   if !Obs.enabled then begin
@@ -96,6 +106,7 @@ let gauges t (c : client) =
 
 let transmit_one t (c : client) ~slack =
   let pkt = Queue.pop c.ring in
+  sync_flags t c;
   (match Queue.take_opt c.senders with Some wake -> wake () | None -> ());
   let dur = Net_params.tx_time t.params ~bytes:pkt.bytes in
   Proc.sleep dur;
@@ -109,6 +120,12 @@ let transmit_one t (c : client) ~slack =
      else Tx { client = client_name c; bytes = pkt.bytes; dur });
   gauges t c;
   Sync.Ivar.fill pkt.completion ()
+
+(* Lax allowance spent: off the runnable queue until the next
+   allocation. *)
+let idle t (c : client) =
+  c.idled <- true;
+  sync_flags t c
 
 (* The earliest-deadline runnable client has nothing queued: a client
    with laxity holds its place on the runnable queue for up to its
@@ -127,7 +144,7 @@ let lax_wait t (c : client) =
     | Some d -> min bound (max 1 (Time.diff d now))
     | None -> bound
   in
-  if bound <= 0 then c.idled <- true
+  if bound <= 0 then idle t c
   else begin
     ignore (Sync.Waitq.wait_timeout t.kick bound);
     let elapsed = Time.diff (Sim.now t.sim) now in
@@ -137,47 +154,24 @@ let lax_wait t (c : client) =
       c.lax_used <- c.lax_used + elapsed;
       Trace.record t.events (Sim.now t.sim)
         (Lax { client = client_name c; dur = elapsed });
-      if c.lax_left <= 0 then c.idled <- true
+      if c.lax_left <= 0 then idle t c
     end
   end
 
 let rec scheduler_loop t =
   let now = Sim.now t.sim in
-  replenish t ~now;
-  (* A client with no laxity is runnable only with packets queued (the
-     seed behaviour, bit-for-bit); a client holding a lax allowance
-     stays runnable while empty and burns laxity when selected. *)
-  let runnable e =
-    match find_member t e with
-    | Some c -> c.live && not c.idled && (has_pending c || c.laxity > 0)
-    | None -> false
-  in
-  let sendable e =
-    match find_member t e with
-    | Some c -> c.live && has_pending c
-    | None -> false
-  in
-  (match Edf.select t.edf ~only:runnable ~now with
+  Edf.replenish_due t.edf ~now;
+  (match Edf.select t.edf ~now with
   | Some e ->
-    let c = Option.get (find_member t e) in
+    let c = member t e in
     if has_pending c then transmit_one t c ~slack:false else lax_wait t c
   | None ->
-    (match Edf.select_slack t.edf ~only:sendable ~now with
-    | Some e -> transmit_one t (Option.get (find_member t e)) ~slack:true
+    (match Edf.select_slack t.edf ~now with
+    | Some e -> transmit_one t (member t e) ~slack:true
     | None ->
       (* Sleep to the next period boundary of a client with queued
          packets, or until a new submission. *)
-      let next_dl =
-        Ilist.fold
-          (fun best (c : client) ->
-            if c.live && has_pending c then
-              match best with
-              | Some d when d <= c.edf.Edf.deadline -> best
-              | _ -> Some c.edf.Edf.deadline
-            else best)
-          None t.members
-      in
-      (match next_dl with
+      (match Edf.next_backlogged_deadline t.edf with
       | Some d ->
         ignore (Sync.Waitq.wait_timeout t.kick (max 1 (Time.diff d now)))
       | None -> Sync.Waitq.wait t.kick)));
@@ -215,9 +209,8 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
           idled = false; live = true; packets = 0; sent_bytes = 0;
           lax_used = 0 }
       in
-      let node = Ilist.make_node c in
-      Ilist.push_back t.members node;
-      Hashtbl.replace t.nodes e.Edf.id node;
+      Hashtbl.replace t.members e.Edf.id c;
+      sync_flags t c;
       ensure_running t;
       Sync.Waitq.broadcast t.kick;
       Ok c
@@ -225,11 +218,7 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
 let retire t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  (match Hashtbl.find_opt t.nodes c.edf.Edf.id with
-  | Some node ->
-    Ilist.remove t.members node;
-    Hashtbl.remove t.nodes c.edf.Edf.id
-  | None -> ());
+  Hashtbl.remove t.members c.edf.Edf.id;
   Sync.Waitq.broadcast t.kick
 
 let send t (c : client) ~bytes =
@@ -239,6 +228,7 @@ let send t (c : client) ~bytes =
       Proc.suspend (fun wake -> Queue.add wake c.senders);
     let completion = Sync.Ivar.create () in
     Queue.add { bytes; completion } c.ring;
+    sync_flags t c;
     gauges t c;
     Sync.Waitq.broadcast t.kick;
     Ok completion

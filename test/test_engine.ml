@@ -32,21 +32,20 @@ let heap_basic () =
   Heap.push h ~key:1 ~sub:0 "one";
   Heap.push h ~key:3 ~sub:0 "three";
   check "length" 3 (Heap.length h);
-  (match Heap.pop h with
-  | Some (1, 0, "one") -> ()
-  | _ -> Alcotest.fail "expected (1, one)");
-  (match Heap.peek h with
-  | Some (3, 0, "three") -> ()
-  | _ -> Alcotest.fail "expected peek (3, three)");
-  check "length after pop" 2 (Heap.length h)
+  check "peek min key" 1 (Heap.top_key h);
+  Alcotest.(check string) "pop min" "one" (Heap.pop h);
+  check "peek next key" 3 (Heap.top_key h);
+  check "length after pop" 2 (Heap.length h);
+  Alcotest.(check string) "pop next" "three" (Heap.pop h);
+  Alcotest.(check string) "pop last" "five" (Heap.pop h);
+  checkb "drained" true (Heap.is_empty h);
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Heap.pop: empty heap") (fun () -> ignore (Heap.pop h))
 
 let heap_fifo_ties () =
   let h = Heap.create () in
   List.iteri (fun i v -> Heap.push h ~key:7 ~sub:i v) [ "a"; "b"; "c" ];
-  let order =
-    List.init 3 (fun _ ->
-        match Heap.pop h with Some (_, _, v) -> v | None -> "?")
-  in
+  let order = List.init 3 (fun _ -> Heap.pop h) in
   Alcotest.(check (list string)) "tie order" [ "a"; "b"; "c" ] order
 
 let heap_sorts =
@@ -56,14 +55,11 @@ let heap_sorts =
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h ~key:k ~sub:i k) keys;
       let popped = ref [] in
-      let rec drain () =
-        match Heap.pop h with
-        | Some (k, _, _) ->
-          popped := k :: !popped;
-          drain ()
-        | None -> ()
-      in
-      drain ();
+      while not (Heap.is_empty h) do
+        let k = Heap.top_key h in
+        if Heap.pop h <> k then failwith "value popped under another key";
+        popped := k :: !popped
+      done;
       List.rev !popped = List.sort compare keys)
 
 (* --- Rng --- *)
@@ -111,9 +107,35 @@ let sim_cancel () =
   let fired = ref false in
   let h = Sim.at sim (Time.ms 1) (fun () -> fired := true) in
   Sim.cancel h;
+  Sim.cancel h;
   check "pending after cancel" 0 (Sim.pending sim);
+  ignore (Sim.at sim (Time.ms 2) ignore);
   Sim.run sim;
-  checkb "cancelled did not fire" false !fired
+  checkb "cancelled did not fire" false !fired;
+  check "cancelled counted once" 1 (Sim.cancelled sim);
+  check "executed" 1 (Sim.executed sim)
+
+(* Scheduling and running an event allocates its handle (a 3-field
+   record, 4 words) and nothing else: the heap stores keys in int
+   arrays and [step] pops without building an option or tuple. *)
+let sim_step_allocation () =
+  let sim = Sim.create () in
+  let f () = () in
+  for _ = 1 to 1_000 do
+    ignore (Sim.after sim 1 f)
+  done;
+  Sim.run sim;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sim.after sim 1 f);
+    ignore (Sim.step sim)
+  done;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_event > 4.01 then
+    Alcotest.failf "%.2f words per scheduled and executed event (want 4)"
+      per_event;
+  check "events executed" (1_000 + n) (Sim.executed sim)
 
 let sim_until () =
   let sim = Sim.create () in
@@ -377,6 +399,8 @@ let suite =
         Alcotest.test_case "same-instant FIFO" `Quick sim_same_instant_fifo;
         Alcotest.test_case "cancellation" `Quick sim_cancel;
         Alcotest.test_case "run ~until" `Quick sim_until;
+        Alcotest.test_case "an event allocates only its handle" `Quick
+          sim_step_allocation;
         Alcotest.test_case "scheduling in the past" `Quick sim_past_raises ] );
     ( "engine.proc",
       [ Alcotest.test_case "sleep advances time" `Quick proc_sleep;

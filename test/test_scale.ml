@@ -118,41 +118,67 @@ let frame_stack_unit () =
 
 (* The seed picked the next client by folding over the member list in
    admission order, keeping the earliest deadline with budget (first
-   admitted wins ties), and replenished by scanning every member. The
-   heap rebuild must select the same client after any sequence of
-   admissions, charges, removals and clock advances. *)
+   admitted wins ties) among the clients its caller's predicate
+   accepted, and replenished by scanning every member. The model below
+   is that fold, with the caller's predicates as the runnable and
+   backlogged flags. The Atropos-shaped core must pick the same client
+   from [select] and [select_slack], report the same next deadlines
+   and call the boundary hook for the same clients in the same order,
+   after any sequence of admissions, charges (overruns included),
+   flag flips, removals and clock advances. *)
 
 type m_client = {
   m_name : string;
+  m_id : int;
   m_period : int;
   m_slice : int;
+  m_extra : bool;
   mutable m_deadline : int;
   mutable m_remaining : int;
+  mutable m_runnable : bool;
+  mutable m_backlogged : bool;
 }
 
 type edf_op =
-  | Eadmit of int * int  (** (period choice, slice choice) *)
+  | Eadmit of int * int * bool  (** (period choice, slice choice, x) *)
   | Eadvance of int  (** ms *)
   | Echarge of int * int  (** (client pick, span us) *)
   | Eremove of int  (** client pick *)
+  | Eremove_winner
+  | Erunnable of int * bool  (** (client pick, flag) *)
+  | Ebacklogged of int * bool
   | Eselect
+  | Eselect_only of int  (** bit mask over client ids mod 8 *)
+  | Eslack
 
 let edf_op_gen =
   QCheck.Gen.(
     frequency
-      [ (2, map2 (fun p s -> Eadmit (p, s)) (int_range 0 3) (int_range 0 2));
+      [ (2, map3 (fun p s x -> Eadmit (p, s, x)) (int_range 0 3) (int_range 0 2)
+             bool);
         (3, map (fun d -> Eadvance d) (int_range 1 12));
         (3, map2 (fun i u -> Echarge (i, u)) (int_range 0 7)
-             (int_range 100 1800));
+             (int_range 100 3000));
         (1, map (fun i -> Eremove i) (int_range 0 7));
-        (4, return Eselect) ])
+        (1, return Eremove_winner);
+        (2, map2 (fun i b -> Erunnable (i, b)) (int_range 0 7) bool);
+        (2, map2 (fun i b -> Ebacklogged (i, b)) (int_range 0 7) bool);
+        (4, return Eselect);
+        (1, map (fun m -> Eselect_only m) (int_range 0 255));
+        (2, return Eslack) ])
 
 let edf_op_print = function
-  | Eadmit (p, s) -> Printf.sprintf "admit %d %d" p s
+  | Eadmit (p, s, x) ->
+    Printf.sprintf "admit %d %d%s" p s (if x then " x" else "")
   | Eadvance d -> Printf.sprintf "advance %dms" d
   | Echarge (i, u) -> Printf.sprintf "charge %d %dus" i u
   | Eremove i -> Printf.sprintf "remove %d" i
+  | Eremove_winner -> "remove winner"
+  | Erunnable (i, b) -> Printf.sprintf "runnable %d %b" i b
+  | Ebacklogged (i, b) -> Printf.sprintf "backlogged %d %b" i b
   | Eselect -> "select"
+  | Eselect_only m -> Printf.sprintf "select only %#x" m
+  | Eslack -> "select_slack"
 
 let m_utilisation model =
   List.fold_left
@@ -167,34 +193,89 @@ let m_replenish now c =
     c.m_deadline <- c.m_deadline + c.m_period
   done
 
-let m_select model =
+(* The seed's pick-next fold, over the clients [ok] accepts. *)
+let m_fold ok model =
   List.fold_left
     (fun best c ->
-      if c.m_remaining > 0 then
+      if ok c then
         match best with
         | Some b when b.m_deadline <= c.m_deadline -> best
         | _ -> Some c
       else best)
     None model
 
+let m_select ?(only = fun _ -> true) model =
+  m_fold (fun c -> c.m_runnable && c.m_remaining > 0 && only c) model
+
+let m_select_slack model = m_fold (fun c -> c.m_backlogged && c.m_extra) model
+
+let m_next_deadline ok model =
+  Option.map (fun c -> c.m_deadline) (m_fold ok model)
+
 let edf_matches_fold =
   let periods = [| Time.ms 2; Time.ms 3; Time.ms 5; Time.ms 10 |] in
   let slices = [| Time.us 400; Time.us 700; Time.ms 1 |] in
   QCheck.Test.make
-    ~name:"heap EDF picks the same client as the seed fold" ~count:300
+    ~name:"heap EDF picks the same client as the seed fold" ~count:400
     (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map edf_op_print ops))
-       QCheck.Gen.(list_size (int_range 1 80) edf_op_gen))
-    (fun ops ->
-      let edf = Sched.Edf.create () in
+       ~print:(fun (by_id, ops) ->
+         Printf.sprintf "%s: %s"
+           (if by_id then "by admission" else "by deadline")
+           (String.concat "; " (List.map edf_op_print ops)))
+       QCheck.Gen.(pair bool (list_size (int_range 1 120) edf_op_gen)))
+    (fun (by_id, ops) ->
+      let order =
+        if by_id then Sched.Edf.By_admission else Sched.Edf.By_deadline
+      in
+      let edf = Sched.Edf.create ~order () in
+      let hook_calls = ref [] in
+      Sched.Edf.set_boundary_hook edf (fun c ~unused:_ ~boundary:_ ~grants:_ ->
+          hook_calls := c.Sched.Edf.cname :: !hook_calls);
       let model = ref [] in
       let next = ref 0 in
       let now = ref Time.zero in
       let pick i l = List.nth l (i mod List.length l) in
+      let same real expect =
+        match (real, expect) with
+        | None, None -> true
+        | Some (r : Sched.Edf.client), Some m -> r.Sched.Edf.cname = m.m_name
+        | _ -> false
+      in
+      let with_client i f =
+        match Sched.Edf.clients edf with
+        | [] -> ()
+        | real -> f (pick i real) (pick i !model)
+      in
+      let remove (victim : Sched.Edf.client) =
+        Sched.Edf.remove edf victim;
+        model :=
+          List.filter (fun m -> m.m_name <> victim.Sched.Edf.cname) !model
+      in
+      let replenish () =
+        hook_calls := [];
+        Sched.Edf.replenish_due edf ~now:!now;
+        (* Due clients in the seed's scan, put in the core's order. *)
+        let due =
+          List.filter_map
+            (fun m ->
+              if m.m_deadline <= !now then Some (m.m_deadline, m) else None)
+            !model
+        in
+        let due =
+          if by_id then due
+          else
+            List.stable_sort
+              (fun (d, a) (d', b) -> compare (d, a.m_id) (d', b.m_id))
+              due
+        in
+        List.iter (m_replenish !now) !model;
+        if List.rev !hook_calls <> List.map (fun (_, m) -> m.m_name) due then
+          failwith "boundary hook order disagrees with the scan"
+      in
       List.for_all
         (fun op ->
           (match op with
-          | Eadmit (p, s) ->
+          | Eadmit (p, s, extra) ->
             let period = periods.(p) and slice = slices.(s) in
             let name = Printf.sprintf "c%d" !next in
             incr next;
@@ -204,54 +285,72 @@ let edf_matches_fold =
               > 1.0 +. 1e-9
             in
             (match
-               Sched.Edf.admit edf ~name ~period ~slice ~now:!now ()
+               Sched.Edf.admit edf ~name ~period ~slice ~extra ~now:!now ()
              with
             | Ok _ when refused -> failwith "model refused, EDF admitted"
             | Error _ when not refused ->
               failwith "model admitted, EDF refused"
-            | Ok _ ->
+            | Ok c ->
               model :=
                 !model
-                @ [ { m_name = name; m_period = period; m_slice = slice;
-                      m_deadline = !now + period; m_remaining = slice } ]
+                @ [ { m_name = name; m_id = c.Sched.Edf.id; m_period = period;
+                      m_slice = slice; m_extra = extra;
+                      m_deadline = !now + period; m_remaining = slice;
+                      m_runnable = true; m_backlogged = true } ]
             | Error _ -> ())
           | Eadvance d -> now := Time.add !now (Time.ms d)
-          | Echarge (i, us) -> (
-            match Sched.Edf.clients edf with
-            | [] -> ()
-            | real ->
-              Sched.Edf.charge (pick i real) (Time.us us);
-              let m = pick i !model in
-              m.m_remaining <- m.m_remaining - Time.us us)
-          | Eremove i -> (
-            match Sched.Edf.clients edf with
-            | [] -> ()
-            | real ->
-              let victim = pick i real in
-              Sched.Edf.remove edf victim;
-              model :=
-                List.filter
-                  (fun m -> m.m_name <> victim.Sched.Edf.cname)
-                  !model)
+          | Echarge (i, us) ->
+            with_client i (fun r m ->
+                Sched.Edf.charge r (Time.us us);
+                m.m_remaining <- m.m_remaining - Time.us us)
+          | Eremove i -> with_client i (fun r _ -> remove r)
+          | Eremove_winner -> (
+            replenish ();
+            match Sched.Edf.select edf ~now:!now with
+            | Some w -> remove w
+            | None -> ())
+          | Erunnable (i, b) ->
+            with_client i (fun r m ->
+                Sched.Edf.set_runnable edf r b;
+                m.m_runnable <- b)
+          | Ebacklogged (i, b) ->
+            with_client i (fun r m ->
+                Sched.Edf.set_backlogged edf r b;
+                m.m_backlogged <- b)
           | Eselect ->
-            Sched.Edf.replenish_due edf ~now:!now;
-            List.iter (m_replenish !now) !model;
-            let real = Sched.Edf.select edf ~now:!now in
-            let expect = m_select !model in
-            let same =
-              match (real, expect) with
-              | None, None -> true
-              | Some r, Some m -> r.Sched.Edf.cname = m.m_name
-              | _ -> false
+            replenish ();
+            if not (same (Sched.Edf.select edf ~now:!now) (m_select !model))
+            then failwith "select disagrees with the fold"
+          | Eselect_only mask ->
+            replenish ();
+            let only_id id = mask land (1 lsl (id mod 8)) <> 0 in
+            let real =
+              Sched.Edf.select edf ~now:!now
+                ~only:(fun c -> only_id c.Sched.Edf.id)
             in
-            if not same then failwith "select disagrees with the fold");
+            if not (same real (m_select ~only:(fun m -> only_id m.m_id) !model))
+            then failwith "select ~only disagrees with the fold"
+          | Eslack ->
+            replenish ();
+            if not (same (Sched.Edf.select_slack edf ~now:!now)
+                      (m_select_slack !model))
+            then failwith "select_slack disagrees with the fold");
+          if
+            Sched.Edf.next_deadline edf
+            <> m_next_deadline (fun _ -> true) !model
+          then failwith "next_deadline disagrees with the fold";
+          if Sched.Edf.next_backlogged_deadline edf
+             <> m_next_deadline (fun m -> m.m_backlogged) !model
+          then failwith "next_backlogged_deadline disagrees with the fold";
           (* The member list itself must stay in admission order with
              identical accounting state. *)
           List.for_all2
             (fun (r : Sched.Edf.client) m ->
               r.Sched.Edf.cname = m.m_name
               && r.Sched.Edf.deadline = m.m_deadline
-              && r.Sched.Edf.remaining = m.m_remaining)
+              && r.Sched.Edf.remaining = m.m_remaining
+              && r.Sched.Edf.runnable = m.m_runnable
+              && r.Sched.Edf.backlogged = m.m_backlogged)
             (Sched.Edf.clients edf) !model)
         ops)
 
@@ -299,6 +398,50 @@ let edf_replenish_due () =
   checkb "b untouched" false (Sched.Edf.has_budget b);
   check "a deadline advanced" (Time.ms 20) a.Sched.Edf.deadline;
   check "b deadline unchanged" (Time.ms 40) b.Sched.Edf.deadline
+
+(* The decision the many-domain runs make on every event: 128 clients
+   hold budget, 3 have work. A decision must look at the runnable
+   clients only and allocate nothing but the [Some] it returns (2
+   words), replenishment included; a decision that finds nobody
+   allocates nothing at all. *)
+let edf_select_allocation () =
+  let edf = Sched.Edf.create () in
+  let n = 128 in
+  let clients =
+    Array.init n (fun i ->
+        match
+          Sched.Edf.admit edf ~name:(string_of_int i) ~period:(Time.ms 10)
+            ~slice:(Time.us (7_700 / n)) ~now:Time.zero ()
+        with
+        | Ok c -> c
+        | Error e -> failwith e)
+  in
+  Array.iteri
+    (fun i c -> Sched.Edf.set_runnable edf c (i mod 43 = 0))
+    clients;
+  let now = ref Time.zero in
+  let picked = ref 0 in
+  let step () =
+    now := Time.add !now (Time.us 50);
+    Sched.Edf.replenish_due edf ~now:!now;
+    match Sched.Edf.select edf ~now:!now with
+    | Some c ->
+      incr picked;
+      Sched.Edf.charge c (Time.us 50)
+    | None -> ()
+  in
+  for _ = 1 to 1_000 do step () done;
+  let calls = 10_000 in
+  picked := 0;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do step () done;
+  let words = Gc.minor_words () -. before in
+  (* 10,000 steps of 50 us are 50 periods, in each of which the three
+     runnable clients are owed 60 us: 9 ms of 50 us grants in all. *)
+  check "grants served" 180 !picked;
+  if words > float_of_int (2 * !picked) +. 8. then
+    Alcotest.failf "%.0f words for %d selects, %d of them picking (want %d)"
+      words calls !picked (2 * !picked)
 
 (* --- Typed errors across the public API ---------------------------- *)
 
@@ -474,7 +617,9 @@ let suite =
         Alcotest.test_case "deadline ties go to first admitted" `Quick
           edf_tie_break;
         Alcotest.test_case "replenish_due only touches due clients" `Quick
-          edf_replenish_due ] );
+          edf_replenish_due;
+        Alcotest.test_case "select allocates only its result" `Quick
+          edf_select_allocation ] );
     ( "scale.errors",
       [ Alcotest.test_case "admission overcommit payload" `Quick
           frames_overcommit_payload;
