@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test loc bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
 
 all: build
 
@@ -7,6 +7,14 @@ build:
 
 test:
 	dune runtest
+
+# Code size: ml/mli lines per library and for bin, bench and test,
+# plus the lib total — the line count deletion changes report.
+loc:
+	@for d in lib/* bin bench test; do \
+		printf '%-16s %6d\n' "$$d" "$$(cat $$d/*.ml $$d/*.mli 2>/dev/null | wc -l)"; \
+	done; \
+	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
 bench:
 	dune exec bench/main.exe
@@ -95,10 +103,11 @@ chaos:
 crash:
 	dune exec bin/nemesis_sim.exe -- crash-recover --rounds 2
 
-# Remote-paging run: a mixed tiered/disk-only fleet with link chaos in
-# the second half; zero bystander violations, balanced tier loss books
-# and a byte-identical same-seed rerun asserted (non-zero exit on
-# breach).
+# Remote-paging run: three tiered domains on a one-node fleet beside
+# three disk-only bystanders, link chaos in the second half; zero
+# bystander violations, balanced fleet books, the fleet's drop count
+# equal to the injector's and a byte-identical same-seed rerun
+# asserted (non-zero exit on breach).
 remote:
 	dune exec bin/nemesis_sim.exe -- remote -d 20
 

@@ -149,7 +149,7 @@ val create :
 
     [backing] routes every data-path transaction (page-ins, page-outs,
     committing flushes) through an alternative backing store — e.g.
-    {!Tier.Store.backing} for the RAM-cache → remote-memory → disk
+    {!Tier.Fleet.backing} for the RAM-cache → remote-memory → disk
     tier. The default, {!Tier.Backing.of_sfs}[ swap], is the swapfile
     itself and reproduces the seed behaviour bit-for-bit. Non-default
     backends are named in the driver name ([paged(fifo@tier)]).

@@ -199,7 +199,7 @@ val bind_paged :
 
     [backing] is applied to the freshly opened swapfile and the
     resulting {!Tier.Backing.t} carries the driver's data path — pass
-    [(fun swap -> Tier.Store.backing (Tier.Store.create … ~swap ()))]
+    [(fun swap -> Tier.Fleet.backing (Tier.Fleet.attach fleet … ~swap ()))]
     to page through the disaggregated-memory tier. The swapfile itself
     remains System-owned (closed or detached on domain death). *)
 

@@ -291,10 +291,11 @@ let () =
            ()));
   reg "remote"
     "Disaggregated memory: three tiered domains page through a \
-     RAM-cache/remote-memory/disk backing store over a shared guaranteed \
-     link while three disk-only bystanders run beside them; the second half \
-     drops and delays packets on that link and the verdict demands zero \
-     bystander violations, balanced tier loss books and a byte-identical \
+     RAM-cache/remote-memory/disk backing store (a one-node fleet) over a \
+     shared guaranteed link while three disk-only bystanders run beside \
+     them; the second half drops and delays packets on that link and the \
+     verdict demands zero bystander violations, balanced fleet books, the \
+     fleet's drop count equal to the injector's and a byte-identical \
      same-seed rerun"
     ~params:
       [ p_duration 30; p_seed;

@@ -27,25 +27,6 @@ type result = {
 
 let page_blocks = Addr.page_size / 512
 
-(* Attribute a QoS violation to a domain by name (CPU/USD feeds label
-   streams "name" / "name.swap") or by domain id (frame-side feeds). *)
-let violations_for ~names ~ids =
-  List.length
-    (List.filter
-       (fun (_, v) ->
-         match v with
-         | Obs.Qos_audit.Cpu_undersupply { dom; _ } -> List.mem dom names
-         | Obs.Qos_audit.Usd_undersupply { stream; _ } ->
-           List.exists
-             (fun n ->
-               String.length stream >= String.length n
-               && String.sub stream 0 (String.length n) = n)
-             names
-         | Obs.Qos_audit.Mem_overcommit _ -> false
-         | Obs.Qos_audit.Revocation_overdue { dom; _ }
-         | Obs.Qos_audit.Guarantee_starved { dom } -> List.mem dom ids)
-       (Obs.Qos_audit.events ()))
-
 (* The victim's injection plan, scoped to its swap extent
    [(first, nblocks)]. Four permanently-bad page slots on the write
    path (enough spare slots are reserved to remap them all — losing a
@@ -215,7 +196,7 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
     && not (Frames.is_live doomed.System.frames_client)
   in
   let viol app name =
-    violations_for ~names:[ name ]
+    Harness.violations_for ~names:[ name ]
       ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
   in
   let c1 = viol clean1 "clean1" and c2 = viol clean2 "clean2" in

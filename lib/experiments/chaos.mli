@@ -58,12 +58,6 @@ val plan_specs : first:int -> nblocks:int -> string list
 val plan_for : seed:int -> first:int -> nblocks:int -> Inject.plan
 (** {!plan_specs} resolved and applied to [{default_plan with seed}]. *)
 
-val violations_for : names:string list -> ids:int list -> int
-(** QoS-audit violations attributable to a domain, by name (CPU/USD
-    feeds label streams ["name"] / ["name.swap"]) or by domain id
-    (frame-side feeds). Shared with the other chaos-style experiments
-    ({!Remote_page}). *)
-
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 (** Enables {!Obs}, resets collectors, arms the injection plan derived
     from [seed] and runs for [duration] (default 30 s) plus a 2 s

@@ -17,30 +17,19 @@
     {e degraded} from remote memory at least 50x faster than the disk
     floor (the bystanders' pooled fault latency), storage overhead at
     most 1.55x and below the replicated cell's, the mode-aware books
-    balanced ([lost_shards = reconstructions + rebuilds +
-    disk_fallbacks]), corrupt serves detected, the join honoured with
+    balanced (the packet ledger and [lost_shards = reconstructions +
+    rebuilds + disk_fallbacks]), corrupt serves detected, the join honoured with
     migrations, zero bystander violations, and a second same-seed run
     reproducing both cells byte-for-byte. *)
 
 open Engine
-
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;  (** sustained throughput ([nan] if warming) *)
-  dr_accesses : int;
-  dr_fault_mean_us : float;  (** mean fault-service latency, [nan] if none *)
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
 
 (** One redundancy mode's full run: six domains, the fault plan, the
     drain, the books. *)
 type cell = {
   c_name : string;  (** ["replicated"] or ["erasure"] *)
   c_mode : string;  (** ["R=2"] or ["k=4,m=2"] *)
-  c_domains : domain_report list;
+  c_domains : Harness.domain_report list;
   c_fleet : Tier.Fleet.stats;
   c_health : Tier.Fleet.node_health list;
   c_books_balanced : bool;

@@ -1,21 +1,10 @@
 open Engine
 open Core
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_fault_mean_us : float;
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
+  domains : Harness.domain_report list;
   fleet : Tier.Fleet.stats;
   health : Tier.Fleet.node_health list;
   books_balanced : bool;
@@ -28,30 +17,6 @@ type result = {
   deterministic : bool;
   audit : Obs.Qos_audit.summary;
 }
-
-let patterns =
-  List.map
-    (fun n -> (n, Harness.pattern ~experiment:"failover" n))
-    [ "seq"; "rand"; "hot" ]
-
-let fault_hist name =
-  match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
-  | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
-  | None -> (nan, nan)
-
-let start_app sys ~name ~pattern ?backing () =
-  (* six apps share the disk: 6 x 35/250 = 0.84 leaves admission room *)
-  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 35) () in
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos ~vm_bytes:(1024 * 1024) ~phys_frames:8
-      ~swap_bytes:(4 * 1024 * 1024) ?backing ~pattern ()
-  with
-  | Ok a -> a
-  (* Setup failwiths throughout: the experiment's fixed fleet admits
-     by construction; backing/pattern resolution is typed via the
-     registry (Harness.backing / Harness.pattern). *)
-  | Error e -> failwith (Printf.sprintf "failover: %s: %s" name e)
 
 let node_count = 4
 let node_capacity = 160
@@ -70,27 +35,20 @@ let plan_for ~seed ~duration =
           ~partitions:[ (Time.ns (d / 2), Time.ns (d * 2 / 3)) ]
           (node_name 2) ] }
 
+let mk_nodes sys ~capacity =
+  List.init node_count (fun i ->
+      Harness.remote_node sys ~params:Usnet.Net_params.fast_ethernet
+        ~capacity (node_name i))
+
+(* The repair budget is deliberately a trickle (2 copies every 250 ms):
+   re-replicating a wiped node takes a large fraction of the run, so
+   reads must fail over to survivors in the meantime — that window is
+   the point of the experiment. *)
 let build_fleet ~seed sys =
-  let nodes =
-    List.init node_count (fun i ->
-        let name = node_name i in
-        let link =
-          Usnet.Link.create ~name ~params:Usnet.Net_params.fast_ethernet
-            (System.sim sys)
-        in
-        let remote =
-          Tier.Remote_node.create ~capacity_pages:node_capacity ()
-        in
-        (name, remote, link))
-  in
-  (* The repair budget is deliberately a trickle (2 copies every
-     250 ms): re-replicating a wiped node takes a large fraction of
-     the run, so reads must fail over to survivors in the meantime —
-     that window is the point of the experiment. *)
-  ( Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2)
-      ~repair_period:(Time.ms 250)
-      ~repair_budget:2 ~nodes (System.sim sys),
-    nodes )
+  Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2)
+    ~repair_period:(Time.ms 250) ~repair_budget:2
+    ~nodes:(mk_nodes sys ~capacity:node_capacity)
+    (System.sim sys)
 
 let run_once ~seed ~duration =
   Obs.set_enabled true;
@@ -98,41 +56,17 @@ let run_once ~seed ~duration =
   Inject.disarm ();
   let config = { System.default_config with seed; main_memory_mb = 2 } in
   let sys = System.create ~config () in
-  let fleet, _nodes = build_fleet ~seed sys in
+  let fleet = build_fleet ~seed sys in
   let stores = ref [] in
-  let disk_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let name = "disk_" ^ pat in
-        (name, pat, false, start_app sys ~name ~pattern ()))
-      patterns
+  (* per-node links: 3 domains x 5/20 + the fleet's repair client
+     2/20 = 0.85 of each link *)
+  let apps =
+    Harness.start_domains ~experiment:"failover" sys ~tiered_prefix:"fleet_"
+      ~backing:(fun name ->
+        Harness.fleet_backing ~experiment:"failover" fleet
+          ~client:(name ^ ".tier") ~spec:"fleet:cache-pages=24"
+          ~on_store:(fun s -> stores := s :: !stores))
   in
-  let tier_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let name = "fleet_" ^ pat in
-        (* per-node links: 3 domains x 5/20 + the fleet's repair
-           client 2/20 = 0.85 of each link *)
-        let clients =
-          match
-            Tier.Fleet.admit_clients fleet ~name:(name ^ ".tier")
-              ~period:(Time.ms 20) ~slice:(Time.ms 5) ~extra:true
-              ~laxity:(Time.of_ms_float 2.0) ()
-          with
-          | Ok cs -> cs
-          | Error e ->
-              failwith ("failover: " ^ Usnet.Link.admit_error_message e)
-        in
-        let backing =
-          Harness.backing ~experiment:"failover" "fleet:cache-pages=24"
-            [ Tier.Fleet.Fleet_tier
-                { fc_fleet = fleet; fc_clients = clients;
-                  fc_on_store = (fun s -> stores := s :: !stores) } ]
-        in
-        (name, pat, true, start_app sys ~name ~pattern ~backing ()))
-      patterns
-  in
-  let apps = disk_apps @ tier_apps in
   (* Faults are armed from the start (they fire by virtual time); a
      quiet drain lets repair finish and in-flight packets settle
      before the books are read. *)
@@ -140,44 +74,9 @@ let run_once ~seed ~duration =
   System.run ~until:duration sys;
   Inject.disarm ();
   System.run ~until:(Time.add duration (Time.sec 2)) sys;
-  let viol name app =
-    Chaos.violations_for ~names:[ name ]
-      ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
-  in
-  let reports =
-    List.map
-      (fun (name, pat, tiered, app) ->
-        let mean, p95 = fault_hist name in
-        { dr_name = name;
-          dr_pattern = pat;
-          dr_tiered = tiered;
-          dr_mbit = Workload.Paging_app.sustained_mbit app;
-          dr_accesses = Workload.Paging_app.measured_accesses app;
-          dr_fault_mean_us = mean;
-          dr_fault_p95_us = p95;
-          dr_violations = viol name app })
-      apps
-  in
-  let bystanders, tiered = List.partition (fun r -> not r.dr_tiered) reports in
+  let reports = Harness.domain_reports apps in
   let tally = Inject.tally () in
-  let store_totals =
-    List.fold_left
-      (fun a s ->
-        let b = Tier.Fleet.store_stats s in
-        let open Tier.Fleet in
-        { st_cache_hits = a.st_cache_hits + b.st_cache_hits;
-          st_fleet_hits = a.st_fleet_hits + b.st_fleet_hits;
-          st_fleet_misses = a.st_fleet_misses + b.st_fleet_misses;
-          st_promotes = a.st_promotes + b.st_promotes;
-          st_demotes = a.st_demotes + b.st_demotes;
-          st_write_fallbacks = a.st_write_fallbacks + b.st_write_fallbacks;
-          st_clean_skips = a.st_clean_skips + b.st_clean_skips;
-          st_lost_slots = a.st_lost_slots + b.st_lost_slots })
-      { Tier.Fleet.st_cache_hits = 0; st_fleet_hits = 0; st_fleet_misses = 0;
-        st_promotes = 0; st_demotes = 0; st_write_fallbacks = 0;
-        st_clean_skips = 0; st_lost_slots = 0 }
-      !stores
-  in
+  let store_totals = Harness.store_totals !stores in
   { seed;
     duration;
     domains = reports;
@@ -185,21 +84,13 @@ let run_once ~seed ~duration =
     health = Tier.Fleet.health fleet;
     books_balanced = Tier.Fleet.books_balanced fleet;
     store_totals;
-    lost_slots =
-      List.fold_left
-        (fun n s -> n + (Tier.Fleet.store_stats s).Tier.Fleet.st_lost_slots)
-        0 !stores;
+    lost_slots = store_totals.Tier.Fleet.st_lost_slots;
     node_wipes = tally.Inject.node_wipes;
     node_partitions = tally.Inject.node_partitions;
-    bystander_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 bystanders;
-    tiered_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 tiered;
+    bystander_violations = Harness.violations ~tiered:false reports;
+    tiered_violations = Harness.violations ~tiered:true reports;
     deterministic = true;
     audit = Obs.Qos_audit.summarize () }
-
-let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
-let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
 
 let to_json r =
   let b = Buffer.create 1024 in
@@ -207,24 +98,9 @@ let to_json r =
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
   Buffer.add_string b
     (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \
-       \"accesses\": %d, \"fault_mean_us\": %s, \"fault_p95_us\": %s, \
-       \"violations\": %d}"
-      d.dr_name d.dr_pattern d.dr_tiered
-      (if Float.is_nan d.dr_mbit then "null"
-       else Printf.sprintf "%.3f" d.dr_mbit)
-      d.dr_accesses
-      (if Float.is_nan d.dr_fault_mean_us then "null"
-       else Printf.sprintf "%.1f" d.dr_fault_mean_us)
-      (if Float.is_nan d.dr_fault_p95_us then "null"
-       else Printf.sprintf "%.1f" d.dr_fault_p95_us)
-      d.dr_violations
-  in
   Buffer.add_string b
     (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map dom r.domains)));
+       (String.concat ", " (List.map Harness.domain_json r.domains)));
   let f = r.fleet in
   Buffer.add_string b
     (Printf.sprintf
@@ -257,16 +133,8 @@ let to_json r =
        (String.concat ", " (List.map node r.health)));
   Buffer.add_string b
     (Printf.sprintf "  \"books_balanced\": %b,\n" r.books_balanced);
-  let st = r.store_totals in
   Buffer.add_string b
-    (Printf.sprintf
-       "  \"stores\": {\"cache_hits\": %d, \"fleet_hits\": %d, \
-        \"fleet_misses\": %d, \"promotes\": %d, \"demotes\": %d, \
-        \"write_fallbacks\": %d, \"clean_skips\": %d, \"lost_slots\": %d},\n"
-       st.Tier.Fleet.st_cache_hits st.Tier.Fleet.st_fleet_hits
-       st.Tier.Fleet.st_fleet_misses st.Tier.Fleet.st_promotes
-       st.Tier.Fleet.st_demotes st.Tier.Fleet.st_write_fallbacks
-       st.Tier.Fleet.st_clean_skips st.Tier.Fleet.st_lost_slots);
+    (Printf.sprintf "  \"stores\": %s,\n" (Harness.store_json r.store_totals));
   Buffer.add_string b (Printf.sprintf "  \"lost_slots\": %d,\n" r.lost_slots);
   Buffer.add_string b
     (Printf.sprintf "  \"node_wipes\": %d, \"node_partitions\": %d,\n"
@@ -305,17 +173,7 @@ let print r =
   Printf.printf
     "seed %d, %.0f s (wipe at T/3, partition over [T/2, 2T/3]) + 2 s drain\n\n"
     r.seed (Time.to_sec r.duration);
-  Report.table
-    ~header:
-      [ "domain"; "pattern"; "backing"; "Mbit/s"; "accesses"; "fault us";
-        "p95 us"; "violations" ]
-    (List.map
-       (fun d ->
-         [ d.dr_name; d.dr_pattern; (if d.dr_tiered then "fleet" else "disk");
-           mbit_s d.dr_mbit; string_of_int d.dr_accesses;
-           us d.dr_fault_mean_us; us d.dr_fault_p95_us;
-           string_of_int d.dr_violations ])
-       r.domains);
+  Harness.domain_table ~tiered_label:"fleet" r.domains;
   print_newline ();
   let f = r.fleet in
   Printf.printf "placement: %d stores = %d acks (%s)\n" f.Tier.Fleet.stores
@@ -341,13 +199,7 @@ let print r =
         (if h.Tier.Fleet.nh_quarantined then " [quarantined]" else "")
         h.Tier.Fleet.nh_quarantines h.Tier.Fleet.nh_readmissions)
     r.health;
-  let st = r.store_totals in
-  Printf.printf
-    "reads: %d cache hits, %d fleet hits, %d never-placed (disk); %d \
-     demotes, %d write fallbacks, %d clean skips\n"
-    st.Tier.Fleet.st_cache_hits st.Tier.Fleet.st_fleet_hits
-    st.Tier.Fleet.st_fleet_misses st.Tier.Fleet.st_demotes
-    st.Tier.Fleet.st_write_fallbacks st.Tier.Fleet.st_clean_skips;
+  Harness.print_store_totals r.store_totals;
   Printf.printf "committed pages lost: %d\n" r.lost_slots;
   Printf.printf "same-seed rerun: %s\n\n"
     (if r.deterministic then "byte-identical" else "DIVERGED");
@@ -387,112 +239,39 @@ type bench_result = {
 
 let bench_capacity = 300
 
-(* One hotspot run against one backend. The histogram is cumulative,
-   so the second-half window is recovered from (count, mean)
-   snapshots at T/2 and T: mean2h = (m2 c2 - m1 c1) / (c2 - c1).
-   When [wipe] is set, node n0 loses its contents at exactly T/2 —
-   applied directly, between the two System.run legs, so the window
-   boundary and the fault coincide. *)
+(* One hotspot run against one backend; with [wipe], node n0 loses
+   its contents at exactly T/2. *)
 let bench_cell ~seed ~duration ~name ~fleeted ~wipe =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
-  let fleet_and_nodes =
-    if not fleeted then None
-    else begin
-      let nodes =
-        List.init node_count (fun i ->
-            let nm = node_name i in
-            let link =
-              Usnet.Link.create ~name:nm
-                ~params:Usnet.Net_params.fast_ethernet (System.sim sys)
-            in
-            let remote =
-              Tier.Remote_node.create ~capacity_pages:bench_capacity ()
-            in
-            (nm, remote, link))
-      in
-      Some
-        ( Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2) ~nodes
-            (System.sim sys),
-          nodes )
-    end
+  let fleet sys =
+    let nodes = mk_nodes sys ~capacity:bench_capacity in
+    let _, n0, _ = List.hd nodes in
+    ( Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2) ~nodes
+        (System.sim sys),
+      n0 )
   in
-  let store = ref None in
-  let backing =
-    match fleet_and_nodes with
-    | None -> None
-    | Some (fleet, _) ->
-        let clients =
-          match
-            Tier.Fleet.admit_clients fleet ~name:"bench.tier"
-              ~period:(Time.ms 20) ~slice:(Time.ms 5) ~extra:true
-              ~laxity:(Time.of_ms_float 2.0) ()
-          with
-          | Ok cs -> cs
-          | Error e ->
-              failwith ("failover: " ^ Usnet.Link.admit_error_message e)
-        in
-        Some
-          (Harness.backing ~experiment:"failover" "fleet:cache-pages=24"
-             [ Tier.Fleet.Fleet_tier
-                 { fc_fleet = fleet; fc_clients = clients;
-                   fc_on_store = (fun s -> store := Some s) } ])
+  let h =
+    Harness.hotspot_run ~experiment:"failover" ~seed ~duration
+      ?fleet:(if fleeted then Some fleet else None)
+      ~wipe ()
   in
-  let app =
-    start_app sys ~name:"bench" ~pattern:Workload.Paging_app.Hotspot ?backing
-      ()
-  in
-  let half = Time.ns (Time.to_ns duration / 2) in
-  System.run ~until:half sys;
-  let snap () =
-    match Obs.Metrics.hist_view ~label:"bench" "fault.latency_us" with
-    | Some v -> (v.Obs.Metrics.hv_count, v.Obs.Metrics.hv_mean)
-    | None -> (0, nan)
-  in
-  let c1, m1 = snap () in
-  (match (wipe, fleet_and_nodes) with
-  | true, Some (_, nodes) ->
-      let _, remote, _ = List.nth nodes 0 in
-      Tier.Remote_node.wipe remote
-  | _ -> ());
-  System.run ~until:duration sys;
-  let c2, m2 = snap () in
-  let half2 =
-    if c2 > c1 then
-      (((m2 *. float_of_int c2) -. (m1 *. float_of_int c1))
-      /. float_of_int (c2 - c1))
-    else nan
-  in
-  let fs, nodes_health =
-    match fleet_and_nodes with
-    | Some (fleet, _) -> (Tier.Fleet.stats fleet, Tier.Fleet.health fleet)
-    | None ->
-        ( { Tier.Fleet.stores = 0; acks = 0; replica_skips = 0;
-          replica_timeouts = 0; remote_fulls = 0; lost_primaries = 0;
-          failovers = 0; rebuilds = 0; disk_fallbacks = 0;
-          secondary_rebuilds = 0; lost_shards = 0; degraded_reads = 0;
-          reconstructions = 0; corrupt_shards = 0; migrations = 0;
-          node_joins = 0; node_retires = 0; retransmits = 0;
-          quarantines = 0; readmissions = 0; probes = 0; probe_failures = 0;
-            wipes_applied = 0; repair_rounds = 0 },
-          [] )
-  in
-  let hits =
-    match !store with
-    | Some s -> (Tier.Fleet.store_stats s).Tier.Fleet.st_fleet_hits
+  let stat f =
+    match h.Harness.hr_fleet with
+    | Some fl -> f (Tier.Fleet.stats fl)
     | None -> 0
   in
   { bc_name = name;
-    bc_accesses = Workload.Paging_app.measured_accesses app;
-    bc_mean_us = m2;
-    bc_half2_mean_us = half2;
-    bc_fleet_hits = hits;
-    bc_failovers = fs.Tier.Fleet.failovers;
-    bc_rebuilds = fs.Tier.Fleet.rebuilds;
-    bc_nodes = nodes_health }
+    bc_accesses = h.Harness.hr_accesses;
+    bc_mean_us = h.Harness.hr_mean_us;
+    bc_half2_mean_us = h.Harness.hr_half2_mean_us;
+    bc_fleet_hits =
+      (Harness.store_totals (Option.to_list h.Harness.hr_store))
+        .Tier.Fleet.st_fleet_hits;
+    bc_failovers = stat (fun s -> s.Tier.Fleet.failovers);
+    bc_rebuilds = stat (fun s -> s.Tier.Fleet.rebuilds);
+    bc_nodes =
+      (match h.Harness.hr_fleet with
+      | Some fl -> Tier.Fleet.health fl
+      | None -> []) }
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let disk = bench_cell ~seed ~duration ~name:"disk" ~fleeted:false ~wipe:false in
@@ -537,8 +316,8 @@ let bench_print r =
         "failovers"; "rebuilds" ]
     (List.map
        (fun c ->
-         [ c.bc_name; string_of_int c.bc_accesses; us c.bc_mean_us;
-           us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
+         [ c.bc_name; string_of_int c.bc_accesses; Harness.us c.bc_mean_us;
+           Harness.us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
            string_of_int c.bc_failovers; string_of_int c.bc_rebuilds ])
        r.b_cells);
   print_newline ();

@@ -11,28 +11,17 @@
     a safety one: zero committed pages lost (every fault is served by
     a surviving replica, a rebuilt copy or the disk floor), zero
     bystander QoS violations, the fleet's double-entry books balance
-    ([stores = acks] and [lost_primaries = failovers + rebuilds +
-    disk_fallbacks]), the wiped node is re-replicated (rebuilds > 0),
+    ([stores = acks], the packet ledger, and [lost_primaries =
+    failovers + rebuilds + disk_fallbacks]), the wiped node is re-replicated (rebuilds > 0),
     the partitioned node is quarantined and probed back in, and a
     second same-seed run reproduces the report byte-for-byte. *)
 
 open Engine
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;  (** sustained throughput ([nan] if warming) *)
-  dr_accesses : int;
-  dr_fault_mean_us : float;  (** mean fault-service latency, [nan] if none *)
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
+  domains : Harness.domain_report list;
   fleet : Tier.Fleet.stats;
   health : Tier.Fleet.node_health list;
   books_balanced : bool;

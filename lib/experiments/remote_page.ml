@@ -1,22 +1,12 @@
 open Engine
 open Core
 
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_fault_mean_us : float;
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
-
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
-  tier : Tier.Store.stats;
+  domains : Harness.domain_report list;
+  fleet : Tier.Fleet.stats;
+  store_totals : Tier.Fleet.store_stats;
   books_balanced : bool;
   remote_used : int;
   remote_capacity : int;
@@ -28,57 +18,6 @@ type result = {
   deterministic : bool;
   audit : Obs.Qos_audit.summary;
 }
-
-let patterns =
-  List.map
-    (fun n -> (n, Harness.pattern ~experiment:"remote" n))
-    [ "seq"; "rand"; "hot" ]
-
-let zero_stats =
-  { Tier.Store.cache_hits = 0; remote_hits = 0; remote_misses = 0;
-    promotes = 0; demotes = 0; remote_fulls = 0; drops_seen = 0;
-    delays_seen = 0; retransmits = 0; retx_delays = []; drop_losses = 0;
-    transfer_fails = 0;
-    clean_aborts = 0; disk_fallbacks = 0; link_lost_slots = 0;
-    lost_slots = 0 }
-
-let add_stats a b =
-  { Tier.Store.cache_hits = a.Tier.Store.cache_hits + b.Tier.Store.cache_hits;
-    remote_hits = a.Tier.Store.remote_hits + b.Tier.Store.remote_hits;
-    remote_misses = a.Tier.Store.remote_misses + b.Tier.Store.remote_misses;
-    promotes = a.Tier.Store.promotes + b.Tier.Store.promotes;
-    demotes = a.Tier.Store.demotes + b.Tier.Store.demotes;
-    remote_fulls = a.Tier.Store.remote_fulls + b.Tier.Store.remote_fulls;
-    drops_seen = a.Tier.Store.drops_seen + b.Tier.Store.drops_seen;
-    delays_seen = a.Tier.Store.delays_seen + b.Tier.Store.delays_seen;
-    retransmits = a.Tier.Store.retransmits + b.Tier.Store.retransmits;
-    retx_delays = a.Tier.Store.retx_delays @ b.Tier.Store.retx_delays;
-    drop_losses = a.Tier.Store.drop_losses + b.Tier.Store.drop_losses;
-    transfer_fails = a.Tier.Store.transfer_fails + b.Tier.Store.transfer_fails;
-    clean_aborts = a.Tier.Store.clean_aborts + b.Tier.Store.clean_aborts;
-    disk_fallbacks = a.Tier.Store.disk_fallbacks + b.Tier.Store.disk_fallbacks;
-    link_lost_slots =
-      a.Tier.Store.link_lost_slots + b.Tier.Store.link_lost_slots;
-    lost_slots = a.Tier.Store.lost_slots + b.Tier.Store.lost_slots }
-
-let fault_hist name =
-  match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
-  | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
-  | None -> (nan, nan)
-
-let start_app sys ~name ~pattern ?backing () =
-  (* six apps share the disk: 6 x 35/250 = 0.84 leaves admission room *)
-  let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 35) () in
-  match
-    Workload.Paging_app.start sys ~name ~mode:Workload.Paging_app.Paging_in
-      ~qos ~vm_bytes:(1024 * 1024) ~phys_frames:8
-      ~swap_bytes:(4 * 1024 * 1024) ?backing ~pattern ()
-  with
-  | Ok a -> a
-  (* Setup failwiths throughout: the experiment's fixed fleet admits
-     by construction; backing/pattern resolution is typed via the
-     registry (Harness.backing / Harness.pattern). *)
-  | Error e -> failwith (Printf.sprintf "remote: %s: %s" name e)
 
 (* The link chaos plan: second-half packet loss and delay on the
    tier's link, nothing else — the disk stays clean so any bystander
@@ -94,48 +33,39 @@ let plan_for ~seed =
 
 let remote_capacity = 160
 
+(* The tier: a one-node [Replicated 1] fleet — the RAM cache over one
+   remote memory node on its own link, over the disk. *)
+let one_node_fleet ~seed sys ~name ~capacity =
+  let ((_, remote, link) as node) =
+    Harness.remote_node sys ~params:Usnet.Net_params.fast_ethernet ~capacity
+      name
+  in
+  let fleet =
+    Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 1)
+      ~nodes:[ node ] (System.sim sys)
+  in
+  (fleet, remote, link)
+
+let tiered_backing fleet ~client ~on_store =
+  Harness.fleet_backing ~experiment:"remote" fleet ~client
+    ~spec:"tiered:cache-pages=24" ~on_store
+
 let run_once ~seed ~duration =
   Obs.set_enabled true;
   Obs.reset ();
   Inject.disarm ();
   let config = { System.default_config with seed; main_memory_mb = 2 } in
   let sys = System.create ~config () in
-  let link =
-    Usnet.Link.create ~name:"tier0" ~params:Usnet.Net_params.fast_ethernet
-      (System.sim sys)
+  let fleet, remote, link =
+    one_node_fleet ~seed sys ~name:"tier0" ~capacity:remote_capacity
   in
-  let remote = Tier.Remote_node.create ~capacity_pages:remote_capacity () in
   let stores = ref [] in
-  let disk_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let name = "disk_" ^ pat in
-        (name, pat, false, start_app sys ~name ~pattern ()))
-      patterns
+  let apps =
+    Harness.start_domains ~experiment:"remote" sys ~tiered_prefix:"tier_"
+      ~backing:(fun name ->
+        tiered_backing fleet ~client:(name ^ ".tier") ~on_store:(fun s ->
+            stores := s :: !stores))
   in
-  let tier_apps =
-    List.map
-      (fun (pat, pattern) ->
-        let name = "tier_" ^ pat in
-        let client =
-          match
-            Usnet.Link.admit link ~name:(name ^ ".tier") ~period:(Time.ms 20)
-              ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
-          with
-          | Ok c -> c
-          | Error e ->
-            failwith ("remote: " ^ Usnet.Link.admit_error_message e)
-        in
-        let backing =
-          Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
-            [ Tier.Store.Tiered
-                { tc_link = link; tc_client = client; tc_remote = remote;
-                  tc_on_store = (fun s -> stores := s :: !stores) } ]
-        in
-        (name, pat, true, start_app sys ~name ~pattern ~backing ()))
-      patterns
-  in
-  let apps = disk_apps @ tier_apps in
   (* Clean first half, then chaos on the link, then a quiet drain so
      in-flight retransmissions settle before the books are read. *)
   let half = Time.ns (Time.to_ns duration / 2) in
@@ -144,50 +74,23 @@ let run_once ~seed ~duration =
   System.run ~until:duration sys;
   Inject.disarm ();
   System.run ~until:(Time.add duration (Time.sec 2)) sys;
-  let viol name app =
-    Chaos.violations_for ~names:[ name ]
-      ~ids:[ Domains.id (Workload.Paging_app.domain app).System.dom ]
-  in
-  let reports =
-    List.map
-      (fun (name, pat, tiered, app) ->
-        let mean, p95 = fault_hist name in
-        { dr_name = name;
-          dr_pattern = pat;
-          dr_tiered = tiered;
-          dr_mbit = Workload.Paging_app.sustained_mbit app;
-          dr_accesses = Workload.Paging_app.measured_accesses app;
-          dr_fault_mean_us = mean;
-          dr_fault_p95_us = p95;
-          dr_violations = viol name app })
-      apps
-  in
-  let bystanders, tiered =
-    List.partition (fun r -> not r.dr_tiered) reports
-  in
+  let reports = Harness.domain_reports apps in
   let tally = Inject.tally () in
   { seed;
     duration;
     domains = reports;
-    tier =
-      List.fold_left
-        (fun acc s -> add_stats acc (Tier.Store.stats s))
-        zero_stats !stores;
-    books_balanced = List.for_all Tier.Store.books_balanced !stores;
+    fleet = Tier.Fleet.stats fleet;
+    store_totals = Harness.store_totals !stores;
+    books_balanced = Tier.Fleet.books_balanced fleet;
     remote_used = Tier.Remote_node.used_pages remote;
     remote_capacity;
     link_drops = tally.Inject.link_drops;
     link_delays = tally.Inject.link_delays;
     link_utilisation = Usnet.Link.utilisation link;
-    bystander_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 bystanders;
-    tiered_violations =
-      List.fold_left (fun n r -> n + r.dr_violations) 0 tiered;
+    bystander_violations = Harness.violations ~tiered:false reports;
+    tiered_violations = Harness.violations ~tiered:true reports;
     deterministic = true;
     audit = Obs.Qos_audit.summarize () }
-
-let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
-let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
 
 let to_json r =
   let b = Buffer.create 1024 in
@@ -195,42 +98,26 @@ let to_json r =
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
   Buffer.add_string b
     (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \
-       \"accesses\": %d, \"fault_mean_us\": %s, \"fault_p95_us\": %s, \
-       \"violations\": %d}"
-      d.dr_name d.dr_pattern d.dr_tiered
-      (if Float.is_nan d.dr_mbit then "null"
-       else Printf.sprintf "%.3f" d.dr_mbit)
-      d.dr_accesses
-      (if Float.is_nan d.dr_fault_mean_us then "null"
-       else Printf.sprintf "%.1f" d.dr_fault_mean_us)
-      (if Float.is_nan d.dr_fault_p95_us then "null"
-       else Printf.sprintf "%.1f" d.dr_fault_p95_us)
-      d.dr_violations
-  in
   Buffer.add_string b
     (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map dom r.domains)));
-  let t = r.tier in
+       (String.concat ", " (List.map Harness.domain_json r.domains)));
+  let f = r.fleet in
   Buffer.add_string b
     (Printf.sprintf
-       "  \"tier\": {\"cache_hits\": %d, \"remote_hits\": %d, \
-        \"remote_misses\": %d, \"promotes\": %d, \"demotes\": %d, \
-        \"remote_fulls\": %d, \"drops_seen\": %d, \"delays_seen\": %d, \
-        \"retransmits\": %d, \"retx_backoff_ms\": %.3f, \"drop_losses\": \
-        %d, \"transfer_fails\": %d, \"clean_aborts\": %d, \
-        \"disk_fallbacks\": %d, \"link_lost_slots\": %d, \"lost_slots\": \
-        %d},\n"
-       t.Tier.Store.cache_hits t.Tier.Store.remote_hits
-       t.Tier.Store.remote_misses t.Tier.Store.promotes t.Tier.Store.demotes
-       t.Tier.Store.remote_fulls t.Tier.Store.drops_seen
-       t.Tier.Store.delays_seen t.Tier.Store.retransmits
-       (Time.to_ms (List.fold_left ( + ) 0 t.Tier.Store.retx_delays))
-       t.Tier.Store.drop_losses t.Tier.Store.transfer_fails
-       t.Tier.Store.clean_aborts t.Tier.Store.disk_fallbacks
-       t.Tier.Store.link_lost_slots t.Tier.Store.lost_slots);
+       "  \"fleet\": {\"stores\": %d, \"acks\": %d, \"remote_fulls\": %d, \
+        \"replica_timeouts\": %d, \"lost_primaries\": %d, \
+        \"disk_fallbacks\": %d, \"link_drops\": %d, \"link_delays\": %d, \
+        \"unreachable\": %d, \"retransmits\": %d, \"frag_timeouts\": %d, \
+        \"quarantines\": %d, \"readmissions\": %d, \"repair_rounds\": %d},\n"
+       f.Tier.Fleet.stores f.Tier.Fleet.acks f.Tier.Fleet.remote_fulls
+       f.Tier.Fleet.replica_timeouts f.Tier.Fleet.lost_primaries
+       f.Tier.Fleet.disk_fallbacks f.Tier.Fleet.link_drops
+       f.Tier.Fleet.link_delays f.Tier.Fleet.unreachable
+       f.Tier.Fleet.retransmits f.Tier.Fleet.frag_timeouts
+       f.Tier.Fleet.quarantines f.Tier.Fleet.readmissions
+       f.Tier.Fleet.repair_rounds);
+  Buffer.add_string b
+    (Printf.sprintf "  \"stores\": %s,\n" (Harness.store_json r.store_totals));
   Buffer.add_string b
     (Printf.sprintf "  \"books_balanced\": %b,\n" r.books_balanced);
   Buffer.add_string b
@@ -259,10 +146,16 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
   let canon r = to_json { r with deterministic = true } in
   { r1 with deterministic = canon r1 = canon r2 }
 
+(* The fleet counts the drops it answered; the injector counts the
+   drops it dealt. Neither reads the other, so agreement is an
+   independent check on the packet ledger. *)
+let drops_agree r = r.fleet.Tier.Fleet.link_drops = r.link_drops
+
 let ok r =
   r.bystander_violations = 0 && r.books_balanced && r.link_drops > 0
-  && r.tier.Tier.Store.remote_hits > 0
-  && r.tier.Tier.Store.demotes > 0
+  && drops_agree r
+  && r.store_totals.Tier.Fleet.st_fleet_hits > 0
+  && r.store_totals.Tier.Fleet.st_demotes > 0
   && r.deterministic
 
 let print r =
@@ -270,32 +163,21 @@ let print r =
   Printf.printf
     "seed %d, %.0f s (link chaos in the second half) + 2 s drain\n\n" r.seed
     (Time.to_sec r.duration);
-  Report.table
-    ~header:
-      [ "domain"; "pattern"; "backing"; "Mbit/s"; "accesses"; "fault us";
-        "p95 us"; "violations" ]
-    (List.map
-       (fun d ->
-         [ d.dr_name; d.dr_pattern; (if d.dr_tiered then "tier" else "disk");
-           mbit_s d.dr_mbit; string_of_int d.dr_accesses;
-           us d.dr_fault_mean_us; us d.dr_fault_p95_us;
-           string_of_int d.dr_violations ])
-       r.domains);
+  Harness.domain_table ~tiered_label:"tier" r.domains;
   print_newline ();
-  let t = r.tier in
+  let f = r.fleet in
+  Harness.print_store_totals r.store_totals;
   Printf.printf
-    "tier: %d cache hits, %d remote hits, %d remote misses, %d demotes, %d \
-     promotes, %d remote-full degrades\n"
-    t.Tier.Store.cache_hits t.Tier.Store.remote_hits
-    t.Tier.Store.remote_misses t.Tier.Store.demotes t.Tier.Store.promotes
-    t.Tier.Store.remote_fulls;
+    "packets: %d dropped + %d unreachable = %d retransmits + %d timeouts; \
+     injector dealt %d drops (%s)\n"
+    f.Tier.Fleet.link_drops f.Tier.Fleet.unreachable f.Tier.Fleet.retransmits
+    f.Tier.Fleet.frag_timeouts r.link_drops
+    (if drops_agree r then "agrees" else "DISAGREES");
   Printf.printf
-    "link: %d drops = %d retransmits + %d losses; %d failed transfers = %d \
-     clean + %d disk fallbacks + %d lost slots (%s)\n"
-    t.Tier.Store.drops_seen t.Tier.Store.retransmits
-    t.Tier.Store.drop_losses t.Tier.Store.transfer_fails
-    t.Tier.Store.clean_aborts t.Tier.Store.disk_fallbacks
-    t.Tier.Store.link_lost_slots
+    "primaries: %d lost = %d failovers + %d rebuilds + %d disk fallbacks; \
+     %d remote-full degrades (%s)\n"
+    f.Tier.Fleet.lost_primaries f.Tier.Fleet.failovers f.Tier.Fleet.rebuilds
+    f.Tier.Fleet.disk_fallbacks f.Tier.Fleet.remote_fulls
     (if r.books_balanced then "books balance" else "UNBALANCED BOOKS");
   Printf.printf "remote node: %d/%d pages; link utilisation %.2f\n"
     r.remote_used r.remote_capacity r.link_utilisation;
@@ -343,42 +225,30 @@ let bench_cell ~seed ~duration ~pat ~pattern ~tiered =
   let backing =
     if not tiered then None
     else begin
-      let link =
-        Usnet.Link.create ~name:"bench0"
-          ~params:Usnet.Net_params.fast_ethernet (System.sim sys)
+      let fleet, _, _ =
+        one_node_fleet ~seed sys ~name:"bench0" ~capacity:128
       in
-      let client =
-        match
-          Usnet.Link.admit link ~name:"bench.tier" ~period:(Time.ms 20)
-            ~slice:(Time.ms 5) ~extra:true ~laxity:(Time.of_ms_float 2.0) ()
-        with
-        | Ok c -> c
-        | Error e -> failwith ("remote: " ^ Usnet.Link.admit_error_message e)
-      in
-      let remote = Tier.Remote_node.create ~capacity_pages:128 () in
       Some
-        (Harness.backing ~experiment:"remote" "tiered:cache-pages=24"
-           [ Tier.Store.Tiered
-               { tc_link = link; tc_client = client; tc_remote = remote;
-                 tc_on_store = (fun s -> store := Some s) } ])
+        (tiered_backing fleet ~client:"bench.tier" ~on_store:(fun s ->
+             store := Some s))
     end
   in
   let name = "bench" in
-  let app = start_app sys ~name ~pattern ?backing () in
-  System.run ~until:duration sys;
-  let mean, p95 = fault_hist name in
-  let stats =
-    match !store with Some s -> Tier.Store.stats s | None -> zero_stats
+  let app =
+    Harness.start_app ~experiment:"remote" sys ~name ~pattern ?backing ()
   in
+  System.run ~until:duration sys;
+  let mean, p95 = Harness.fault_hist name in
+  let st = Harness.store_totals (Option.to_list !store) in
   { bc_pattern = pat;
     bc_tiered = tiered;
     bc_mbit = Workload.Paging_app.sustained_mbit app;
     bc_accesses = Workload.Paging_app.measured_accesses app;
     bc_fault_mean_us = mean;
     bc_fault_p95_us = p95;
-    bc_cache_hits = stats.Tier.Store.cache_hits;
-    bc_remote_hits = stats.Tier.Store.remote_hits;
-    bc_remote_misses = stats.Tier.Store.remote_misses }
+    bc_cache_hits = st.Tier.Fleet.st_cache_hits;
+    bc_remote_hits = st.Tier.Fleet.st_fleet_hits;
+    bc_remote_misses = st.Tier.Fleet.st_fleet_misses }
 
 let bench ?(seed = 42) ?(duration = Time.sec 30) () =
   let cells =
@@ -386,7 +256,7 @@ let bench ?(seed = 42) ?(duration = Time.sec 30) () =
       (fun (pat, pattern) ->
         [ bench_cell ~seed ~duration ~pat ~pattern ~tiered:false;
           bench_cell ~seed ~duration ~pat ~pattern ~tiered:true ])
-      patterns
+      (Harness.patterns ~experiment:"remote")
   in
   let find p tiered =
     List.find (fun c -> c.bc_pattern = p && c.bc_tiered = tiered) cells
@@ -417,8 +287,8 @@ let bench_print r =
     (List.map
        (fun c ->
          [ c.bc_pattern; (if c.bc_tiered then "tier" else "disk");
-           mbit_s c.bc_mbit; string_of_int c.bc_accesses;
-           us c.bc_fault_mean_us; us c.bc_fault_p95_us;
+           Harness.mbit_s c.bc_mbit; string_of_int c.bc_accesses;
+           Harness.us c.bc_fault_mean_us; Harness.us c.bc_fault_p95_us;
            Printf.sprintf "%d/%d/%d" c.bc_cache_hits c.bc_remote_hits
              c.bc_remote_misses ])
        r.b_cells);
@@ -444,10 +314,8 @@ let bench_to_json r =
       (if Float.is_nan c.bc_mbit then "null"
        else Printf.sprintf "%.3f" c.bc_mbit)
       c.bc_accesses
-      (if Float.is_nan c.bc_fault_mean_us then "null"
-       else Printf.sprintf "%.1f" c.bc_fault_mean_us)
-      (if Float.is_nan c.bc_fault_p95_us then "null"
-       else Printf.sprintf "%.1f" c.bc_fault_p95_us)
+      (Harness.json_f1 c.bc_fault_mean_us)
+      (Harness.json_f1 c.bc_fault_p95_us)
       c.bc_cache_hits c.bc_remote_hits c.bc_remote_misses
   in
   Buffer.add_string b

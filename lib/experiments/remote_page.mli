@@ -3,39 +3,33 @@
     A mixed fleet pages over the same disk: three disk-only domains
     and three tiered domains (local RAM cache → remote memory node →
     disk), one of each per access pattern (sequential, random,
-    hotspot). The tiered domains' page transfers ride a shared
-    {!Usnet.Link} under per-domain [(p, s, x, l)] guarantees; halfway
-    through, a seeded fault plan starts dropping and delaying packets
-    on that link.
+    hotspot). The tier is a one-node [Replicated 1] {!Tier.Fleet}
+    reached through the registered ["tiered"] backing; the tiered
+    domains' page transfers ride the node's {!Usnet.Link} under
+    per-domain [(p, s, x, l)] guarantees. Halfway through, a seeded
+    fault plan starts dropping and delaying packets on that link.
 
     The experiment passes when the chaos stays bought-and-paid-for:
-    the disk-only bystanders see zero QoS violations, every tier
-    store's double-entry loss books balance, drops were actually
-    injected, the tiered domains survive on the disk fallback, and a
-    second same-seed run reproduces the report byte-for-byte. *)
+    the disk-only bystanders see zero QoS violations, the fleet's
+    double-entry books balance (its packet ledger included), the
+    drops the fleet answered equal the drops the injector dealt,
+    drops were actually injected, the tiered domains keep paging
+    through the tier, and a second same-seed run reproduces the
+    report byte-for-byte. *)
 
 open Engine
-
-type domain_report = {
-  dr_name : string;
-  dr_pattern : string;
-  dr_tiered : bool;
-  dr_mbit : float;
-  dr_accesses : int;
-  dr_fault_mean_us : float;  (** mean fault-service latency, [nan] if none *)
-  dr_fault_p95_us : float;
-  dr_violations : int;
-}
 
 type result = {
   seed : int;
   duration : Time.span;
-  domains : domain_report list;
-  tier : Tier.Store.stats;  (** summed over the three tiered stores *)
-  books_balanced : bool;
+  domains : Harness.domain_report list;
+  fleet : Tier.Fleet.stats;  (** the one-node fleet behind every tiered domain *)
+  store_totals : Tier.Fleet.store_stats;
+      (** per-domain store counters summed across the tiered domains *)
+  books_balanced : bool;  (** {!Tier.Fleet.books_balanced} *)
   remote_used : int;
   remote_capacity : int;
-  link_drops : int;
+  link_drops : int;  (** packets the injector dropped, per its tally *)
   link_delays : int;
   link_utilisation : float;
   bystander_violations : int;  (** disk-only domains; must be 0 *)

@@ -87,23 +87,6 @@ let reg_guarantee = tpl_pages + seg_pages + 4
 let zpool_optimistic = 16
 let zpool_budget = 12
 
-let violations_for ~names ~ids =
-  List.length
-    (List.filter
-       (fun (_, v) ->
-         match v with
-         | Obs.Qos_audit.Cpu_undersupply { dom; _ } -> List.mem dom names
-         | Obs.Qos_audit.Usd_undersupply { stream; _ } ->
-           List.exists
-             (fun n ->
-               String.length stream >= String.length n
-               && String.sub stream 0 (String.length n) = n)
-             names
-         | Obs.Qos_audit.Mem_overcommit _ -> false
-         | Obs.Qos_audit.Revocation_overdue { dom; _ }
-         | Obs.Qos_audit.Guarantee_starved { dom } -> List.mem dom ids)
-       (Obs.Qos_audit.events ()))
-
 (* Merge the per-tenant fault-latency histograms (labels [t...]) into
    one (count, mean, p95-upper-bound) triple. *)
 let tenant_fault_stats () =
@@ -416,7 +399,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
   let fault_count, fault_mean_us, fault_p95_us = tenant_fault_stats () in
   let audit = Obs.Qos_audit.summarize () in
   let bystander_violations =
-    violations_for
+    Harness.violations_for
       ~names:[ "bystander0"; "bystander1" ]
       ~ids:
         (List.map

@@ -2,7 +2,7 @@
     {!Tier.Backing.t}.
 
     [Sd_zram] slots between {!Core.Sd_paged} and its durable floor the
-    same way {!Tier.Store} does — by building a {!Tier.Backing.t} the
+    same way {!Tier.Fleet} does — by building a {!Tier.Backing.t} the
     paged driver writes through. The contract:
 
     - {b write-through}: every page write compresses into the pool

@@ -3,8 +3,8 @@
     The paged driver ({!Core.Sd_paged}) is parameterised over this
     record exactly as it is over a {!Policy.Spec.t}: the default
     ({!of_sfs}) delegates every operation to the swapfile's SFS data
-    path and is bit-for-bit the seed behaviour; {!Store.backing} puts
-    the tiered store (local RAM cache → remote memory node → disk) in
+    path and is bit-for-bit the seed behaviour; {!Fleet.backing} puts
+    the tiered store (local RAM cache → remote memory nodes → disk) in
     front of the same swapfile. Page slots are indexed in the
     swapfile's extent page space throughout, so the driver's blok
     bitmap, the out-of-place rewrite rule and the journal's committed
@@ -45,7 +45,7 @@ val of_sfs : Usbs.Sfs.swapfile -> t
 (** {1 The backing hook point}
 
     Backing stacks resolve by name — ["sfs"] (here),
-    ["tiered:cache-pages=24"] ({!Store}), ["fleet"] ({!Fleet}),
+    ["tiered:cache-pages=24"] (a one-node {!Fleet}), ["fleet"] ({!Fleet}),
     ["zram"] ([Share.Sd_zram]) — through {!Registry}. A registered
     factory may need live capabilities a spec string cannot carry
     (an admitted network client, a shared zpool, somewhere to report
@@ -55,7 +55,8 @@ val of_sfs : Usbs.Sfs.swapfile -> t
 
 type cap = ..
 (** Capabilities for registered factories, extended by the providing
-    modules ([Store.Tiered], [Fleet.Fleet_tier], [Share.Sd_zram.Zram]). *)
+    modules ([Fleet.Fleet_tier] for ["fleet"] and ["tiered"],
+    [Share.Sd_zram.Zram]). *)
 
 type ctx = cap list
 

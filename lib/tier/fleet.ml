@@ -1,6 +1,6 @@
 open Engine
 
-let page_bytes = 8192 (* mirrors Store; one page on the wire *)
+let page_bytes = 8192 (* mirrors the USBS page size; Sfs keeps it internal *)
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -43,6 +43,9 @@ type t = {
      Recorded only when enough entries were acked to recover the
      page. Repair mutates entries in place as it migrates shards. *)
   pages : (string * int, int array) Hashtbl.t;
+  (* page heat: fleet reads per [(owner, slot)], the repair queue's
+     hot-first order — fleet state, so observability cannot move it *)
+  heat : (string * int, int ref) Hashtbl.t;
   mutable s_stores : int;
   mutable s_acks : int;
   mutable s_replica_skips : int;
@@ -61,6 +64,10 @@ type t = {
   mutable s_node_joins : int;
   mutable s_node_retires : int;
   mutable s_retransmits : int;
+  mutable s_link_drops : int;
+  mutable s_link_delays : int;
+  mutable s_unreachable : int;
+  mutable s_frag_timeouts : int;
   mutable s_quarantines : int;
   mutable s_readmissions : int;
   mutable s_probes : int;
@@ -88,6 +95,10 @@ type stats = {
   node_joins : int;
   node_retires : int;
   retransmits : int;
+  link_drops : int;
+  link_delays : int;
+  unreachable : int;
+  frag_timeouts : int;
   quarantines : int;
   readmissions : int;
   probes : int;
@@ -170,6 +181,14 @@ let xfer_len t =
 (* Acked entries needed before a placement is worth booking: one copy
    recovers a replicated page, k shards an erasure-coded one. *)
 let min_placed t = match t.ec with None -> 1 | Some c -> Ec.k c
+
+let heat t ~owner ~slot =
+  match Hashtbl.find_opt t.heat (owner, slot) with Some r -> !r | None -> 0
+
+let note_heat t ~owner ~slot =
+  match Hashtbl.find_opt t.heat (owner, slot) with
+  | Some r -> incr r
+  | None -> Hashtbl.replace t.heat (owner, slot) (ref 1)
 
 (* ------------------------------------------------------------------ *)
 (* Placement: seeded rendezvous (highest-random-weight) hashing        *)
@@ -322,23 +341,37 @@ let fragments nd len =
   let n = (len + mtu - 1) / mtu in
   List.init n (fun i -> if i = n - 1 then len - ((n - 1) * mtu) else mtu)
 
+(* The Sfs retry ladder at network scale: the [n]-th retransmit of a
+   packet backs off [base * 2^n], bounded at [8 * base] so a long
+   retry budget degenerates to a steady (still deterministic) pulse
+   rather than an unbounded stall. With the default 1 ms base the
+   ladder is the familiar 1/2/4/8 ms. *)
+let backoff ~base ~attempt = base * (1 lsl min attempt 3)
+
 (* One packet towards [nd] on [client]. The transmit burns the
    client's slice whether or not the far end is reachable — the
    sender cannot know — then the packet is lost if the node is
    crashed/partitioned ({!Inject.node_reachable}) or the link's own
-   fault plan drops it. Lost packets retransmit on the
-   {!Store.backoff} ladder, [retries] times, then time out. *)
+   fault plan drops it. Lost packets retransmit on the {!backoff}
+   ladder, [retries] times, then time out. The sender learns of a
+   loss when the ack deadline passes, and books it together with its
+   answer (retransmit or timeout), so the packet ledger balances at
+   every instant. *)
 let send_frag t nd client ~retries bytes =
   let rec attempt left n =
     match Usnet.Link.transmit nd.nd_link client ~bytes with
     | Error `Retired -> Error `Timeout
     | Ok () ->
-        let delivered =
+        let reachable =
           Inject.node_reachable ~name:nd.nd_name ~now:(Sim.now t.sim)
+        in
+        let delivered =
+          reachable
           &&
           match Inject.link ~name:(Usnet.Link.name nd.nd_link) with
           | Inject.Deliver -> true
           | Inject.Delay d ->
+              t.s_link_delays <- t.s_link_delays + 1;
               Proc.sleep d;
               true
           | Inject.Drop -> false
@@ -347,13 +380,19 @@ let send_frag t nd client ~retries bytes =
         else begin
           (* waited the ack deadline in vain *)
           Proc.sleep t.retx_timeout;
+          if reachable then t.s_link_drops <- t.s_link_drops + 1
+          else t.s_unreachable <- t.s_unreachable + 1;
           if left > 0 then begin
             t.s_retransmits <- t.s_retransmits + 1;
             metric "retransmit";
-            Proc.sleep (Store.backoff ~base:t.retx_timeout ~attempt:n);
+            Proc.sleep (backoff ~base:t.retx_timeout ~attempt:n);
             attempt (left - 1) (n + 1)
           end
-          else Error `Timeout
+          else begin
+            t.s_frag_timeouts <- t.s_frag_timeouts + 1;
+            metric "frag_timeout";
+            Error `Timeout
+          end
         end
   in
   attempt retries 0
@@ -557,11 +596,9 @@ let repair_round t =
   poll_faults t;
   probe_due t;
   let budget = ref t.repair_budget in
-  (* Demand-driven order: hottest pages first — the per-page fault
-     counts {!Obs.Heat} accumulates — with the (owner, slot) key as a
-     deterministic tie-break (and the whole order when observability
-     is off, matching the old book-scan behaviour). *)
-  let heat (owner, slot) = Obs.Heat.count ~owner ~slot in
+  (* Demand-driven order: hottest pages first, with the (owner, slot)
+     key as a deterministic tie-break. *)
+  let heat (owner, slot) = heat t ~owner ~slot in
   let book =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pages []
     |> List.sort (fun (ka, _) (kb, _) ->
@@ -695,6 +732,7 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       retx_timeout;
       nodes = Array.of_list all;
       pages = Hashtbl.create 256;
+      heat = Hashtbl.create 256;
       s_stores = 0;
       s_acks = 0;
       s_replica_skips = 0;
@@ -713,6 +751,10 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       s_node_joins = 0;
       s_node_retires = 0;
       s_retransmits = 0;
+      s_link_drops = 0;
+      s_link_delays = 0;
+      s_unreachable = 0;
+      s_frag_timeouts = 0;
       s_quarantines = 0;
       s_readmissions = 0;
       s_probes = 0;
@@ -782,7 +824,7 @@ let attach ?(mode = Store.Write_through) ?(cache_pages = 32)
     sx_lost_slots = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Local RAM tier (LRU over slot indices, as in Store)                 *)
+(* Local RAM tier (LRU over slot indices)                             *)
 
 let cached st s = Hashtbl.mem st.lnodes s
 
@@ -814,9 +856,8 @@ let drop_fleet st s =
       Hashtbl.remove st.fl.pages (st.owner, s)
   | None -> ()
 
-(* Same duty as Store.disk_write_slot: a dirty page no node accepted
-   lands on the disk; if the disk eats the write too the fleet held
-   the last copy and the slot is dead. *)
+(* A dirty page no node accepted lands on the disk; if the disk eats
+   the write too the fleet held the last copy and the slot is dead. *)
 let disk_write_slot st s =
   match Usbs.Sfs.write_page st.swap ~page_index:s with
   | Ok () -> st.disk_valid.(s) <- true
@@ -846,7 +887,7 @@ let demote st s =
       let nd = t.nodes.(i) in
       if nd.nd_quarantined then t.s_replica_skips <- t.s_replica_skips + 1
       else if not (Remote_node.has_room nd.nd_remote) then begin
-        (* known-full before any byte moves, as in Store *)
+        (* known-full before any byte moves *)
         t.s_remote_fulls <- t.s_remote_fulls + 1;
         metric "remote_full"
       end
@@ -1070,8 +1111,8 @@ let read_pages st ~page_index ~npages =
     end
     else if tracked st s then begin
       flush_run ();
-      (* remote faults feed the repair queue's hot-first ordering *)
-      if !Obs.enabled then Obs.Heat.note ~owner:st.owner ~slot:s;
+      (* fleet reads feed the repair queue's hot-first ordering *)
+      note_heat st.fl ~owner:st.owner ~slot:s;
       match fetch_fleet st s with
       | `Served ->
           st.sx_fleet_hits <- st.sx_fleet_hits + 1;
@@ -1105,7 +1146,7 @@ let read_pages st ~page_index ~npages =
       if !lost = [] then Ok () else Error (`Lost_pages (List.rev !lost))
 
 (* ------------------------------------------------------------------ *)
-(* Writes (mirrors Store: disk is the durability floor)                *)
+(* Writes (the disk is the durability floor)                          *)
 
 let overwrite st s ~disk =
   st.dead.(s) <- false;
@@ -1113,28 +1154,29 @@ let overwrite st s ~disk =
   st.disk_valid.(s) <- disk;
   insert_cache st s
 
-let write_range_through st ~page_index ~npages =
-  match Usbs.Sfs.write_pages st.swap ~page_index ~npages with
-  | Ok () ->
+(* Settle a write-through range against the disk's answer: written
+   slots hold fresh contents; a slot the disk lost dies here too (the
+   caller answers the write loss; the tier just stops claiming copies
+   it no longer has). *)
+let settle st ~page_index ~npages = function
+  | Error (`Retired | `Crashed) as e -> e
+  | r ->
+      let lost = match r with Error (`Lost_pages l) -> l | _ -> [] in
       for s = page_index to page_index + npages - 1 do
-        overwrite st s ~disk:true
-      done;
-      Ok ()
-  | Error (`Lost_pages l) as e ->
-      for s = page_index to page_index + npages - 1 do
-        if List.mem s l then begin
+        if List.mem s lost then begin
           drop_cache st s;
           drop_fleet st s;
           st.dead.(s) <- true
         end
         else overwrite st s ~disk:true
       done;
-      e
-  | Error (`Retired | `Crashed) as e -> e
+      r
 
 let write_pages st ~page_index ~npages =
   match st.mode with
-  | Store.Write_through -> write_range_through st ~page_index ~npages
+  | Store.Write_through ->
+      settle st ~page_index ~npages
+        (Usbs.Sfs.write_pages st.swap ~page_index ~npages)
   | Store.Write_back ->
       for s = page_index to page_index + npages - 1 do
         overwrite st s ~disk:false
@@ -1143,26 +1185,12 @@ let write_pages st ~page_index ~npages =
 
 let write_page st ~page_index = write_pages st ~page_index ~npages:1
 
+(* Journaled commits always write through: the disk is the durability
+   floor in both modes, so journal replay over committed slots is
+   untouched by tiering. *)
 let write_pages_commit st ~page_index ~npages ~pages ~retire =
-  match
-    Usbs.Sfs.write_pages_commit st.swap ~page_index ~npages ~pages ~retire
-  with
-  | Ok () ->
-      for s = page_index to page_index + npages - 1 do
-        overwrite st s ~disk:true
-      done;
-      Ok ()
-  | Error (`Lost_pages l) as e ->
-      for s = page_index to page_index + npages - 1 do
-        if List.mem s l then begin
-          drop_cache st s;
-          drop_fleet st s;
-          st.dead.(s) <- true
-        end
-        else overwrite st s ~disk:true
-      done;
-      e
-  | Error (`Retired | `Crashed) as e -> e
+  settle st ~page_index ~npages
+    (Usbs.Sfs.write_pages_commit st.swap ~page_index ~npages ~pages ~retire)
 
 let backing st =
   { Backing.label = st.label;
@@ -1203,6 +1231,10 @@ let stats t =
     node_joins = t.s_node_joins;
     node_retires = t.s_node_retires;
     retransmits = t.s_retransmits;
+    link_drops = t.s_link_drops;
+    link_delays = t.s_link_delays;
+    unreachable = t.s_unreachable;
+    frag_timeouts = t.s_frag_timeouts;
     quarantines = t.s_quarantines;
     readmissions = t.s_readmissions;
     probes = t.s_probes;
@@ -1259,6 +1291,7 @@ let storage_overhead t =
 
 let books_balanced t =
   t.s_stores = t.s_acks
+  && t.s_link_drops + t.s_unreachable = t.s_retransmits + t.s_frag_timeouts
   &&
   match t.ec with
   | None ->
@@ -1277,25 +1310,25 @@ type fleet_cap = {
 
 type Backing.cap += Fleet_tier of fleet_cap
 
-let () =
+(* One parser behind two names: ["fleet"], and ["tiered"] — the
+   RAM cache → one remote node → disk stack, which is a one-node
+   [Replicated 1] fleet attached under the label ["tier"]. *)
+let register ~name ~label ~doc =
   Registry.register_exn Backing.axis
-    (Registry.manifest ~name:"fleet"
-       ~doc:
-         "replicated / erasure-coded remote-memory fleet over the disk \
-          (Tier.Fleet)"
+    (Registry.manifest ~name ~doc
        ~params:
          [ { Registry.p_name = "cache-pages";
              p_doc = "local RAM cache size, pages";
              p_kind = Registry.Int 32 };
            { Registry.p_name = "label";
              p_doc = "store label for metrics and driver names";
-             p_kind = Registry.String (Some "fleet") } ]
-       ~default:"fleet:cache-pages=32" ())
+             p_kind = Registry.String (Some label) } ]
+       ~default:(name ^ ":cache-pages=32") ())
     (fun a ->
       match Registry.Spec.int_param a "cache-pages" ~default:32 with
       | Error e -> Error e
       | Ok cache_pages ->
-          let label = Registry.Spec.string_param a "label" ~default:"fleet" in
+          let label = Registry.Spec.string_param a "label" ~default:label in
           Ok
             (fun ctx swap ->
               match
@@ -1304,7 +1337,8 @@ let () =
                   ctx
               with
               | None ->
-                  Error "fleet backing needs a Tier.Fleet.Fleet_tier capability"
+                  Error
+                    (name ^ " backing needs a Tier.Fleet.Fleet_tier capability")
               | Some c ->
                   let s =
                     attach ~cache_pages ~label c.fc_fleet
@@ -1312,3 +1346,13 @@ let () =
                   in
                   c.fc_on_store s;
                   Ok (backing s)))
+
+let () =
+  register ~name:"fleet" ~label:"fleet"
+    ~doc:
+      "replicated / erasure-coded remote-memory fleet over the disk \
+       (Tier.Fleet)";
+  register ~name:"tiered" ~label:"tier"
+    ~doc:
+      "local RAM cache over one remote memory node over the disk (a \
+       one-node Tier.Fleet)"

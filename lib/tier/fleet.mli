@@ -1,14 +1,21 @@
-(** A redundant remote memory tier: N nodes, replicated or
-    erasure-coded stripes, no single point of failure.
+(** The remote memory tier: a local RAM cache over N remote nodes
+    over the disk, with replicated or erasure-coded stripes and no
+    single point of failure.
 
-    PR 6's {!Store} pages to {e one} {!Remote_node}; one
-    [Remote_node.wipe] and every tiered domain eats the ~130× disk
-    penalty. A fleet spreads the same traffic over several nodes
-    under a per-fleet {!redundancy} policy:
+    Each attached domain gets a {!store}: an LRU RAM cache of slot
+    indices on top, the fleet's redundant node set below, and the
+    domain's swapfile as the durability floor. Evictions demote cold
+    pages over per-node {!Usnet.Link}s, faults promote them back.
+    Journaled commits always write through, and a demotion no node
+    accepts degrades to a plain disk write — tiering changes latency,
+    never safety. The per-fleet {!redundancy} policy decides how a
+    page is spread:
 
     - [Replicated r]: each demoted page is written whole to [r]
       nodes chosen by a seeded rendezvous hash; reads try the primary
-      and fail over to the surviving copies.
+      and fail over to the surviving copies. A one-node
+      [Replicated 1] fleet is the plain tiered store (RAM cache → one
+      remote node → disk) that the ["tiered"] backing builds.
     - [Erasure {k; m}]: each demoted page is split by the {!Ec}
       Reed–Solomon coder into [k] data + [m] parity shards placed on
       [k + m] distinct nodes — [1 + m/k] times the page's bytes
@@ -27,26 +34,28 @@
 
     {b Health.} Every node is reached over its own {!Usnet.Link};
     packets to a crashed or partitioned node (per
-    {!Inject.node_reachable}) are never acked, so the sender
-    retransmits on the deterministic {!Store.backoff} ladder and
-    eventually times out. [quarantine_after] consecutive timeouts
-    quarantine the node: it stops being asked for pages, and a
-    background process probes it each [probe_period], re-admitting it
-    when a probe is answered (a healed partition) — a crashed node
-    just stays quarantined. A served entry that fails its checksum
-    ({!Inject.shard_corrupt}) is treated exactly like a lost one.
+    {!Inject.node_reachable}) are never acked, and neither are packets
+    the link's own fault plan ({!Inject.link}) drops. The sender waits
+    the ack deadline ([retx_timeout]), retransmits on the
+    deterministic {!backoff} ladder and eventually times out.
+    [quarantine_after] consecutive timeouts quarantine the node: it
+    stops being asked for pages, and a background process probes it
+    each [probe_period], re-admitting it when a probe is answered (a
+    healed partition) — a crashed node just stays quarantined. A
+    served entry that fails its checksum ({!Inject.shard_corrupt}) is
+    treated exactly like a lost one.
 
     {b Repair.} The same background process restores redundancy: each
     [repair_period] it walks the placement book {e hottest page
-    first} — ordered by the per-page fault counts {!Obs.Heat}
-    accumulates, so the pages domains are actually faulting on regain
-    full redundancy before cold ones — and rebuilds up to
-    [repair_budget] entries per round over the fleet's own repair
-    link clients. A missing replicated copy is refetched from a
-    survivor; a missing erasure shard is reconstructed from any [k]
-    live shards ([k] fetches + one push, the real price of parity
-    repair) unless its old holder still serves it, in which case one
-    fetch moves it.
+    first} — ordered by the fleet reads each page has served ({!heat};
+    fleet state, so observability cannot move it) — so the pages
+    domains are actually faulting on regain full redundancy before
+    cold ones, and rebuilds up to [repair_budget] entries per round
+    over the fleet's own repair link clients. A missing replicated
+    copy is refetched from a survivor; a missing erasure shard is
+    reconstructed from any [k] live shards ([k] fetches + one push,
+    the real price of parity repair) unless its old holder still
+    serves it, in which case one fetch moves it.
 
     {b Membership.} Nodes can join and retire at run time:
     {!add_node} admits a standby node (declared at {!create} so its
@@ -60,8 +69,12 @@
     keeps answering reads while it drains.
 
     {b Books.} Double-entry, mode-aware:
-    - both modes: [stores = acks] — every entry the placement book
+    - all modes: [stores = acks] — every entry the placement book
       records was individually acknowledged by its node;
+    - all modes, the packet ledger:
+      [link_drops + unreachable = retransmits + frag_timeouts] —
+      every packet that was not delivered was either retransmitted or
+      abandoned;
     - replicated:
       [lost_primaries = failovers + rebuilds + disk_fallbacks];
     - erasure:
@@ -71,9 +84,10 @@
       it, or the read fell back to the disk (fallback reads book one
       answer per shard they observed lost).
 
-    Charging is unchanged from {!Store}: every fragment a domain
-    sends or receives burns that domain's own link-client slice, so a
-    thrashing tiered domain still cannot starve its neighbours. *)
+    {b Charging.} Every fragment a domain sends or receives burns
+    that domain's own link-client slice, admitted under a (p,s,x,l)
+    guarantee, so a thrashing tiered domain cannot steal network from
+    its neighbours any more than it can steal disk. *)
 
 open Engine
 
@@ -123,6 +137,10 @@ type stats = {
   node_joins : int;  (** standby nodes admitted into membership *)
   node_retires : int;  (** members retired out of the ring *)
   retransmits : int;  (** fragments retried on the backoff ladder *)
+  link_drops : int;  (** packets the links' fault plans dropped *)
+  link_delays : int;  (** packets the links' fault plans delayed *)
+  unreachable : int;  (** packets sent to a crashed or partitioned node *)
+  frag_timeouts : int;  (** packets abandoned after the last retry *)
   quarantines : int;  (** nodes quarantined (streak of timeouts) *)
   readmissions : int;  (** quarantined nodes probed back in *)
   probes : int;
@@ -182,8 +200,8 @@ val create :
     Defaults: [redundancy = Replicated 2], [quarantine_after = 3]
     consecutive timeouts, [probe_period = 50ms], [repair_period =
     25ms], [repair_budget = 8] entries rebuilt per round,
-    [link_retries = 3], [retx_timeout = 1ms] (the {!Store.backoff}
-    base), [repair_qos = (20ms, 2ms)] — the (p, s) guarantee admitted
+    [link_retries = 3], [retx_timeout = 1ms] (the ack deadline and
+    the {!backoff} base), [repair_qos = (20ms, 2ms)] — the (p, s) guarantee admitted
     on every node link for the fleet's own probe/repair traffic —
     and [repair = true] (spawn the background repair process; tests
     that want to drive rounds by hand pass [false] and call
@@ -222,8 +240,8 @@ val attach :
   store
 (** Attach one domain: [clients] must be one admitted client per node
     in node order (see {!admit_clients}); pages are keyed at the
-    nodes by the swapfile's name. Defaults mirror {!Store.create}:
-    [mode = Write_through], [cache_pages = 32], [label = "fleet"]. *)
+    nodes by the swapfile's name. Defaults: [mode = Write_through]
+    (see {!Store.mode}), [cache_pages = 32], [label = "fleet"]. *)
 
 val backing : store -> Backing.t
 (** The store as a {!Backing.t} — what [Sd_paged.create ?backing] and
@@ -237,10 +255,18 @@ type fleet_cap = {
 }
 
 type Backing.cap += Fleet_tier of fleet_cap
-(** The live capability the registered ["fleet"] backing consumes:
-    [Backing.resolve "fleet:cache-pages=24"] yields a factory that,
-    given a ctx holding one of these and a swapfile, {!attach}es the
-    domain to the fleet and returns the store's {!backing}. *)
+(** The live capability the registered ["fleet"] and ["tiered"]
+    backings consume: [Backing.resolve "fleet:cache-pages=24"] yields
+    a factory that, given a ctx holding one of these and a swapfile,
+    {!attach}es the domain to the fleet and returns the store's
+    {!backing}. ["tiered"] is the same parser with the default label
+    ["tier"]; its fleet is a one-node [Replicated 1] fleet. *)
+
+val backoff : base:Time.span -> attempt:int -> Time.span
+(** The deterministic retransmit ladder (the disk path's {!Usbs.Sfs}
+    retry ladder at network scale): the [attempt]-th retry (0-based)
+    backs off [base * 2^attempt], bounded at [8 * base] — 1/2/4/8 ms
+    at the default 1 ms base. *)
 
 val placement : t -> owner:string -> slot:int -> int array
 (** The node indices the rendezvous hash assigns this page's stripe,
@@ -280,6 +306,12 @@ val repair_round : t -> unit
 
 val stats : t -> stats
 val health : t -> node_health list
+
+val heat : t -> owner:string -> slot:int -> int
+(** Fleet reads of this page so far — what orders the repair queue.
+    Fed on every read of a page the fleet tracks, whatever
+    {!Obs.enabled} says; [0] for pages never read from the fleet. *)
+
 val store_stats : store -> store_stats
 
 val storage_overhead : t -> float
@@ -290,7 +322,9 @@ val storage_overhead : t -> float
     tracked. *)
 
 val books_balanced : t -> bool
-(** [stores = acks], and the mode's loss ledger:
+(** [stores = acks], the packet ledger
+    [link_drops + unreachable = retransmits + frag_timeouts], and the
+    mode's loss ledger:
     [lost_primaries = failovers + rebuilds + disk_fallbacks]
     (replicated) or
     [lost_shards = reconstructions + rebuilds + disk_fallbacks]

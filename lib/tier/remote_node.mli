@@ -3,14 +3,13 @@
     The far end of the disaggregated-memory tier: a bounded pool of
     page-or-shard slots keyed by [(owner, slot, shard)], with a fixed
     per-entry service latency. The node itself is passive bookkeeping
-    — {!Store} and {!Fleet} do the link transfers and sleep the
-    service time under the calling domain's own guarantees, so the
-    node adds no hidden scheduling and two same-seed runs behave
-    identically.
+    — {!Fleet} does the link transfers and sleeps the service time
+    under the calling domain's own guarantees, so the node adds no
+    hidden scheduling and two same-seed runs behave identically.
 
-    [shard] defaults to [0]: {!Store} and {!Fleet}'s replicated mode
-    key whole-page copies as shard 0, while {!Fleet}'s erasure mode
-    keys each of a page's [k + m] Reed–Solomon shards separately
+    [shard] defaults to [0]: {!Fleet}'s replicated mode keys
+    whole-page copies as shard 0, while its erasure mode keys each of
+    a page's [k + m] Reed–Solomon shards separately
     (each shard occupies one slot but holds only [1/k] of the page's
     bytes — capacity here counts {e entries}, the byte overhead is
     the caller's to account).
@@ -42,6 +41,6 @@ val capacity : t -> int
 val service_time : t -> Time.span
 
 val wipe : t -> unit
-(** Forget everything — models the remote node power-cycling; owners'
-    [in_remote] hints go stale and their next fetch degrades to disk
-    (tests only). *)
+(** Forget everything — models the remote node power-cycling; the
+    fleet's placement entries for this node go stale, and reads fail
+    over, reconstruct or fall back to the disk. *)

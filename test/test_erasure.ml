@@ -131,7 +131,7 @@ let open_swap_exn fs ~name ~bytes =
    standby), one attached store over a 32-page swapfile. Tests drive
    repair themselves. *)
 let mk_ec_fleet ?(seed = 7) ?(k = 4) ?(m = 2) ?(nodes = 6) ?(standby = 0)
-    ?(node_pages = 64) ?(cache_pages = 2) () =
+    ?(node_pages = 64) ?(cache_pages = 2) ?repair_budget () =
   let sim, _, fs = mk_sfs () in
   let swap = open_swap_exn fs ~name:"e" ~bytes:(256 * 1024) in
   let mk i =
@@ -143,7 +143,7 @@ let mk_ec_fleet ?(seed = 7) ?(k = 4) ?(m = 2) ?(nodes = 6) ?(standby = 0)
   let standbys = List.init standby (fun i -> mk (nodes + i)) in
   let fleet =
     Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Erasure { k; m })
-      ~standby:standbys ~repair:false ~nodes:triples sim
+      ~standby:standbys ~repair:false ?repair_budget ~nodes:triples sim
   in
   let clients =
     match
@@ -259,48 +259,74 @@ let ec_repair_rebuild () =
   done;
   ignore store
 
-(* Hot-first: with a repair budget of 1 per round, the first round
-   after a wipe rebuilds the page the domain has faulted on, not a
-   cold one. *)
-let ec_hot_first_repair () =
+(* The hot-slot scenario: slots 0..13 demoted, slot 3 made hot by
+   repeated faults (interleaved with reads of 10/11 so the 2-page
+   cache never retains it), then the node holding slot 3's first
+   shard is wiped — every stripe loses one shard — and one repair
+   round runs. *)
+let hot_slot_round ?repair_budget ?(after = fun _ -> ()) () =
   let sim, fleet, store, swap, triples =
-    mk_ec_fleet ~cache_pages:2 ()
+    mk_ec_fleet ~cache_pages:2 ?repair_budget ()
   in
   let b = Tier.Fleet.backing store in
   let owner = Usbs.Sfs.swap_name swap in
   let remotes = remotes_of triples in
-  Obs.set_enabled true;
-  Obs.reset ();
   ignore
     (Proc.spawn sim (fun () ->
          for slot = 0 to 13 do
            write_exn b slot
          done;
-         (* make slot 3 hot: repeated faults, interleaved with reads
-            of 10/11 so the 2-page cache never retains it *)
          for _ = 1 to 5 do
            read_exn b 3;
            read_exn b 10;
            read_exn b 11
          done));
   Sim.run ~until:(Time.sec 60) sim;
-  checkb "heat recorded" true (Obs.Heat.count ~owner ~slot:3 > 0);
   let victim = (Tier.Fleet.placement fleet ~owner ~slot:3).(0) in
   Tier.Remote_node.wipe remotes.(victim);
-  (* a second fleet handle with budget 1 would be another object; the
-     budget lives on the fleet, so rebuild narrowly: one round with
-     the default budget still must put the hot slot first — assert
-     via holds after a single constrained round *)
   ignore
-    (Proc.spawn sim (fun () -> Tier.Fleet.repair_round fleet));
+    (Proc.spawn sim (fun () ->
+         Tier.Fleet.repair_round fleet;
+         after b));
   Sim.run ~until:(Time.sec 90) sim;
+  (fleet, owner, remotes)
+
+(* Hot-first: with a repair budget of one entry per round, the round
+   after the wipe rebuilds the page the domain has faulted on, not a
+   cold one. *)
+let ec_hot_first_repair () =
+  let fleet, owner, remotes = hot_slot_round ~repair_budget:1 () in
+  checkb "heat recorded" true (Tier.Fleet.heat fleet ~owner ~slot:3 > 0);
   let p = Tier.Fleet.placement fleet ~owner ~slot:3 in
   Array.iteri
     (fun shard node ->
       checkb "hot slot fully redundant after round one" true
         (Tier.Remote_node.holds ~shard remotes.(node) ~owner ~slot:3))
-    p;
-  ignore store
+    p
+
+(* Repair order is fleet state: observability on or off, the same
+   budget-constrained round rebuilds the same page, so re-reading the
+   hot slot afterwards books the same fleet stats. *)
+let ec_repair_obs_blind () =
+  let was = !Obs.enabled in
+  let stats_with obs =
+    Obs.set_enabled obs;
+    Obs.reset ();
+    let fleet, _, _ =
+      hot_slot_round ~repair_budget:1 ~after:(fun b -> read_exn b 3) ()
+    in
+    Tier.Fleet.stats fleet
+  in
+  let on, off =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was)
+      (fun () ->
+        let on = stats_with true in
+        (on, stats_with false))
+  in
+  check "degraded reads" on.Tier.Fleet.degraded_reads
+    off.Tier.Fleet.degraded_reads;
+  checkb "identical fleet stats" true (on = off)
 
 (* Membership: a standby joins, a member retires; only re-ranked
    pages move (migrations, not losses), nothing is lost, the ring
@@ -429,6 +455,8 @@ let suite =
           ec_repair_rebuild;
         Alcotest.test_case "hot page rebuilt in round one" `Quick
           ec_hot_first_repair;
+        Alcotest.test_case "repair order blind to Obs" `Quick
+          ec_repair_obs_blind;
         Alcotest.test_case "join/retire rebalances with minimal movement"
           `Quick ec_join_retire;
         Alcotest.test_case "corrupt shards reconstructed over" `Quick

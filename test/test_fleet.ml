@@ -1,8 +1,9 @@
 (* Tests for the replicated remote tier: rendezvous placement, the
    fleet's double-entry books under wipe/partition/repair
    interleavings, read failover, background re-replication, the
-   bounded retransmit ladder shared with the disk path, and the typed
-   not-bound errors on the sharing drivers. *)
+   bounded retransmit ladder shared with the disk path and the packet
+   ledger behind it, and the typed not-bound errors on the sharing
+   drivers. *)
 
 open Engine
 
@@ -267,49 +268,43 @@ let fleet_books_model =
 
 let backoff_ladder () =
   let base = Time.ms 1 in
-  check "attempt 0" (Time.ms 1) (Tier.Store.backoff ~base ~attempt:0);
-  check "attempt 1" (Time.ms 2) (Tier.Store.backoff ~base ~attempt:1);
-  check "attempt 2" (Time.ms 4) (Tier.Store.backoff ~base ~attempt:2);
-  check "attempt 3" (Time.ms 8) (Tier.Store.backoff ~base ~attempt:3);
+  check "attempt 0" (Time.ms 1) (Tier.Fleet.backoff ~base ~attempt:0);
+  check "attempt 1" (Time.ms 2) (Tier.Fleet.backoff ~base ~attempt:1);
+  check "attempt 2" (Time.ms 4) (Tier.Fleet.backoff ~base ~attempt:2);
+  check "attempt 3" (Time.ms 8) (Tier.Fleet.backoff ~base ~attempt:3);
   check "attempt 9 stays capped" (Time.ms 8)
-    (Tier.Store.backoff ~base ~attempt:9)
+    (Tier.Fleet.backoff ~base ~attempt:9)
 
-(* A black-hole link: every retransmit of the first fragment walks the
-   deterministic 1/2/4/8 ms ladder, and the chosen delays surface in
-   the transfer stats in chronological order. *)
-let retx_delays_surfaced () =
-  let sim, _, fs = mk_sfs () in
-  let swap = open_swap_exn fs ~name:"lad" ~bytes:(256 * 1024) in
-  let link = Usnet.Link.create ~name:"ladlink" sim in
-  let client =
-    match
-      Usnet.Link.admit link ~name:"lad.tier" ~period:(Time.ms 20)
-        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
-    with
-    | Ok c -> c
-    | Error e -> failwith (Usnet.Link.admit_error_message e)
+(* A black-hole link under a one-node fleet: the demote's first
+   fragment is dropped, retransmitted three times on the ladder and
+   then times out, and the packet ledger books every drop. *)
+let black_hole_demote () =
+  let sim, fleet, store, _, _ =
+    mk_fleet ~replicas:1 ~nodes:1 ~cache_pages:1 ()
   in
-  let remote = Tier.Remote_node.create ~capacity_pages:16 () in
-  let store = Tier.Store.create ~cache_pages:1 ~link ~client ~remote ~swap () in
-  let b = Tier.Store.backing store in
+  let b = Tier.Fleet.backing store in
   Inject.arm
     { Inject.default_plan with
       seed = 1;
       links =
-        [ ( "ladlink",
-            { Inject.lf_drop = 1.0; lf_delay = 0.0; lf_delay_span = 0 } ) ] };
+        [ ("fn0", { Inject.lf_drop = 1.0; lf_delay = 0.0; lf_delay_span = 0 })
+        ] };
   Fun.protect ~finally:Inject.disarm (fun () ->
       ignore
         (Proc.spawn sim (fun () ->
              write_exn b 0;
              write_exn b 1 (* evicts slot 0: demote into the black hole *)));
       Sim.run ~until:(Time.sec 10) sim;
-      let s = Tier.Store.stats store in
-      Alcotest.(check (list int))
-        "ladder delays surfaced in order"
-        [ Time.ms 1; Time.ms 2; Time.ms 4 ]
-        s.Tier.Store.retx_delays;
-      check "three retransmits" 3 s.Tier.Store.retransmits)
+      let f = Tier.Fleet.stats fleet in
+      check "three retransmits" 3 f.Tier.Fleet.retransmits;
+      check "one fragment timeout" 1 f.Tier.Fleet.frag_timeouts;
+      check "one abandoned copy" 1 f.Tier.Fleet.replica_timeouts;
+      check "every attempt dropped" 4 f.Tier.Fleet.link_drops;
+      check "the injector agrees" (Inject.tally ()).Inject.link_drops
+        f.Tier.Fleet.link_drops;
+      checkb "books balance" true (Tier.Fleet.books_balanced fleet);
+      check "the disk copy answers" 1
+        (Tier.Fleet.store_stats store).Tier.Fleet.st_clean_skips)
 
 (* --- Typed not-bound errors on the sharing drivers --- *)
 
@@ -347,8 +342,8 @@ let suite =
         qtest fleet_books_model ] );
     ( "fleet.retransmit",
       [ Alcotest.test_case "bounded exponential ladder" `Quick backoff_ladder;
-        Alcotest.test_case "chosen delays surface in stats" `Quick
-          retx_delays_surfaced ] );
+        Alcotest.test_case "black-holed demote ledger" `Quick
+          black_hole_demote ] );
     ( "share.errors",
       [ Alcotest.test_case "typed not-bound keeps legacy strings" `Quick
           typed_not_bound ] );

@@ -8,11 +8,11 @@
    completions and the QoS auditor's violation list (with the auditor
    set so strict that every underserved backlogged period is flagged,
    so the list records the order of the boundary-hook calls). The MD5
-   of each, and of the scale experiment's report at 64 and 128
-   domains, is pinned below: any change to a scheduling decision, to
-   the order of trace records or to the order of QoS-audit calls
-   changes a digest. A change that is meant to move them must say why
-   and re-pin them. *)
+   of each, of the scale experiment's report at 64 and 128 domains,
+   and of short remote-tier reports, is pinned below: any change to a
+   scheduling decision, to the order of trace records or to the order
+   of QoS-audit calls changes a digest. A change that is meant to move
+   them must say why and re-pin them. *)
 
 open Engine
 
@@ -305,6 +305,40 @@ let scale_digest domains expected () =
     expected
     (md5 (scale_report domains))
 
+(* --- The remote-tier reports ------------------------------------------ *)
+
+(* Short same-seed runs of the three remote-tier experiments. The
+   tiered store is a one-node fleet, so these pin the one store path
+   every remote tier shares: a change to a demote, a fetch, the cache
+   or the repair order moves a digest. *)
+let report_digest what expected report () =
+  Alcotest.(check string) what expected (md5 (report ()))
+
+let remote_tier_pins =
+  let open Experiments in
+  let s = Time.sec in
+  [ Alcotest.test_case "remote bench pinned" `Quick
+      (report_digest "remote bench, seed 42, 6 s"
+         "757b5ba3ce0294159e7d24a33883a823" (fun () ->
+           Remote_page.bench_to_json
+             (Remote_page.bench ~seed:42 ~duration:(s 6) ())));
+    Alcotest.test_case "failover report pinned" `Quick
+      (report_digest "failover report, seed 5, 6 s"
+         "19862d8219565af72cf6e4efe24285b2" (fun () ->
+           Failover.to_json (Failover.run ~seed:5 ~duration:(s 6) ())));
+    Alcotest.test_case "failover bench pinned" `Quick
+      (report_digest "failover bench, seed 42, 6 s"
+         "cdb6fe9573da963ce36918dc031ecd5a" (fun () ->
+           Failover.bench_to_json (Failover.bench ~duration:(s 6) ())));
+    Alcotest.test_case "erasure report pinned" `Quick
+      (report_digest "erasure report, seed 5, 8 s"
+         "062331e125a76ae03b046dc9c25dc608" (fun () ->
+           Erasure.to_json (Erasure.run ~seed:5 ~duration:(s 8) ())));
+    Alcotest.test_case "erasure bench pinned" `Quick
+      (report_digest "erasure bench, seed 42, 6 s"
+         "3a7b82fa4a1e8724e99335fbb406f143" (fun () ->
+           Erasure.bench_to_json (Erasure.bench ~duration:(s 6) ()))) ]
+
 let suite =
   [ ( "golden.schedulers",
       [ Alcotest.test_case "CPU, USD and link decisions pinned" `Quick
@@ -313,4 +347,5 @@ let suite =
       [ Alcotest.test_case "64-domain report pinned" `Slow
           (scale_digest 64 "0d55062187871b9e5eb5994820559876");
         Alcotest.test_case "128-domain report pinned" `Slow
-          (scale_digest 128 "3ab592f3cca8a1f74f2705c5d58ec39c") ] ) ]
+          (scale_digest 128 "3ab592f3cca8a1f74f2705c5d58ec39c") ] );
+    ("golden.remote-tier", remote_tier_pins) ]

@@ -1,7 +1,7 @@
 (* Tests for the disaggregated backing-store tier: the Backing record,
-   the remote-node model, the tiered store's promotion/demotion and
-   double-entry loss books, and the (p,s,x,l) link plumbing the tier
-   rides on. *)
+   the remote-node model, the tiered store (a one-node fleet) and its
+   promotion/demotion and double-entry books, and the (p,s,x,l) link
+   plumbing the tier rides on. *)
 
 open Engine
 
@@ -27,22 +27,33 @@ let admit_exn link ~name ~period ~slice ?laxity () =
   | Ok c -> c
   | Error e -> failwith (Usnet.Link.admit_error_message e)
 
-(* A tiered store over a 32-page swapfile with its own link, client and
-   remote node. *)
+(* The tiered store: a one-node [Replicated 1] fleet over a 32-page
+   swapfile, its remote node on its own link. *)
 let mk_rig ?mode ?(cache_pages = 4) ?(remote_pages = 16)
     ?(link_name = "tlink") () =
   let sim, _, fs = mk_sfs () in
   let swap = open_swap_exn fs ~name:"t" ~bytes:(256 * 1024) in
   let link = Usnet.Link.create ~name:link_name sim in
-  let client =
-    admit_exn link ~name:"t.tier" ~period:(Time.ms 20) ~slice:(Time.ms 10)
-      ~laxity:(Time.of_ms_float 2.0) ()
-  in
   let remote = Tier.Remote_node.create ~capacity_pages:remote_pages () in
-  let store =
-    Tier.Store.create ?mode ~cache_pages ~link ~client ~remote ~swap ()
+  let fleet =
+    Tier.Fleet.create ~seed:1 ~redundancy:(Tier.Fleet.Replicated 1)
+      ~nodes:[ (link_name, remote, link) ] sim
   in
-  (sim, store, swap, remote)
+  let clients =
+    match
+      Tier.Fleet.admit_clients fleet ~name:"t.tier" ~period:(Time.ms 20)
+        ~slice:(Time.ms 10) ~laxity:(Time.of_ms_float 2.0) ()
+    with
+    | Ok cs -> cs
+    | Error e -> failwith (Usnet.Link.admit_error_message e)
+  in
+  let store = Tier.Fleet.attach ?mode ~cache_pages fleet ~clients ~swap () in
+  (sim, fleet, store, swap, remote)
+
+(* The store's books: the fleet's ledgers balance and no slot died. *)
+let sound fleet store =
+  Tier.Fleet.books_balanced fleet
+  && (Tier.Fleet.store_stats store).Tier.Fleet.st_lost_slots = 0
 
 (* --- Backing --- *)
 
@@ -97,11 +108,11 @@ let remote_node_capacity () =
   Tier.Remote_node.wipe n;
   check "wiped" 0 (Tier.Remote_node.used_pages n)
 
-(* --- Store: deterministic demote / promote / hit --- *)
+(* --- Tiered store: deterministic demote / promote / hit --- *)
 
 let tier_demote_promote () =
-  let sim, store, swap, remote = mk_rig ~cache_pages:2 () in
-  let b = Tier.Store.backing store in
+  let sim, fleet, store, swap, remote = mk_rig ~cache_pages:2 () in
+  let b = Tier.Fleet.backing store in
   let owner = Usbs.Sfs.swap_name swap in
   let w slot =
     match b.Tier.Backing.write_pages ~page_index:slot ~npages:1 with
@@ -123,23 +134,24 @@ let tier_demote_promote () =
          (* remote hit, promoted back (demoting slot 1 in turn) *)
          r 0 (* now a local RAM-tier hit *)));
   Sim.run ~until:(Time.sec 5) sim;
-  let s = Tier.Store.stats store in
-  let open Tier.Store in
-  check "demotes" 2 s.demotes;
-  check "remote hit" 1 s.remote_hits;
-  check "promote" 1 s.promotes;
-  check "cache hit" 1 s.cache_hits;
-  check "no disk round-trips" 0 s.remote_misses;
+  let s = Tier.Fleet.store_stats store in
+  let open Tier.Fleet in
+  check "demotes" 2 s.st_demotes;
+  check "remote hit" 1 s.st_fleet_hits;
+  check "promote" 1 s.st_promotes;
+  check "cache hit" 1 s.st_cache_hits;
+  check "no disk round-trips" 0 s.st_fleet_misses;
   checkb "remote stays inclusive after promotion" true
     (Tier.Remote_node.holds remote ~owner ~slot:0);
-  checkb "books balance" true (books_balanced store);
-  check "nothing lost" 0 s.lost_slots
+  checkb "books balance" true (books_balanced fleet);
+  check "nothing lost" 0 s.st_lost_slots
 
-(* --- Store: model property --- *)
+(* --- Tiered store: model property --- *)
 
 (* Random op sequences over random cache / remote-node sizes (including
-   a zero-capacity remote node) and both write modes: every slot ever
-   written must read back Ok, and the loss books must balance. *)
+   a zero-capacity remote node) and both write modes, so the fleet's
+   Write_back path is covered: every slot ever written must read back
+   Ok, and the books must balance. *)
 let tier_model =
   QCheck.Test.make ~count:20
     ~name:"tier: every written slot reads back, any shape"
@@ -151,8 +163,10 @@ let tier_model =
       let mode =
         if wb then Tier.Store.Write_back else Tier.Store.Write_through
       in
-      let sim, store, _, _ = mk_rig ~mode ~cache_pages ~remote_pages () in
-      let b = Tier.Store.backing store in
+      let sim, fleet, store, _, _ =
+        mk_rig ~mode ~cache_pages ~remote_pages ()
+      in
+      let b = Tier.Fleet.backing store in
       let written = Hashtbl.create 16 in
       let bad = ref 0 in
       ignore
@@ -182,24 +196,22 @@ let tier_model =
                  | Error _ -> incr bad)
                written));
       Sim.run ~until:(Time.sec 60) sim;
-      !bad = 0
-      && Tier.Store.books_balanced store
-      && (Tier.Store.stats store).Tier.Store.lost_slots = 0)
+      !bad = 0 && sound fleet store)
 
-(* --- Store: loss books under link chaos --- *)
+(* --- Tiered store: books under link chaos --- *)
 
 (* Write-through under a hostile link: the disk always has a copy, so
    chaos may cost retransmissions and latency but never pages, and the
-   double-entry loss equations must hold whatever the seed. *)
+   packet and loss ledgers must hold whatever the seed. *)
 let tier_chaos_books =
   QCheck.Test.make ~count:8
     ~name:"tier: loss books balance under link chaos"
     QCheck.(int_bound 9999)
     (fun seed ->
-      let sim, store, _, _ =
+      let sim, fleet, store, _, _ =
         mk_rig ~cache_pages:2 ~remote_pages:8 ~link_name:"chaoslink" ()
       in
-      let b = Tier.Store.backing store in
+      let b = Tier.Fleet.backing store in
       Inject.arm
         { Inject.default_plan with
           seed;
@@ -226,10 +238,7 @@ let tier_chaos_books =
                    | Error _ -> incr bad
                  done));
           Sim.run ~until:(Time.sec 60) sim;
-          let s = Tier.Store.stats store in
-          !bad = 0
-          && Tier.Store.books_balanced store
-          && s.Tier.Store.lost_slots = 0))
+          !bad = 0 && sound fleet store))
 
 (* --- Link: typed admission errors and laxity --- *)
 
