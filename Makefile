@@ -1,4 +1,4 @@
-.PHONY: all build test loc bench bench-policy bench-chaos bench-crash bench-remote bench-failover bench-erasure bench-share bench-scale perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test loc bench perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
 
 all: build
 
@@ -16,56 +16,16 @@ loc:
 	done; \
 	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
+# The Bechamel micro-benchmarks, then every machine-readable record
+# (BENCH_<name>.json) in one process.
 bench:
 	dune exec bench/main.exe
 
-# Regenerate the machine-readable policy-comparison record.
-bench-policy:
-	dune exec bench/main.exe -- policy
-
-# Regenerate the machine-readable chaos (fault-injection) verdict.
-bench-chaos:
-	dune exec bench/main.exe -- chaos
-
-# Regenerate the machine-readable crash-recovery verdict.
-bench-crash:
-	dune exec bench/main.exe -- crash
-
-# Regenerate the machine-readable remote-paging record: tiered
-# (RAM cache -> remote memory -> disk) vs disk-only backing, per
-# access pattern, fault-service latency and throughput side by side.
-bench-remote:
-	dune exec bench/main.exe -- remote
-
-# Regenerate the machine-readable failover record: the hotspot
-# workload against the disk, the healthy replicated fleet and the
-# fleet with a node wiped at T/2 — post-wipe fault latency must stay
-# within 2x the healthy remote path and far from the disk.
-bench-failover:
-	dune exec bench/main.exe -- failover
-
-# Regenerate the machine-readable erasure record: hotspot fault
-# latency against the disk, the R = 2 replicated fleet, the healthy
-# (4,2) erasure fleet and the erasure fleet reading degraded after a
-# node wipe (repair off, so every post-wipe read pays the k-shard
-# reconstruction) — the parity read price and the degraded/disk gap
-# side by side with per-node shard books.
-bench-erasure:
-	dune exec bench/main.exe -- erasure
-
-# Regenerate the machine-readable sharing record: the 32-tenant CoW
-# fleet against its unshared/no-zram control arm — resident-frame
-# savings, CoW-break latency and compressed-tier hit economics.
-bench-share:
-	dune exec bench/main.exe -- share
-
-# Regenerate the machine-readable scale-out record: frame-stack and
-# EDF pick-next micro-benches at 8/64/256 clients (every client
-# runnable, and three of them) against the seed's list-shaped
-# baselines, an end-to-end 32-domain run, and the speed ledger: events,
-# wall ms, us/event and words/event at 16/64/128 domains.
-bench-scale:
-	dune exec bench/main.exe -- scale
+# One record: bench-policy, bench-chaos, bench-crash, bench-remote,
+# bench-failover, bench-erasure, bench-share or bench-scale regenerates
+# BENCH_<name>.json (what each holds: bench/main.ml, EXPERIMENTS.md).
+bench-%:
+	dune exec bench/main.exe -- $*
 
 # Build the outside-in benchmark (perfbench/) and run it for one second
 # on each workload. run.py exits non-zero when the build fails or any

@@ -7,10 +7,14 @@
    guarded table walks) with measured nanoseconds rather than model
    constants.
 
-   Part 2 — the paper-reproduction harness: regenerates Table 1 and
-   Figures 7, 8 and 9 (plus the quantified Figure 2 crosstalk and the
-   DESIGN.md ablations) in simulated time, printing paper-vs-measured
-   rows. *)
+   Part 2 — the BENCH records: one table of (name, record) pairs. Each
+   record runs its experiment, prints the text report and returns the
+   JSON written to BENCH_<name>.json, so revisions can be diffed
+   record by record.
+
+   Part 3 — one argv rule: no argument runs the micro-benchmarks and
+   every record, names run the named records. The paper's tables and
+   figures are `nemesis_sim all`. *)
 
 open Bechamel
 open Toolkit
@@ -127,9 +131,10 @@ let bench_heap =
          Heap.push h ~key:(!i * 7919 mod 1000) ~sub:!i ();
          ignore (Heap.pop h)))
 
-let bench_edf_select =
+(* [n] EDF clients, periods 10, 20, ... ms, 1 ms slices. *)
+let edf_fixture n =
   let edf = Sched.Edf.create () in
-  for i = 1 to 10 do
+  for i = 1 to n do
     match
       Sched.Edf.admit edf
         ~name:(string_of_int i)
@@ -139,6 +144,10 @@ let bench_edf_select =
     | Ok _ -> ()
     | Error _ -> assert false
   done;
+  edf
+
+let bench_edf_select =
+  let edf = edf_fixture 10 in
   Test.make ~name:"usd/edf-select (10 clients)"
     (Staged.stage (fun () -> ignore (Sched.Edf.select edf ~now:Time.zero)))
 
@@ -209,258 +218,57 @@ let micro_tests =
     bench_pt_protect 100; bench_bloks; bench_heap; bench_edf_select;
     bench_sim_trap ]
 
-let run_bechamel () =
+(* Bechamel OLS ns/op per test, sorted by name; [nan] when the
+   regression has no estimate. *)
+let measure ~name tests =
   let instance = Instance.monotonic_clock in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.25)
       ~stabilize:false ()
   in
-  let grouped = Test.make_grouped ~name:"micro" micro_tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
+  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name tests) in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols instance raw in
-  Experiments.Report.heading
-    "Micro-benchmarks (wall-clock, Bechamel OLS ns/op)";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
+  Hashtbl.fold
+    (fun name ols_result rows ->
       let ns =
         match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> Printf.sprintf "%.1f" est
-        | _ -> "n/a"
+        | Some (est :: _) -> est
+        | _ -> Float.nan
       in
-      rows := [ name; ns ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Experiments.Report.table ~header:[ "operation"; "ns/op" ] rows;
+      (name, ns) :: rows)
+    (Analyze.all ols instance raw)
+    []
+  |> List.sort compare
+
+let print_measured ~title rows shape_checks =
+  Experiments.Report.heading title;
+  Experiments.Report.table ~header:[ "operation"; "ns/op" ]
+    (List.map
+       (fun (name, ns) ->
+         [ name;
+           (if Float.is_nan ns then "n/a" else Printf.sprintf "%.1f" ns) ])
+       rows);
   print_newline ();
-  print_endline
-    "Shape checks (wall-clock): guarded lookup costs several times the";
-  print_endline
-    "linear lookup; prot100-pt costs ~100x prot1-pt; prot-pdom is O(1).";
+  List.iter print_endline shape_checks;
   flush stdout
 
-(* --- Part 2: the paper's tables and figures ------------------------ *)
+let run_micro () =
+  print_measured ~title:"Micro-benchmarks (wall-clock, Bechamel OLS ns/op)"
+    (measure ~name:"micro" micro_tests)
+    [ "Shape checks (wall-clock): guarded lookup costs several times the";
+      "linear lookup; prot100-pt costs ~100x prot1-pt; prot-pdom is O(1)." ]
 
-let run_experiments () =
-  Experiments.Table1.print (Experiments.Table1.run ());
-  flush stdout;
-  let r7 = Experiments.Paging_fig.run ~duration:(Time.sec 240) () in
-  Experiments.Paging_fig.print r7;
-  Experiments.Paging_fig.print_series r7;
-  Experiments.Paging_fig.print_trace r7;
-  flush stdout;
-  let r8 =
-    Experiments.Paging_fig.run ~mode:Workload.Paging_app.Paging_out
-      ~duration:(Time.sec 240) ()
-  in
-  Experiments.Paging_fig.print r8;
-  Experiments.Paging_fig.print_series r8;
-  Experiments.Paging_fig.print_trace r8;
-  flush stdout;
-  let r9 = Experiments.Fig9.run ~duration:(Time.sec 120) () in
-  Experiments.Fig9.print r9;
-  Experiments.Fig9.print_series r9;
-  flush stdout;
-  Experiments.Crosstalk.print
-    (Experiments.Crosstalk.run ~duration:(Time.sec 180) ());
-  flush stdout;
-  Experiments.Net_iso.print_shares (Experiments.Net_iso.run_shares ());
-  Experiments.Net_iso.print_kernel_crosstalk
-    (Experiments.Net_iso.run_kernel_crosstalk ~duration:(Time.sec 60) ());
-  flush stdout;
-  Experiments.Ablations.print_laxity
-    (Experiments.Ablations.run_laxity ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_laxity_sweep
-    (Experiments.Ablations.run_laxity_sweep ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_rollover
-    (Experiments.Ablations.run_rollover ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_pt (Experiments.Ablations.run_pt ());
-  Experiments.Ablations.print_slack
-    (Experiments.Ablations.run_slack ~duration:(Time.sec 120) ());
-  Experiments.Ablations.print_stream
-    (Experiments.Ablations.run_stream ~duration:(Time.sec 170) ());
-  Experiments.Ablations.print_revoke (Experiments.Ablations.run_revoke ());
-  flush stdout
+(* --- Part 2: the BENCH records ------------------------------------- *)
 
-(* --- Part 3: the policy-compare figure ----------------------------- *)
-
-(* Runs the paging figure once per (policy x pattern) cell and leaves a
-   machine-readable record next to the text report, so policy
-   regressions show up as a JSON diff. *)
-let run_policy () =
-  let r = Experiments.Policy_compare.run ~duration:(Time.sec 60) () in
-  Experiments.Policy_compare.print r;
-  flush stdout;
-  let path = "BENCH_policy.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Policy_compare.to_json r));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 4: the chaos verdict ------------------------------------- *)
-
-(* One seeded fault-injection run; the JSON record keeps the verdict
-   (clean-domain isolation, recovery accounting, revocation outcome)
-   diffable across revisions. *)
-let run_chaos () =
-  let r = Experiments.Chaos.run ~duration:(Time.sec 30) () in
-  Experiments.Chaos.print r;
-  flush stdout;
-  let path = "BENCH_chaos.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Chaos.to_json r));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 5: the crash-recovery verdict ---------------------------- *)
-
-(* Seeded crash/remount/restart rounds; the JSON record keeps the
-   recovery accounting (records replayed, torn records quarantined,
-   pages restored vs lost) diffable across revisions. *)
-let run_crash () =
-  let r = Experiments.Crash_recover.run () in
-  Experiments.Crash_recover.print r;
-  flush stdout;
-  let path = "BENCH_crash.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Crash_recover.to_json r));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 5b: the remote-paging verdict ----------------------------- *)
-
-(* Tiered vs disk-only backing, per access pattern, fault-free: the
-   JSON record keeps throughput and fault-service latency side by
-   side, with the headline verdict that the disaggregated tier beats
-   the disk on the cacheable (hotspot) working set. *)
-let run_remote () =
-  let r = Experiments.Remote_page.bench ~duration:(Time.sec 30) () in
-  Experiments.Remote_page.bench_print r;
-  flush stdout;
-  let path = "BENCH_remote.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Remote_page.bench_to_json r));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 5b': the failover verdict --------------------------------- *)
-
-(* The hotspot workload against the disk, the healthy fleet and the
-   fleet with a node wiped at T/2; the fault-latency histogram is split
-   at the wipe so the post-wipe window can be compared against the same
-   window of a healthy run. Headline verdict: losing a node costs at
-   most 2x the healthy remote path and stays far from the disk —
-   replication turns node loss into a latency event, not a cliff. *)
-let run_failover () =
-  let r = Experiments.Failover.bench ~duration:(Time.sec 30) () in
-  Experiments.Failover.bench_print r;
-  flush stdout;
-  let path = "BENCH_failover.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Failover.bench_to_json r));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 5b'': the erasure verdict --------------------------------- *)
-
-(* The hotspot workload against the disk, the 2-replica fleet, the
-   healthy (4, 2) erasure stripe and the stripe with a node wiped at
-   T/2. Headline verdict: parity reads cost at most 2x the replicated
-   path, degraded reads stay at least 5x below the disk, and the
-   stripe holds 1.5x the page's bytes where replication holds 2x. *)
-let run_erasure () =
-  let r = Experiments.Erasure.bench ~duration:(Time.sec 30) () in
-  Experiments.Erasure.bench_print r;
-  flush stdout;
-  let path = "BENCH_erasure.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Experiments.Erasure.bench_to_json r));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 5c: the sharing / stacked-pager verdict ------------------- *)
-
-(* The 32-tenant CoW fleet against its unshared control arm (same
-   workload, no template sharing, no compressed tier). The JSON record
-   keeps the resident-frame savings, the CoW-break latency and the
-   compressed-tier hit economics diffable across revisions. Headline
-   claims: sharing cuts resident frames at least 2x for the fleet, and
-   a zram page-in is at least 10x cheaper than a disk page-in. *)
-let run_share () =
-  let open Experiments.Tenancy in
-  let shared = run ~duration:(Time.sec 40) () in
-  print shared;
-  flush stdout;
-  let control = run ~duration:(Time.sec 40) ~share:false ~zram:false () in
-  print control;
-  flush stdout;
-  (* Unshared, each resident page needs its own frame — so the shared
-     arm's pages-per-frame ratio IS the resident-frame reduction for
-     the content the fleet holds. The control arm (no CoW, no zram,
-     but the same workload, still sharing the text segment) gives the
-     fleet-level quotient and the disk-only fault baseline. *)
-  let savings = shared.frames_per_content in
-  let fleet_quotient =
-    shared.frames_per_content /. control.frames_per_content
-  in
-  let speedup = shared.zram_miss_mean_us /. shared.zram_hit_mean_us in
-  let savings_ok = savings >= 2.0 in
-  let speedup_ok = speedup >= 10.0 in
-  Experiments.Report.heading "Sharing verdict";
-  Printf.printf
-    "resident-frame savings: %.1fx (%d resident pages on %d frames; \
-     unshared the same content needs %d) — %s\n"
-    savings shared.resident_pages
-    (shared.tenant_frames + shared.shared_frames)
-    shared.resident_pages
-    (if savings_ok then "ok (>= 2x)" else "BELOW 2x");
-  Printf.printf
-    "fleet vs control:       %.2fx (shared %.2f vs control %.2f \
-     pages/frame; control still shares the text segment)\n"
-    fleet_quotient shared.frames_per_content control.frames_per_content;
-  Printf.printf
-    "zram page-in speedup:   %.0fx (hit %.1f us vs disk %.1f us) — %s\n"
-    speedup shared.zram_hit_mean_us shared.zram_miss_mean_us
-    (if speedup_ok then "ok (>= 10x)" else "BELOW 10x");
-  Printf.printf "CoW break: mean %.1f us, p95 <= %.1f us over %d breaks\n"
-    shared.break_mean_us shared.break_p95_us shared.cow_breaks;
-  flush stdout;
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"shared\": ";
-  Buffer.add_string b (to_json shared);
-  Buffer.add_string b ",\n  \"control\": ";
-  Buffer.add_string b (to_json control);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\n  \"frame_savings_x\": %.2f,\n  \"fleet_vs_control_x\": %.2f,\n  \
-        \"zram_speedup_x\": %.1f,\n  \"ok\": %b\n}"
-       savings fleet_quotient speedup
-       (savings_ok && speedup_ok && ok shared && ok control));
-  let path = "BENCH_share.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents b));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Part 6: the scale-out benches --------------------------------- *)
-
-(* The hot paths the many-domain work rebuilt, measured against the
-   seed's list shapes at 8/64/256 clients. The seed kept each frame
-   stack as an [int list] (remove = filter, move-to-top = filter+cons)
-   and picked the next EDF client by folding over the member list; both
-   are rebuilt as O(1)/O(log n) structures, and these benches document
-   the before/after shape: the baselines grow linearly from 8 to 256,
-   the new paths must not. *)
+(* The scale record's micro-benches: the hot paths the many-domain
+   work rebuilt, measured against the seed's list shapes at 8/64/256
+   clients. The seed kept each frame stack as an [int list] (remove =
+   filter, move-to-top = filter+cons) and picked the next EDF client
+   by folding over the member list; both are rebuilt as O(1)/O(log n)
+   structures, and these benches document the before/after shape: the
+   baselines grow linearly from 8 to 256, the new paths must not. *)
 
 module Seed_frame_stack = struct
   (* The seed's frame stack, verbatim shape: top-first [int list]. *)
@@ -477,67 +285,38 @@ end
 
 let scale_sizes = [ 8; 64; 256 ]
 
-let bench_fs_remove n =
-  let fs = Frame_stack.create () in
+(* A frame stack holding frames 0..n-1; each op applies [op] to the
+   next frame, stepping 97 at a time. *)
+let bench_fs ~name create push op n =
+  let fs = create () in
   for pfn = 0 to n - 1 do
-    Frame_stack.push fs pfn
+    push fs pfn
   done;
   let i = ref 0 in
-  Test.make ~name:(Printf.sprintf "frame_stack/remove+push n=%03d" n)
+  Test.make ~name:(Printf.sprintf "frame_stack/%s n=%03d" name n)
     (Staged.stage (fun () ->
          i := (!i + 97) mod n;
-         ignore (Frame_stack.remove fs !i);
-         Frame_stack.push fs !i))
+         op fs !i))
 
-let bench_fs_move n =
-  let fs = Frame_stack.create () in
-  for pfn = 0 to n - 1 do
-    Frame_stack.push fs pfn
-  done;
-  let i = ref 0 in
-  Test.make ~name:(Printf.sprintf "frame_stack/move-to-top n=%03d" n)
-    (Staged.stage (fun () ->
-         i := (!i + 97) mod n;
-         Frame_stack.move_to_top fs !i))
+let bench_fs_remove =
+  bench_fs ~name:"remove+push" Frame_stack.create Frame_stack.push
+    (fun fs pfn ->
+      ignore (Frame_stack.remove fs pfn);
+      Frame_stack.push fs pfn)
 
-let bench_fs_seed n =
-  let fs = Seed_frame_stack.create () in
-  for pfn = 0 to n - 1 do
-    Seed_frame_stack.push fs pfn
-  done;
-  let i = ref 0 in
-  Test.make
-    ~name:(Printf.sprintf "frame_stack/seed-list remove+push n=%03d" n)
-    (Staged.stage (fun () ->
-         i := (!i + 97) mod n;
-         Seed_frame_stack.remove fs !i;
-         Seed_frame_stack.push fs !i))
+let bench_fs_move =
+  bench_fs ~name:"move-to-top" Frame_stack.create Frame_stack.push
+    Frame_stack.move_to_top
 
-let bench_fs_seed_move n =
-  let fs = Seed_frame_stack.create () in
-  for pfn = 0 to n - 1 do
-    Seed_frame_stack.push fs pfn
-  done;
-  let i = ref 0 in
-  Test.make
-    ~name:(Printf.sprintf "frame_stack/seed-list move-to-top n=%03d" n)
-    (Staged.stage (fun () ->
-         i := (!i + 97) mod n;
-         Seed_frame_stack.move_to_top fs !i))
+let bench_fs_seed =
+  bench_fs ~name:"seed-list remove+push" Seed_frame_stack.create
+    Seed_frame_stack.push (fun fs pfn ->
+      Seed_frame_stack.remove fs pfn;
+      Seed_frame_stack.push fs pfn)
 
-let edf_fixture n =
-  let edf = Sched.Edf.create () in
-  for i = 1 to n do
-    match
-      Sched.Edf.admit edf
-        ~name:(string_of_int i)
-        ~period:(Time.ms (10 * i))
-        ~slice:(Time.ms 1) ~now:Time.zero ()
-    with
-    | Ok _ -> ()
-    | Error _ -> assert false
-  done;
-  edf
+let bench_fs_seed_move =
+  bench_fs ~name:"seed-list move-to-top" Seed_frame_stack.create
+    Seed_frame_stack.push Seed_frame_stack.move_to_top
 
 let bench_edf_pick n =
   let edf = edf_fixture n in
@@ -630,42 +409,17 @@ let scale_speed_row domains =
 let us_per_event s = s.sp_wall_ms *. 1e3 /. float_of_int s.sp_events
 let words_per_event s = s.sp_words /. float_of_int s.sp_events
 
-let run_scale () =
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.25)
-      ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"scale" scale_micro_tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | _ -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Experiments.Report.heading
-    "Scale micro-benchmarks (wall-clock, Bechamel OLS ns/op)";
-  Experiments.Report.table ~header:[ "operation"; "ns/op" ]
-    (List.map (fun (n, ns) -> [ n; Printf.sprintf "%.1f" ns ]) rows);
-  print_newline ();
-  print_endline
-    "Shape checks (wall-clock): the seed-list baselines grow linearly";
-  print_endline
-    "from n=8 to n=256; the rebuilt frame-stack and heap EDF paths stay";
-  print_endline
-    "flat (O(1)) or near-flat (O(log n)), with three runnable clients as";
-  print_endline "with all of them.";
-  flush stdout;
+(* The frame-stack and EDF micro-benches, an end-to-end 32-domain
+   run, and the speed ledger: events, wall ms, us/event and
+   words/event at 16/64/128 domains. *)
+let scale_record () =
+  let micro = measure ~name:"scale" scale_micro_tests in
+  print_measured
+    ~title:"Scale micro-benchmarks (wall-clock, Bechamel OLS ns/op)" micro
+    [ "Shape checks (wall-clock): the seed-list baselines grow linearly";
+      "from n=8 to n=256; the rebuilt frame-stack and heap EDF paths stay";
+      "flat (O(1)) or near-flat (O(log n)), with three runnable clients as";
+      "with all of them." ];
   let r = Experiments.Scale.run ~domains:32 ~duration:(Time.sec 30) () in
   Experiments.Scale.print r;
   flush stdout;
@@ -682,57 +436,75 @@ let run_scale () =
            Printf.sprintf "%.2f" (us_per_event s);
            Printf.sprintf "%.0f" (words_per_event s) ])
        speed);
-  flush stdout;
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"micro_ns_per_op\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": %S, \"ns\": %s}%s\n" name
-           (if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n  \"end_to_end\": ";
-  Buffer.add_string b (Experiments.Scale.to_json r);
-  Buffer.add_string b ",\n  \"speed\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map
-          (fun s ->
-            Printf.sprintf
-              "    {\"domains\": %d, \"duration_s\": %.0f, \"events\": %d, \
-               \"wall_ms\": %.1f, \"us_per_event\": %.3f, \
-               \"words_per_event\": %.1f, \"ok\": %b}"
-              s.sp_domains (Time.to_sec speed_duration) s.sp_events
-              s.sp_wall_ms (us_per_event s)
-              (words_per_event s) s.sp_ok)
-          speed));
-  Buffer.add_string b "\n  ]\n}";
-  let path = "BENCH_scale.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents b));
-  Printf.printf "wrote %s\n%!" path
+  let speed_json s =
+    Json.obj
+      [ ("domains", Json.int s.sp_domains);
+        ("duration_s", Json.fixed 0 (Time.to_sec speed_duration));
+        ("events", Json.int s.sp_events);
+        ("wall_ms", Json.fixed 1 s.sp_wall_ms);
+        ("us_per_event", Json.fixed 3 (us_per_event s));
+        ("words_per_event", Json.fixed 1 (words_per_event s));
+        ("ok", Json.bool s.sp_ok) ]
+  in
+  let micro_json (name, ns) =
+    Json.obj [ ("name", Json.string name); ("ns", Json.fixed 1 ns) ]
+  in
+  Json.obj
+    [ ("micro_ns_per_op", Json.list (List.map micro_json micro));
+      ("end_to_end", Experiments.Scale.to_json r);
+      ("speed", Json.list (List.map speed_json speed)) ]
+
+let record run print to_json () =
+  let r = run () in
+  print r;
+  to_json r
+
+(* Every BENCH record, in run order. *)
+let records =
+  let open Experiments in
+  let s = Time.sec in
+  [ ( "policy",
+      record
+        (fun () -> Policy_compare.run ~duration:(s 60) ())
+        Policy_compare.print Policy_compare.to_json );
+    ( "chaos",
+      record (fun () -> Chaos.run ~duration:(s 30) ()) Chaos.print
+        Chaos.to_json );
+    ( "crash",
+      record Crash_recover.run Crash_recover.print Crash_recover.to_json );
+    ( "remote",
+      record
+        (fun () -> Remote_page.bench ~duration:(s 30) ())
+        Remote_page.bench_print Remote_page.bench_to_json );
+    ( "failover",
+      record
+        (fun () -> Failover.bench ~duration:(s 30) ())
+        Failover.bench_print Failover.bench_to_json );
+    ( "erasure",
+      record
+        (fun () -> Erasure.bench ~duration:(s 30) ())
+        Erasure.bench_print Erasure.bench_to_json );
+    ("share", record Tenancy.bench Tenancy.bench_print Tenancy.bench_to_json);
+    ("scale", scale_record) ]
+
+(* --- Part 3: the argv rule ----------------------------------------- *)
+
+let write_record name =
+  let json = (List.assoc name records) () in
+  Experiments.Catalog.write_file ("BENCH_" ^ name ^ ".json")
+    (Json.to_string json);
+  flush stdout
 
 let () =
-  match Sys.argv with
-  | [| _; "policy" |] -> run_policy ()
-  | [| _; "chaos" |] -> run_chaos ()
-  | [| _; "crash" |] -> run_crash ()
-  | [| _; "remote" |] -> run_remote ()
-  | [| _; "failover" |] -> run_failover ()
-  | [| _; "erasure" |] -> run_erasure ()
-  | [| _; "share" |] -> run_share ()
-  | [| _; "scale" |] -> run_scale ()
-  | _ ->
-    run_bechamel ();
-    run_experiments ();
-    run_policy ();
-    run_chaos ();
-    run_crash ();
-    run_remote ();
-    run_failover ();
-    run_erasure ();
-    run_share ();
-    run_scale ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
+    run_micro ();
+    List.iter (fun (name, _) -> write_record name) records
+  | names -> (
+    match List.filter (fun n -> not (List.mem_assoc n records)) names with
+    | [] -> List.iter write_record names
+    | unknown ->
+      Printf.eprintf "bench: unknown record %s; known records: %s\n"
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst records));
+      exit 2)

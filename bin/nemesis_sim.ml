@@ -38,7 +38,8 @@ let with_obs (metrics, trace) f =
   f ();
   if instrument then begin
     Option.iter
-      (fun path -> Catalog.write_file path (Obs.Metrics.to_json ()))
+      (fun path ->
+        Catalog.write_file path (Json.to_string (Obs.Metrics.to_json ())))
       metrics;
     Option.iter (fun path -> Catalog.write_file path (Obs.Span.to_csv ())) trace
   end
@@ -94,7 +95,7 @@ let cmd_of_manifest (m : Registry.manifest) =
   Cmd.v (Cmd.info name ~doc:m.Registry.m_doc) Term.(const run $ obs_args $ ctx_term m)
 
 let list_extensions_cmd =
-  let run () = print_string (Registry.to_json ()) in
+  let run () = print_endline (Json.to_string (Registry.to_json ())) in
   Cmd.v
     (Cmd.info "list-extensions"
        ~doc:

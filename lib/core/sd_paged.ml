@@ -1065,13 +1065,11 @@ let surrender_resident h = h.h_surrender ()
 let adopt h ~page ~pfn = h.h_adopt ~page ~pfn
 let obtain h = h.h_obtain ()
 
-let create ?(forgetful = false) ?(initial_frames = 0) ?(readahead = 0)
-    ?(policy = Policy.Spec.default) ?(restore = []) ?backing ~swap env =
-  if readahead < 0 then invalid_arg "Sd_paged.create: negative readahead";
+let create ?(forgetful = false) ?(initial_frames = 0)
+    ?policy:(spec = Policy.Spec.default) ?(restore = []) ?backing ~swap env =
   let backing =
     match backing with Some b -> b | None -> Tier.Backing.of_sfs swap
   in
-  let spec = Policy.Spec.with_readahead policy readahead in
   let tick_ref = ref (fun () -> 0) in
   let st =
     { env; swap; backing; forgetful; spec;

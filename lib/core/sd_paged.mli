@@ -32,12 +32,6 @@
     it never pages in — every fault is a demand-zero fill and every
     eviction is a dirty write-back.
 
-    [readahead] is the seed's stream-paging knob, kept for
-    compatibility: it forces [Stream readahead] onto a spec that has
-    no read-ahead of its own. Passing [readahead > 0] together with a
-    [policy] that already configures read-ahead ([+raN]/[+adN]) is
-    rejected with [Invalid_argument] — pick one knob.
-
     One paged driver backs exactly one stretch. *)
 
 type info = {
@@ -137,9 +131,8 @@ val obtain : handle -> int option
     only. *)
 
 val create :
-  ?forgetful:bool -> ?initial_frames:int -> ?readahead:int ->
-  ?policy:Policy.Spec.t -> ?restore:(int * int) list ->
-  ?backing:Tier.Backing.t ->
+  ?forgetful:bool -> ?initial_frames:int -> ?policy:Policy.Spec.t ->
+  ?restore:(int * int) list -> ?backing:Tier.Backing.t ->
   swap:Usbs.Sfs.swapfile -> Stretch_driver.env ->
   (Stretch_driver.t * handle, string) result
 (** [initial_frames] are allocated from the frames allocator up front

@@ -338,7 +338,7 @@ let bind_mapped d ~mode ?initial_frames ~file ~qos s () =
             Usbs.Usd.retire d.sys.the_usd client);
         Ok (driver, info)))
 
-let bind_paged d ?forgetful ?initial_frames ?readahead ?policy ?spare_pages
+let bind_paged d ?forgetful ?initial_frames ?policy ?spare_pages
     ?(restartable = false) ?backing ~swap_bytes ~qos s () =
   let swap_name = Domains.name d.dom ^ ".swap" in
   match
@@ -351,8 +351,7 @@ let bind_paged d ?forgetful ?initial_frames ?readahead ?policy ?spare_pages
        store over it; the swapfile's lifecycle stays System's. *)
     let backing = Option.map (fun f -> f swap) backing in
     (match
-       Sd_paged.create ?forgetful ?initial_frames ?readahead ?policy ?backing
-         ~swap d.env
+       Sd_paged.create ?forgetful ?initial_frames ?policy ?backing ~swap d.env
      with
     | Error reason ->
       Usbs.Sfs.close_swap d.sys.the_sfs swap;
@@ -372,7 +371,7 @@ let bind_paged d ?forgetful ?initial_frames ?readahead ?policy ?spare_pages
    journal-committed (page, slot) image into a fresh paged driver, and
    bind. The restored pages start [Swapped] and fault back in from
    swap on first touch. *)
-let bind_paged_restored d ?initial_frames ?readahead ?policy ~qos s () =
+let bind_paged_restored d ?initial_frames ?policy ~qos s () =
   let name = Domains.name d.dom ^ ".swap" in
   match Usbs.Sfs.reattach_swap d.sys.the_sfs ~name ~qos with
   | Error `Unknown -> Error (No_detached_swap { name })
@@ -380,7 +379,7 @@ let bind_paged_restored d ?initial_frames ?readahead ?policy ~qos s () =
   | Error (`Sfs reason) -> Error (Store_error { reason })
   | Ok (swap, restore) ->
     (match
-       Sd_paged.create ?initial_frames ?readahead ?policy ~restore ~swap d.env
+       Sd_paged.create ?initial_frames ?policy ~restore ~swap d.env
      with
     | Error reason ->
       Usbs.Sfs.detach_swap d.sys.the_sfs swap;

@@ -184,7 +184,7 @@ val bind_physical :
   domain -> ?prealloc:int -> Stretch.t -> (Stretch_driver.t, error) result
 
 val bind_paged :
-  domain -> ?forgetful:bool -> ?initial_frames:int -> ?readahead:int ->
+  domain -> ?forgetful:bool -> ?initial_frames:int ->
   ?policy:Policy.Spec.t -> ?spare_pages:int -> ?restartable:bool ->
   ?backing:(Usbs.Sfs.swapfile -> Tier.Backing.t) ->
   swap_bytes:int -> qos:Usbs.Qos.t -> Stretch.t -> unit ->
@@ -204,8 +204,8 @@ val bind_paged :
     remains System-owned (closed or detached on domain death). *)
 
 val bind_paged_restored :
-  domain -> ?initial_frames:int -> ?readahead:int ->
-  ?policy:Policy.Spec.t -> qos:Usbs.Qos.t -> Stretch.t -> unit ->
+  domain -> ?initial_frames:int -> ?policy:Policy.Spec.t ->
+  qos:Usbs.Qos.t -> Stretch.t -> unit ->
   (Stretch_driver.t * Sd_paged.handle, error) result
 (** The restart path: reattach the detached swapfile the domain's
     previous incarnation left behind (found by name — the domain must

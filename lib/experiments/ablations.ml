@@ -279,10 +279,17 @@ let run_stream ?(duration = Time.sec 170) () =
   let one readahead =
     let sys = Harness.fresh_system () in
     let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 25) () in
+    (* fifo+raN, or plain fifo for the baseline row *)
+    let policy =
+      if readahead = 0 then Policy.Spec.default
+      else
+        { Policy.Spec.default with
+          prefetch = Policy.Prefetch.Stream readahead }
+    in
     let app =
       match
         Paging_app.start sys ~name:"app" ~mode:Paging_app.Paging_in ~qos
-          ~phys_frames:(2 + (2 * readahead)) ~readahead ()
+          ~phys_frames:(2 + (2 * readahead)) ~policy ()
       with
       | Ok a -> a
       | Error e ->

@@ -18,15 +18,12 @@ let write_file path contents =
     Printf.printf "wrote %s\n" path
 
 let write_csv path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "series,seconds,mbit_per_s\n";
-      List.iter
-        (fun (series, t, v) -> Printf.fprintf oc "%s,%.3f,%.6f\n" series t v)
-        rows);
-  Printf.printf "wrote %s\n" path
+  write_file path
+    (String.concat "\n"
+       ("series,seconds,mbit_per_s"
+       :: List.map
+            (fun (series, t, v) -> Printf.sprintf "%s,%.3f,%.6f" series t v)
+            rows))
 
 let paging_csv (r : Paging_fig.result) =
   List.concat_map
@@ -141,7 +138,9 @@ let p_json doc = p_file "json" doc
    return the acceptance verdict (the CLI exits 1 on [false]). *)
 let verdict ctx ~print ~to_json ~ok r =
   print r;
-  Option.iter (fun path -> write_file path (to_json r)) (gets ctx "json");
+  Option.iter
+    (fun path -> write_file path (Json.to_string (to_json r)))
+    (gets ctx "json");
   ok r
 
 let run_fig ?mode ~d ctx =
@@ -236,14 +235,9 @@ let () =
               (String.split_on_char ',' s))
           (gets ctx "policies")
       in
-      let r =
-        Policy_compare.run ~duration:(duration ctx ~default:60) ?policies ()
-      in
-      Policy_compare.print r;
-      Option.iter
-        (fun path -> write_file path (Policy_compare.to_json r))
-        (gets ctx "json");
-      true);
+      verdict ctx ~print:Policy_compare.print ~to_json:Policy_compare.to_json
+        ~ok:(fun _ -> true)
+        (Policy_compare.run ~duration:(duration ctx ~default:60) ?policies ()));
   reg "ablate" "Design-choice ablations (DESIGN.md)"
     ~params:
       [ p_duration 120;
@@ -406,7 +400,9 @@ let () =
       Paging_fig.print r8;
       Paging_fig.print_series r8;
       Paging_fig.print_trace r8;
-      Fig9.print (Fig9.run ~duration:(sec (min d 120)) ());
+      let r9 = Fig9.run ~duration:(sec (min d 120)) () in
+      Fig9.print r9;
+      Fig9.print_series r9;
       Crosstalk.print (Crosstalk.run ~duration:(sec (min d 180)) ());
       Net_iso.print_shares (Net_iso.run_shares ());
       Net_iso.print_kernel_crosstalk

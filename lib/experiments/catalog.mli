@@ -50,7 +50,8 @@ val write_file : string -> string -> unit
     unwritable. *)
 
 val write_csv : string -> (string * float * float) list -> unit
-(** Write (series, seconds, mbit/s) rows under the standard header. *)
+(** Write (series, seconds, mbit/s) rows under the standard header,
+    through {!write_file}. *)
 
 val paging_csv : Paging_fig.result -> (string * float * float) list
 

@@ -271,56 +271,38 @@ let print r =
      else "VERDICT: FAILED")
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  let t = r.tally in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
+  let t = r.tally and i = r.victim_info in
   let dom d =
-    Printf.sprintf
-      "{\"name\": %S, \"mbit_s\": %s, \"accesses\": %d, \"violations\": %d}"
-      d.dr_name
-      (if Float.is_nan d.dr_mbit then "null"
-       else Printf.sprintf "%.3f" d.dr_mbit)
-      d.dr_accesses d.dr_violations
+    Json.obj
+      [ ("name", Json.string d.dr_name); ("mbit_s", Json.fixed 3 d.dr_mbit);
+        ("accesses", Json.int d.dr_accesses);
+        ("violations", Json.int d.dr_violations) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map dom (r.victim :: r.cleans))));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"injected\": {\"errors\": %d, \"spikes\": %d, \"stalls\": %d, \
-        \"chan_drops\": %d, \"chan_delays\": %d, \"pressure_bursts\": \
-        %d},\n"
-       t.Inject.injected_errors t.Inject.spikes t.Inject.stalls_injected
-       t.Inject.chan_drops t.Inject.chan_delays t.Inject.pressure_bursts);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"recovered\": {\"retried\": %d, \"remapped\": %d, \"degraded\": \
-        %d, \"killed\": %d},\n"
-       t.Inject.retried t.Inject.remapped t.Inject.degraded
-       t.Inject.killed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"accounted\": %b,\n" r.accounted);
-  let i = r.victim_info in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"victim_driver\": {\"lost_pages\": %d, \"rebloks\": %d, \
-        \"shed_frames\": %d, \"wb_degraded\": %b, \"swap_exhausted\": \
-        %b},\n"
-       i.Sd_paged.lost_pages i.Sd_paged.rebloks i.Sd_paged.shed_frames
-       i.Sd_paged.wb_degraded i.Sd_paged.swap_exhausted);
-  Buffer.add_string b
-    (Printf.sprintf "  \"doomed_killed\": %b,\n" r.doomed_killed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"doomed_frames_reclaimed\": %b,\n"
-       r.doomed_frames_reclaimed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"intrusive_revocations\": %d,\n"
-       r.intrusive_revocations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"clean_violations\": %d,\n" r.clean_violations);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" (ok r));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
+      ("domains", Json.list (List.map dom (r.victim :: r.cleans)));
+      ( "injected",
+        Json.ints
+          [ ("errors", t.Inject.injected_errors); ("spikes", t.Inject.spikes);
+            ("stalls", t.Inject.stalls_injected);
+            ("chan_drops", t.Inject.chan_drops);
+            ("chan_delays", t.Inject.chan_delays);
+            ("pressure_bursts", t.Inject.pressure_bursts) ] );
+      ( "recovered",
+        Json.ints
+          [ ("retried", t.Inject.retried); ("remapped", t.Inject.remapped);
+            ("degraded", t.Inject.degraded); ("killed", t.Inject.killed) ] );
+      ("accounted", Json.bool r.accounted);
+      ( "victim_driver",
+        Json.obj
+          [ ("lost_pages", Json.int i.Sd_paged.lost_pages);
+            ("rebloks", Json.int i.Sd_paged.rebloks);
+            ("shed_frames", Json.int i.Sd_paged.shed_frames);
+            ("wb_degraded", Json.bool i.Sd_paged.wb_degraded);
+            ("swap_exhausted", Json.bool i.Sd_paged.swap_exhausted) ] );
+      ("doomed_killed", Json.bool r.doomed_killed);
+      ("doomed_frames_reclaimed", Json.bool r.doomed_frames_reclaimed);
+      ("intrusive_revocations", Json.int r.intrusive_revocations);
+      ("clean_violations", Json.int r.clean_violations);
+      ("ok", Json.bool (ok r)) ]

@@ -68,4 +68,4 @@ val ok : result -> bool
     doomed domain killed and reclaimed, and faults actually injected. *)
 
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t

@@ -356,28 +356,23 @@ let print r =
      else "VERDICT: FAILED")
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
   let round rr =
-    Printf.sprintf
-      "{\"round\": %d, \"target\": %S, \"crashes\": %d, \"replayed\": %d, \
-       \"torn\": %d, \"idempotent\": %b, \"committed\": %d, \"verified\": \
-       %d, \"lost\": %d, \"restored\": %d, \"revived\": %b}"
-      rr.rr_index rr.rr_target rr.rr_crashes rr.rr_replayed rr.rr_torn
-      rr.rr_idempotent rr.rr_committed rr.rr_verified rr.rr_lost
-      rr.rr_restored rr.rr_revived
+    Json.obj
+      [ ("round", Json.int rr.rr_index); ("target", Json.string rr.rr_target);
+        ("crashes", Json.int rr.rr_crashes);
+        ("replayed", Json.int rr.rr_replayed); ("torn", Json.int rr.rr_torn);
+        ("idempotent", Json.bool rr.rr_idempotent);
+        ("committed", Json.int rr.rr_committed);
+        ("verified", Json.int rr.rr_verified); ("lost", Json.int rr.rr_lost);
+        ("restored", Json.int rr.rr_restored);
+        ("revived", Json.bool rr.rr_revived) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"rounds\": [%s],\n"
-       (String.concat ", " (List.map round r.rounds)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"recovered\": {\"replayed\": %d, \"torn\": %d, \"restored\": \
-        %d, \"lost\": %d},\n"
-       r.total_replayed r.total_torn r.total_restored r.total_lost);
-  Buffer.add_string b
-    (Printf.sprintf "  \"clean_violations\": %d,\n" r.clean_violations);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" (ok r));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.seed);
+      ("rounds", Json.list (List.map round r.rounds));
+      ( "recovered",
+        Json.ints
+          [ ("replayed", r.total_replayed); ("torn", r.total_torn);
+            ("restored", r.total_restored); ("lost", r.total_lost) ] );
+      ("clean_violations", Json.int r.clean_violations);
+      ("ok", Json.bool (ok r)) ]

@@ -63,4 +63,4 @@ val run : ?seed:int -> ?rounds:int -> unit -> result
 val ok : result -> bool
 
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t

@@ -134,79 +134,52 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
     c_audit = Obs.Qos_audit.summarize () }
 
 let cell_to_json c =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "  {\"cell\": %S, \"mode\": %S,\n" c.c_name c.c_mode);
-  Buffer.add_string b
-    (Printf.sprintf "   \"domains\": [%s],\n"
-       (String.concat ", " (List.map Harness.domain_json c.c_domains)));
   let f = c.c_fleet in
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"fleet\": {\"stores\": %d, \"acks\": %d, \"lost_primaries\": %d, \
-        \"failovers\": %d, \"rebuilds\": %d, \"disk_fallbacks\": %d, \
-        \"lost_shards\": %d, \"degraded_reads\": %d, \"reconstructions\": \
-        %d, \"corrupt_shards\": %d, \"migrations\": %d, \"node_joins\": %d, \
-        \"node_retires\": %d, \"quarantines\": %d, \"readmissions\": %d, \
-        \"wipes_applied\": %d, \"repair_rounds\": %d},\n"
-       f.Tier.Fleet.stores f.Tier.Fleet.acks f.Tier.Fleet.lost_primaries
-       f.Tier.Fleet.failovers f.Tier.Fleet.rebuilds
-       f.Tier.Fleet.disk_fallbacks f.Tier.Fleet.lost_shards
-       f.Tier.Fleet.degraded_reads f.Tier.Fleet.reconstructions
-       f.Tier.Fleet.corrupt_shards f.Tier.Fleet.migrations
-       f.Tier.Fleet.node_joins f.Tier.Fleet.node_retires
-       f.Tier.Fleet.quarantines f.Tier.Fleet.readmissions
-       f.Tier.Fleet.wipes_applied f.Tier.Fleet.repair_rounds);
+  let open Tier.Fleet in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"member\": %b, \"used\": %d, \"capacity\": %d, \
-       \"quarantined\": %b, \"quarantines\": %d, \"stores\": %d, \
-       \"serves\": %d, \"failovers\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_member h.Tier.Fleet.nh_used
-      h.Tier.Fleet.nh_capacity h.Tier.Fleet.nh_quarantined
-      h.Tier.Fleet.nh_quarantines h.Tier.Fleet.nh_stores
-      h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
+    Json.obj
+      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
+        ("used", Json.int h.nh_used); ("capacity", Json.int h.nh_capacity);
+        ("quarantined", Json.bool h.nh_quarantined);
+        ("quarantines", Json.int h.nh_quarantines);
+        ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves);
+        ("failovers", Json.int h.nh_failovers) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "   \"nodes\": [%s],\n"
-       (String.concat ", " (List.map node c.c_health)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"books_balanced\": %b, \"lost_slots\": %d, \
-        \"storage_overhead\": %s,\n"
-       c.c_books_balanced c.c_lost_slots
-       (if Float.is_nan c.c_overhead then "null"
-        else Printf.sprintf "%.3f" c.c_overhead));
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"degraded_reads\": %d, \"degraded_mean_us\": %s, \
-        \"disk_floor_us\": %s,\n"
-       c.c_degraded_count (Harness.json_f1 c.c_degraded_mean_us) (Harness.json_f1 c.c_disk_floor_us));
-  Buffer.add_string b
-    (Printf.sprintf
-       "   \"bystander_violations\": %d, \"tiered_violations\": %d}"
-       c.c_bystander_violations c.c_tiered_violations);
-  Buffer.contents b
+  Json.obj
+    [ ("cell", Json.string c.c_name); ("mode", Json.string c.c_mode);
+      ("domains", Json.list (List.map Harness.domain_json c.c_domains));
+      ( "fleet",
+        Json.ints
+          [ ("stores", f.stores); ("acks", f.acks);
+            ("lost_primaries", f.lost_primaries); ("failovers", f.failovers);
+            ("rebuilds", f.rebuilds); ("disk_fallbacks", f.disk_fallbacks);
+            ("lost_shards", f.lost_shards);
+            ("degraded_reads", f.degraded_reads);
+            ("reconstructions", f.reconstructions);
+            ("corrupt_shards", f.corrupt_shards);
+            ("migrations", f.migrations); ("node_joins", f.node_joins);
+            ("node_retires", f.node_retires); ("quarantines", f.quarantines);
+            ("readmissions", f.readmissions);
+            ("wipes_applied", f.wipes_applied);
+            ("repair_rounds", f.repair_rounds) ] );
+      ("nodes", Json.list (List.map node c.c_health));
+      ("books_balanced", Json.bool c.c_books_balanced);
+      ("lost_slots", Json.int c.c_lost_slots);
+      ("storage_overhead", Json.fixed 3 c.c_overhead);
+      ("degraded_reads", Json.int c.c_degraded_count);
+      ("degraded_mean_us", Json.fixed 1 c.c_degraded_mean_us);
+      ("disk_floor_us", Json.fixed 1 c.c_disk_floor_us);
+      ("bystander_violations", Json.int c.c_bystander_violations);
+      ("tiered_violations", Json.int c.c_tiered_violations) ]
 
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  Buffer.add_string b "  \"cells\": [\n";
-  Buffer.add_string b (cell_to_json r.replicated);
-  Buffer.add_string b ",\n";
-  Buffer.add_string b (cell_to_json r.erasure);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"degraded_vs_disk_speedup\": %s,\n"
-       (if Float.is_nan r.speedup then "null"
-        else Printf.sprintf "%.1f" r.speedup));
-  Buffer.add_string b
-    (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
+      ( "cells",
+        Json.list [ cell_to_json r.replicated; cell_to_json r.erasure ] );
+      ("degraded_vs_disk_speedup", Json.fixed 1 r.speedup);
+      ("deterministic", Json.bool r.deterministic) ]
 
 (* Same-seed reproducibility is part of the verdict: both cells run
    twice — wipes, corruption dice, join, degraded reads, repair — and
@@ -482,48 +455,36 @@ let bench_print r =
     (if r.b_ok then "no disk-fallback cliff" else "CLIFF (or overhead off)")
 
 let bench_to_json r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.b_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.b_duration));
+  let open Tier.Fleet in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"member\": %b, \"used\": %d, \"stores\": %d, \
-       \"serves\": %d, \"failovers\": %d, \"quarantines\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_member h.Tier.Fleet.nh_used
-      h.Tier.Fleet.nh_stores h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
-      h.Tier.Fleet.nh_quarantines
+    Json.obj
+      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
+        ("used", Json.int h.nh_used); ("stores", Json.int h.nh_stores);
+        ("serves", Json.int h.nh_serves);
+        ("failovers", Json.int h.nh_failovers);
+        ("quarantines", Json.int h.nh_quarantines) ]
   in
   let cell c =
-    Printf.sprintf
-      "{\"cell\": %S, \"accesses\": %d, \"mean_us\": %s, \"half2_mean_us\": \
-       %s, \"fleet_hits\": %d, \"degraded_reads\": %d, \"reconstructions\": \
-       %d, \"rebuilds\": %d, \"storage_overhead\": %s, \"nodes\": [%s]}"
-      c.bc_name c.bc_accesses (Harness.json_f1 c.bc_mean_us) (Harness.json_f1 c.bc_half2_mean_us)
-      c.bc_fleet_hits c.bc_degraded c.bc_reconstructions c.bc_rebuilds
-      (if Float.is_nan c.bc_overhead then "null"
-       else Printf.sprintf "%.3f" c.bc_overhead)
-      (String.concat ", " (List.map node c.bc_nodes))
+    Json.obj
+      [ ("cell", Json.string c.bc_name); ("accesses", Json.int c.bc_accesses);
+        ("mean_us", Json.fixed 1 c.bc_mean_us);
+        ("half2_mean_us", Json.fixed 1 c.bc_half2_mean_us);
+        ("fleet_hits", Json.int c.bc_fleet_hits);
+        ("degraded_reads", Json.int c.bc_degraded);
+        ("reconstructions", Json.int c.bc_reconstructions);
+        ("rebuilds", Json.int c.bc_rebuilds);
+        ("storage_overhead", Json.fixed 3 c.bc_overhead);
+        ("nodes", Json.list (List.map node c.bc_nodes)) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"cells\": [%s],\n"
-       (String.concat ",\n            " (List.map cell r.b_cells)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"replicated_us\": %s, \"erasure_us\": %s, \"erasure_wipe_us\": \
-        %s, \"disk_us\": %s,\n"
-       (Harness.json_f1 r.b_repl_us) (Harness.json_f1 r.b_ec_us) (Harness.json_f1 r.b_ec_wipe_us) (Harness.json_f1 r.b_disk_us));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"parity_price\": %s, \"erasure_overhead\": %s, \
-        \"replicated_overhead\": %s,\n"
-       (if Float.is_nan r.b_parity_price then "null"
-        else Printf.sprintf "%.3f" r.b_parity_price)
-       (if Float.is_nan r.b_ec_overhead then "null"
-        else Printf.sprintf "%.3f" r.b_ec_overhead)
-       (if Float.is_nan r.b_repl_overhead then "null"
-        else Printf.sprintf "%.3f" r.b_repl_overhead));
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" r.b_ok);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.b_seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.b_duration));
+      ("cells", Json.list (List.map cell r.b_cells));
+      ("replicated_us", Json.fixed 1 r.b_repl_us);
+      ("erasure_us", Json.fixed 1 r.b_ec_us);
+      ("erasure_wipe_us", Json.fixed 1 r.b_ec_wipe_us);
+      ("disk_us", Json.fixed 1 r.b_disk_us);
+      ("parity_price", Json.fixed 3 r.b_parity_price);
+      ("erasure_overhead", Json.fixed 3 r.b_ec_overhead);
+      ("replicated_overhead", Json.fixed 3 r.b_repl_overhead);
+      ("ok", Json.bool r.b_ok) ]

@@ -93,61 +93,45 @@ let run_once ~seed ~duration =
     audit = Obs.Qos_audit.summarize () }
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map Harness.domain_json r.domains)));
   let f = r.fleet in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"fleet\": {\"stores\": %d, \"acks\": %d, \"replica_skips\": %d, \
-        \"replica_timeouts\": %d, \"remote_fulls\": %d, \"lost_primaries\": \
-        %d, \"failovers\": %d, \"rebuilds\": %d, \"disk_fallbacks\": %d, \
-        \"secondary_rebuilds\": %d, \"retransmits\": %d, \"quarantines\": \
-        %d, \"readmissions\": %d, \"probes\": %d, \"probe_failures\": %d, \
-        \"wipes_applied\": %d, \"repair_rounds\": %d},\n"
-       f.Tier.Fleet.stores f.Tier.Fleet.acks f.Tier.Fleet.replica_skips
-       f.Tier.Fleet.replica_timeouts f.Tier.Fleet.remote_fulls
-       f.Tier.Fleet.lost_primaries f.Tier.Fleet.failovers
-       f.Tier.Fleet.rebuilds f.Tier.Fleet.disk_fallbacks
-       f.Tier.Fleet.secondary_rebuilds f.Tier.Fleet.retransmits
-       f.Tier.Fleet.quarantines f.Tier.Fleet.readmissions f.Tier.Fleet.probes
-       f.Tier.Fleet.probe_failures f.Tier.Fleet.wipes_applied
-       f.Tier.Fleet.repair_rounds);
+  let open Tier.Fleet in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"member\": %b, \"used\": %d, \"capacity\": %d, \
-       \"quarantined\": %b, \"quarantines\": %d, \"readmissions\": %d, \
-       \"stores\": %d, \"serves\": %d, \"failovers\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_member h.Tier.Fleet.nh_used
-      h.Tier.Fleet.nh_capacity h.Tier.Fleet.nh_quarantined
-      h.Tier.Fleet.nh_quarantines h.Tier.Fleet.nh_readmissions
-      h.Tier.Fleet.nh_stores h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
+    Json.obj
+      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
+        ("used", Json.int h.nh_used); ("capacity", Json.int h.nh_capacity);
+        ("quarantined", Json.bool h.nh_quarantined);
+        ("quarantines", Json.int h.nh_quarantines);
+        ("readmissions", Json.int h.nh_readmissions);
+        ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves);
+        ("failovers", Json.int h.nh_failovers) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"nodes\": [%s],\n"
-       (String.concat ", " (List.map node r.health)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"books_balanced\": %b,\n" r.books_balanced);
-  Buffer.add_string b
-    (Printf.sprintf "  \"stores\": %s,\n" (Harness.store_json r.store_totals));
-  Buffer.add_string b (Printf.sprintf "  \"lost_slots\": %d,\n" r.lost_slots);
-  Buffer.add_string b
-    (Printf.sprintf "  \"node_wipes\": %d, \"node_partitions\": %d,\n"
-       r.node_wipes r.node_partitions);
-  Buffer.add_string b
-    (Printf.sprintf "  \"bystander_violations\": %d,\n"
-       r.bystander_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"tiered_violations\": %d,\n" r.tiered_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
+      ("domains", Json.list (List.map Harness.domain_json r.domains));
+      ( "fleet",
+        Json.ints
+          [ ("stores", f.stores); ("acks", f.acks);
+            ("replica_skips", f.replica_skips);
+            ("replica_timeouts", f.replica_timeouts);
+            ("remote_fulls", f.remote_fulls);
+            ("lost_primaries", f.lost_primaries); ("failovers", f.failovers);
+            ("rebuilds", f.rebuilds); ("disk_fallbacks", f.disk_fallbacks);
+            ("secondary_rebuilds", f.secondary_rebuilds);
+            ("retransmits", f.retransmits); ("quarantines", f.quarantines);
+            ("readmissions", f.readmissions); ("probes", f.probes);
+            ("probe_failures", f.probe_failures);
+            ("wipes_applied", f.wipes_applied);
+            ("repair_rounds", f.repair_rounds) ] );
+      ("nodes", Json.list (List.map node r.health));
+      ("books_balanced", Json.bool r.books_balanced);
+      ("stores", Harness.store_json r.store_totals);
+      ("lost_slots", Json.int r.lost_slots);
+      ("node_wipes", Json.int r.node_wipes);
+      ("node_partitions", Json.int r.node_partitions);
+      ("bystander_violations", Json.int r.bystander_violations);
+      ("tiered_violations", Json.int r.tiered_violations);
+      ("deterministic", Json.bool r.deterministic) ]
 
 (* Same-seed reproducibility is part of the verdict: the whole run —
    wipe, partition, quarantine, repair — happens twice and the
@@ -327,40 +311,29 @@ let bench_print r =
     (if r.b_ok then "no disk-fallback cliff" else "CLIFF (or degraded > 2x)")
 
 let bench_to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.b_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.b_duration));
-  let j f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f in
+  let open Tier.Fleet in
   let node h =
-    Printf.sprintf
-      "{\"name\": %S, \"used\": %d, \"stores\": %d, \"serves\": %d, \
-       \"failovers\": %d, \"quarantines\": %d}"
-      h.Tier.Fleet.nh_name h.Tier.Fleet.nh_used h.Tier.Fleet.nh_stores
-      h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
-      h.Tier.Fleet.nh_quarantines
+    Json.obj
+      [ ("name", Json.string h.nh_name); ("used", Json.int h.nh_used);
+        ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves);
+        ("failovers", Json.int h.nh_failovers);
+        ("quarantines", Json.int h.nh_quarantines) ]
   in
   let cell c =
-    Printf.sprintf
-      "{\"cell\": %S, \"accesses\": %d, \"mean_us\": %s, \"half2_mean_us\": \
-       %s, \"fleet_hits\": %d, \"failovers\": %d, \"rebuilds\": %d, \
-       \"nodes\": [%s]}"
-      c.bc_name c.bc_accesses (j c.bc_mean_us) (j c.bc_half2_mean_us)
-      c.bc_fleet_hits c.bc_failovers c.bc_rebuilds
-      (String.concat ", " (List.map node c.bc_nodes))
+    Json.obj
+      [ ("cell", Json.string c.bc_name); ("accesses", Json.int c.bc_accesses);
+        ("mean_us", Json.fixed 1 c.bc_mean_us);
+        ("half2_mean_us", Json.fixed 1 c.bc_half2_mean_us);
+        ("fleet_hits", Json.int c.bc_fleet_hits);
+        ("failovers", Json.int c.bc_failovers);
+        ("rebuilds", Json.int c.bc_rebuilds);
+        ("nodes", Json.list (List.map node c.bc_nodes)) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"cells\": [%s],\n"
-       (String.concat ", " (List.map cell r.b_cells)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"healthy_us\": %s, \"postwipe_us\": %s, \"disk_us\": %s,\n"
-       (j r.b_healthy_us) (j r.b_postwipe_us) (j r.b_disk_us));
-  Buffer.add_string b
-    (Printf.sprintf "  \"degradation\": %s,\n"
-       (if Float.is_nan r.b_degradation then "null"
-        else Printf.sprintf "%.3f" r.b_degradation));
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" r.b_ok);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.b_seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.b_duration));
+      ("cells", Json.list (List.map cell r.b_cells));
+      ("healthy_us", Json.fixed 1 r.b_healthy_us);
+      ("postwipe_us", Json.fixed 1 r.b_postwipe_us);
+      ("disk_us", Json.fixed 1 r.b_disk_us);
+      ("degradation", Json.fixed 3 r.b_degradation); ("ok", Json.bool r.b_ok) ]

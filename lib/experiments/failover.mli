@@ -39,7 +39,7 @@ type result = {
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 val ok : result -> bool
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t
 
 (** One cell of the failover benchmark: the hotspot workload against
     one backend, with the fault-latency histogram split at T/2 so the
@@ -72,4 +72,4 @@ type bench_result = {
 
 val bench : ?seed:int -> ?duration:Time.span -> unit -> bench_result
 val bench_print : bench_result -> unit
-val bench_to_json : bench_result -> string
+val bench_to_json : bench_result -> Json.t

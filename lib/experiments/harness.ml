@@ -193,17 +193,15 @@ let store_totals stores =
 
 let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
 let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
-let json_f1 f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
 
 let domain_json d =
-  Printf.sprintf
-    "{\"name\": %S, \"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \
-     \"accesses\": %d, \"fault_mean_us\": %s, \"fault_p95_us\": %s, \
-     \"violations\": %d}"
-    d.dr_name d.dr_pattern d.dr_tiered
-    (if Float.is_nan d.dr_mbit then "null" else Printf.sprintf "%.3f" d.dr_mbit)
-    d.dr_accesses (json_f1 d.dr_fault_mean_us) (json_f1 d.dr_fault_p95_us)
-    d.dr_violations
+  Json.obj
+    [ ("name", Json.string d.dr_name); ("pattern", Json.string d.dr_pattern);
+      ("tiered", Json.bool d.dr_tiered); ("mbit_s", Json.fixed 3 d.dr_mbit);
+      ("accesses", Json.int d.dr_accesses);
+      ("fault_mean_us", Json.fixed 1 d.dr_fault_mean_us);
+      ("fault_p95_us", Json.fixed 1 d.dr_fault_p95_us);
+      ("violations", Json.int d.dr_violations) ]
 
 let domain_table ~tiered_label reports =
   Report.table
@@ -221,12 +219,11 @@ let domain_table ~tiered_label reports =
 
 let store_json st =
   let open Tier.Fleet in
-  Printf.sprintf
-    "{\"cache_hits\": %d, \"fleet_hits\": %d, \"fleet_misses\": %d, \
-     \"promotes\": %d, \"demotes\": %d, \"write_fallbacks\": %d, \
-     \"clean_skips\": %d, \"lost_slots\": %d}"
-    st.st_cache_hits st.st_fleet_hits st.st_fleet_misses st.st_promotes
-    st.st_demotes st.st_write_fallbacks st.st_clean_skips st.st_lost_slots
+  Json.ints
+    [ ("cache_hits", st.st_cache_hits); ("fleet_hits", st.st_fleet_hits);
+      ("fleet_misses", st.st_fleet_misses); ("promotes", st.st_promotes);
+      ("demotes", st.st_demotes); ("write_fallbacks", st.st_write_fallbacks);
+      ("clean_skips", st.st_clean_skips); ("lost_slots", st.st_lost_slots) ]
 
 let print_store_totals st =
   let open Tier.Fleet in

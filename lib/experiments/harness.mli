@@ -121,7 +121,7 @@ val violations : tiered:bool -> domain_report list -> int
 val store_totals : Tier.Fleet.store list -> Tier.Fleet.store_stats
 (** Per-domain store counters summed (all zero for no stores). *)
 
-val store_json : Tier.Fleet.store_stats -> string
+val store_json : Tier.Fleet.store_stats -> Json.t
 (** Store counters as one JSON object. *)
 
 val print_store_totals : Tier.Fleet.store_stats -> unit
@@ -133,10 +133,7 @@ val mbit_s : float -> string
 val us : float -> string
 (** Whole microseconds for a table cell, ["-"] for [nan]. *)
 
-val json_f1 : float -> string
-(** One decimal for a JSON field, [null] for [nan]. *)
-
-val domain_json : domain_report -> string
+val domain_json : domain_report -> Json.t
 (** A domain row as one JSON object. *)
 
 val domain_table : tiered_label:string -> domain_report list -> unit

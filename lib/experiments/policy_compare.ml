@@ -169,35 +169,24 @@ let print r =
   print_endline "witness that policy choice stays inside the domain's own";
   print_endline "guarantee — self-paging makes paging policy a private matter."
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
-
 let row_to_json row =
-  Printf.sprintf
-    "{\"policy\":\"%s\",\"pattern\":\"%s\",\"accesses\":%d,\"faults\":%d,\
-     \"miss_rate\":%s,\"demand_ins\":%d,\"prefetched\":%d,\
-     \"prefetch_hits\":%d,\"prefetch_waste\":%d,\"page_outs\":%d,\
-     \"evictions\":%d,\"wb_flushes\":%d,\"rescues\":%d,\
-     \"mean_fault_us\":%s,\"p99_fault_us\":%s,\"app_mbit\":%s,\
-     \"contender_mbit\":%s,\"qos_violations\":%d}"
-    (json_escape row.policy) (json_escape row.pattern) row.accesses row.faults
-    (json_float row.miss_rate) row.demand_ins row.prefetched row.prefetch_hits
-    row.prefetch_waste row.page_outs row.evictions row.wb_flushes row.rescues
-    (json_float row.mean_fault_us) (json_float row.p99_fault_us)
-    (json_float row.app_mbit) (json_float row.contender_mbit) row.violations
+  let g = Json.signif 6 in
+  Json.obj
+    [ ("policy", Json.string row.policy); ("pattern", Json.string row.pattern);
+      ("accesses", Json.int row.accesses); ("faults", Json.int row.faults);
+      ("miss_rate", g row.miss_rate); ("demand_ins", Json.int row.demand_ins);
+      ("prefetched", Json.int row.prefetched);
+      ("prefetch_hits", Json.int row.prefetch_hits);
+      ("prefetch_waste", Json.int row.prefetch_waste);
+      ("page_outs", Json.int row.page_outs);
+      ("evictions", Json.int row.evictions);
+      ("wb_flushes", Json.int row.wb_flushes);
+      ("rescues", Json.int row.rescues); ("mean_fault_us", g row.mean_fault_us);
+      ("p99_fault_us", g row.p99_fault_us); ("app_mbit", g row.app_mbit);
+      ("contender_mbit", g row.contender_mbit);
+      ("qos_violations", Json.int row.violations) ]
 
 let to_json r =
-  Printf.sprintf "{\"duration_s\":%s,\"rows\":[\n%s\n]}\n"
-    (json_float (Time.to_sec r.duration))
-    (String.concat ",\n" (List.map row_to_json r.rows))
+  Json.obj
+    [ ("duration_s", Json.signif 6 (Time.to_sec r.duration));
+      ("rows", Json.list (List.map row_to_json r.rows)) ]

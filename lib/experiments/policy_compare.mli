@@ -43,4 +43,4 @@ val run :
     setting. *)
 
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t

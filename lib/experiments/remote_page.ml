@@ -93,49 +93,36 @@ let run_once ~seed ~duration =
     audit = Obs.Qos_audit.summarize () }
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map Harness.domain_json r.domains)));
   let f = r.fleet in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"fleet\": {\"stores\": %d, \"acks\": %d, \"remote_fulls\": %d, \
-        \"replica_timeouts\": %d, \"lost_primaries\": %d, \
-        \"disk_fallbacks\": %d, \"link_drops\": %d, \"link_delays\": %d, \
-        \"unreachable\": %d, \"retransmits\": %d, \"frag_timeouts\": %d, \
-        \"quarantines\": %d, \"readmissions\": %d, \"repair_rounds\": %d},\n"
-       f.Tier.Fleet.stores f.Tier.Fleet.acks f.Tier.Fleet.remote_fulls
-       f.Tier.Fleet.replica_timeouts f.Tier.Fleet.lost_primaries
-       f.Tier.Fleet.disk_fallbacks f.Tier.Fleet.link_drops
-       f.Tier.Fleet.link_delays f.Tier.Fleet.unreachable
-       f.Tier.Fleet.retransmits f.Tier.Fleet.frag_timeouts
-       f.Tier.Fleet.quarantines f.Tier.Fleet.readmissions
-       f.Tier.Fleet.repair_rounds);
-  Buffer.add_string b
-    (Printf.sprintf "  \"stores\": %s,\n" (Harness.store_json r.store_totals));
-  Buffer.add_string b
-    (Printf.sprintf "  \"books_balanced\": %b,\n" r.books_balanced);
-  Buffer.add_string b
-    (Printf.sprintf "  \"remote\": {\"used\": %d, \"capacity\": %d},\n"
-       r.remote_used r.remote_capacity);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"link\": {\"drops\": %d, \"delays\": %d, \"utilisation\": %.3f},\n"
-       r.link_drops r.link_delays r.link_utilisation);
-  Buffer.add_string b
-    (Printf.sprintf "  \"bystander_violations\": %d,\n"
-       r.bystander_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"tiered_violations\": %d,\n" r.tiered_violations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"deterministic\": %b\n" r.deterministic);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let open Tier.Fleet in
+  Json.obj
+    [ ("seed", Json.int r.seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
+      ("domains", Json.list (List.map Harness.domain_json r.domains));
+      ( "fleet",
+        Json.ints
+          [ ("stores", f.stores); ("acks", f.acks);
+            ("remote_fulls", f.remote_fulls);
+            ("replica_timeouts", f.replica_timeouts);
+            ("lost_primaries", f.lost_primaries);
+            ("disk_fallbacks", f.disk_fallbacks); ("link_drops", f.link_drops);
+            ("link_delays", f.link_delays); ("unreachable", f.unreachable);
+            ("retransmits", f.retransmits); ("frag_timeouts", f.frag_timeouts);
+            ("quarantines", f.quarantines); ("readmissions", f.readmissions);
+            ("repair_rounds", f.repair_rounds) ] );
+      ("stores", Harness.store_json r.store_totals);
+      ("books_balanced", Json.bool r.books_balanced);
+      ( "remote",
+        Json.ints
+          [ ("used", r.remote_used); ("capacity", r.remote_capacity) ] );
+      ( "link",
+        Json.obj
+          [ ("drops", Json.int r.link_drops);
+            ("delays", Json.int r.link_delays);
+            ("utilisation", Json.fixed 3 r.link_utilisation) ] );
+      ("bystander_violations", Json.int r.bystander_violations);
+      ("tiered_violations", Json.int r.tiered_violations);
+      ("deterministic", Json.bool r.deterministic) ]
 
 (* Same-seed reproducibility is part of the verdict: the whole fleet —
    link chaos included — runs twice and the canonical reports must
@@ -300,33 +287,20 @@ let bench_print r =
      else "does NOT beat disk-only")
 
 let bench_to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.b_seed);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.b_duration));
   let cell c =
-    Printf.sprintf
-      "{\"pattern\": %S, \"tiered\": %b, \"mbit_s\": %s, \"accesses\": %d, \
-       \"fault_mean_us\": %s, \"fault_p95_us\": %s, \"cache_hits\": %d, \
-       \"remote_hits\": %d, \"remote_misses\": %d}"
-      c.bc_pattern c.bc_tiered
-      (if Float.is_nan c.bc_mbit then "null"
-       else Printf.sprintf "%.3f" c.bc_mbit)
-      c.bc_accesses
-      (Harness.json_f1 c.bc_fault_mean_us)
-      (Harness.json_f1 c.bc_fault_p95_us)
-      c.bc_cache_hits c.bc_remote_hits c.bc_remote_misses
+    Json.obj
+      [ ("pattern", Json.string c.bc_pattern);
+        ("tiered", Json.bool c.bc_tiered); ("mbit_s", Json.fixed 3 c.bc_mbit);
+        ("accesses", Json.int c.bc_accesses);
+        ("fault_mean_us", Json.fixed 1 c.bc_fault_mean_us);
+        ("fault_p95_us", Json.fixed 1 c.bc_fault_p95_us);
+        ("cache_hits", Json.int c.bc_cache_hits);
+        ("remote_hits", Json.int c.bc_remote_hits);
+        ("remote_misses", Json.int c.bc_remote_misses) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"cells\": [%s],\n"
-       (String.concat ", " (List.map cell r.b_cells)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"hot_speedup\": %s,\n"
-       (if Float.is_nan r.b_hot_speedup then "null"
-        else Printf.sprintf "%.3f" r.b_hot_speedup));
-  Buffer.add_string b
-    (Printf.sprintf "  \"hot_tiered_beats_disk\": %b\n"
-       r.b_hot_tiered_beats_disk);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.b_seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.b_duration));
+      ("cells", Json.list (List.map cell r.b_cells));
+      ("hot_speedup", Json.fixed 3 r.b_hot_speedup);
+      ("hot_tiered_beats_disk", Json.bool r.b_hot_tiered_beats_disk) ]

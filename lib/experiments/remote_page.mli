@@ -41,7 +41,7 @@ type result = {
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 val ok : result -> bool
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t
 
 (** One (pattern, backend) cell of the remote-paging benchmark. *)
 type bench_cell = {
@@ -71,4 +71,4 @@ val bench : ?seed:int -> ?duration:Time.span -> unit -> bench_result
     fault-service latency side by side. *)
 
 val bench_print : bench_result -> unit
-val bench_to_json : bench_result -> string
+val bench_to_json : bench_result -> Json.t

@@ -209,46 +209,33 @@ let print r =
      else "VERDICT: FAILED")
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.seed);
-  Buffer.add_string b (Printf.sprintf "  \"domains\": %d,\n" r.domains);
-  Buffer.add_string b
-    (Printf.sprintf "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration));
   let pat p =
-    Printf.sprintf
-      "{\"pattern\": %S, \"domains\": %d, \"measured\": %d, \"accesses\": \
-       %d, \"mbit_s\": %s}"
-      p.pr_pattern p.pr_domains p.pr_measured p.pr_accesses
-      (if Float.is_nan p.pr_mbit then "null"
-       else Printf.sprintf "%.3f" p.pr_mbit)
+    Json.obj
+      [ ("pattern", Json.string p.pr_pattern);
+        ("domains", Json.int p.pr_domains);
+        ("measured", Json.int p.pr_measured);
+        ("accesses", Json.int p.pr_accesses);
+        ("mbit_s", Json.fixed 3 p.pr_mbit) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"patterns\": [%s],\n"
-       (String.concat ", " (List.map pat r.patterns)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"total_accesses\": %d,\n" r.total_accesses);
-  Buffer.add_string b
-    (Printf.sprintf "  \"measured_domains\": %d,\n" r.measured_domains);
-  Buffer.add_string b
-    (Printf.sprintf "  \"aggregate_mbit_s\": %.3f,\n" r.aggregate_mbit);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"refusal\": {\"requested\": %d, \"available\": %d, \"message\": \
-        %S},\n"
-       r.refusal_requested r.refusal_available r.refusal_message);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"frames\": {\"total\": %d, \"free\": %d, \"held\": %d, \
-        \"owned\": %d, \"guaranteed\": %d, \"books_balanced\": %b},\n"
-       r.frames_total r.frames_free r.frames_held r.frames_owned
-       r.guaranteed_total r.books_balanced);
-  Buffer.add_string b
-    (Printf.sprintf "  \"usd_utilisation\": %.4f,\n" r.usd_utilisation);
-  Buffer.add_string b
-    (Printf.sprintf "  \"revocations\": %d,\n" r.revocations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"violations\": %d,\n" r.violations);
-  Buffer.add_string b (Printf.sprintf "  \"ok\": %b\n" (ok r));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    [ ("seed", Json.int r.seed); ("domains", Json.int r.domains);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
+      ("patterns", Json.list (List.map pat r.patterns));
+      ("total_accesses", Json.int r.total_accesses);
+      ("measured_domains", Json.int r.measured_domains);
+      ("aggregate_mbit_s", Json.fixed 3 r.aggregate_mbit);
+      ( "refusal",
+        Json.obj
+          [ ("requested", Json.int r.refusal_requested);
+            ("available", Json.int r.refusal_available);
+            ("message", Json.string r.refusal_message) ] );
+      ( "frames",
+        Json.obj
+          [ ("total", Json.int r.frames_total);
+            ("free", Json.int r.frames_free); ("held", Json.int r.frames_held);
+            ("owned", Json.int r.frames_owned);
+            ("guaranteed", Json.int r.guaranteed_total);
+            ("books_balanced", Json.bool r.books_balanced) ] );
+      ("usd_utilisation", Json.fixed 4 r.usd_utilisation);
+      ("revocations", Json.int r.revocations);
+      ("violations", Json.int r.violations); ("ok", Json.bool (ok r)) ]

@@ -66,4 +66,4 @@ val ok : result -> bool
     late-comer refusal carried the exact shortfall. *)
 
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t

@@ -80,6 +80,7 @@ type result = {
 let tpl_pages = 24
 let wspan = 12
 let seg_pages = 8
+let seg_name = "text"
 let tpl_guarantee = 26
 let tenant_guarantee = 6
 let tenant_optimistic = 2
@@ -168,7 +169,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
        world is an experiment bug, not a measurable outcome. *)
     | Error e -> failwith ("tenancy: registry: " ^ System.error_message e)
   in
-  let seg = Share.Seg.create ~reg ~name:"text" ~npages:seg_pages () in
+  let seg = Share.Seg.create ~reg ~name:seg_name ~npages:seg_pages () in
   let zpool =
     if not zram then None
     else
@@ -481,9 +482,10 @@ let print r =
     (if r.share then "CoW sharing" else "no sharing (control)")
     (if r.zram then " + zram tier" else "");
   Printf.printf
-    "template: %d pages, %d frozen into the registry; segment \"text\": %d \
-     fills for %d resident pages, %d shared hits\n"
-    r.template_pages r.template_frozen r.seg_fills r.seg_resident r.seg_hits;
+    "template: %d pages, %d frozen into the registry; segment %S: %d fills \
+     for %d resident pages, %d shared hits\n"
+    r.template_pages r.template_frozen seg_name r.seg_fills r.seg_resident
+    r.seg_hits;
   Printf.printf
     "CoW: %d shared-map faults, %d breaks (mean %s us, p95 <= %s us)\n"
     r.cow_shared_faults r.cow_breaks (fnum r.break_mean_us)
@@ -527,65 +529,131 @@ let print r =
         the kills, bystanders untouched"
      else "VERDICT: FAILED")
 
-let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
-
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s) fmt in
-  line "  \"seed\": %d,\n" r.seed;
-  line "  \"tenants\": %d,\n" r.tenants;
-  line "  \"killed\": %d,\n" r.killed;
-  line "  \"duration_s\": %.0f,\n" (Time.to_sec r.duration);
-  line "  \"share\": %b,\n" r.share;
-  line "  \"zram\": %b,\n" r.zram;
-  line
-    "  \"template\": {\"pages\": %d, \"frozen\": %d},\n"
-    r.template_pages r.template_frozen;
-  line
-    "  \"cow\": {\"shared_faults\": %d, \"breaks\": %d, \"break_mean_us\": \
-     %s, \"break_p95_us\": %s},\n"
-    r.cow_shared_faults r.cow_breaks (jf r.break_mean_us) (jf r.break_p95_us);
-  line
-    "  \"seg\": {\"fills\": %d, \"hits\": %d, \"resident\": %d},\n"
-    r.seg_fills r.seg_hits r.seg_resident;
+  let jf = Json.fixed 3 in
   let bk = r.reg_books in
-  line
-    "  \"registry\": {\"installs\": %d, \"frees\": %d, \"grants\": %d, \
-     \"breaks\": %d, \"detaches\": %d, \"live_frames\": %d, \"live_refs\": \
-     %d, \"balanced\": %b, \"refs_leaked\": %d},\n"
-    bk.Share.Registry.b_installs bk.Share.Registry.b_frees
-    bk.Share.Registry.b_grants bk.Share.Registry.b_breaks
-    bk.Share.Registry.b_detaches bk.Share.Registry.b_live_frames
-    bk.Share.Registry.b_live_refs r.reg_balanced r.refs_leaked;
-  line
-    "  \"residency\": {\"resident_pages\": %d, \"tenant_frames\": %d, \
-     \"shared_frames\": %d, \"pages_per_frame\": %s},\n"
-    r.resident_pages r.tenant_frames r.shared_frames
-    (jf r.frames_per_content);
-  (match r.zpool_stats with
-  | None -> line "  \"zram_tier\": null,\n"
-  | Some z ->
-    line
-      "  \"zram_tier\": {\"hits\": %d, \"misses\": %d, \"pool_frames\": %d, \
-       \"stored\": %d, \"incompressible\": %d, \"overflow\": %d, \
-       \"shed_frames\": %d, \"bursts\": %d, \"hit_mean_us\": %s, \
-       \"miss_mean_us\": %s},\n"
-      r.zram_hits r.zram_misses r.zpool_frames z.Share.Zpool.z_stored
-      z.Share.Zpool.z_incompressible z.Share.Zpool.z_overflow
-      z.Share.Zpool.z_shed_frames r.zpool_bursts (jf r.zram_hit_mean_us)
-      (jf r.zram_miss_mean_us));
-  line
-    "  \"faults\": {\"count\": %d, \"mean_us\": %s, \"p95_us\": %s},\n"
-    r.fault_count (jf r.fault_mean_us) (jf r.fault_p95_us);
-  line
-    "  \"frames\": {\"total\": %d, \"free\": %d, \"held\": %d, \"owned\": \
-     %d, \"books_balanced\": %b},\n"
-    r.frames_total r.frames_free r.frames_held r.frames_owned
-    r.books_balanced;
-  line "  \"bystander_violations\": %d,\n" r.bystander_violations;
-  line "  \"violations\": %d,\n" r.violations;
-  line "  \"inject_accounted\": %b,\n" r.inject_accounted;
-  line "  \"ok\": %b\n" (ok r);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let zram_tier =
+    match r.zpool_stats with
+    | None -> Json.null
+    | Some z ->
+      Json.obj
+        [ ("hits", Json.int r.zram_hits); ("misses", Json.int r.zram_misses);
+          ("pool_frames", Json.int r.zpool_frames);
+          ("stored", Json.int z.Share.Zpool.z_stored);
+          ("incompressible", Json.int z.Share.Zpool.z_incompressible);
+          ("overflow", Json.int z.Share.Zpool.z_overflow);
+          ("shed_frames", Json.int z.Share.Zpool.z_shed_frames);
+          ("bursts", Json.int r.zpool_bursts);
+          ("hit_mean_us", jf r.zram_hit_mean_us);
+          ("miss_mean_us", jf r.zram_miss_mean_us) ]
+  in
+  Json.obj
+    [ ("seed", Json.int r.seed); ("tenants", Json.int r.tenants);
+      ("killed", Json.int r.killed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
+      ("share", Json.bool r.share); ("zram", Json.bool r.zram);
+      ( "template",
+        Json.ints
+          [ ("pages", r.template_pages); ("frozen", r.template_frozen) ] );
+      ( "cow",
+        Json.obj
+          [ ("shared_faults", Json.int r.cow_shared_faults);
+            ("breaks", Json.int r.cow_breaks);
+            ("break_mean_us", jf r.break_mean_us);
+            ("break_p95_us", jf r.break_p95_us) ] );
+      ( "seg",
+        Json.ints
+          [ ("fills", r.seg_fills); ("hits", r.seg_hits);
+            ("resident", r.seg_resident) ] );
+      ( "registry",
+        Json.obj
+          [ ("installs", Json.int bk.Share.Registry.b_installs);
+            ("frees", Json.int bk.Share.Registry.b_frees);
+            ("grants", Json.int bk.Share.Registry.b_grants);
+            ("breaks", Json.int bk.Share.Registry.b_breaks);
+            ("detaches", Json.int bk.Share.Registry.b_detaches);
+            ("live_frames", Json.int bk.Share.Registry.b_live_frames);
+            ("live_refs", Json.int bk.Share.Registry.b_live_refs);
+            ("balanced", Json.bool r.reg_balanced);
+            ("refs_leaked", Json.int r.refs_leaked) ] );
+      ( "residency",
+        Json.obj
+          [ ("resident_pages", Json.int r.resident_pages);
+            ("tenant_frames", Json.int r.tenant_frames);
+            ("shared_frames", Json.int r.shared_frames);
+            ("pages_per_frame", jf r.frames_per_content) ] );
+      ("zram_tier", zram_tier);
+      ( "faults",
+        Json.obj
+          [ ("count", Json.int r.fault_count);
+            ("mean_us", jf r.fault_mean_us); ("p95_us", jf r.fault_p95_us) ]
+      );
+      ( "frames",
+        Json.obj
+          [ ("total", Json.int r.frames_total);
+            ("free", Json.int r.frames_free); ("held", Json.int r.frames_held);
+            ("owned", Json.int r.frames_owned);
+            ("books_balanced", Json.bool r.books_balanced) ] );
+      ("bystander_violations", Json.int r.bystander_violations);
+      ("violations", Json.int r.violations);
+      ("inject_accounted", Json.bool r.inject_accounted);
+      ("ok", Json.bool (ok r)) ]
+
+(* --- bench share: the fleet against its control arm --------------- *)
+
+type bench_result = {
+  b_shared : result;
+  b_control : result;
+  b_frame_savings : float;
+  b_fleet_vs_control : float;
+  b_zram_speedup : float;
+  b_ok : bool;
+}
+
+(* Unshared, each resident page needs its own frame — so the shared
+   arm's pages-per-frame ratio IS the resident-frame reduction for the
+   content the fleet holds. The control arm (no CoW, no zram, but the
+   same workload, still sharing the text segment) gives the
+   fleet-level quotient and the disk-only fault baseline. *)
+let bench () =
+  let shared = run () in
+  let control = run ~share:false ~zram:false () in
+  let savings = shared.frames_per_content in
+  let speedup = shared.zram_miss_mean_us /. shared.zram_hit_mean_us in
+  { b_shared = shared;
+    b_control = control;
+    b_frame_savings = savings;
+    b_fleet_vs_control = savings /. control.frames_per_content;
+    b_zram_speedup = speedup;
+    b_ok = savings >= 2.0 && speedup >= 10.0 && ok shared && ok control }
+
+let bench_print r =
+  let shared = r.b_shared and control = r.b_control in
+  print shared;
+  print control;
+  Report.heading "Sharing verdict";
+  Printf.printf
+    "resident-frame savings: %.1fx (%d resident pages on %d frames; \
+     unshared the same content needs %d) — %s\n"
+    r.b_frame_savings shared.resident_pages
+    (shared.tenant_frames + shared.shared_frames)
+    shared.resident_pages
+    (if r.b_frame_savings >= 2.0 then "ok (>= 2x)" else "BELOW 2x");
+  Printf.printf
+    "fleet vs control:       %.2fx (shared %.2f vs control %.2f \
+     pages/frame; control still shares the text segment)\n"
+    r.b_fleet_vs_control shared.frames_per_content control.frames_per_content;
+  Printf.printf
+    "zram page-in speedup:   %.0fx (hit %.1f us vs disk %.1f us) — %s\n"
+    r.b_zram_speedup shared.zram_hit_mean_us shared.zram_miss_mean_us
+    (if r.b_zram_speedup >= 10.0 then "ok (>= 10x)" else "BELOW 10x");
+  Printf.printf "CoW break: mean %.1f us, p95 <= %.1f us over %d breaks\n"
+    shared.break_mean_us shared.break_p95_us shared.cow_breaks
+
+let bench_to_json r =
+  Json.obj
+    [ ("shared", to_json r.b_shared); ("control", to_json r.b_control);
+      ("frame_savings_x", Json.fixed 2 r.b_frame_savings);
+      ("fleet_vs_control_x", Json.fixed 2 r.b_fleet_vs_control);
+      ("zram_speedup_x", Json.fixed 1 r.b_zram_speedup);
+      ("ok", Json.bool r.b_ok) ]

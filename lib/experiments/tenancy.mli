@@ -89,4 +89,27 @@ val ok : result -> bool
     corresponding arm is on — sharing and compressed-tier engagement). *)
 
 val print : result -> unit
-val to_json : result -> string
+val to_json : result -> Json.t
+
+(** [bench share]: the shared fleet against its control arm. *)
+type bench_result = {
+  b_shared : result;
+  b_control : result;  (** [~share:false ~zram:false], same workload *)
+  b_frame_savings : float;
+      (** the shared arm's resident pages per frame: unshared, each
+          resident page needs its own frame *)
+  b_fleet_vs_control : float;
+      (** shared over control pages per frame (the control arm still
+          shares the text segment) *)
+  b_zram_speedup : float;  (** disk page-in mean over zram page-in mean *)
+  b_ok : bool;
+      (** frame savings ≥ 2×, zram page-in speedup ≥ 10×, and both
+          arms' own verdicts *)
+}
+
+val bench : unit -> bench_result
+(** Runs the shared fleet, then the control arm, each with {!run}'s
+    defaults (seed 42, 32 tenants, 40 s). *)
+
+val bench_print : bench_result -> unit
+val bench_to_json : bench_result -> Json.t

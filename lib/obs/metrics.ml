@@ -157,65 +157,36 @@ let reset () = Hashtbl.reset registry
 
 (* --- export ------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
+(* Whole numbers below 1e15 print without a fraction, anything else
+   with %g's six significant digits. *)
+let json_num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Json.fixed 0 v
+  else Json.signif 6 v
 
 let to_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  let first = ref true in
-  List.iter
-    (fun (name, label, v) ->
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "  {\"name\": \"%s\", \"label\": \"%s\", "
-           (json_escape name) (json_escape label));
-      (match v with
-      | Counter n ->
-        Buffer.add_string b
-          (Printf.sprintf "\"type\": \"counter\", \"value\": %d}" n)
-      | Gauge g ->
-        Buffer.add_string b
-          (Printf.sprintf "\"type\": \"gauge\", \"value\": %s}" (json_float g))
-      | Histogram h ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "\"type\": \"histogram\", \"count\": %d, \"mean\": %s, \
-              \"min\": %s, \"max\": %s, \"buckets\": ["
-             h.hv_count (json_float h.hv_mean) (json_float h.hv_min)
-             (json_float h.hv_max));
-        Array.iteri
-          (fun i (bound, c) ->
-            if i > 0 then Buffer.add_string b ", ";
-            let le =
-              if Float.is_finite bound then json_float bound else "\"inf\""
-            in
-            Buffer.add_string b
-              (Printf.sprintf "{\"le\": %s, \"count\": %d}" le c))
-          h.hv_buckets;
-        Buffer.add_string b "]}"))
-    (snapshot ());
-  Buffer.add_string b "\n]";
-  Buffer.contents b
+  let bucket (bound, c) =
+    Json.obj
+      [ ( "le",
+          if Float.is_finite bound then json_num bound
+          else Json.string "inf" );
+        ("count", Json.int c) ]
+  in
+  let fields = function
+    | Counter n -> [ ("type", Json.string "counter"); ("value", Json.int n) ]
+    | Gauge g -> [ ("type", Json.string "gauge"); ("value", json_num g) ]
+    | Histogram h ->
+      [ ("type", Json.string "histogram"); ("count", Json.int h.hv_count);
+        ("mean", json_num h.hv_mean); ("min", json_num h.hv_min);
+        ("max", json_num h.hv_max);
+        ("buckets", Json.list (List.map bucket (Array.to_list h.hv_buckets))) ]
+  in
+  Json.list
+    (List.map
+       (fun (name, label, v) ->
+         Json.obj
+           (("name", Json.string name) :: ("label", Json.string label)
+           :: fields v))
+       (snapshot ()))
 
 let to_csv () =
   let b = Buffer.create 4096 in

@@ -71,8 +71,8 @@ val labels_of : string -> string list
 val reset : unit -> unit
 (** Drop every registered metric. *)
 
-val to_json : unit -> string
-(** The whole registry as a JSON array (no trailing newline). *)
+val to_json : unit -> Json.t
+(** The whole registry as a JSON array. *)
 
 val to_csv : unit -> string
 (** [name,label,kind,field,value] rows; histograms emit one row per

@@ -183,15 +183,3 @@ let make_replacement t ~now =
   | Ext m -> m.mk_make ~now
 
 let make_prefetch t = Prefetch.create t.prefetch
-
-let with_readahead t n =
-  if n <= 0 then t
-  else
-    match t.prefetch with
-    | Prefetch.Off -> { t with prefetch = Prefetch.Stream n }
-    | Prefetch.Stream _ | Prefetch.Adaptive _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Spec.with_readahead: policy %S already configures read-ahead; \
-            drop the readahead argument or the +ra/+ad modifier"
-           (name t))

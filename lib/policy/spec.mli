@@ -82,11 +82,4 @@ val presets : (string * t) list
 val make_replacement : t -> now:(unit -> int) -> Replacement.t
 val make_prefetch : t -> Prefetch.t
 
-val with_readahead : t -> int -> t
-(** Compatibility shim for the seed driver's [?readahead] argument:
-    forces [Stream n] when [n > 0] and the spec has no read-ahead of
-    its own. Raises [Invalid_argument] when [n > 0] but the spec
-    already configures read-ahead ([+raN]/[+adN]) — the two knobs
-    would silently shadow each other otherwise. *)
-
 val pp : Format.formatter -> t -> unit

@@ -237,56 +237,34 @@ let axis_manifests name =
     (fun (n, _, ms) -> if n = name then Some (ms ()) else None)
     !all_axes
 
-(* --- JSON rendering (same hand-rolled style as Obs.Metrics) --- *)
+(* --- JSON rendering --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_opt = function None -> Json.null | Some s -> Json.string s
 
 let json_of_param p =
   let kind, default =
     match p.p_kind with
-    | Flag -> ("flag", "false")
-    | Int d -> ("int", string_of_int d)
-    | Float d -> ("float", Printf.sprintf "%.17g" d)
-    | String None -> ("string", "null")
-    | String (Some d) -> ("string", Printf.sprintf "\"%s\"" (json_escape d))
-    | Names ds ->
-      ( "names",
-        "["
-        ^ String.concat ", "
-            (List.map (fun d -> Printf.sprintf "\"%s\"" (json_escape d)) ds)
-        ^ "]" )
+    | Flag -> ("flag", Json.bool false)
+    | Int d -> ("int", Json.int d)
+    | Float d -> ("float", Json.signif 17 d)
+    | String d -> ("string", json_opt d)
+    | Names ds -> ("names", Json.list (List.map Json.string ds))
   in
-  Printf.sprintf
-    "{\"name\": \"%s\", \"doc\": \"%s\", \"kind\": \"%s\", \"default\": %s}"
-    (json_escape p.p_name) (json_escape p.p_doc) kind default
+  Json.obj
+    [ ("name", Json.string p.p_name); ("doc", Json.string p.p_doc);
+      ("kind", Json.string kind); ("default", default) ]
 
 let json_of_manifest m =
-  Printf.sprintf
-    "{\"name\": \"%s\", \"doc\": \"%s\", \"default\": %s, \"params\": [%s]}"
-    (json_escape m.m_name) (json_escape m.m_doc)
-    (match m.m_default with
-    | None -> "null"
-    | Some d -> Printf.sprintf "\"%s\"" (json_escape d))
-    (String.concat ", " (List.map json_of_param m.m_params))
+  Json.obj
+    [ ("name", Json.string m.m_name); ("doc", Json.string m.m_doc);
+      ("default", json_opt m.m_default);
+      ("params", Json.list (List.map json_of_param m.m_params)) ]
 
 let to_json () =
-  let axis_json (name, doc, ms) =
-    Printf.sprintf
-      "  {\"axis\": \"%s\", \"doc\": \"%s\", \"extensions\": [\n%s\n  ]}"
-      (json_escape name) (json_escape doc)
-      (String.concat ",\n"
-         (List.map (fun m -> "    " ^ json_of_manifest m) (ms ())))
-  in
-  "[\n" ^ String.concat ",\n" (List.map axis_json !all_axes) ^ "\n]"
+  Json.list
+    (List.map
+       (fun (name, doc, ms) ->
+         Json.obj
+           [ ("axis", Json.string name); ("doc", Json.string doc);
+             ("extensions", Json.list (List.map json_of_manifest (ms ()))) ])
+       !all_axes)

@@ -164,5 +164,5 @@ val axes : unit -> (string * string) list
 val axis_manifests : string -> manifest list option
 (** Manifests of the named axis, if it exists. *)
 
-val to_json : unit -> string
+val to_json : unit -> Json.t
 (** The whole registry — every axis with every manifest — as JSON. *)

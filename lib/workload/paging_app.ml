@@ -178,7 +178,7 @@ let run_app t ~mode ~compute_per_page =
 let start sys ~name ~mode ~qos ?(vm_bytes = 4 * 1024 * 1024)
     ?(phys_frames = 2) ?(optimistic = 0) ?(swap_bytes = 16 * 1024 * 1024)
     ?(compute_per_page = Time.us 20) ?(sample_period = Time.sec 5)
-    ?(cpu_slice = Time.of_ms_float 1.5) ?readahead ?policy ?spare_pages
+    ?(cpu_slice = Time.of_ms_float 1.5) ?policy ?spare_pages
     ?backing ?(pattern = Sequential) ?(advice = []) () =
   match
     System.add_domain sys ~name ~cpu_period:(Time.ms 10) ~cpu_slice
@@ -198,7 +198,7 @@ let start sys ~name ~mode ~qos ?(vm_bytes = 4 * 1024 * 1024)
         (Domains.spawn_thread d.System.dom ~name:"main" (fun () ->
              match
                System.bind_paged d ~forgetful ~initial_frames:phys_frames
-                 ?readahead ?policy ?spare_pages ?backing ~swap_bytes ~qos
+                 ?policy ?spare_pages ?backing ~swap_bytes ~qos
                  stretch ()
              with
              | Error e ->

@@ -58,7 +58,7 @@ val start :
   System.t -> name:string -> mode:mode -> qos:Usbs.Qos.t ->
   ?vm_bytes:int -> ?phys_frames:int -> ?optimistic:int -> ?swap_bytes:int ->
   ?compute_per_page:Time.span -> ?sample_period:Time.span ->
-  ?cpu_slice:Time.span -> ?readahead:int -> ?policy:Policy.Spec.t ->
+  ?cpu_slice:Time.span -> ?policy:Policy.Spec.t ->
   ?spare_pages:int ->
   ?backing:(Usbs.Sfs.swapfile -> Tier.Backing.t) ->
   ?pattern:pattern -> ?advice:Policy.Advice.t list ->

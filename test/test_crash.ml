@@ -367,7 +367,7 @@ let crash_run_deterministic =
               | Error e -> failwith e);
               Sfs.snapshot fs)
         in
-        let metrics = Obs.Metrics.to_json () in
+        let metrics = Json.to_string (Obs.Metrics.to_json ()) in
         Obs.set_enabled false;
         (snap, metrics)
       in

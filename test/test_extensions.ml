@@ -306,7 +306,10 @@ let stream_paging_single_txn () =
          let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) () in
          let _, h =
            match
-             System.bind_paged d ~initial_frames:12 ~readahead:4
+             System.bind_paged d ~initial_frames:12
+               ~policy:
+                 { Policy.Spec.default with
+                   prefetch = Policy.Prefetch.Stream 4 }
                ~swap_bytes:(32 * Addr.page_size) ~qos s ()
            with
            | Ok x -> x

@@ -437,9 +437,9 @@ let revocation_deadline_miss_kills () =
 let chaos_deterministic () =
   let go () =
     let r = Experiments.Chaos.run ~seed:11 ~duration:(Time.sec 5) () in
-    let metrics = Obs.Metrics.to_json () in
+    let metrics = Json.to_string (Obs.Metrics.to_json ()) in
     Obs.set_enabled false;
-    (Experiments.Chaos.to_json r, metrics, r)
+    (Json.to_string (Experiments.Chaos.to_json r), metrics, r)
   in
   let j1, m1, r1 = go () in
   let j2, m2, _ = go () in

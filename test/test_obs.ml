@@ -57,7 +57,8 @@ let metrics_histogram () =
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
     at 0
   in
-  checkb "json mentions lat" true (contains (Obs.Metrics.to_json ()) "lat");
+  checkb "json mentions lat" true
+    (contains (Json.to_string (Obs.Metrics.to_json ())) "lat");
   checkb "csv mentions lat" true (contains (Obs.Metrics.to_csv ()) "lat")
 
 (* --- Ring --- *)

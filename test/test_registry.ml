@@ -483,7 +483,7 @@ let experiment_axis_complete () =
 (* --- Introspection ----------------------------------------------------- *)
 
 let introspection_json () =
-  let json = Registry.to_json () in
+  let json = Json.to_string (Registry.to_json ()) in
   List.iter
     (fun needle ->
       checkb (Printf.sprintf "to_json mentions %S" needle) true

@@ -591,12 +591,14 @@ let system_errors_typed () =
 
 let scale_deterministic () =
   let j1 =
-    Experiments.Scale.to_json
-      (Experiments.Scale.run ~seed:7 ~domains:6 ~duration:(Time.sec 3) ())
+    Json.to_string
+      (Experiments.Scale.to_json
+         (Experiments.Scale.run ~seed:7 ~domains:6 ~duration:(Time.sec 3) ()))
   in
   let j2 =
-    Experiments.Scale.to_json
-      (Experiments.Scale.run ~seed:7 ~domains:6 ~duration:(Time.sec 3) ())
+    Json.to_string
+      (Experiments.Scale.to_json
+         (Experiments.Scale.run ~seed:7 ~domains:6 ~duration:(Time.sec 3) ()))
   in
   Alcotest.(check string) "same seed, byte-identical record" j1 j2
 

@@ -223,8 +223,10 @@ let prop_refcount_books =
 
 let test_tenancy_deterministic () =
   let go () =
-    Experiments.Tenancy.to_json
-      (Experiments.Tenancy.run ~seed:11 ~tenants:4 ~duration:(Time.sec 6) ())
+    Json.to_string
+      (Experiments.Tenancy.to_json
+         (Experiments.Tenancy.run ~seed:11 ~tenants:4
+            ~duration:(Time.sec 6) ()))
   in
   let a = go () in
   let b = go () in
@@ -244,6 +246,18 @@ let test_control_arm_books () =
   check "no CoW breaks" 0 r.Experiments.Tenancy.cow_breaks;
   check "nothing frozen" 0 r.Experiments.Tenancy.template_frozen
 
+(* [bench share]'s verdict: the 32-tenant fleet holds at least twice
+   the resident pages per frame an unshared fleet would, and a zram
+   page-in is at least 10x cheaper than a disk page-in. *)
+let test_bench_verdict () =
+  let r = Experiments.Tenancy.bench () in
+  let open Experiments.Tenancy in
+  checkb "frame savings >= 2x" true (r.b_frame_savings >= 2.0);
+  checkb "zram page-in speedup >= 10x" true (r.b_zram_speedup >= 10.0);
+  checkb "shared arm verdict" true (ok r.b_shared);
+  checkb "control arm verdict" true (ok r.b_control);
+  checkb "bench verdict" true r.b_ok
+
 let suite =
   [ ( "share",
       [ qtest prop_roundtrip; qtest prop_synth_roundtrip;
@@ -251,4 +265,6 @@ let suite =
         Alcotest.test_case "tenancy same-seed byte-identical" `Slow
           test_tenancy_deterministic;
         Alcotest.test_case "control arm keeps clean books" `Quick
-          test_control_arm_books ] ) ]
+          test_control_arm_books;
+        Alcotest.test_case "bench share verdict" `Quick test_bench_verdict ]
+    ) ]
