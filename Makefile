@@ -17,13 +17,14 @@ loc:
 	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
 # The Bechamel micro-benchmarks, then every machine-readable record
-# (BENCH_<name>.json) in one process.
+# (BENCH_<name>.json) in one process; exits 1 once all are written if
+# any record's verdict is false.
 bench:
 	dune exec bench/main.exe
 
-# One record: bench-policy, bench-chaos, bench-crash, bench-remote,
-# bench-failover, bench-erasure, bench-share or bench-scale regenerates
-# BENCH_<name>.json (what each holds: bench/main.ml, EXPERIMENTS.md).
+# One record: bench-policy, bench-chaos, bench-crash, bench-backing,
+# bench-share or bench-scale regenerates BENCH_<name>.json (what each
+# holds: bench/main.ml, EXPERIMENTS.md).
 bench-%:
 	dune exec bench/main.exe -- $*
 

@@ -8,13 +8,13 @@
    constants.
 
    Part 2 — the BENCH records: one table of (name, record) pairs. Each
-   record runs its experiment, prints the text report and returns the
-   JSON written to BENCH_<name>.json, so revisions can be diffed
-   record by record.
+   record runs its experiment, prints the text report and returns its
+   verdict with the JSON written to BENCH_<name>.json, so revisions
+   can be diffed record by record.
 
    Part 3 — one argv rule: no argument runs the micro-benchmarks and
-   every record, names run the named records. The paper's tables and
-   figures are `nemesis_sim all`. *)
+   every record, names run the named records; once all are written, a
+   false verdict exits 1. Tables and figures: `nemesis_sim all`. *)
 
 open Bechamel
 open Toolkit
@@ -449,62 +449,61 @@ let scale_record () =
   let micro_json (name, ns) =
     Json.obj [ ("name", Json.string name); ("ns", Json.fixed 1 ns) ]
   in
-  Json.obj
-    [ ("micro_ns_per_op", Json.list (List.map micro_json micro));
-      ("end_to_end", Experiments.Scale.to_json r);
-      ("speed", Json.list (List.map speed_json speed)) ]
+  ( Experiments.Scale.ok r && List.for_all (fun s -> s.sp_ok) speed,
+    Json.obj
+      [ ("micro_ns_per_op", Json.list (List.map micro_json micro));
+        ("end_to_end", Experiments.Scale.to_json r);
+        ("speed", Json.list (List.map speed_json speed)) ] )
 
-let record run print to_json () =
+let record run print to_json ok () =
   let r = run () in
   print r;
-  to_json r
+  (ok r, to_json r)
 
 (* Every BENCH record, in run order. *)
 let records =
   let open Experiments in
   let s = Time.sec in
   [ ( "policy",
-      record
-        (fun () -> Policy_compare.run ~duration:(s 60) ())
-        Policy_compare.print Policy_compare.to_json );
+      record (Policy_compare.run ~duration:(s 60)) Policy_compare.print
+        Policy_compare.to_json (fun _ -> true) );
     ( "chaos",
-      record (fun () -> Chaos.run ~duration:(s 30) ()) Chaos.print
-        Chaos.to_json );
+      record (Chaos.run ~duration:(s 30)) Chaos.print Chaos.to_json Chaos.ok );
     ( "crash",
-      record Crash_recover.run Crash_recover.print Crash_recover.to_json );
-    ( "remote",
-      record
-        (fun () -> Remote_page.bench ~duration:(s 30) ())
-        Remote_page.bench_print Remote_page.bench_to_json );
-    ( "failover",
-      record
-        (fun () -> Failover.bench ~duration:(s 30) ())
-        Failover.bench_print Failover.bench_to_json );
-    ( "erasure",
-      record
-        (fun () -> Erasure.bench ~duration:(s 30) ())
-        Erasure.bench_print Erasure.bench_to_json );
-    ("share", record Tenancy.bench Tenancy.bench_print Tenancy.bench_to_json);
+      record Crash_recover.run Crash_recover.print Crash_recover.to_json
+        Crash_recover.ok );
+    ( "backing",
+      record (Harness.run_matrix ~duration:(s 30)) Harness.print_matrix
+        Harness.matrix_json Harness.matrix_ok );
+    ( "share",
+      record Tenancy.bench Tenancy.bench_print Tenancy.bench_to_json
+        (fun r -> r.Tenancy.b_ok) );
     ("scale", scale_record) ]
 
 (* --- Part 3: the argv rule ----------------------------------------- *)
 
 let write_record name =
-  let json = (List.assoc name records) () in
+  let ok, json = (List.assoc name records) () in
   Experiments.Catalog.write_file ("BENCH_" ^ name ^ ".json")
     (Json.to_string json);
-  flush stdout
+  flush stdout;
+  ok
 
 let () =
-  match List.tl (Array.to_list Sys.argv) with
-  | [] ->
-    run_micro ();
-    List.iter (fun (name, _) -> write_record name) records
-  | names -> (
-    match List.filter (fun n -> not (List.mem_assoc n records)) names with
-    | [] -> List.iter write_record names
-    | unknown ->
-      Printf.eprintf "bench: unknown record %s; known records: %s\n"
-        (String.concat ", " unknown)
-        (String.concat " " (List.map fst records));
-      exit 2)
+  let names =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> run_micro (); List.map fst records
+    | names -> names
+  in
+  match List.filter (fun n -> not (List.mem_assoc n records)) names with
+  | _ :: _ as unknown ->
+    Printf.eprintf "bench: unknown record %s; known records: %s\n"
+      (String.concat ", " unknown)
+      (String.concat " " (List.map fst records));
+    exit 2
+  | [] -> (
+    match List.filter (fun n -> not (write_record n)) names with
+    | [] -> ()
+    | failed ->
+      Printf.eprintf "bench: verdict false in %s\n" (String.concat ", " failed);
+      exit 1)

@@ -57,22 +57,18 @@ let plan_for ~seed ~duration =
    disaggregated-memory premise (the network is an order of magnitude
    closer to DRAM than the disk); a shard or a whole page fits one
    frame. The disk floor the degraded path is measured against is the
-   same one the bystanders pay. *)
-let mk_node sys ~capacity =
-  Harness.remote_node sys ~params:Usnet.Net_params.gigabit ~capacity
+   same one the bystanders pay.
 
-(* The repair budget is the same deliberate trickle as the failover
+   The repair budget is the same deliberate trickle as the failover
    experiment (2 entries every 250 ms): with two nodes wiped the fleet
    cannot re-shard fast enough, so reads in the window MUST be served
    degraded — that window is what the experiment measures. *)
 let build_fleet ~seed ~redundancy sys =
-  Tier.Fleet.create ~seed ~redundancy
-    ~standby:[ mk_node sys ~capacity:node_capacity standby_name ]
-    ~repair_period:(Time.ms 250) ~repair_budget:2
-    ~nodes:
-      (List.init member_count (fun i ->
-           mk_node sys ~capacity:node_capacity (node_name i)))
-    (System.sim sys)
+  fst
+    (Harness.fleet sys ~seed ~params:Usnet.Net_params.gigabit
+       ~capacity:node_capacity ~redundancy ~standby:[ standby_name ]
+       ~repair_period:(Time.ms 250) ~repair_budget:2
+       (List.init member_count node_name))
 
 let run_cell ~seed ~duration ~name ~mode ~redundancy =
   Obs.set_enabled true;
@@ -302,189 +298,3 @@ let print r =
         or the disk floor with zero committed pages lost, parity at 1.5x \
         storage instead of 2x, books balance, reproducible"
      else "VERDICT: FAILED")
-
-(* ------------------------------------------------------------------ *)
-(* Benchmark: the price of parity, healthy and degraded.               *)
-
-type bench_cell = {
-  bc_name : string;
-  bc_accesses : int;
-  bc_mean_us : float;
-  bc_half2_mean_us : float;
-  bc_fleet_hits : int;
-  bc_degraded : int;
-  bc_reconstructions : int;
-  bc_rebuilds : int;
-  bc_overhead : float;
-  bc_nodes : Tier.Fleet.node_health list;
-}
-
-type bench_result = {
-  b_seed : int;
-  b_duration : Time.span;
-  b_cells : bench_cell list;
-  b_repl_us : float;
-  b_ec_us : float;
-  b_ec_wipe_us : float;
-  b_disk_us : float;
-  b_parity_price : float;
-  b_ec_overhead : float;
-  b_repl_overhead : float;
-  b_ok : bool;
-}
-
-let bench_capacity = 420
-
-(* One hotspot run against one backend; the fault-latency histogram is
-   split at T/2, where the wipe (if any) lands — node n0 loses its
-   contents between the two run legs, so with a six-node erasure
-   stripe every post-wipe read is degraded until repair catches up. *)
-let bench_cell ~seed ~duration ~name ~redundancy ?(repair = true) ~wipe () =
-  let fleet redundancy sys =
-    let nodes =
-      List.init member_count (fun i ->
-          mk_node sys ~capacity:bench_capacity (node_name i))
-    in
-    let _, n0, _ = List.hd nodes in
-    (Tier.Fleet.create ~seed ~redundancy ~repair ~nodes (System.sim sys), n0)
-  in
-  let h =
-    Harness.hotspot_run ~experiment:"erasure" ~context:[ ("cell", name) ]
-      ~seed ~duration ?fleet:(Option.map fleet redundancy) ~wipe ()
-  in
-  let stat f =
-    match h.Harness.hr_fleet with
-    | Some fl -> f (Tier.Fleet.stats fl)
-    | None -> 0
-  in
-  { bc_name = name;
-    bc_accesses = h.Harness.hr_accesses;
-    bc_mean_us = h.Harness.hr_mean_us;
-    bc_half2_mean_us = h.Harness.hr_half2_mean_us;
-    bc_fleet_hits =
-      (Harness.store_totals (Option.to_list h.Harness.hr_store))
-        .Tier.Fleet.st_fleet_hits;
-    bc_degraded = stat (fun s -> s.Tier.Fleet.degraded_reads);
-    bc_reconstructions = stat (fun s -> s.Tier.Fleet.reconstructions);
-    bc_rebuilds = stat (fun s -> s.Tier.Fleet.rebuilds);
-    bc_overhead =
-      (match h.Harness.hr_fleet with
-      | Some fl -> Tier.Fleet.storage_overhead fl
-      | None -> nan);
-    bc_nodes =
-      (match h.Harness.hr_fleet with
-      | Some fl -> Tier.Fleet.health fl
-      | None -> []) }
-
-let bench ?(seed = 42) ?(duration = Time.sec 30) () =
-  let disk =
-    bench_cell ~seed ~duration ~name:"disk" ~redundancy:None ~wipe:false ()
-  in
-  let repl =
-    bench_cell ~seed ~duration ~name:"replicated"
-      ~redundancy:(Some (Tier.Fleet.Replicated 2)) ~wipe:false ()
-  in
-  let ec =
-    bench_cell ~seed ~duration ~name:"erasure"
-      ~redundancy:(Some (Tier.Fleet.Erasure { k = 4; m = 2 })) ~wipe:false ()
-  in
-  let ec_wipe =
-    (* repair off: every post-wipe read pays the reconstruction, so
-       the cell measures the degraded path itself rather than how fast
-       the repair loop erases it *)
-    bench_cell ~seed ~duration ~name:"erasure_wipe"
-      ~redundancy:(Some (Tier.Fleet.Erasure { k = 4; m = 2 })) ~repair:false
-      ~wipe:true ()
-  in
-  let parity_price =
-    if
-      Float.is_nan repl.bc_half2_mean_us
-      || Float.is_nan ec.bc_half2_mean_us
-      || repl.bc_half2_mean_us <= 0.
-    then nan
-    else ec.bc_half2_mean_us /. repl.bc_half2_mean_us
-  in
-  let fin f = not (Float.is_nan f) in
-  let okv =
-    fin parity_price
-    && fin ec_wipe.bc_half2_mean_us
-    && fin disk.bc_half2_mean_us
-    && ec_wipe.bc_half2_mean_us <= 2.0 *. ec.bc_half2_mean_us
-    && disk.bc_half2_mean_us >= 5.0 *. ec_wipe.bc_half2_mean_us
-    && fin ec.bc_overhead
-    && ec.bc_overhead <= 1.55
-    && fin repl.bc_overhead
-    && repl.bc_overhead >= 1.9
-  in
-  { b_seed = seed;
-    b_duration = duration;
-    b_cells = [ disk; repl; ec; ec_wipe ];
-    b_repl_us = repl.bc_half2_mean_us;
-    b_ec_us = ec.bc_half2_mean_us;
-    b_ec_wipe_us = ec_wipe.bc_half2_mean_us;
-    b_disk_us = disk.bc_half2_mean_us;
-    b_parity_price = parity_price;
-    b_ec_overhead = ec.bc_overhead;
-    b_repl_overhead = repl.bc_overhead;
-    b_ok = okv }
-
-let bench_print r =
-  Report.heading "Erasure benchmark: the price of parity, healthy and degraded";
-  Printf.printf
-    "seed %d, %.0f s per cell, hotspot; wipe (if any) at T/2; second-half \
-     windows compared\n\n"
-    r.b_seed (Time.to_sec r.b_duration);
-  Report.table
-    ~header:
-      [ "cell"; "accesses"; "mean us"; "2nd-half us"; "fleet hits";
-        "degraded"; "rebuilds"; "overhead" ]
-    (List.map
-       (fun c ->
-         [ c.bc_name; string_of_int c.bc_accesses; Harness.us c.bc_mean_us;
-           Harness.us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
-           string_of_int c.bc_degraded; string_of_int c.bc_rebuilds;
-           (if Float.is_nan c.bc_overhead then "-"
-            else Printf.sprintf "%.2fx" c.bc_overhead) ])
-       r.b_cells);
-  print_newline ();
-  Printf.printf
-    "parity price: %.2fx the replicated read (%.0f vs %.0f us) at %.2fx \
-     storage instead of %.2fx; degraded %.0f us, disk %.0f us — %s\n"
-    r.b_parity_price r.b_ec_us r.b_repl_us r.b_ec_overhead r.b_repl_overhead
-    r.b_ec_wipe_us r.b_disk_us
-    (if r.b_ok then "no disk-fallback cliff" else "CLIFF (or overhead off)")
-
-let bench_to_json r =
-  let open Tier.Fleet in
-  let node h =
-    Json.obj
-      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
-        ("used", Json.int h.nh_used); ("stores", Json.int h.nh_stores);
-        ("serves", Json.int h.nh_serves);
-        ("failovers", Json.int h.nh_failovers);
-        ("quarantines", Json.int h.nh_quarantines) ]
-  in
-  let cell c =
-    Json.obj
-      [ ("cell", Json.string c.bc_name); ("accesses", Json.int c.bc_accesses);
-        ("mean_us", Json.fixed 1 c.bc_mean_us);
-        ("half2_mean_us", Json.fixed 1 c.bc_half2_mean_us);
-        ("fleet_hits", Json.int c.bc_fleet_hits);
-        ("degraded_reads", Json.int c.bc_degraded);
-        ("reconstructions", Json.int c.bc_reconstructions);
-        ("rebuilds", Json.int c.bc_rebuilds);
-        ("storage_overhead", Json.fixed 3 c.bc_overhead);
-        ("nodes", Json.list (List.map node c.bc_nodes)) ]
-  in
-  Json.obj
-    [ ("seed", Json.int r.b_seed);
-      ("duration_s", Json.fixed 0 (Time.to_sec r.b_duration));
-      ("cells", Json.list (List.map cell r.b_cells));
-      ("replicated_us", Json.fixed 1 r.b_repl_us);
-      ("erasure_us", Json.fixed 1 r.b_ec_us);
-      ("erasure_wipe_us", Json.fixed 1 r.b_ec_wipe_us);
-      ("disk_us", Json.fixed 1 r.b_disk_us);
-      ("parity_price", Json.fixed 3 r.b_parity_price);
-      ("erasure_overhead", Json.fixed 3 r.b_ec_overhead);
-      ("replicated_overhead", Json.fixed 3 r.b_repl_overhead);
-      ("ok", Json.bool r.b_ok) ]

@@ -59,42 +59,3 @@ val run : ?seed:int -> ?duration:Time.span -> unit -> result
 val ok : result -> bool
 val print : result -> unit
 val to_json : result -> Json.t
-
-(** One cell of the erasure benchmark: the hotspot workload against
-    one backend, the fault-latency histogram split at T/2 so the
-    degraded window can be compared against the same window of the
-    healthy runs. *)
-type bench_cell = {
-  bc_name : string;
-      (** ["disk"], ["replicated"], ["erasure"], ["erasure_wipe"] *)
-  bc_accesses : int;
-  bc_mean_us : float;  (** whole-run mean fault latency *)
-  bc_half2_mean_us : float;  (** second-half window (post-wipe if wiped) *)
-  bc_fleet_hits : int;
-  bc_degraded : int;
-  bc_reconstructions : int;
-  bc_rebuilds : int;
-  bc_overhead : float;  (** [nan] for the disk cell *)
-  bc_nodes : Tier.Fleet.node_health list;  (** per-node gauges *)
-}
-
-type bench_result = {
-  b_seed : int;
-  b_duration : Time.span;
-  b_cells : bench_cell list;
-  b_repl_us : float;  (** replicated cell, second-half window *)
-  b_ec_us : float;  (** erasure cell, second-half window *)
-  b_ec_wipe_us : float;  (** erasure cell with n0 wiped at T/2 *)
-  b_disk_us : float;
-  b_parity_price : float;  (** erasure / replicated healthy reads *)
-  b_ec_overhead : float;
-  b_repl_overhead : float;
-  b_ok : bool;
-      (** degraded erasure reads within 2x the healthy stripe and at
-          least 5x below the disk, at <= 1.55x storage (replicas
-          measure >= 1.9x) *)
-}
-
-val bench : ?seed:int -> ?duration:Time.span -> unit -> bench_result
-val bench_print : bench_result -> unit
-val bench_to_json : bench_result -> Json.t

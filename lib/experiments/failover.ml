@@ -35,20 +35,16 @@ let plan_for ~seed ~duration =
           ~partitions:[ (Time.ns (d / 2), Time.ns (d * 2 / 3)) ]
           (node_name 2) ] }
 
-let mk_nodes sys ~capacity =
-  List.init node_count (fun i ->
-      Harness.remote_node sys ~params:Usnet.Net_params.fast_ethernet
-        ~capacity (node_name i))
-
 (* The repair budget is deliberately a trickle (2 copies every 250 ms):
    re-replicating a wiped node takes a large fraction of the run, so
    reads must fail over to survivors in the meantime — that window is
    the point of the experiment. *)
 let build_fleet ~seed sys =
-  Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2)
-    ~repair_period:(Time.ms 250) ~repair_budget:2
-    ~nodes:(mk_nodes sys ~capacity:node_capacity)
-    (System.sim sys)
+  fst
+    (Harness.fleet sys ~seed ~params:Usnet.Net_params.fast_ethernet
+       ~capacity:node_capacity ~redundancy:(Tier.Fleet.Replicated 2)
+       ~repair_period:(Time.ms 250) ~repair_budget:2
+       (List.init node_count node_name))
 
 let run_once ~seed ~duration =
   Obs.set_enabled true;
@@ -195,145 +191,3 @@ let print r =
        "VERDICT: ok — node loss survived without safety loss, books \
         balance, bystanders unperturbed, reproducible"
      else "VERDICT: FAILED")
-
-(* ------------------------------------------------------------------ *)
-(* Benchmark: post-wipe fault latency vs the healthy remote path.      *)
-
-type bench_cell = {
-  bc_name : string;
-  bc_accesses : int;
-  bc_mean_us : float;
-  bc_half2_mean_us : float;
-  bc_fleet_hits : int;
-  bc_failovers : int;
-  bc_rebuilds : int;
-  bc_nodes : Tier.Fleet.node_health list;
-}
-
-type bench_result = {
-  b_seed : int;
-  b_duration : Time.span;
-  b_cells : bench_cell list;
-  b_healthy_us : float;
-  b_postwipe_us : float;
-  b_disk_us : float;
-  b_degradation : float;
-  b_ok : bool;
-}
-
-let bench_capacity = 300
-
-(* One hotspot run against one backend; with [wipe], node n0 loses
-   its contents at exactly T/2. *)
-let bench_cell ~seed ~duration ~name ~fleeted ~wipe =
-  let fleet sys =
-    let nodes = mk_nodes sys ~capacity:bench_capacity in
-    let _, n0, _ = List.hd nodes in
-    ( Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 2) ~nodes
-        (System.sim sys),
-      n0 )
-  in
-  let h =
-    Harness.hotspot_run ~experiment:"failover" ~seed ~duration
-      ?fleet:(if fleeted then Some fleet else None)
-      ~wipe ()
-  in
-  let stat f =
-    match h.Harness.hr_fleet with
-    | Some fl -> f (Tier.Fleet.stats fl)
-    | None -> 0
-  in
-  { bc_name = name;
-    bc_accesses = h.Harness.hr_accesses;
-    bc_mean_us = h.Harness.hr_mean_us;
-    bc_half2_mean_us = h.Harness.hr_half2_mean_us;
-    bc_fleet_hits =
-      (Harness.store_totals (Option.to_list h.Harness.hr_store))
-        .Tier.Fleet.st_fleet_hits;
-    bc_failovers = stat (fun s -> s.Tier.Fleet.failovers);
-    bc_rebuilds = stat (fun s -> s.Tier.Fleet.rebuilds);
-    bc_nodes =
-      (match h.Harness.hr_fleet with
-      | Some fl -> Tier.Fleet.health fl
-      | None -> []) }
-
-let bench ?(seed = 42) ?(duration = Time.sec 30) () =
-  let disk = bench_cell ~seed ~duration ~name:"disk" ~fleeted:false ~wipe:false in
-  let healthy =
-    bench_cell ~seed ~duration ~name:"fleet" ~fleeted:true ~wipe:false
-  in
-  let wiped =
-    bench_cell ~seed ~duration ~name:"fleet_wipe" ~fleeted:true ~wipe:true
-  in
-  let degradation =
-    if
-      Float.is_nan healthy.bc_half2_mean_us
-      || Float.is_nan wiped.bc_half2_mean_us
-      || healthy.bc_half2_mean_us <= 0.
-    then nan
-    else wiped.bc_half2_mean_us /. healthy.bc_half2_mean_us
-  in
-  let okv =
-    (not (Float.is_nan degradation))
-    && degradation <= 2.0
-    && (not (Float.is_nan disk.bc_half2_mean_us))
-    && disk.bc_half2_mean_us >= 5.0 *. wiped.bc_half2_mean_us
-  in
-  { b_seed = seed;
-    b_duration = duration;
-    b_cells = [ disk; healthy; wiped ];
-    b_healthy_us = healthy.bc_half2_mean_us;
-    b_postwipe_us = wiped.bc_half2_mean_us;
-    b_disk_us = disk.bc_half2_mean_us;
-    b_degradation = degradation;
-    b_ok = okv }
-
-let bench_print r =
-  Report.heading "Failover benchmark: post-wipe latency vs healthy fleet";
-  Printf.printf
-    "seed %d, %.0f s per cell, hotspot; wipe (if any) at T/2; second-half \
-     windows compared\n\n"
-    r.b_seed (Time.to_sec r.b_duration);
-  Report.table
-    ~header:
-      [ "cell"; "accesses"; "mean us"; "2nd-half us"; "fleet hits";
-        "failovers"; "rebuilds" ]
-    (List.map
-       (fun c ->
-         [ c.bc_name; string_of_int c.bc_accesses; Harness.us c.bc_mean_us;
-           Harness.us c.bc_half2_mean_us; string_of_int c.bc_fleet_hits;
-           string_of_int c.bc_failovers; string_of_int c.bc_rebuilds ])
-       r.b_cells);
-  print_newline ();
-  Printf.printf
-    "post-wipe %.0f us vs healthy %.0f us (%.2fx) vs disk %.0f us — %s\n"
-    r.b_postwipe_us r.b_healthy_us r.b_degradation r.b_disk_us
-    (if r.b_ok then "no disk-fallback cliff" else "CLIFF (or degraded > 2x)")
-
-let bench_to_json r =
-  let open Tier.Fleet in
-  let node h =
-    Json.obj
-      [ ("name", Json.string h.nh_name); ("used", Json.int h.nh_used);
-        ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves);
-        ("failovers", Json.int h.nh_failovers);
-        ("quarantines", Json.int h.nh_quarantines) ]
-  in
-  let cell c =
-    Json.obj
-      [ ("cell", Json.string c.bc_name); ("accesses", Json.int c.bc_accesses);
-        ("mean_us", Json.fixed 1 c.bc_mean_us);
-        ("half2_mean_us", Json.fixed 1 c.bc_half2_mean_us);
-        ("fleet_hits", Json.int c.bc_fleet_hits);
-        ("failovers", Json.int c.bc_failovers);
-        ("rebuilds", Json.int c.bc_rebuilds);
-        ("nodes", Json.list (List.map node c.bc_nodes)) ]
-  in
-  Json.obj
-    [ ("seed", Json.int r.b_seed);
-      ("duration_s", Json.fixed 0 (Time.to_sec r.b_duration));
-      ("cells", Json.list (List.map cell r.b_cells));
-      ("healthy_us", Json.fixed 1 r.b_healthy_us);
-      ("postwipe_us", Json.fixed 1 r.b_postwipe_us);
-      ("disk_us", Json.fixed 1 r.b_disk_us);
-      ("degradation", Json.fixed 3 r.b_degradation); ("ok", Json.bool r.b_ok) ]

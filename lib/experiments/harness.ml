@@ -133,9 +133,16 @@ let start_domains ~experiment sys ~tiered_prefix ~backing =
   let disk = start "disk_" None in
   disk @ start tiered_prefix (Some backing)
 
-let remote_node sys ~params ~capacity name =
-  let link = Usnet.Link.create ~name ~params (System.sim sys) in
-  (name, Tier.Remote_node.create ~capacity_pages:capacity (), link)
+let fleet sys ~seed ~params ~capacity ?redundancy ?(standby = [])
+    ?repair_period ?repair_budget ?repair names =
+  let node name =
+    let link = Usnet.Link.create ~name ~params (System.sim sys) in
+    (name, Tier.Remote_node.create ~capacity_pages:capacity (), link)
+  in
+  let nodes = List.map node names in
+  ( Tier.Fleet.create ~seed ?redundancy ~standby:(List.map node standby)
+      ?repair_period ?repair_budget ?repair ~nodes (System.sim sys),
+    nodes )
 
 let fleet_backing ~experiment ?(context = []) fleet ~client ~spec ~on_store =
   let clients =
@@ -233,58 +240,229 @@ let print_store_totals st =
     st.st_cache_hits st.st_fleet_hits st.st_fleet_misses st.st_demotes
     st.st_write_fallbacks st.st_clean_skips
 
-type hotspot_run = {
-  hr_accesses : int;
-  hr_mean_us : float;
-  hr_half2_mean_us : float;
-  hr_fleet : Tier.Fleet.t option;
-  hr_store : Tier.Fleet.store option;
+(* ------------------------------------------------------------------ *)
+(* The backing matrix: one domain alone in a fresh system per cell,
+   every backing this repo compares side by side.                      *)
+
+type matrix_cell = {
+  mc_name : string;
+  mc_pattern : string;
+  mc_mbit : float;
+  mc_accesses : int;
+  mc_fault_mean_us : float;
+  mc_fault_p95_us : float;
+  mc_half2_mean_us : float;
+  mc_store : Tier.Fleet.store_stats;
+  mc_fleet : Tier.Fleet.stats option;
+  mc_nodes : Tier.Fleet.node_health list;
+  mc_overhead : float;
 }
 
-(* The histogram is cumulative, so the second-half window is recovered
-   from (count, mean) snapshots at T/2 and T:
-   mean2h = (m2 c2 - m1 c1) / (c2 - c1). The wipe is applied directly,
-   between the two System.run legs, so the window boundary and the
-   fault coincide. *)
-let hotspot_run ~experiment ?(context = []) ~seed ~duration ?fleet ~wipe () =
+type matrix = {
+  m_seed : int;
+  m_duration : Time.span;
+  m_cells : matrix_cell list;
+}
+
+type matrix_backing = Disk | Tier | Fleet of Tier.Fleet.redundancy
+
+let matrix_cells =
+  let r2 = Fleet (Tier.Fleet.Replicated 2)
+  and ec = Fleet (Tier.Fleet.Erasure { k = 4; m = 2 }) in
+  [ ("disk_seq", Disk, "seq", false); ("disk_rand", Disk, "rand", false);
+    ("disk_hot", Disk, "hot", false); ("tier_seq", Tier, "seq", false);
+    ("tier_rand", Tier, "rand", false); ("tier_hot", Tier, "hot", false);
+    ("replicated", r2, "hot", false); ("replicated_wipe", r2, "hot", true);
+    ("erasure", ec, "hot", false); ("erasure_wipe", ec, "hot", true) ]
+
+(* Every cell runs in two legs split at T/2. A wipe cell's n0 loses its
+   contents between them, with repair off, so every post-wipe read of
+   a page n0 held takes the degraded path. The latency histogram is
+   cumulative, so the second-half mean comes from (count, sum)
+   snapshots at T/2 and T. *)
+let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
+  let experiment = "backing" in
   Obs.set_enabled true;
   Obs.reset ();
   Inject.disarm ();
   let config = { System.default_config with seed; main_memory_mb = 2 } in
   let sys = System.create ~config () in
-  let fleet = Option.map (fun build -> build sys) fleet in
+  let built =
+    match backing with
+    | Disk -> None
+    | Tier ->
+      Some
+        ( "tiered:cache-pages=24",
+          fleet sys ~seed ~params:Usnet.Net_params.fast_ethernet
+            ~capacity:128 ~redundancy:(Tier.Fleet.Replicated 1) [ "bench0" ] )
+    | Fleet redundancy ->
+      Some
+        ( "fleet:cache-pages=24",
+          fleet sys ~seed ~params:Usnet.Net_params.gigabit ~capacity:420
+            ~redundancy ~repair:(not wipe)
+            (List.init 6 (Printf.sprintf "n%d")) )
+  in
   let store = ref None in
   let backing =
     Option.map
-      (fun (fl, _) ->
-        fleet_backing ~experiment ~context fl ~client:"bench.tier"
-          ~spec:"fleet:cache-pages=24" ~on_store:(fun s -> store := Some s))
-      fleet
+      (fun (spec, (fl, _)) ->
+        fleet_backing ~experiment ~context:[ ("cell", name) ] fl
+          ~client:"bench.tier" ~spec ~on_store:(fun s -> store := Some s))
+      built
   in
-  let name = "bench" in
   let app =
-    start_app ~experiment sys ~name ~pattern:Workload.Paging_app.Hotspot
+    start_app ~experiment sys ~name:"bench" ~pattern:(pattern ~experiment pat)
       ?backing ()
   in
-  let half = Time.ns (Time.to_ns duration / 2) in
-  System.run ~until:half sys;
   let snap () =
-    match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
-    | Some v -> (v.Obs.Metrics.hv_count, v.Obs.Metrics.hv_mean)
-    | None -> (0, nan)
+    match Obs.Metrics.hist_view ~label:"bench" "fault.latency_us" with
+    | Some v ->
+      let n = v.Obs.Metrics.hv_count in
+      (n, v.Obs.Metrics.hv_mean *. float_of_int n)
+    | None -> (0, 0.)
   in
-  let c1, m1 = snap () in
-  (match fleet with
-  | Some (_, victim) when wipe -> Tier.Remote_node.wipe victim
+  System.run ~until:(Time.ns (Time.to_ns duration / 2)) sys;
+  let c1, s1 = snap () in
+  (match built with
+  | Some (_, (_, (_, n0, _) :: _)) when wipe -> Tier.Remote_node.wipe n0
   | _ -> ());
   System.run ~until:duration sys;
-  let c2, m2 = snap () in
-  { hr_accesses = Workload.Paging_app.measured_accesses app;
-    hr_mean_us = m2;
-    hr_half2_mean_us =
-      (if c2 > c1 then
-         ((m2 *. float_of_int c2) -. (m1 *. float_of_int c1))
-         /. float_of_int (c2 - c1)
-       else nan);
-    hr_fleet = Option.map fst fleet;
-    hr_store = !store }
+  let c2, s2 = snap () in
+  let mean, p95 = fault_hist "bench" in
+  let fl = Option.map (fun (_, (fl, _)) -> fl) built in
+  let of_fleet f default = Option.fold ~none:default ~some:f fl in
+  { mc_name = name;
+    mc_pattern = pat;
+    mc_mbit = Workload.Paging_app.sustained_mbit app;
+    mc_accesses = Workload.Paging_app.measured_accesses app;
+    mc_fault_mean_us = mean;
+    mc_fault_p95_us = p95;
+    mc_half2_mean_us =
+      (if c2 > c1 then (s2 -. s1) /. float_of_int (c2 - c1) else nan);
+    mc_store = store_totals (Option.to_list !store);
+    mc_fleet = Option.map Tier.Fleet.stats fl;
+    mc_nodes = of_fleet Tier.Fleet.health [];
+    mc_overhead = of_fleet Tier.Fleet.storage_overhead nan }
+
+let run_matrix ?(seed = 42) ?(duration = Time.sec 30) () =
+  { m_seed = seed;
+    m_duration = duration;
+    m_cells = List.map (run_matrix_cell ~seed ~duration) matrix_cells }
+
+let matrix_cell m name = List.find (fun c -> c.mc_name = name) m.m_cells
+let fleet_count f c = Option.fold ~none:0 ~some:f c.mc_fleet
+
+let half2_ratio m a b =
+  (matrix_cell m a).mc_half2_mean_us /. (matrix_cell m b).mc_half2_mean_us
+
+let hot_speedup m =
+  (matrix_cell m "disk_hot").mc_fault_mean_us
+  /. (matrix_cell m "tier_hot").mc_fault_mean_us
+
+(* A comparison with a [nan] side is false, so a cell that never
+   faulted in the window fails the verdict. *)
+let matrix_ok m =
+  let cell = matrix_cell m in
+  let disk = cell "disk_hot" in
+  let survives healthy wiped degraded =
+    let w = cell wiped in
+    w.mc_half2_mean_us <= 2.0 *. (cell healthy).mc_half2_mean_us
+    && disk.mc_half2_mean_us >= 5.0 *. w.mc_half2_mean_us
+    && fleet_count degraded w > 0
+  in
+  (cell "tier_hot").mc_fault_mean_us < disk.mc_fault_mean_us
+  && survives "replicated" "replicated_wipe" (fun s -> s.Tier.Fleet.failovers)
+  && survives "erasure" "erasure_wipe" (fun s ->
+         s.Tier.Fleet.reconstructions)
+  && (cell "erasure").mc_overhead <= 1.55
+  && (cell "replicated").mc_overhead >= 1.9
+
+let print_matrix m =
+  let open Tier.Fleet in
+  Report.heading "Backing matrix: one domain per backing";
+  Printf.printf
+    "seed %d, %.0f s per cell, fault-free; a wipe cell loses n0 at T/2 with \
+     repair off\n\n"
+    m.m_seed (Time.to_sec m.m_duration);
+  Report.table
+    ~header:
+      [ "cell"; "Mbit/s"; "accesses"; "fault us"; "p95 us"; "2nd-half us";
+        "cache/fleet/disk"; "failovers"; "degraded"; "overhead" ]
+    (List.map
+       (fun c ->
+         let st = c.mc_store in
+         [ c.mc_name; mbit_s c.mc_mbit; string_of_int c.mc_accesses;
+           us c.mc_fault_mean_us; us c.mc_fault_p95_us;
+           us c.mc_half2_mean_us;
+           Printf.sprintf "%d/%d/%d" st.st_cache_hits st.st_fleet_hits
+             st.st_fleet_misses;
+           string_of_int (fleet_count (fun s -> s.failovers) c);
+           string_of_int (fleet_count (fun s -> s.degraded_reads) c);
+           (if Float.is_nan c.mc_overhead then "-"
+            else Printf.sprintf "%.2fx" c.mc_overhead) ])
+       m.m_cells);
+  print_newline ();
+  let cell = matrix_cell m in
+  let half2 n = us (cell n).mc_half2_mean_us in
+  Printf.printf
+    "hotspot: tier %s us vs disk %s us (%.2fx); erasure reads at %.2fx the \
+     replicated read, %.2fx storage instead of %.2fx\n"
+    (us (cell "tier_hot").mc_fault_mean_us)
+    (us (cell "disk_hot").mc_fault_mean_us)
+    (hot_speedup m)
+    (half2_ratio m "erasure" "replicated")
+    (cell "erasure").mc_overhead (cell "replicated").mc_overhead;
+  Printf.printf
+    "second half, node wiped: replicated %s us (%.2fx healthy), erasure %s \
+     us (%.2fx healthy); disk %s us\n"
+    (half2 "replicated_wipe")
+    (half2_ratio m "replicated_wipe" "replicated")
+    (half2 "erasure_wipe")
+    (half2_ratio m "erasure_wipe" "erasure")
+    (half2 "disk_hot");
+  print_endline
+    (if matrix_ok m then
+       "VERDICT: ok — the tier beats the disk, a lost node costs at most 2x \
+        and stays 5x clear of the disk, parity at 1.5x storage instead of 2x"
+     else "VERDICT: FAILED")
+
+let matrix_cell_json c =
+  let open Tier.Fleet in
+  let node h =
+    Json.obj
+      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
+        ("used", Json.int h.nh_used); ("stores", Json.int h.nh_stores);
+        ("serves", Json.int h.nh_serves);
+        ("failovers", Json.int h.nh_failovers);
+        ("quarantines", Json.int h.nh_quarantines) ]
+  in
+  let count f = Json.int (fleet_count f c) in
+  Json.obj
+    [ ("cell", Json.string c.mc_name); ("pattern", Json.string c.mc_pattern);
+      ("mbit_s", Json.fixed 3 c.mc_mbit);
+      ("accesses", Json.int c.mc_accesses);
+      ("fault_mean_us", Json.fixed 1 c.mc_fault_mean_us);
+      ("fault_p95_us", Json.fixed 1 c.mc_fault_p95_us);
+      ("half2_mean_us", Json.fixed 1 c.mc_half2_mean_us);
+      ("cache_hits", Json.int c.mc_store.st_cache_hits);
+      ("fleet_hits", Json.int c.mc_store.st_fleet_hits);
+      ("fleet_misses", Json.int c.mc_store.st_fleet_misses);
+      ("failovers", count (fun s -> s.failovers));
+      ("degraded_reads", count (fun s -> s.degraded_reads));
+      ("reconstructions", count (fun s -> s.reconstructions));
+      ("rebuilds", count (fun s -> s.rebuilds));
+      ("storage_overhead", Json.fixed 3 c.mc_overhead);
+      ("nodes", Json.list (List.map node c.mc_nodes)) ]
+
+let matrix_json m =
+  Json.obj
+    [ ("seed", Json.int m.m_seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec m.m_duration));
+      ("cells", Json.list (List.map matrix_cell_json m.m_cells));
+      ("hot_speedup", Json.fixed 3 (hot_speedup m));
+      ("parity_price", Json.fixed 3 (half2_ratio m "erasure" "replicated"));
+      ( "replicated_degradation",
+        Json.fixed 3 (half2_ratio m "replicated_wipe" "replicated") );
+      ( "erasure_degradation",
+        Json.fixed 3 (half2_ratio m "erasure_wipe" "erasure") );
+      ("ok", Json.bool (matrix_ok m)) ]

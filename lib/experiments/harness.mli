@@ -93,12 +93,17 @@ val start_domains :
     [backing name] just before it starts. Returns
     [(name, pattern, tiered, app)] in start order. *)
 
-val remote_node :
-  System.t -> params:Usnet.Net_params.t -> capacity:int -> string ->
-  string * Tier.Remote_node.t * Usnet.Link.t
-(** A remote memory node of [capacity] pages on its own link named
-    after it — the [(name, node, link)] triple {!Tier.Fleet.create}
-    takes. *)
+val fleet :
+  System.t -> seed:int -> params:Usnet.Net_params.t -> capacity:int ->
+  ?redundancy:Tier.Fleet.redundancy -> ?standby:string list ->
+  ?repair_period:Time.span -> ?repair_budget:int -> ?repair:bool ->
+  string list ->
+  Tier.Fleet.t * (string * Tier.Remote_node.t * Usnet.Link.t) list
+(** A {!Tier.Fleet} over one remote memory node of [capacity] pages
+    per name, each on its own [params] link named after it; the
+    [standby] nodes are built the same way. The other options are
+    {!Tier.Fleet.create}'s. Returns the fleet and its member
+    [(name, node, link)] triples in order. *)
 
 val fleet_backing :
   experiment:string -> ?context:(string * string) list -> Tier.Fleet.t ->
@@ -140,22 +145,52 @@ val domain_table : tiered_label:string -> domain_report list -> unit
 (** Print the domains as a table, naming the tiered backing
     [tiered_label]. *)
 
-(** One benchmark cell: a lone hotspot domain after the warm first
-    half and across the second. *)
-type hotspot_run = {
-  hr_accesses : int;
-  hr_mean_us : float;  (** whole-run mean fault latency *)
-  hr_half2_mean_us : float;  (** second-half window (post-wipe if wiped) *)
-  hr_fleet : Tier.Fleet.t option;
-  hr_store : Tier.Fleet.store option;
+(** {1 The backing matrix}
+
+    The backings this repo compares, each under one domain alone in a
+    fresh system (2 MiB of main memory, fault-free): the disk
+    and the one-node tier (fast ethernet, 128 pages,
+    ["tiered:cache-pages=24"]) under each pattern, and a six-node
+    gigabit fleet (420 pages per node, ["fleet:cache-pages=24"]) under
+    the hotspot only, as [replicated] (R = 2), [replicated_wipe],
+    [erasure] (k = 4, m = 2) and [erasure_wipe]. Every cell runs in
+    two legs split at T/2; a [_wipe] cell's node n0 loses its
+    contents between the legs, with repair off, so every read of a
+    page n0 held takes the degraded path. *)
+
+type matrix_cell = {
+  mc_name : string;  (** ["disk_seq"] … ["tier_hot"], ["replicated"] … *)
+  mc_pattern : string;
+  mc_mbit : float;  (** sustained throughput ([nan] if warming) *)
+  mc_accesses : int;
+  mc_fault_mean_us : float;  (** whole-run mean fault latency *)
+  mc_fault_p95_us : float;
+  mc_half2_mean_us : float;  (** second-half window (post-wipe if wiped) *)
+  mc_store : Tier.Fleet.store_stats;  (** all zero on the disk *)
+  mc_fleet : Tier.Fleet.stats option;  (** [None] on the disk *)
+  mc_nodes : Tier.Fleet.node_health list;  (** per-node end-of-run gauges *)
+  mc_overhead : float;  (** {!Tier.Fleet.storage_overhead}, [nan] on the disk *)
 }
 
-val hotspot_run :
-  experiment:string -> ?context:(string * string) list -> seed:int ->
-  duration:Time.span -> ?fleet:(System.t -> Tier.Fleet.t * Tier.Remote_node.t) ->
-  wipe:bool -> unit -> hotspot_run
-(** Run one hotspot domain in a fresh system, over the disk alone or,
-    given [fleet] (a function returning the fleet and the node to
-    wipe), through ["fleet:cache-pages=24"] on that fleet. The
-    fault-latency histogram is split at T/2; with [wipe] the node
-    loses its contents at exactly T/2. *)
+type matrix = {
+  m_seed : int;
+  m_duration : Time.span;
+  m_cells : matrix_cell list;  (** the ten cells, in the order above *)
+}
+
+val run_matrix : ?seed:int -> ?duration:Time.span -> unit -> matrix
+
+val matrix_ok : matrix -> bool
+(** The tier's hotspot mean fault latency beats the disk's; for each
+    redundancy, the wipe cell's second-half mean is at most 2x the
+    healthy cell's and at least 5x below the disk's, and the wipe
+    cell took its degraded path (failovers for R = 2,
+    reconstructions for erasure); erasure stores at most 1.55x and
+    replicas at least 1.9x. *)
+
+val print_matrix : matrix -> unit
+
+val matrix_cell_json : matrix_cell -> Json.t
+(** One cell as the JSON object {!matrix_json} lists under ["cells"]. *)
+
+val matrix_json : matrix -> Json.t

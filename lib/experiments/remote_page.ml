@@ -33,38 +33,27 @@ let plan_for ~seed =
 
 let remote_capacity = 160
 
-(* The tier: a one-node [Replicated 1] fleet — the RAM cache over one
-   remote memory node on its own link, over the disk. *)
-let one_node_fleet ~seed sys ~name ~capacity =
-  let ((_, remote, link) as node) =
-    Harness.remote_node sys ~params:Usnet.Net_params.fast_ethernet ~capacity
-      name
-  in
-  let fleet =
-    Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated 1)
-      ~nodes:[ node ] (System.sim sys)
-  in
-  (fleet, remote, link)
-
-let tiered_backing fleet ~client ~on_store =
-  Harness.fleet_backing ~experiment:"remote" fleet ~client
-    ~spec:"tiered:cache-pages=24" ~on_store
-
 let run_once ~seed ~duration =
   Obs.set_enabled true;
   Obs.reset ();
   Inject.disarm ();
   let config = { System.default_config with seed; main_memory_mb = 2 } in
   let sys = System.create ~config () in
-  let fleet, remote, link =
-    one_node_fleet ~seed sys ~name:"tier0" ~capacity:remote_capacity
+  (* The tier: a one-node [Replicated 1] fleet — the RAM cache over one
+     remote memory node on its own link, over the disk. *)
+  let fleet, nodes =
+    Harness.fleet sys ~seed ~params:Usnet.Net_params.fast_ethernet
+      ~capacity:remote_capacity ~redundancy:(Tier.Fleet.Replicated 1)
+      [ "tier0" ]
   in
+  let _, remote, link = List.hd nodes in
   let stores = ref [] in
   let apps =
     Harness.start_domains ~experiment:"remote" sys ~tiered_prefix:"tier_"
       ~backing:(fun name ->
-        tiered_backing fleet ~client:(name ^ ".tier") ~on_store:(fun s ->
-            stores := s :: !stores))
+        Harness.fleet_backing ~experiment:"remote" fleet
+          ~client:(name ^ ".tier") ~spec:"tiered:cache-pages=24"
+          ~on_store:(fun s -> stores := s :: !stores))
   in
   (* Clean first half, then chaos on the link, then a quiet drain so
      in-flight retransmissions settle before the books are read. *)
@@ -178,129 +167,3 @@ let print r =
        "VERDICT: ok — bystanders unperturbed, tier books balance, chaos \
         reproducible"
      else "VERDICT: FAILED")
-
-(* ------------------------------------------------------------------ *)
-(* Benchmark: tiered vs disk-only, per pattern, fault-free.            *)
-
-type bench_cell = {
-  bc_pattern : string;
-  bc_tiered : bool;
-  bc_mbit : float;
-  bc_accesses : int;
-  bc_fault_mean_us : float;
-  bc_fault_p95_us : float;
-  bc_cache_hits : int;
-  bc_remote_hits : int;
-  bc_remote_misses : int;
-}
-
-type bench_result = {
-  b_seed : int;
-  b_duration : Time.span;
-  b_cells : bench_cell list;
-  b_hot_speedup : float;
-  b_hot_tiered_beats_disk : bool;
-}
-
-let bench_cell ~seed ~duration ~pat ~pattern ~tiered =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
-  let store = ref None in
-  let backing =
-    if not tiered then None
-    else begin
-      let fleet, _, _ =
-        one_node_fleet ~seed sys ~name:"bench0" ~capacity:128
-      in
-      Some
-        (tiered_backing fleet ~client:"bench.tier" ~on_store:(fun s ->
-             store := Some s))
-    end
-  in
-  let name = "bench" in
-  let app =
-    Harness.start_app ~experiment:"remote" sys ~name ~pattern ?backing ()
-  in
-  System.run ~until:duration sys;
-  let mean, p95 = Harness.fault_hist name in
-  let st = Harness.store_totals (Option.to_list !store) in
-  { bc_pattern = pat;
-    bc_tiered = tiered;
-    bc_mbit = Workload.Paging_app.sustained_mbit app;
-    bc_accesses = Workload.Paging_app.measured_accesses app;
-    bc_fault_mean_us = mean;
-    bc_fault_p95_us = p95;
-    bc_cache_hits = st.Tier.Fleet.st_cache_hits;
-    bc_remote_hits = st.Tier.Fleet.st_fleet_hits;
-    bc_remote_misses = st.Tier.Fleet.st_fleet_misses }
-
-let bench ?(seed = 42) ?(duration = Time.sec 30) () =
-  let cells =
-    List.concat_map
-      (fun (pat, pattern) ->
-        [ bench_cell ~seed ~duration ~pat ~pattern ~tiered:false;
-          bench_cell ~seed ~duration ~pat ~pattern ~tiered:true ])
-      (Harness.patterns ~experiment:"remote")
-  in
-  let find p tiered =
-    List.find (fun c -> c.bc_pattern = p && c.bc_tiered = tiered) cells
-  in
-  let hot_disk = find "hot" false and hot_tier = find "hot" true in
-  let speedup =
-    if
-      Float.is_nan hot_disk.bc_fault_mean_us
-      || Float.is_nan hot_tier.bc_fault_mean_us
-      || hot_tier.bc_fault_mean_us <= 0.
-    then nan
-    else hot_disk.bc_fault_mean_us /. hot_tier.bc_fault_mean_us
-  in
-  { b_seed = seed;
-    b_duration = duration;
-    b_cells = cells;
-    b_hot_speedup = speedup;
-    b_hot_tiered_beats_disk = (not (Float.is_nan speedup)) && speedup > 1. }
-
-let bench_print r =
-  Report.heading "Remote paging benchmark: tiered vs disk-only";
-  Printf.printf "seed %d, %.0f s per cell, fault-free\n\n" r.b_seed
-    (Time.to_sec r.b_duration);
-  Report.table
-    ~header:
-      [ "pattern"; "backing"; "Mbit/s"; "accesses"; "fault us"; "p95 us";
-        "cache/remote/disk" ]
-    (List.map
-       (fun c ->
-         [ c.bc_pattern; (if c.bc_tiered then "tier" else "disk");
-           Harness.mbit_s c.bc_mbit; string_of_int c.bc_accesses;
-           Harness.us c.bc_fault_mean_us; Harness.us c.bc_fault_p95_us;
-           Printf.sprintf "%d/%d/%d" c.bc_cache_hits c.bc_remote_hits
-             c.bc_remote_misses ])
-       r.b_cells);
-  print_newline ();
-  Printf.printf "hotspot fault-latency speedup (disk/tier): %s — tiered %s\n"
-    (if Float.is_nan r.b_hot_speedup then "-"
-     else Printf.sprintf "%.2fx" r.b_hot_speedup)
-    (if r.b_hot_tiered_beats_disk then "beats disk-only"
-     else "does NOT beat disk-only")
-
-let bench_to_json r =
-  let cell c =
-    Json.obj
-      [ ("pattern", Json.string c.bc_pattern);
-        ("tiered", Json.bool c.bc_tiered); ("mbit_s", Json.fixed 3 c.bc_mbit);
-        ("accesses", Json.int c.bc_accesses);
-        ("fault_mean_us", Json.fixed 1 c.bc_fault_mean_us);
-        ("fault_p95_us", Json.fixed 1 c.bc_fault_p95_us);
-        ("cache_hits", Json.int c.bc_cache_hits);
-        ("remote_hits", Json.int c.bc_remote_hits);
-        ("remote_misses", Json.int c.bc_remote_misses) ]
-  in
-  Json.obj
-    [ ("seed", Json.int r.b_seed);
-      ("duration_s", Json.fixed 0 (Time.to_sec r.b_duration));
-      ("cells", Json.list (List.map cell r.b_cells));
-      ("hot_speedup", Json.fixed 3 r.b_hot_speedup);
-      ("hot_tiered_beats_disk", Json.bool r.b_hot_tiered_beats_disk) ]

@@ -38,10 +38,19 @@ let table1_shape () =
     (trap.Table1.nemesis_us > trap.Table1.nemesis_paper_us /. 2.0
      && trap.Table1.nemesis_us < trap.Table1.nemesis_paper_us *. 2.0)
 
-(* --- Figure 7 shape (short run) --- *)
+(* --- Figures 7 and 8 (short runs) --- *)
+
+(* Each run is deterministic, so every test case shares one run per
+   mode: paging in for Fig. 7, paging out for Fig. 8. *)
+let fig7 = lazy (Paging_fig.run ~duration:(Time.sec 170) ())
+
+let fig8 =
+  lazy
+    (Paging_fig.run ~mode:Workload.Paging_app.Paging_out
+       ~duration:(Time.sec 170) ())
 
 let fig7_ratios () =
-  let r = Paging_fig.run ~duration:(Time.sec 170) () in
+  let r = Lazy.force fig7 in
   (match r.Paging_fig.ratios with
   | [ one; two; four ] ->
     Alcotest.(check (float 1e-9)) "base" 1.0 one;
@@ -56,7 +65,7 @@ let fig7_ratios () =
     r.Paging_fig.apps
 
 let fig7_reads_cheap () =
-  let r = Paging_fig.run ~duration:(Time.sec 170) () in
+  let r = Lazy.force fig7 in
   (* Paging-in transactions ride the drive cache: mean well under the
      ~11 ms mechanical cost (the two bigger-share clients stream; the
      10% client loses its rotational position more often). *)
@@ -65,13 +74,8 @@ let fig7_reads_cheap () =
     checkb "cached reads ~1-2ms" true (biggest.Paging_fig.mean_txn_ms < 3.0)
   | [] -> Alcotest.fail "no apps")
 
-(* --- Figure 8 shape (short run) --- *)
-
 let fig8_writes_slow_but_proportional () =
-  let r =
-    Paging_fig.run ~mode:Workload.Paging_app.Paging_out
-      ~duration:(Time.sec 170) ()
-  in
+  let r = Lazy.force fig8 in
   (match r.Paging_fig.ratios with
   | [ _; two; four ] ->
     checkb "2x" true (two > 1.6 && two < 2.4);
@@ -85,11 +89,7 @@ let fig8_writes_slow_but_proportional () =
     r.Paging_fig.apps
 
 let fig8_slower_than_fig7 () =
-  let r7 = Paging_fig.run ~duration:(Time.sec 170) () in
-  let r8 =
-    Paging_fig.run ~mode:Workload.Paging_app.Paging_out
-      ~duration:(Time.sec 170) ()
-  in
+  let r7 = Lazy.force fig7 and r8 = Lazy.force fig8 in
   List.iter2
     (fun (a7 : Paging_fig.app_report) (a8 : Paging_fig.app_report) ->
       checkb "paging out much slower" true

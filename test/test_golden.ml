@@ -307,37 +307,86 @@ let scale_digest domains expected () =
 
 (* --- The remote-tier reports ------------------------------------------ *)
 
-(* Short same-seed runs of the three remote-tier experiments. The
-   tiered store is a one-node fleet, so these pin the one store path
-   every remote tier shares: a change to a demote, a fetch, the cache
-   or the repair order moves a digest. *)
+(* Short same-seed runs of the remote-tier experiments and the backing
+   matrix, each pinned by the MD5 of its JSON. The failover report
+   (seed 5, 6 s) ends with 0 fleet hits and the erasure report (seed
+   5, 8 s) with 15-16 per cell, both before their measured loops
+   begin: they pin the swap-populate phase, demotes, the fault plan,
+   repair and the books. The remote, failover and erasure bench pins
+   hash slices of one 6 s matrix run, the cells each of those
+   comparisons reads; at 6 s every cell has 0 measured accesses and 0
+   fleet hits, so they too pin only the disk-bound swap-populate phase.
+   The backing matrix at 20 s reaches the read path: every fleet cell
+   has fleet hits (tier_hot 1 314), the R = 2 wipe cell fails over and
+   the erasure wipe cell reconstructs, so a change to a fetch, the
+   cache, a failover or a reconstruction moves its digest. *)
 let report_digest what expected report () =
   Alcotest.(check string) what expected (md5 (Json.to_string (report ())))
+
+let short_matrix =
+  lazy (Experiments.Harness.run_matrix ~seed:42 ~duration:(Time.sec 6) ())
+
+let matrix_slice names () =
+  let open Experiments.Harness in
+  let m = Lazy.force short_matrix in
+  Json.list
+    (List.map
+       (fun n ->
+         matrix_cell_json (List.find (fun c -> c.mc_name = n) m.m_cells))
+       names)
+
+let backing_matrix_pinned () =
+  let open Experiments.Harness in
+  let m = run_matrix ~seed:42 ~duration:(Time.sec 20) () in
+  let cell name = List.find (fun c -> c.mc_name = name) m.m_cells in
+  let fleet_count f c = Option.fold ~none:0 ~some:f c.mc_fleet in
+  Alcotest.(check bool) "verdict" true (matrix_ok m);
+  List.iter
+    (fun c ->
+      if c.mc_fleet <> None then
+        Alcotest.(check bool)
+          (c.mc_name ^ " has fleet hits") true
+          (c.mc_store.Tier.Fleet.st_fleet_hits > 0))
+    m.m_cells;
+  Alcotest.(check bool) "replicated_wipe failed over" true
+    (fleet_count (fun s -> s.Tier.Fleet.failovers) (cell "replicated_wipe")
+     > 0);
+  Alcotest.(check bool) "erasure_wipe reconstructed" true
+    (fleet_count
+       (fun s -> s.Tier.Fleet.reconstructions)
+       (cell "erasure_wipe")
+     > 0);
+  Alcotest.(check string) "backing matrix, seed 42, 20 s"
+    "2be351fffcaeb538069d6c0e5b6daed0"
+    (md5 (Json.to_string (matrix_json m)))
 
 let remote_tier_pins =
   let open Experiments in
   let s = Time.sec in
   [ Alcotest.test_case "remote bench pinned" `Quick
-      (report_digest "remote bench, seed 42, 6 s"
-         "757b5ba3ce0294159e7d24a33883a823" (fun () ->
-           Remote_page.bench_to_json
-             (Remote_page.bench ~seed:42 ~duration:(s 6) ())));
+      (report_digest "remote bench cells, seed 42, 6 s"
+         "4f877e64497734107c5c2346d957091c"
+         (matrix_slice
+            [ "disk_seq"; "disk_rand"; "disk_hot"; "tier_seq"; "tier_rand";
+              "tier_hot" ]));
     Alcotest.test_case "failover report pinned" `Quick
       (report_digest "failover report, seed 5, 6 s"
          "60b66def256a7e860a933ec2f61d5919" (fun () ->
            Failover.to_json (Failover.run ~seed:5 ~duration:(s 6) ())));
     Alcotest.test_case "failover bench pinned" `Quick
-      (report_digest "failover bench, seed 42, 6 s"
-         "605be92f7fc597e5054749774e6531f4" (fun () ->
-           Failover.bench_to_json (Failover.bench ~duration:(s 6) ())));
+      (report_digest "failover bench cells, seed 42, 6 s"
+         "5ba2d7c427773760b227f83ce9ebd57b"
+         (matrix_slice [ "disk_hot"; "replicated"; "replicated_wipe" ]));
     Alcotest.test_case "erasure report pinned" `Quick
       (report_digest "erasure report, seed 5, 8 s"
          "2db75c76f8f5542bbecc10651a803140" (fun () ->
            Erasure.to_json (Erasure.run ~seed:5 ~duration:(s 8) ())));
     Alcotest.test_case "erasure bench pinned" `Quick
-      (report_digest "erasure bench, seed 42, 6 s"
-         "c77f8889e704fe24e5e25f43eba4b785" (fun () ->
-           Erasure.bench_to_json (Erasure.bench ~duration:(s 6) ()))) ]
+      (report_digest "erasure bench cells, seed 42, 6 s"
+         "9b4c19918b161bdd38770d7449e16a81"
+         (matrix_slice
+            [ "disk_hot"; "replicated"; "erasure"; "erasure_wipe" ]));
+    Alcotest.test_case "backing matrix pinned" `Quick backing_matrix_pinned ]
 
 let suite =
   [ ( "golden.schedulers",
