@@ -31,12 +31,22 @@ bench-%:
 # Build the outside-in benchmark (perfbench/) and run it for one second
 # on each workload. run.py exits non-zero when the build fails or any
 # output check fails (books, same-seed reruns, traced vs untraced), so
-# a library change that breaks the benchmark fails here.
+# a library change that breaks the benchmark fails here. Each
+# workload's seed-1 `simulated figures:` line (event count included)
+# must then equal its line in test/perfbench_figures.txt, so a change
+# that reorders or adds engine events fails here too.
 perfbench-smoke:
-	@for w in disk-paper many-domains fleet-degraded; do \
+	@mkdir -p .bench_build; : > .bench_build/perfbench-figures.txt; \
+	for w in disk-paper many-domains fleet-degraded; do \
 		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
-			--trace 0 || exit 1; \
-	done
+			--trace 0 > .bench_build/perfbench-$$w.txt; \
+		status=$$?; cat .bench_build/perfbench-$$w.txt; \
+		[ $$status -eq 0 ] || exit 1; \
+		sed -n "s/^simulated figures: /$$w: /p" .bench_build/perfbench-$$w.txt \
+			>> .bench_build/perfbench-figures.txt; \
+	done; \
+	diff -u test/perfbench_figures.txt .bench_build/perfbench-figures.txt \
+		&& echo "perfbench simulated figures match test/perfbench_figures.txt"
 
 # Quick end-to-end run of the policy-compare figure (two contrasting
 # policies, short duration).

@@ -3,20 +3,48 @@ type handle = { mutable cancelled : bool; fn : unit -> unit; owner : t }
 and t = {
   mutable clock : Time.t;
   queue : handle Heap.t;
-  mutable seq : int;
+  (* Events due at [clock], in scheduling order: a ring buffer whose
+     capacity is a power of two. *)
+  mutable now_q : handle array;
+  mutable now_head : int;
+  mutable now_len : int;
+  mutable seq : int; (* orders the heap's events of one instant *)
   mutable live : int; (* scheduled and not cancelled *)
+  mutable peak : int; (* largest [live] as a handler returned *)
   mutable executed : int;
   mutable cancelled_events : int;
   root_rng : Rng.t;
 }
 
+type task = handle
+
 let create ?(seed = 42) () =
-  { clock = Time.zero; queue = Heap.create (); seq = 0; live = 0;
-    executed = 0; cancelled_events = 0; root_rng = Rng.create ~seed }
+  { clock = Time.zero; queue = Heap.create (); now_q = [||]; now_head = 0;
+    now_len = 0; seq = 0; live = 0; peak = 0; executed = 0;
+    cancelled_events = 0; root_rng = Rng.create ~seed }
 
 let now t = t.clock
 
 let rng t = t.root_rng
+
+let push_now t h =
+  let cap = Array.length t.now_q in
+  if t.now_len = cap then begin
+    let q = Array.make (if cap = 0 then 16 else 2 * cap) h in
+    for i = 0 to t.now_len - 1 do
+      q.(i) <- t.now_q.((t.now_head + i) land (cap - 1))
+    done;
+    t.now_q <- q;
+    t.now_head <- 0
+  end;
+  t.now_q.((t.now_head + t.now_len) land (Array.length t.now_q - 1)) <- h;
+  t.now_len <- t.now_len + 1
+
+let pop_now t =
+  let h = t.now_q.(t.now_head) in
+  t.now_head <- (t.now_head + 1) land (Array.length t.now_q - 1);
+  t.now_len <- t.now_len - 1;
+  h
 
 let at t time fn =
   if time < t.clock then
@@ -24,12 +52,21 @@ let at t time fn =
       (Format.asprintf "Sim.at: %a is in the past (now %a)" Time.pp time
          Time.pp t.clock);
   let h = { cancelled = false; fn; owner = t } in
-  Heap.push t.queue ~key:time ~sub:t.seq h;
-  t.seq <- t.seq + 1;
+  if time = t.clock then push_now t h
+  else begin
+    Heap.push t.queue ~key:time ~sub:t.seq h;
+    t.seq <- t.seq + 1
+  end;
   t.live <- t.live + 1;
   h
 
 let after t d fn = at t (Time.add t.clock d) fn
+
+let task t fn = { cancelled = false; fn; owner = t }
+
+let post_now h =
+  push_now h.owner h;
+  h.owner.live <- h.owner.live + 1
 
 (* [live] is decremented exactly once per handle: either at [cancel]
    time, or when a non-cancelled handle is popped and executed. *)
@@ -40,25 +77,38 @@ let cancel h =
     h.owner.cancelled_events <- h.owner.cancelled_events + 1
   end
 
+let has_next t = t.now_len > 0 || not (Heap.is_empty t.queue)
+
+(* Time of the next event; [has_next] must hold. *)
+let next_time t = if t.now_len > 0 then t.clock else Heap.top_key t.queue
+
 (* Pop the next event, allocating nothing, and run it unless it was
-   cancelled. *)
+   cancelled. A heap event due now goes first: it was scheduled before
+   the clock reached now, so its sequence number is below that of
+   every event on the same-instant queue, and (time, seq) order is
+   kept. *)
 let fire_next t =
-  let time = Heap.top_key t.queue in
-  let h = Heap.pop t.queue in
+  let from_heap =
+    t.now_len = 0
+    || ((not (Heap.is_empty t.queue)) && Heap.top_key t.queue = t.clock)
+  in
+  let time = if from_heap then Heap.top_key t.queue else t.clock in
+  let h = if from_heap then Heap.pop t.queue else pop_now t in
   if h.cancelled then false
   else begin
     t.live <- t.live - 1;
     t.executed <- t.executed + 1;
     t.clock <- time;
     h.fn ();
+    if t.live > t.peak then t.peak <- t.live;
     true
   end
 
-let rec step t = (not (Heap.is_empty t.queue)) && (fire_next t || step t)
+let rec step t = has_next t && (fire_next t || step t)
 
 let run ?until t =
   let limit = match until with Some limit -> limit | None -> max_int in
-  while (not (Heap.is_empty t.queue)) && Heap.top_key t.queue <= limit do
+  while has_next t && next_time t <= limit do
     ignore (fire_next t)
   done;
   match until with
@@ -66,5 +116,6 @@ let run ?until t =
   | _ -> ()
 
 let pending t = t.live
+let pending_peak t = t.peak
 let executed t = t.executed
 let cancelled t = t.cancelled_events

@@ -1,13 +1,19 @@
 (** Discrete-event simulation core.
 
-    A [Sim.t] owns the simulated clock and a priority queue of pending
-    callbacks. Events scheduled for the same instant fire in the order
-    they were scheduled, which makes every run deterministic. *)
+    A [Sim.t] owns the simulated clock and its pending callbacks: a
+    priority queue for future instants and a FIFO for the current one.
+    Events run in (time, scheduling order), so events due at the same
+    instant fire in the order they were scheduled, which makes every
+    run deterministic. *)
 
 type t
 
 type handle
 (** A scheduled event; may be cancelled before it fires. *)
+
+type task
+(** A reusable callback that can be queued at the current instant any
+    number of times, one queuing at a time; never cancelled. *)
 
 val create : ?seed:int -> unit -> t
 (** Fresh simulator with clock at {!Time.zero}. [seed] (default 42)
@@ -26,6 +32,14 @@ val at : t -> Time.t -> (unit -> unit) -> handle
 val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after sim d f] = [at sim (now + d) f]. *)
 
+val task : t -> (unit -> unit) -> task
+(** [task sim f] makes a task that runs [f] each time it is posted. *)
+
+val post_now : task -> unit
+(** Queue the task to run at the current instant, after every event
+    already due now: an event like [after sim 0 f], without allocating.
+    Posting a task that is already queued runs it twice. *)
+
 val cancel : handle -> unit
 (** Prevent a pending event from firing; idempotent. *)
 
@@ -39,6 +53,10 @@ val step : t -> bool
 
 val pending : t -> int
 (** Number of scheduled (uncancelled) events. *)
+
+val pending_peak : t -> int
+(** The largest {!pending} seen as an event's handler returned, since
+    {!create}. Always counted. *)
 
 val executed : t -> int
 (** Events whose handler has run since {!create}. Always counted. *)

@@ -10,7 +10,9 @@ module Ivar = struct
     | Full _ -> false
     | Empty waiters ->
       t.state <- Full v;
-      List.iter (fun wake -> wake v) (List.rev waiters);
+      (match waiters with
+      | [ wake ] -> wake v
+      | waiters -> List.iter (fun wake -> wake v) (List.rev waiters));
       true
 
   let fill t v =
@@ -125,9 +127,14 @@ module Waitq = struct
       wake ()
 
   let broadcast t =
-    let ws = List.rev t.waiters in
-    t.waiters <- [];
-    List.iter (fun wake -> wake ()) ws
+    match t.waiters with
+    | [] -> ()
+    | [ wake ] ->
+      t.waiters <- [];
+      wake ()
+    | ws ->
+      t.waiters <- [];
+      List.iter (fun wake -> wake ()) (List.rev ws)
 
   let waiters t = List.length t.waiters
 end

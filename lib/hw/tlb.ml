@@ -14,11 +14,21 @@ let create ?(entries = 64) () =
     next = 0; hits = 0; misses = 0 }
 
 (* Observability: per-address-space hit/miss counters; label "asn<N>"
-   because the TLB knows domains only by their address-space number. *)
+   because the TLB knows domains only by their address-space number.
+   Each label is built once. *)
+let asn_labels : (int, string) Hashtbl.t = Hashtbl.create 16
+
+let asn_label asn =
+  match Hashtbl.find asn_labels asn with
+  | label -> label
+  | exception Not_found ->
+    let label = Printf.sprintf "asn%d" asn in
+    Hashtbl.add asn_labels asn label;
+    label
+
 let count_lookup ~asn ~hit =
   if !Obs.enabled then
-    Obs.Metrics.inc
-      ~label:(Printf.sprintf "asn%d" asn)
+    Obs.Metrics.inc ~label:(asn_label asn)
       (if hit then "tlb.hits" else "tlb.misses")
 
 let lookup t ~asn ~vpn =

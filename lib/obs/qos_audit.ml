@@ -50,7 +50,9 @@ let patience = ref 2
 
 let events_ring : violation Ring.t = Ring.create ~capacity:4096 ()
 let class_counts : (string, int ref) Hashtbl.t = Hashtbl.create 8
-let streaks : (string, streak) Hashtbl.t = Hashtbl.create 16
+(* Undersupply streaks per CPU client and per USD stream, by name. *)
+let cpu_streaks : (string, streak) Hashtbl.t = Hashtbl.create 16
+let usd_streaks : (string, streak) Hashtbl.t = Hashtbl.create 16
 let mem_guarantees : (int, int) Hashtbl.t = Hashtbl.create 16
 let mem_capacity = ref max_int
 let boundaries = ref 0
@@ -74,14 +76,19 @@ let record ~now v =
 
 (* --- undersupply streaks ------------------------------------------- *)
 
-let boundary ~now ~key ~entitled ~got ~backlogged make =
+type resource = Cpu | Usd
+
+(* Keyed by the bare name, and the violation built only when one is
+   recorded: an audited boundary allocates nothing. *)
+let boundary resource ~now ~name ~entitled ~got ~backlogged =
   incr boundaries;
+  let streaks = match resource with Cpu -> cpu_streaks | Usd -> usd_streaks in
   let s =
-    match Hashtbl.find_opt streaks key with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find streaks name with
+    | s -> s
+    | exception Not_found ->
       let s = { periods = 0; entitled_acc = 0; got_acc = 0 } in
-      Hashtbl.add streaks key s;
+      Hashtbl.add streaks name s;
       s
   in
   let shortfall =
@@ -92,8 +99,12 @@ let boundary ~now ~key ~entitled ~got ~backlogged make =
     s.entitled_acc <- s.entitled_acc + entitled;
     s.got_acc <- s.got_acc + got;
     if s.periods >= !patience then begin
-      record ~now (make ~entitled:s.entitled_acc ~got:s.got_acc
-                     ~periods:s.periods);
+      let entitled = s.entitled_acc and got = s.got_acc
+      and periods = s.periods in
+      record ~now
+        (match resource with
+        | Cpu -> Cpu_undersupply { dom = name; entitled; got; periods }
+        | Usd -> Usd_undersupply { stream = name; entitled; got; periods });
       s.periods <- 0;
       s.entitled_acc <- 0;
       s.got_acc <- 0
@@ -106,13 +117,10 @@ let boundary ~now ~key ~entitled ~got ~backlogged make =
   end
 
 let cpu_boundary ~now ~dom ~entitled ~got ~backlogged =
-  boundary ~now ~key:("cpu:" ^ dom) ~entitled ~got ~backlogged
-    (fun ~entitled ~got ~periods -> Cpu_undersupply { dom; entitled; got; periods })
+  boundary Cpu ~now ~name:dom ~entitled ~got ~backlogged
 
 let usd_boundary ~now ~stream ~entitled ~got ~backlogged =
-  boundary ~now ~key:("usd:" ^ stream) ~entitled ~got ~backlogged
-    (fun ~entitled ~got ~periods ->
-      Usd_undersupply { stream; entitled; got; periods })
+  boundary Usd ~now ~name:stream ~entitled ~got ~backlogged
 
 (* --- memory contracts ---------------------------------------------- *)
 
@@ -164,7 +172,8 @@ let summarize () =
 let reset () =
   Ring.clear events_ring;
   Hashtbl.reset class_counts;
-  Hashtbl.reset streaks;
+  Hashtbl.reset cpu_streaks;
+  Hashtbl.reset usd_streaks;
   Hashtbl.reset mem_guarantees;
   mem_capacity := max_int;
   boundaries := 0

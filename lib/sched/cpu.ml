@@ -135,7 +135,7 @@ let consume t (c : client) span =
     Proc.suspend (fun wake ->
         if Queue.is_empty c.pending then
           c.backlogged_since <- Some (Sim.now t.sim);
-        Queue.add { left = span; wake = (fun () -> wake ()) } c.pending;
+        Queue.add { left = span; wake } c.pending;
         sync_flags t c;
         Sync.Waitq.broadcast t.kick);
     Ok ()

@@ -38,6 +38,7 @@ type client = {
   mutable packets : int;
   mutable sent_bytes : int;
   mutable lax_used : Time.span;
+  label : string; (* "<link>.<client>", the metrics label *)
 }
 
 type t = {
@@ -96,11 +97,11 @@ let create ?(name = "link") ?(params = Net_params.fast_ethernet)
   Edf.set_boundary_hook t.edf (on_boundary t);
   t
 
-let gauges t (c : client) =
+let gauges (c : client) =
   if !Obs.enabled then begin
-    let label = t.lname ^ "." ^ client_name c in
-    Obs.Metrics.set_gauge ~label "link.tx_bytes" (float_of_int c.sent_bytes);
-    Obs.Metrics.set_gauge ~label "link.queue_depth"
+    Obs.Metrics.set_gauge ~label:c.label "link.tx_bytes"
+      (float_of_int c.sent_bytes);
+    Obs.Metrics.set_gauge ~label:c.label "link.queue_depth"
       (float_of_int (Queue.length c.ring))
   end
 
@@ -118,7 +119,7 @@ let transmit_one t (c : client) ~slack =
   Trace.record t.events (Sim.now t.sim)
     (if slack then Slack_tx { client = client_name c; bytes = pkt.bytes; dur }
      else Tx { client = client_name c; bytes = pkt.bytes; dur });
-  gauges t c;
+  gauges c;
   Sync.Ivar.fill pkt.completion ()
 
 (* Lax allowance spent: off the runnable queue until the next
@@ -207,7 +208,7 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
         { edf = e; ring = Queue.create (); depth = queue_depth;
           senders = Queue.create (); laxity; lax_left = laxity;
           idled = false; live = true; packets = 0; sent_bytes = 0;
-          lax_used = 0 }
+          lax_used = 0; label = t.lname ^ "." ^ e.Edf.cname }
       in
       Hashtbl.replace t.members e.Edf.id c;
       sync_flags t c;
@@ -229,7 +230,7 @@ let send t (c : client) ~bytes =
     let completion = Sync.Ivar.create () in
     Queue.add { bytes; completion } c.ring;
     sync_flags t c;
-    gauges t c;
+    gauges c;
     Sync.Waitq.broadcast t.kick;
     Ok completion
   end

@@ -156,6 +156,259 @@ let sim_past_raises () =
     (Invalid_argument "Sim.at: 1.000ms is in the past (now 2.000ms)")
     (fun () -> ignore (Sim.at sim (Time.ms 1) (fun () -> ())))
 
+(* A random schedule: each event's handler runs the script its id
+   selects, and the top level interleaves scheduling, cancelling,
+   [step] and [run ~until]. Cancels pick among the still-queued events
+   (ascending id), so they hit both the heap and the same-instant
+   queue. *)
+type action = Schedule of { delay : int; absolute : bool } | Cancel of int
+type top = Act of action | Step | Run_until of int
+
+let action_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun absolute -> Schedule { delay = 0; absolute }) bool);
+        ( 3,
+          map2
+            (fun delay absolute -> Schedule { delay; absolute })
+            (int_range 1 4) bool );
+        (1, map (fun k -> Cancel k) small_nat) ])
+
+let schedule_gen =
+  QCheck.Gen.(
+    pair
+      (array_size (return 8) (list_size (int_range 0 3) action_gen))
+      (list_size (int_range 1 40)
+         (frequency
+            [ (3, map (fun a -> Act a) action_gen);
+              (3, return Step);
+              (1, map (fun d -> Run_until d) (int_range 0 5)) ])))
+
+let print_schedule (scripts, prog) =
+  let action = function
+    | Schedule { delay; absolute } ->
+      Printf.sprintf "%s %d" (if absolute then "at+" else "after") delay
+    | Cancel k -> Printf.sprintf "cancel %d" k
+  in
+  let actions l = "[" ^ String.concat "; " (List.map action l) ^ "]" in
+  let top = function
+    | Act a -> action a
+    | Step -> "step"
+    | Run_until d -> Printf.sprintf "run ~until now+%d" d
+  in
+  String.concat " " (Array.to_list (Array.map actions scripts))
+  ^ " / " ^ String.concat ", " (List.map top prog)
+
+let event_cap = 200
+
+(* Far past the last event: at most [event_cap] delays of 4 and 40 top
+   ops of 5. *)
+let drain = Run_until 1_000_000
+
+(* What a schedule observably does: the (id, time) of every executed
+   event, and after every top-level op the clock and the pending,
+   executed, cancelled and pending-peak counts. *)
+type observed = { fired : (int * int) list; counts : int list list }
+
+(* The actions of a schedule, applied to [sim]; [on_fire] sees the id
+   of each event as it runs. *)
+let sim_actions sim scripts ~on_fire =
+  let queued = Hashtbl.create 16 and created = ref 0 in
+  let rec exec = function
+    | Schedule { delay; absolute } ->
+      if !created < event_cap then begin
+        let id = !created in
+        incr created;
+        let fire () =
+          Hashtbl.remove queued id;
+          on_fire id;
+          List.iter exec scripts.(id mod Array.length scripts)
+        in
+        Hashtbl.replace queued id
+          (if absolute then Sim.at sim (Sim.now sim + delay) fire
+           else Sim.after sim delay fire)
+      end
+    | Cancel k ->
+      let ids = List.sort compare (Hashtbl.fold (fun id _ l -> id :: l) queued []) in
+      if ids <> [] then begin
+        let id = List.nth ids (k mod List.length ids) in
+        Sim.cancel (Hashtbl.find queued id);
+        Hashtbl.remove queued id
+      end
+  in
+  exec
+
+let run_schedule_sim (scripts, prog) =
+  let sim = Sim.create () and fired = ref [] in
+  let exec =
+    sim_actions sim scripts ~on_fire:(fun id ->
+        fired := (id, Sim.now sim) :: !fired)
+  in
+  let counts =
+    List.map
+      (fun op ->
+        (match op with
+        | Act a -> exec a
+        | Step -> ignore (Sim.step sim)
+        | Run_until d -> Sim.run ~until:(Sim.now sim + d) sim);
+        [ Sim.now sim; Sim.pending sim; Sim.executed sim; Sim.cancelled sim;
+          Sim.pending_peak sim ])
+      (prog @ [ drain ])
+  in
+  { fired = List.rev !fired; counts }
+
+(* The reference: one list of (time, seq, id), always run from its
+   (time, seq) minimum. *)
+let run_schedule_model (scripts, prog) =
+  let clock = ref 0 and seq = ref 0 and queue = ref [] and created = ref 0 in
+  let executed = ref 0 and cancelled = ref 0 and peak = ref 0 in
+  let fired = ref [] in
+  let rec exec = function
+    | Schedule { delay; absolute = _ } ->
+      if !created < event_cap then begin
+        queue := (!clock + delay, !seq, !created) :: !queue;
+        incr seq;
+        incr created
+      end
+    | Cancel k ->
+      let ids = List.sort compare (List.map (fun (_, _, id) -> id) !queue) in
+      if ids <> [] then begin
+        let id = List.nth ids (k mod List.length ids) in
+        queue := List.filter (fun (_, _, i) -> i <> id) !queue;
+        incr cancelled
+      end
+  and fire_next () =
+    let ((time, _, id) as next) = List.hd (List.sort compare !queue) in
+    queue := List.filter (fun e -> e != next) !queue;
+    clock := time;
+    incr executed;
+    fired := (id, time) :: !fired;
+    List.iter exec scripts.(id mod Array.length scripts);
+    peak := max !peak (List.length !queue)
+  in
+  let run_until limit =
+    while List.exists (fun (time, _, _) -> time <= limit) !queue do
+      fire_next ()
+    done;
+    if !clock < limit then clock := limit
+  in
+  let counts =
+    List.map
+      (fun op ->
+        (match op with
+        | Act a -> exec a
+        | Step -> if !queue <> [] then fire_next ()
+        | Run_until d -> run_until (!clock + d));
+        [ !clock; List.length !queue; !executed; !cancelled; !peak ])
+      (prog @ [ drain ])
+  in
+  { fired = List.rev !fired; counts }
+
+let sim_matches_reference =
+  QCheck.Test.make ~name:"sim runs events in (time, seq) order of a reference list"
+    ~count:300
+    (QCheck.make ~print:print_schedule schedule_gen)
+    (fun sched -> run_schedule_sim sched = run_schedule_model sched)
+
+(* [pending_peak] is the largest [pending] seen after any step. *)
+let sim_pending_peak =
+  QCheck.Test.make ~name:"pending_peak is the largest pending after a step"
+    ~count:200
+    (QCheck.make ~print:print_schedule schedule_gen)
+    (fun (scripts, prog) ->
+      let sim = Sim.create () and most = ref 0 in
+      let exec = sim_actions sim scripts ~on_fire:ignore in
+      let step () =
+        let stepped = Sim.step sim in
+        most := max !most (Sim.pending sim);
+        stepped
+      in
+      List.iter
+        (function Act a -> exec a | Step | Run_until _ -> ignore (step ()))
+        prog;
+      while step () do
+        ()
+      done;
+      Sim.pending_peak sim = !most)
+
+(* Allocation of the three process hand-offs every fault path takes,
+   in words, each measured over [n] repetitions after a warm-up. *)
+let words_per ~warm ~n f =
+  f warm;
+  let before = Gc.minor_words () in
+  f n;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_words name ~bound per =
+  if per > bound +. 0.01 then
+    Alcotest.failf "%s: %.2f words (bound %.0f)" name per bound
+
+(* Suspend, wake from outside, resume: the effect, its continuation,
+   the handler's closure, the one-shot wake, the parked continuation
+   and its value, and the caller's register closure. The resume itself
+   is a reusable task on the same-instant queue. *)
+let proc_switch_allocation () =
+  let sim = Sim.create () in
+  let waker = ref ignore in
+  let rec loop () =
+    Proc.suspend (fun wake -> waker := wake);
+    loop ()
+  in
+  ignore (Proc.spawn sim loop);
+  ignore (Sim.step sim);
+  let cycle n =
+    for _ = 1 to n do
+      !waker ();
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "suspend, wake, resume" ~bound:27.
+    (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* A sleep adds its timer: the handle and the cancel-on-kill cell. *)
+let proc_sleep_allocation () =
+  let sim = Sim.create () in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           Proc.sleep 1
+         done));
+  ignore (Sim.step sim);
+  let cycle n =
+    for _ = 1 to n do
+      ignore (Sim.step sim);
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "sleep" ~bound:37. (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* One client consuming 20 us at a time: the request, the scheduler's
+   sleep and the two hand-offs between client and scheduler. *)
+let cpu_consume_allocation () =
+  let sim = Sim.create () in
+  let cpu = Sched.Cpu.create sim in
+  let c =
+    match
+      Sched.Cpu.admit cpu ~name:"c" ~period:(Time.ms 10) ~slice:(Time.ms 5) ()
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "admission refused"
+  in
+  let consumed = ref 0 in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           ignore (Sched.Cpu.consume cpu c (Time.us 20));
+           incr consumed
+         done));
+  let cycle n =
+    let target = !consumed + n in
+    while !consumed < target do
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "20 us consume" ~bound:106. (words_per ~warm:1_000 ~n:10_000 cycle)
+
 (* --- Proc --- *)
 
 let proc_sleep () =
@@ -202,6 +455,8 @@ let proc_kill_mid_sleep () =
   checkb "body did not continue" false !reached;
   checkb "dead" false (Proc.is_alive p);
   (* The 100 s timer must have been cancelled. *)
+  check "timer cancelled" 1 (Sim.cancelled sim);
+  check "nothing pending" 0 (Sim.pending sim);
   check "clock stopped early" (Time.ms 1) (Sim.now sim)
 
 let proc_on_terminate () =
@@ -222,6 +477,89 @@ let proc_kill_before_start () =
   Sim.run sim;
   checkb "body never ran" false !ran;
   checkb "dead" false (Proc.is_alive p)
+
+let proc_stale_wake_ignored () =
+  let sim = Sim.create () in
+  let wakes = ref [] and resumed = ref 0 in
+  ignore
+    (Proc.spawn sim (fun () ->
+         for _ = 1 to 2 do
+           Proc.suspend (fun wake -> wakes := wake :: !wakes);
+           incr resumed
+         done));
+  Sim.run sim;
+  let first = List.hd !wakes in
+  first ();
+  Sim.run sim;
+  check "first wake resumed" 1 !resumed;
+  first ();
+  check "stale wake queued nothing" 0 (Sim.pending sim);
+  Sim.run sim;
+  check "stale wake ignored" 1 !resumed;
+  (List.hd !wakes) ();
+  Sim.run sim;
+  check "current wake resumed" 2 !resumed
+
+let proc_second_wake_ignored () =
+  let sim = Sim.create () in
+  let waker = ref (fun (_ : int) -> ()) and got = ref [] in
+  ignore
+    (Proc.spawn sim (fun () ->
+         got := Proc.suspend (fun wake -> waker := wake) :: !got));
+  Sim.run sim;
+  !waker 1;
+  !waker 2;
+  check "one resume queued" 1 (Sim.pending sim);
+  Sim.run sim;
+  !waker 3;
+  Sim.run sim;
+  Alcotest.(check (list int)) "first value only" [ 1 ] !got
+
+let proc_kill_after_wake () =
+  let sim = Sim.create () in
+  let waker = ref ignore and continued = ref false in
+  let registered = ref false and killed = ref false in
+  let p =
+    Proc.spawn sim (fun () ->
+        Proc.suspend (fun wake -> waker := wake);
+        continued := true;
+        try Proc.suspend (fun _ -> registered := true)
+        with Proc.Killed as e ->
+          killed := true;
+          raise e)
+  in
+  Sim.run sim;
+  !waker ();
+  Proc.kill p;
+  Sim.run sim;
+  checkb "resumed past the woken suspension" true !continued;
+  checkb "killed at the next suspension" true !killed;
+  checkb "next suspension never registered" false !registered;
+  checkb "dead" false (Proc.is_alive p)
+
+(* [self] fails outside a process, also after one has run and after
+   one has died with an exception that escaped the event loop. *)
+let proc_self_outside () =
+  let outside () =
+    Alcotest.check_raises "self outside a process"
+      (Failure "Proc.self: not inside a process") (fun () ->
+        ignore (Proc.self ()))
+  in
+  outside ();
+  let sim = Sim.create () in
+  let inside = ref "" in
+  ignore
+    (Proc.spawn ~name:"p" sim (fun () ->
+         Proc.yield ();
+         inside := Proc.name (Proc.self ())));
+  ignore (Proc.spawn sim (fun () -> failwith "boom"));
+  (match Sim.run sim with
+  | () -> Alcotest.fail "the process's exception did not escape"
+  | exception Failure _ -> ());
+  outside ();
+  Sim.run sim;
+  Alcotest.(check string) "self inside" "p" !inside;
+  outside ()
 
 (* --- Sync --- *)
 
@@ -401,13 +739,28 @@ let suite =
         Alcotest.test_case "run ~until" `Quick sim_until;
         Alcotest.test_case "an event allocates only its handle" `Quick
           sim_step_allocation;
-        Alcotest.test_case "scheduling in the past" `Quick sim_past_raises ] );
+        Alcotest.test_case "process switch allocation bound" `Quick
+          proc_switch_allocation;
+        Alcotest.test_case "sleep allocation bound" `Quick
+          proc_sleep_allocation;
+        Alcotest.test_case "20 us consume allocation bound" `Quick
+          cpu_consume_allocation;
+        Alcotest.test_case "scheduling in the past" `Quick sim_past_raises;
+        qtest sim_matches_reference;
+        qtest sim_pending_peak ] );
     ( "engine.proc",
       [ Alcotest.test_case "sleep advances time" `Quick proc_sleep;
         Alcotest.test_case "join" `Quick proc_join;
         Alcotest.test_case "kill mid-sleep" `Quick proc_kill_mid_sleep;
         Alcotest.test_case "on_terminate" `Quick proc_on_terminate;
-        Alcotest.test_case "kill before start" `Quick proc_kill_before_start ] );
+        Alcotest.test_case "kill before start" `Quick proc_kill_before_start;
+        Alcotest.test_case "a wake from an earlier suspension is ignored"
+          `Quick proc_stale_wake_ignored;
+        Alcotest.test_case "a second wake is ignored" `Quick
+          proc_second_wake_ignored;
+        Alcotest.test_case "kill between wake and resume" `Quick
+          proc_kill_after_wake;
+        Alcotest.test_case "self outside a process" `Quick proc_self_outside ] );
     ( "engine.sync",
       [ Alcotest.test_case "ivar" `Quick ivar_basics;
         Alcotest.test_case "ivar timeout" `Quick ivar_timeout;
