@@ -1,3 +1,11 @@
+(* Call every waiter with [v], oldest first: a waiter list holds the
+   newest at its head. Allocates nothing. *)
+let rec wake_all v = function
+  | [] -> ()
+  | wake :: rest ->
+    wake_all v rest;
+    wake v
+
 module Ivar = struct
   type 'a state = Empty of ('a -> unit) list | Full of 'a
 
@@ -10,9 +18,7 @@ module Ivar = struct
     | Full _ -> false
     | Empty waiters ->
       t.state <- Full v;
-      (match waiters with
-      | [ wake ] -> wake v
-      | waiters -> List.iter (fun wake -> wake v) (List.rev waiters));
+      wake_all v waiters;
       true
 
   let fill t v =
@@ -127,14 +133,9 @@ module Waitq = struct
       wake ()
 
   let broadcast t =
-    match t.waiters with
-    | [] -> ()
-    | [ wake ] ->
-      t.waiters <- [];
-      wake ()
-    | ws ->
-      t.waiters <- [];
-      List.iter (fun wake -> wake ()) (List.rev ws)
+    let ws = t.waiters in
+    t.waiters <- [];
+    wake_all () ws
 
   let waiters t = List.length t.waiters
 end

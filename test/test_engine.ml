@@ -207,12 +207,13 @@ let drain = Run_until 1_000_000
 
 (* What a schedule observably does: the (id, time) of every executed
    event, and after every top-level op the clock and the pending,
-   executed, cancelled and pending-peak counts. *)
+   executed, cancelled and pending-peak counts. The model's peak is the
+   largest pending after any fired event, so the oracle also checks
+   [Sim.pending_peak]. *)
 type observed = { fired : (int * int) list; counts : int list list }
 
-(* The actions of a schedule, applied to [sim]; [on_fire] sees the id
-   of each event as it runs. *)
-let sim_actions sim scripts ~on_fire =
+let run_schedule_sim (scripts, prog) =
+  let sim = Sim.create () and fired = ref [] in
   let queued = Hashtbl.create 16 and created = ref 0 in
   let rec exec = function
     | Schedule { delay; absolute } ->
@@ -221,7 +222,7 @@ let sim_actions sim scripts ~on_fire =
         incr created;
         let fire () =
           Hashtbl.remove queued id;
-          on_fire id;
+          fired := (id, Sim.now sim) :: !fired;
           List.iter exec scripts.(id mod Array.length scripts)
         in
         Hashtbl.replace queued id
@@ -235,14 +236,6 @@ let sim_actions sim scripts ~on_fire =
         Sim.cancel (Hashtbl.find queued id);
         Hashtbl.remove queued id
       end
-  in
-  exec
-
-let run_schedule_sim (scripts, prog) =
-  let sim = Sim.create () and fired = ref [] in
-  let exec =
-    sim_actions sim scripts ~on_fire:(fun id ->
-        fired := (id, Sim.now sim) :: !fired)
   in
   let counts =
     List.map
@@ -309,27 +302,6 @@ let sim_matches_reference =
     ~count:300
     (QCheck.make ~print:print_schedule schedule_gen)
     (fun sched -> run_schedule_sim sched = run_schedule_model sched)
-
-(* [pending_peak] is the largest [pending] seen after any step. *)
-let sim_pending_peak =
-  QCheck.Test.make ~name:"pending_peak is the largest pending after a step"
-    ~count:200
-    (QCheck.make ~print:print_schedule schedule_gen)
-    (fun (scripts, prog) ->
-      let sim = Sim.create () and most = ref 0 in
-      let exec = sim_actions sim scripts ~on_fire:ignore in
-      let step () =
-        let stepped = Sim.step sim in
-        most := max !most (Sim.pending sim);
-        stepped
-      in
-      List.iter
-        (function Act a -> exec a | Step | Run_until _ -> ignore (step ()))
-        prog;
-      while step () do
-        ()
-      done;
-      Sim.pending_peak sim = !most)
 
 (* Allocation of the three process hand-offs every fault path takes,
    in words, each measured over [n] repetitions after a warm-up. *)
@@ -634,6 +606,26 @@ let waitq_timeout () =
   Alcotest.(check (option bool)) "timed out" (Some false) !r1;
   Alcotest.(check (option bool)) "signalled" (Some true) !r2
 
+(* Filling an Ivar and broadcasting a Waitq wake their waiters oldest
+   first. *)
+let sync_wake_order () =
+  let sim = Sim.create () in
+  let iv = Sync.Ivar.create () and q = Sync.Waitq.create () in
+  let log = ref [] in
+  for i = 1 to 3 do
+    ignore
+      (Proc.spawn sim (fun () ->
+           Sync.Ivar.read iv;
+           log := i :: !log;
+           Sync.Waitq.wait q;
+           log := (10 + i) :: !log))
+  done;
+  ignore (Sim.after sim (Time.ms 1) (fun () -> Sync.Ivar.fill iv ()));
+  ignore (Sim.after sim (Time.ms 2) (fun () -> Sync.Waitq.broadcast q));
+  Sim.run sim;
+  Alcotest.(check (list int)) "oldest first" [ 1; 2; 3; 11; 12; 13 ]
+    (List.rev !log)
+
 (* --- Stats --- *)
 
 let stats_moments () =
@@ -746,8 +738,7 @@ let suite =
         Alcotest.test_case "20 us consume allocation bound" `Quick
           cpu_consume_allocation;
         Alcotest.test_case "scheduling in the past" `Quick sim_past_raises;
-        qtest sim_matches_reference;
-        qtest sim_pending_peak ] );
+        qtest sim_matches_reference ] );
     ( "engine.proc",
       [ Alcotest.test_case "sleep advances time" `Quick proc_sleep;
         Alcotest.test_case "join" `Quick proc_join;
@@ -766,7 +757,8 @@ let suite =
         Alcotest.test_case "ivar timeout" `Quick ivar_timeout;
         Alcotest.test_case "mailbox fifo" `Quick mailbox_fifo;
         Alcotest.test_case "semaphore as mutex" `Quick semaphore_mutex;
-        Alcotest.test_case "waitq timeout" `Quick waitq_timeout ] );
+        Alcotest.test_case "waitq timeout" `Quick waitq_timeout;
+        Alcotest.test_case "waiters wake oldest first" `Quick sync_wake_order ] );
     ( "engine.stats",
       [ Alcotest.test_case "moments" `Quick stats_moments;
         Alcotest.test_case "percentiles" `Quick stats_percentile;
