@@ -34,19 +34,35 @@ bench-%:
 # a library change that breaks the benchmark fails here. Each
 # workload's seed-1 `simulated figures:` line (event count included)
 # must then equal its line in test/perfbench_figures.txt, so a change
-# that reorders or adds engine events fails here too.
+# that reorders or adds engine events fails here too. The allocation
+# gauge is the host-side gate: it repeats exactly for a fixed build,
+# so every workload must report that its untraced spans allocated the
+# same, and its seed-1 alloc_mwords may be at most 10% above its line
+# in test/perfbench_alloc.txt.
 perfbench-smoke:
 	@mkdir -p .bench_build; : > .bench_build/perfbench-figures.txt; \
+	: > .bench_build/perfbench-alloc.txt; \
 	for w in disk-paper many-domains fleet-degraded; do \
 		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
 			--trace 0 > .bench_build/perfbench-$$w.txt; \
 		status=$$?; cat .bench_build/perfbench-$$w.txt; \
 		[ $$status -eq 0 ] || exit 1; \
+		grep -qx 'allocation repeats exactly across untraced spans: true' \
+			.bench_build/perfbench-$$w.txt \
+			|| { echo "perfbench $$w: allocation differs between untraced spans"; exit 1; }; \
 		sed -n "s/^simulated figures: /$$w: /p" .bench_build/perfbench-$$w.txt \
 			>> .bench_build/perfbench-figures.txt; \
+		awk -v w=$$w '$$1 == "alloc_mwords" { print w ": " $$2 }' \
+			.bench_build/perfbench-$$w.txt >> .bench_build/perfbench-alloc.txt; \
 	done; \
 	diff -u test/perfbench_figures.txt .bench_build/perfbench-figures.txt \
-		&& echo "perfbench simulated figures match test/perfbench_figures.txt"
+		&& echo "perfbench simulated figures match test/perfbench_figures.txt" \
+		&& awk 'NR == FNR { base[$$1] = $$2; next } \
+			!($$1 in base) { print "perfbench " $$1 " no alloc_mwords baseline"; bad = 1; next } \
+			$$2 > 1.1 * base[$$1] { print "perfbench " $$1 " alloc_mwords " $$2 \
+				" > 1.1 x " base[$$1]; bad = 1 } \
+			END { exit bad }' test/perfbench_alloc.txt .bench_build/perfbench-alloc.txt \
+		&& echo "perfbench alloc_mwords within 10% of test/perfbench_alloc.txt"
 
 # Quick end-to-end run of the policy-compare figure (two contrasting
 # policies, short duration).

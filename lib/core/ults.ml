@@ -3,10 +3,10 @@ open Engine
 type thread = {
   tname : string;
   mutable proc : Proc.t option;
-  (* Parking protocol: a blocked thread stores its waker here; an
+  (* Parking protocol: a blocked thread stores its waiter here; an
      unblock before the block is remembered as a pending wake so the
      notification cannot be lost. *)
-  mutable waker : (unit -> unit) option;
+  mutable waker : Proc.waiter option;
   mutable pending_wake : bool;
 }
 
@@ -59,16 +59,17 @@ let block t =
   if th.pending_wake then th.pending_wake <- false
   else begin
     charge t;
-    Proc.suspend (fun wake -> th.waker <- Some wake);
+    th.waker <- Some (Proc.waiter ());
+    Proc.park ();
     th.waker <- None
   end
 
 let unblock t th =
   charge t;
   match th.waker with
-  | Some wake ->
+  | Some w ->
     th.waker <- None;
-    wake ()
+    Proc.wake w
   | None -> th.pending_wake <- true
 
 let join _t th =

@@ -5,13 +5,12 @@ type state = Running | Dead
 (* Where a process's continuation waits while the process is not
    running. *)
 type parked =
-  | Active (* running, finished, or not suspended *)
+  | Active (* running, finished, or not yet parked *)
   | Start of (unit -> unit) (* spawned; the start event is queued *)
-  | Waiting : ('a, unit) Effect.Deep.continuation -> parked
-  | Woken : ('a, unit) Effect.Deep.continuation * 'a -> parked
-      (* resume queued, to continue with the value *)
-  | Interrupted : ('a, unit) Effect.Deep.continuation -> parked
-      (* resume queued, to raise [Killed] *)
+  | Parked of (unit, unit) Effect.Deep.continuation
+
+(* What the queued resume of a parked continuation does. *)
+type resume = Not_queued | Continue | Interrupt
 
 type t = {
   sim : Sim.t;
@@ -19,19 +18,30 @@ type t = {
   mutable state : state;
   mutable kill_requested : bool;
   mutable parked : parked;
+  mutable resume : resume;
   (* Bumped whenever a resume is queued, so a wake from an earlier
      suspension, or a second wake, sees a newer number and does
      nothing. *)
   mutable gen : int;
+  (* [gen] when the process's timer was last armed, and whether that
+     timer woke it. *)
+  mutable timer_gen : int;
+  mutable timed_out : bool;
   (* Runs the parked continuation: queued once per suspension, and
      once to start the body. Lazy only so that [spawn] can build it
      from a closure over the record itself. *)
   task : Sim.task Lazy.t;
   me : t option; (* [Some p], so a resume does not allocate it *)
+  (* The effect handler's answer to [Park] and the timer callback,
+     built once per process. *)
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_timer : unit -> unit;
   mutable terminate_hooks : (unit -> unit) list;
 }
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+type waiter = { proc : t; wgen : int }
+
+type _ Effect.t += Park : unit Effect.t
 
 let current : t option ref = ref None
 
@@ -72,9 +82,9 @@ let with_current p f x =
     current := saved;
     raise e
 
-let post p parked =
+let post p resume =
   p.gen <- p.gen + 1;
-  p.parked <- parked;
+  p.resume <- resume;
   Sim.post_now (Lazy.force p.task)
 
 let handler p : (unit, unit) Effect.Deep.handler =
@@ -84,28 +94,29 @@ let handler p : (unit, unit) Effect.Deep.handler =
         finish p;
         match e with Killed -> () | e -> raise e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Suspend register ->
-          Some
-            (fun (k : (a, unit) Effect.Deep.continuation) ->
-              if p.kill_requested then Effect.Deep.discontinue k Killed
-              else begin
-                p.parked <- Waiting k;
-                let gen = p.gen in
-                register (fun v -> if p.gen = gen then post p (Woken (k, v)))
-              end)
-        | _ -> None) }
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Park -> p.on_park | _ -> None) }
+
+(* A kill that arrived after the caller's last check, with no resume
+   queued, is raised here, as at any suspension point. *)
+let park_continuation p k =
+  match p.resume with
+  | Not_queued when p.kill_requested -> Effect.Deep.discontinue k Killed
+  | _ -> p.parked <- Parked k
 
 (* Drop the parked continuation, then run it. *)
 let continue_parked p =
-  let parked = p.parked in
+  let parked = p.parked and resume = p.resume in
   p.parked <- Active;
+  p.resume <- Not_queued;
   match parked with
-  | Woken (k, v) -> Effect.Deep.continue k v
-  | Interrupted k -> Effect.Deep.discontinue k Killed
+  | Parked k ->
+    (match resume with
+    | Interrupt -> Effect.Deep.discontinue k Killed
+    | Continue | Not_queued -> Effect.Deep.continue k ())
   | Start body -> Effect.Deep.match_with body () (handler p)
-  | Active | Waiting _ -> () (* never queued *)
+  | Active -> () (* never queued *)
 
 let resume p =
   match p.parked with
@@ -114,49 +125,89 @@ let resume p =
     finish p
   | _ -> with_current p continue_parked p
 
+let timer_fired p =
+  if p.timer_gen = p.gen then begin
+    p.timed_out <- true;
+    post p Continue
+  end
+
 let spawn ?(name = "proc") simulator body =
   let rec p =
     { sim = simulator; name; state = Running; kill_requested = false;
-      parked = Start body; gen = 0;
+      parked = Start body; resume = Not_queued; gen = 0; timer_gen = -1;
+      timed_out = false;
       task = lazy (Sim.task simulator (fun () -> resume p)); me = Some p;
-      terminate_hooks = [] }
+      on_park = Some (fun k -> park_continuation p k);
+      on_timer = (fun () -> timer_fired p); terminate_hooks = [] }
   in
   Sim.post_now (Lazy.force p.task);
   p
 
-let suspend register = Effect.perform (Suspend register)
+let check_kill p = if p.kill_requested then raise Killed
+
+let waiter () =
+  let p = self () in
+  check_kill p;
+  { proc = p; wgen = p.gen }
+
+let park () = Effect.perform Park
+
+let is_waiting w = w.wgen = w.proc.gen
+
+let wake w = if is_waiting w then post w.proc Continue
+
+(* Arm the process's timer for [time]: it wakes the current suspension
+   unless something else queues its resume first. *)
+let arm p time =
+  p.timer_gen <- p.gen;
+  p.timed_out <- false;
+  Sim.at p.sim time p.on_timer
+
+let park_timeout d =
+  let p = self () in
+  let timer = arm p (Time.add (Sim.now p.sim) d) in
+  park ();
+  let woken = not p.timed_out in
+  if woken then Sim.cancel timer;
+  woken
 
 (* If the process is killed mid-sleep, [Killed] is raised at the
    suspension point; cancel the pending timer so it does not keep the
    simulation clock advancing. *)
-let sleep_at s time =
-  let timer = ref None in
-  try suspend (fun wake -> timer := Some (Sim.at s time wake))
+let sleep_at p time =
+  check_kill p;
+  let timer = arm p time in
+  try park ()
   with Killed as e ->
-    Option.iter Sim.cancel !timer;
+    Sim.cancel timer;
     raise e
 
 let sleep d =
   if d < 0 then invalid_arg "Proc.sleep: negative duration";
-  let s = current_sim () in
-  sleep_at s (Time.add (Sim.now s) d)
+  let p = self () in
+  sleep_at p (Time.add (Sim.now p.sim) d)
 
 let sleep_until t =
-  let s = current_sim () in
-  sleep_at s (Time.max t (Sim.now s))
+  let p = self () in
+  sleep_at p (Time.max t (Sim.now p.sim))
 
 let yield () = sleep 0
 
 let kill p =
   if p.state <> Dead then begin
     p.kill_requested <- true;
-    match p.parked with
-    | Waiting k -> post p (Interrupted k)
-    | Active | Start _ | Woken _ | Interrupted _ ->
+    match (p.parked, p.resume) with
+    | Parked _, Not_queued -> post p Interrupt
+    | (Active | Start _ | Parked _), _ ->
       (* Running right now, not yet started, or already due to resume:
          the flag is observed at the next suspension point (or at the
          start event). *)
       ()
   end
 
-let join p = if p.state <> Dead then suspend (fun wake -> on_terminate p wake)
+let join p =
+  if p.state <> Dead then begin
+    let w = waiter () in
+    on_terminate p (fun () -> wake w);
+    park ()
+  end

@@ -1,7 +1,7 @@
 (** Green processes on top of {!Sim}, implemented with OCaml effects.
 
     A process is a cooperative coroutine whose blocking operations
-    ({!sleep}, {!suspend} and everything in {!Sync}) advance simulated
+    ({!sleep}, {!park} and everything in {!Sync}) advance simulated
     time instead of real time. Processes must only perform blocking
     operations while running inside the simulator's event loop. *)
 
@@ -34,11 +34,40 @@ val yield : unit -> unit
 (** Reschedule the current process at the same instant, letting other
     events due now run first. *)
 
-val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] blocks the current process; [register] receives
-    a one-shot [wake] function that, when called (now or later),
-    schedules the process to resume with the given value. Extra calls
-    to [wake] are ignored. *)
+(** {2 Waiters}
+
+    A blocking primitive suspends a process in three steps: take the
+    process's {!waiter}, record it where the waking side will find it,
+    then {!park}. The waker calls {!wake}; a value it hands over goes
+    through the waiting structure, not through the wake. *)
+
+type waiter
+(** One suspension of one process: the process and its suspension
+    number. Only the first {!wake} of the suspension it was taken for
+    resumes the process; a repeated wake, or a wake after a later
+    suspension began, does nothing. *)
+
+val waiter : unit -> waiter
+(** The current process's next suspension. Raises {!Killed} if a kill
+    is pending, before the caller has registered anything. *)
+
+val park : unit -> unit
+(** Block the current process until its waiter is woken (a wake that
+    came between {!waiter} and [park] resumes it at once). *)
+
+val park_timeout : Time.span -> bool
+(** [park_timeout d] is {!park} with a timer armed for [d]: [true] if
+    the waiter was woken first, [false] if the timer fired first. A
+    woken process cancels its timer; a killed one leaves it to fire
+    later as a no-op. *)
+
+val wake : waiter -> unit
+(** Queue the process's resume at the current instant, if the
+    waiter's suspension is still current. *)
+
+val is_waiting : waiter -> bool
+(** Whether {!wake} would resume the process: no resume has been
+    queued since the waiter was taken. *)
 
 val kill : t -> unit
 (** Mark the process dead. If it is blocked, it is woken immediately

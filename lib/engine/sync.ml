@@ -1,13 +1,13 @@
-(* Call every waiter with [v], oldest first: a waiter list holds the
-   newest at its head. Allocates nothing. *)
-let rec wake_all v = function
+(* Wake every waiter, oldest first: a waiter list holds the newest at
+   its head. Allocates nothing. *)
+let rec wake_all = function
   | [] -> ()
-  | wake :: rest ->
-    wake_all v rest;
-    wake v
+  | w :: rest ->
+    wake_all rest;
+    Proc.wake w
 
 module Ivar = struct
-  type 'a state = Empty of ('a -> unit) list | Full of 'a
+  type 'a state = Empty of Proc.waiter list | Full of 'a
 
   type 'a t = { mutable state : 'a state }
 
@@ -18,69 +18,77 @@ module Ivar = struct
     | Full _ -> false
     | Empty waiters ->
       t.state <- Full v;
-      wake_all v waiters;
+      wake_all waiters;
       true
 
   let fill t v =
     if not (try_fill t v) then invalid_arg "Ivar.fill: already filled"
 
+  (* Only [try_fill] wakes a reader, so a woken reader finds the value. *)
+  let filled t = match t.state with Full v -> v | Empty _ -> assert false
+
+  let enter t waiters = t.state <- Empty (Proc.waiter () :: waiters)
+
   let read t =
     match t.state with
     | Full v -> v
-    | Empty _ ->
-      Proc.suspend (fun wake ->
-          match t.state with
-          | Full v -> wake v
-          | Empty waiters -> t.state <- Empty (wake :: waiters))
+    | Empty waiters ->
+      enter t waiters;
+      Proc.park ();
+      filled t
 
   let read_timeout t d =
     match t.state with
     | Full v -> Some v
-    | Empty _ ->
-      let sim = Proc.current_sim () in
-      let timer = ref None in
-      let r =
-        Proc.suspend (fun wake ->
-            (match t.state with
-            | Full v -> wake (Some v)
-            | Empty waiters ->
-              t.state <- Empty ((fun v -> wake (Some v)) :: waiters));
-            timer := Some (Sim.after sim d (fun () -> wake None)))
-      in
-      (match (r, !timer) with
-      | Some _, Some h -> Sim.cancel h
-      | _ -> ());
-      r
+    | Empty waiters ->
+      enter t waiters;
+      if Proc.park_timeout d then Some (filled t) else None
 
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
   let is_filled t = match t.state with Full _ -> true | Empty _ -> false
 end
 
-module Mailbox = struct
-  type 'a t = {
-    items : 'a Queue.t;
-    receivers : ('a -> unit) Queue.t;
-  }
+module Handoff = struct
+  (* Woken receivers resume in the order they were woken, through the
+     same-instant queue, so each takes its own value off [handed]. *)
+  type 'a t = { waiting : Proc.waiter Queue.t; handed : 'a Queue.t }
 
-  let create () = { items = Queue.create (); receivers = Queue.create () }
+  let create () = { waiting = Queue.create (); handed = Queue.create () }
+  let is_empty t = Queue.is_empty t.waiting
+
+  let recv t =
+    Queue.add (Proc.waiter ()) t.waiting;
+    Proc.park ();
+    Queue.take t.handed
+
+  let give t v =
+    let w = Queue.take t.waiting in
+    if Proc.is_waiting w then begin
+      Queue.add v t.handed;
+      Proc.wake w
+    end
+end
+
+module Mailbox = struct
+  type 'a t = { items : 'a Queue.t; receivers : 'a Handoff.t }
+
+  let create () = { items = Queue.create (); receivers = Handoff.create () }
 
   let send t v =
-    match Queue.take_opt t.receivers with
-    | Some wake -> wake v
-    | None -> Queue.add v t.items
+    if Handoff.is_empty t.receivers then Queue.add v t.items
+    else Handoff.give t.receivers v
 
   let try_recv t = Queue.take_opt t.items
 
   let recv t =
-    match Queue.take_opt t.items with
-    | Some v -> v
-    | None -> Proc.suspend (fun wake -> Queue.add wake t.receivers)
+    if Queue.is_empty t.items then Handoff.recv t.receivers
+    else Queue.take t.items
 
   let length t = Queue.length t.items
 end
 
 module Semaphore = struct
-  type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
+  type t = { mutable count : int; waiters : Proc.waiter Queue.t }
 
   let create n =
     if n < 0 then invalid_arg "Semaphore.create: negative count";
@@ -94,48 +102,35 @@ module Semaphore = struct
     else false
 
   let acquire t =
-    if not (try_acquire t) then
-      Proc.suspend (fun wake -> Queue.add wake t.waiters)
+    if not (try_acquire t) then begin
+      Queue.add (Proc.waiter ()) t.waiters;
+      Proc.park ()
+    end
 
   let release t =
-    match Queue.take_opt t.waiters with
-    | Some wake -> wake ()
-    | None -> t.count <- t.count + 1
+    if Queue.is_empty t.waiters then t.count <- t.count + 1
+    else Proc.wake (Queue.take t.waiters)
 
   let count t = t.count
 end
 
 module Waitq = struct
-  type t = { mutable waiters : (unit -> unit) list }
+  type t = { mutable waiters : Proc.waiter list }
 
   let create () = { waiters = [] }
 
-  let wait t = Proc.suspend (fun wake -> t.waiters <- wake :: t.waiters)
+  let enter t = t.waiters <- Proc.waiter () :: t.waiters
+
+  let wait t =
+    enter t;
+    Proc.park ()
 
   let wait_timeout t d =
-    let sim = Proc.current_sim () in
-    let timer = ref None in
-    let signalled =
-      Proc.suspend (fun wake ->
-          t.waiters <- (fun () -> wake true) :: t.waiters;
-          timer := Some (Sim.after sim d (fun () -> wake false)))
-    in
-    (match !timer with
-    | Some h -> if signalled then Sim.cancel h
-    | None -> ());
-    signalled
-
-  let signal t =
-    match List.rev t.waiters with
-    | [] -> ()
-    | wake :: rest ->
-      t.waiters <- List.rev rest;
-      wake ()
+    enter t;
+    Proc.park_timeout d
 
   let broadcast t =
     let ws = t.waiters in
     t.waiters <- [];
-    wake_all () ws
-
-  let waiters t = List.length t.waiters
+    wake_all ws
 end

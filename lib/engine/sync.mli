@@ -1,8 +1,10 @@
 (** Synchronisation primitives for {!Proc} processes.
 
     All blocking operations must be called from inside a process. The
-    wake-up side ([fill], [send], [signal], ...) may be called from
-    anywhere, including plain simulator callbacks. *)
+    wake-up side ([fill], [send], [broadcast], ...) may be called from
+    anywhere, including plain simulator callbacks. Each blocked process
+    is a {!Proc.waiter}: a waker that finds a waiter whose process was
+    killed while blocked wakes nothing. *)
 
 module Ivar : sig
   (** Write-once cell. *)
@@ -24,6 +26,28 @@ module Ivar : sig
 
   val peek : 'a t -> 'a option
   val is_filled : 'a t -> bool
+end
+
+module Handoff : sig
+  (** Processes blocked until each is handed one value, served oldest
+      first. The building block of every receive that carries a value
+      ({!Mailbox}, the USD's IO channels, the network's receive
+      rings). *)
+
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val is_empty : 'a t -> bool
+  (** No process is blocked in {!recv}. *)
+
+  val recv : 'a t -> 'a
+  (** Block until {!give} hands the caller a value. *)
+
+  val give : 'a t -> 'a -> unit
+  (** Hand the value to the oldest blocked receiver, which must exist.
+      If that receiver was killed while blocked, the value is
+      dropped. *)
 end
 
 module Mailbox : sig
@@ -65,16 +89,9 @@ module Waitq : sig
   val wait : t -> unit
 
   val wait_timeout : t -> Time.span -> bool
-  (** [wait_timeout q d] waits for a signal for at most [d]; [true]
-      means signalled, [false] means timed out. A timed-out waiter
-      consumes the next [signal] harmlessly (it is woken and ignores
-      it), so prefer [broadcast] when mixing with timeouts. *)
-
-  val signal : t -> unit
-  (** Wake one waiter, if any. *)
+  (** [wait_timeout q d] waits for a broadcast for at most [d]; [true]
+      means woken, [false] means timed out. *)
 
   val broadcast : t -> unit
   (** Wake all current waiters. *)
-
-  val waiters : t -> int
 end

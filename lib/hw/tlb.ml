@@ -5,30 +5,30 @@ type t = {
   mutable next : int; (* FIFO replacement pointer *)
   mutable hits : int;
   mutable misses : int;
+  (* Observability: per-address-space hit/miss counters; label
+     "asn<N>" because the TLB knows domains only by their address-space
+     number. Each TLB builds each label once, so every run pays the
+     same. *)
+  asn_labels : (int, string) Hashtbl.t;
 }
 
 let empty_vpn = -1
 
 let create ?(entries = 64) () =
   { slots = Array.init entries (fun _ -> { asn = 0; vpn = empty_vpn; pte = Pte.absent });
-    next = 0; hits = 0; misses = 0 }
+    next = 0; hits = 0; misses = 0; asn_labels = Hashtbl.create 16 }
 
-(* Observability: per-address-space hit/miss counters; label "asn<N>"
-   because the TLB knows domains only by their address-space number.
-   Each label is built once. *)
-let asn_labels : (int, string) Hashtbl.t = Hashtbl.create 16
-
-let asn_label asn =
-  match Hashtbl.find asn_labels asn with
+let asn_label t asn =
+  match Hashtbl.find t.asn_labels asn with
   | label -> label
   | exception Not_found ->
     let label = Printf.sprintf "asn%d" asn in
-    Hashtbl.add asn_labels asn label;
+    Hashtbl.add t.asn_labels asn label;
     label
 
-let count_lookup ~asn ~hit =
+let count_lookup t ~asn ~hit =
   if !Obs.enabled then
-    Obs.Metrics.inc ~label:(asn_label asn)
+    Obs.Metrics.inc ~label:(asn_label t asn)
       (if hit then "tlb.hits" else "tlb.misses")
 
 let lookup t ~asn ~vpn =
@@ -36,14 +36,14 @@ let lookup t ~asn ~vpn =
   let rec scan i =
     if i >= n then begin
       t.misses <- t.misses + 1;
-      count_lookup ~asn ~hit:false;
+      count_lookup t ~asn ~hit:false;
       None
     end
     else begin
       let s = t.slots.(i) in
       if s.vpn = vpn && s.asn = asn then begin
         t.hits <- t.hits + 1;
-        count_lookup ~asn ~hit:true;
+        count_lookup t ~asn ~hit:true;
         Some s.pte
       end
       else scan (i + 1)

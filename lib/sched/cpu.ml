@@ -1,6 +1,6 @@
 open Engine
 
-type request = { mutable left : Time.span; wake : unit -> unit }
+type request = { mutable left : Time.span; waiter : Proc.waiter }
 
 type client = {
   edf : Edf.client;
@@ -17,7 +17,7 @@ type t = {
   edf : Edf.t;
   (* Clients indexed by EDF id: the scheduler looks the winner up on
      every decision, so this must be O(1), not a list scan. *)
-  members : (int, client) Hashtbl.t;
+  members : client Members.t;
   kick : Sync.Waitq.t;
   mutable running : bool;
   (* Upper bound on one uninterrupted slack grant, so that budgeted
@@ -25,7 +25,7 @@ type t = {
   slack_quantum : Time.span;
 }
 
-let member t e = Hashtbl.find t.members e.Edf.id
+let member t e = Members.find t.members e
 
 (* Feed the QoS auditor at every period boundary: contracted slice vs
    what was actually consumed, and whether the client spent the whole
@@ -45,7 +45,7 @@ let audit_boundary t e ~unused ~boundary ~grants:_ =
 
 let create sim =
   let t =
-    { sim; edf = Edf.create (); members = Hashtbl.create 64;
+    { sim; edf = Edf.create (); members = Members.create ();
       kick = Sync.Waitq.create (); running = false; slack_quantum = Time.ms 1 }
   in
   Edf.set_boundary_hook t.edf (audit_boundary t);
@@ -98,7 +98,7 @@ and run_chunk t e ~slack =
       c.backlogged_since <- None;
       sync_flags t c
     end;
-    req.wake ()
+    Proc.wake req.waiter
   end;
   scheduler_loop t
 
@@ -116,7 +116,7 @@ let admit t ~name ~period ~slice ?(extra = true) () =
       { edf = e; pending = Queue.create (); live = true;
         backlogged_since = None }
     in
-    Hashtbl.replace t.members e.Edf.id c;
+    Members.add t.members e c;
     sync_flags t c;
     ensure_running t;
     Ok c
@@ -124,7 +124,7 @@ let admit t ~name ~period ~slice ?(extra = true) () =
 let remove t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  Hashtbl.remove t.members c.edf.Edf.id;
+  Members.remove t.members c.edf;
   Sync.Waitq.broadcast t.kick
 
 let consume t (c : client) span =
@@ -132,11 +132,12 @@ let consume t (c : client) span =
   if span = 0 then Ok ()
   else if not c.live then Error `Removed
   else begin
-    Proc.suspend (fun wake ->
-        if Queue.is_empty c.pending then
-          c.backlogged_since <- Some (Sim.now t.sim);
-        Queue.add { left = span; wake } c.pending;
-        sync_flags t c;
-        Sync.Waitq.broadcast t.kick);
+    let waiter = Proc.waiter () in
+    if Queue.is_empty c.pending then
+      c.backlogged_since <- Some (Sim.now t.sim);
+    Queue.add { left = span; waiter } c.pending;
+    sync_flags t c;
+    Sync.Waitq.broadcast t.kick;
+    Proc.park ();
     Ok ()
   end

@@ -3,26 +3,26 @@ open Engine
 type 'a t = {
   depth : int;
   items : 'a Queue.t;
-  senders : (unit -> unit) Queue.t;
-  receivers : ('a -> unit) Queue.t;
+  senders : Proc.waiter Queue.t;
+  receivers : 'a Sync.Handoff.t;
 }
 
 let create ~depth =
   if depth <= 0 then invalid_arg "Io_channel.create: depth must be positive";
   { depth; items = Queue.create (); senders = Queue.create ();
-    receivers = Queue.create () }
+    receivers = Sync.Handoff.create () }
 
 let depth t = t.depth
 let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
 
 let enqueue t v =
-  match Queue.take_opt t.receivers with
-  | Some wake -> wake v
-  | None -> Queue.add v t.items
+  if Sync.Handoff.is_empty t.receivers then Queue.add v t.items
+  else Sync.Handoff.give t.receivers v
 
 let try_send t v =
-  if Queue.length t.items >= t.depth && Queue.is_empty t.receivers then false
+  if Queue.length t.items >= t.depth && Sync.Handoff.is_empty t.receivers
+  then false
   else begin
     enqueue t v;
     true
@@ -30,20 +30,21 @@ let try_send t v =
 
 let send t v =
   if not (try_send t v) then begin
-    Proc.suspend (fun wake -> Queue.add wake t.senders);
+    Queue.add (Proc.waiter ()) t.senders;
+    Proc.park ();
     enqueue t v
   end
 
-let try_recv t =
-  match Queue.take_opt t.items with
-  | Some v ->
-    (match Queue.take_opt t.senders with Some wake -> wake () | None -> ());
-    Some v
-  | None -> None
+(* Take the oldest item: a slot frees, so wake the oldest blocked
+   sender. *)
+let take t =
+  let v = Queue.take t.items in
+  if not (Queue.is_empty t.senders) then Proc.wake (Queue.take t.senders);
+  v
+
+let try_recv t = if Queue.is_empty t.items then None else Some (take t)
 
 let recv t =
-  match try_recv t with
-  | Some v -> v
-  | None -> Proc.suspend (fun wake -> Queue.add wake t.receivers)
+  if Queue.is_empty t.items then Sync.Handoff.recv t.receivers else take t
 
 let peek t = Queue.peek_opt t.items

@@ -49,14 +49,14 @@ type t = {
      are compared bit-for-bit by tests. *)
   edf : Edf.t;
   (* Streams indexed by EDF id, for the per-decision lookup. *)
-  members : (int, client) Hashtbl.t;
+  members : client Members.t;
   kick : Sync.Waitq.t;
   events : event Trace.t;
   laxity_enabled : bool;
   mutable running : bool;
 }
 
-let member t e = Hashtbl.find t.members e.Edf.id
+let member t e = Members.find t.members e
 
 let client_name (c : client) = c.edf.Edf.cname
 let has_pending (c : client) = not (Io_channel.is_empty c.channel)
@@ -90,7 +90,7 @@ let on_boundary t e ~unused ~boundary ~grants:_ =
 let create ?(rollover = true) ?(laxity_enabled = true) sim dm =
   let t =
     { sim; dm; edf = Edf.create ~rollover ~order:Edf.By_admission ();
-      members = Hashtbl.create 64; kick = Sync.Waitq.create ();
+      members = Members.create (); kick = Sync.Waitq.create ();
       events = Trace.create (); laxity_enabled; running = false }
   in
   Edf.set_boundary_hook t.edf (on_boundary t);
@@ -241,7 +241,7 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
         lax_left = qos.Qos.laxity; idled = false; live = true; txns = 0;
         bytes = 0; lax_used = 0; backlogged_since = None }
     in
-    Hashtbl.replace t.members e.Edf.id c;
+    Members.add t.members e c;
     sync_flags t c;
     ensure_running t;
     Sync.Waitq.broadcast t.kick;
@@ -261,7 +261,7 @@ let drain_cancelled (c : client) =
 let retire t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  Hashtbl.remove t.members c.edf.Edf.id;
+  Members.remove t.members c.edf;
   (* Unblock waiters: requests still queued will never be scheduled. *)
   drain_cancelled c;
   c.backlogged_since <- None;

@@ -28,7 +28,7 @@ type client = {
   edf : Edf.client;
   ring : packet Queue.t;
   depth : int;
-  senders : (unit -> unit) Queue.t;
+  senders : Proc.waiter Queue.t;
   laxity : Time.span;
   mutable lax_left : Time.span;
   mutable idled : bool;
@@ -49,7 +49,7 @@ type t = {
      records. *)
   edf : Edf.t;
   (* Clients indexed by EDF id, for the per-decision lookup. *)
-  members : (int, client) Hashtbl.t;
+  members : client Members.t;
   kick : Sync.Waitq.t;
   events : event Trace.t;
   mutable running : bool;
@@ -65,7 +65,7 @@ let lax_time (c : client) = c.lax_used
 let trace t = t.events
 let utilisation t = Edf.utilisation t.edf
 
-let member t e = Hashtbl.find t.members e.Edf.id
+let member t e = Members.find t.members e
 let has_pending (c : client) = not (Queue.is_empty c.ring)
 
 (* A client with no laxity is runnable only with packets queued (the
@@ -91,7 +91,7 @@ let create ?(name = "link") ?(params = Net_params.fast_ethernet)
   let t =
     { sim; lname = name; params;
       edf = Edf.create ~rollover ~order:Edf.By_admission ();
-      members = Hashtbl.create 64; kick = Sync.Waitq.create ();
+      members = Members.create (); kick = Sync.Waitq.create ();
       events = Trace.create (); running = false }
   in
   Edf.set_boundary_hook t.edf (on_boundary t);
@@ -108,7 +108,7 @@ let gauges (c : client) =
 let transmit_one t (c : client) ~slack =
   let pkt = Queue.pop c.ring in
   sync_flags t c;
-  (match Queue.take_opt c.senders with Some wake -> wake () | None -> ());
+  if not (Queue.is_empty c.senders) then Proc.wake (Queue.take c.senders);
   let dur = Net_params.tx_time t.params ~bytes:pkt.bytes in
   Proc.sleep dur;
   if slack then Edf.charge_slack c.edf dur else Edf.charge c.edf dur;
@@ -210,7 +210,7 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
           idled = false; live = true; packets = 0; sent_bytes = 0;
           lax_used = 0; label = t.lname ^ "." ^ e.Edf.cname }
       in
-      Hashtbl.replace t.members e.Edf.id c;
+      Members.add t.members e c;
       sync_flags t c;
       ensure_running t;
       Sync.Waitq.broadcast t.kick;
@@ -219,14 +219,16 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
 let retire t (c : client) =
   c.live <- false;
   Edf.remove t.edf c.edf;
-  Hashtbl.remove t.members c.edf.Edf.id;
+  Members.remove t.members c.edf;
   Sync.Waitq.broadcast t.kick
 
 let send t (c : client) ~bytes =
   if not c.live then Error `Retired
   else begin
-    if Queue.length c.ring >= c.depth then
-      Proc.suspend (fun wake -> Queue.add wake c.senders);
+    if Queue.length c.ring >= c.depth then begin
+      Queue.add (Proc.waiter ()) c.senders;
+      Proc.park ()
+    end;
     let completion = Sync.Ivar.create () in
     Queue.add { bytes; completion } c.ring;
     sync_flags t c;

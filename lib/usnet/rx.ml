@@ -4,7 +4,7 @@ type flow = {
   fname : string;
   ring : int Queue.t;
   ring_size : int;
-  receivers : (int -> unit) Queue.t;
+  receivers : int Sync.Handoff.t;
   mutable received : int;
   mutable dropped : int;
   mutable open_ : bool;
@@ -21,7 +21,8 @@ let open_flow t ~name ?(ring = 32) () =
   else begin
     let f =
       { fname = name; ring = Queue.create (); ring_size = ring;
-        receivers = Queue.create (); received = 0; dropped = 0; open_ = true }
+        receivers = Sync.Handoff.create (); received = 0; dropped = 0;
+        open_ = true }
     in
     Hashtbl.replace t.flows name f;
     Ok f
@@ -37,30 +38,28 @@ let deliver t ~name ~bytes =
   match Hashtbl.find_opt t.flows name with
   | None -> `No_flow
   | Some f ->
-    (match Queue.take_opt f.receivers with
-    | Some wake ->
+    if not (Sync.Handoff.is_empty f.receivers) then begin
       f.received <- f.received + 1;
-      wake bytes;
+      Sync.Handoff.give f.receivers bytes;
       `Queued
-    | None ->
-      if Queue.length f.ring >= f.ring_size then begin
-        (* User-safe: the flow's own ring is full; the loss is the
-           flow owner's, nobody else's. *)
-        f.dropped <- f.dropped + 1;
-        `Dropped
-      end
-      else begin
-        Queue.add bytes f.ring;
-        f.received <- f.received + 1;
-        `Queued
-      end)
+    end
+    else if Queue.length f.ring >= f.ring_size then begin
+      (* User-safe: the flow's own ring is full; the loss is the flow
+         owner's, nobody else's. *)
+      f.dropped <- f.dropped + 1;
+      `Dropped
+    end
+    else begin
+      Queue.add bytes f.ring;
+      f.received <- f.received + 1;
+      `Queued
+    end
 
 let try_recv f = Queue.take_opt f.ring
 
 let recv f =
-  match Queue.take_opt f.ring with
-  | Some bytes -> bytes
-  | None -> Proc.suspend (fun wake -> Queue.add wake f.receivers)
+  if Queue.is_empty f.ring then Sync.Handoff.recv f.receivers
+  else Queue.take f.ring
 
 let received f = f.received
 let dropped f = f.dropped

@@ -315,29 +315,30 @@ let check_words name ~bound per =
   if per > bound +. 0.01 then
     Alcotest.failf "%s: %.2f words (bound %.0f)" name per bound
 
-(* Suspend, wake from outside, resume: the effect, its continuation,
-   the handler's closure, the one-shot wake, the parked continuation
-   and its value, and the caller's register closure. The resume itself
-   is a reusable task on the same-instant queue. *)
+(* Park, wake from outside, resume: the waiter (3 words), the
+   continuation parked in its box (4) and the test's own option (2).
+   The effect is a constant, its handler is built once per process,
+   and the resume is a reusable task on the same-instant queue. *)
 let proc_switch_allocation () =
   let sim = Sim.create () in
-  let waker = ref ignore in
+  let waiter = ref None in
   let rec loop () =
-    Proc.suspend (fun wake -> waker := wake);
+    waiter := Some (Proc.waiter ());
+    Proc.park ();
     loop ()
   in
   ignore (Proc.spawn sim loop);
   ignore (Sim.step sim);
   let cycle n =
     for _ = 1 to n do
-      !waker ();
+      Option.iter Proc.wake !waiter;
       ignore (Sim.step sim)
     done
   in
-  check_words "suspend, wake, resume" ~bound:27.
+  check_words "park, wake, resume" ~bound:9.
     (words_per ~warm:1_000 ~n:10_000 cycle)
 
-(* A sleep adds its timer: the handle and the cancel-on-kill cell. *)
+(* A sleep parks with no waiter, and adds its timer's handle (4). *)
 let proc_sleep_allocation () =
   let sim = Sim.create () in
   ignore
@@ -352,7 +353,7 @@ let proc_sleep_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "sleep" ~bound:37. (words_per ~warm:1_000 ~n:10_000 cycle)
+  check_words "sleep" ~bound:8. (words_per ~warm:1_000 ~n:10_000 cycle)
 
 (* One client consuming 20 us at a time: the request, the scheduler's
    sleep and the two hand-offs between client and scheduler. *)
@@ -379,7 +380,100 @@ let cpu_consume_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "20 us consume" ~bound:106. (words_per ~warm:1_000 ~n:10_000 cycle)
+  check_words "20 us consume" ~bound:35. (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* A waiter signalled before its timeout: its list cell, the timer's
+   handle (cancelled on resume) and the park. *)
+let waitq_timeout_allocation () =
+  let sim = Sim.create () in
+  let q = Sync.Waitq.create () in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           ignore (Sync.Waitq.wait_timeout q (Time.ms 1))
+         done));
+  ignore (Sim.step sim);
+  let cycle n =
+    for _ = 1 to n do
+      Sync.Waitq.broadcast q;
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "signalled wait_timeout" ~bound:14.
+    (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* A fresh Ivar read before it is filled: the cell, its waiter list and
+   the park, then the filled state. *)
+let ivar_allocation () =
+  let sim = Sim.create () in
+  let iv = ref (Sync.Ivar.create ()) in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           let cell = Sync.Ivar.create () in
+           iv := cell;
+           Sync.Ivar.read cell
+         done));
+  ignore (Sim.step sim);
+  let cycle n =
+    for _ = 1 to n do
+      Sync.Ivar.fill !iv ();
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "Ivar create, read, fill" ~bound:16.
+    (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* A send to a blocked receiver: the receiver's queue cell, the value's
+   cell on its way over, and the park. *)
+let mailbox_allocation () =
+  let sim = Sim.create () in
+  let mb = Sync.Mailbox.create () in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           ignore (Sync.Mailbox.recv mb)
+         done));
+  ignore (Sim.step sim);
+  let cycle n =
+    for i = 1 to n do
+      Sync.Mailbox.send mb i;
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "Mailbox send, recv" ~bound:13.
+    (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* A process that calls [Cpu.consume] with a kill pending raises
+   [Killed] before it queues a request: the client never becomes
+   runnable and the scheduler is not kicked. *)
+let cpu_consume_kill_pending () =
+  let sim = Sim.create () in
+  let cpu = Sched.Cpu.create sim in
+  let c =
+    match
+      Sched.Cpu.admit cpu ~name:"c" ~period:(Time.ms 10) ~slice:(Time.ms 5) ()
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "admission refused"
+  in
+  Sim.run sim;
+  let executed = Sim.executed sim and killed = ref false in
+  let p =
+    Proc.spawn sim (fun () ->
+        Proc.kill (Proc.self ());
+        try ignore (Sched.Cpu.consume cpu c (Time.us 20))
+        with Proc.Killed as e ->
+          killed := true;
+          raise e)
+  in
+  Sim.run sim;
+  checkb "killed in consume" true !killed;
+  checkb "dead" false (Proc.is_alive p);
+  checkb "no request queued" false (Sched.Cpu.edf_client c).Sched.Edf.runnable;
+  check "only the start event ran" (executed + 1) (Sim.executed sim);
+  check "nothing pending" 0 (Sim.pending sim);
+  check "no CPU used" 0 (Sched.Cpu.used c)
 
 (* --- Proc --- *)
 
@@ -452,56 +546,75 @@ let proc_kill_before_start () =
 
 let proc_stale_wake_ignored () =
   let sim = Sim.create () in
-  let wakes = ref [] and resumed = ref 0 in
+  let waiters = ref [] and resumed = ref 0 in
   ignore
     (Proc.spawn sim (fun () ->
          for _ = 1 to 2 do
-           Proc.suspend (fun wake -> wakes := wake :: !wakes);
+           waiters := Proc.waiter () :: !waiters;
+           Proc.park ();
            incr resumed
          done));
   Sim.run sim;
-  let first = List.hd !wakes in
-  first ();
+  let first = List.hd !waiters in
+  Proc.wake first;
   Sim.run sim;
   check "first wake resumed" 1 !resumed;
-  first ();
+  Proc.wake first;
   check "stale wake queued nothing" 0 (Sim.pending sim);
   Sim.run sim;
   check "stale wake ignored" 1 !resumed;
-  (List.hd !wakes) ();
+  Proc.wake (List.hd !waiters);
   Sim.run sim;
   check "current wake resumed" 2 !resumed
 
+(* The woken process takes its value from a one-slot structure that
+   only a waker finding the suspension current may fill, as the
+   library's hand-overs do. *)
 let proc_second_wake_ignored () =
   let sim = Sim.create () in
-  let waker = ref (fun (_ : int) -> ()) and got = ref [] in
+  let waiter = ref None and slot = ref 0 and got = ref [] in
   ignore
     (Proc.spawn sim (fun () ->
-         got := Proc.suspend (fun wake -> waker := wake) :: !got));
+         waiter := Some (Proc.waiter ());
+         Proc.park ();
+         got := !slot :: !got));
   Sim.run sim;
-  !waker 1;
-  !waker 2;
+  let give v =
+    Option.iter
+      (fun w ->
+        if Proc.is_waiting w then begin
+          slot := v;
+          Proc.wake w
+        end)
+      !waiter
+  in
+  give 1;
+  give 2;
   check "one resume queued" 1 (Sim.pending sim);
   Sim.run sim;
-  !waker 3;
+  give 3;
   Sim.run sim;
   Alcotest.(check (list int)) "first value only" [ 1 ] !got
 
 let proc_kill_after_wake () =
   let sim = Sim.create () in
-  let waker = ref ignore and continued = ref false in
+  let waiter = ref None and continued = ref false in
   let registered = ref false and killed = ref false in
   let p =
     Proc.spawn sim (fun () ->
-        Proc.suspend (fun wake -> waker := wake);
+        waiter := Some (Proc.waiter ());
+        Proc.park ();
         continued := true;
-        try Proc.suspend (fun _ -> registered := true)
+        try
+          ignore (Proc.waiter ());
+          registered := true;
+          Proc.park ()
         with Proc.Killed as e ->
           killed := true;
           raise e)
   in
   Sim.run sim;
-  !waker ();
+  Option.iter Proc.wake !waiter;
   Proc.kill p;
   Sim.run sim;
   checkb "resumed past the woken suspension" true !continued;
@@ -594,6 +707,45 @@ let semaphore_mutex () =
   Sim.run sim;
   check "mutual exclusion" 1 !max_inside;
   check "all done" 0 !inside
+
+(* A timed-out waiter stays on its queue until the next broadcast, which
+   finds its suspension over and leaves the process's next one (here a
+   sleep) alone. *)
+let waitq_timeout_then_broadcast () =
+  let sim = Sim.create () in
+  let q = Sync.Waitq.create () in
+  let woken = ref None and slept_to = ref Time.zero in
+  ignore
+    (Proc.spawn sim (fun () ->
+         woken := Some (Sync.Waitq.wait_timeout q (Time.ms 1));
+         Proc.sleep (Time.ms 10);
+         slept_to := Sim.now sim));
+  ignore (Sim.after sim (Time.ms 2) (fun () -> Sync.Waitq.broadcast q));
+  Sim.run sim;
+  Alcotest.(check (option bool)) "timed out" (Some false) !woken;
+  check "sleep ran its full length" (Time.ms 11) !slept_to
+
+(* A process killed in [wait_timeout] leaves its timer queued, as
+   [Ivar.read_timeout] does: it fires at its time and does nothing. *)
+let waitq_timeout_killed () =
+  let sim = Sim.create () in
+  let q = Sync.Waitq.create () in
+  let reached = ref false in
+  let p =
+    Proc.spawn sim (fun () ->
+        ignore (Sync.Waitq.wait_timeout q (Time.ms 10));
+        reached := true)
+  in
+  ignore (Sim.after sim (Time.ms 1) (fun () -> Proc.kill p));
+  Sim.run sim;
+  checkb "body did not continue" false !reached;
+  checkb "dead" false (Proc.is_alive p);
+  check "timer fired at its time" (Time.ms 10) (Sim.now sim);
+  check "nothing cancelled" 0 (Sim.cancelled sim);
+  (* start, kill, the interrupted resume and the timer *)
+  check "executed" 4 (Sim.executed sim);
+  Sync.Waitq.broadcast q;
+  check "broadcast to the dead waiter queued nothing" 0 (Sim.pending sim)
 
 let waitq_timeout () =
   let sim = Sim.create () in
@@ -737,6 +889,12 @@ let suite =
           proc_sleep_allocation;
         Alcotest.test_case "20 us consume allocation bound" `Quick
           cpu_consume_allocation;
+        Alcotest.test_case "signalled wait_timeout allocation bound" `Quick
+          waitq_timeout_allocation;
+        Alcotest.test_case "Ivar create, read, fill allocation bound" `Quick
+          ivar_allocation;
+        Alcotest.test_case "Mailbox send, recv allocation bound" `Quick
+          mailbox_allocation;
         Alcotest.test_case "scheduling in the past" `Quick sim_past_raises;
         qtest sim_matches_reference ] );
     ( "engine.proc",
@@ -751,6 +909,8 @@ let suite =
           proc_second_wake_ignored;
         Alcotest.test_case "kill between wake and resume" `Quick
           proc_kill_after_wake;
+        Alcotest.test_case "consume with a kill pending queues nothing"
+          `Quick cpu_consume_kill_pending;
         Alcotest.test_case "self outside a process" `Quick proc_self_outside ] );
     ( "engine.sync",
       [ Alcotest.test_case "ivar" `Quick ivar_basics;
@@ -758,6 +918,10 @@ let suite =
         Alcotest.test_case "mailbox fifo" `Quick mailbox_fifo;
         Alcotest.test_case "semaphore as mutex" `Quick semaphore_mutex;
         Alcotest.test_case "waitq timeout" `Quick waitq_timeout;
+        Alcotest.test_case "a broadcast after a timeout wakes nothing" `Quick
+          waitq_timeout_then_broadcast;
+        Alcotest.test_case "a timer left by a killed wait_timeout" `Quick
+          waitq_timeout_killed;
         Alcotest.test_case "waiters wake oldest first" `Quick sync_wake_order ] );
     ( "engine.stats",
       [ Alcotest.test_case "moments" `Quick stats_moments;
