@@ -10,7 +10,6 @@ type config = {
   cost : Cost.t;
   disk_params : Disk_params.t;
   usd_rollover : bool;
-  usd_laxity : bool;
   revocation_deadline : Time.span;
   va_bits : int;
   sfs_journal_blocks : int;
@@ -24,7 +23,6 @@ let default_config =
     cost = Cost.nemesis;
     disk_params = Disk_params.vp3221;
     usd_rollover = true;
-    usd_laxity = true;
     revocation_deadline = Time.ms 100;
     va_bits = 32;
     sfs_journal_blocks = 0;
@@ -128,8 +126,7 @@ let create ?(config = default_config) () =
   in
   let dm = Disk_model.create ~params:config.disk_params () in
   let the_usd =
-    Usbs.Usd.create ~rollover:config.usd_rollover
-      ~laxity_enabled:config.usd_laxity simulator dm
+    Usbs.Usd.create ~rollover:config.usd_rollover simulator dm
   in
   (* Partitions: swap in the first half of the disk, a raw region for
      streaming file-system clients in the third quarter, and the file

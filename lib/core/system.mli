@@ -24,7 +24,6 @@ type config = {
   cost : Cost.t;
   disk_params : Disk_params.t;
   usd_rollover : bool;
-  usd_laxity : bool;
   revocation_deadline : Time.span;
   va_bits : int;
   sfs_journal_blocks : int;
@@ -37,7 +36,7 @@ type config = {
 
 val default_config : config
 (** 64 MB of main memory, linear page table, the paper's cost model and
-    disk, roll-over and laxity enabled, T = 100 ms, no journals. *)
+    disk, roll-over enabled, T = 100 ms, no journals. *)
 
 type t
 

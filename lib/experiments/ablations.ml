@@ -23,8 +23,8 @@ let laxity_row (r : Paging_fig.result) ~duration =
     r.Paging_fig.apps
 
 let run_laxity ?(duration = Time.sec 120) () =
-  let on = Paging_fig.run ~duration ~usd_laxity:true () in
-  let off = Paging_fig.run ~duration ~usd_laxity:false () in
+  let on = Paging_fig.run ~duration () in
+  let off = Paging_fig.run ~duration ~laxity:0 () in
   { with_laxity = laxity_row on ~duration;
     without_laxity = laxity_row off ~duration }
 

@@ -112,7 +112,7 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
     | Some v -> (v.Obs.Metrics.hv_count, v.Obs.Metrics.hv_mean)
     | None -> (0, nan)
   in
-  let store_totals = Harness.store_totals !stores in
+  let store_totals = Tier.Fleet.store_totals !stores in
   { c_name = name;
     c_mode = mode;
     c_domains = reports;

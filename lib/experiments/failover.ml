@@ -72,7 +72,7 @@ let run_once ~seed ~duration =
   System.run ~until:(Time.add duration (Time.sec 2)) sys;
   let reports = Harness.domain_reports apps in
   let tally = Inject.tally () in
-  let store_totals = Harness.store_totals !stores in
+  let store_totals = Tier.Fleet.store_totals !stores in
   { seed;
     duration;
     domains = reports;

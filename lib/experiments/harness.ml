@@ -18,10 +18,10 @@ let run_in_sim sys f =
   | None -> failwith "run_in_sim: experiment did not complete"
 
 let fresh_system ?(page_table = `Linear) ?(usd_rollover = true)
-    ?(usd_laxity = true) ?(main_memory_mb = 64) ?(seed = 42) () =
+    ?(main_memory_mb = 64) ?(seed = 42) () =
   let config =
     { System.default_config with
-      page_table; usd_rollover; usd_laxity; main_memory_mb; seed }
+      page_table; usd_rollover; main_memory_mb; seed }
   in
   System.create ~config ()
 
@@ -180,24 +180,6 @@ let violations ~tiered reports =
     (fun n r -> if r.dr_tiered = tiered then n + r.dr_violations else n)
     0 reports
 
-let store_totals stores =
-  List.fold_left
-    (fun a s ->
-      let b = Tier.Fleet.store_stats s in
-      let open Tier.Fleet in
-      { st_cache_hits = a.st_cache_hits + b.st_cache_hits;
-        st_fleet_hits = a.st_fleet_hits + b.st_fleet_hits;
-        st_fleet_misses = a.st_fleet_misses + b.st_fleet_misses;
-        st_promotes = a.st_promotes + b.st_promotes;
-        st_demotes = a.st_demotes + b.st_demotes;
-        st_write_fallbacks = a.st_write_fallbacks + b.st_write_fallbacks;
-        st_clean_skips = a.st_clean_skips + b.st_clean_skips;
-        st_lost_slots = a.st_lost_slots + b.st_lost_slots })
-    { Tier.Fleet.st_cache_hits = 0; st_fleet_hits = 0; st_fleet_misses = 0;
-      st_promotes = 0; st_demotes = 0; st_write_fallbacks = 0;
-      st_clean_skips = 0; st_lost_slots = 0 }
-    stores
-
 let mbit_s f = if Float.is_nan f then "warming" else Report.f2 f
 let us f = if Float.is_nan f then "-" else Printf.sprintf "%.0f" f
 
@@ -339,7 +321,7 @@ let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
     mc_fault_p95_us = p95;
     mc_half2_mean_us =
       (if c2 > c1 then (s2 -. s1) /. float_of_int (c2 - c1) else nan);
-    mc_store = store_totals (Option.to_list !store);
+    mc_store = Tier.Fleet.store_totals (Option.to_list !store);
     mc_fleet = Option.map Tier.Fleet.stats fl;
     mc_nodes = of_fleet Tier.Fleet.health [];
     mc_overhead = of_fleet Tier.Fleet.storage_overhead nan }

@@ -10,7 +10,7 @@ val run_in_sim : System.t -> (unit -> 'a) -> 'a
 
 val fresh_system :
   ?page_table:[ `Linear | `Guarded ] -> ?usd_rollover:bool ->
-  ?usd_laxity:bool -> ?main_memory_mb:int -> ?seed:int -> unit -> System.t
+  ?main_memory_mb:int -> ?seed:int -> unit -> System.t
 
 val bench_domain :
   System.t -> ?guarantee:int -> ?optimistic:int -> name:string -> unit ->
@@ -122,9 +122,6 @@ val domain_reports :
 
 val violations : tiered:bool -> domain_report list -> int
 (** Violations summed over the tiered ([true]) or disk-only domains. *)
-
-val store_totals : Tier.Fleet.store list -> Tier.Fleet.store_stats
-(** Per-domain store counters summed (all zero for no stores). *)
 
 val store_json : Tier.Fleet.store_stats -> Json.t
 (** Store counters as one JSON object. *)

@@ -49,9 +49,9 @@ let summarise_client trace name =
     !allocs )
 
 let run ?(mode = Paging_app.Paging_in) ?(duration = Time.sec 240)
-    ?(laxity = Time.ms 10) ?(usd_laxity = true) ?(usd_rollover = true)
+    ?(laxity = Time.ms 10) ?(usd_rollover = true)
     ?(shares_ms = [ 25; 50; 100 ]) ?(seed = 42) () =
-  let sys = Harness.fresh_system ~usd_laxity ~usd_rollover ~seed () in
+  let sys = Harness.fresh_system ~usd_rollover ~seed () in
   let apps =
     List.map
       (fun slice_ms ->

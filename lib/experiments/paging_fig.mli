@@ -34,7 +34,7 @@ type result = {
 
 val run :
   ?mode:Workload.Paging_app.mode -> ?duration:Time.span ->
-  ?laxity:Time.span -> ?usd_laxity:bool -> ?usd_rollover:bool ->
+  ?laxity:Time.span -> ?usd_rollover:bool ->
   ?shares_ms:int list -> ?seed:int -> unit -> result
 (** Defaults: paging-in, 240 s, laxity 10 ms, shares 25/50/100 ms per
     250 ms. *)

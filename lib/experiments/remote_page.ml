@@ -69,7 +69,7 @@ let run_once ~seed ~duration =
     duration;
     domains = reports;
     fleet = Tier.Fleet.stats fleet;
-    store_totals = Harness.store_totals !stores;
+    store_totals = Tier.Fleet.store_totals !stores;
     books_balanced = Tier.Fleet.books_balanced fleet;
     remote_used = Tier.Remote_node.used_pages remote;
     remote_capacity;

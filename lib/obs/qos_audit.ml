@@ -116,12 +116,6 @@ let boundary resource ~now ~name ~entitled ~got ~backlogged =
     s.got_acc <- 0
   end
 
-let cpu_boundary ~now ~dom ~entitled ~got ~backlogged =
-  boundary Cpu ~now ~name:dom ~entitled ~got ~backlogged
-
-let usd_boundary ~now ~stream ~entitled ~got ~backlogged =
-  boundary Usd ~now ~name:stream ~entitled ~got ~backlogged
-
 (* --- memory contracts ---------------------------------------------- *)
 
 let mem_grant ~now ~dom ~guarantee ~capacity =

@@ -57,16 +57,14 @@ val set_patience : int -> unit
 
 (** {2 Observation feeds (called by instrumentation hooks)} *)
 
-val cpu_boundary :
-  now:Time.t -> dom:string -> entitled:Time.span -> got:Time.span ->
-  backlogged:bool -> unit
-(** One CPU-contract period boundary: the client was entitled to
-    [entitled] and consumed [got]; [backlogged] means it had queued
-    work for the whole period. *)
+type resource = Cpu | Usd
 
-val usd_boundary :
-  now:Time.t -> stream:string -> entitled:Time.span -> got:Time.span ->
-  backlogged:bool -> unit
+val boundary :
+  resource -> now:Time.t -> name:string -> entitled:Time.span ->
+  got:Time.span -> backlogged:bool -> unit
+(** One contract period boundary of a CPU client or a USD stream: the
+    client was entitled to [entitled] and consumed [got]; [backlogged]
+    means it had queued work for the whole period. *)
 
 val mem_grant : now:Time.t -> dom:int -> guarantee:int -> capacity:int -> unit
 (** A frames contract was admitted (or re-registered). Flags

@@ -1,14 +1,14 @@
-(** Uniprocessor CPU scheduler (Atropos).
+(** Uniprocessor CPU scheduler: {!Atropos}'s loop over CPU time.
 
     Domains are admitted with a `(p, s)` CPU contract and call
     {!consume} to burn simulated CPU time; the scheduler serialises all
     execution on the single CPU and grants time EDF-first to clients
-    with budget, handing out slack round-robin by deadline when nobody
-    with budget is runnable (so the machine is work-conserving, as a
-    real Atropos kernel is — the experiments never saturate the CPU,
-    matching the paper, but self-paging's "pay for your own faults" is
-    enforced because every fault-handling step runs under the faulting
-    domain's own contract). *)
+    with budget, handing out slack by deadline, at most a 1 ms quantum
+    at a time, when nobody with budget is runnable. The machine is
+    work-conserving, as a real Atropos kernel is. The experiments never
+    saturate the CPU, matching the paper, but self-paging's "pay for
+    your own faults" is enforced because every fault-handling step runs
+    under the faulting domain's own contract. *)
 
 open Engine
 

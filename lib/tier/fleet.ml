@@ -24,6 +24,55 @@ type node = {
   mutable nd_failovers : int; (* reads it answered as a failover *)
 }
 
+(* The fleet's counters and each store's, one record each: [stats] and
+   [store_stats] hand out copies. *)
+type stats = {
+  mutable stores : int;
+  mutable acks : int;
+  mutable replica_skips : int;
+  mutable replica_timeouts : int;
+  mutable remote_fulls : int;
+  mutable lost_primaries : int;
+  mutable failovers : int;
+  mutable rebuilds : int;
+  mutable disk_fallbacks : int;
+  mutable secondary_rebuilds : int;
+  mutable lost_shards : int;
+  mutable degraded_reads : int;
+  mutable reconstructions : int;
+  mutable corrupt_shards : int;
+  mutable migrations : int;
+  mutable node_joins : int;
+  mutable node_retires : int;
+  mutable retransmits : int;
+  mutable link_drops : int;
+  mutable link_delays : int;
+  mutable unreachable : int;
+  mutable frag_timeouts : int;
+  mutable quarantines : int;
+  mutable readmissions : int;
+  mutable probes : int;
+  mutable probe_failures : int;
+  mutable wipes_applied : int;
+  mutable repair_rounds : int;
+}
+
+type store_stats = {
+  mutable st_cache_hits : int;
+  mutable st_fleet_hits : int;
+  mutable st_fleet_misses : int;
+  mutable st_promotes : int;
+  mutable st_demotes : int;
+  mutable st_write_fallbacks : int;
+  mutable st_clean_skips : int;
+  mutable st_lost_slots : int;
+}
+
+let no_store_stats () =
+  { st_cache_hits = 0; st_fleet_hits = 0; st_fleet_misses = 0;
+    st_promotes = 0; st_demotes = 0; st_write_fallbacks = 0;
+    st_clean_skips = 0; st_lost_slots = 0 }
+
 type t = {
   sim : Sim.t;
   seed : int;
@@ -46,65 +95,7 @@ type t = {
   (* page heat: fleet reads per [(owner, slot)], the repair queue's
      hot-first order — fleet state, so observability cannot move it *)
   heat : (string * int, int ref) Hashtbl.t;
-  mutable s_stores : int;
-  mutable s_acks : int;
-  mutable s_replica_skips : int;
-  mutable s_replica_timeouts : int;
-  mutable s_remote_fulls : int;
-  mutable s_lost_primaries : int;
-  mutable s_failovers : int;
-  mutable s_rebuilds : int;
-  mutable s_disk_fallbacks : int;
-  mutable s_secondary_rebuilds : int;
-  mutable s_lost_shards : int;
-  mutable s_degraded_reads : int;
-  mutable s_reconstructions : int;
-  mutable s_corrupt_shards : int;
-  mutable s_migrations : int;
-  mutable s_node_joins : int;
-  mutable s_node_retires : int;
-  mutable s_retransmits : int;
-  mutable s_link_drops : int;
-  mutable s_link_delays : int;
-  mutable s_unreachable : int;
-  mutable s_frag_timeouts : int;
-  mutable s_quarantines : int;
-  mutable s_readmissions : int;
-  mutable s_probes : int;
-  mutable s_probe_failures : int;
-  mutable s_wipes_applied : int;
-  mutable s_repair_rounds : int;
-}
-
-type stats = {
-  stores : int;
-  acks : int;
-  replica_skips : int;
-  replica_timeouts : int;
-  remote_fulls : int;
-  lost_primaries : int;
-  failovers : int;
-  rebuilds : int;
-  disk_fallbacks : int;
-  secondary_rebuilds : int;
-  lost_shards : int;
-  degraded_reads : int;
-  reconstructions : int;
-  corrupt_shards : int;
-  migrations : int;
-  node_joins : int;
-  node_retires : int;
-  retransmits : int;
-  link_drops : int;
-  link_delays : int;
-  unreachable : int;
-  frag_timeouts : int;
-  quarantines : int;
-  readmissions : int;
-  probes : int;
-  probe_failures : int;
-  wipes_applied : int;
-  repair_rounds : int;
+  counts : stats;
 }
 
 type node_health = {
@@ -134,25 +125,7 @@ type store = {
   evicting : (int, unit) Hashtbl.t;
   disk_valid : bool array;
   dead : bool array;
-  mutable sx_cache_hits : int;
-  mutable sx_fleet_hits : int;
-  mutable sx_fleet_misses : int;
-  mutable sx_promotes : int;
-  mutable sx_demotes : int;
-  mutable sx_write_fallbacks : int;
-  mutable sx_clean_skips : int;
-  mutable sx_lost_slots : int;
-}
-
-type store_stats = {
-  st_cache_hits : int;
-  st_fleet_hits : int;
-  st_fleet_misses : int;
-  st_promotes : int;
-  st_demotes : int;
-  st_write_fallbacks : int;
-  st_clean_skips : int;
-  st_lost_slots : int;
+  tally : store_stats;
 }
 
 let metric name = if !Obs.enabled then Obs.Metrics.inc ("fleet." ^ name)
@@ -249,7 +222,7 @@ let quarantine t nd =
   if not nd.nd_quarantined then begin
     nd.nd_quarantined <- true;
     nd.nd_quarantines <- nd.nd_quarantines + 1;
-    t.s_quarantines <- t.s_quarantines + 1;
+    t.counts.quarantines <- t.counts.quarantines + 1;
     nd.nd_next_probe <- Time.add (Sim.now t.sim) t.probe_period;
     metric "quarantine";
     node_gauges nd
@@ -265,7 +238,7 @@ let readmit t nd =
   nd.nd_quarantined <- false;
   nd.nd_streak <- 0;
   nd.nd_readmissions <- nd.nd_readmissions + 1;
-  t.s_readmissions <- t.s_readmissions + 1;
+  t.counts.readmissions <- t.counts.readmissions + 1;
   metric "readmit";
   node_gauges nd
 
@@ -274,13 +247,13 @@ let find_node t name =
 
 let apply_join t nd =
   nd.nd_member <- true;
-  t.s_node_joins <- t.s_node_joins + 1;
+  t.counts.node_joins <- t.counts.node_joins + 1;
   metric "node_join";
   node_gauges nd
 
 let apply_retire t nd =
   nd.nd_member <- false;
-  t.s_node_retires <- t.s_node_retires + 1;
+  t.counts.node_retires <- t.counts.node_retires + 1;
   metric "node_retire";
   node_gauges nd
 
@@ -316,7 +289,7 @@ let poll_faults t =
     (fun nd ->
       if Inject.node_wipe_due ~name:nd.nd_name ~now then begin
         Remote_node.wipe nd.nd_remote;
-        t.s_wipes_applied <- t.s_wipes_applied + 1;
+        t.counts.wipes_applied <- t.counts.wipes_applied + 1;
         metric "wipe";
         node_gauges nd
       end;
@@ -371,7 +344,7 @@ let send_frag t nd client ~retries bytes =
           match Inject.link ~name:(Usnet.Link.name nd.nd_link) with
           | Inject.Deliver -> true
           | Inject.Delay d ->
-              t.s_link_delays <- t.s_link_delays + 1;
+              t.counts.link_delays <- t.counts.link_delays + 1;
               Proc.sleep d;
               true
           | Inject.Drop -> false
@@ -380,16 +353,16 @@ let send_frag t nd client ~retries bytes =
         else begin
           (* waited the ack deadline in vain *)
           Proc.sleep t.retx_timeout;
-          if reachable then t.s_link_drops <- t.s_link_drops + 1
-          else t.s_unreachable <- t.s_unreachable + 1;
+          if reachable then t.counts.link_drops <- t.counts.link_drops + 1
+          else t.counts.unreachable <- t.counts.unreachable + 1;
           if left > 0 then begin
-            t.s_retransmits <- t.s_retransmits + 1;
+            t.counts.retransmits <- t.counts.retransmits + 1;
             metric "retransmit";
             Proc.sleep (backoff ~base:t.retx_timeout ~attempt:n);
             attempt (left - 1) (n + 1)
           end
           else begin
-            t.s_frag_timeouts <- t.s_frag_timeouts + 1;
+            t.counts.frag_timeouts <- t.counts.frag_timeouts + 1;
             metric "frag_timeout";
             Error `Timeout
           end
@@ -436,7 +409,7 @@ let push_page t nd client ~retries ~shard ~owner ~slot =
       note_ok nd;
       match Remote_node.store nd.nd_remote ~shard ~owner ~slot with
       | Ok () ->
-          t.s_acks <- t.s_acks + 1;
+          t.counts.acks <- t.counts.acks + 1;
           nd.nd_stores <- nd.nd_stores + 1;
           `Acked
       | Error `Remote_full -> `Full)
@@ -473,7 +446,7 @@ let fetch_shard t nd client ~retries ~shard ~owner ~slot =
   match fetch_page t nd client ~retries ~shard ~owner ~slot with
   | `Ok ->
       if Inject.shard_corrupt ~name:nd.nd_name then begin
-        t.s_corrupt_shards <- t.s_corrupt_shards + 1;
+        t.counts.corrupt_shards <- t.counts.corrupt_shards + 1;
         metric "corrupt_shard";
         `Corrupt
       end
@@ -484,14 +457,14 @@ let fetch_shard t nd client ~retries ~shard ~owner ~slot =
 (* Probe / repair                                                      *)
 
 let probe t nd =
-  t.s_probes <- t.s_probes + 1;
+  t.counts.probes <- t.counts.probes + 1;
   metric "probe";
   match send_frag t nd nd.nd_repair ~retries:0 64 with
   | Ok () ->
       Proc.sleep (Remote_node.service_time nd.nd_remote);
       readmit t nd
   | Error `Timeout ->
-      t.s_probe_failures <- t.s_probe_failures + 1;
+      t.counts.probe_failures <- t.counts.probe_failures + 1;
       nd.nd_next_probe <- Time.add (Sim.now t.sim) t.probe_period
 
 let probe_due t =
@@ -533,7 +506,7 @@ let rebuild_shard t ~reps ~owner ~slot ~p ~dst =
           ~shard:(shard_of t p) ~owner ~slot
       with
       | `Acked ->
-          t.s_stores <- t.s_stores + 1;
+          t.counts.stores <- t.counts.stores + 1;
           metric "store";
           `Acked
       | (`Full | `Timeout) as e -> e
@@ -592,7 +565,7 @@ let rebuild_shard t ~reps ~owner ~slot ~p ~dst =
           end)
 
 let repair_round t =
-  t.s_repair_rounds <- t.s_repair_rounds + 1;
+  t.counts.repair_rounds <- t.counts.repair_rounds + 1;
   poll_faults t;
   probe_due t;
   let budget = ref t.repair_budget in
@@ -627,26 +600,27 @@ let repair_round t =
                      (* rebalance: the entry lived, it just moved *)
                      Remote_node.drop cur_nd.nd_remote ~shard:(shard_of t p)
                        ~owner ~slot;
-                     t.s_migrations <- t.s_migrations + 1;
+                     t.counts.migrations <- t.counts.migrations + 1;
                      metric "migrate"
                    end
                    else
                      match t.ec with
                      | Some _ ->
                          (* a lost shard observed and answered here *)
-                         t.s_lost_shards <- t.s_lost_shards + 1;
-                         t.s_rebuilds <- t.s_rebuilds + 1;
+                         t.counts.lost_shards <- t.counts.lost_shards + 1;
+                         t.counts.rebuilds <- t.counts.rebuilds + 1;
                          metric "shard_rebuild"
                      | None ->
                          if p = 0 then begin
                            (* the primary was gone and repair answered *)
-                           t.s_lost_primaries <- t.s_lost_primaries + 1;
-                           t.s_rebuilds <- t.s_rebuilds + 1;
+                           t.counts.lost_primaries <-
+                             t.counts.lost_primaries + 1;
+                           t.counts.rebuilds <- t.counts.rebuilds + 1;
                            metric "rebuild"
                          end
                          else begin
-                           t.s_secondary_rebuilds <-
-                             t.s_secondary_rebuilds + 1;
+                           t.counts.secondary_rebuilds <-
+                             t.counts.secondary_rebuilds + 1;
                            metric "secondary_rebuild"
                          end);
                   reps.(p) <- tgt
@@ -733,34 +707,15 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       nodes = Array.of_list all;
       pages = Hashtbl.create 256;
       heat = Hashtbl.create 256;
-      s_stores = 0;
-      s_acks = 0;
-      s_replica_skips = 0;
-      s_replica_timeouts = 0;
-      s_remote_fulls = 0;
-      s_lost_primaries = 0;
-      s_failovers = 0;
-      s_rebuilds = 0;
-      s_disk_fallbacks = 0;
-      s_secondary_rebuilds = 0;
-      s_lost_shards = 0;
-      s_degraded_reads = 0;
-      s_reconstructions = 0;
-      s_corrupt_shards = 0;
-      s_migrations = 0;
-      s_node_joins = 0;
-      s_node_retires = 0;
-      s_retransmits = 0;
-      s_link_drops = 0;
-      s_link_delays = 0;
-      s_unreachable = 0;
-      s_frag_timeouts = 0;
-      s_quarantines = 0;
-      s_readmissions = 0;
-      s_probes = 0;
-      s_probe_failures = 0;
-      s_wipes_applied = 0;
-      s_repair_rounds = 0 }
+      counts =
+        { stores = 0; acks = 0; replica_skips = 0; replica_timeouts = 0;
+          remote_fulls = 0; lost_primaries = 0; failovers = 0; rebuilds = 0;
+          disk_fallbacks = 0; secondary_rebuilds = 0; lost_shards = 0;
+          degraded_reads = 0; reconstructions = 0; corrupt_shards = 0;
+          migrations = 0; node_joins = 0; node_retires = 0; retransmits = 0;
+          link_drops = 0; link_delays = 0; unreachable = 0; frag_timeouts = 0;
+          quarantines = 0; readmissions = 0; probes = 0; probe_failures = 0;
+          wipes_applied = 0; repair_rounds = 0 } }
   in
   if repair then
     ignore
@@ -814,14 +769,7 @@ let attach ?(mode = Store.Write_through) ?(cache_pages = 32)
     evicting = Hashtbl.create 8;
     disk_valid = Array.make (max 1 cap) true;
     dead = Array.make (max 1 cap) false;
-    sx_cache_hits = 0;
-    sx_fleet_hits = 0;
-    sx_fleet_misses = 0;
-    sx_promotes = 0;
-    sx_demotes = 0;
-    sx_write_fallbacks = 0;
-    sx_clean_skips = 0;
-    sx_lost_slots = 0 }
+    tally = no_store_stats () }
 
 (* ------------------------------------------------------------------ *)
 (* Local RAM tier (LRU over slot indices)                             *)
@@ -864,7 +812,7 @@ let disk_write_slot st s =
   | Error (`Lost_pages _) ->
       Inject.note_killed "fleet.demote";
       st.dead.(s) <- true;
-      st.sx_lost_slots <- st.sx_lost_slots + 1
+      st.tally.st_lost_slots <- st.tally.st_lost_slots + 1
   | Error (`Retired | `Crashed) -> ()
 
 (* Push one evicted slot to its stripe. Inclusive with the fleet: a
@@ -885,10 +833,11 @@ let demote st s =
     let push_one p =
       let i = reps.(p) in
       let nd = t.nodes.(i) in
-      if nd.nd_quarantined then t.s_replica_skips <- t.s_replica_skips + 1
+      if nd.nd_quarantined then
+        t.counts.replica_skips <- t.counts.replica_skips + 1
       else if not (Remote_node.has_room nd.nd_remote) then begin
         (* known-full before any byte moves *)
-        t.s_remote_fulls <- t.s_remote_fulls + 1;
+        t.counts.remote_fulls <- t.counts.remote_fulls + 1;
         metric "remote_full"
       end
       else
@@ -899,17 +848,17 @@ let demote st s =
         | `Acked ->
             incr placed;
             acked.(p) <- true;
-            t.s_stores <- t.s_stores + 1;
+            t.counts.stores <- t.counts.stores + 1;
             metric "store"
         | `Full ->
-            t.s_remote_fulls <- t.s_remote_fulls + 1;
+            t.counts.remote_fulls <- t.counts.remote_fulls + 1;
             metric "remote_full"
-        | `Timeout -> t.s_replica_timeouts <- t.s_replica_timeouts + 1
+        | `Timeout -> t.counts.replica_timeouts <- t.counts.replica_timeouts + 1
     in
     in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
     if !placed >= min_placed t then begin
       Hashtbl.replace t.pages (st.owner, s) reps;
-      st.sx_demotes <- st.sx_demotes + 1
+      st.tally.st_demotes <- st.tally.st_demotes + 1
     end
     else begin
       Array.iteri
@@ -919,10 +868,10 @@ let demote st s =
               ~owner:st.owner ~slot:s)
         reps;
       if dirty then begin
-        st.sx_write_fallbacks <- st.sx_write_fallbacks + 1;
+        st.tally.st_write_fallbacks <- st.tally.st_write_fallbacks + 1;
         disk_write_slot st s
       end
-      else st.sx_clean_skips <- st.sx_clean_skips + 1
+      else st.tally.st_clean_skips <- st.tally.st_clean_skips + 1
     end
   end
 
@@ -983,14 +932,14 @@ let fetch_replicated st s reps =
   match try_node 0 with
   | `Ok -> `Served
   | `Skip | `Stale | `Timeout | `Corrupt ->
-      t.s_lost_primaries <- t.s_lost_primaries + 1;
+      t.counts.lost_primaries <- t.counts.lost_primaries + 1;
       metric "lost_primary";
       let rec failover p =
         if p >= Array.length reps then `All_lost 1
         else
           match try_node p with
           | `Ok ->
-              t.s_failovers <- t.s_failovers + 1;
+              t.counts.failovers <- t.counts.failovers + 1;
               t.nodes.(reps.(p)).nd_failovers <-
                 t.nodes.(reps.(p)).nd_failovers + 1;
               metric "failover";
@@ -1044,12 +993,12 @@ let fetch_erasure st s reps c =
     next := first + batch;
     in_parallel t (List.init batch (fun j () -> fetch_one (first + j)))
   done;
-  t.s_lost_shards <- t.s_lost_shards + !losses;
+  t.counts.lost_shards <- t.counts.lost_shards + !losses;
   if !got >= k then begin
     if !losses > 0 then begin
       (* the GF(256) decode itself is CPU noise next to the wire *)
-      t.s_degraded_reads <- t.s_degraded_reads + 1;
-      t.s_reconstructions <- t.s_reconstructions + !losses;
+      t.counts.degraded_reads <- t.counts.degraded_reads + 1;
+      t.counts.reconstructions <- t.counts.reconstructions + !losses;
       metric "degraded_read";
       if !Obs.enabled then
         Obs.Metrics.observe ~label:st.label "fleet.degraded_us"
@@ -1106,7 +1055,7 @@ let read_pages st ~page_index ~npages =
     else if cached st s then begin
       flush_run ();
       touch st s;
-      st.sx_cache_hits <- st.sx_cache_hits + 1;
+      st.tally.st_cache_hits <- st.tally.st_cache_hits + 1;
       smetric st "cache_hit"
     end
     else if tracked st s then begin
@@ -1115,26 +1064,26 @@ let read_pages st ~page_index ~npages =
       note_heat st.fl ~owner:st.owner ~slot:s;
       match fetch_fleet st s with
       | `Served ->
-          st.sx_fleet_hits <- st.sx_fleet_hits + 1;
+          st.tally.st_fleet_hits <- st.tally.st_fleet_hits + 1;
           smetric st "hit";
-          st.sx_promotes <- st.sx_promotes + 1;
+          st.tally.st_promotes <- st.tally.st_promotes + 1;
           (* inclusive: the nodes keep their entries *)
           insert_cache st s
       | `All_lost n ->
-          st.fl.s_disk_fallbacks <- st.fl.s_disk_fallbacks + n;
+          st.fl.counts.disk_fallbacks <- st.fl.counts.disk_fallbacks + n;
           smetric st "disk_fallback";
           if st.disk_valid.(s) then begin
             from_disk s;
             flush_run ()
           end
           else begin
-            st.sx_lost_slots <- st.sx_lost_slots + 1;
+            st.tally.st_lost_slots <- st.tally.st_lost_slots + 1;
             st.dead.(s) <- true;
             lost := s :: !lost
           end
     end
     else begin
-      st.sx_fleet_misses <- st.sx_fleet_misses + 1;
+      st.tally.st_fleet_misses <- st.tally.st_fleet_misses + 1;
       from_disk s
     end;
     incr i
@@ -1212,35 +1161,7 @@ let backing st =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let stats t =
-  { stores = t.s_stores;
-    acks = t.s_acks;
-    replica_skips = t.s_replica_skips;
-    replica_timeouts = t.s_replica_timeouts;
-    remote_fulls = t.s_remote_fulls;
-    lost_primaries = t.s_lost_primaries;
-    failovers = t.s_failovers;
-    rebuilds = t.s_rebuilds;
-    disk_fallbacks = t.s_disk_fallbacks;
-    secondary_rebuilds = t.s_secondary_rebuilds;
-    lost_shards = t.s_lost_shards;
-    degraded_reads = t.s_degraded_reads;
-    reconstructions = t.s_reconstructions;
-    corrupt_shards = t.s_corrupt_shards;
-    migrations = t.s_migrations;
-    node_joins = t.s_node_joins;
-    node_retires = t.s_node_retires;
-    retransmits = t.s_retransmits;
-    link_drops = t.s_link_drops;
-    link_delays = t.s_link_delays;
-    unreachable = t.s_unreachable;
-    frag_timeouts = t.s_frag_timeouts;
-    quarantines = t.s_quarantines;
-    readmissions = t.s_readmissions;
-    probes = t.s_probes;
-    probe_failures = t.s_probe_failures;
-    wipes_applied = t.s_wipes_applied;
-    repair_rounds = t.s_repair_rounds }
+let stats t = { t.counts with stores = t.counts.stores }
 
 let health t =
   Array.to_list
@@ -1259,15 +1180,22 @@ let health t =
            nh_failovers = nd.nd_failovers })
        t.nodes)
 
-let store_stats st =
-  { st_cache_hits = st.sx_cache_hits;
-    st_fleet_hits = st.sx_fleet_hits;
-    st_fleet_misses = st.sx_fleet_misses;
-    st_promotes = st.sx_promotes;
-    st_demotes = st.sx_demotes;
-    st_write_fallbacks = st.sx_write_fallbacks;
-    st_clean_skips = st.sx_clean_skips;
-    st_lost_slots = st.sx_lost_slots }
+let store_stats st = { st.tally with st_cache_hits = st.tally.st_cache_hits }
+
+let store_totals stores =
+  let sum = no_store_stats () in
+  List.iter
+    (fun { tally = c; _ } ->
+      sum.st_cache_hits <- sum.st_cache_hits + c.st_cache_hits;
+      sum.st_fleet_hits <- sum.st_fleet_hits + c.st_fleet_hits;
+      sum.st_fleet_misses <- sum.st_fleet_misses + c.st_fleet_misses;
+      sum.st_promotes <- sum.st_promotes + c.st_promotes;
+      sum.st_demotes <- sum.st_demotes + c.st_demotes;
+      sum.st_write_fallbacks <- sum.st_write_fallbacks + c.st_write_fallbacks;
+      sum.st_clean_skips <- sum.st_clean_skips + c.st_clean_skips;
+      sum.st_lost_slots <- sum.st_lost_slots + c.st_lost_slots)
+    stores;
+  sum
 
 (* Bytes held across the fleet relative to the pages tracked: an
    entry is a whole page (replicated) or 1/k of one (erasure), so
@@ -1290,15 +1218,14 @@ let storage_overhead t =
     float_of_int entries *. frac /. float_of_int tracked
 
 let books_balanced t =
-  t.s_stores = t.s_acks
-  && t.s_link_drops + t.s_unreachable = t.s_retransmits + t.s_frag_timeouts
+  let c = t.counts in
+  c.stores = c.acks
+  && c.link_drops + c.unreachable = c.retransmits + c.frag_timeouts
   &&
   match t.ec with
-  | None ->
-      t.s_lost_primaries = t.s_failovers + t.s_rebuilds + t.s_disk_fallbacks
+  | None -> c.lost_primaries = c.failovers + c.rebuilds + c.disk_fallbacks
   | Some _ ->
-      t.s_lost_shards
-      = t.s_reconstructions + t.s_rebuilds + t.s_disk_fallbacks
+      c.lost_shards = c.reconstructions + c.rebuilds + c.disk_fallbacks
 
 (* --- backing-axis registration --------------------------------------- *)
 

@@ -105,49 +105,51 @@ type store
     redundant node set below, the domain's swapfile as durability
     floor. Obtained from {!attach}, consumed via {!backing}. *)
 
-type stats = {
-  stores : int;  (** entries recorded in the placement book *)
-  acks : int;  (** node acknowledgements backing those entries *)
-  replica_skips : int;  (** writes not attempted (node quarantined) *)
-  replica_timeouts : int;  (** writes abandoned after the last retry *)
-  remote_fulls : int;  (** writes refused by a full node *)
-  lost_primaries : int;
+type stats = private {
+  mutable stores : int;  (** entries recorded in the placement book *)
+  mutable acks : int;  (** node acknowledgements backing those entries *)
+  mutable replica_skips : int;  (** writes not attempted (node quarantined) *)
+  mutable replica_timeouts : int;  (** writes abandoned after the last retry *)
+  mutable remote_fulls : int;  (** writes refused by a full node *)
+  mutable lost_primaries : int;
       (** replicated: reads/repairs that found the primary gone *)
-  failovers : int;  (** ... answered by a surviving copy *)
-  rebuilds : int;
+  mutable failovers : int;  (** ... answered by a surviving copy *)
+  mutable rebuilds : int;
       (** ... answered by rebuilding the copy (replicated primaries)
           or the shard (erasure, any position) *)
-  disk_fallbacks : int;
+  mutable disk_fallbacks : int;
       (** ... answered by the disk floor (erasure: one per shard the
           falling-back read observed lost) *)
-  secondary_rebuilds : int;
+  mutable secondary_rebuilds : int;
       (** replicated non-primary copies rebuilt (outside the primary
           equation) *)
-  lost_shards : int;
+  mutable lost_shards : int;
       (** erasure: shard-loss observations (reads and repair) *)
-  degraded_reads : int;
+  mutable degraded_reads : int;
       (** erasure reads that needed parity and a decode *)
-  reconstructions : int;
+  mutable reconstructions : int;
       (** lost-shard observations answered by a degraded read *)
-  corrupt_shards : int;
+  mutable corrupt_shards : int;
       (** entries served but failing their checksum (both modes) *)
-  migrations : int;
+  mutable migrations : int;
       (** entries moved by rebalancing (membership changes) — the
           entry lived, so no loss ledger entry *)
-  node_joins : int;  (** standby nodes admitted into membership *)
-  node_retires : int;  (** members retired out of the ring *)
-  retransmits : int;  (** fragments retried on the backoff ladder *)
-  link_drops : int;  (** packets the links' fault plans dropped *)
-  link_delays : int;  (** packets the links' fault plans delayed *)
-  unreachable : int;  (** packets sent to a crashed or partitioned node *)
-  frag_timeouts : int;  (** packets abandoned after the last retry *)
-  quarantines : int;  (** nodes quarantined (streak of timeouts) *)
-  readmissions : int;  (** quarantined nodes probed back in *)
-  probes : int;
-  probe_failures : int;
-  wipes_applied : int;  (** {!Inject.node_wipe_due} wipes honoured *)
-  repair_rounds : int;
+  mutable node_joins : int;  (** standby nodes admitted into membership *)
+  mutable node_retires : int;  (** members retired out of the ring *)
+  mutable retransmits : int;  (** fragments retried on the backoff ladder *)
+  mutable link_drops : int;  (** packets the links' fault plans dropped *)
+  mutable link_delays : int;  (** packets the links' fault plans delayed *)
+  mutable unreachable : int;
+      (** packets sent to a crashed or partitioned node *)
+  mutable frag_timeouts : int;  (** packets abandoned after the last retry *)
+  mutable quarantines : int;  (** nodes quarantined (streak of timeouts) *)
+  mutable readmissions : int;  (** quarantined nodes probed back in *)
+  mutable probes : int;
+  mutable probe_failures : int;
+  mutable wipes_applied : int;  (** {!Inject.node_wipe_due} wipes honoured *)
+  mutable repair_rounds : int;
 }
+(** The fleet's counters; {!stats} returns a copy. *)
 
 type node_health = {
   nh_name : string;
@@ -163,17 +165,20 @@ type node_health = {
   nh_failovers : int;  (** reads it answered as a replicated failover *)
 }
 
-type store_stats = {
-  st_cache_hits : int;
-  st_fleet_hits : int;  (** reads served by the fleet (incl. degraded) *)
-  st_fleet_misses : int;  (** reads of never-placed slots (disk) *)
-  st_promotes : int;
-  st_demotes : int;  (** evictions placed on enough nodes to recover *)
-  st_write_fallbacks : int;
+type store_stats = private {
+  mutable st_cache_hits : int;
+  mutable st_fleet_hits : int;
+      (** reads served by the fleet (incl. degraded) *)
+  mutable st_fleet_misses : int;  (** reads of never-placed slots (disk) *)
+  mutable st_promotes : int;
+  mutable st_demotes : int;  (** evictions placed on enough nodes to recover *)
+  mutable st_write_fallbacks : int;
       (** dirty evictions the fleet could not hold, written to disk *)
-  st_clean_skips : int;  (** clean evictions the fleet could not hold *)
-  st_lost_slots : int;  (** slots dead with no surviving copy anywhere *)
+  mutable st_clean_skips : int;  (** clean evictions the fleet could not hold *)
+  mutable st_lost_slots : int;
+      (** slots dead with no surviving copy anywhere *)
 }
+(** One store's counters; {!store_stats} returns a copy. *)
 
 val create :
   ?redundancy:redundancy ->
@@ -313,6 +318,10 @@ val heat : t -> owner:string -> slot:int -> int
     {!Obs.enabled} says; [0] for pages never read from the fleet. *)
 
 val store_stats : store -> store_stats
+
+val store_totals : store list -> store_stats
+(** The stores' counters summed field by field (all zero for no
+    stores). *)
 
 val storage_overhead : t -> float
 (** Bytes held across the fleet's nodes relative to the pages

@@ -24,94 +24,37 @@ type request = {
   completion : status Sync.Ivar.t;
 }
 
-type client = {
-  edf : Edf.client;
+type stream = {
   cqos : Qos.t;
   channel : request Io_channel.t;
-  (* Lax allowance left in the current runnable stint; reset by each
-     transaction and by each new allocation. *)
-  mutable lax_left : Time.span;
-  mutable idled : bool; (* lax expired: off the runnable queue until
-                           the next allocation *)
-  mutable live : bool;
   mutable txns : int;
   mutable bytes : int;
-  mutable lax_used : Time.span;
-  (* Instant the channel last went non-empty; None while empty. Used
-     by the QoS auditor's backlogged-for-a-whole-period test. *)
-  mutable backlogged_since : Time.t option;
 }
+
+type client = stream Atropos.client
 
 type t = {
-  sim : Sim.t;
   dm : Disk_model.t;
+  events : event Trace.t;
   (* Replenishes in admission order: the [Alloc] records it leads to
      are compared bit-for-bit by tests. *)
-  edf : Edf.t;
-  (* Streams indexed by EDF id, for the per-decision lookup. *)
-  members : client Members.t;
-  kick : Sync.Waitq.t;
-  events : event Trace.t;
-  laxity_enabled : bool;
-  mutable running : bool;
+  loop : stream Atropos.t;
 }
 
-let member t e = Members.find t.members e
-
-let client_name (c : client) = c.edf.Edf.cname
-let has_pending (c : client) = not (Io_channel.is_empty c.channel)
-
-(* A stream is runnable until its lax allowance runs dry and
-   backlogged while its channel holds a request. *)
-let sync_flags t (c : client) =
-  Edf.set_runnable t.edf c.edf (not c.idled);
-  Edf.set_backlogged t.edf c.edf (has_pending c)
-
-(* At each stream period boundary: feed the QoS auditor (cf. Cpu),
-   then grant the new allocation — an idled client goes back on the
-   runnable queue with a fresh lax allowance. *)
-let on_boundary t e ~unused ~boundary ~grants:_ =
-  let c = member t e in
-  if !Obs.enabled then begin
-    let period_start = Time.add boundary (-e.Edf.period) in
-    let backlogged =
-      match c.backlogged_since with
-      | Some since -> since <= period_start
-      | None -> false
-    in
-    Obs.Qos_audit.usd_boundary ~now:boundary ~stream:e.Edf.cname
-      ~entitled:e.Edf.slice ~got:(e.Edf.slice - unused) ~backlogged
-  end;
-  c.idled <- false;
-  c.lax_left <- c.cqos.Qos.laxity;
-  sync_flags t c;
-  Trace.record t.events (Sim.now t.sim) (Alloc { client = client_name c })
-
-let create ?(rollover = true) ?(laxity_enabled = true) sim dm =
-  let t =
-    { sim; dm; edf = Edf.create ~rollover ~order:Edf.By_admission ();
-      members = Members.create (); kick = Sync.Waitq.create ();
-      events = Trace.create (); laxity_enabled; running = false }
-  in
-  Edf.set_boundary_hook t.edf (on_boundary t);
-  t
-
-let qos (c : client) = c.cqos
-let txn_count (c : client) = c.txns
-let bytes_moved (c : client) = c.bytes
+let client_name = Atropos.name
+let qos (c : client) = c.work.cqos
+let txn_count (c : client) = c.work.txns
+let bytes_moved (c : client) = c.work.bytes
 let used_time (c : client) = c.edf.Edf.used_total
 let lax_time (c : client) = c.lax_used
 
 let trace t = t.events
 let disk t = t.dm
-let utilisation t = Edf.utilisation t.edf
+let utilisation t = Atropos.utilisation t.loop
 
-let execute_txn t (c : client) ~slack =
-  let req = Io_channel.recv c.channel in
-  if Io_channel.is_empty c.channel then begin
-    c.backlogged_since <- None;
-    sync_flags t c
-  end;
+let execute_txn dm events loop (c : client) ~slack =
+  let req = Io_channel.recv c.work.channel in
+  Atropos.taken loop c;
   (* Injected client stall: the client's driver domain is wedged (e.g.
      a user-level pager not responding). The disk head is not held —
      the stall burns the client's own CPU-side time and is charged to
@@ -121,19 +64,19 @@ let execute_txn t (c : client) ~slack =
      | None -> ()
      | Some d ->
        Proc.sleep d;
-       if slack then Edf.charge_slack c.edf d else Edf.charge c.edf d);
-  let now = Sim.now t.sim in
+       Atropos.charge c ~slack d);
+  let sim = Atropos.sim loop in
   let result =
-    Disk_model.service_result t.dm ~now
+    Disk_model.service_result dm ~now:(Sim.now sim)
       ~op:(match req.op with Read -> Disk_model.Read | Write -> Disk_model.Write)
       ~lba:req.lba ~nblocks:req.nblocks
   in
   let dur = match result with Ok d -> d | Error (d, _) -> d in
   Proc.sleep dur;
-  if slack then Edf.charge_slack c.edf dur else Edf.charge c.edf dur;
-  c.txns <- c.txns + 1;
-  c.bytes <- c.bytes + (req.nblocks * (Disk_model.params t.dm).Disk_params.block_size);
-  c.lax_left <- c.cqos.Qos.laxity;
+  Atropos.charge c ~slack dur;
+  let nbytes = req.nblocks * (Disk_model.params dm).Disk_params.block_size in
+  c.work.txns <- c.work.txns + 1;
+  c.work.bytes <- c.work.bytes + nbytes;
   let ev =
     match result with
     | Error (_, { Disk_model.bad_lba; persistent }) ->
@@ -145,12 +88,9 @@ let execute_txn t (c : client) ~slack =
       Txn { client = client_name c; op = req.op; lba = req.lba;
             nblocks = req.nblocks; dur }
   in
-  Trace.record t.events (Sim.now t.sim) ev;
+  Trace.record events (Sim.now sim) ev;
   if !Obs.enabled then begin
     let label = client_name c in
-    let nbytes =
-      req.nblocks * (Disk_model.params t.dm).Disk_params.block_size
-    in
     Obs.Metrics.add ~label "usd.bytes" nbytes;
     Obs.Metrics.inc ~label (if slack then "usd.slack_txns" else "usd.txns");
     (match result with
@@ -163,89 +103,33 @@ let execute_txn t (c : client) ~slack =
   | Error (_, { Disk_model.bad_lba; persistent }) ->
     Sync.Ivar.fill req.completion (Error (Media { bad_lba; persistent }))
 
-(* Off the runnable queue until the next allocation. *)
-let idle t (c : client) =
-  c.idled <- true;
-  sync_flags t c
-
-(* The earliest-deadline runnable client has no transaction pending:
-   it holds the disk for up to its remaining lax allowance (bounded by
-   its budget and by the next period boundary, after which the EDF
-   decision must be re-taken). The wait is charged as if it were
-   transaction time. *)
-let lax_wait t (c : client) =
-  let now = Sim.now t.sim in
-  let bound = min c.lax_left c.edf.Edf.remaining in
-  let bound =
-    match Edf.next_deadline t.edf with
-    | Some d -> min bound (max 1 (Time.diff d now))
-    | None -> bound
-  in
-  if bound <= 0 then idle t c
-  else begin
-    ignore (Sync.Waitq.wait_timeout t.kick bound);
-    let elapsed = Time.diff (Sim.now t.sim) now in
-    if elapsed > 0 then begin
-      Edf.charge c.edf elapsed;
-      c.lax_left <- c.lax_left - elapsed;
-      c.lax_used <- c.lax_used + elapsed;
-      Trace.record t.events (Sim.now t.sim)
-        (Lax { client = client_name c; dur = elapsed });
-      if !Obs.enabled then
-        Obs.Metrics.add ~label:(client_name c) "usd.lax_ns" elapsed;
-      if c.lax_left <= 0 then idle t c
-    end
-  end
-
-let rec scheduler_loop t =
-  let now = Sim.now t.sim in
-  Edf.replenish_due t.edf ~now;
-  (match Edf.select t.edf ~now with
-  | Some e ->
-    let c = member t e in
-    if has_pending c then execute_txn t c ~slack:false
-    else if t.laxity_enabled then lax_wait t c
-    else
-      (* No laxity (ablation): plain EDF marks the client idle until
-         its next periodic allocation — the short-block problem. *)
-      idle t c
-  | None ->
-    (* Nobody runnable with budget: optionally give slack time to an
-       x-flagged client with queued work, else sleep to the next
-       period boundary or new submission. *)
-    (match Edf.select_slack t.edf ~now with
-    | Some e -> execute_txn t (member t e) ~slack:true
-    | None ->
-      (match Edf.next_deadline t.edf with
-      | Some d ->
-        let span = max 1 (Time.diff d now) in
-        ignore (Sync.Waitq.wait_timeout t.kick span)
-      | None -> Sync.Waitq.wait t.kick)));
-  scheduler_loop t
-
-let ensure_running t =
-  if not t.running then begin
-    t.running <- true;
-    ignore (Proc.spawn ~name:"usd-sched" t.sim (fun () -> scheduler_loop t))
-  end
+let create ?rollover sim dm =
+  let events = Trace.create () in
+  let record ev = Trace.record events (Sim.now sim) ev in
+  { dm; events;
+    loop =
+      Atropos.create ~name:"usd-sched" ?rollover ~order:Edf.By_admission
+        ~audit:Obs.Qos_audit.Usd ~empty:Atropos.Stays_runnable sim
+        { has_work = (fun s -> not (Io_channel.is_empty s.channel));
+          serve = (fun loop c ~slack -> execute_txn dm events loop c ~slack);
+          alloc = (fun c -> record (Alloc { client = client_name c }));
+          lax =
+            (fun c dur ->
+              record (Lax { client = client_name c; dur });
+              if !Obs.enabled then
+                Obs.Metrics.add ~label:(client_name c) "usd.lax_ns" dur) } }
 
 let admit t ~name ~qos ?(channel_depth = 64) () =
-  match
-    Edf.admit t.edf ~name ~period:qos.Qos.period ~slice:qos.Qos.slice
-      ~extra:qos.Qos.extra ~now:(Sim.now t.sim) ()
-  with
-  | Error _ as e -> e
-  | Ok e ->
-    let c =
-      { edf = e; cqos = qos; channel = Io_channel.create ~depth:channel_depth;
-        lax_left = qos.Qos.laxity; idled = false; live = true; txns = 0;
-        bytes = 0; lax_used = 0; backlogged_since = None }
-    in
-    Members.add t.members e c;
-    sync_flags t c;
-    ensure_running t;
-    Sync.Waitq.broadcast t.kick;
-    Ok c
+  let stream =
+    { cqos = qos; channel = Io_channel.create ~depth:channel_depth; txns = 0;
+      bytes = 0 }
+  in
+  let r =
+    Atropos.admit t.loop ~name ~period:qos.Qos.period ~slice:qos.Qos.slice
+      ~extra:qos.Qos.extra ~laxity:qos.Qos.laxity stream
+  in
+  if Result.is_ok r then Atropos.kick t.loop;
+  r
 
 (* Fill every request still queued on a dead client's channel with a
    retired status. Runs from [retire], and again from [submit] when a
@@ -253,33 +137,29 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
    client retired under it — either way, each queued ivar is filled
    exactly once (each request is received exactly once). *)
 let drain_cancelled (c : client) =
-  while not (Io_channel.is_empty c.channel) do
-    let req = Io_channel.recv c.channel in
+  while not (Io_channel.is_empty c.work.channel) do
+    let req = Io_channel.recv c.work.channel in
     Sync.Ivar.fill req.completion (Error Cancelled)
   done
 
+(* Requests still queued will never be scheduled: fail them before
+   the loop wakes. *)
 let retire t (c : client) =
-  c.live <- false;
-  Edf.remove t.edf c.edf;
-  Members.remove t.members c.edf;
-  (* Unblock waiters: requests still queued will never be scheduled. *)
   drain_cancelled c;
-  c.backlogged_since <- None;
-  Sync.Waitq.broadcast t.kick
+  Atropos.remove t.loop c
 
 let submit t (c : client) op ~lba ~nblocks =
   if not c.live then Error `Retired
   else begin
     let completion = Sync.Ivar.create () in
-    if Io_channel.is_empty c.channel then
-      c.backlogged_since <- Some (Sim.now t.sim);
-    Io_channel.send c.channel { op; lba; nblocks; completion };
+    let was_empty = Io_channel.is_empty c.work.channel in
+    Io_channel.send c.work.channel { op; lba; nblocks; completion };
     (* [send] may have blocked on a full channel; if the client was
        retired while we slept, the retire-time drain ran before our
        request landed and nothing will ever service it. Cancel it (and
        anything queued behind us) so no waiter blocks forever. *)
-    if not c.live then drain_cancelled c else sync_flags t c;
-    Sync.Waitq.broadcast t.kick;
+    if not c.live then drain_cancelled c;
+    Atropos.queued t.loop c ~was_empty;
     Ok completion
   end
 

@@ -2,21 +2,20 @@
     with laxity and roll-over accounting.
 
     Each client holds a {!Qos.t} guarantee [(p, s, x, l)]. A scheduler
-    thread in the USD domain repeatedly picks the runnable client with
-    the earliest deadline and performs a single transaction on its
-    behalf; the measured duration is deducted from the client's
-    remaining time. When the remaining time goes non-positive the
-    client moves to the wait queue until its deadline, at which point
-    it receives a new allocation [s] (minus any overrun deficit — the
-    roll-over scheme) and a new deadline one period on.
+    thread in the USD domain — {!Sched.Atropos}'s loop — repeatedly
+    picks the runnable client with the earliest deadline and performs a
+    single transaction on its behalf; the measured duration is deducted
+    from the client's remaining time. When the remaining time goes
+    non-positive the client moves to the wait queue until its deadline,
+    at which point it receives a new allocation [s] (minus any overrun
+    deficit — the roll-over scheme) and a new deadline one period on.
 
-    {b Laxity}: a runnable client with no transaction pending would,
-    under plain EDF, be marked idle and ignored until its next
-    allocation (the short-block problem — paging clients have at most
-    one request outstanding). Instead the client holds its place on the
-    runnable queue for up to [l], the waiting being charged exactly as
-    if it were transaction time; only when the lax allowance runs dry
-    is the client idled until its next allocation.
+    Laxity [l] is the loop's: paging clients have at most one request
+    outstanding, and an empty stream stays runnable
+    ({!Sched.Atropos.Stays_runnable}), holding its place for up to [l]
+    charged as transaction time. With [l = 0] a stream picked with
+    nothing queued is idled until its next allocation: the short-block
+    problem, which the A-laxity ablation measures.
 
     Every transaction, new allocation and lax charge is recorded in a
     trace — the data behind the scheduler traces in Figures 7 and 8. *)
@@ -48,10 +47,8 @@ type t
 
 type client
 
-val create :
-  ?rollover:bool -> ?laxity_enabled:bool -> Sim.t -> Disk_model.t -> t
-(** [rollover] (default true) and [laxity_enabled] (default true) exist
-    for the A-rollover and A-laxity ablations. *)
+val create : ?rollover:bool -> Sim.t -> Disk_model.t -> t
+(** [rollover] (default true) exists for the A-rollover ablation. *)
 
 val admit :
   t -> name:string -> qos:Qos.t -> ?channel_depth:int -> unit ->

@@ -2,25 +2,21 @@
 
     The paper states that Nemesis hands out explicit low-level
     guarantees for {e all} resources — "disks, network interfaces and
-    physical memory are treated in the same way". This module applies
-    exactly the machinery of the USD to the transmit side of a network
-    link: clients hold [(p, s, x)] guarantees, an EDF scheduler in the
-    link driver domain performs one packet transmission at a time for
-    the earliest-deadline client with budget, measured wire time is
-    charged against the client's slice with roll-over accounting, and
-    slack goes to x-flagged clients.
+    physical memory are treated in the same way". The link runs the
+    USD's scheduler, {!Sched.Atropos}'s loop, over the transmit side of
+    a network link: clients hold [(p, s, x, l)] guarantees, the loop in
+    the link driver domain transmits one packet at a time for the
+    earliest-deadline client with budget, measured wire time is charged
+    against the client's slice with roll-over accounting, and slack
+    goes to x-flagged clients.
 
-    Individual packets are three orders of magnitude shorter than disk
-    transactions, so single-packet clients need no laxity. Bulk
-    transfers — a page fragmented into many MTU packets, as the
-    remote-memory tier issues — reintroduce the short-block problem at
-    network scale: the sender thinks between packets and a plain EDF
-    scheduler takes the link away at every gap. Such clients admit
-    with an [(p, s, x, l)] guarantee: [laxity] is how long the client
-    may hold its place on the runnable queue with an empty ring,
-    charged against its slice, exactly as the USD treats disk
-    transactions. [laxity = 0] (the default) is bit-for-bit the seed
-    behaviour. *)
+    Laxity [l] is the loop's too. Single-packet clients need none:
+    without laxity an empty client leaves the runnable queue
+    ({!Sched.Atropos.Leaves_runnable}) and is picked again as soon as
+    it sends. A bulk transfer — a page fragmented into many MTU
+    packets, as the remote-memory tier issues — may admit with
+    [l > 0] to hold its place across the think time between its
+    packets. *)
 
 open Engine
 

@@ -380,7 +380,67 @@ let cpu_consume_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "20 us consume" ~bound:35. (words_per ~warm:1_000 ~n:10_000 cycle)
+  check_words "20 us consume" ~bound:33. (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* One pager's transactions through the USD, back to back: the request
+   and its completion ivar, the channel hand-off, the loop's lax wait
+   for the next submission, the disk service and the trace record. *)
+let usd_transact_allocation () =
+  let sim = Sim.create () in
+  let usd = Usbs.Usd.create sim (Disk.Disk_model.create ()) in
+  let c =
+    match
+      Usbs.Usd.admit usd ~name:"c"
+        ~qos:(Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) ())
+        ()
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "admission refused"
+  in
+  let served = ref 0 in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           Usbs.Usd.transact_exn usd c Usbs.Usd.Read
+             ~lba:(!served * 16 mod 100_000) ~nblocks:16;
+           incr served
+         done));
+  let cycle n =
+    let target = !served + n in
+    while !served < target do
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "USD transact" ~bound:76. (words_per ~warm:1_000 ~n:10_000 cycle)
+
+(* One MTU packet at a time over the link: the packet and its ivar, the
+   wake of the waiting loop, the wire-time sleep and the trace
+   record. *)
+let link_transmit_allocation () =
+  let sim = Sim.create () in
+  let link = Usnet.Link.create sim in
+  let c =
+    match
+      Usnet.Link.admit link ~name:"c" ~period:(Time.ms 10)
+        ~slice:(Time.ms 5) ()
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "admission refused"
+  in
+  let sent = ref 0 in
+  ignore
+    (Proc.spawn sim (fun () ->
+         while true do
+           ignore (Usnet.Link.transmit link c ~bytes:1500);
+           incr sent
+         done));
+  let cycle n =
+    let target = !sent + n in
+    while !sent < target do
+      ignore (Sim.step sim)
+    done
+  in
+  check_words "link transmit" ~bound:55. (words_per ~warm:1_000 ~n:10_000 cycle)
 
 (* A waiter signalled before its timeout: its list cell, the timer's
    handle (cancelled on resume) and the park. *)
@@ -889,6 +949,10 @@ let suite =
           proc_sleep_allocation;
         Alcotest.test_case "20 us consume allocation bound" `Quick
           cpu_consume_allocation;
+        Alcotest.test_case "USD transact allocation bound" `Quick
+          usd_transact_allocation;
+        Alcotest.test_case "link transmit allocation bound" `Quick
+          link_transmit_allocation;
         Alcotest.test_case "signalled wait_timeout allocation bound" `Quick
           waitq_timeout_allocation;
         Alcotest.test_case "Ivar create, read, fill allocation bound" `Quick

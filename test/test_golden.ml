@@ -42,17 +42,20 @@ let forever f = while true do f () done
 
 type run = {
   usd : string;  (** the default USD's printed trace *)
-  usd_ablated : string;  (** laxity off, roll-over off *)
+  usd_ablated : string;  (** every l = 0, roll-over off *)
   links : string list;  (** each link's printed trace *)
   cpu : string;  (** CPU-request completions, in completion order *)
   audit : string;  (** every retained QoS violation, in order *)
 }
 
-let usd_clients sim rng usd ~prefix =
+(* [no_laxity] admits every client with l = 0: the laxity-off
+   ablation. *)
+let usd_clients ?(no_laxity = false) sim rng usd ~prefix =
   let nblocks =
     (Disk.Disk_model.params (Usbs.Usd.disk usd)).Disk.Disk_params.nblocks
   in
   let admit name ~period ~slice ~extra ~laxity =
+    let laxity = if no_laxity then 0 else laxity in
     let qos = Usbs.Qos.make ~period ~slice ~extra ~laxity () in
     match
       Usbs.Usd.admit usd ~name:(prefix ^ name) ~qos ~channel_depth:4 ()
@@ -224,11 +227,11 @@ let scheduler_run () =
       let rng = Sim.rng sim in
       let usd = Usbs.Usd.create sim (Disk.Disk_model.create ()) in
       let usd_ablated =
-        Usbs.Usd.create ~rollover:false ~laxity_enabled:false sim
-          (Disk.Disk_model.create ())
+        Usbs.Usd.create ~rollover:false sim (Disk.Disk_model.create ())
       in
       usd_clients sim (Rng.split rng) usd ~prefix:"";
-      usd_clients sim (Rng.split rng) usd_ablated ~prefix:"ab-";
+      usd_clients ~no_laxity:true sim (Rng.split rng) usd_ablated
+        ~prefix:"ab-";
       let fast = Usnet.Link.create ~name:"fast" sim in
       let plain = Usnet.Link.create ~name:"plain" ~rollover:false sim in
       link_clients sim (Rng.split rng) fast;

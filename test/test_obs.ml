@@ -118,7 +118,7 @@ let audit_cpu_undersupply () =
   let entitled = Time.ms 10 in
   let feed ~got ~backlogged n =
     for i = 1 to n do
-      Obs.Qos_audit.cpu_boundary ~now:(Time.ms (10 * i)) ~dom:"victim"
+      Obs.Qos_audit.boundary Cpu ~now:(Time.ms (10 * i)) ~name:"victim"
         ~entitled ~got ~backlogged
     done
   in
@@ -150,7 +150,7 @@ let audit_cpu_undersupply () =
 let audit_usd_undersupply () =
   Obs.reset ();
   for i = 1 to 3 do
-    Obs.Qos_audit.usd_boundary ~now:(Time.ms (250 * i)) ~stream:"swap"
+    Obs.Qos_audit.boundary Usd ~now:(Time.ms (250 * i)) ~name:"swap"
       ~entitled:(Time.ms 50) ~got:(Time.ms 1) ~backlogged:true
   done;
   checkb "usd undersupply flagged" false (Obs.Qos_audit.ok ());

@@ -1,4 +1,5 @@
-(* Tests for the Atropos/EDF accounting core and the CPU scheduler. *)
+(* Tests for the Atropos/EDF accounting core, the shared scheduler loop
+   and the CPU scheduler. *)
 
 open Engine
 open Sched
@@ -145,6 +146,63 @@ let cpu_slack_when_idle () =
   checkb "finished early thanks to slack" true (!done_at < Time.ms 100);
   checkb "finished at all" true (!done_at > Time.zero)
 
+(* --- The shared loop: when it wakes --- *)
+
+let alloc_times trace is_alloc =
+  List.filter_map
+    (fun (at, ev) -> if is_alloc ev then Some at else None)
+    (Trace.to_list trace)
+
+(* Where empty clients stay runnable (the USD), the loop wakes at every
+   period boundary, so an idle stream with l = 0 gets its [Alloc]
+   record at each boundary. Where they leave the runnable queue (the
+   link), an idle client's boundaries pass unseen until work wakes the
+   loop, which then records one [Alloc] for all of them. *)
+let loop_wake_rule () =
+  let sim = Sim.create () in
+  let usd = Usbs.Usd.create sim (Disk.Disk_model.create ()) in
+  (match
+     Usbs.Usd.admit usd ~name:"idle"
+       ~qos:
+         (Usbs.Qos.make ~period:(Time.ms 50) ~slice:(Time.ms 10) ~laxity:0 ())
+       ()
+   with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  let link = Usnet.Link.create sim in
+  let c =
+    match
+      Usnet.Link.admit link ~name:"idle" ~period:(Time.ms 10)
+        ~slice:(Time.ms 2) ()
+    with
+    | Ok c -> c
+    | Error e -> failwith (Usnet.Link.admit_error_message e)
+  in
+  Sim.run ~until:(Time.ms 475) sim;
+  let usd_allocs () =
+    alloc_times (Usbs.Usd.trace usd) (function
+      | Usbs.Usd.Alloc _ -> true
+      | _ -> false)
+  in
+  let link_allocs () =
+    alloc_times (Usnet.Link.trace link) (function
+      | Usnet.Link.Alloc _ -> true
+      | _ -> false)
+  in
+  Alcotest.(check (list int)) "USD: one Alloc per boundary"
+    (List.init 9 (fun i -> Time.ms (50 * (i + 1))))
+    (usd_allocs ());
+  Alcotest.(check (list int)) "link: no Alloc while idle" [] (link_allocs ());
+  ignore
+    (Proc.spawn sim (fun () ->
+         match Usnet.Link.transmit link c ~bytes:512 with
+         | Ok () -> ()
+         | Error `Retired -> Alcotest.fail "retired"));
+  Sim.run ~until:(Time.ms 480) sim;
+  Alcotest.(check (list int)) "link: one Alloc when woken" [ Time.ms 475 ]
+    (link_allocs ());
+  check "the packet went out" 1 (Usnet.Link.packets_sent c)
+
 let suite =
   [ ( "sched.edf",
       [ Alcotest.test_case "admission control" `Quick edf_admission;
@@ -159,4 +217,8 @@ let suite =
           cpu_consume_advances_time;
         Alcotest.test_case "contended shares follow contracts" `Quick
           cpu_guarantees_respected;
-        Alcotest.test_case "slack time when idle" `Quick cpu_slack_when_idle ] ) ]
+        Alcotest.test_case "slack time when idle" `Quick
+          cpu_slack_when_idle ] );
+    ( "sched.atropos",
+      [ Alcotest.test_case "wake rule: USD every boundary, link on work"
+          `Quick loop_wake_rule ] ) ]

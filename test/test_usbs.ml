@@ -54,10 +54,10 @@ let io_channel_backpressure () =
 
 (* --- Usd --- *)
 
-let mk_usd ?rollover ?laxity_enabled () =
+let mk_usd ?rollover () =
   let sim = Sim.create () in
   let dm = Disk.Disk_model.create () in
-  (sim, Usd.create ?rollover ?laxity_enabled sim dm)
+  (sim, Usd.create ?rollover sim dm)
 
 let admit_exn u ~name ~qos =
   match Usd.admit u ~name ~qos () with
@@ -118,7 +118,7 @@ let usd_edf_shares () =
   checkb "count ratio at least 4" true
     (float_of_int (Usd.txn_count a) /. float_of_int (Usd.txn_count b) >= 3.6)
 
-let usd_laxity_bounded () =
+let usd_lax_charge_bounded () =
   let sim, u = mk_usd () in
   let q =
     Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 100) ~laxity:(Time.ms 10) ()
@@ -144,11 +144,12 @@ let usd_laxity_bounded () =
   checkb "no lax charge exceeds l" true (!max_lax <= Time.ms 10)
 
 let usd_short_block_problem () =
-  (* Same narrow-gap workload with laxity disabled: the client is
-     idled after every transaction and only restarts at period
-     boundaries — ~1 transaction per period. *)
-  let sim, u = mk_usd ~laxity_enabled:false () in
-  let q = Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 100) () in
+  (* Same narrow-gap workload with l = 0: an empty stream stays
+     runnable, so the client is picked with nothing queued right after
+     every transaction, idled, and only restarts at period boundaries —
+     ~1 transaction per period. *)
+  let sim, u = mk_usd () in
+  let q = Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 100) ~laxity:0 () in
   let c = admit_exn u ~name:"a" ~qos:q in
   ignore
     (Proc.spawn sim (fun () ->
@@ -315,7 +316,7 @@ let suite =
         Alcotest.test_case "single client transactions" `Quick
           usd_single_client_txn;
         Alcotest.test_case "EDF honours 4:1 shares" `Slow usd_edf_shares;
-        Alcotest.test_case "laxity bounded by l" `Quick usd_laxity_bounded;
+        Alcotest.test_case "laxity bounded by l" `Quick usd_lax_charge_bounded;
         Alcotest.test_case "short-block problem without laxity" `Quick
           usd_short_block_problem;
         Alcotest.test_case "roll-over bounds overrun" `Slow usd_rollover_carry;

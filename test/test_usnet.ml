@@ -136,6 +136,32 @@ let link_latency_under_guarantee () =
   Sim.run ~until:(Time.sec 5) sim;
   checkb "cm latency bounded by ~a period" true (!worst < Time.ms 8)
 
+(* The link side of the one rule the resources keep apart in the shared
+   Atropos loop: an empty link client without laxity leaves the
+   runnable queue instead of being picked and idled, so a sender that
+   thinks between packets is served again as soon as its next packet
+   arrives. (On the USD the same client forfeits its period after the
+   first request: the short-block problem.) *)
+let link_think_time_without_laxity () =
+  let sim, link = mk () in
+  let c =
+    admit_exn link ~name:"bulk" ~period:(Time.ms 20) ~slice:(Time.ms 5)
+      ~laxity:0 ()
+  in
+  let finished = ref Time.zero in
+  ignore
+    (Proc.spawn sim (fun () ->
+         for _ = 1 to 20 do
+           transmit_exn link c ~bytes:1514;
+           Proc.sleep (Time.us 100)
+         done;
+         finished := Sim.now sim));
+  Sim.run ~until:(Time.ms 200) sim;
+  check "all 20 packets sent" 20 (Usnet.Link.packets_sent c);
+  checkb "within the first period" true
+    (!finished > Time.zero && !finished < Time.ms 20);
+  check "no lax time" 0 (Usnet.Link.lax_time c)
+
 let netiso_shares_shape () =
   let r = Experiments.Net_iso.run_shares ~duration:(Time.sec 10) () in
   match r.Experiments.Net_iso.senders with
@@ -164,7 +190,9 @@ let suite =
         Alcotest.test_case "2:1 shares" `Quick link_shares_follow_guarantees;
         Alcotest.test_case "slack for x clients" `Quick link_slack_for_x_clients;
         Alcotest.test_case "CM latency bounded" `Quick
-          link_latency_under_guarantee ] );
+          link_latency_under_guarantee;
+        Alcotest.test_case "think time without laxity keeps the link" `Quick
+          link_think_time_without_laxity ] );
     ( "usnet.experiments",
       [ Alcotest.test_case "1:2:4 link shares" `Slow netiso_shares_shape;
         Alcotest.test_case "kernel crosstalk direction" `Slow
