@@ -9,12 +9,14 @@ test:
 	dune runtest
 
 # Code size: ml/mli lines per library and for bin, bench and test,
-# plus the lib total — the line count deletion changes report.
+# plus the lib total — the line count deletion changes report — and
+# the number of tests, from the suite's own list (nothing runs).
 loc:
 	@for d in lib/* bin bench test; do \
 		printf '%-16s %6d\n' "$$d" "$$(cat $$d/*.ml $$d/*.mli 2>/dev/null | wc -l)"; \
 	done; \
-	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"; \
+	printf '%-16s %6d\n' "tests" "$$(dune exec test/test_main.exe -- list 2>/dev/null | grep -cE '^[^ ]+ +[0-9]+ ')"
 
 # The Bechamel micro-benchmarks, then every machine-readable record
 # (BENCH_<name>.json) in one process; exits 1 once all are written if

@@ -7,6 +7,7 @@ open Workload
 type laxity_result = {
   with_laxity : (string * float * int) list;
   without_laxity : (string * float * int) list;
+  points : (int * float) list;  (* (laxity ms, total paging Mbit/s) *)
 }
 
 (* Without laxity the apps may not even finish initialising, so compare
@@ -22,11 +23,27 @@ let laxity_row (r : Paging_fig.result) ~duration =
       (a.Paging_fig.app_name, mbit, a.Paging_fig.txns))
     r.Paging_fig.apps
 
+(* The value of l itself: sweep laxity for the Figure-7 workload. A few
+   milliseconds suffice to cover the fault-to-next-submission gap;
+   beyond that the extra allowance is never used (lax charges stop at
+   the point work arrives), so throughput saturates. l = 0 degenerates
+   to plain EDF (the short-block collapse); the fault-to-resubmission
+   gap is sub-millisecond, so any positive allowance already covers
+   it. The on/off table reads the sweep's l = 10 ms and l = 0 runs. *)
 let run_laxity ?(duration = Time.sec 120) () =
-  let on = Paging_fig.run ~duration () in
-  let off = Paging_fig.run ~duration ~laxity:0 () in
-  { with_laxity = laxity_row on ~duration;
-    without_laxity = laxity_row off ~duration }
+  let runs =
+    List.map
+      (fun l_ms ->
+        (l_ms, laxity_row (Paging_fig.run ~duration ~laxity:(Time.ms l_ms) ())
+                 ~duration))
+      [ 0; 1; 2; 5; 10; 25 ]
+  in
+  let total row =
+    List.fold_left (fun acc (_, mbit, _) -> acc +. mbit) 0.0 row
+  in
+  { with_laxity = List.assoc 10 runs;
+    without_laxity = List.assoc 0 runs;
+    points = List.map (fun (l_ms, row) -> (l_ms, total row)) runs }
 
 let print_laxity r =
   Report.heading "Ablation A-laxity: the short-block problem";
@@ -48,32 +65,6 @@ let print_laxity r =
   print_endline
     "idle until its next allocation: paging clients (one outstanding";
   print_endline "request) collapse towards one transaction per period."
-
-(* The value of l itself: sweep laxity for the Figure-7 workload. A few
-   milliseconds suffice to cover the fault-to-next-submission gap;
-   beyond that the extra allowance is never used (lax charges stop at
-   the point work arrives), so throughput saturates. *)
-type laxity_sweep_result = {
-  points : (int * float) list;  (* (laxity ms, total paging Mbit/s) *)
-}
-
-let run_laxity_sweep ?(duration = Time.sec 120) () =
-  let one l_ms =
-    let r = Paging_fig.run ~duration ~laxity:(Time.ms l_ms) () in
-    let total =
-      List.fold_left
-        (fun acc (a : Paging_fig.app_report) ->
-          acc
-          +. float_of_int ((a.Paging_fig.page_ins + a.Paging_fig.page_outs) * 8192)
-             *. 8.0 /. Time.to_sec duration /. 1e6)
-        0.0 r.Paging_fig.apps
-    in
-    (l_ms, total)
-  in
-  (* l = 0 degenerates to plain EDF (the short-block collapse); the
-     fault-to-resubmission gap is sub-millisecond, so any positive
-     allowance already covers it. *)
-  { points = List.map one [ 0; 1; 2; 5; 10; 25 ] }
 
 let print_laxity_sweep r =
   Report.heading "Ablation A-laxity (sweep): how much laxity is enough?";

@@ -9,21 +9,23 @@ type laxity_result = {
   with_laxity : (string * float * int) list;
       (** (app, Mbit/s, txns) with l = 10 ms *)
   without_laxity : (string * float * int) list;
-      (** same with laxity disabled — plain EDF idles a client with no
-          pending transaction until its next allocation, so paging
-          clients collapse towards one transaction per period *)
+      (** same with l = 0 — plain EDF idles a client with no pending
+          transaction until its next allocation, so paging clients
+          collapse towards one transaction per period *)
+  points : (int * float) list;
+      (** (laxity ms, total paging Mbit/s across the three clients)
+          for l = 0, 1, 2, 5, 10, 25 ms *)
 }
 
 val run_laxity : ?duration:Time.span -> unit -> laxity_result
+(** One Figure-7 run per swept l; the on/off rows are the sweep's
+    l = 10 ms and l = 0 runs. *)
+
 val print_laxity : laxity_result -> unit
+(** The on/off table. *)
 
-type laxity_sweep_result = {
-  points : (int * float) list;
-      (** (laxity ms, total paging Mbit/s across the three clients) *)
-}
-
-val run_laxity_sweep : ?duration:Time.span -> unit -> laxity_sweep_result
-val print_laxity_sweep : laxity_sweep_result -> unit
+val print_laxity_sweep : laxity_result -> unit
+(** The sweep table. *)
 
 (** {2 A-rollover: accounting for overruns} *)
 

@@ -93,9 +93,9 @@ let () =
         else Error (Printf.sprintf "%s takes no parameter" name))
   in
   reg "laxity" "the short-block problem: USD laxity on vs off" (fun d ->
-      Ablations.print_laxity (Ablations.run_laxity ~duration:(sec d) ());
-      Ablations.print_laxity_sweep
-        (Ablations.run_laxity_sweep ~duration:(sec (min d 120)) ()));
+      let r = Ablations.run_laxity ~duration:(sec (min d 120)) () in
+      Ablations.print_laxity r;
+      Ablations.print_laxity_sweep r);
   reg "rollover" "slack rollover accounting on vs off" (fun d ->
       Ablations.print_rollover (Ablations.run_rollover ~duration:(sec d) ()));
   reg "pt" "linear vs guarded page tables" (fun _ ->

@@ -130,35 +130,11 @@ let run_cell ~seed ~duration ~name ~mode ~redundancy =
     c_audit = Obs.Qos_audit.summarize () }
 
 let cell_to_json c =
-  let f = c.c_fleet in
-  let open Tier.Fleet in
-  let node h =
-    Json.obj
-      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
-        ("used", Json.int h.nh_used); ("capacity", Json.int h.nh_capacity);
-        ("quarantined", Json.bool h.nh_quarantined);
-        ("quarantines", Json.int h.nh_quarantines);
-        ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves);
-        ("failovers", Json.int h.nh_failovers) ]
-  in
   Json.obj
     [ ("cell", Json.string c.c_name); ("mode", Json.string c.c_mode);
       ("domains", Json.list (List.map Harness.domain_json c.c_domains));
-      ( "fleet",
-        Json.ints
-          [ ("stores", f.stores); ("acks", f.acks);
-            ("lost_primaries", f.lost_primaries); ("failovers", f.failovers);
-            ("rebuilds", f.rebuilds); ("disk_fallbacks", f.disk_fallbacks);
-            ("lost_shards", f.lost_shards);
-            ("degraded_reads", f.degraded_reads);
-            ("reconstructions", f.reconstructions);
-            ("corrupt_shards", f.corrupt_shards);
-            ("migrations", f.migrations); ("node_joins", f.node_joins);
-            ("node_retires", f.node_retires); ("quarantines", f.quarantines);
-            ("readmissions", f.readmissions);
-            ("wipes_applied", f.wipes_applied);
-            ("repair_rounds", f.repair_rounds) ] );
-      ("nodes", Json.list (List.map node c.c_health));
+      ("fleet", Harness.fleet_json c.c_fleet);
+      ("nodes", Json.list (List.map Harness.node_json c.c_health));
       ("books_balanced", Json.bool c.c_books_balanced);
       ("lost_slots", Json.int c.c_lost_slots);
       ("storage_overhead", Json.fixed 3 c.c_overhead);
@@ -227,42 +203,7 @@ let ok r =
 let print_cell c =
   Printf.printf "--- cell %s (%s) ---\n" c.c_name c.c_mode;
   Harness.domain_table ~tiered_label:"fleet" c.c_domains;
-  let f = c.c_fleet in
-  Printf.printf "placement: %d stores = %d acks (%s)\n" f.Tier.Fleet.stores
-    f.Tier.Fleet.acks
-    (if f.Tier.Fleet.stores = f.Tier.Fleet.acks then "balanced"
-     else "UNBALANCED");
-  (match f.Tier.Fleet.lost_shards with
-  | 0 ->
-      Printf.printf
-        "primaries: %d lost = %d failovers + %d rebuilds + %d disk \
-         fallbacks (%s)\n"
-        f.Tier.Fleet.lost_primaries f.Tier.Fleet.failovers
-        f.Tier.Fleet.rebuilds f.Tier.Fleet.disk_fallbacks
-        (if c.c_books_balanced then "balanced" else "UNBALANCED")
-  | _ ->
-      Printf.printf
-        "shards: %d lost = %d reconstructions + %d rebuilds + %d disk \
-         fallbacks (%s)\n"
-        f.Tier.Fleet.lost_shards f.Tier.Fleet.reconstructions
-        f.Tier.Fleet.rebuilds f.Tier.Fleet.disk_fallbacks
-        (if c.c_books_balanced then "balanced" else "UNBALANCED"));
-  Printf.printf
-    "health: %d wipes, %d corrupt shards, %d joins, %d migrations, %d \
-     quarantines, %d repair rounds\n"
-    f.Tier.Fleet.wipes_applied f.Tier.Fleet.corrupt_shards
-    f.Tier.Fleet.node_joins f.Tier.Fleet.migrations f.Tier.Fleet.quarantines
-    f.Tier.Fleet.repair_rounds;
-  List.iter
-    (fun h ->
-      Printf.printf
-        "  node %s: %s, %d/%d entries, %d stored, %d served, %d failovers%s\n"
-        h.Tier.Fleet.nh_name
-        (if h.Tier.Fleet.nh_member then "member" else "standby")
-        h.Tier.Fleet.nh_used h.Tier.Fleet.nh_capacity h.Tier.Fleet.nh_stores
-        h.Tier.Fleet.nh_serves h.Tier.Fleet.nh_failovers
-        (if h.Tier.Fleet.nh_quarantined then " [quarantined]" else ""))
-    c.c_health;
+  Harness.print_fleet c.c_fleet ~balanced:c.c_books_balanced c.c_health;
   Printf.printf
     "storage overhead: %.3fx; degraded reads: %d (mean %s us) vs disk floor \
      %s us\n"

@@ -1,10 +1,11 @@
 (** Erasure: k-of-n stripes against whole-page replicas under double
     node loss, a checksum-lossy node and a live membership change.
 
-    The robustness harness for {!Tier.Fleet}'s [Erasure] mode, run
-    side by side with the [Replicated 2] baseline. Each cell pages
-    three tiered domains (one per access pattern) through a six-node
-    fleet beside three disk-only bystanders. Mid-run the chaos plan
+    The robustness harness for {!Tier.Fleet}'s (k = 4, m = 2)
+    stripes, run side by side with the [Replicated 2] baseline (the
+    k = 1 stripe). Each cell pages three tiered domains (one per
+    access pattern) through a six-node fleet beside three disk-only
+    bystanders. Mid-run the chaos plan
     wipes two nodes ([n1] at T/3, [n2] at 0.45 T — exactly [m] losses
     for the (k = 4, m = 2) stripe), lets 2% of the shards served by
     [n3] fail their checksum, and joins a standby node at 0.6 T
@@ -16,11 +17,12 @@
     lost in either cell, erasure reads in the loss window served
     {e degraded} from remote memory at least 50x faster than the disk
     floor (the bystanders' pooled fault latency), storage overhead at
-    most 1.55x and below the replicated cell's, the mode-aware books
-    balanced (the packet ledger and [lost_shards = reconstructions +
-    rebuilds + disk_fallbacks]), corrupt serves detected, the join honoured with
-    migrations, zero bystander violations, and a second same-seed run
-    reproducing both cells byte-for-byte. *)
+    most 1.55x and below the replicated cell's, the books balanced in
+    both cells (the packet ledger and [lost_shards = reconstructions +
+    rebuilds + disk_fallbacks] — [Replicated 2] is the k = 1 stripe,
+    so one ledger covers both), corrupt serves detected, the join
+    honoured with migrations, zero bystander violations, and a second
+    same-seed run reproducing both cells byte-for-byte. *)
 
 open Engine
 

@@ -37,8 +37,8 @@ let plan_for ~seed ~duration =
 
 (* The repair budget is deliberately a trickle (2 copies every 250 ms):
    re-replicating a wiped node takes a large fraction of the run, so
-   reads must fail over to survivors in the meantime — that window is
-   the point of the experiment. *)
+   reads must fail over to survivors in the meantime (degraded reads
+   of the k = 1 stripe) — that window is the point of the experiment. *)
 let build_fleet ~seed sys =
   fst
     (Harness.fleet sys ~seed ~params:Usnet.Net_params.fast_ethernet
@@ -89,37 +89,12 @@ let run_once ~seed ~duration =
     audit = Obs.Qos_audit.summarize () }
 
 let to_json r =
-  let f = r.fleet in
-  let open Tier.Fleet in
-  let node h =
-    Json.obj
-      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
-        ("used", Json.int h.nh_used); ("capacity", Json.int h.nh_capacity);
-        ("quarantined", Json.bool h.nh_quarantined);
-        ("quarantines", Json.int h.nh_quarantines);
-        ("readmissions", Json.int h.nh_readmissions);
-        ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves);
-        ("failovers", Json.int h.nh_failovers) ]
-  in
   Json.obj
     [ ("seed", Json.int r.seed);
       ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
       ("domains", Json.list (List.map Harness.domain_json r.domains));
-      ( "fleet",
-        Json.ints
-          [ ("stores", f.stores); ("acks", f.acks);
-            ("replica_skips", f.replica_skips);
-            ("replica_timeouts", f.replica_timeouts);
-            ("remote_fulls", f.remote_fulls);
-            ("lost_primaries", f.lost_primaries); ("failovers", f.failovers);
-            ("rebuilds", f.rebuilds); ("disk_fallbacks", f.disk_fallbacks);
-            ("secondary_rebuilds", f.secondary_rebuilds);
-            ("retransmits", f.retransmits); ("quarantines", f.quarantines);
-            ("readmissions", f.readmissions); ("probes", f.probes);
-            ("probe_failures", f.probe_failures);
-            ("wipes_applied", f.wipes_applied);
-            ("repair_rounds", f.repair_rounds) ] );
-      ("nodes", Json.list (List.map node r.health));
+      ("fleet", Harness.fleet_json r.fleet);
+      ("nodes", Json.list (List.map Harness.node_json r.health));
       ("books_balanced", Json.bool r.books_balanced);
       ("stores", Harness.store_json r.store_totals);
       ("lost_slots", Json.int r.lost_slots);
@@ -142,7 +117,7 @@ let ok r =
   r.bystander_violations = 0 && r.books_balanced && r.lost_slots = 0
   && r.node_wipes >= 1 && r.node_partitions >= 1
   && r.fleet.Tier.Fleet.wipes_applied >= 1
-  && r.fleet.Tier.Fleet.failovers > 0
+  && r.fleet.Tier.Fleet.degraded_reads > 0
   && r.fleet.Tier.Fleet.rebuilds > 0
   && r.fleet.Tier.Fleet.quarantines >= 1
   && r.fleet.Tier.Fleet.readmissions >= 1
@@ -155,30 +130,7 @@ let print r =
     r.seed (Time.to_sec r.duration);
   Harness.domain_table ~tiered_label:"fleet" r.domains;
   print_newline ();
-  let f = r.fleet in
-  Printf.printf "placement: %d stores = %d acks (%s)\n" f.Tier.Fleet.stores
-    f.Tier.Fleet.acks
-    (if f.Tier.Fleet.stores = f.Tier.Fleet.acks then "balanced"
-     else "UNBALANCED");
-  Printf.printf
-    "primaries: %d lost = %d failovers + %d rebuilds + %d disk fallbacks \
-     (%s)\n"
-    f.Tier.Fleet.lost_primaries f.Tier.Fleet.failovers f.Tier.Fleet.rebuilds
-    f.Tier.Fleet.disk_fallbacks
-    (if r.books_balanced then "balanced" else "UNBALANCED");
-  Printf.printf
-    "health: %d wipes applied, %d quarantines, %d probes, %d readmissions, \
-     %d secondary rebuilds, %d repair rounds\n"
-    f.Tier.Fleet.wipes_applied f.Tier.Fleet.quarantines f.Tier.Fleet.probes
-    f.Tier.Fleet.readmissions f.Tier.Fleet.secondary_rebuilds
-    f.Tier.Fleet.repair_rounds;
-  List.iter
-    (fun h ->
-      Printf.printf "  node %s: %d/%d pages%s, %d quarantines, %d readmissions\n"
-        h.Tier.Fleet.nh_name h.Tier.Fleet.nh_used h.Tier.Fleet.nh_capacity
-        (if h.Tier.Fleet.nh_quarantined then " [quarantined]" else "")
-        h.Tier.Fleet.nh_quarantines h.Tier.Fleet.nh_readmissions)
-    r.health;
+  Harness.print_fleet r.fleet ~balanced:r.books_balanced r.health;
   Harness.print_store_totals r.store_totals;
   Printf.printf "committed pages lost: %d\n" r.lost_slots;
   Printf.printf "same-seed rerun: %s\n\n"

@@ -10,11 +10,13 @@
     The experiment passes when node loss stays a latency event, never
     a safety one: zero committed pages lost (every fault is served by
     a surviving replica, a rebuilt copy or the disk floor), zero
-    bystander QoS violations, the fleet's double-entry books balance
-    ([stores = acks], the packet ledger, and [lost_primaries =
-    failovers + rebuilds + disk_fallbacks]), the wiped node is re-replicated (rebuilds > 0),
-    the partitioned node is quarantined and probed back in, and a
-    second same-seed run reproduces the report byte-for-byte. *)
+    bystander QoS violations, reads failed over to a surviving copy
+    (degraded reads > 0: R = 2 is the k = 1 stripe), the fleet's
+    double-entry books balance ([stores = acks], the packet ledger,
+    and [lost_shards = reconstructions + rebuilds + disk_fallbacks]),
+    the wiped node is re-replicated (rebuilds > 0), the partitioned
+    node is quarantined and probed back in, and a second same-seed
+    run reproduces the report byte-for-byte. *)
 
 open Engine
 

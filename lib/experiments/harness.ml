@@ -222,6 +222,72 @@ let print_store_totals st =
     st.st_cache_hits st.st_fleet_hits st.st_fleet_misses st.st_demotes
     st.st_write_fallbacks st.st_clean_skips
 
+(* The fleet section every remote-tier report shares: all the fleet's
+   counters, one node shape, and one printer for the placement, ledger,
+   health and node lines. *)
+
+let fleet_json f =
+  let open Tier.Fleet in
+  Json.ints
+    [ ("stores", f.stores); ("acks", f.acks);
+      ("replica_skips", f.replica_skips);
+      ("replica_timeouts", f.replica_timeouts);
+      ("remote_fulls", f.remote_fulls); ("lost_shards", f.lost_shards);
+      ("rebuilds", f.rebuilds); ("disk_fallbacks", f.disk_fallbacks);
+      ("degraded_reads", f.degraded_reads);
+      ("reconstructions", f.reconstructions);
+      ("corrupt_shards", f.corrupt_shards); ("migrations", f.migrations);
+      ("node_joins", f.node_joins); ("node_retires", f.node_retires);
+      ("retransmits", f.retransmits); ("link_drops", f.link_drops);
+      ("link_delays", f.link_delays); ("unreachable", f.unreachable);
+      ("frag_timeouts", f.frag_timeouts); ("quarantines", f.quarantines);
+      ("readmissions", f.readmissions); ("probes", f.probes);
+      ("probe_failures", f.probe_failures);
+      ("wipes_applied", f.wipes_applied); ("repair_rounds", f.repair_rounds) ]
+
+let node_json h =
+  let open Tier.Fleet in
+  Json.obj
+    [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
+      ("used", Json.int h.nh_used); ("capacity", Json.int h.nh_capacity);
+      ("quarantined", Json.bool h.nh_quarantined);
+      ("streak", Json.int h.nh_streak);
+      ("quarantines", Json.int h.nh_quarantines);
+      ("readmissions", Json.int h.nh_readmissions);
+      ("stores", Json.int h.nh_stores); ("serves", Json.int h.nh_serves) ]
+
+let print_fleet f ~balanced nodes =
+  let open Tier.Fleet in
+  let verdict ok = if ok then "balanced" else "UNBALANCED" in
+  Printf.printf
+    "placement: %d stores = %d acks (%s); %d skipped, %d timed out, %d \
+     remote-full\n"
+    f.stores f.acks
+    (verdict (f.stores = f.acks))
+    f.replica_skips f.replica_timeouts f.remote_fulls;
+  Printf.printf
+    "shards: %d lost = %d reconstructions + %d rebuilds + %d disk fallbacks \
+     (%s); %d degraded reads\n"
+    f.lost_shards f.reconstructions f.rebuilds f.disk_fallbacks
+    (verdict balanced) f.degraded_reads;
+  Printf.printf
+    "health: %d wipes, %d corrupt shards, %d joins, %d retires, %d \
+     migrations, %d quarantines, %d probes, %d readmissions, %d repair \
+     rounds\n"
+    f.wipes_applied f.corrupt_shards f.node_joins f.node_retires f.migrations
+    f.quarantines f.probes f.readmissions f.repair_rounds;
+  List.iter
+    (fun h ->
+      Printf.printf
+        "  node %s: %s, %d/%d entries, %d stored, %d served, %d \
+         quarantines, %d readmissions%s\n"
+        h.nh_name
+        (if h.nh_member then "member" else "standby")
+        h.nh_used h.nh_capacity h.nh_stores h.nh_serves h.nh_quarantines
+        h.nh_readmissions
+        (if h.nh_quarantined then " [quarantined]" else ""))
+    nodes
+
 (* ------------------------------------------------------------------ *)
 (* The backing matrix: one domain alone in a fresh system per cell,
    every backing this repo compares side by side.                      *)
@@ -346,16 +412,15 @@ let hot_speedup m =
 let matrix_ok m =
   let cell = matrix_cell m in
   let disk = cell "disk_hot" in
-  let survives healthy wiped degraded =
+  let survives healthy wiped =
     let w = cell wiped in
     w.mc_half2_mean_us <= 2.0 *. (cell healthy).mc_half2_mean_us
     && disk.mc_half2_mean_us >= 5.0 *. w.mc_half2_mean_us
-    && fleet_count degraded w > 0
+    && fleet_count (fun s -> s.Tier.Fleet.reconstructions) w > 0
   in
   (cell "tier_hot").mc_fault_mean_us < disk.mc_fault_mean_us
-  && survives "replicated" "replicated_wipe" (fun s -> s.Tier.Fleet.failovers)
-  && survives "erasure" "erasure_wipe" (fun s ->
-         s.Tier.Fleet.reconstructions)
+  && survives "replicated" "replicated_wipe"
+  && survives "erasure" "erasure_wipe"
   && (cell "erasure").mc_overhead <= 1.55
   && (cell "replicated").mc_overhead >= 1.9
 
@@ -369,7 +434,7 @@ let print_matrix m =
   Report.table
     ~header:
       [ "cell"; "Mbit/s"; "accesses"; "fault us"; "p95 us"; "2nd-half us";
-        "cache/fleet/disk"; "failovers"; "degraded"; "overhead" ]
+        "cache/fleet/disk"; "degraded"; "overhead" ]
     (List.map
        (fun c ->
          let st = c.mc_store in
@@ -378,7 +443,6 @@ let print_matrix m =
            us c.mc_half2_mean_us;
            Printf.sprintf "%d/%d/%d" st.st_cache_hits st.st_fleet_hits
              st.st_fleet_misses;
-           string_of_int (fleet_count (fun s -> s.failovers) c);
            string_of_int (fleet_count (fun s -> s.degraded_reads) c);
            (if Float.is_nan c.mc_overhead then "-"
             else Printf.sprintf "%.2fx" c.mc_overhead) ])
@@ -410,14 +474,6 @@ let print_matrix m =
 
 let matrix_cell_json c =
   let open Tier.Fleet in
-  let node h =
-    Json.obj
-      [ ("name", Json.string h.nh_name); ("member", Json.bool h.nh_member);
-        ("used", Json.int h.nh_used); ("stores", Json.int h.nh_stores);
-        ("serves", Json.int h.nh_serves);
-        ("failovers", Json.int h.nh_failovers);
-        ("quarantines", Json.int h.nh_quarantines) ]
-  in
   let count f = Json.int (fleet_count f c) in
   Json.obj
     [ ("cell", Json.string c.mc_name); ("pattern", Json.string c.mc_pattern);
@@ -429,12 +485,11 @@ let matrix_cell_json c =
       ("cache_hits", Json.int c.mc_store.st_cache_hits);
       ("fleet_hits", Json.int c.mc_store.st_fleet_hits);
       ("fleet_misses", Json.int c.mc_store.st_fleet_misses);
-      ("failovers", count (fun s -> s.failovers));
       ("degraded_reads", count (fun s -> s.degraded_reads));
       ("reconstructions", count (fun s -> s.reconstructions));
       ("rebuilds", count (fun s -> s.rebuilds));
       ("storage_overhead", Json.fixed 3 c.mc_overhead);
-      ("nodes", Json.list (List.map node c.mc_nodes)) ]
+      ("nodes", Json.list (List.map node_json c.mc_nodes)) ]
 
 let matrix_json m =
   Json.obj

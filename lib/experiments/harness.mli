@@ -129,6 +129,23 @@ val store_json : Tier.Fleet.store_stats -> Json.t
 val print_store_totals : Tier.Fleet.store_stats -> unit
 (** Print the read and demote counters as one report line. *)
 
+(** {2 The fleet section}
+
+    What every remote-tier report prints of its {!Tier.Fleet}, whatever
+    its redundancy: the same counters, node shape and ledger. *)
+
+val fleet_json : Tier.Fleet.stats -> Json.t
+(** Every fleet counter as one JSON object. *)
+
+val node_json : Tier.Fleet.node_health -> Json.t
+(** One node's health as a JSON object. *)
+
+val print_fleet :
+  Tier.Fleet.stats -> balanced:bool -> Tier.Fleet.node_health list -> unit
+(** Print the placement line, the loss ledger ([balanced] is
+    {!Tier.Fleet.books_balanced}), the health line and one line per
+    node. *)
+
 val mbit_s : float -> string
 (** Throughput for a table cell, ["warming"] for [nan]. *)
 
@@ -181,9 +198,9 @@ val matrix_ok : matrix -> bool
 (** The tier's hotspot mean fault latency beats the disk's; for each
     redundancy, the wipe cell's second-half mean is at most 2x the
     healthy cell's and at least 5x below the disk's, and the wipe
-    cell took its degraded path (failovers for R = 2,
-    reconstructions for erasure); erasure stores at most 1.55x and
-    replicas at least 1.9x. *)
+    cell took its degraded path (reconstructions > 0: at R = 2 each
+    is a read served by the surviving copy); erasure stores at most
+    1.55x and replicas at least 1.9x. *)
 
 val print_matrix : matrix -> unit
 

@@ -49,9 +49,8 @@ let summarise_client trace name =
     !allocs )
 
 let run ?(mode = Paging_app.Paging_in) ?(duration = Time.sec 240)
-    ?(laxity = Time.ms 10) ?(usd_rollover = true)
-    ?(shares_ms = [ 25; 50; 100 ]) ?(seed = 42) () =
-  let sys = Harness.fresh_system ~usd_rollover ~seed () in
+    ?(laxity = Time.ms 10) ?(seed = 42) () =
+  let sys = Harness.fresh_system ~seed () in
   let apps =
     List.map
       (fun slice_ms ->
@@ -65,7 +64,7 @@ let run ?(mode = Paging_app.Paging_in) ?(duration = Time.sec 240)
         (* Setup failwith: the figure's fixed app fleet is sized to
            admit by construction. *)
         | Error e -> failwith (name ^ ": " ^ e))
-      shares_ms
+      [ 25; 50; 100 ]
   in
   System.run sys ~until:duration;
   let trace = Usbs.Usd.trace (System.usd sys) in

@@ -34,10 +34,9 @@ type result = {
 
 val run :
   ?mode:Workload.Paging_app.mode -> ?duration:Time.span ->
-  ?laxity:Time.span -> ?usd_rollover:bool ->
-  ?shares_ms:int list -> ?seed:int -> unit -> result
-(** Defaults: paging-in, 240 s, laxity 10 ms, shares 25/50/100 ms per
-    250 ms. *)
+  ?laxity:Time.span -> ?seed:int -> unit -> result
+(** Defaults: paging-in, 240 s, laxity 10 ms; the shares are always
+    25/50/100 ms per 250 ms. *)
 
 val print : result -> unit
 

@@ -7,9 +7,8 @@ type result = {
   domains : Harness.domain_report list;
   fleet : Tier.Fleet.stats;
   store_totals : Tier.Fleet.store_stats;
+  node : Tier.Fleet.node_health;
   books_balanced : bool;
-  remote_used : int;
-  remote_capacity : int;
   link_drops : int;
   link_delays : int;
   link_utilisation : float;
@@ -46,7 +45,7 @@ let run_once ~seed ~duration =
       ~capacity:remote_capacity ~redundancy:(Tier.Fleet.Replicated 1)
       [ "tier0" ]
   in
-  let _, remote, link = List.hd nodes in
+  let _, _, link = List.hd nodes in
   let stores = ref [] in
   let apps =
     Harness.start_domains ~experiment:"remote" sys ~tiered_prefix:"tier_"
@@ -70,9 +69,8 @@ let run_once ~seed ~duration =
     domains = reports;
     fleet = Tier.Fleet.stats fleet;
     store_totals = Tier.Fleet.store_totals !stores;
+    node = List.hd (Tier.Fleet.health fleet);
     books_balanced = Tier.Fleet.books_balanced fleet;
-    remote_used = Tier.Remote_node.used_pages remote;
-    remote_capacity;
     link_drops = tally.Inject.link_drops;
     link_delays = tally.Inject.link_delays;
     link_utilisation = Usnet.Link.utilisation link;
@@ -82,28 +80,14 @@ let run_once ~seed ~duration =
     audit = Obs.Qos_audit.summarize () }
 
 let to_json r =
-  let f = r.fleet in
-  let open Tier.Fleet in
   Json.obj
     [ ("seed", Json.int r.seed);
       ("duration_s", Json.fixed 0 (Time.to_sec r.duration));
       ("domains", Json.list (List.map Harness.domain_json r.domains));
-      ( "fleet",
-        Json.ints
-          [ ("stores", f.stores); ("acks", f.acks);
-            ("remote_fulls", f.remote_fulls);
-            ("replica_timeouts", f.replica_timeouts);
-            ("lost_primaries", f.lost_primaries);
-            ("disk_fallbacks", f.disk_fallbacks); ("link_drops", f.link_drops);
-            ("link_delays", f.link_delays); ("unreachable", f.unreachable);
-            ("retransmits", f.retransmits); ("frag_timeouts", f.frag_timeouts);
-            ("quarantines", f.quarantines); ("readmissions", f.readmissions);
-            ("repair_rounds", f.repair_rounds) ] );
+      ("fleet", Harness.fleet_json r.fleet);
       ("stores", Harness.store_json r.store_totals);
       ("books_balanced", Json.bool r.books_balanced);
-      ( "remote",
-        Json.ints
-          [ ("used", r.remote_used); ("capacity", r.remote_capacity) ] );
+      ("remote", Harness.node_json r.node);
       ( "link",
         Json.obj
           [ ("drops", Json.int r.link_drops);
@@ -149,14 +133,8 @@ let print r =
     f.Tier.Fleet.link_drops f.Tier.Fleet.unreachable f.Tier.Fleet.retransmits
     f.Tier.Fleet.frag_timeouts r.link_drops
     (if drops_agree r then "agrees" else "DISAGREES");
-  Printf.printf
-    "primaries: %d lost = %d failovers + %d rebuilds + %d disk fallbacks; \
-     %d remote-full degrades (%s)\n"
-    f.Tier.Fleet.lost_primaries f.Tier.Fleet.failovers f.Tier.Fleet.rebuilds
-    f.Tier.Fleet.disk_fallbacks f.Tier.Fleet.remote_fulls
-    (if r.books_balanced then "books balance" else "UNBALANCED BOOKS");
-  Printf.printf "remote node: %d/%d pages; link utilisation %.2f\n"
-    r.remote_used r.remote_capacity r.link_utilisation;
+  Harness.print_fleet f ~balanced:r.books_balanced [ r.node ];
+  Printf.printf "link utilisation %.2f\n" r.link_utilisation;
   Printf.printf "same-seed rerun: %s\n\n"
     (if r.deterministic then "byte-identical" else "DIVERGED");
   Report.audit_section "Remote-paging QoS audit" (Some r.audit);

@@ -26,9 +26,8 @@ type result = {
   fleet : Tier.Fleet.stats;  (** the one-node fleet behind every tiered domain *)
   store_totals : Tier.Fleet.store_stats;
       (** per-domain store counters summed across the tiered domains *)
+  node : Tier.Fleet.node_health;  (** the one remote node *)
   books_balanced : bool;  (** {!Tier.Fleet.books_balanced} *)
-  remote_used : int;
-  remote_capacity : int;
   link_drops : int;  (** packets the injector dropped, per its tally *)
   link_delays : int;
   link_utilisation : float;

@@ -21,7 +21,6 @@ type node = {
   mutable nd_readmissions : int;
   mutable nd_stores : int; (* entries this node acked *)
   mutable nd_serves : int; (* reads this node answered *)
-  mutable nd_failovers : int; (* reads it answered as a failover *)
 }
 
 (* The fleet's counters and each store's, one record each: [stats] and
@@ -32,12 +31,9 @@ type stats = {
   mutable replica_skips : int;
   mutable replica_timeouts : int;
   mutable remote_fulls : int;
-  mutable lost_primaries : int;
-  mutable failovers : int;
+  mutable lost_shards : int;
   mutable rebuilds : int;
   mutable disk_fallbacks : int;
-  mutable secondary_rebuilds : int;
-  mutable lost_shards : int;
   mutable degraded_reads : int;
   mutable reconstructions : int;
   mutable corrupt_shards : int;
@@ -73,24 +69,31 @@ let no_store_stats () =
     st_promotes = 0; st_demotes = 0; st_write_fallbacks = 0;
     st_clean_skips = 0; st_lost_slots = 0 }
 
+(* Health and transfer constants: a node is quarantined after
+   [timeouts_to_quarantine] consecutive timeouts and probed every
+   [probe_period]; a lost packet is retried [link_retries] times on
+   the {!backoff} ladder whose base is the [ack_deadline]; the fleet's
+   own probe/repair traffic rides a (p, s) = [repair_guarantee]
+   client on every node link. *)
+let timeouts_to_quarantine = 3
+let probe_period = Time.ms 50
+let link_retries = 3
+let ack_deadline = Time.ms 1
+let repair_guarantee = (Time.ms 20, Time.ms 2)
+
 type t = {
   sim : Sim.t;
   seed : int;
-  mode : redundancy;
-  ec : Ec.code option; (* Some iff mode is Erasure *)
-  width : int; (* entries placed per page: R, or k + m *)
-  quarantine_after : int;
-  probe_period : Time.span;
+  ec : Ec.code; (* replicas are the k = 1 code *)
+  width : int; (* entries placed per page: k + m *)
   repair_period : Time.span;
   repair_budget : int;
-  link_retries : int;
-  retx_timeout : Time.span;
   nodes : node array; (* members first, then standby *)
   (* the placement book: pages the fleet believes it holds, keyed by
      [(owner, slot)], mapped to the node index per stripe position
-     (replicated: copy 0 = primary; erasure: position = shard index).
-     Recorded only when enough entries were acked to recover the
-     page. Repair mutates entries in place as it migrates shards. *)
+     (position = shard index, keyed so at the node). Recorded only
+     when enough entries were acked to recover the page. Repair
+     mutates entries in place as it migrates shards. *)
   pages : (string * int, int array) Hashtbl.t;
   (* page heat: fleet reads per [(owner, slot)], the repair queue's
      hot-first order — fleet state, so observability cannot move it *)
@@ -109,7 +112,6 @@ type node_health = {
   nh_readmissions : int;
   nh_stores : int;
   nh_serves : int;
-  nh_failovers : int;
 }
 
 type store = {
@@ -142,18 +144,8 @@ let node_gauges nd =
     g "streak" (float_of_int nd.nd_streak)
   end
 
-(* Which shard an entry at stripe position [p] is keyed as at the
-   node: replicated copies are all the whole page (shard 0), erasure
-   positions are distinct shards. *)
-let shard_of t p = match t.ec with None -> 0 | Some _ -> p
-
-(* Bytes of one entry on the wire: a whole page, or one shard. *)
-let xfer_len t =
-  match t.ec with None -> page_bytes | Some c -> Ec.shard_length c ~page_bytes
-
-(* Acked entries needed before a placement is worth booking: one copy
-   recovers a replicated page, k shards an erasure-coded one. *)
-let min_placed t = match t.ec with None -> 1 | Some c -> Ec.k c
+(* Bytes of one entry on the wire: one shard (a whole page at k = 1). *)
+let xfer_len t = Ec.shard_length t.ec ~page_bytes
 
 let heat t ~owner ~slot =
   match Hashtbl.find_opt t.heat (owner, slot) with Some r -> !r | None -> 0
@@ -212,9 +204,6 @@ let member_names t =
 let member_count t =
   Array.fold_left (fun n nd -> if nd.nd_member then n + 1 else n) 0 t.nodes
 
-let redundancy (t : t) = t.mode
-let stripe_width t = t.width
-
 (* ------------------------------------------------------------------ *)
 (* Node health and membership                                          *)
 
@@ -223,14 +212,14 @@ let quarantine t nd =
     nd.nd_quarantined <- true;
     nd.nd_quarantines <- nd.nd_quarantines + 1;
     t.counts.quarantines <- t.counts.quarantines + 1;
-    nd.nd_next_probe <- Time.add (Sim.now t.sim) t.probe_period;
+    nd.nd_next_probe <- Time.add (Sim.now t.sim) probe_period;
     metric "quarantine";
     node_gauges nd
   end
 
 let note_timeout t nd =
   nd.nd_streak <- nd.nd_streak + 1;
-  if nd.nd_streak >= t.quarantine_after then quarantine t nd
+  if nd.nd_streak >= timeouts_to_quarantine then quarantine t nd
 
 let note_ok nd = nd.nd_streak <- 0
 
@@ -352,13 +341,13 @@ let send_frag t nd client ~retries bytes =
         if delivered then Ok ()
         else begin
           (* waited the ack deadline in vain *)
-          Proc.sleep t.retx_timeout;
+          Proc.sleep ack_deadline;
           if reachable then t.counts.link_drops <- t.counts.link_drops + 1
           else t.counts.unreachable <- t.counts.unreachable + 1;
           if left > 0 then begin
             t.counts.retransmits <- t.counts.retransmits + 1;
             metric "retransmit";
-            Proc.sleep (backoff ~base:t.retx_timeout ~attempt:n);
+            Proc.sleep (backoff ~base:ack_deadline ~attempt:n);
             attempt (left - 1) (n + 1)
           end
           else begin
@@ -370,11 +359,11 @@ let send_frag t nd client ~retries bytes =
   in
   attempt retries 0
 
-let send_frags t nd client ~retries frags =
+let send_frags t nd client frags =
   let rec go = function
     | [] -> Ok ()
     | b :: rest -> (
-        match send_frag t nd client ~retries b with
+        match send_frag t nd client ~retries:link_retries b with
         | Ok () -> go rest
         | Error _ as e -> e)
   in
@@ -399,13 +388,13 @@ let in_parallel t jobs =
 (* Push one entry (copy or shard) to [nd]: fragments out, node
    service, store. Health is noted here; the caller classifies the
    outcome. *)
-let push_page t nd client ~retries ~shard ~owner ~slot =
-  match send_frags t nd client ~retries (fragments nd (xfer_len t)) with
+let push_page t nd client ~shard ~owner ~slot =
+  match send_frags t nd client (fragments nd (xfer_len t)) with
   | Error `Timeout ->
       note_timeout t nd;
       `Timeout
   | Ok () -> (
-      Proc.sleep (Remote_node.service_time nd.nd_remote);
+      Proc.sleep Remote_node.service_time;
       note_ok nd;
       match Remote_node.store nd.nd_remote ~shard ~owner ~slot with
       | Ok () ->
@@ -418,19 +407,19 @@ let push_page t nd client ~retries ~shard ~owner ~slot =
    fragments back — all on [client]'s guarantee. [`Stale] is a miss
    reply: the node answered (health-wise it is fine) but no longer
    holds the entry. *)
-let fetch_page t nd client ~retries ~shard ~owner ~slot =
-  match send_frag t nd client ~retries 64 with
+let fetch_page t nd client ~shard ~owner ~slot =
+  match send_frag t nd client ~retries:link_retries 64 with
   | Error `Timeout ->
       note_timeout t nd;
       `Timeout
   | Ok () ->
-      Proc.sleep (Remote_node.service_time nd.nd_remote);
+      Proc.sleep Remote_node.service_time;
       if not (Remote_node.holds nd.nd_remote ~shard ~owner ~slot) then begin
         note_ok nd;
         `Stale
       end
       else (
-        match send_frags t nd client ~retries (fragments nd (xfer_len t)) with
+        match send_frags t nd client (fragments nd (xfer_len t)) with
         | Ok () ->
             note_ok nd;
             `Ok
@@ -440,10 +429,10 @@ let fetch_page t nd client ~retries ~shard ~owner ~slot =
 
 (* Fetch plus checksum verification: the {!Inject.shard_corrupt} site
    fires once per entry actually served, and a detected bit-flip is
-   treated exactly like a lost entry — reconstruct, fail over or
-   rebuild; never silently returned. *)
-let fetch_shard t nd client ~retries ~shard ~owner ~slot =
-  match fetch_page t nd client ~retries ~shard ~owner ~slot with
+   treated exactly like a lost entry — reconstruct or rebuild; never
+   silently returned. *)
+let fetch_shard t nd client ~shard ~owner ~slot =
+  match fetch_page t nd client ~shard ~owner ~slot with
   | `Ok ->
       if Inject.shard_corrupt ~name:nd.nd_name then begin
         t.counts.corrupt_shards <- t.counts.corrupt_shards + 1;
@@ -461,11 +450,11 @@ let probe t nd =
   metric "probe";
   match send_frag t nd nd.nd_repair ~retries:0 64 with
   | Ok () ->
-      Proc.sleep (Remote_node.service_time nd.nd_remote);
+      Proc.sleep Remote_node.service_time;
       readmit t nd
   | Error `Timeout ->
       t.counts.probe_failures <- t.counts.probe_failures + 1;
-      nd.nd_next_probe <- Time.add (Sim.now t.sim) t.probe_period
+      nd.nd_next_probe <- Time.add (Sim.now t.sim) probe_period
 
 let probe_due t =
   let now = Sim.now t.sim in
@@ -485,84 +474,57 @@ let book_fresh t ~reps ~owner ~slot =
 (* Materialise the entry for stripe position [p] at [dst], over the
    fleet's own repair clients.
 
-   Cheap path first: if a live node still serves that very entry
-   (any surviving copy in replicated mode; position [p]'s recorded
-   holder in erasure mode), one fetch + one push moves it — this is
-   what makes membership rebalancing "minimal movement". Otherwise a
-   replicated page with no surviving copy cannot be repaired
-   ([`No_source]; the read path answers), while an erasure-coded
-   page is reconstructed from any [k] live shards: [k] shard fetches
-   plus one shard push, the real price of parity repair. *)
+   Cheap path first: if position [p]'s recorded holder still serves
+   that very entry, one fetch + one push moves it — this is what makes
+   membership rebalancing "minimal movement". Otherwise the entry is
+   reconstructed from any [k] live shards: [k] shard fetches plus one
+   shard push, the real price of parity repair (at k = 1, one
+   surviving copy). *)
 let rebuild_shard t ~reps ~owner ~slot ~p ~dst =
   let live i = not t.nodes.(i).nd_quarantined in
   let holds q i =
-    Remote_node.holds t.nodes.(i).nd_remote ~shard:(shard_of t q) ~owner ~slot
+    Remote_node.holds t.nodes.(i).nd_remote ~shard:q ~owner ~slot
   in
   let push () =
     if not (book_fresh t ~reps ~owner ~slot) then `Stale
     else
-      match
-        push_page t dst dst.nd_repair ~retries:t.link_retries
-          ~shard:(shard_of t p) ~owner ~slot
-      with
+      match push_page t dst dst.nd_repair ~shard:p ~owner ~slot with
       | `Acked ->
           t.counts.stores <- t.counts.stores + 1;
           metric "store";
           `Acked
       | (`Full | `Timeout) as e -> e
   in
-  let direct_src =
-    match t.ec with
-    | None ->
-        (* any copy is the page *)
-        let src = ref None in
-        Array.iter
-          (fun i ->
-            if !src = None && i <> dst.nd_idx && live i && holds 0 i then
-              src := Some i)
-          reps;
-        !src
-    | Some _ ->
-        let i = reps.(p) in
-        if i <> dst.nd_idx && live i && holds p i then Some i else None
-  in
-  match direct_src with
-  | Some i -> (
-      let src = t.nodes.(i) in
-      match
-        fetch_shard t src src.nd_repair ~retries:t.link_retries
-          ~shard:(shard_of t p) ~owner ~slot
-      with
-      | (`Timeout | `Stale | `Corrupt) as e -> e
-      | `Ok -> push ())
-  | None -> (
-      match t.ec with
-      | None -> `No_source
-      | Some c ->
-          let k = Ec.k c in
-          let srcs = ref [] and n = ref 0 in
-          Array.iteri
-            (fun q i ->
-              if !n < k && q <> p && live i && holds q i then begin
-                incr n;
-                srcs := (q, i) :: !srcs
-              end)
-            reps;
-          if !n < k then `No_source
-          else begin
-            let rec pull = function
-              | [] -> push ()
-              | (q, i) :: rest -> (
-                  let src = t.nodes.(i) in
-                  match
-                    fetch_shard t src src.nd_repair ~retries:t.link_retries
-                      ~shard:(shard_of t q) ~owner ~slot
-                  with
-                  | `Ok -> pull rest
-                  | (`Timeout | `Stale | `Corrupt) as e -> e)
-            in
-            pull (List.rev !srcs)
-          end)
+  let i = reps.(p) in
+  if i <> dst.nd_idx && live i && holds p i then begin
+    let src = t.nodes.(i) in
+    match fetch_shard t src src.nd_repair ~shard:p ~owner ~slot with
+    | (`Timeout | `Stale | `Corrupt) as e -> e
+    | `Ok -> push ()
+  end
+  else begin
+    let k = Ec.k t.ec in
+    let srcs = ref [] and n = ref 0 in
+    Array.iteri
+      (fun q i ->
+        if !n < k && q <> p && live i && holds q i then begin
+          incr n;
+          srcs := (q, i) :: !srcs
+        end)
+      reps;
+    if !n < k then `No_source
+    else begin
+      let rec pull = function
+        | [] -> push ()
+        | (q, i) :: rest -> (
+            let src = t.nodes.(i) in
+            match fetch_shard t src src.nd_repair ~shard:q ~owner ~slot with
+            | `Ok -> pull rest
+            | (`Timeout | `Stale | `Corrupt) as e -> e)
+      in
+      pull (List.rev !srcs)
+    end
+  end
 
 let repair_round t =
   t.counts.repair_rounds <- t.counts.repair_rounds + 1;
@@ -588,41 +550,25 @@ let repair_round t =
             let cur_nd = t.nodes.(cur) and tgt_nd = t.nodes.(tgt) in
             let cur_has =
               (not cur_nd.nd_quarantined)
-              && Remote_node.holds cur_nd.nd_remote ~shard:(shard_of t p)
-                   ~owner ~slot
+              && Remote_node.holds cur_nd.nd_remote ~shard:p ~owner ~slot
             in
             if (not (cur_has && cur = tgt)) && not tgt_nd.nd_quarantined
             then begin
               decr budget;
               match rebuild_shard t ~reps ~owner ~slot ~p ~dst:tgt_nd with
               | `Acked ->
-                  (if cur_has && cur <> tgt then begin
-                     (* rebalance: the entry lived, it just moved *)
-                     Remote_node.drop cur_nd.nd_remote ~shard:(shard_of t p)
-                       ~owner ~slot;
-                     t.counts.migrations <- t.counts.migrations + 1;
-                     metric "migrate"
-                   end
-                   else
-                     match t.ec with
-                     | Some _ ->
-                         (* a lost shard observed and answered here *)
-                         t.counts.lost_shards <- t.counts.lost_shards + 1;
-                         t.counts.rebuilds <- t.counts.rebuilds + 1;
-                         metric "shard_rebuild"
-                     | None ->
-                         if p = 0 then begin
-                           (* the primary was gone and repair answered *)
-                           t.counts.lost_primaries <-
-                             t.counts.lost_primaries + 1;
-                           t.counts.rebuilds <- t.counts.rebuilds + 1;
-                           metric "rebuild"
-                         end
-                         else begin
-                           t.counts.secondary_rebuilds <-
-                             t.counts.secondary_rebuilds + 1;
-                           metric "secondary_rebuild"
-                         end);
+                  if cur_has && cur <> tgt then begin
+                    (* rebalance: the entry lived, it just moved *)
+                    Remote_node.drop cur_nd.nd_remote ~shard:p ~owner ~slot;
+                    t.counts.migrations <- t.counts.migrations + 1;
+                    metric "migrate"
+                  end
+                  else begin
+                    (* a lost shard observed and answered here *)
+                    t.counts.lost_shards <- t.counts.lost_shards + 1;
+                    t.counts.rebuilds <- t.counts.rebuilds + 1;
+                    metric "shard_rebuild"
+                  end;
                   reps.(p) <- tgt
               | `No_source | `Full | `Timeout | `Stale | `Corrupt -> ()
             end
@@ -636,27 +582,24 @@ let repair_round t =
 (* Construction                                                        *)
 
 let create ?(redundancy = Replicated 2) ?(standby = [])
-    ?(quarantine_after = 3) ?(probe_period = Time.ms 50)
-    ?(repair_period = Time.ms 25) ?(repair_budget = 8) ?(link_retries = 3)
-    ?(retx_timeout = Time.ms 1) ?(repair_qos = (Time.ms 20, Time.ms 2))
-    ?(repair = true) ~seed ~nodes sim =
+    ?(repair_period = Time.ms 25) ?(repair_budget = 8) ?(repair = true) ~seed
+    ~nodes sim =
   if nodes = [] then invalid_arg "Fleet.create: empty node list";
-  if quarantine_after < 1 then
-    invalid_arg "Fleet.create: quarantine_after must be >= 1";
   let members = List.length nodes in
-  let ec, width =
+  (* r whole-page copies are the (k = 1, m = r - 1) code *)
+  let ec =
     match redundancy with
     | Replicated r ->
         if r < 1 then invalid_arg "Fleet.create: replicas must be >= 1";
-        (None, min r members)
+        Ec.make ~k:1 ~m:(min r members - 1)
     | Erasure { k; m } ->
         let c = Ec.make ~k ~m in
         (* Ec.make validated the (k, m) ranges *)
         if k + m > members then
           invalid_arg "Fleet.create: erasure needs k + m member nodes";
-        (Some c, k + m)
+        c
   in
-  let period, slice = repair_qos in
+  let period, slice = repair_guarantee in
   let mk_node member i (name, remote, link) =
     if name <> Usnet.Link.name link then
       invalid_arg
@@ -685,8 +628,7 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       nd_quarantines = 0;
       nd_readmissions = 0;
       nd_stores = 0;
-      nd_serves = 0;
-      nd_failovers = 0 }
+      nd_serves = 0 }
   in
   let all =
     List.mapi (mk_node true) nodes
@@ -695,22 +637,16 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
   let t =
     { sim;
       seed;
-      mode = redundancy;
       ec;
-      width;
-      quarantine_after;
-      probe_period;
+      width = Ec.width ec;
       repair_period;
       repair_budget;
-      link_retries;
-      retx_timeout;
       nodes = Array.of_list all;
       pages = Hashtbl.create 256;
       heat = Hashtbl.create 256;
       counts =
         { stores = 0; acks = 0; replica_skips = 0; replica_timeouts = 0;
-          remote_fulls = 0; lost_primaries = 0; failovers = 0; rebuilds = 0;
-          disk_fallbacks = 0; secondary_rebuilds = 0; lost_shards = 0;
+          remote_fulls = 0; lost_shards = 0; rebuilds = 0; disk_fallbacks = 0;
           degraded_reads = 0; reconstructions = 0; corrupt_shards = 0;
           migrations = 0; node_joins = 0; node_retires = 0; retransmits = 0;
           link_drops = 0; link_delays = 0; unreachable = 0; frag_timeouts = 0;
@@ -798,8 +734,8 @@ let drop_fleet st s =
   | Some reps ->
       Array.iteri
         (fun p i ->
-          Remote_node.drop st.fl.nodes.(i).nd_remote
-            ~shard:(shard_of st.fl p) ~owner:st.owner ~slot:s)
+          Remote_node.drop st.fl.nodes.(i).nd_remote ~shard:p
+            ~owner:st.owner ~slot:s)
         reps;
       Hashtbl.remove st.fl.pages (st.owner, s)
   | None -> ()
@@ -842,8 +778,7 @@ let demote st s =
       end
       else
         match
-          push_page t nd st.clients.(i) ~retries:t.link_retries
-            ~shard:(shard_of t p) ~owner:st.owner ~slot:s
+          push_page t nd st.clients.(i) ~shard:p ~owner:st.owner ~slot:s
         with
         | `Acked ->
             incr placed;
@@ -856,7 +791,7 @@ let demote st s =
         | `Timeout -> t.counts.replica_timeouts <- t.counts.replica_timeouts + 1
     in
     in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
-    if !placed >= min_placed t then begin
+    if !placed >= Ec.k t.ec then begin
       Hashtbl.replace t.pages (st.owner, s) reps;
       st.tally.st_demotes <- st.tally.st_demotes + 1
     end
@@ -864,8 +799,8 @@ let demote st s =
       Array.iteri
         (fun p i ->
           if acked.(p) then
-            Remote_node.drop t.nodes.(i).nd_remote ~shard:(shard_of t p)
-              ~owner:st.owner ~slot:s)
+            Remote_node.drop t.nodes.(i).nd_remote ~shard:p ~owner:st.owner
+              ~slot:s)
         reps;
       if dirty then begin
         st.tally.st_write_fallbacks <- st.tally.st_write_fallbacks + 1;
@@ -909,57 +844,22 @@ let insert_cache st s =
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)
 
-(* Serve one tracked slot from a replicated stripe: primary first,
-   then the surviving copies in placement order. Exactly one of
-   failover/disk-fallback answers a lost primary here (rebuilds are
-   the repair process's entry). *)
-let fetch_replicated st s reps =
-  let t = st.fl in
-  let try_node p =
-    let i = reps.(p) in
-    let nd = t.nodes.(i) in
-    if nd.nd_quarantined then `Skip
-    else
-      match
-        fetch_shard t nd st.clients.(i) ~retries:t.link_retries ~shard:0
-          ~owner:st.owner ~slot:s
-      with
-      | `Ok ->
-          nd.nd_serves <- nd.nd_serves + 1;
-          `Ok
-      | (`Stale | `Timeout | `Corrupt) as e -> e
-  in
-  match try_node 0 with
-  | `Ok -> `Served
-  | `Skip | `Stale | `Timeout | `Corrupt ->
-      t.counts.lost_primaries <- t.counts.lost_primaries + 1;
-      metric "lost_primary";
-      let rec failover p =
-        if p >= Array.length reps then `All_lost 1
-        else
-          match try_node p with
-          | `Ok ->
-              t.counts.failovers <- t.counts.failovers + 1;
-              t.nodes.(reps.(p)).nd_failovers <-
-                t.nodes.(reps.(p)).nd_failovers + 1;
-              metric "failover";
-              `Served
-          | `Skip | `Stale | `Timeout | `Corrupt -> failover (p + 1)
-      in
-      failover 1
-
-(* Serve one tracked slot from an erasure stripe: walk the positions
-   in shard order (data first — the systematic fast path needs no
+(* Serve one tracked slot from its stripe: walk the positions in
+   shard order (data first — the systematic fast path needs no
    decode) until k shards are in hand. Every position found
    unavailable on the way (quarantined, stale, timed out, corrupt)
    is one lost-shard observation; a read that still gathers k is a
    {e degraded read} — answered from remote memory by
    reconstruction, never the disk floor — and books each observed
    loss as a reconstruction. A read that cannot gather k returns the
-   observation count for the disk-fallback side of the ledger. *)
-let fetch_erasure st s reps c =
+   observation count for the disk-fallback side of the ledger. At
+   k = 1 this is replica failover: the primary first, then each
+   surviving copy in placement order. *)
+let fetch_fleet st s =
   let t = st.fl in
-  let k = Ec.k c in
+  poll_faults t;
+  let reps = Hashtbl.find t.pages (st.owner, s) in
+  let k = Ec.k t.ec in
   let t0 = Time.to_us (Sim.now t.sim) in
   let got = ref 0 and losses = ref 0 in
   let fetch_one p =
@@ -971,8 +871,7 @@ let fetch_erasure st s reps c =
     end
     else
       match
-        fetch_shard t nd st.clients.(i) ~retries:t.link_retries ~shard:p
-          ~owner:st.owner ~slot:s
+        fetch_shard t nd st.clients.(i) ~shard:p ~owner:st.owner ~slot:s
       with
       | `Ok ->
           incr got;
@@ -985,7 +884,8 @@ let fetch_erasure st s reps c =
      (data shards — the systematic fast path needs no decode), then
      widen by exactly as many legs as failed. Healthy stripes pay one
      parallel round; a stripe missing j <= m shards pays one short
-     second round for the parity it now needs. *)
+     second round for the parity it now needs (at k = 1 every round
+     is one inline fetch). *)
   let next = ref 0 in
   while !got < k && !next < t.width do
     let batch = min (k - !got) (t.width - !next) in
@@ -1007,14 +907,6 @@ let fetch_erasure st s reps c =
     `Served
   end
   else `All_lost !losses
-
-let fetch_fleet st s =
-  let t = st.fl in
-  poll_faults t;
-  let reps = Hashtbl.find t.pages (st.owner, s) in
-  match t.ec with
-  | None -> fetch_replicated st s reps
-  | Some c -> fetch_erasure st s reps c
 
 let read_pages st ~page_index ~npages =
   let lost = ref [] in
@@ -1176,8 +1068,7 @@ let health t =
            nh_quarantines = nd.nd_quarantines;
            nh_readmissions = nd.nd_readmissions;
            nh_stores = nd.nd_stores;
-           nh_serves = nd.nd_serves;
-           nh_failovers = nd.nd_failovers })
+           nh_serves = nd.nd_serves })
        t.nodes)
 
 let store_stats st = { st.tally with st_cache_hits = st.tally.st_cache_hits }
@@ -1198,9 +1089,9 @@ let store_totals stores =
   sum
 
 (* Bytes held across the fleet relative to the pages tracked: an
-   entry is a whole page (replicated) or 1/k of one (erasure), so
-   intact R = 2 measures 2.0x and intact (4, 2) measures 1.5x —
-   the storage dividend the erasure experiment asserts. *)
+   entry is 1/k of a page (a whole one for replicas), so intact
+   R = 2 measures 2.0x and intact (4, 2) measures 1.5x — the storage
+   dividend the erasure experiment asserts. *)
 let storage_overhead t =
   let tracked = Hashtbl.length t.pages in
   if tracked = 0 then 0.0
@@ -1210,22 +1101,14 @@ let storage_overhead t =
         (fun a nd -> a + Remote_node.used_pages nd.nd_remote)
         0 t.nodes
     in
-    let frac =
-      match t.ec with
-      | None -> 1.0
-      | Some c -> 1.0 /. float_of_int (Ec.k c)
-    in
+    let frac = 1.0 /. float_of_int (Ec.k t.ec) in
     float_of_int entries *. frac /. float_of_int tracked
 
 let books_balanced t =
   let c = t.counts in
   c.stores = c.acks
   && c.link_drops + c.unreachable = c.retransmits + c.frag_timeouts
-  &&
-  match t.ec with
-  | None -> c.lost_primaries = c.failovers + c.rebuilds + c.disk_fallbacks
-  | Some _ ->
-      c.lost_shards = c.reconstructions + c.rebuilds + c.disk_fallbacks
+  && c.lost_shards = c.reconstructions + c.rebuilds + c.disk_fallbacks
 
 (* --- backing-axis registration --------------------------------------- *)
 

@@ -8,42 +8,44 @@
     pages over per-node {!Usnet.Link}s, faults promote them back.
     Journaled commits always write through, and a demotion no node
     accepts degrades to a plain disk write — tiering changes latency,
-    never safety. The per-fleet {!redundancy} policy decides how a
-    page is spread:
+    never safety.
 
-    - [Replicated r]: each demoted page is written whole to [r]
-      nodes chosen by a seeded rendezvous hash; reads try the primary
-      and fail over to the surviving copies. A one-node
-      [Replicated 1] fleet is the plain tiered store (RAM cache → one
-      remote node → disk) that the ["tiered"] backing builds.
-    - [Erasure {k; m}]: each demoted page is split by the {!Ec}
-      Reed–Solomon coder into [k] data + [m] parity shards placed on
-      [k + m] distinct nodes — [1 + m/k] times the page's bytes
-      instead of [r] times. Stripe legs travel {e in parallel} (one
-      transfer process per node, demotes and reads both), so a stripe
-      costs its slowest leg, not the sum of [k + m] serial transfers.
-      Reads gather the first [k] positions of the stripe in one
-      parallel round (the systematic fast path needs no decode) and,
-      per shard lost, widen the round into the parity — a degraded
-      read {e reconstructs} from any [k] shards, served from remote
-      memory, never the disk floor.
+    {b One stripe path.} Each demoted page is split by the {!Ec}
+    Reed–Solomon coder into [k] data + [m] parity shards placed on
+    [k + m] distinct nodes chosen by a seeded rendezvous hash —
+    [1 + m/k] times the page's bytes. The per-fleet {!redundancy}
+    only picks the code: [Erasure {k; m}] is that code, and
+    [Replicated r] is the [(k = 1, m = r - 1)] code, whose shards
+    are whole-page copies — the primary is position 0. A one-node
+    [Replicated 1] fleet is the plain tiered store (RAM cache → one
+    remote node → disk) that the ["tiered"] backing builds. Nodes key
+    every entry by its stripe position ({!Remote_node.store}
+    [~shard]).
 
-    Only when a page is unrecoverable remotely (every copy gone, or
-    more than [m] shards lost) does a fault fall back to the disk
-    durability floor.
+    Stripe legs travel {e in parallel} (one transfer process per
+    node, demotes and reads both), so a stripe costs its slowest leg,
+    not the sum of [k + m] serial transfers. Reads gather the first
+    [k] positions of the stripe in one parallel round (the systematic
+    fast path needs no decode) and, per shard lost, widen the round
+    into the parity — a {e degraded read} reconstructs from any [k]
+    shards, served from remote memory, never the disk floor. At
+    [k = 1] each round is one fetch, so a degraded read is a replica
+    failover: the primary first, then the surviving copies in
+    placement order. Only when more than [m] shards are lost does a
+    fault fall back to the disk durability floor.
 
     {b Health.} Every node is reached over its own {!Usnet.Link};
     packets to a crashed or partitioned node (per
     {!Inject.node_reachable}) are never acked, and neither are packets
     the link's own fault plan ({!Inject.link}) drops. The sender waits
-    the ack deadline ([retx_timeout]), retransmits on the
-    deterministic {!backoff} ladder and eventually times out.
-    [quarantine_after] consecutive timeouts quarantine the node: it
-    stops being asked for pages, and a background process probes it
-    each [probe_period], re-admitting it when a probe is answered (a
-    healed partition) — a crashed node just stays quarantined. A
-    served entry that fails its checksum ({!Inject.shard_corrupt}) is
-    treated exactly like a lost one.
+    the 1 ms ack deadline, retransmits three times on the
+    deterministic {!backoff} ladder and then times out. Three
+    consecutive timeouts quarantine the node: it stops being asked
+    for pages, and a background process probes it every 50 ms,
+    re-admitting it when a probe is answered (a healed partition) —
+    a crashed node just stays quarantined. A served entry that fails
+    its checksum ({!Inject.shard_corrupt}) is treated exactly like a
+    lost one.
 
     {b Repair.} The same background process restores redundancy: each
     [repair_period] it walks the placement book {e hottest page
@@ -51,11 +53,11 @@
     fleet state, so observability cannot move it) — so the pages
     domains are actually faulting on regain full redundancy before
     cold ones, and rebuilds up to [repair_budget] entries per round
-    over the fleet's own repair link clients. A missing replicated
-    copy is refetched from a survivor; a missing erasure shard is
-    reconstructed from any [k] live shards ([k] fetches + one push,
-    the real price of parity repair) unless its old holder still
-    serves it, in which case one fetch moves it.
+    over the fleet's own repair link clients (a (20 ms, 2 ms)
+    guarantee on every node link). A missing shard is reconstructed
+    from any [k] live shards ([k] fetches + one push, the real price
+    of parity repair; at [k = 1], one surviving copy) unless its old
+    holder still serves it, in which case one fetch moves it.
 
     {b Membership.} Nodes can join and retire at run time:
     {!add_node} admits a standby node (declared at {!create} so its
@@ -68,21 +70,20 @@
     it just moved — never enters the loss ledger). A retiring node
     keeps answering reads while it drains.
 
-    {b Books.} Double-entry, mode-aware:
-    - all modes: [stores = acks] — every entry the placement book
-      records was individually acknowledged by its node;
-    - all modes, the packet ledger:
+    {b Books.} Double-entry, the same three for every fleet:
+    - [stores = acks] — every entry the placement book records was
+      individually acknowledged by its node;
+    - the packet ledger:
       [link_drops + unreachable = retransmits + frag_timeouts] —
       every packet that was not delivered was either retransmitted or
       abandoned;
-    - replicated:
-      [lost_primaries = failovers + rebuilds + disk_fallbacks];
-    - erasure:
+    - the loss ledger:
       [lost_shards = reconstructions + rebuilds + disk_fallbacks] —
-      every lost-shard observation is answered exactly once: a
-      degraded read reconstructed over it, the repair process rebuilt
-      it, or the read fell back to the disk (fallback reads book one
-      answer per shard they observed lost).
+      every lost-shard observation (a lost copy, at [k = 1]) is
+      answered exactly once: a degraded read reconstructed over it,
+      the repair process rebuilt it, or the read fell back to the
+      disk (fallback reads book one answer per shard they observed
+      lost).
 
     {b Charging.} Every fragment a domain sends or receives burns
     that domain's own link-client slice, admitted under a (p,s,x,l)
@@ -92,7 +93,9 @@
 open Engine
 
 type redundancy =
-  | Replicated of int  (** [r] whole-page copies on [r] nodes *)
+  | Replicated of int
+      (** [r] whole-page copies on [r] nodes: the
+          [Erasure {k = 1; m = r - 1}] code *)
   | Erasure of { k : int; m : int }
       (** [k] data + [m] parity shards on [k + m] nodes; any [m]
           losses survived at [1 + m/k] times the storage *)
@@ -111,26 +114,19 @@ type stats = private {
   mutable replica_skips : int;  (** writes not attempted (node quarantined) *)
   mutable replica_timeouts : int;  (** writes abandoned after the last retry *)
   mutable remote_fulls : int;  (** writes refused by a full node *)
-  mutable lost_primaries : int;
-      (** replicated: reads/repairs that found the primary gone *)
-  mutable failovers : int;  (** ... answered by a surviving copy *)
-  mutable rebuilds : int;
-      (** ... answered by rebuilding the copy (replicated primaries)
-          or the shard (erasure, any position) *)
-  mutable disk_fallbacks : int;
-      (** ... answered by the disk floor (erasure: one per shard the
-          falling-back read observed lost) *)
-  mutable secondary_rebuilds : int;
-      (** replicated non-primary copies rebuilt (outside the primary
-          equation) *)
   mutable lost_shards : int;
-      (** erasure: shard-loss observations (reads and repair) *)
+      (** shard-loss observations, any position (reads and repair) *)
+  mutable rebuilds : int;  (** ... answered by the repair process *)
+  mutable disk_fallbacks : int;
+      (** ... answered by the disk floor (one per shard the
+          falling-back read observed lost) *)
   mutable degraded_reads : int;
-      (** erasure reads that needed parity and a decode *)
+      (** reads that lost a shard and still gathered [k] (a replica
+          failover at [k = 1]) *)
   mutable reconstructions : int;
-      (** lost-shard observations answered by a degraded read *)
+      (** ... lost-shard observations answered by a degraded read *)
   mutable corrupt_shards : int;
-      (** entries served but failing their checksum (both modes) *)
+      (** entries served but failing their checksum *)
   mutable migrations : int;
       (** entries moved by rebalancing (membership changes) — the
           entry lived, so no loss ledger entry *)
@@ -162,7 +158,6 @@ type node_health = {
   nh_readmissions : int;
   nh_stores : int;  (** entries this node acked over its lifetime *)
   nh_serves : int;  (** reads this node answered *)
-  nh_failovers : int;  (** reads it answered as a replicated failover *)
 }
 
 type store_stats = private {
@@ -183,13 +178,8 @@ type store_stats = private {
 val create :
   ?redundancy:redundancy ->
   ?standby:(string * Remote_node.t * Usnet.Link.t) list ->
-  ?quarantine_after:int ->
-  ?probe_period:Time.span ->
   ?repair_period:Time.span ->
   ?repair_budget:int ->
-  ?link_retries:int ->
-  ?retx_timeout:Time.span ->
-  ?repair_qos:Time.span * Time.span ->
   ?repair:bool ->
   seed:int ->
   nodes:(string * Remote_node.t * Usnet.Link.t) list ->
@@ -202,20 +192,16 @@ val create :
     clients) but start outside the placement ring, waiting for
     {!add_node} or a planned {!Inject.node_join_due}.
 
-    Defaults: [redundancy = Replicated 2], [quarantine_after = 3]
-    consecutive timeouts, [probe_period = 50ms], [repair_period =
-    25ms], [repair_budget = 8] entries rebuilt per round,
-    [link_retries = 3], [retx_timeout = 1ms] (the ack deadline and
-    the {!backoff} base), [repair_qos = (20ms, 2ms)] — the (p, s) guarantee admitted
-    on every node link for the fleet's own probe/repair traffic —
-    and [repair = true] (spawn the background repair process; tests
-    that want to drive rounds by hand pass [false] and call
-    {!repair_round}).
+    Defaults: [redundancy = Replicated 2], [repair_period = 25ms],
+    [repair_budget = 8] entries rebuilt per round and [repair = true]
+    (spawn the background repair process; tests that want to drive
+    rounds by hand pass [false] and call {!repair_round}).
 
     Raises [Invalid_argument] on an empty node list, a replica count
     [< 1], an invalid [(k, m)] (see {!Ec.make}), [k + m] exceeding
     the member count, or a refused repair-client admission. A
-    replica count is clamped to the member count; the stripe width
+    replica count is clamped to the member count, so [Replicated r]
+    runs [Erasure {k = 1; m = min r members - 1}]; the stripe width
     is then fixed for the fleet's lifetime (membership changes swap
     nodes in and out, never resize stripes). *)
 
@@ -275,7 +261,7 @@ val backoff : base:Time.span -> attempt:int -> Time.span
 
 val placement : t -> owner:string -> slot:int -> int array
 (** The node indices the rendezvous hash assigns this page's stripe,
-    primary / shard 0 first — deterministic in [(seed, member names,
+    shard 0 (the primary) first — deterministic in [(seed, member names,
     owner, slot)] alone, so tests can assert same seed → same
     placement, and a membership change re-ranks with minimal
     movement. *)
@@ -285,12 +271,6 @@ val node_names : t -> string array
 
 val member_names : t -> string array
 (** The nodes currently in the placement ring. *)
-
-val redundancy : t -> redundancy
-
-val stripe_width : t -> int
-(** Entries placed per page: the (possibly clamped) replica count,
-    or [k + m]. *)
 
 val add_node : t -> name:string -> unit
 (** Admit a standby node into the placement ring; the repair loop
@@ -325,16 +305,13 @@ val store_totals : store list -> store_stats
 
 val storage_overhead : t -> float
 (** Bytes held across the fleet's nodes relative to the pages
-    tracked in the placement book: a replicated entry is one page, a
-    shard [1/k] of one. Intact [Replicated 2] measures 2.0; intact
-    [Erasure {k = 4; m = 2}] measures 1.5. [0.0] when nothing is
-    tracked. *)
+    tracked in the placement book: an entry is [1/k] of a page (a
+    whole one for replicas). Intact [Replicated 2] measures 2.0;
+    intact [Erasure {k = 4; m = 2}] measures 1.5. [0.0] when nothing
+    is tracked. *)
 
 val books_balanced : t -> bool
 (** [stores = acks], the packet ledger
     [link_drops + unreachable = retransmits + frag_timeouts], and the
-    mode's loss ledger:
-    [lost_primaries = failovers + rebuilds + disk_fallbacks]
-    (replicated) or
-    [lost_shards = reconstructions + rebuilds + disk_fallbacks]
-    (erasure). *)
+    loss ledger
+    [lost_shards = reconstructions + rebuilds + disk_fallbacks]. *)

@@ -2,33 +2,29 @@ open Engine
 
 type t = {
   capacity_pages : int;
-  service : Time.span;
   table : (string * int * int, unit) Hashtbl.t;
 }
 
-let create ?(service = Time.us 25) ~capacity_pages () =
+let create ~capacity_pages () =
   if capacity_pages < 0 then
     invalid_arg "Remote_node.create: negative capacity";
-  if service < 0 then invalid_arg "Remote_node.create: negative service time";
-  { capacity_pages; service; table = Hashtbl.create 64 }
+  { capacity_pages; table = Hashtbl.create 64 }
 
 let used_pages t = Hashtbl.length t.table
 let capacity t = t.capacity_pages
 let has_room t = used_pages t < t.capacity_pages
-let service_time t = t.service
+let service_time = Time.us 25
 
-let holds ?(shard = 0) t ~owner ~slot =
-  Hashtbl.mem t.table (owner, slot, shard)
+let holds t ~shard ~owner ~slot = Hashtbl.mem t.table (owner, slot, shard)
 
-let store ?(shard = 0) t ~owner ~slot =
-  if holds ~shard t ~owner ~slot then Ok ()
+let store t ~shard ~owner ~slot =
+  if holds t ~shard ~owner ~slot then Ok ()
   else if has_room t then begin
     Hashtbl.replace t.table (owner, slot, shard) ();
     Ok ()
   end
   else Error `Remote_full
 
-let drop ?(shard = 0) t ~owner ~slot =
-  Hashtbl.remove t.table (owner, slot, shard)
+let drop t ~shard ~owner ~slot = Hashtbl.remove t.table (owner, slot, shard)
 
 let wipe t = Hashtbl.reset t.table

@@ -1,8 +1,9 @@
-(* Tests for the replicated remote tier: rendezvous placement, the
-   fleet's double-entry books under wipe/partition/repair
-   interleavings, read failover, background re-replication, the
-   bounded retransmit ladder shared with the disk path and the packet
-   ledger behind it, and the typed not-bound errors on the sharing
+(* Tests for the replicated remote tier (the k = 1 stripe): rendezvous
+   placement, the fleet's double-entry books under
+   wipe/partition/repair interleavings, read failover, background
+   re-replication, migration when a member retires, the bounded
+   retransmit ladder shared with the disk path and the packet ledger
+   behind it, and the typed not-bound errors on the sharing
    drivers. *)
 
 open Engine
@@ -28,7 +29,7 @@ let open_swap_exn fs ~name ~bytes =
    store over a 32-page swapfile. Tests drive repair themselves
    ([repair = false] keeps the background process out of the way). *)
 let mk_fleet ?(seed = 7) ?(replicas = 2) ?(nodes = 4) ?(node_pages = 16)
-    ?(cache_pages = 2) ?(repair = false) () =
+    ?(cache_pages = 2) ?(repair = false) ?repair_budget () =
   let sim, _, fs = mk_sfs () in
   let swap = open_swap_exn fs ~name:"f" ~bytes:(256 * 1024) in
   let triples =
@@ -39,7 +40,7 @@ let mk_fleet ?(seed = 7) ?(replicas = 2) ?(nodes = 4) ?(node_pages = 16)
   in
   let fleet =
     Tier.Fleet.create ~seed ~redundancy:(Tier.Fleet.Replicated replicas)
-      ~repair ~nodes:triples sim
+      ~repair ?repair_budget ~nodes:triples sim
   in
   let clients =
     match
@@ -115,10 +116,10 @@ let fleet_demote_fetch () =
      slots 0..5 were evicted from the 2-page cache by the later writes *)
   let remotes = Array.of_list (List.map (fun (_, r, _) -> r) triples) in
   for slot = 0 to 5 do
-    Array.iter
-      (fun i ->
+    Array.iteri
+      (fun p i ->
         checkb "replica holds the page" true
-          (Tier.Remote_node.holds remotes.(i) ~owner ~slot))
+          (Tier.Remote_node.holds remotes.(i) ~shard:p ~owner ~slot))
       (Tier.Fleet.placement fleet ~owner ~slot)
   done
 
@@ -148,7 +149,8 @@ let wipe_failover () =
   done;
   checkb "the victim was primary somewhere" true (!orphans > 0);
   let f = Tier.Fleet.stats fleet in
-  check "each orphaned primary failed over" !orphans f.Tier.Fleet.failovers;
+  check "each orphaned primary failed over" !orphans
+    f.Tier.Fleet.degraded_reads;
   check "no disk fallbacks (secondary survives)" 0
     f.Tier.Fleet.disk_fallbacks;
   checkb "books balance" true (Tier.Fleet.books_balanced fleet);
@@ -179,13 +181,61 @@ let repair_rebuild () =
   checkb "primary copies rebuilt" true (f.Tier.Fleet.rebuilds > 0);
   checkb "books balance" true (Tier.Fleet.books_balanced fleet);
   for slot = 0 to 11 do
-    Array.iter
-      (fun i ->
+    Array.iteri
+      (fun p i ->
         checkb "every replica holds every tracked slot again" true
-          (Tier.Remote_node.holds remotes.(i) ~owner ~slot))
+          (Tier.Remote_node.holds remotes.(i) ~shard:p ~owner ~slot))
       (Tier.Fleet.placement fleet ~owner ~slot)
   done;
   ignore store
+
+(* --- Membership: retiring a member moves its copies --- *)
+
+(* Retiring slot 0's primary re-ranks every page it held. When a
+   page's new primary is the node that already holds its other copy,
+   that node briefly holds both positions; nodes key copies by
+   position, so the next position's migration moves its own entry off
+   that node and leaves the primary's in place. One round with a
+   budget that covers every move leaves each page fully replicated on
+   its new placement, and a second round finds nothing lost. *)
+let retire_migrates () =
+  let sim, fleet, store, swap, triples =
+    mk_fleet ~node_pages:64 ~repair_budget:64 ()
+  in
+  let b = Tier.Fleet.backing store in
+  let owner = Usbs.Sfs.swap_name swap in
+  let remotes = Array.of_list (List.map (fun (_, r, _) -> r) triples) in
+  let primary = (Tier.Fleet.placement fleet ~owner ~slot:0).(0) in
+  let victim = (Tier.Fleet.node_names fleet).(primary) in
+  let round () =
+    ignore (Proc.spawn sim (fun () -> Tier.Fleet.repair_round fleet));
+    Sim.run ~until:(Time.add (Sim.now sim) (Time.sec 10)) sim
+  in
+  ignore
+    (Proc.spawn sim (fun () ->
+         (* slots 0..11 demoted; 12..13 flush the 2-page cache *)
+         for slot = 0 to 13 do
+           write_exn b slot
+         done));
+  Sim.run ~until:(Time.sec 10) sim;
+  Tier.Fleet.retire_node fleet ~name:victim;
+  round ();
+  Alcotest.(check (float 1e-9))
+    "two copies of every page" 2.0
+    (Tier.Fleet.storage_overhead fleet);
+  for slot = 0 to 11 do
+    Array.iteri
+      (fun p i ->
+        checkb "each position's node holds its copy" true
+          (Tier.Remote_node.holds remotes.(i) ~shard:p ~owner ~slot))
+      (Tier.Fleet.placement fleet ~owner ~slot)
+  done;
+  round ();
+  let f = Tier.Fleet.stats fleet in
+  checkb "the retire moved copies" true (f.Tier.Fleet.migrations > 0);
+  check "no copy lost" 0 f.Tier.Fleet.lost_shards;
+  check "no copy rebuilt" 0 f.Tier.Fleet.rebuilds;
+  checkb "books balance" true (Tier.Fleet.books_balanced fleet)
 
 (* --- Model: books balance under wipe/partition/repair interleavings --- *)
 
@@ -339,6 +389,8 @@ let suite =
         Alcotest.test_case "wiped primary fails over" `Quick wipe_failover;
         Alcotest.test_case "repair re-replicates the wiped node" `Quick
           repair_rebuild;
+        Alcotest.test_case "retiring a member moves copies without loss"
+          `Quick retire_migrates;
         qtest fleet_books_model ] );
     ( "fleet.retransmit",
       [ Alcotest.test_case "bounded exponential ladder" `Quick backoff_ladder;

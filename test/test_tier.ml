@@ -85,7 +85,7 @@ let backing_of_sfs () =
 let remote_node_capacity () =
   let n = Tier.Remote_node.create ~capacity_pages:2 () in
   let store_ok owner slot =
-    match Tier.Remote_node.store n ~owner ~slot with
+    match Tier.Remote_node.store n ~shard:0 ~owner ~slot with
     | Ok () -> ()
     | Error `Remote_full -> Alcotest.fail "store refused below capacity"
   in
@@ -93,16 +93,16 @@ let remote_node_capacity () =
   store_ok "a" 0;
   store_ok "a" 1;
   check "used" 2 (Tier.Remote_node.used_pages n);
-  (match Tier.Remote_node.store n ~owner:"a" ~slot:2 with
+  (match Tier.Remote_node.store n ~shard:0 ~owner:"a" ~slot:2 with
   | Error `Remote_full -> ()
   | Ok () -> Alcotest.fail "full node accepted a new page");
   store_ok "a" 1;
   check "idempotent store consumes nothing" 2 (Tier.Remote_node.used_pages n);
   checkb "holds what it stored" true
-    (Tier.Remote_node.holds n ~owner:"a" ~slot:1);
+    (Tier.Remote_node.holds n ~shard:0 ~owner:"a" ~slot:1);
   checkb "owners are distinct keyspaces" false
-    (Tier.Remote_node.holds n ~owner:"b" ~slot:1);
-  Tier.Remote_node.drop n ~owner:"a" ~slot:0;
+    (Tier.Remote_node.holds n ~shard:0 ~owner:"b" ~slot:1);
+  Tier.Remote_node.drop n ~shard:0 ~owner:"a" ~slot:0;
   store_ok "b" 7;
   check "drop freed a slot" 2 (Tier.Remote_node.used_pages n);
   Tier.Remote_node.wipe n;
@@ -142,7 +142,7 @@ let tier_demote_promote () =
   check "cache hit" 1 s.st_cache_hits;
   check "no disk round-trips" 0 s.st_fleet_misses;
   checkb "remote stays inclusive after promotion" true
-    (Tier.Remote_node.holds remote ~owner ~slot:0);
+    (Tier.Remote_node.holds remote ~shard:0 ~owner ~slot:0);
   checkb "books balance" true (books_balanced fleet);
   check "nothing lost" 0 s.st_lost_slots
 
