@@ -1,5 +1,10 @@
 .PHONY: all build test loc bench perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
 
+# Each experiment step below writes its JSON report to
+# reports/<step>.json (gitignored), so a report can be diffed against
+# any past commit's CI artifact without rebuilding that commit.
+REPORT = --json reports/$@.json
+
 all: build
 
 build:
@@ -68,9 +73,14 @@ perfbench-smoke:
 
 # Quick end-to-end run of the policy-compare figure (two contrasting
 # policies, short duration).
+smoke chaos crash remote failover erasure scale share: | reports
+
+reports:
+	mkdir -p reports
+
 smoke:
 	dune exec bin/nemesis_sim.exe -- policy-compare -d 15 \
-		--policies fifo,fifo+ra8,clock
+		--policies fifo,fifo+ra8,clock $(REPORT)
 
 # Formatting gate: only enforced when ocamlformat is installed (the
 # default container does not ship it); the build and tests always run.
@@ -84,13 +94,13 @@ fmt:
 # Quick chaos run: fault injection against one victim, clean-domain
 # isolation and recovery accounting asserted (non-zero exit on breach).
 chaos:
-	dune exec bin/nemesis_sim.exe -- chaos -d 20
+	dune exec bin/nemesis_sim.exe -- chaos -d 20 $(REPORT)
 
 # Crash-consistency run: seeded torn writes against the victim's swap
 # and the intent journal, remount/replay and domain restart asserted
 # (non-zero exit if a committed page is lost or a bystander suffers).
 crash:
-	dune exec bin/nemesis_sim.exe -- crash-recover --rounds 2
+	dune exec bin/nemesis_sim.exe -- crash-recover --rounds 2 $(REPORT)
 
 # Remote-paging run: three tiered domains on a one-node fleet beside
 # three disk-only bystanders, link chaos in the second half; zero
@@ -98,7 +108,7 @@ crash:
 # equal to the injector's and a byte-identical same-seed rerun
 # asserted (non-zero exit on breach).
 remote:
-	dune exec bin/nemesis_sim.exe -- remote -d 20
+	dune exec bin/nemesis_sim.exe -- remote -d 20 $(REPORT)
 
 # Failover run: three tiered domains page through a 4-node replicated
 # fleet (R = 2) beside three disk-only bystanders; one node is wiped
@@ -109,7 +119,7 @@ remote:
 # full 30 s default: the verdict needs warm domains re-reading
 # through the fault windows.
 failover:
-	dune exec bin/nemesis_sim.exe -- failover
+	dune exec bin/nemesis_sim.exe -- failover $(REPORT)
 
 # Erasure run: three tiered domains page through a six-node (4,2)
 # erasure-coded fleet beside three disk-only bystanders; two nodes
@@ -119,20 +129,20 @@ failover:
 # <= 1.55x (vs 2x for R = 2), balanced shard books and a
 # byte-identical same-seed rerun asserted (non-zero exit on breach).
 erasure:
-	dune exec bin/nemesis_sim.exe -- erasure
+	dune exec bin/nemesis_sim.exe -- erasure $(REPORT)
 
 # Scale-out run: 128 self-paging domains under tight admission
 # control; zero QoS violations, balanced frame books and the typed
 # late-comer refusal asserted (non-zero exit on breach).
 scale:
-	dune exec bin/nemesis_sim.exe -- scale
+	dune exec bin/nemesis_sim.exe -- scale $(REPORT)
 
 # Multi-tenancy run: a CoW fleet forked from one frozen template over
 # the compressed-RAM tier, half the fleet killed mid-run; one resident
 # copy per shared page, balanced reference books and untouched
 # bystander QoS asserted (non-zero exit on breach).
 share:
-	dune exec bin/nemesis_sim.exe -- tenancy -d 20 --tenants 12
+	dune exec bin/nemesis_sim.exe -- tenancy -d 20 --tenants 12 $(REPORT)
 
 # Registry hygiene: every registered extension name (on every axis)
 # must be documented in README.md/DESIGN.md, and every lib/experiments

@@ -9,11 +9,9 @@ type t = {
   pager : System.domain;
   queue : job Sync.Mailbox.t;
   swap_qos : Usbs.Qos.t;
-  mutable handled : int;
 }
 
 let queue_depth t = Sync.Mailbox.length t.queue
-let faults_handled t = t.handled
 let pager_domain t = t.pager
 
 (* The pager's service loop: strict FCFS over all clients' faults. *)
@@ -32,7 +30,6 @@ let pager_loop t () =
            (Fault.Failed "pager retried"))
     | Stretch_driver.Failure m ->
       ignore (Sync.Ivar.try_fill job.fault.Fault.resolved (Fault.Failed m)));
-    t.handled <- t.handled + 1;
     loop ()
   in
   loop ()
@@ -50,16 +47,18 @@ let create sys ?(frames = 64) ?qos ?(cpu_slice = Time.ms 2) () =
   | Error e -> Error (System.error_message e)
   | Ok pager ->
     let t =
-      { sys; pager; queue = Sync.Mailbox.create (); swap_qos = qos;
-        handled = 0 }
+      { sys; pager; queue = Sync.Mailbox.create (); swap_qos = qos }
     in
     ignore
       (Domains.spawn_thread pager.System.dom ~name:"pager-loop"
          (pager_loop t));
     Ok t
 
+(* The frames the pager takes for each client's paged driver. *)
+let cache_frames_per_client = 2
+
 let attach t client stretch ?(swap_bytes = 16 * 1024 * 1024)
-    ?(cache_frames = 2) ?(forgetful = false) () =
+    ?(forgetful = false) () =
   (* The pager needs meta rights on the client's stretch to manage its
      mappings — the microkernel grants its pager exactly that. *)
   Pdom.set
@@ -75,7 +74,7 @@ let attach t client stretch ?(swap_bytes = 16 * 1024 * 1024)
   | Ok swap ->
     (* The backing driver runs entirely on pager resources. *)
     (match
-       Sd_paged.create ~forgetful ~initial_frames:cache_frames ~swap
+       Sd_paged.create ~forgetful ~initial_frames:cache_frames_per_client ~swap
          t.pager.System.env
      with
     | Error _ as e -> e

@@ -28,13 +28,12 @@ val create :
     paging. *)
 
 val attach :
-  t -> System.domain -> Stretch.t -> ?swap_bytes:int -> ?cache_frames:int ->
-  ?forgetful:bool -> unit -> (Stretch_driver.t, string) result
+  t -> System.domain -> Stretch.t -> ?swap_bytes:int -> ?forgetful:bool ->
+  unit -> (Stretch_driver.t, string) result
 (** Give the stretch external-pager backing: binds a proxy driver in
     the client's MMEntry whose full path ships the fault to the pager
     queue; the pager resolves it with a paged driver running on the
-    pager's own resources ([cache_frames] per client, default 2). *)
+    pager's own resources (2 frames per client). *)
 
 val queue_depth : t -> int
-val faults_handled : t -> int
 val pager_domain : t -> System.domain

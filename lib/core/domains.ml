@@ -46,16 +46,12 @@ let consume_cpu t span =
 
 let cpu_used t = Cpu.used t.cpu_client
 
-let fault_channel t = t.fault_chan
-
 let set_fault_handler t f = t.fault_handler <- Some f
 
 let current_proc_is_handler t =
   match t.handler_proc with
   | None -> false
   | Some p -> (try Proc.self () == p with Failure _ -> false)
-
-let in_activation_handler t = current_proc_is_handler t
 
 let assert_idc_allowed t what =
   if current_proc_is_handler t then

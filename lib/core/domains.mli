@@ -36,14 +36,9 @@ val consume_cpu : t -> Time.span -> unit
 
 val cpu_used : t -> Time.span
 
-val fault_channel : t -> Event_chan.t
-(** The endpoint the kernel sends fault notifications on. *)
-
 val set_fault_handler : t -> (Fault.t -> unit) -> unit
 (** Install the notification handler for memory faults (it runs in the
     activation-handler environment). *)
-
-val in_activation_handler : t -> bool
 
 val assert_idc_allowed : t -> string -> unit
 (** Raises [Failure] when called inside an activation handler —

@@ -63,10 +63,8 @@ type t = {
   mutable region_list : region list;
   region_by_name : (string, region) Hashtbl.t;
   (* Members in admission order (victim picking folds it, and ties go
-     to the earliest-admitted holder, as with the seed list), indexed
-     by owning domain id. *)
+     to the earliest-admitted holder, as with the seed list). *)
   members : client Ilist.t;
-  by_domain : (int, client) Hashtbl.t;
   (* Running sum of admitted guarantees, so admission control is O(1)
      per request rather than a member scan. *)
   mutable gsum : int;
@@ -83,8 +81,7 @@ let create ?(revocation_deadline = Time.ms 100) sim ramtab ~nframes =
     invalid_arg "Frames.create: bad frame count";
   { sim; ramtab; nframes; avail = Array.make nframes true;
     free_count = nframes; cursor = 0; region_list = [];
-    region_by_name = Hashtbl.create 16; members = Ilist.create ();
-    by_domain = Hashtbl.create 64; gsum = 0;
+    region_by_name = Hashtbl.create 16; members = Ilist.create (); gsum = 0;
     kill = (fun _ -> ()); deadline_span = revocation_deadline;
     rev_lock = Sync.Semaphore.create 1; intrusive_count = 0;
     transparent_count = 0 }
@@ -155,7 +152,6 @@ let admit t ~domain ~guarantee ~optimistic =
     let node = Ilist.make_node c in
     c.node <- Some node;
     Ilist.push_back t.members node;
-    Hashtbl.replace t.by_domain domain c;
     t.gsum <- t.gsum + guarantee;
     if !Obs.enabled then
       Obs.Qos_audit.mem_grant ~now:(Sim.now t.sim) ~dom:domain ~guarantee
@@ -163,15 +159,12 @@ let admit t ~domain ~guarantee ~optimistic =
     Ok c
   end
 
-let client_of_domain t domain = Hashtbl.find_opt t.by_domain domain
-
 let set_revocation_handler c f = c.notify_revoke <- Some f
 
 let set_kill_handler t f = t.kill <- f
 
 let frame_stack c = c.stack
 let guarantee c = c.g
-let optimistic_quota c = c.o
 let held c = c.n
 let domain_id c = c.domain
 let is_live c = c.live
@@ -213,9 +206,6 @@ let unlink t c =
   | Some node when Ilist.active node -> Ilist.remove t.members node
   | _ -> ());
   c.node <- None;
-  (match Hashtbl.find_opt t.by_domain c.domain with
-  | Some c' when c' == c -> Hashtbl.remove t.by_domain c.domain
-  | _ -> ());
   t.gsum <- t.gsum - c.g
 
 let kill_victim t victim =

@@ -123,11 +123,8 @@ val revocation_ready : t -> client -> unit
 
 val frame_stack : client -> Frame_stack.t
 val guarantee : client -> int
-val optimistic_quota : client -> int
 val held : client -> int
 val domain_id : client -> int
-val client_of_domain : t -> int -> client option
-(** O(1) lookup of a live client by owning domain id. *)
 
 val is_live : client -> bool
 val free_frames : t -> int

@@ -83,14 +83,14 @@ let revoke_slow t { k; frames; client } =
     (drivers t);
   Frames.revocation_ready frames client
 
-let create ?(fault_workers = 1) dom =
+let create dom =
   let t =
     { dom; bindings = Hashtbl.create 16; fault_entry = None; rev_entry = None }
   in
   t.fault_entry <-
     Some
-      (Entry.create dom ~name:"mm" ~workers:fault_workers
-         ~fast:(fault_fast t) ~slow:(fault_slow t) ());
+      (Entry.create dom ~name:"mm" ~fast:(fault_fast t) ~slow:(fault_slow t)
+         ());
   t.rev_entry <-
     Some
       (Entry.create dom ~name:"mm-revoke" ~fast:(fun _ -> `Defer)

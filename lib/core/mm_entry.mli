@@ -16,9 +16,9 @@
 
 type t
 
-val create : ?fault_workers:int -> Domains.t -> t
-(** Attaches itself as the domain's fault handler. [fault_workers]
-    defaults to 1 (plus a dedicated revocation worker). *)
+val create : Domains.t -> t
+(** Attaches itself as the domain's fault handler, with one fault
+    worker and a dedicated revocation worker. *)
 
 val bind : t -> Stretch.t -> Stretch_driver.t -> unit
 (** Bind a stretch to a driver (also invokes the driver's own [bind]).

@@ -960,7 +960,7 @@ let drop_page st p =
     end
   | Fresh | Swapped | Wb_pending _ | Lost -> ()
 
-let advise_st st adv =
+let advise st adv =
   st.tick <- st.tick + 1;
   Policy.Prefetch.advise st.pf adv;
   match adv with
@@ -992,7 +992,7 @@ let advise_st st adv =
    the RamTab) but still on this client's stack, ready for
    {!Frames.transfer}. Blocking (disk I/O): worker/domain thread
    context only. *)
-let surrender_st st =
+let surrender_resident st =
   if st.forgetful then
     failwith "paged driver: cannot surrender a forgetful stretch";
   let env = st.env in
@@ -1032,7 +1032,7 @@ let surrender_st st =
    it read-write; from here on the page is managed like any other
    resident — evictable, cleanable, revocable. The copy has no disk
    image yet, so it enters dirty-latched. *)
-let adopt_st st ~page ~pfn =
+let adopt st ~page ~pfn =
   if page < 0 || page >= Array.length st.pages then
     invalid_arg "Sd_paged.adopt: page out of range";
   (match st.pages.(page) with
@@ -1047,23 +1047,21 @@ let adopt_st st ~page ~pfn =
   st.tick <- st.tick + 1;
   Frame_stack.move_to_bottom (stack st) pfn
 
-type handle = {
-  h_info : unit -> info;
-  h_advise : Policy.Advice.t -> unit;
-  h_policy : string;
-  h_extent : unit -> int * int;
-  h_surrender : unit -> (int * int) list;
-  h_adopt : page:int -> pfn:int -> unit;
-  h_obtain : unit -> int option;
-}
+type handle = state
 
-let info h = h.h_info ()
-let advise h adv = h.h_advise adv
-let policy_name h = h.h_policy
-let swap_extent h = h.h_extent ()
-let surrender_resident h = h.h_surrender ()
-let adopt h ~page ~pfn = h.h_adopt ~page ~pfn
-let obtain h = h.h_obtain ()
+let info st =
+  { page_ins = st.page_ins; page_outs = st.page_outs;
+    demand_zeros = st.demand_zeros; evictions = st.evictions;
+    prefetched = st.prefetched; prefetch_hits = st.prefetch_hits;
+    prefetch_waste = st.prefetch_waste;
+    wb_flushes = Policy.Writeback.flushes st.wb; rescues = st.rescues;
+    lost_pages = st.lost_pages; rebloks = st.rebloks; shed_frames = st.shed;
+    restored_pages = st.restored; wb_degraded = st.degraded_sync;
+    swap_exhausted = st.swap_exhausted; crashed = st.crashed }
+
+let policy_name st = Policy.Spec.name st.spec
+let swap_extent st = st.backing.Tier.Backing.extent ()
+let obtain = obtain_frame
 
 let create ?(forgetful = false) ?(initial_frames = 0)
     ?policy:(spec = Policy.Spec.default) ?(restore = []) ?backing ~swap env =
@@ -1178,23 +1176,4 @@ let create ?(forgetful = false) ?(initial_frames = 0)
           resident_pages =
             (fun () -> st.repl.Policy.Replacement.residents ());
           free_frames = (fun () -> List.length st.pool) },
-        { h_info =
-            (fun () ->
-              { page_ins = st.page_ins; page_outs = st.page_outs;
-                demand_zeros = st.demand_zeros; evictions = st.evictions;
-                prefetched = st.prefetched;
-                prefetch_hits = st.prefetch_hits;
-                prefetch_waste = st.prefetch_waste;
-                wb_flushes = Policy.Writeback.flushes st.wb;
-                rescues = st.rescues; lost_pages = st.lost_pages;
-                rebloks = st.rebloks; shed_frames = st.shed;
-                restored_pages = st.restored;
-                wb_degraded = st.degraded_sync;
-                swap_exhausted = st.swap_exhausted;
-                crashed = st.crashed });
-          h_advise = advise_st st;
-          h_policy = pname;
-          h_extent = (fun () -> backing.Tier.Backing.extent ());
-          h_surrender = (fun () -> surrender_st st);
-          h_adopt = (fun ~page ~pfn -> adopt_st st ~page ~pfn);
-          h_obtain = (fun () -> obtain_frame st) } )
+        st )

@@ -143,6 +143,14 @@ let verdict ctx ~print ~to_json ~ok r =
     (gets ctx "json");
   ok r
 
+(* The remote-tier subcommands: one scenario each, one runner. *)
+let run_scenario sc ctx =
+  verdict ctx ~print:Harness.print_fleet_run ~to_json:Harness.fleet_run_json
+    ~ok:Harness.fleet_ok
+    (Harness.run_fleet
+       ~seed:(geti ctx "seed" ~default:42)
+       ~duration:(duration ctx ~default:30) sc)
+
 let run_fig ?mode ~d ctx =
   let r = Paging_fig.run ?mode ~duration:(duration ctx ~default:d) () in
   Paging_fig.print r;
@@ -294,13 +302,8 @@ let () =
     ~params:
       [ p_duration 30; p_seed;
         p_json "Also write the remote-paging verdict as JSON to FILE." ]
-    ~modules:[ "remote_page" ]
-    (fun ctx ->
-      verdict ctx ~print:Remote_page.print ~to_json:Remote_page.to_json
-        ~ok:Remote_page.ok
-        (Remote_page.run
-           ~seed:(geti ctx "seed" ~default:42)
-           ~duration:(duration ctx ~default:30) ()));
+    ~modules:[ "remote_tier" ]
+    (run_scenario Remote_tier.remote);
   reg "failover"
     "Replicated remote memory under node loss: three tiered domains page \
      through a 4-node fleet (2 replicas per page, rendezvous placement) \
@@ -312,13 +315,8 @@ let () =
     ~params:
       [ p_duration 30; p_seed;
         p_json "Also write the failover verdict as JSON to FILE." ]
-    ~modules:[ "failover" ]
-    (fun ctx ->
-      verdict ctx ~print:Failover.print ~to_json:Failover.to_json
-        ~ok:Failover.ok
-        (Failover.run
-           ~seed:(geti ctx "seed" ~default:42)
-           ~duration:(duration ctx ~default:30) ()));
+    ~modules:[ "remote_tier" ]
+    (run_scenario Remote_tier.failover);
   reg "erasure"
     "Erasure-coded remote memory under double node loss: tiered domains \
      page through a six-node fleet striped k = 4 data + m = 2 parity shards \
@@ -331,12 +329,8 @@ let () =
     ~params:
       [ p_duration 30; p_seed;
         p_json "Also write the erasure verdict as JSON to FILE." ]
-    ~modules:[ "erasure" ]
-    (fun ctx ->
-      verdict ctx ~print:Erasure.print ~to_json:Erasure.to_json ~ok:Erasure.ok
-        (Erasure.run
-           ~seed:(geti ctx "seed" ~default:42)
-           ~duration:(duration ctx ~default:30) ()));
+    ~modules:[ "remote_tier" ]
+    (run_scenario Remote_tier.erasure);
   reg "scale"
     "Many-domain scale-out: admit 128 self-paging domains under tight CPU, \
      disk and memory admission control, refuse the 129th with a typed \
@@ -410,8 +404,11 @@ let () =
       List.iter (run_ablation (min d 120)) ablation_names;
       Chaos.print (Chaos.run ~duration:(sec (min d 30)) ());
       Crash_recover.print (Crash_recover.run ());
-      Remote_page.print (Remote_page.run ~duration:(sec (min d 30)) ());
-      Failover.print (Failover.run ~duration:(sec (min d 30)) ());
+      List.iter
+        (fun sc ->
+          Harness.print_fleet_run
+            (Harness.run_fleet ~seed:42 ~duration:(sec (min d 30)) sc))
+        [ Remote_tier.remote; Remote_tier.failover ];
       Tenancy.print (Tenancy.run ~duration:(sec (min d 40)) ());
       true)
 

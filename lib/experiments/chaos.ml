@@ -152,11 +152,7 @@ let report_of app name violations =
     dr_violations = violations }
 
 let run ?(seed = 42) ?(duration = Time.sec 30) () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
+  let sys = Harness.cell_system ~seed in
   let clean1 = start_app sys ~name:"clean1" () in
   let clean2 = start_app sys ~name:"clean2" () in
   let wb =

@@ -40,7 +40,10 @@ let make_app sys ~name ~bytes =
 (* The light app: after init, every [burst_period] touch
    [burst_pages] consecutive pages (reads of swapped pages) and record
    how long the burst took. Skips measurement during warm-up. *)
-let light_thread d stretch ~burst_pages ~burst_period ~warmup stats () =
+let burst_pages = 1
+let burst_period = Time.ms 10
+
+let light_thread d stretch ~warmup stats () =
   let dom = d.System.dom in
   let sim = Domains.sim dom in
   let npages = Stretch.npages stretch in
@@ -86,7 +89,7 @@ let latency_of stats =
 
 let cpu_ms dom = Time.to_ms (Domains.cpu_used dom)
 
-let run_config ~external_ ~duration ~burst_pages ~burst_period =
+let run_config ~external_ ~duration =
   (* Each configuration gets a clean observability slate, so its
      histograms and audit verdict describe this run alone. *)
   if !Obs.enabled then Obs.reset ();
@@ -139,7 +142,7 @@ let run_config ~external_ ~duration ~burst_pages ~burst_period =
   let warmup = Time.sec 30 in
   ignore
     (Domains.spawn_thread light_d.System.dom ~name:"burst"
-       (light_thread light_d light_s ~burst_pages ~burst_period ~warmup stats));
+       (light_thread light_d light_s ~warmup stats));
   ignore
     (Domains.spawn_thread heavy_d.System.dom ~name:"churn"
        (heavy_thread heavy_d heavy_s heavy_bytes));
@@ -164,12 +167,9 @@ let run_config ~external_ ~duration ~burst_pages ~burst_period =
     pager_cpu_ms = !pager_cpu ();
     fault_hists; audit }
 
-let run ?(duration = Time.sec 180) ?(burst_pages = 1)
-    ?(burst_period = Time.ms 10) () =
-  { self_paging =
-      run_config ~external_:false ~duration ~burst_pages ~burst_period;
-    external_pager =
-      run_config ~external_:true ~duration ~burst_pages ~burst_period }
+let run ?(duration = Time.sec 180) () =
+  { self_paging = run_config ~external_:false ~duration;
+    external_pager = run_config ~external_:true ~duration }
 
 let print r =
   Report.heading

@@ -40,8 +40,7 @@ type config_result = {
 
 type result = { self_paging : config_result; external_pager : config_result }
 
-val run :
-  ?duration:Time.span -> ?burst_pages:int -> ?burst_period:Time.span ->
-  unit -> result
+val run : ?duration:Time.span -> unit -> result
+(** The light app touches one page every 10 ms. *)
 
 val print : result -> unit

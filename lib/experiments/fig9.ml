@@ -16,11 +16,11 @@ type result = {
 
 let fs_qos () = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) ()
 
-let run_one ~duration ~fs_depth ~with_pagers =
+let run_one ~duration ~with_pagers =
   if !Obs.enabled then Obs.reset ();
   let sys = Harness.fresh_system () in
   let fs =
-    match Fs_client.start sys ~name:"fs" ~qos:(fs_qos ()) ~depth:fs_depth () with
+    match Fs_client.start sys ~name:"fs" ~qos:(fs_qos ()) () with
     | Ok f -> f
     (* Setup failwiths: the figure's fixed fleet admits by
        construction; a refusal is an experiment bug. *)
@@ -61,12 +61,12 @@ let run_one ~duration ~fs_depth ~with_pagers =
   in
   (sustained, series, pager_rates, audit)
 
-let run ?(duration = Time.sec 120) ?(fs_depth = 16) () =
+let run ?(duration = Time.sec 120) () =
   let alone_mbit, alone_series, _, alone_audit =
-    run_one ~duration ~fs_depth ~with_pagers:false
+    run_one ~duration ~with_pagers:false
   in
   let contended_mbit, contended_series, pager_rates, contended_audit =
-    run_one ~duration ~fs_depth ~with_pagers:true
+    run_one ~duration ~with_pagers:true
   in
   let pager10_mbit, pager20_mbit =
     match pager_rates with

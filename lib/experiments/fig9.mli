@@ -20,7 +20,7 @@ type result = {
   contended_audit : Obs.Qos_audit.summary option;
 }
 
-val run : ?duration:Engine.Time.span -> ?fs_depth:int -> unit -> result
+val run : ?duration:Engine.Time.span -> unit -> result
 
 val print : result -> unit
 val print_series : result -> unit

@@ -25,6 +25,12 @@ let fresh_system ?(page_table = `Linear) ?(usd_rollover = true)
   in
   System.create ~config ()
 
+let cell_system ~seed =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Inject.disarm ();
+  fresh_system ~main_memory_mb:2 ~seed ()
+
 let bench_domain sys ?(guarantee = 256) ?(optimistic = 0) ~name () =
   match
     System.add_domain sys ~name ~cpu_period:(Time.ms 10)
@@ -102,11 +108,14 @@ type domain_report = {
 let patterns ~experiment =
   List.map (fun n -> (n, pattern ~experiment n)) [ "seq"; "rand"; "hot" ]
 
+(* Mean and p95 of the named domain's fault-service latency, µs. *)
 let fault_hist name =
   match Obs.Metrics.hist_view ~label:name "fault.latency_us" with
   | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
   | None -> (nan, nan)
 
+(* One paging-in domain: 1 MiB of VM over 8 frames and a 4 MiB
+   swapfile. *)
 let start_app ~experiment sys ~name ~pattern ?backing () =
   (* six apps share the disk: 6 x 35/250 = 0.84 leaves admission room *)
   let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 35) () in
@@ -120,6 +129,8 @@ let start_app ~experiment sys ~name ~pattern ?backing () =
       fail_verdict ~experiment ~context:[ ("app", name) ]
         (Printf.sprintf "%s: %s: %s" experiment name e)
 
+(* The three bystanders ["disk_<pattern>"], then the three tiered
+   domains, each over [backing name]: [(name, pattern, tiered, app)]. *)
 let start_domains ~experiment sys ~tiered_prefix ~backing =
   let start prefix backing =
     List.map
@@ -133,17 +144,21 @@ let start_domains ~experiment sys ~tiered_prefix ~backing =
   let disk = start "disk_" None in
   disk @ start tiered_prefix (Some backing)
 
-let fleet sys ~seed ~params ~capacity ?redundancy ?(standby = [])
+(* One remote node of [capacity] pages per name, each on its own
+   [params] link named after it; returns the member triples too. *)
+let fleet sys ~seed ~params ~capacity ~redundancy ?(standby = [])
     ?repair_period ?repair_budget ?repair names =
   let node name =
     let link = Usnet.Link.create ~name ~params (System.sim sys) in
     (name, Tier.Remote_node.create ~capacity_pages:capacity (), link)
   in
   let nodes = List.map node names in
-  ( Tier.Fleet.create ~seed ?redundancy ~standby:(List.map node standby)
+  ( Tier.Fleet.create ~seed ~redundancy ~standby:(List.map node standby)
       ?repair_period ?repair_budget ?repair ~nodes (System.sim sys),
     nodes )
 
+(* Admit a domain on every node link (5 ms every 20 ms, slack-eligible,
+   2 ms laxity) and resolve the fleet backing [spec] over it. *)
 let fleet_backing ~experiment ?(context = []) fleet ~client ~spec ~on_store =
   let clients =
     match
@@ -288,6 +303,220 @@ let print_fleet f ~balanced nodes =
         (if h.nh_quarantined then " [quarantined]" else ""))
     nodes
 
+(* The fleet-scenario runner: [remote], [failover] and [erasure] are
+   one run over constant scenarios — one cell per redundancy, one
+   record, one JSON shape, one printer and one same-seed rerun. *)
+
+type fleet_cell = {
+  c_name : string;
+  c_mode : string;
+  c_domains : domain_report list;
+  c_fleet : Tier.Fleet.stats;
+  c_nodes : Tier.Fleet.node_health list;
+  c_books_balanced : bool;
+  c_stores : Tier.Fleet.store_stats;
+  c_overhead : float;
+  c_tally : Inject.tally;
+  c_link_utilisation : float;
+  c_disk_floor_us : float;
+  c_degraded_mean_us : float;
+  c_bystander_violations : int;
+  c_tiered_violations : int;
+  c_audit : Obs.Qos_audit.summary;
+}
+
+type arm = At_start | At_half
+
+type scenario = {
+  sc_name : string;
+  sc_title : string;
+  sc_faults : string;
+  sc_params : Usnet.Net_params.t;
+  sc_nodes : string list;
+  sc_standby : string list;
+  sc_capacity : int;
+  sc_repair : (Time.span * int) option;
+  sc_cells : (string * string * Tier.Fleet.redundancy) list;
+  sc_spec : string;
+  sc_label : string;
+  sc_plan : seed:int -> duration:Time.span -> Inject.plan;
+  sc_arm : arm;
+  sc_ok : fleet_cell list -> bool;
+  sc_verdict : string;
+}
+
+type fleet_run = {
+  fr_scenario : scenario;
+  fr_seed : int;
+  fr_duration : Time.span;
+  fr_cells : fleet_cell list;
+  fr_deterministic : bool;
+}
+
+(* The disk durability floor the degraded path must beat: the
+   bystanders' pooled fault-service latency over the same run. *)
+let disk_floor reports =
+  let count, sum =
+    List.fold_left
+      (fun (count, sum) r ->
+        match Obs.Metrics.hist_view ~label:r.dr_name "fault.latency_us" with
+        | Some v when not r.dr_tiered ->
+          let n = v.Obs.Metrics.hv_count in
+          (count + n, sum +. (v.Obs.Metrics.hv_mean *. float_of_int n))
+        | _ -> (count, sum))
+      (0, 0.) reports
+  in
+  if count = 0 then nan else sum /. float_of_int count
+
+(* Build the fleet, start the six domains, arm the plan where the
+   scenario says, run to T, then a fault-free 2 s drain lets repair
+   finish and in-flight packets settle before the books are read. *)
+let run_fleet_cell sc ~seed ~duration (name, mode, redundancy) =
+  let experiment = sc.sc_name in
+  let sys = cell_system ~seed in
+  let fl, members =
+    fleet sys ~seed ~params:sc.sc_params ~capacity:sc.sc_capacity ~redundancy
+      ~standby:sc.sc_standby
+      ?repair_period:(Option.map fst sc.sc_repair)
+      ?repair_budget:(Option.map snd sc.sc_repair)
+      sc.sc_nodes
+  in
+  let stores = ref [] in
+  let apps =
+    start_domains ~experiment sys ~tiered_prefix:(sc.sc_label ^ "_")
+      ~backing:(fun app ->
+        fleet_backing ~experiment
+          ~context:[ ("cell", name); ("app", app) ]
+          fl ~client:(app ^ ".tier") ~spec:sc.sc_spec
+          ~on_store:(fun s -> stores := s :: !stores))
+  in
+  if sc.sc_arm = At_half then
+    System.run ~until:(Time.ns (Time.to_ns duration / 2)) sys;
+  Inject.arm (sc.sc_plan ~seed ~duration);
+  System.run ~until:duration sys;
+  Inject.disarm ();
+  System.run ~until:(Time.add duration (Time.sec 2)) sys;
+  let reports = domain_reports apps in
+  let utilisation =
+    List.fold_left (fun u (_, _, link) -> u +. Usnet.Link.utilisation link)
+      0. members
+    /. float_of_int (List.length members)
+  in
+  { c_name = name;
+    c_mode = mode;
+    c_domains = reports;
+    c_fleet = Tier.Fleet.stats fl;
+    c_nodes = Tier.Fleet.health fl;
+    c_books_balanced = Tier.Fleet.books_balanced fl;
+    c_stores = Tier.Fleet.store_totals !stores;
+    c_overhead = Tier.Fleet.storage_overhead fl;
+    c_tally = Inject.tally ();
+    c_link_utilisation = utilisation;
+    c_disk_floor_us = disk_floor reports;
+    c_degraded_mean_us =
+      (match Obs.Metrics.hist_view ~label:"fleet" "fleet.degraded_us" with
+      | Some v -> v.Obs.Metrics.hv_mean
+      | None -> nan);
+    c_bystander_violations = violations ~tiered:false reports;
+    c_tiered_violations = violations ~tiered:true reports;
+    c_audit = Obs.Qos_audit.summarize () }
+
+let degraded_speedup c =
+  if c.c_degraded_mean_us <= 0. then nan
+  else c.c_disk_floor_us /. c.c_degraded_mean_us
+
+let fleet_cell_json c =
+  let t = c.c_tally in
+  Json.obj
+    [ ("cell", Json.string c.c_name); ("mode", Json.string c.c_mode);
+      ("domains", Json.list (List.map domain_json c.c_domains));
+      ("fleet", fleet_json c.c_fleet);
+      ("nodes", Json.list (List.map node_json c.c_nodes));
+      ("books_balanced", Json.bool c.c_books_balanced);
+      ("stores", store_json c.c_stores);
+      ("storage_overhead", Json.fixed 3 c.c_overhead);
+      ( "injected",
+        Json.ints
+          [ ("link_drops", t.Inject.link_drops);
+            ("link_delays", t.Inject.link_delays);
+            ("node_wipes", t.Inject.node_wipes);
+            ("node_partitions", t.Inject.node_partitions) ] );
+      ("link_utilisation", Json.fixed 3 c.c_link_utilisation);
+      ("degraded_mean_us", Json.fixed 1 c.c_degraded_mean_us);
+      ("disk_floor_us", Json.fixed 1 c.c_disk_floor_us);
+      ("degraded_vs_disk_speedup", Json.fixed 1 (degraded_speedup c));
+      ("bystander_violations", Json.int c.c_bystander_violations);
+      ("tiered_violations", Json.int c.c_tiered_violations) ]
+
+let fleet_run_json r =
+  Json.obj
+    [ ("seed", Json.int r.fr_seed);
+      ("duration_s", Json.fixed 0 (Time.to_sec r.fr_duration));
+      ("cells", Json.list (List.map fleet_cell_json r.fr_cells));
+      ("deterministic", Json.bool r.fr_deterministic) ]
+
+(* Same-seed reproducibility is part of every verdict: each cell runs
+   twice — fault plan, repair and all — and the canonical reports
+   must match. *)
+let run_fleet ~seed ~duration sc =
+  let once () =
+    { fr_scenario = sc;
+      fr_seed = seed;
+      fr_duration = duration;
+      fr_cells = List.map (run_fleet_cell sc ~seed ~duration) sc.sc_cells;
+      fr_deterministic = true }
+  in
+  let r1 = once () in
+  let r2 = once () in
+  { r1 with fr_deterministic = fleet_run_json r1 = fleet_run_json r2 }
+
+let fleet_ok r =
+  r.fr_deterministic
+  && List.for_all
+       (fun c ->
+         c.c_bystander_violations = 0 && c.c_books_balanced
+         && c.c_stores.Tier.Fleet.st_lost_slots = 0)
+       r.fr_cells
+  && r.fr_scenario.sc_ok r.fr_cells
+
+let print_fleet_cell sc c =
+  let f = c.c_fleet and t = c.c_tally in
+  Printf.printf "--- cell %s (%s) ---\n" c.c_name c.c_mode;
+  domain_table ~tiered_label:sc.sc_label c.c_domains;
+  print_store_totals c.c_stores;
+  Printf.printf
+    "packets: %d dropped + %d unreachable = %d retransmits + %d timeouts; \
+     injector dealt %d drops (%s)\n"
+    f.Tier.Fleet.link_drops f.Tier.Fleet.unreachable f.Tier.Fleet.retransmits
+    f.Tier.Fleet.frag_timeouts t.Inject.link_drops
+    (if f.Tier.Fleet.link_drops = t.Inject.link_drops then "agrees"
+     else "DISAGREES");
+  print_fleet f ~balanced:c.c_books_balanced c.c_nodes;
+  Printf.printf
+    "storage overhead %.3fx, link utilisation %.2f; degraded read mean %s us \
+     vs disk floor %s us (%sx faster)\n"
+    c.c_overhead c.c_link_utilisation (us c.c_degraded_mean_us)
+    (us c.c_disk_floor_us)
+    (us (degraded_speedup c));
+  Printf.printf "committed pages lost: %d\n" c.c_stores.Tier.Fleet.st_lost_slots;
+  Report.audit_section
+    (Printf.sprintf "QoS audit (%s)" c.c_name)
+    (Some c.c_audit);
+  Printf.printf "bystander (disk-only) violations: %d\n\n"
+    c.c_bystander_violations
+
+let print_fleet_run r =
+  let sc = r.fr_scenario in
+  Report.heading sc.sc_title;
+  Printf.printf "seed %d, %.0f s (%s) + 2 s drain\n\n" r.fr_seed
+    (Time.to_sec r.fr_duration) sc.sc_faults;
+  List.iter (print_fleet_cell sc) r.fr_cells;
+  Printf.printf "same-seed rerun: %s\n"
+    (if r.fr_deterministic then "byte-identical" else "DIVERGED");
+  print_endline
+    (if fleet_ok r then "VERDICT: ok — " ^ sc.sc_verdict
+     else "VERDICT: FAILED")
+
 (* ------------------------------------------------------------------ *)
 (* The backing matrix: one domain alone in a fresh system per cell,
    every backing this repo compares side by side.                      *)
@@ -330,11 +559,7 @@ let matrix_cells =
    snapshots at T/2 and T. *)
 let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
   let experiment = "backing" in
-  Obs.set_enabled true;
-  Obs.reset ();
-  Inject.disarm ();
-  let config = { System.default_config with seed; main_memory_mb = 2 } in
-  let sys = System.create ~config () in
+  let sys = cell_system ~seed in
   let built =
     match backing with
     | Disk -> None

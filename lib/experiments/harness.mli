@@ -12,6 +12,10 @@ val fresh_system :
   ?page_table:[ `Linear | `Guarded ] -> ?usd_rollover:bool ->
   ?main_memory_mb:int -> ?seed:int -> unit -> System.t
 
+val cell_system : seed:int -> System.t
+(** A fresh 2 MiB system with {!Obs} reset and on and injection off:
+    how every fleet cell, backing-matrix cell and [chaos] run starts. *)
+
 val bench_domain :
   System.t -> ?guarantee:int -> ?optimistic:int -> name:string -> unit ->
   System.domain
@@ -50,10 +54,11 @@ val violations_for : names:string list -> ids:int list -> int
 
 (** {1 The remote-tier experiments}
 
-    {!Remote_page}, {!Failover} and {!Erasure} share one shape: three
-    disk-only bystanders beside three tiered domains, one of each per
-    access pattern (sequential, random, hotspot), all paging over the
-    same disk. *)
+    [remote], [failover] and [erasure] ({!Remote_tier}) are one run
+    over three constant {!scenario}s: three disk-only bystanders beside
+    three tiered domains, one of each per access pattern (sequential,
+    random, hotspot), all paging over the same disk, the tiered ones
+    through a {!Tier.Fleet} under a seeded fault plan. *)
 
 (** One domain's row in a remote-tier report. *)
 type domain_report = {
@@ -67,97 +72,84 @@ type domain_report = {
   dr_violations : int;
 }
 
-val patterns :
-  experiment:string -> (string * Workload.Paging_app.pattern) list
-(** [seq], [rand] and [hot], resolved through {!pattern}. *)
+(** One redundancy's run: its six domains, its fleet and its books. *)
+type fleet_cell = {
+  c_name : string;  (** ["tier"], ["replicated"], ["erasure"] *)
+  c_mode : string;  (** ["R=1"], ["R=2"], ["k=4,m=2"] *)
+  c_domains : domain_report list;
+  c_fleet : Tier.Fleet.stats;
+  c_nodes : Tier.Fleet.node_health list;  (** members, then standbys *)
+  c_books_balanced : bool;  (** {!Tier.Fleet.books_balanced} *)
+  c_stores : Tier.Fleet.store_stats;
+      (** per-domain store counters summed across the tiered domains *)
+  c_overhead : float;  (** {!Tier.Fleet.storage_overhead} at the end *)
+  c_tally : Inject.tally;  (** what the injector dealt, per its own count *)
+  c_link_utilisation : float;
+      (** {!Usnet.Link.utilisation} (the admitted share), mean over the
+          member links *)
+  c_disk_floor_us : float;
+      (** the bystanders' pooled fault latency — the penalty a disk
+          fallback would have paid *)
+  c_degraded_mean_us : float;  (** mean degraded read, [nan] if none *)
+  c_bystander_violations : int;  (** disk-only domains *)
+  c_tiered_violations : int;
+  c_audit : Obs.Qos_audit.summary;
+}
 
-val fault_hist : string -> float * float
-(** Mean and p95 of the named domain's fault-service latency, µs;
-    [(nan, nan)] before its first fault. *)
+(** Where a scenario's fault plan arms: before the first event, or at
+    T/2 after a clean first half. *)
+type arm = At_start | At_half
 
-val start_app :
-  experiment:string -> System.t -> name:string ->
-  pattern:Workload.Paging_app.pattern ->
-  ?backing:(Usbs.Sfs.swapfile -> Tier.Backing.t) -> unit ->
-  Workload.Paging_app.t
-(** One paging-in domain: 1 MiB of VM over 8 frames and a 4 MiB
-    swapfile under a 35 ms / 250 ms disk guarantee (six of them leave
-    admission room). Aborts the experiment on a refusal. *)
+(** A remote-tier experiment as constant data. *)
+type scenario = {
+  sc_name : string;  (** the subcommand, named in aborts *)
+  sc_title : string;  (** the report heading *)
+  sc_faults : string;  (** the fault plan in words *)
+  sc_params : Usnet.Net_params.t;  (** every node link's *)
+  sc_nodes : string list;  (** the members, one node and link each *)
+  sc_standby : string list;  (** nodes a plan may join *)
+  sc_capacity : int;  (** pages per node *)
+  sc_repair : (Time.span * int) option;
+      (** repair period and budget; [None] keeps the fleet's *)
+  sc_cells : (string * string * Tier.Fleet.redundancy) list;
+      (** one cell per [(name, mode, redundancy)], in order *)
+  sc_spec : string;  (** the tiered domains' backing spec *)
+  sc_label : string;
+      (** ["tier"] or ["fleet"]: the tiered domains' backing column and
+          name prefix (["<label>_<pattern>"]) *)
+  sc_plan : seed:int -> duration:Time.span -> Inject.plan;
+  sc_arm : arm;
+  sc_ok : fleet_cell list -> bool;  (** the scenario's own verdict *)
+  sc_verdict : string;  (** what an ok verdict says *)
+}
 
-val start_domains :
-  experiment:string -> System.t -> tiered_prefix:string ->
-  backing:(string -> Usbs.Sfs.swapfile -> Tier.Backing.t) ->
-  (string * string * bool * Workload.Paging_app.t) list
-(** Start the three bystanders ["disk_<pattern>"], then the three
-    tiered domains ["<tiered_prefix><pattern>"], each built over
-    [backing name] just before it starts. Returns
-    [(name, pattern, tiered, app)] in start order. *)
+type fleet_run = {
+  fr_scenario : scenario;
+  fr_seed : int;
+  fr_duration : Time.span;
+  fr_cells : fleet_cell list;
+  fr_deterministic : bool;
+      (** a second same-seed run of every cell printed the same JSON *)
+}
 
-val fleet :
-  System.t -> seed:int -> params:Usnet.Net_params.t -> capacity:int ->
-  ?redundancy:Tier.Fleet.redundancy -> ?standby:string list ->
-  ?repair_period:Time.span -> ?repair_budget:int -> ?repair:bool ->
-  string list ->
-  Tier.Fleet.t * (string * Tier.Remote_node.t * Usnet.Link.t) list
-(** A {!Tier.Fleet} over one remote memory node of [capacity] pages
-    per name, each on its own [params] link named after it; the
-    [standby] nodes are built the same way. The other options are
-    {!Tier.Fleet.create}'s. Returns the fleet and its member
-    [(name, node, link)] triples in order. *)
+val run_fleet : seed:int -> duration:Time.span -> scenario -> fleet_run
+(** Run each cell in a fresh {!cell_system}: build the fleet, start
+    the six domains, arm the plan, run to T, disarm, drain 2 s, read
+    the books — then run every cell again for the same-seed check. *)
 
-val fleet_backing :
-  experiment:string -> ?context:(string * string) list -> Tier.Fleet.t ->
-  client:string -> spec:string -> on_store:(Tier.Fleet.store -> unit) ->
-  Usbs.Sfs.swapfile -> Tier.Backing.t
-(** Admit one domain on every node link of the fleet under [client]
-    (5 ms every 20 ms, slack-eligible, 2 ms laxity) and resolve the
-    registered fleet backing [spec] (["fleet:…"] or ["tiered:…"])
-    over those clients; [on_store] receives the attached store. *)
+val degraded_speedup : fleet_cell -> float
+(** [disk_floor / degraded_mean]; [nan] without degraded reads. *)
 
-val domain_reports :
-  (string * string * bool * Workload.Paging_app.t) list ->
-  domain_report list
-(** Read each domain's throughput, fault latency and QoS violations
-    after a run. *)
+val fleet_ok : fleet_run -> bool
+(** Every cell has zero bystander violations, zero committed pages
+    lost and balanced books, the scenario's own verdict holds, and the
+    rerun matched. *)
 
-val violations : tiered:bool -> domain_report list -> int
-(** Violations summed over the tiered ([true]) or disk-only domains. *)
+val fleet_run_json : fleet_run -> Json.t
+(** [{seed, duration_s, cells, deterministic}], one object per cell. *)
 
-val store_json : Tier.Fleet.store_stats -> Json.t
-(** Store counters as one JSON object. *)
-
-val print_store_totals : Tier.Fleet.store_stats -> unit
-(** Print the read and demote counters as one report line. *)
-
-(** {2 The fleet section}
-
-    What every remote-tier report prints of its {!Tier.Fleet}, whatever
-    its redundancy: the same counters, node shape and ledger. *)
-
-val fleet_json : Tier.Fleet.stats -> Json.t
-(** Every fleet counter as one JSON object. *)
-
-val node_json : Tier.Fleet.node_health -> Json.t
-(** One node's health as a JSON object. *)
-
-val print_fleet :
-  Tier.Fleet.stats -> balanced:bool -> Tier.Fleet.node_health list -> unit
-(** Print the placement line, the loss ledger ([balanced] is
-    {!Tier.Fleet.books_balanced}), the health line and one line per
-    node. *)
-
-val mbit_s : float -> string
-(** Throughput for a table cell, ["warming"] for [nan]. *)
-
-val us : float -> string
-(** Whole microseconds for a table cell, ["-"] for [nan]. *)
-
-val domain_json : domain_report -> Json.t
-(** A domain row as one JSON object. *)
-
-val domain_table : tiered_label:string -> domain_report list -> unit
-(** Print the domains as a table, naming the tiered backing
-    [tiered_label]. *)
+val print_fleet_run : fleet_run -> unit
+(** One section per cell, then the rerun and the verdict line. *)
 
 (** {1 The backing matrix}
 

@@ -32,7 +32,8 @@ let table ~header rows =
 
 let marks = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-let chart ?(height = 12) ?(width = 72) ~unit_label series =
+let chart ~unit_label series =
+  let height = 12 and width = 72 in
   let all_points = List.concat_map snd series in
   if all_points = [] then print_endline "(no data)"
   else begin
@@ -80,13 +81,11 @@ let fopt = function None -> "n/a" | Some v -> Printf.sprintf "%.2f" v
 let f2 v = if Float.is_nan v then "nan" else Printf.sprintf "%.2f" v
 let f1 v = if Float.is_nan v then "nan" else Printf.sprintf "%.1f" v
 
-let hist_table ?(unit_ = "us") rows =
+let hist_table rows =
   if rows = [] then print_endline "(no histogram data)"
   else
     table
-      ~header:
-        [ "label"; "count"; "mean " ^ unit_; "p50 " ^ unit_; "p95 " ^ unit_;
-          "max " ^ unit_ ]
+      ~header:[ "label"; "count"; "mean us"; "p50 us"; "p95 us"; "max us" ]
       (List.map
          (fun (label, v) ->
            [ label;

@@ -14,15 +14,15 @@ val fopt : float option -> string
 val f2 : float -> string
 val f1 : float -> string
 
-val chart :
-  ?height:int -> ?width:int -> unit_label:string ->
-  (string * (float * float) list) list -> unit
-(** Multi-series ASCII chart: each series is (label, [(x, y); ...]).
+val chart : unit_label:string -> (string * (float * float) list) list -> unit
+(** Multi-series ASCII chart, 72 columns by 12 rows: each series is
+    (label, [(x, y); ...]).
     Series are drawn with distinct marks ('*', 'o', '+', 'x', ...); the
     y-axis is scaled to the data, the x-axis to the common range. *)
 
-val hist_table : ?unit_:string -> (string * Obs.Metrics.hist_view) list -> unit
-(** One row per (label, histogram): count, mean, p50, p95, max. *)
+val hist_table : (string * Obs.Metrics.hist_view) list -> unit
+(** One row per (label, histogram): count, mean, p50, p95, max, in
+    microseconds. *)
 
 val audit_section : string -> Obs.Qos_audit.summary option -> unit
 (** Print a QoS-audit verdict section; prints nothing for [None] (the

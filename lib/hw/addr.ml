@@ -7,7 +7,6 @@ let page_size = 1 lsl page_shift
 let vpn_of_vaddr va = va lsr page_shift
 let vaddr_of_vpn vpn = vpn lsl page_shift
 
-let pfn_of_paddr pa = pa lsr page_shift
 let paddr_of_pfn pfn = pfn lsl page_shift
 
 let offset va = va land (page_size - 1)

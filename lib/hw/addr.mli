@@ -21,9 +21,6 @@ val vpn_of_vaddr : vaddr -> int
 
 val vaddr_of_vpn : int -> vaddr
 
-val pfn_of_paddr : paddr -> int
-(** Physical frame number containing the address. *)
-
 val paddr_of_pfn : int -> paddr
 
 val offset : vaddr -> int

@@ -4,8 +4,6 @@ let create ?(va_bits = 32) () =
   let nvpn = 1 lsl (va_bits - Addr.page_shift) in
   { table = Array.make nvpn Pte.absent; entries = 0 }
 
-let max_vpn t = Array.length t.table - 1
-
 let check t vpn =
   if vpn < 0 || vpn >= Array.length t.table then
     invalid_arg (Printf.sprintf "Linear_pt: vpn %d out of range" vpn)

@@ -14,4 +14,3 @@ val impl : t -> Page_table.impl
 
 val lookup : t -> int -> Pte.t
 val set : t -> int -> Pte.t -> unit
-val max_vpn : t -> int

@@ -10,8 +10,7 @@ type outcome =
 
 type t = { pt : Page_table.impl; tlb : Tlb.t; cost : Cost.t }
 
-let create ?tlb_entries ~pt ~cost () =
-  { pt; tlb = Tlb.create ?entries:tlb_entries (); cost }
+let create ~pt ~cost () = { pt; tlb = Tlb.create (); cost }
 
 let lookup t ~vpn = t.pt.Page_table.lookup vpn
 
@@ -22,7 +21,6 @@ let set_pte t ~vpn pte =
   t.pt.Page_table.set vpn pte;
   Tlb.invalidate t.tlb ~vpn
 
-let pt_kind t = t.pt.Page_table.kind
 let tlb t = t.tlb
 let cost t = t.cost
 

@@ -23,7 +23,8 @@ type outcome =
 
 type t
 
-val create : ?tlb_entries:int -> pt:Page_table.impl -> cost:Cost.t -> unit -> t
+val create : pt:Page_table.impl -> cost:Cost.t -> unit -> t
+(** The TLB has {!Tlb.create}'s default 64 entries. *)
 
 val access :
   t -> rights:(int -> Rights.t option) -> asn:int -> Addr.vaddr -> access ->
@@ -43,6 +44,5 @@ val set_pte : t -> vpn:int -> Pte.t -> unit
 
 val pp_fault_kind : Format.formatter -> fault_kind -> unit
 
-val pt_kind : t -> string
 val tlb : t -> Tlb.t
 val cost : t -> Cost.t

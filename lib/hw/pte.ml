@@ -52,18 +52,11 @@ let set_invalid t =
 let with_global t rights =
   t land lnot (0xf lsl 2) lor (Rights.to_bits rights lsl 2)
 
-let with_sid t sid =
-  assert (sid >= 0 && sid <= max_sid);
-  t land lnot (max_sid lsl sid_shift) lor (sid lsl sid_shift)
-
 let set_dirty t = t lor b_dirty
 let set_referenced t = t lor b_ref
 let clear_fow t = t land lnot b_fow
 let clear_for t = t land lnot b_for
-let clear_dirty t = t land lnot b_dirty
 let clear_referenced t = t land lnot b_ref
-let arm_fow t = t lor b_fow
-let arm_for t = t lor b_for
 
 let pp ppf t =
   if is_absent t then Format.fprintf ppf "<absent>"

@@ -49,18 +49,11 @@ val set_invalid : t -> t
 (** Remove the frame but keep the NULL mapping (sid + protection). *)
 
 val with_global : t -> Rights.t -> t
-val with_sid : t -> int -> t
 val set_dirty : t -> t
 val set_referenced : t -> t
 val clear_fow : t -> t
 val clear_for : t -> t
-val clear_dirty : t -> t
 val clear_referenced : t -> t
-val arm_fow : t -> t
-(** Re-arm fault-on-write (used when cleaning a page: the next write
-    must mark it dirty again). *)
-
-val arm_for : t -> t
 
 val max_sid : int
 val max_pfn : int

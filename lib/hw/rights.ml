@@ -3,7 +3,6 @@ type t = { r : bool; w : bool; x : bool; m : bool }
 let none = { r = false; w = false; x = false; m = false }
 let read = { none with r = true }
 let read_write = { none with r = true; w = true }
-let rwx = { r = true; w = true; x = true; m = false }
 let all = { r = true; w = true; x = true; m = true }
 let rw_meta = { r = true; w = true; x = false; m = true }
 

@@ -10,7 +10,6 @@ type t = { r : bool; w : bool; x : bool; m : bool }
 val none : t
 val read : t
 val read_write : t
-val rwx : t
 val all : t
 (** Read, write, execute and meta. *)
 

@@ -76,8 +76,5 @@ let invalidate t ~vpn =
     (fun s -> if s.vpn = vpn then begin s.vpn <- empty_vpn; s.pte <- Pte.absent end)
     t.slots
 
-let invalidate_all t =
-  Array.iter (fun s -> s.vpn <- empty_vpn; s.pte <- Pte.absent) t.slots
-
 let hits t = t.hits
 let misses t = t.misses

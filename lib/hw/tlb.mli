@@ -19,7 +19,5 @@ val invalidate : t -> vpn:int -> unit
 (** Drop cached entries for a VPN across all address spaces (mappings
     are global in a single-address-space system). *)
 
-val invalidate_all : t -> unit
-
 val hits : t -> int
 val misses : t -> int

@@ -42,8 +42,6 @@ let finished () = List.map snd (Ring.to_list !buffer)
 let count () = Ring.length !buffer
 let dropped () = Ring.dropped !buffer
 
-let set_capacity capacity = buffer := Ring.create ~capacity ()
-
 let to_csv () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "id,parent,name,label,start_ns,end_ns,duration_ns\n";

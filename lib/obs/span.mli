@@ -34,9 +34,6 @@ val finished : unit -> record list
 val count : unit -> int
 val dropped : unit -> int
 
-val set_capacity : int -> unit
-(** Resize the buffer; clears retained spans. *)
-
 val to_csv : unit -> string
 (** [id,parent,name,label,start_ns,end_ns,duration_ns] rows, oldest
     first. *)

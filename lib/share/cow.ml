@@ -30,7 +30,6 @@ type template = {
   mutable tpl_tenants : int;
 }
 
-let template_name t = t.tpl_name
 let template_pages t = t.tpl_npages
 let shared_frames t =
   Array.fold_left (fun a f -> if f = None then a else a + 1) 0 t.tpl_frames

@@ -49,7 +49,6 @@ val freeze :
     freeze (never touched, or evicted) have no shared frame; tenants
     fault them privately. *)
 
-val template_name : template -> string
 val template_pages : template -> int
 
 val shared_frames : template -> int

@@ -15,19 +15,19 @@ type t = {
      contents distinguishable while keeping the entropy class (and so
      the compressed size) a pure function of the slot *)
   versions : (int, int) Hashtbl.t;
-  compress_us : Time.span;
-  decompress_us : Time.span;
   mutable hits : int;
   mutable misses : int;
   mutable below_writes : int;
   mutable dropped_on_error : int;
 }
 
-let create ?(label = "zram") ?(compress_us = Time.us 3)
-    ?(decompress_us = Time.us 2) ~zpool ~below () =
-  { zpool; below; label; versions = Hashtbl.create 256; compress_us;
-    decompress_us; hits = 0; misses = 0; below_writes = 0;
-    dropped_on_error = 0 }
+(* The per-page codec costs, charged as sleeps. *)
+let compress_us = Time.us 3
+let decompress_us = Time.us 2
+
+let create ?(label = "zram") ~zpool ~below () =
+  { zpool; below; label; versions = Hashtbl.create 256; hits = 0;
+    misses = 0; below_writes = 0; dropped_on_error = 0 }
 
 let key_of t slot = t.label ^ ":" ^ string_of_int slot
 
@@ -47,7 +47,7 @@ let put_slot t slot =
   let data = Zpool.synth ~key ~version:v in
   match Zpool.put t.zpool ~key ~data with
   | `Stored ->
-    Proc.sleep t.compress_us;
+    Proc.sleep compress_us;
     metric t "stored"
   | `Incompressible -> metric t "incompressible"
   | `No_space -> metric t "overflow"
@@ -142,9 +142,9 @@ let read_pages t ~page_index ~npages =
         invalid_arg "Sd_zram: decompressed page has wrong size";
       t.hits <- t.hits + 1;
       metric t "hit";
-      Proc.sleep t.decompress_us;
+      Proc.sleep decompress_us;
       if !Obs.enabled then
-        Obs.Metrics.observe "zram.hit_us" (Time.to_us t.decompress_us)
+        Obs.Metrics.observe "zram.hit_us" (Time.to_us decompress_us)
     | None ->
       t.misses <- t.misses + 1;
       metric t "miss";

@@ -22,21 +22,12 @@
     straight through to the floor: the pool is invisible to crash
     recovery. *)
 
-open Engine
-
 type t
 
-val create :
-  ?label:string ->
-  ?compress_us:Time.span ->
-  ?decompress_us:Time.span ->
-  zpool:Zpool.t ->
-  below:Tier.Backing.t ->
-  unit ->
-  t
+val create : ?label:string -> zpool:Zpool.t -> below:Tier.Backing.t -> unit -> t
 (** [label] (default ["zram"]) names the backend in driver names and
-    per-label metrics; [compress_us]/[decompress_us] (defaults 3us/2us)
-    are the per-page codec costs charged as sleeps. The [zpool] may be
+    per-label metrics; compressing a page costs a 3 us sleep and
+    decompressing one 2 us. The [zpool] may be
     shared by several [Sd_zram] fronts (one per tenant) — entries are
     keyed [label:slot], so fronts over distinct swapfiles must use
     distinct labels. *)

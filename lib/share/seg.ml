@@ -15,15 +15,17 @@ type t = {
   sg_reg : Registry.t;
   sg_npages : int;
   sg_frames : int option array;  (* page -> the one resident copy *)
-  sg_fill : Time.span;
   mutable sg_fills : int;
   mutable sg_attached : int;
 }
 
-let create ~reg ~name ~npages ?(fill = Time.us 50) () =
+(* The per-page materialization delay: fetching the segment's contents
+   from wherever "text" lives. *)
+let fill = Time.us 50
+
+let create ~reg ~name ~npages () =
   { sg_name = name; sg_reg = reg; sg_npages = npages;
-    sg_frames = Array.make npages None; sg_fill = fill; sg_fills = 0;
-    sg_attached = 0 }
+    sg_frames = Array.make npages None; sg_fills = 0; sg_attached = 0 }
 
 let name t = t.sg_name
 let npages t = t.sg_npages
@@ -115,7 +117,7 @@ let full a (fault : Fault.t) =
         with
         | None -> Stretch_driver.Failure "segment: out of shared frames"
         | Some pfn ->
-          Proc.sleep seg.sg_fill;
+          Proc.sleep fill;
           (match seg.sg_frames.(page) with
           | Some _ ->
             (* lost the race while filling *)

@@ -15,7 +15,6 @@
     show N domains faulting M pages cost [M] fills and [N*M - M]
     cheap hits with exactly [M] frames resident. *)
 
-open Engine
 open Core
 
 type t
@@ -26,11 +25,9 @@ exception Not_bound of { driver : string }
     PR 5 convention: the registered printer renders the legacy
     ["Seg: driver not bound"] string. *)
 
-val create :
-  reg:Registry.t -> name:string -> npages:int -> ?fill:Time.span ->
-  unit -> t
-(** [fill] (default 50us) is the per-page materialization delay —
-    fetching the segment's contents from wherever "text" lives. *)
+val create : reg:Registry.t -> name:string -> npages:int -> unit -> t
+(** Materializing a page costs a 50 us sleep — fetching the segment's
+    contents from wherever "text" lives. *)
 
 val name : t -> string
 val npages : t -> int

@@ -115,7 +115,6 @@ let max_entry_bytes = page_bytes / 2
 let frames_held t = List.length t.held
 let budget t = t.budget
 let entries t = Hashtbl.length t.entries
-let bytes_used t = List.fold_left (fun a f -> a + f.f_used) 0 t.held
 
 type stats = {
   z_stored : int;

@@ -80,7 +80,6 @@ val expose_for_revocation : t -> k:int -> unit
 val frames_held : t -> int
 val budget : t -> int
 val entries : t -> int
-val bytes_used : t -> int
 
 type stats = {
   z_stored : int;

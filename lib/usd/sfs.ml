@@ -476,13 +476,6 @@ let read_page_async sf ~page_index =
     Usd.submit sf.fs.u client Usd.Read ~lba:(lba_of_page sf page_index)
       ~nblocks:sf.page_blocks
 
-let write_page_async sf ~page_index =
-  match sf.client with
-  | None -> Error `Retired
-  | Some client ->
-    Usd.submit sf.fs.u client Usd.Write ~lba:(lba_of_page sf page_index)
-      ~nblocks:sf.page_blocks
-
 (* -- remount / recovery ----------------------------------------------- *)
 
 type remount_stats = {

@@ -126,10 +126,7 @@ val write_page : swapfile -> page_index:int -> (unit, io_error) result
 val read_page_async :
   swapfile -> page_index:int -> (Usd.status Sync.Ivar.t, [ `Retired ]) result
 (** Raw submission — no retry/remap ladder; prefetchers that can shrug
-    off a failed speculative read use these. *)
-
-val write_page_async :
-  swapfile -> page_index:int -> (Usd.status Sync.Ivar.t, [ `Retired ]) result
+    off a failed speculative read use it. *)
 
 val read_pages :
   swapfile -> page_index:int -> npages:int -> (unit, io_error) result

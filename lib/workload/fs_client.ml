@@ -2,17 +2,16 @@ open Engine
 open Core
 
 type t = {
-  bytes : int ref;
   watcher : Sampler.t;
   pump : Proc.t;
   client : Usbs.Usd.client;
 }
 
 let page_blocks = 16 (* 8 KB pages of 512-byte blocks *)
+let depth = 16 (* transactions kept outstanding *)
 
 let usd_client t = t.client
 
-let bytes_read t = !(t.bytes)
 let sampler t = t.watcher
 let sustained_mbit t = Sampler.sustained t.watcher ()
 
@@ -20,7 +19,7 @@ let stop t =
   Proc.kill t.pump;
   Sampler.stop t.watcher
 
-let start sys ~name ~qos ?(depth = 16) ?(sample_period = Time.sec 5) () =
+let start sys ~name ~qos () =
   let u = System.usd sys in
   match Usbs.Usd.admit u ~name ~qos ~channel_depth:(max 64 (2 * depth)) () with
   | Error _ as e -> e
@@ -53,7 +52,7 @@ let start sys ~name ~qos ?(depth = 16) ?(sample_period = Time.sec 5) () =
           loop ())
     in
     let watcher =
-      Sampler.start sim ~name:(name ^ ".watch") ~period:sample_period
+      Sampler.start sim ~name:(name ^ ".watch") ~period:(Time.sec 5)
         ~bytes:(fun () -> !bytes) ()
     in
-    Ok { bytes; watcher; pump; client }
+    Ok { watcher; pump; client }

@@ -6,17 +6,15 @@
     latency — each the size of a page for homogeneity with the paging
     clients. *)
 
-open Engine
-
 type t
 
 val start :
-  Core.System.t -> name:string -> qos:Usbs.Qos.t -> ?depth:int ->
-  ?sample_period:Time.span -> unit -> (t, string) result
-(** [depth] (default 16) outstanding transactions. *)
+  Core.System.t -> name:string -> qos:Usbs.Qos.t -> unit ->
+  (t, string) result
+(** Keep 16 transactions outstanding; the sampler reads the
+    throughput every 5 s. *)
 
 val usd_client : t -> Usbs.Usd.client
-val bytes_read : t -> int
 val sampler : t -> Sampler.t
 val sustained_mbit : t -> float
 val stop : t -> unit

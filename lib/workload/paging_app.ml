@@ -59,7 +59,6 @@ let domain t = t.d
 let bytes_processed t = !(t.bytes)
 let sampler t = t.watcher
 let in_measured_loop t = !(t.loop_start) <> None
-let loop_started_at t = !(t.loop_start)
 
 let sustained_mbit t =
   match !(t.loop_start) with
@@ -100,7 +99,10 @@ let measured_info t =
 
 let stop t = Domains.kill t.d.System.dom
 
-let touch t page ~access ~compute_per_page =
+(* The trivial computation charged per page touched. *)
+let compute_per_page = Time.us 20
+
+let touch t page ~access =
   let dom = t.d.System.dom in
   Domains.access dom (Stretch.page_base t.stretch page) access;
   Domains.consume_cpu dom compute_per_page;
@@ -110,22 +112,22 @@ let touch t page ~access ~compute_per_page =
 (* Touch every page of the stretch once, in order, charging the
    trivial per-page computation — used for initialisation and swap
    population regardless of the measured pattern. *)
-let sweep_seq t ~access ~compute_per_page =
+let sweep_seq t ~access =
   let npages = Stretch.npages t.stretch in
   for i = 0 to npages - 1 do
-    touch t i ~access ~compute_per_page
+    touch t i ~access
   done
 
 (* One round of [npages] accesses following the app's pattern — the
    same volume of work per round for every pattern, so sustained
    throughputs are comparable. *)
-let sweep_pattern t ~access ~compute_per_page =
+let sweep_pattern t ~access =
   let npages = Stretch.npages t.stretch in
   match t.pattern with
-  | Sequential -> sweep_seq t ~access ~compute_per_page
+  | Sequential -> sweep_seq t ~access
   | Random ->
     for _ = 1 to npages do
-      touch t (Rng.int t.rng npages) ~access ~compute_per_page
+      touch t (Rng.int t.rng npages) ~access
     done
   | Hotspot ->
     (* 90 % of accesses land in the first eighth of the stretch. *)
@@ -135,7 +137,7 @@ let sweep_pattern t ~access ~compute_per_page =
         if Rng.int t.rng 10 < 9 then Rng.int t.rng hot
         else Rng.int t.rng npages
       in
-      touch t p ~access ~compute_per_page
+      touch t p ~access
     done
   | Ext g ->
     let next =
@@ -143,7 +145,7 @@ let sweep_pattern t ~access ~compute_per_page =
     in
     for _ = 1 to npages do
       let p = next ~rng:t.rng ~npages in
-      touch t (((p mod npages) + npages) mod npages) ~access ~compute_per_page
+      touch t (((p mod npages) + npages) mod npages) ~access
     done
 
 let begin_measured t =
@@ -151,35 +153,34 @@ let begin_measured t =
   t.start_info := Some (paging_info t);
   t.start_accesses := !(t.accesses)
 
-let run_app t ~mode ~compute_per_page =
+let run_app t ~mode =
   (* Initialisation: sequential read, demand-zeroing every page. The
      byte counter keeps running; measurement cuts off at [loop_start]. *)
-  sweep_seq t ~access:`Read ~compute_per_page;
+  sweep_seq t ~access:`Read;
   match mode with
   | Paging_in ->
     (* Populate the swap file by dirtying every page (sequentially, so
        pages get consecutive bloks and read-ahead has runs to find)... *)
-    sweep_seq t ~access:`Write ~compute_per_page;
+    sweep_seq t ~access:`Write;
     begin_measured t;
     (* ...then page it back in, over and over, following the pattern. *)
     let rec loop () =
-      sweep_pattern t ~access:`Read ~compute_per_page;
+      sweep_pattern t ~access:`Read;
       loop ()
     in
     loop ()
   | Paging_out ->
     begin_measured t;
     let rec loop () =
-      sweep_pattern t ~access:`Write ~compute_per_page;
+      sweep_pattern t ~access:`Write;
       loop ()
     in
     loop ()
 
 let start sys ~name ~mode ~qos ?(vm_bytes = 4 * 1024 * 1024)
     ?(phys_frames = 2) ?(optimistic = 0) ?(swap_bytes = 16 * 1024 * 1024)
-    ?(compute_per_page = Time.us 20) ?(sample_period = Time.sec 5)
-    ?(cpu_slice = Time.of_ms_float 1.5) ?policy ?spare_pages
-    ?backing ?(pattern = Sequential) ?(advice = []) () =
+    ?(cpu_slice = Time.of_ms_float 1.5) ?policy ?spare_pages ?backing
+    ?(pattern = Sequential) () =
   match
     System.add_domain sys ~name ~cpu_period:(Time.ms 10) ~cpu_slice
       ~guarantee:phys_frames ~optimistic ()
@@ -207,7 +208,7 @@ let start sys ~name ~mode ~qos ?(vm_bytes = 4 * 1024 * 1024)
                let bytes = ref 0 in
                let watcher =
                  Sampler.start (System.sim sys) ~name:(name ^ ".watch")
-                   ~period:sample_period ~bytes:(fun () -> !bytes) ()
+                   ~period:(Time.sec 5) ~bytes:(fun () -> !bytes) ()
                in
                let t =
                  { d; stretch; handle; pattern;
@@ -220,9 +221,8 @@ let start sys ~name ~mode ~qos ?(vm_bytes = 4 * 1024 * 1024)
                    loop_start = ref None; start_info = ref None;
                    start_accesses = ref 0 }
                in
-               List.iter (Sd_paged.advise handle) advice;
                Sync.Ivar.fill started (Ok t);
-               run_app t ~mode ~compute_per_page));
+               run_app t ~mode));
       (* Drive the simulation just far enough for setup to finish (the
          caller typically invokes [start] from outside the sim). *)
       let sim = System.sim sys in

@@ -57,14 +57,11 @@ type t
 val start :
   System.t -> name:string -> mode:mode -> qos:Usbs.Qos.t ->
   ?vm_bytes:int -> ?phys_frames:int -> ?optimistic:int -> ?swap_bytes:int ->
-  ?compute_per_page:Time.span -> ?sample_period:Time.span ->
-  ?cpu_slice:Time.span -> ?policy:Policy.Spec.t ->
-  ?spare_pages:int ->
-  ?backing:(Usbs.Sfs.swapfile -> Tier.Backing.t) ->
-  ?pattern:pattern -> ?advice:Policy.Advice.t list ->
+  ?cpu_slice:Time.span -> ?policy:Policy.Spec.t -> ?spare_pages:int ->
+  ?backing:(Usbs.Sfs.swapfile -> Tier.Backing.t) -> ?pattern:pattern ->
   unit -> (t, string) result
-(** [advice] is applied through the driver's advice channel right
-    after binding, before the first access. [optimistic] (default 0)
+(** Each page touched is charged 20 µs of computation; the sampler
+    reads the throughput every 5 s. [optimistic] (default 0)
     registers an optimistic frame quota beyond the guarantee —
     revocation-storm fodder for the chaos experiment. [spare_pages]
     reserves bad-blok remap spares in the swap extent. [backing]
@@ -79,7 +76,6 @@ val sustained_mbit : t -> float
     ([nan] while still initialising). *)
 
 val in_measured_loop : t -> bool
-val loop_started_at : t -> Time.t option
 val paging_info : t -> Sd_paged.info
 val policy_name : t -> string
 val advise : t -> Policy.Advice.t -> unit

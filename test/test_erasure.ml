@@ -424,21 +424,21 @@ let ec_corrupt_shards () =
 (* Short run: safety invariants only (the latency/overhead verdict
    needs the 30 s default to warm up; `make erasure` covers that). *)
 let erasure_experiment_smoke () =
-  let r = Experiments.Erasure.run ~seed:5 ~duration:(Time.sec 6) () in
+  let open Experiments in
+  let r =
+    Harness.run_fleet ~seed:5 ~duration:(Time.sec 6) Remote_tier.erasure
+  in
+  check "both cells ran" 2 (List.length r.Harness.fr_cells);
   List.iter
     (fun c ->
-      check
-        ("no committed pages lost: " ^ c.Experiments.Erasure.c_name)
-        0 c.Experiments.Erasure.c_lost_slots;
-      checkb
-        ("books balance: " ^ c.Experiments.Erasure.c_name)
-        true c.Experiments.Erasure.c_books_balanced;
-      check
-        ("no bystander violations: " ^ c.Experiments.Erasure.c_name)
-        0 c.Experiments.Erasure.c_bystander_violations)
-    [ r.Experiments.Erasure.replicated; r.Experiments.Erasure.erasure ];
-  checkb "same-seed rerun byte-identical" true
-    r.Experiments.Erasure.deterministic
+      let name = c.Harness.c_name in
+      check ("no committed pages lost: " ^ name) 0
+        c.Harness.c_stores.Tier.Fleet.st_lost_slots;
+      checkb ("books balance: " ^ name) true c.Harness.c_books_balanced;
+      check ("no bystander violations: " ^ name) 0
+        c.Harness.c_bystander_violations)
+    r.Harness.fr_cells;
+  checkb "same-seed rerun byte-identical" true r.Harness.fr_deterministic
 
 let suite =
   [ ( "ec.coder",

@@ -369,13 +369,16 @@ let typed_not_bound () =
 (* Short run: safety invariants only (the full latency/health verdict
    needs the 30 s default to warm up; `make failover` covers that). *)
 let failover_experiment_smoke () =
-  let r = Experiments.Failover.run ~seed:5 ~duration:(Time.sec 6) () in
-  check "no bystander violations" 0
-    r.Experiments.Failover.bystander_violations;
-  checkb "fleet books balance" true r.Experiments.Failover.books_balanced;
-  check "no committed pages lost" 0 r.Experiments.Failover.lost_slots;
-  checkb "same-seed rerun byte-identical" true
-    r.Experiments.Failover.deterministic
+  let open Experiments in
+  let r =
+    Harness.run_fleet ~seed:5 ~duration:(Time.sec 6) Remote_tier.failover
+  in
+  let c = List.hd r.Harness.fr_cells in
+  check "no bystander violations" 0 c.Harness.c_bystander_violations;
+  checkb "fleet books balance" true c.Harness.c_books_balanced;
+  check "no committed pages lost" 0
+    c.Harness.c_stores.Tier.Fleet.st_lost_slots;
+  checkb "same-seed rerun byte-identical" true r.Harness.fr_deterministic
 
 let suite =
   [ ( "fleet.placement",

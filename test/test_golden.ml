@@ -311,10 +311,11 @@ let scale_digest domains expected () =
 (* --- The remote-tier reports ------------------------------------------ *)
 
 (* Short same-seed runs of the remote-tier experiments and the backing
-   matrix, each pinned by the MD5 of its JSON. The failover report
-   (seed 5, 6 s) ends with 0 fleet hits and the erasure report (seed
-   5, 8 s) with 15-16 per cell, both before their measured loops
-   begin: they pin the swap-populate phase, demotes, the fault plan,
+   matrix, each pinned by the MD5 of its JSON. The remote and failover
+   reports (seed 5, 6 s) end with 0 fleet hits and the erasure report
+   (seed 5, 8 s) with 15-16 per cell, all before their measured loops
+   begin: they pin the swap-populate phase, demotes, the fault plan
+   (the remote report's link chaos has dropped 45 packets by then),
    repair and the books. The remote, failover and erasure bench pins
    hash slices of one 6 s matrix run, the cells each of those
    comparisons reads; at 6 s every cell has 0 measured accesses and 0
@@ -361,10 +362,17 @@ let backing_matrix_pinned () =
     "5d7589fd6c7b4753bc52da4f477845ff"
     (md5 (Json.to_string (matrix_json m)))
 
+let fleet_report scenario ~seed ~duration () =
+  let open Experiments.Harness in
+  fleet_run_json (run_fleet ~seed ~duration:(Time.sec duration) scenario)
+
 let remote_tier_pins =
   let open Experiments in
-  let s = Time.sec in
-  [ Alcotest.test_case "remote bench pinned" `Quick
+  [ Alcotest.test_case "remote report pinned" `Quick
+      (report_digest "remote report, seed 5, 6 s"
+         "720aa846f2c320e2aa657073bc4f9915"
+         (fleet_report Remote_tier.remote ~seed:5 ~duration:6));
+    Alcotest.test_case "remote bench pinned" `Quick
       (report_digest "remote bench cells, seed 42, 6 s"
          "504d38e1e1a48d438e26a9d87ea1311c"
          (matrix_slice
@@ -372,16 +380,16 @@ let remote_tier_pins =
               "tier_hot" ]));
     Alcotest.test_case "failover report pinned" `Quick
       (report_digest "failover report, seed 5, 6 s"
-         "4bb111acb909e08544145ef17e9343bf" (fun () ->
-           Failover.to_json (Failover.run ~seed:5 ~duration:(s 6) ())));
+         "459353a9c8c25d401e569bb516c8a4ab"
+         (fleet_report Remote_tier.failover ~seed:5 ~duration:6));
     Alcotest.test_case "failover bench pinned" `Quick
       (report_digest "failover bench cells, seed 42, 6 s"
          "cfc4a7314348590d673a0128abaac220"
          (matrix_slice [ "disk_hot"; "replicated"; "replicated_wipe" ]));
     Alcotest.test_case "erasure report pinned" `Quick
       (report_digest "erasure report, seed 5, 8 s"
-         "62429ebe4e3065b453c83313951f2638" (fun () ->
-           Erasure.to_json (Erasure.run ~seed:5 ~duration:(s 8) ())));
+         "8823dbe30a076643b31e1899ebb5f8ff"
+         (fleet_report Remote_tier.erasure ~seed:5 ~duration:8));
     Alcotest.test_case "erasure bench pinned" `Quick
       (report_digest "erasure bench cells, seed 42, 6 s"
          "e393826882ad229b3358c4bc0e9a8fb4"

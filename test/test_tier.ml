@@ -290,12 +290,14 @@ let link_laxity_holds_place () =
 (* --- Experiment smoke --- *)
 
 let remote_experiment_smoke () =
-  let r = Experiments.Remote_page.run ~seed:5 ~duration:(Time.sec 6) () in
-  check "no bystander violations" 0
-    r.Experiments.Remote_page.bystander_violations;
-  checkb "loss books balance" true r.Experiments.Remote_page.books_balanced;
-  checkb "same-seed rerun byte-identical" true
-    r.Experiments.Remote_page.deterministic
+  let open Experiments in
+  let r =
+    Harness.run_fleet ~seed:5 ~duration:(Time.sec 6) Remote_tier.remote
+  in
+  let c = List.hd r.Harness.fr_cells in
+  check "no bystander violations" 0 c.Harness.c_bystander_violations;
+  checkb "loss books balance" true c.Harness.c_books_balanced;
+  checkb "same-seed rerun byte-identical" true r.Harness.fr_deterministic
 
 let suite =
   [ ( "tier.backing",
