@@ -466,7 +466,7 @@ let records =
   let s = Time.sec in
   [ ( "policy",
       record (Policy_compare.run ~duration:(s 60)) Policy_compare.print
-        Policy_compare.to_json (fun _ -> true) );
+        Policy_compare.to_json Policy_compare.ok );
     ( "chaos",
       record (Chaos.run ~duration:(s 30)) Chaos.print Chaos.to_json Chaos.ok );
     ( "crash",

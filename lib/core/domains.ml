@@ -24,7 +24,24 @@ type t = {
   mutable kill_hooks : (unit -> unit) list;
   mutable dispatcher : Proc.t option;
   mutable faults : int;
+  m : metrics;
 }
+
+(* The domain's own telemetry handles, all labelled with its name. *)
+and metrics = {
+  fault_count : Obs.Metrics.counter;
+  fault_rekicks : Obs.Metrics.counter;
+  fault_failed : Obs.Metrics.counter;
+  fault_deaths : Obs.Metrics.counter;
+  fault_latency : Obs.Metrics.histogram;
+}
+
+let metrics label =
+  { fault_count = Obs.Metrics.counter ~label "fault.count";
+    fault_rekicks = Obs.Metrics.counter ~label "fault.rekicks";
+    fault_failed = Obs.Metrics.counter ~label "fault.failed";
+    fault_deaths = Obs.Metrics.counter ~label "domain.fault_deaths";
+    fault_latency = Obs.Metrics.histogram ~label "fault.latency_us" }
 
 let id t = t.id
 let name t = t.dname
@@ -83,19 +100,16 @@ let drain_faults t () =
       consume_cpu t t.cost.Cost.notify_handler;
       let act_span =
         if !Obs.enabled then
-          Some
-            (Obs.Span.start ~now:(Sim.now t.sim) ~label:t.dname
-               ?parent:fault.Fault.span "activation")
-        else None
+          Obs.Span.start ~now:(Sim.now t.sim) ~label:t.dname
+            ~parent:fault.Fault.span "activation"
+        else Obs.Span.none
       in
       (match t.fault_handler with
       | Some handler -> handler fault
       | None ->
         Sync.Ivar.fill fault.Fault.resolved
           (Fault.Failed "no fault handler registered"));
-      (match act_span with
-      | Some s -> Obs.Span.finish ~now:(Sim.now t.sim) s
-      | None -> ());
+      Obs.Span.finish ~now:(Sim.now t.sim) act_span;
       drain ()
   in
   drain ()
@@ -107,7 +121,7 @@ let create ~sim ~id ~name ~cpu ~cpu_client ~pdom ~mmu ~cost () =
       fault_queue = Queue.create ();
       activations = Sync.Mailbox.create ();
       fault_handler = None; handler_proc = None; threads = []; alive = true;
-      kill_hooks = []; dispatcher = None; faults = 0 }
+      kill_hooks = []; dispatcher = None; faults = 0; m = metrics name }
   in
   Event_chan.attach t.fault_chan (fun () -> queue_notification t (drain_faults t));
   t.dispatcher <-
@@ -142,9 +156,10 @@ let rec do_access t va kind ~attempt =
         Fault.make ~va ~access:kind ~kind:fk ~sid ~now:(Sim.now t.sim)
       in
       if !Obs.enabled then begin
-        Obs.Metrics.inc ~label:t.dname "fault.count";
+        Obs.Metrics.inc t.m.fault_count;
         fault.Fault.span <-
-          Some (Obs.Span.start ~now:fault.Fault.raised_at ~label:t.dname "fault")
+          Obs.Span.start ~now:fault.Fault.raised_at ~label:t.dname
+            ~parent:Obs.Span.none "fault"
       end;
       Queue.add fault t.fault_queue;
       Event_chan.send t.fault_chan;
@@ -164,8 +179,7 @@ let rec do_access t va kind ~attempt =
               if kicks >= max_kicks then
                 Fault.Failed "fault notification lost"
               else begin
-                if !Obs.enabled then
-                  Obs.Metrics.inc ~label:t.dname "fault.rekicks";
+                if !Obs.enabled then Obs.Metrics.inc t.m.fault_rekicks;
                 Event_chan.send t.fault_chan;
                 wait (kicks + 1)
               end
@@ -175,13 +189,11 @@ let rec do_access t va kind ~attempt =
       in
       if !Obs.enabled then begin
         let now = Sim.now t.sim in
-        (match fault.Fault.span with
-        | Some s -> Obs.Span.finish ~now s
-        | None -> ());
-        Obs.Metrics.observe ~label:t.dname "fault.latency_us"
+        Obs.Span.finish ~now fault.Fault.span;
+        Obs.Metrics.observe t.m.fault_latency
           (Time.to_us (Time.diff now fault.Fault.raised_at));
         match outcome with
-        | Fault.Failed _ -> Obs.Metrics.inc ~label:t.dname "fault.failed"
+        | Fault.Failed _ -> Obs.Metrics.inc t.m.fault_failed
         | Fault.Resolved -> ()
       end;
       (match outcome with
@@ -223,8 +235,7 @@ let spawn_thread t ~name f =
   let body () =
     try f ()
     with Fault.Unresolved (_, _) ->
-      if !Obs.enabled then
-        Obs.Metrics.inc ~label:t.dname "domain.fault_deaths";
+      if !Obs.enabled then Obs.Metrics.inc t.m.fault_deaths;
       ignore (Proc.spawn ~name:(t.dname ^ ".reaper") t.sim (fun () -> kill t))
   in
   let p = Proc.spawn ~name:(t.dname ^ "." ^ name) t.sim body in

@@ -3,10 +3,12 @@ type t = {
   mutable count : int;
   mutable acked : int;
   mutable notify : (unit -> unit) option;
+  sends : Obs.Metrics.counter;
 }
 
 let create ?(name = "chan") () =
-  { ev_name = name; count = 0; acked = 0; notify = None }
+  { ev_name = name; count = 0; acked = 0; notify = None;
+    sends = Obs.Metrics.counter ~label:name "event.sends" }
 
 let name t = t.ev_name
 
@@ -14,7 +16,7 @@ let deliver t = match t.notify with Some f -> f () | None -> ()
 
 let send t =
   t.count <- t.count + 1;
-  if !Obs.enabled then Obs.Metrics.inc ~label:t.ev_name "event.sends";
+  if !Obs.enabled then Obs.Metrics.inc t.sends;
   if not !Inject.enabled then deliver t
   else
     match Inject.chan ~name:t.ev_name with

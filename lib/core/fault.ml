@@ -10,14 +10,14 @@ type t = {
   sid : int option;
   raised_at : Time.t;
   resolved : outcome Sync.Ivar.t;
-  mutable span : Obs.Span.t option;
+  mutable span : Obs.Span.t;
 }
 
 exception Unresolved of t * string
 
 let make ~va ~access ~kind ~sid ~now =
   { va; access; kind; sid; raised_at = now; resolved = Sync.Ivar.create ();
-    span = None }
+    span = Obs.Span.none }
 
 let pp_access ppf = function
   | `Read -> Format.pp_print_string ppf "read"

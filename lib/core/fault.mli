@@ -22,10 +22,10 @@ type t = {
   sid : int option;  (** stretch id, when the address lies in one *)
   raised_at : Time.t;
   resolved : outcome Sync.Ivar.t;
-  mutable span : Obs.Span.t option;
-      (** Root observability span for this fault's resolution, when
-          tracing is enabled; child spans (activation, dispatch, USD
-          transactions) link to it. *)
+  mutable span : Obs.Span.t;
+      (** Root observability span for this fault's resolution
+          ({!Obs.Span.none} when tracing is off); child spans
+          (activation, dispatch, USD transactions) link to it. *)
 }
 
 exception Unresolved of t * string

@@ -17,6 +17,7 @@ type client = {
   mutable live : bool;
   (* Position on the allocator's member list; None once retired. *)
   mutable node : client Ilist.node option;
+  revoke_latency : Obs.Metrics.histogram; (* label "dom<id>" *)
 }
 
 type region = { rname : string; first : int; count : int }
@@ -147,7 +148,11 @@ let admit t ~domain ~guarantee ~optimistic =
     let c =
       { domain; g = guarantee; o = optimistic; n = 0;
         stack = Frame_stack.create (); notify_revoke = None;
-        pending_rev = None; live = true; node = None }
+        pending_rev = None; live = true; node = None;
+        revoke_latency =
+          Obs.Metrics.histogram
+            ~label:("dom" ^ string_of_int domain)
+            "revoke.latency_us" }
     in
     let node = Ilist.make_node c in
     c.node <- Some node;
@@ -268,9 +273,7 @@ let intrusive_reclaim t victim ~want =
         let finished = Sim.now t.sim in
         Obs.Qos_audit.revocation_done ~now:finished ~dom:victim.domain
           ~deadline ~ok;
-        Obs.Metrics.observe
-          ~label:(Printf.sprintf "dom%d" victim.domain)
-          "revoke.latency_us"
+        Obs.Metrics.observe victim.revoke_latency
           (Time.to_us (Time.diff finished started))
       end
     in

@@ -36,17 +36,13 @@ let dispatch t (fault : Fault.t) invoke ~on_retry =
       Domains.consume_cpu t.dom (Domains.cost t.dom).Hw.Cost.driver_invoke;
       let disp_span =
         if !Obs.enabled then
-          Some
-            (Obs.Span.start
-               ~now:(Sim.now (Domains.sim t.dom))
-               ~label:(Domains.name t.dom)
-               ?parent:fault.Fault.span "mm.dispatch")
-        else None
+          Obs.Span.start
+            ~now:(Sim.now (Domains.sim t.dom))
+            ~label:(Domains.name t.dom) ~parent:fault.Fault.span "mm.dispatch"
+        else Obs.Span.none
       in
       let result = invoke driver fault in
-      (match disp_span with
-      | Some s -> Obs.Span.finish ~now:(Sim.now (Domains.sim t.dom)) s
-      | None -> ());
+      Obs.Span.finish ~now:(Sim.now (Domains.sim t.dom)) disp_span;
       (match result with
       | Stretch_driver.Success ->
         finish fault Fault.Resolved;

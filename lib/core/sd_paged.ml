@@ -90,7 +90,47 @@ type state = {
   retiring : (int, int) Hashtbl.t;
   mutable restored : int;
   mutable crashed : bool;
+  m : metrics;
 }
+
+(* The driver's telemetry handles, labelled with its domain's name. *)
+and metrics = {
+  policy_page_in : Obs.Metrics.counter;
+  policy_page_out : Obs.Metrics.counter;
+  policy_evict : Obs.Metrics.counter;
+  policy_rescue : Obs.Metrics.counter;
+  policy_prefetched : Obs.Metrics.counter;
+  policy_prefetch_hit : Obs.Metrics.counter;
+  policy_prefetch_waste : Obs.Metrics.counter;
+  policy_wb_flush : Obs.Metrics.counter;
+  sd_lost_faults : Obs.Metrics.counter;
+  sd_lost_pages : Obs.Metrics.counter;
+  sd_rebloks : Obs.Metrics.counter;
+  sd_shed_frames : Obs.Metrics.counter;
+  sd_restored_pages : Obs.Metrics.counter;
+  sd_swap_exhausted : Obs.Metrics.counter;
+  sd_wb_degraded : Obs.Metrics.counter;
+  sd_crashed : Obs.Metrics.counter;
+}
+
+let metrics label =
+  let c = Obs.Metrics.counter ~label in
+  { policy_page_in = c "policy.page_in";
+    policy_page_out = c "policy.page_out";
+    policy_evict = c "policy.evict";
+    policy_rescue = c "policy.rescue";
+    policy_prefetched = c "policy.prefetched";
+    policy_prefetch_hit = c "policy.prefetch_hit";
+    policy_prefetch_waste = c "policy.prefetch_waste";
+    policy_wb_flush = c "policy.wb_flush";
+    sd_lost_faults = c "sd.lost_faults";
+    sd_lost_pages = c "sd.lost_pages";
+    sd_rebloks = c "sd.rebloks";
+    sd_shed_frames = c "sd.shed_frames";
+    sd_restored_pages = c "sd.restored_pages";
+    sd_swap_exhausted = c "sd.swap_exhausted";
+    sd_wb_degraded = c "sd.wb_degraded";
+    sd_crashed = c "sd.crashed" }
 
 (* Write-behind is in force only while it has not been degraded away. *)
 let wb_on st = Policy.Writeback.enabled st.wb && not st.degraded_sync
@@ -99,25 +139,25 @@ let stack st = Frames.frame_stack st.env.Stretch_driver.frames_client
 
 (* Span helpers: driver code always runs on some domain's process, so
    the current process's simulation clock is the right one. *)
-let span_start st ?parent sname =
+let span_start st ~parent sname =
   if !Obs.enabled then
-    Some
-      (Obs.Span.start
-         ~now:(Engine.Sim.now (Engine.Proc.current_sim ()))
-         ~label:st.env.Stretch_driver.domain_name ?parent sname)
-  else None
+    Obs.Span.start
+      ~now:(Engine.Sim.now (Engine.Proc.current_sim ()))
+      ~label:st.env.Stretch_driver.domain_name ~parent sname
+  else Obs.Span.none
 
-let span_finish = function
-  | Some s -> Obs.Span.finish ~now:(Engine.Sim.now (Engine.Proc.current_sim ())) s
-  | None -> ()
+let span_finish sp =
+  if sp != Obs.Span.none then
+    Obs.Span.finish ~now:(Engine.Sim.now (Engine.Proc.current_sim ())) sp
 
-let metric_inc st name =
-  if !Obs.enabled then
-    Obs.Metrics.inc ~label:st.env.Stretch_driver.domain_name name
+let metric_inc c = if !Obs.enabled then Obs.Metrics.inc c
 
-let metric_add st name n =
-  if n > 0 && !Obs.enabled then
-    Obs.Metrics.add ~label:st.env.Stretch_driver.domain_name name n
+let metric_add c n = if n > 0 && !Obs.enabled then Obs.Metrics.add c n
+
+(* The injector's recovery classes for this driver's sites. *)
+let reblok_class = Inject.recovery "sd.reblok"
+let write_class = Inject.recovery "sd.write"
+let wb_class = Inject.recovery "sd.wb"
 
 (* Bind-time failwiths: faulting before bind, binding twice, or
    binding a stretch larger than the swap are wiring bugs in the
@@ -164,7 +204,7 @@ let bind st (s : Stretch.t) =
         st.restored <- st.restored + 1
       end)
     st.restore;
-  if st.restored > 0 then metric_add st "sd.restored_pages" st.restored
+  if st.restored > 0 then metric_add st.m.sd_restored_pages st.restored
 
 let owns_fault st (fault : Fault.t) =
   match (fault.sid, st.stretch) with
@@ -178,7 +218,7 @@ let settle_prefetch st p referenced =
   | Resident r when r.via_prefetch && referenced ->
     r.via_prefetch <- false;
     st.prefetch_hits <- st.prefetch_hits + 1;
-    metric_inc st "policy.prefetch_hit"
+    metric_inc st.m.policy_prefetch_hit
   | _ -> ()
 
 (* The window through which replacement policies see the hardware:
@@ -227,7 +267,7 @@ let install_zero st page pfn =
 let note_swap_exhausted st =
   if not st.swap_exhausted then begin
     st.swap_exhausted <- true;
-    metric_inc st "sd.swap_exhausted"
+    metric_inc st.m.sd_swap_exhausted
   end
 
 (* Ensure the page has a blok assigned (first-fit from the bitmap).
@@ -288,7 +328,7 @@ let release_retired st pages =
 let note_crashed st =
   if not st.crashed then begin
     st.crashed <- true;
-    metric_inc st "sd.crashed"
+    metric_inc st.m.sd_crashed
   end
 
 (* Invert [blok_of_page] over a write-behind run: the (page, slot)
@@ -303,7 +343,7 @@ let pages_for_run st ~blok ~nbloks =
 let mark_lost st page =
   st.pages.(page) <- Lost;
   st.lost_pages <- st.lost_pages + 1;
-  metric_inc st "sd.lost_pages"
+  metric_inc st.m.sd_lost_pages
 
 (* Write [page]'s blok synchronously, re-blokking around bad bloks: a
    write that exhausts the USBS recovery ladder (retries, spare
@@ -315,7 +355,7 @@ let write_now st ~page blok =
   st.env.Stretch_driver.assert_idc_allowed "USBS write";
   let journaled = st.backing.Tier.Backing.journaled () in
   let rec go blok =
-    let sp = span_start st "usd.write" in
+    let sp = span_start st ~parent:Obs.Span.none "usd.write" in
     let r =
       if journaled then
         st.backing.Tier.Backing.write_pages_commit ~page_index:blok ~npages:1
@@ -327,7 +367,7 @@ let write_now st ~page blok =
     | Ok () ->
       if journaled then release_retired st [ page ];
       st.page_outs <- st.page_outs + 1;
-      metric_inc st "policy.page_out";
+      metric_inc st.m.policy_page_out;
       true
     | Error `Retired -> false
     | Error `Crashed ->
@@ -338,12 +378,12 @@ let write_now st ~page blok =
       | Some b' ->
         st.blok_of_page.(page) <- b';
         st.rebloks <- st.rebloks + 1;
-        Inject.note_remapped "sd.reblok";
-        metric_inc st "sd.rebloks";
+        Inject.note_remapped reblok_class;
+        metric_inc st.m.sd_rebloks;
         go b'
       | None ->
         note_swap_exhausted st;
-        Inject.note_killed "sd.write";
+        Inject.note_killed write_class;
         false)
   in
   go blok
@@ -438,9 +478,9 @@ let evict_one ?(clean_only = false) ?(no_clean = false) st =
         (match st.pages.(victim) with
         | Resident { via_prefetch = true; _ } ->
           st.prefetch_waste <- st.prefetch_waste + 1;
-          metric_inc st "policy.prefetch_waste"
+          metric_inc st.m.policy_prefetch_waste
         | _ -> ());
-        metric_inc st "policy.evict";
+        metric_inc st.m.policy_evict;
         (match decision with
         | `Clean_to blok ->
           if wb_on st then begin
@@ -487,7 +527,7 @@ let try_rescue st page =
       st.tick <- st.tick + 1;
       Frame_stack.move_to_bottom (stack st) pfn;
       st.rescues <- st.rescues + 1;
-      metric_inc st "policy.rescue";
+      metric_inc st.m.policy_rescue;
       true
     | None -> false)
   | _ -> false
@@ -515,7 +555,7 @@ let fast st (fault : Fault.t) =
         else Stretch_driver.Retry
       | Swapped -> Stretch_driver.Retry (* needs disk: worker path *)
       | Lost ->
-        metric_inc st "sd.lost_faults";
+        metric_inc st.m.sd_lost_faults;
         Stretch_driver.Failure "page contents lost to media error"
       | Fresh ->
         (match take_pool st with
@@ -543,7 +583,7 @@ let shed_optimistic st =
   done;
   if !freed > 0 then begin
     st.shed <- st.shed + !freed;
-    metric_add st "sd.shed_frames" !freed
+    metric_add st.m.sd_shed_frames !freed
   end
 
 (* Swap-exhaustion degradation, rung 1: only victims needing no
@@ -670,7 +710,7 @@ let fetch_extras st parent extras =
         | [] -> ()
         | ((first, _) :: _ as got) ->
           incr txns;
-          let sp = span_start st ?parent "usd.read" in
+          let sp = span_start st ~parent "usd.read" in
           let r =
             st.backing.Tier.Backing.read_pages
               ~page_index:st.blok_of_page.(first)
@@ -707,7 +747,7 @@ let fetch_extras st parent extras =
               end)
             got;
           st.prefetched <- st.prefetched + !mapped;
-          metric_add st "policy.prefetched" !mapped
+          metric_add st.m.policy_prefetched !mapped
       end)
     chains
 
@@ -736,7 +776,7 @@ let full st (fault : Fault.t) =
       match st.pages.(page) with
       | Resident _ -> Stretch_driver.Success
       | Lost ->
-        metric_inc st "sd.lost_faults";
+        metric_inc st.m.sd_lost_faults;
         Stretch_driver.Failure "page contents lost to media error"
       | Wb_pending _ ->
         if try_rescue st page then Stretch_driver.Success
@@ -797,7 +837,7 @@ let full st (fault : Fault.t) =
                   && not (List.mem p !extras)
                 then extras := p :: !extras)
             candidates;
-          let sp = span_start st ?parent:fault.Fault.span "usd.read" in
+          let sp = span_start st ~parent:fault.Fault.span "usd.read" in
           let r =
             st.backing.Tier.Backing.read_pages ~page_index:blok0 ~npages:!run
           in
@@ -808,7 +848,7 @@ let full st (fault : Fault.t) =
             | Error (`Retired | `Crashed) -> fun _ -> true
             | Error (`Lost_pages l) -> fun b -> List.mem b l
           in
-          let mp = span_start st ?parent:fault.Fault.span "map" in
+          let mp = span_start st ~parent:fault.Fault.span "map" in
           let mapped_extra = ref 0 in
           List.iter
             (fun (p, f) ->
@@ -835,11 +875,11 @@ let full st (fault : Fault.t) =
           span_finish mp;
           st.tick <- st.tick + 1;
           st.prefetched <- st.prefetched + !mapped_extra;
-          metric_add st "policy.prefetched" !mapped_extra;
+          metric_add st.m.policy_prefetched !mapped_extra;
           if lost_blok blok0 then begin
             (* The demanded page itself is unrecoverable: a domain
                fault, not a simulator abort. *)
-            metric_inc st "sd.lost_faults";
+            metric_inc st.m.sd_lost_faults;
             match r with
             | Error `Retired ->
               Stretch_driver.Failure "backing store retired"
@@ -849,7 +889,7 @@ let full st (fault : Fault.t) =
           end
           else begin
             st.page_ins <- st.page_ins + 1;
-            metric_inc st "policy.page_in";
+            metric_inc st.m.policy_page_in;
             fetch_extras st fault.Fault.span (List.rev !extras);
             Stretch_driver.Success
           end
@@ -921,7 +961,7 @@ let drop_page st p =
     (match st.pages.(p) with
     | Resident { via_prefetch = true; _ } ->
       st.prefetch_waste <- st.prefetch_waste + 1;
-      metric_inc st "policy.prefetch_waste"
+      metric_inc st.m.policy_prefetch_waste
     | _ -> ());
     let dirty = Pte.dirty pte || r.dirty_latched in
     let must_clean = st.forgetful || dirty || not r.clean_on_disk in
@@ -934,7 +974,7 @@ let drop_page st p =
       st.repl.Policy.Replacement.insert p
     end
     else begin
-      metric_inc st "policy.evict";
+      metric_inc st.m.policy_evict;
       st.evictions <- st.evictions + 1;
       if must_clean then begin
         let blok = Option.get blok in
@@ -1082,13 +1122,14 @@ let create ?(forgetful = false) ?(initial_frames = 0)
       prefetched = 0; prefetch_hits = 0; prefetch_waste = 0; rescues = 0;
       lost_pages = 0; rebloks = 0; shed = 0; degraded_sync = false;
       swap_exhausted = false; restore; retiring = Hashtbl.create 7;
-      restored = 0; crashed = false }
+      restored = 0; crashed = false;
+      m = metrics env.Stretch_driver.domain_name }
   in
   tick_ref := (fun () -> st.tick);
   st.wb <-
     Policy.Writeback.create ~max_batch:spec.Policy.Spec.wb_batch
       ~write:(fun ~blok ~nbloks ->
-        let sp = span_start st "usd.write" in
+        let sp = span_start st ~parent:Obs.Span.none "usd.write" in
         let journaled = st.backing.Tier.Backing.journaled () in
         let run_pages =
           if journaled then pages_for_run st ~blok ~nbloks else []
@@ -1129,7 +1170,7 @@ let create ?(forgetful = false) ?(initial_frames = 0)
           let n = Array.length st.blok_of_page in
           List.iter
             (fun bad ->
-              Inject.note_killed "sd.wb";
+              Inject.note_killed wb_class;
               let rec find i =
                 if i >= n then ()
                 else if st.blok_of_page.(i) = bad then (
@@ -1142,11 +1183,11 @@ let create ?(forgetful = false) ?(initial_frames = 0)
             lost;
           if not st.degraded_sync then begin
             st.degraded_sync <- true;
-            metric_inc st "sd.wb_degraded"
+            metric_inc st.m.sd_wb_degraded
           end);
         st.page_outs <- st.page_outs + nbloks - List.length lost;
-        metric_add st "policy.page_out" (nbloks - List.length lost);
-        metric_inc st "policy.wb_flush")
+        metric_add st.m.policy_page_out (nbloks - List.length lost);
+        metric_inc st.m.policy_wb_flush)
       ();
   let shortfall = ref 0 in
   for _ = 1 to initial_frames do

@@ -1,41 +1,49 @@
-type t = {
-  mutable n : int;
+(* The running moments sit in an all-float record, which OCaml stores
+   flat: [add] updates them in place without boxing. *)
+type moments = {
   mutable mean : float;
   mutable m2 : float;
   mutable total : float;
   mutable minv : float;
   mutable maxv : float;
+}
+
+type t = {
+  mutable n : int;
+  m : moments;
   samples : float Dynarray.t option;
 }
 
 let create ?(keep_samples = false) () =
-  { n = 0; mean = 0.0; m2 = 0.0; total = 0.0; minv = nan; maxv = nan;
+  { n = 0;
+    m = { mean = 0.0; m2 = 0.0; total = 0.0; minv = nan; maxv = nan };
     samples = (if keep_samples then Some (Dynarray.create ()) else None) }
 
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+  let m = t.m in
+  m.total <- m.total +. x;
+  let delta = x -. m.mean in
+  m.mean <- m.mean +. (delta /. float_of_int t.n);
+  m.m2 <- m.m2 +. (delta *. (x -. m.mean));
   if t.n = 1 then begin
-    t.minv <- x;
-    t.maxv <- x
+    m.minv <- x;
+    m.maxv <- x
   end
   else begin
-    if x < t.minv then t.minv <- x;
-    if x > t.maxv then t.maxv <- x
+    if x < m.minv then m.minv <- x;
+    if x > m.maxv then m.maxv <- x
   end;
   match t.samples with Some d -> Dynarray.add_last d x | None -> ()
 
 let count t = t.n
-let total t = t.total
-let mean t = if t.n = 0 then 0.0 else t.mean
+let total t = t.m.total
+let mean t = if t.n = 0 then 0.0 else t.m.mean
 
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2 then 0.0 else t.m.m2 /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)
-let min_value t = t.minv
-let max_value t = t.maxv
+let min_value t = t.m.minv
+let max_value t = t.m.maxv
 
 let percentile t p =
   if Float.is_nan p || p < 0.0 || p > 100.0 then
@@ -60,7 +68,7 @@ let percentile t p =
 
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-    (stddev t) t.minv t.maxv
+    (stddev t) t.m.minv t.m.maxv
 
 module Series = struct
   type t = { times : Time.t Dynarray.t; vals : float Dynarray.t }

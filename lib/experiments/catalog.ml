@@ -244,7 +244,7 @@ let () =
           (gets ctx "policies")
       in
       verdict ctx ~print:Policy_compare.print ~to_json:Policy_compare.to_json
-        ~ok:(fun _ -> true)
+        ~ok:Policy_compare.ok
         (Policy_compare.run ~duration:(duration ctx ~default:60) ?policies ()));
   reg "ablate" "Design-choice ablations (DESIGN.md)"
     ~params:

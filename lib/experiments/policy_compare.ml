@@ -133,6 +133,9 @@ let run ?(duration = Time.sec 60) ?(seed = 42)
   Obs.set_enabled was_enabled;
   { duration; rows }
 
+let ok r =
+  List.for_all (fun row -> row.violations = 0 && row.accesses > 0) r.rows
+
 let print r =
   Report.heading
     (Printf.sprintf

@@ -42,5 +42,9 @@ val run :
     observability on for its own runs and restores the previous
     setting. *)
 
+val ok : result -> bool
+(** The acceptance verdict: every cell made progress ([accesses > 0])
+    and the QoS auditor flagged no violation in any of them. *)
+
 val print : result -> unit
 val to_json : result -> Json.t

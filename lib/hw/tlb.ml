@@ -1,35 +1,46 @@
 type slot = { mutable asn : int; mutable vpn : int; mutable pte : Pte.t }
 
+(* One address space's hit and miss counters. *)
+type asn_counters = {
+  hits_c : Obs.Metrics.counter;
+  misses_c : Obs.Metrics.counter;
+}
+
 type t = {
   slots : slot array;
   mutable next : int; (* FIFO replacement pointer *)
   mutable hits : int;
   mutable misses : int;
-  (* Observability: per-address-space hit/miss counters; label
-     "asn<N>" because the TLB knows domains only by their address-space
-     number. Each TLB builds each label once, so every run pays the
-     same. *)
-  asn_labels : (int, string) Hashtbl.t;
+  (* Observability: per-address-space hit/miss counters, labelled
+     "asn<N>" because the TLB knows domains only by their
+     address-space number. Each TLB makes each address space's
+     handles once, so every run pays the same. *)
+  asn_counters : (int, asn_counters) Hashtbl.t;
 }
 
 let empty_vpn = -1
 
 let create ?(entries = 64) () =
   { slots = Array.init entries (fun _ -> { asn = 0; vpn = empty_vpn; pte = Pte.absent });
-    next = 0; hits = 0; misses = 0; asn_labels = Hashtbl.create 16 }
+    next = 0; hits = 0; misses = 0; asn_counters = Hashtbl.create 16 }
 
-let asn_label t asn =
-  match Hashtbl.find t.asn_labels asn with
-  | label -> label
+let counters_of t asn =
+  match Hashtbl.find t.asn_counters asn with
+  | c -> c
   | exception Not_found ->
     let label = Printf.sprintf "asn%d" asn in
-    Hashtbl.add t.asn_labels asn label;
-    label
+    let c =
+      { hits_c = Obs.Metrics.counter ~label "tlb.hits";
+        misses_c = Obs.Metrics.counter ~label "tlb.misses" }
+    in
+    Hashtbl.add t.asn_counters asn c;
+    c
 
 let count_lookup t ~asn ~hit =
-  if !Obs.enabled then
-    Obs.Metrics.inc ~label:(asn_label t asn)
-      (if hit then "tlb.hits" else "tlb.misses")
+  if !Obs.enabled then begin
+    let c = counters_of t asn in
+    Obs.Metrics.inc (if hit then c.hits_c else c.misses_c)
+  end
 
 let lookup t ~asn ~vpn =
   let n = Array.length t.slots in

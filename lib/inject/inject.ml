@@ -405,7 +405,48 @@ let bump_class cls =
   let n = try Hashtbl.find classes cls with Not_found -> 0 in
   Hashtbl.replace classes cls (n + 1)
 
-let metric name = Obs.Metrics.inc ("inject." ^ name)
+(* The injector's counters, written only while Obs is on. *)
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
+let counter = Obs.Metrics.counter
+let m_errors = counter "inject.errors"
+let m_errors_read_transient = counter "inject.errors.read.transient"
+let m_errors_read_persistent = counter "inject.errors.read.persistent"
+let m_errors_write_transient = counter "inject.errors.write.transient"
+let m_errors_write_persistent = counter "inject.errors.write.persistent"
+let m_spikes = counter "inject.spikes"
+let m_stalls = counter "inject.stalls"
+let m_chan_drops = counter "inject.chan_drops"
+let m_chan_delays = counter "inject.chan_delays"
+let m_link_drops = counter "inject.link_drops"
+let m_link_delays = counter "inject.link_delays"
+let m_node_crashes = counter "inject.node_crashes"
+let m_node_partitions = counter "inject.node_partitions"
+let m_node_wipes = counter "inject.node_wipes"
+let m_node_joins = counter "inject.node_joins"
+let m_node_retires = counter "inject.node_retires"
+let m_shard_corruptions = counter "inject.shard_corruptions"
+let m_crashes = counter "inject.crashes"
+let m_retried = counter "inject.retried"
+let m_remapped = counter "inject.remapped"
+let m_degraded = counter "inject.degraded"
+let m_killed = counter "inject.killed"
+let m_pressure_bursts = counter "inject.pressure_bursts"
+let m_zpool_bursts = counter "inject.zpool_bursts"
+let m_zpool_shed_frames = counter "inject.zpool_shed_frames"
+
+(* A recovering site's class (e.g. ["sfs.read"]) and its per-outcome
+   counters, made once by the site's module. *)
+type recovery = {
+  rc_retried : Obs.Metrics.counter;
+  rc_remapped : Obs.Metrics.counter;
+  rc_degraded : Obs.Metrics.counter;
+  rc_killed : Obs.Metrics.counter;
+}
+
+let recovery cls =
+  let c outcome = counter (Printf.sprintf "inject.%s.%s" outcome cls) in
+  { rc_retried = c "retried"; rc_remapped = c "remapped";
+    rc_degraded = c "degraded"; rc_killed = c "killed" }
 
 let reset () =
   rng := Rng.create ~seed:!the_plan.seed;
@@ -449,8 +490,13 @@ let note_error ~op ~persistent =
   let dir = match op with Read -> "read" | Write -> "write" in
   let kind = if persistent then "persistent" else "transient" in
   bump_class (Printf.sprintf "disk.%s.%s" dir kind);
-  metric "errors";
-  metric (Printf.sprintf "errors.%s.%s" dir kind)
+  metric m_errors;
+  metric
+    (match (op, persistent) with
+    | Read, false -> m_errors_read_transient
+    | Read, true -> m_errors_read_persistent
+    | Write, false -> m_errors_write_transient
+    | Write, true -> m_errors_write_persistent)
 
 let disk ~op ~lba ~nblocks =
   if not !enabled then Pass
@@ -504,7 +550,7 @@ let disk ~op ~lba ~nblocks =
             else if chance rf.rf_spike then begin
               counts := { !counts with spikes = !counts.spikes + 1 };
               bump_class "disk.spike";
-              metric "spikes";
+              metric m_spikes;
               Spike rf.rf_spike_span
             end
             else Pass)
@@ -519,7 +565,7 @@ let stall ~site =
           counts :=
             { !counts with stalls_injected = !counts.stalls_injected + 1 };
           bump_class ("stall." ^ site);
-          metric "stalls";
+          metric m_stalls;
           Some st.st_span
         end
         else None
@@ -535,13 +581,13 @@ let chan ~name =
         if chance cf.cf_drop then begin
           counts := { !counts with chan_drops = !counts.chan_drops + 1 };
           bump_class ("chan.drop." ^ name);
-          metric "chan_drops";
+          metric m_chan_drops;
           Drop
         end
         else if chance cf.cf_delay then begin
           counts := { !counts with chan_delays = !counts.chan_delays + 1 };
           bump_class ("chan.delay." ^ name);
-          metric "chan_delays";
+          metric m_chan_delays;
           Delay cf.cf_delay_span
         end
         else Deliver
@@ -561,13 +607,13 @@ let link ~name =
         if chance lf.lf_drop then begin
           counts := { !counts with link_drops = !counts.link_drops + 1 };
           bump_class ("link.drop." ^ name);
-          metric "link_drops";
+          metric m_link_drops;
           Drop
         end
         else if chance lf.lf_delay then begin
           counts := { !counts with link_delays = !counts.link_delays + 1 };
           bump_class ("link.delay." ^ name);
-          metric "link_delays";
+          metric m_link_delays;
           Delay lf.lf_delay_span
         end
         else Deliver
@@ -601,7 +647,7 @@ let node_reachable ~name ~now =
               counts :=
                 { !counts with node_crashes = !counts.node_crashes + 1 };
               bump_class ("node.crash." ^ name);
-              metric "node_crashes");
+              metric m_node_crashes);
           false
         end
         else
@@ -616,7 +662,7 @@ let node_reachable ~name ~now =
                         { !counts with
                           node_partitions = !counts.node_partitions + 1 };
                       bump_class ("node.partition." ^ name);
-                      metric "node_partitions");
+                      metric m_node_partitions);
                   true
                 end
                 else partitioned (i + 1) rest
@@ -648,7 +694,7 @@ let node_wipe_due ~name ~now =
             (fun () ->
               counts := { !counts with node_wipes = !counts.node_wipes + 1 };
               bump_class ("node.wipe." ^ name);
-              metric "node_wipes")
+              metric m_node_wipes)
             nf.nf_wipe_at
         in
         let crashed = due "crashwipe" (fun () -> ()) nf.nf_crash_at in
@@ -681,7 +727,7 @@ let node_join_due ~name ~now =
     (fun () ->
       counts := { !counts with node_joins = !counts.node_joins + 1 };
       bump_class ("node.join." ^ name);
-      metric "node_joins")
+      metric m_node_joins)
     ~name ~now
 
 let node_retire_due ~name ~now =
@@ -690,7 +736,7 @@ let node_retire_due ~name ~now =
     (fun () ->
       counts := { !counts with node_retires = !counts.node_retires + 1 };
       bump_class ("node.retire." ^ name);
-      metric "node_retires")
+      metric m_node_retires)
     ~name ~now
 
 (* Per-shard-fetch consultation: the named node flips a bit in the
@@ -708,7 +754,7 @@ let shard_corrupt ~name =
             { !counts with
               shard_corruptions = !counts.shard_corruptions + 1 };
           bump_class ("shard.corrupt." ^ name);
-          metric "shard_corruptions";
+          metric m_shard_corruptions;
           true
         end
         else false
@@ -742,7 +788,7 @@ let crash_write ~now ~site ~lba ~nblocks =
         Hashtbl.replace crash_fired i ();
         counts := { !counts with crashes = !counts.crashes + 1 };
         bump_class "crash.write";
-        metric "crashes";
+        metric m_crashes;
         Some (Rng.int !rng nblocks)
   end
 
@@ -750,28 +796,28 @@ let crash_write ~now ~site ~lba ~nblocks =
 
 let note_retried cls =
   counts := { !counts with retried = !counts.retried + 1 };
-  metric "retried";
-  metric ("retried." ^ cls)
+  metric m_retried;
+  metric cls.rc_retried
 
 let note_remapped cls =
   counts := { !counts with remapped = !counts.remapped + 1 };
-  metric "remapped";
-  metric ("remapped." ^ cls)
+  metric m_remapped;
+  metric cls.rc_remapped
 
 let note_degraded cls =
   counts := { !counts with degraded = !counts.degraded + 1 };
-  metric "degraded";
-  metric ("degraded." ^ cls)
+  metric m_degraded;
+  metric cls.rc_degraded
 
 let note_killed cls =
   counts := { !counts with killed = !counts.killed + 1 };
-  metric "killed";
-  metric ("killed." ^ cls)
+  metric m_killed;
+  metric cls.rc_killed
 
 let note_pressure_burst () =
   counts :=
     { !counts with pressure_bursts = !counts.pressure_bursts + 1 };
-  metric "pressure_bursts"
+  metric m_pressure_bursts
 
 (* Zpool bursts, like frame-pressure bursts, are tallied outside the
    [accounted] equation: shrinking the compressed tier's budget sheds
@@ -781,8 +827,8 @@ let note_pressure_burst () =
 let note_zpool_burst ~shed =
   counts := { !counts with zpool_bursts = !counts.zpool_bursts + 1 };
   bump_class "zpool.burst";
-  metric "zpool_bursts";
-  if shed > 0 then Obs.Metrics.add "inject.zpool_shed_frames" shed
+  metric m_zpool_bursts;
+  if shed > 0 && !Obs.enabled then Obs.Metrics.add m_zpool_shed_frames shed
 
 let tally () = !counts
 

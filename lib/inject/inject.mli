@@ -258,13 +258,20 @@ val crash_write :
 
 (** {2 Recovery accounting (called by the hardened layers)} *)
 
-val note_retried : string -> unit
-(** One injected error answered by a retry (the class string labels
-    the site, e.g. ["sfs.read"]). *)
+type recovery
+(** A recovering site's class and its [inject.<outcome>.<class>]
+    counters. *)
 
-val note_remapped : string -> unit
-val note_degraded : string -> unit
-val note_killed : string -> unit
+val recovery : string -> recovery
+(** [recovery cls] names a site's class (e.g. ["sfs.read"]); each site
+    makes its classes once, as module constants. *)
+
+val note_retried : recovery -> unit
+(** One injected error answered by a retry. *)
+
+val note_remapped : recovery -> unit
+val note_degraded : recovery -> unit
+val note_killed : recovery -> unit
 
 (** {2 Introspection} *)
 

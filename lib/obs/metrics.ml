@@ -1,21 +1,33 @@
 open Engine
 
+(* A registered metric's storage, stamped with the generation it was
+   registered in: counters and gauges share the int cell, a
+   histogram's bucket counts and running moments are updated in
+   place. *)
+type cell = { mutable v : int; gen : int }
+
 type hist = {
-  bounds : float array;
   counts : int array; (* length bounds + 1; last = overflow *)
   summary : Stats.t;
+  hgen : int;
 }
 
 type metric =
-  | MCounter of int ref
-  | MGauge of float ref
+  | MCounter of cell
+  | MGauge of cell
   | MHist of hist
 
 let registry : (string * string, metric) Hashtbl.t = Hashtbl.create 64
 
+(* Bumped by [reset]. A handle whose cell is from an older generation
+   registers (or joins) the current one on its next write. *)
+let generation = ref 1
+
 let latency_bounds_us =
   [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1_000.; 2_000.; 5_000.;
      10_000.; 20_000.; 50_000.; 100_000.; 200_000.; 500_000.; 1_000_000. |]
+
+let nbounds = Array.length latency_bounds_us
 
 let kind_name = function
   | MCounter _ -> "counter"
@@ -35,54 +47,89 @@ let find_or ~name ~label make =
     Hashtbl.add registry (name, label) m;
     m
 
-let add ?(label = "") name n =
-  match find_or ~name ~label (fun () -> MCounter (ref 0)) with
-  | MCounter r -> r := !r + n
+(* --- handles ------------------------------------------------------ *)
+
+(* A handle names its metric and points at its cell; until its first
+   write in a generation the cell is a stale one (at first [unbound],
+   which nothing reads). *)
+type 'kind handle = { name : string; label : string; mutable cell : cell }
+type counter = [ `Counter ] handle
+type gauge = [ `Gauge ] handle
+
+type histogram = {
+  h_name : string;
+  h_label : string;
+  mutable hist : hist;
+}
+
+let unbound = { v = 0; gen = 0 }
+
+let new_hist gen =
+  { counts = Array.make (nbounds + 1) 0; summary = Stats.create (); hgen = gen }
+
+let unbound_hist = new_hist 0
+
+let counter ?(label = "") name : counter = { name; label; cell = unbound }
+let gauge ?(label = "") name : gauge = { name; label; cell = unbound }
+
+let histogram ?(label = "") name =
+  { h_name = name; h_label = label; hist = unbound_hist }
+
+let bind_counter (h : counter) =
+  let name = h.name and label = h.label in
+  match find_or ~name ~label (fun () -> MCounter { v = 0; gen = !generation }) with
+  | MCounter c -> h.cell <- c
   | m -> wrong_kind name label m "counter"
 
-let inc ?label name = add ?label name 1
-
-let set_gauge ?(label = "") name v =
-  match find_or ~name ~label (fun () -> MGauge (ref v)) with
-  | MGauge r -> r := v
+let bind_gauge (h : gauge) =
+  let name = h.name and label = h.label in
+  match find_or ~name ~label (fun () -> MGauge { v = 0; gen = !generation }) with
+  | MGauge c -> h.cell <- c
   | m -> wrong_kind name label m "gauge"
 
-let make_hist bounds =
-  let n = Array.length bounds in
-  if n = 0 then invalid_arg "Metrics: empty histogram bounds";
-  for i = 1 to n - 1 do
-    if bounds.(i) <= bounds.(i - 1) then
-      invalid_arg "Metrics: histogram bounds must be strictly increasing"
-  done;
-  { bounds; counts = Array.make (n + 1) 0;
-    summary = Stats.create () }
+let bind_hist h =
+  let name = h.h_name and label = h.h_label in
+  match find_or ~name ~label (fun () -> MHist (new_hist !generation)) with
+  | MHist x -> h.hist <- x
+  | m -> wrong_kind name label m "histogram"
 
-let bucket_of h x =
-  (* First bound >= x, by binary search; n = overflow. *)
-  let n = Array.length h.bounds in
-  let lo = ref 0 and hi = ref n in
+let add (h : counter) n =
+  if h.cell.gen <> !generation then bind_counter h;
+  h.cell.v <- h.cell.v + n
+
+let inc h = add h 1
+
+let set (h : gauge) v =
+  if h.cell.gen <> !generation then bind_gauge h;
+  h.cell.v <- v
+
+let bucket_of x =
+  (* First bound >= x, by binary search; nbounds = overflow. *)
+  let lo = ref 0 and hi = ref nbounds in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if x <= h.bounds.(mid) then hi := mid else lo := mid + 1
+    if x <= Array.unsafe_get latency_bounds_us mid then hi := mid
+    else lo := mid + 1
   done;
   !lo
 
-let observe ?(label = "") ?(bounds = latency_bounds_us) name x =
-  match find_or ~name ~label (fun () -> MHist (make_hist bounds)) with
-  | MHist h ->
-    let i = bucket_of h x in
-    h.counts.(i) <- h.counts.(i) + 1;
-    Stats.add h.summary x
-  | m -> wrong_kind name label m "histogram"
+let observe h x =
+  if h.hist.hgen <> !generation then bind_hist h;
+  let hs = h.hist in
+  let i = bucket_of x in
+  hs.counts.(i) <- hs.counts.(i) + 1;
+  Stats.add hs.summary x
+
+(* --- readers ------------------------------------------------------ *)
 
 let counter_value ?(label = "") name =
   match Hashtbl.find_opt registry (name, label) with
-  | Some (MCounter r) -> !r
+  | Some (MCounter c) -> c.v
   | _ -> 0
 
 let gauge_value ?(label = "") name =
   match Hashtbl.find_opt registry (name, label) with
-  | Some (MGauge r) -> Some !r
+  | Some (MGauge c) -> Some c.v
   | _ -> None
 
 type hist_view = {
@@ -94,19 +141,19 @@ type hist_view = {
 }
 
 let view_of h =
-  let n = Array.length h.bounds in
   { hv_count = Stats.count h.summary;
     hv_mean = Stats.mean h.summary;
     hv_min = Stats.min_value h.summary;
     hv_max = Stats.max_value h.summary;
     hv_buckets =
-      Array.init (n + 1) (fun i ->
-          ((if i = n then infinity else h.bounds.(i)), h.counts.(i))) }
+      Array.init (nbounds + 1) (fun i ->
+          ( (if i = nbounds then infinity else latency_bounds_us.(i)),
+            h.counts.(i) )) }
 
 let sum_labels name =
   Hashtbl.fold
     (fun (n, _) m acc ->
-      match m with MCounter r when n = name -> acc + !r | _ -> acc)
+      match m with MCounter c when n = name -> acc + c.v | _ -> acc)
     registry 0
 
 let hist_view ?(label = "") name =
@@ -132,15 +179,15 @@ let hist_quantile v q =
     !result
   end
 
-type value = Counter of int | Gauge of float | Histogram of hist_view
+type value = Counter of int | Gauge of int | Histogram of hist_view
 
 let snapshot () =
   Hashtbl.fold
     (fun (name, label) m acc ->
       let v =
         match m with
-        | MCounter r -> Counter !r
-        | MGauge r -> Gauge !r
+        | MCounter c -> Counter c.v
+        | MGauge c -> Gauge c.v
         | MHist h -> Histogram (view_of h)
       in
       (name, label, v) :: acc)
@@ -153,7 +200,9 @@ let labels_of name =
     registry []
   |> List.sort compare
 
-let reset () = Hashtbl.reset registry
+let reset () =
+  Hashtbl.reset registry;
+  incr generation
 
 (* --- export ------------------------------------------------------- *)
 
@@ -173,7 +222,8 @@ let to_json () =
   in
   let fields = function
     | Counter n -> [ ("type", Json.string "counter"); ("value", Json.int n) ]
-    | Gauge g -> [ ("type", Json.string "gauge"); ("value", json_num g) ]
+    | Gauge g ->
+      [ ("type", Json.string "gauge"); ("value", json_num (float_of_int g)) ]
     | Histogram h ->
       [ ("type", Json.string "histogram"); ("count", Json.int h.hv_count);
         ("mean", json_num h.hv_mean); ("min", json_num h.hv_min);
@@ -199,7 +249,8 @@ let to_csv () =
     (fun (name, label, v) ->
       match v with
       | Counter n -> row name label "counter" "value" (string_of_int n)
-      | Gauge g -> row name label "gauge" "value" (Printf.sprintf "%g" g)
+      | Gauge g ->
+        row name label "gauge" "value" (Printf.sprintf "%g" (float_of_int g))
       | Histogram h ->
         row name label "histogram" "count" (string_of_int h.hv_count);
         row name label "histogram" "mean" (Printf.sprintf "%g" h.hv_mean);

@@ -6,30 +6,51 @@
     kinds exist:
 
     - {b counters}: monotonically increasing integers;
-    - {b gauges}: last-written floats;
-    - {b histograms}: fixed-bucket latency/size distributions built on
-      {!Engine.Stats} for the running moments.
+    - {b gauges}: last-written integers (every gauge is a count or a
+      flag);
+    - {b histograms}: latency distributions over {!latency_bounds_us},
+      with running moments from {!Engine.Stats}.
 
-    All mutators auto-register on first use, so instrumentation sites
-    need no set-up; they are cheap enough for the fault hot path (one
-    hash lookup) but callers should still guard with {!Switch.enabled}
-    so the disabled path costs a single flag read. *)
+    Instrumentation writes through typed handles. The owner of a
+    metric — a domain, a USD stream, a link client, a driver instance —
+    makes its handles when it is created; metrics with no label are
+    module constants. Making a handle touches no table: a handle's
+    first write after each {!reset} registers (or joins) the cell for
+    its name and label, and every later write goes straight to that
+    cell. So the registry lists exactly the metrics written since the
+    last reset, [reset] is O(1), and a handle made before a reset stays
+    valid after it. Counter and gauge writes allocate nothing; a
+    histogram sample costs only its boxed float. Call sites still guard
+    with {!Switch.enabled}, so the disabled path costs one flag read. *)
 
-val inc : ?label:string -> string -> unit
+(** {1 Handles} *)
+
+type counter
+type gauge
+type histogram
+
+val counter : ?label:string -> string -> counter
+(** [counter ~label name]; [label] defaults to [""]. *)
+
+val gauge : ?label:string -> string -> gauge
+val histogram : ?label:string -> string -> histogram
+
+val inc : counter -> unit
 (** Increment a counter by one. *)
 
-val add : ?label:string -> string -> int -> unit
+val add : counter -> int -> unit
 (** Increment a counter by [n]. *)
 
-val set_gauge : ?label:string -> string -> float -> unit
+val set : gauge -> int -> unit
 
-val observe : ?label:string -> ?bounds:float array -> string -> float -> unit
-(** Add a sample to a histogram. [bounds] (strictly increasing bucket
-    upper limits; default {!latency_bounds_us}) is only consulted when
-    the histogram is first created. *)
+val observe : histogram -> float -> unit
+(** Add a sample to a histogram. *)
 
 val latency_bounds_us : float array
-(** Default histogram buckets: 1us .. 1s, roughly log-spaced. *)
+(** Every histogram's bucket upper limits: 1us .. 1s, roughly
+    log-spaced. *)
+
+(** {1 Readers} *)
 
 val counter_value : ?label:string -> string -> int
 (** 0 when the counter does not exist. *)
@@ -39,7 +60,7 @@ val sum_labels : string -> int
     per-domain attribution rolled up into a total (e.g. all tenants'
     ["share.hit"] counters). 0 when no label has the counter. *)
 
-val gauge_value : ?label:string -> string -> float option
+val gauge_value : ?label:string -> string -> int option
 
 (** An immutable view of a histogram, for reports and tests. *)
 type hist_view = {
@@ -59,7 +80,7 @@ val hist_quantile : hist_view -> float -> float
     bucket holding the [q]-th sample — an upper estimate of the true
     quantile, [nan] when empty. *)
 
-type value = Counter of int | Gauge of float | Histogram of hist_view
+type value = Counter of int | Gauge of int | Histogram of hist_view
 
 val snapshot : unit -> (string * string * value) list
 (** Every registered metric as [(name, label, value)], sorted by name
@@ -69,7 +90,8 @@ val labels_of : string -> string list
 (** The labels under which [name] is registered, sorted. *)
 
 val reset : unit -> unit
-(** Drop every registered metric. *)
+(** Drop every registered metric. Handles stay valid: each registers
+    afresh on its next write. *)
 
 val to_json : unit -> Json.t
 (** The whole registry as a JSON array. *)

@@ -16,6 +16,21 @@ let class_of = function
   | Revocation_overdue _ -> "revocation.overdue"
   | Guarantee_starved _ -> "guarantee.starved"
 
+(* ["qos.violations"], labelled by class. *)
+let violations label = Metrics.counter ~label "qos.violations"
+let cpu_undersupplies = violations "cpu.undersupply"
+let usd_undersupplies = violations "usd.undersupply"
+let mem_overcommits = violations "mem.overcommit"
+let revocations_overdue = violations "revocation.overdue"
+let guarantees_starved = violations "guarantee.starved"
+
+let violations_of = function
+  | Cpu_undersupply _ -> cpu_undersupplies
+  | Usd_undersupply _ -> usd_undersupplies
+  | Mem_overcommit _ -> mem_overcommits
+  | Revocation_overdue _ -> revocations_overdue
+  | Guarantee_starved _ -> guarantees_starved
+
 let pp_violation ppf = function
   | Cpu_undersupply { dom; entitled; got; periods } ->
     Format.fprintf ppf
@@ -72,7 +87,7 @@ let record ~now v =
   (match Hashtbl.find_opt class_counts cls with
   | Some r -> incr r
   | None -> Hashtbl.add class_counts cls (ref 1));
-  Metrics.inc ~label:cls "qos.violations"
+  Metrics.inc (violations_of v)
 
 (* --- undersupply streaks ------------------------------------------- *)
 

@@ -1,11 +1,12 @@
 open Engine
+open Bigarray
 
 type t = {
-  sid_ : int;
-  sname : string;
-  slabel : string;
-  sparent : int option;
-  st0 : Time.t;
+  id : int;
+  name : string;
+  label : string;
+  parent : int; (* -1: a root span *)
+  t0 : Time.t;
   mutable closed : bool;
 }
 
@@ -18,43 +19,87 @@ type record = {
   t1 : Time.t;
 }
 
-let next_id = ref 0
-let buffer : record Ring.t ref = ref (Ring.create ~capacity:65536 ())
+(* Never recorded: [finish] finds it closed. *)
+let none = { id = -1; name = ""; label = ""; parent = -1; t0 = 0; closed = true }
 
-let start ~now ?(label = "") ?parent name =
+(* --- the ring of finished spans ----------------------------------- *)
+
+(* One column per field, filled in place: the int columns live outside
+   the OCaml heap, the string columns point at the names and labels
+   the instrumentation sites already hold. Drop-oldest once full. *)
+let capacity = 65536
+
+let int_column () =
+  let a = Array1.create int c_layout capacity in
+  Array1.fill a 0;
+  a
+
+let ids = int_column ()
+let parents = int_column ()
+let starts = int_column ()
+let ends = int_column ()
+let names = Array.make capacity ""
+let labels = Array.make capacity ""
+let next = ref 0 (* slot the next finished span goes into *)
+let len = ref 0
+let dropped_spans = ref 0
+let next_id = ref 0
+
+let start ~now ~label ~(parent : t) name =
   let id = !next_id in
   incr next_id;
-  { sid_ = id; sname = name; slabel = label;
-    sparent = Option.map (fun p -> p.sid_) parent; st0 = now; closed = false }
+  { id; name; label; parent = parent.id; t0 = now; closed = false }
 
-let finish ~now t =
+let finish ~now (t : t) =
   if not t.closed then begin
     t.closed <- true;
-    Ring.record !buffer now
-      { id = t.sid_; name = t.sname; label = t.slabel; parent = t.sparent;
-        t0 = t.st0; t1 = now }
+    let i = !next in
+    if !len = capacity then incr dropped_spans else incr len;
+    Array1.unsafe_set ids i t.id;
+    Array1.unsafe_set parents i t.parent;
+    Array1.unsafe_set starts i t.t0;
+    Array1.unsafe_set ends i now;
+    Array.unsafe_set names i t.name;
+    Array.unsafe_set labels i t.label;
+    next := if i + 1 = capacity then 0 else i + 1
   end
 
-let id t = t.sid_
+let id (t : t) = t.id
 
-let finished () = List.map snd (Ring.to_list !buffer)
+(* The [k]-th retained span, oldest first, as a slot. *)
+let slot k = (!next - !len + k + capacity) mod capacity
 
-let count () = Ring.length !buffer
-let dropped () = Ring.dropped !buffer
+let finished () =
+  List.init !len (fun k ->
+      let i = slot k in
+      let p = Array1.get parents i in
+      { id = Array1.get ids i; name = names.(i); label = labels.(i);
+        parent = (if p < 0 then None else Some p); t0 = Array1.get starts i;
+        t1 = Array1.get ends i })
+
+let count () = !len
+let dropped () = !dropped_spans
 
 let to_csv () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "id,parent,name,label,start_ns,end_ns,duration_ns\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%d,%s,%s,%s,%d,%d,%d\n" r.id
-           (match r.parent with Some p -> string_of_int p | None -> "")
-           r.name r.label (Time.to_ns r.t0) (Time.to_ns r.t1)
-           (Time.diff r.t1 r.t0)))
-    (finished ());
+  for k = 0 to !len - 1 do
+    let i = slot k in
+    let p = Array1.get parents i in
+    let t0 = Array1.get starts i and t1 = Array1.get ends i in
+    Printf.bprintf b "%d,%s,%s,%s,%d,%d,%d\n" (Array1.get ids i)
+      (if p < 0 then "" else string_of_int p)
+      names.(i) labels.(i) (Time.to_ns t0) (Time.to_ns t1) (Time.diff t1 t0)
+  done;
   Buffer.contents b
 
+(* Spans fill the slots from 0 up, so until the ring first drops one
+   only [0, len) holds anything to let go of. *)
 let reset () =
-  Ring.clear !buffer;
+  let used = if !dropped_spans > 0 then capacity else !len in
+  Array.fill names 0 used "";
+  Array.fill labels 0 used "";
+  next := 0;
+  len := 0;
+  dropped_spans := 0;
   next_id := 0

@@ -3,8 +3,12 @@
     A span covers one stage of a larger operation — e.g. a single page
     fault decomposes into [fault] > [activation] > [mm.dispatch] >
     [usd.read] > [map] — and carries a label naming the domain it was
-    executed for. Finished spans land in a bounded drop-oldest
-    {!Ring}, so a long run stays O(capacity) in memory. *)
+    executed for. A started span is a 7-word handle; [finish] copies it
+    into a ring of columns allocated once when the module initialises
+    (id, parent, start and end outside the OCaml heap, name and label
+    as two string arrays), so recording a span allocates nothing more.
+    The ring keeps the newest 65536 finished spans, in finish order,
+    and counts the ones it drops. *)
 
 type t
 (** A started (possibly finished) span. *)
@@ -18,13 +22,16 @@ type record = {
   t1 : Engine.Time.t;
 }
 
-val start :
-  now:Engine.Time.t -> ?label:string -> ?parent:t -> string -> t
-(** Open a span. [label] defaults to [""]. *)
+val none : t
+(** No span: the parent of a root span, and the span of an
+    uninstrumented operation. Finishing it records nothing. *)
+
+val start : now:Engine.Time.t -> label:string -> parent:t -> string -> t
+(** Open a span; [~parent:none] makes it a root. *)
 
 val finish : now:Engine.Time.t -> t -> unit
-(** Close the span and commit it to the buffer; idempotent (later
-    calls are ignored). *)
+(** Close the span and commit it to the ring; idempotent (later calls
+    are ignored). *)
 
 val id : t -> int
 

@@ -74,6 +74,9 @@ type tenant = {
   mutable c_breaks : int;
   mutable c_shared_faults : int;
   mutable c_detached : int;
+  (* counters labelled with the tenant's domain *)
+  c_shared_metric : Obs.Metrics.counter;
+  c_break_metric : Obs.Metrics.counter;
 }
 
 exception Not_bound of { driver : string }
@@ -90,9 +93,8 @@ let the_stretch c =
   | Some s -> s
   | None -> raise (Not_bound { driver = "Cow" })
 
-let metric c name =
-  if !Obs.enabled then
-    Obs.Metrics.inc ~label:c.c_env.Stretch_driver.domain_name name
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
+let m_break_us = Obs.Metrics.histogram "share.break_us"
 
 (* Map a template frame read-only into the tenant (the fast path of a
    read fault on an untouched template page). *)
@@ -108,7 +110,7 @@ let map_template c page =
     | Ok () ->
       c.c_status.(page) <- Shared;
       c.c_shared_faults <- c.c_shared_faults + 1;
-      metric c "share.cow_shared";
+      metric c.c_shared_metric;
       true
     | Error _ -> false)
 
@@ -146,9 +148,9 @@ let break_share c page ~was_shared =
     Stretch_driver.map_page env va ~pfn;
     Sd_paged.adopt c.c_handle ~page ~pfn;
     c.c_breaks <- c.c_breaks + 1;
-    metric c "share.cow_break";
+    metric c.c_break_metric;
     if !Obs.enabled then
-      Obs.Metrics.observe "share.break_us"
+      Obs.Metrics.observe m_break_us
         (Time.to_us (Time.diff (Sim.now (Proc.current_sim ())) t0));
     Stretch_driver.Success
 
@@ -278,11 +280,16 @@ let spawn sys ~template:(tpl : template) ~tpl_domain ~name ?backing
          with
         | Error e -> Error e
         | Ok (inner, handle) ->
+          let counter =
+            Obs.Metrics.counter ~label:d.System.env.Stretch_driver.domain_name
+          in
           let c =
             { c_env = d.System.env; c_tpl = tpl; c_inner = inner;
               c_handle = handle; c_stretch = None;
               c_status = Array.make (Stretch.npages stretch) Untouched;
-              c_breaks = 0; c_shared_faults = 0; c_detached = 0 }
+              c_breaks = 0; c_shared_faults = 0; c_detached = 0;
+              c_shared_metric = counter "share.cow_shared";
+              c_break_metric = counter "share.cow_break" }
           in
           System.bind_driver d stretch (driver c);
           Domains.on_kill d.System.dom (fun () -> detach c);

@@ -39,7 +39,11 @@ let system t = t.sys
 let host_id t = t.host_id
 let client t = t.client
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("share." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
+let m_install = Obs.Metrics.counter "share.install"
+let m_grant = Obs.Metrics.counter "share.grant"
+let m_break = Obs.Metrics.counter "share.break"
+let m_detach = Obs.Metrics.counter "share.detach"
 
 (* Fill a fresh host-owned frame to share. The frame starts [Unused]
    on the host's stack; the first map_shared flips it Mapped and sets
@@ -50,7 +54,7 @@ let alloc_shared t ~on_free =
   | Some pfn ->
     Hashtbl.replace t.by_pfn pfn on_free;
     t.installs <- t.installs + 1;
-    metric "install";
+    metric m_install;
     Some pfn
 
 (* Adopt a settled frame from a tenant's stack (the CoW freeze path:
@@ -62,7 +66,7 @@ let adopt_frame t ~src ~pfn ~on_free =
   | Ok () ->
     Hashtbl.replace t.by_pfn pfn on_free;
     t.installs <- t.installs + 1;
-    metric "install";
+    metric m_install;
     Ok ()
 
 (* Race loser: an allocated frame that never got mapped (another
@@ -78,7 +82,7 @@ let map t ~pdom ~va ~pfn ~charge =
   | Ok cost ->
     charge cost;
     t.grants <- t.grants + 1;
-    metric "grant";
+    metric m_grant;
     Ok ()
 
 (* Drop one domain's reference. When the last reference goes the
@@ -93,10 +97,10 @@ let unmap t ~pdom ~va ~reason ~charge =
     (match reason with
     | `Break ->
       t.breaks <- t.breaks + 1;
-      metric "break"
+      metric m_break
     | `Detach ->
       t.detaches <- t.detaches + 1;
-      metric "detach");
+      metric m_detach);
     if remaining = 0 then begin
       let pfn = Pte.pfn pte in
       (match Hashtbl.find_opt t.by_pfn pfn with

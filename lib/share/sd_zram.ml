@@ -19,6 +19,12 @@ type t = {
   mutable misses : int;
   mutable below_writes : int;
   mutable dropped_on_error : int;
+  (* counters labelled with [label] *)
+  m_stored : Obs.Metrics.counter;
+  m_incompressible : Obs.Metrics.counter;
+  m_overflow : Obs.Metrics.counter;
+  m_hit : Obs.Metrics.counter;
+  m_miss : Obs.Metrics.counter;
 }
 
 (* The per-page codec costs, charged as sleeps. *)
@@ -26,13 +32,20 @@ let compress_us = Time.us 3
 let decompress_us = Time.us 2
 
 let create ?(label = "zram") ~zpool ~below () =
+  let c = Obs.Metrics.counter ~label in
   { zpool; below; label; versions = Hashtbl.create 256; hits = 0;
-    misses = 0; below_writes = 0; dropped_on_error = 0 }
+    misses = 0; below_writes = 0; dropped_on_error = 0;
+    m_stored = c "zram.stored"; m_incompressible = c "zram.incompressible";
+    m_overflow = c "zram.overflow"; m_hit = c "zram.hit";
+    m_miss = c "zram.miss" }
+
+(* Per-page read latencies, system-wide. *)
+let m_hit_us = Obs.Metrics.histogram "zram.hit_us"
+let m_miss_us = Obs.Metrics.histogram "zram.miss_us"
 
 let key_of t slot = t.label ^ ":" ^ string_of_int slot
 
-let metric t name =
-  if !Obs.enabled then Obs.Metrics.inc ~label:t.label ("zram." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
 
 (* ------------------------------------------------------------------ *)
 (* Writes: compress into the pool first, then ALWAYS write below —
@@ -48,9 +61,9 @@ let put_slot t slot =
   match Zpool.put t.zpool ~key ~data with
   | `Stored ->
     Proc.sleep compress_us;
-    metric t "stored"
-  | `Incompressible -> metric t "incompressible"
-  | `No_space -> metric t "overflow"
+    metric t.m_stored
+  | `Incompressible -> metric t.m_incompressible
+  | `No_space -> metric t.m_overflow
 
 let drop_range t ~page_index ~npages =
   for s = page_index to page_index + npages - 1 do
@@ -126,7 +139,7 @@ let read_pages t ~page_index ~npages =
           /. float_of_int !run_len
         in
         for _ = 1 to !run_len do
-          Obs.Metrics.observe "zram.miss_us" per_page
+          Obs.Metrics.observe m_miss_us per_page
         done
       end;
       run_len := 0
@@ -141,13 +154,13 @@ let read_pages t ~page_index ~npages =
       if String.length data <> Zpool.page_bytes then
         invalid_arg "Sd_zram: decompressed page has wrong size";
       t.hits <- t.hits + 1;
-      metric t "hit";
+      metric t.m_hit;
       Proc.sleep decompress_us;
       if !Obs.enabled then
-        Obs.Metrics.observe "zram.hit_us" (Time.to_us decompress_us)
+        Obs.Metrics.observe m_hit_us (Time.to_us decompress_us)
     | None ->
       t.misses <- t.misses + 1;
-      metric t "miss";
+      metric t.m_miss;
       if !run_len = 0 then begin
         run_start := !s;
         run_len := 1

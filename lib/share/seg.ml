@@ -44,6 +44,7 @@ type attachment = {
   mutable a_stretch : Stretch.t option;
   a_mapped : bool array;
   mutable a_hits : int;
+  a_hit_metric : Obs.Metrics.counter; (* labelled with the domain *)
 }
 
 exception Not_bound of { driver : string }
@@ -60,9 +61,7 @@ let the_stretch a =
   | Some s -> s
   | None -> raise (Not_bound { driver = "Seg" })
 
-let metric a name =
-  if !Obs.enabled then
-    Obs.Metrics.inc ~label:a.a_env.Stretch_driver.domain_name name
+let m_fill = Obs.Metrics.counter "seg.fill"
 
 let map_resident a page =
   match a.a_seg.sg_frames.(page) with
@@ -76,7 +75,7 @@ let map_resident a page =
     | Ok () ->
       a.a_mapped.(page) <- true;
       a.a_hits <- a.a_hits + 1;
-      metric a "seg.hit";
+      if !Obs.enabled then Obs.Metrics.inc a.a_hit_metric;
       true
     | Error _ -> false)
 
@@ -125,7 +124,7 @@ let full a (fault : Fault.t) =
           | None ->
             seg.sg_frames.(page) <- Some pfn;
             seg.sg_fills <- seg.sg_fills + 1;
-            if !Obs.enabled then Obs.Metrics.inc "seg.fill");
+            if !Obs.enabled then Obs.Metrics.inc m_fill);
           if map_resident a page then Stretch_driver.Success
           else Stretch_driver.Failure "segment: shared map failed")
 
@@ -168,7 +167,10 @@ let attach t (d : System.domain) =
     Pdom.clear (Domains.pdom d.System.dom) ~sid:stretch.Stretch.sid;
     let a =
       { a_seg = t; a_env = d.System.env; a_stretch = None;
-        a_mapped = Array.make t.sg_npages false; a_hits = 0 }
+        a_mapped = Array.make t.sg_npages false; a_hits = 0;
+        a_hit_metric =
+          Obs.Metrics.counter ~label:d.System.env.Stretch_driver.domain_name
+            "seg.hit" }
     in
     System.bind_driver d stretch (driver a);
     Domains.on_kill d.System.dom (fun () -> detach a);

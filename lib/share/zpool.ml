@@ -130,7 +130,12 @@ let stats t =
     z_overflow = t.overflow; z_dropped = t.dropped;
     z_shed_frames = t.shed_frames; z_bursts = t.bursts }
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("zpool." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
+let m_shed_frame = Obs.Metrics.counter "zpool.shed_frame"
+let m_revoked_frame = Obs.Metrics.counter "zpool.revoked_frame"
+let m_incompressible = Obs.Metrics.counter "zpool.incompressible"
+let m_overflow = Obs.Metrics.counter "zpool.overflow"
+let m_stored = Obs.Metrics.counter "zpool.stored"
 
 let drop_frame_entries t fr =
   List.iter
@@ -152,7 +157,7 @@ let shed_one t =
     Ramtab.set_state t.ramtab ~pfn:fr.f_pfn Ramtab.Unused;
     Frames.free t.frames t.client fr.f_pfn;
     t.shed_frames <- t.shed_frames + 1;
-    metric "shed_frame";
+    metric m_shed_frame;
     true
 
 let shed_to_budget t =
@@ -182,7 +187,7 @@ let expose_for_revocation t ~k =
       Ramtab.set_state t.ramtab ~pfn:fr.f_pfn Ramtab.Unused;
       Frame_stack.move_to_top stack fr.f_pfn;
       t.shed_frames <- t.shed_frames + 1;
-      metric "revoked_frame"
+      metric m_revoked_frame
     | [] -> ());
     incr n
   done
@@ -266,21 +271,21 @@ let put t ~key ~data =
   let size = String.length z in
   if size > max_entry_bytes then begin
     t.incompressible <- t.incompressible + 1;
-    metric "incompressible";
+    metric m_incompressible;
     `Incompressible
   end
   else
     match place t size with
     | None ->
       t.overflow <- t.overflow + 1;
-      metric "overflow";
+      metric m_overflow;
       `No_space
     | Some fr ->
       fr.f_used <- fr.f_used + size;
       fr.f_keys <- key :: fr.f_keys;
       Hashtbl.replace t.entries key { e_data = z; e_frame = fr.f_pfn };
       t.stored <- t.stored + 1;
-      metric "stored";
+      metric m_stored;
       `Stored
 
 let get t ~key =

@@ -21,6 +21,14 @@ type node = {
   mutable nd_readmissions : int;
   mutable nd_stores : int; (* entries this node acked *)
   mutable nd_serves : int; (* reads this node answered *)
+  nd_gauges : gauges; (* labelled with the node's name *)
+}
+
+and gauges = {
+  used_pages : Obs.Metrics.gauge;
+  member : Obs.Metrics.gauge;
+  quarantined : Obs.Metrics.gauge;
+  streak : Obs.Metrics.gauge;
 }
 
 (* The fleet's counters and each store's, one record each: [stats] and
@@ -128,20 +136,39 @@ type store = {
   disk_valid : bool array;
   dead : bool array;
   tally : store_stats;
+  (* counters labelled with [owner], the histogram with [label] *)
+  m_cache_hit : Obs.Metrics.counter;
+  m_hit : Obs.Metrics.counter;
+  m_disk_fallback : Obs.Metrics.counter;
+  m_degraded_us : Obs.Metrics.histogram;
 }
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("fleet." ^ name)
-
-let smetric st name =
-  if !Obs.enabled then Obs.Metrics.inc ~label:st.owner ("fleet." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
+let counter = Obs.Metrics.counter
+let m_store = counter "fleet.store"
+let m_remote_full = counter "fleet.remote_full"
+let m_lost_shard = counter "fleet.lost_shard"
+let m_degraded_read = counter "fleet.degraded_read"
+let m_corrupt_shard = counter "fleet.corrupt_shard"
+let m_retransmit = counter "fleet.retransmit"
+let m_frag_timeout = counter "fleet.frag_timeout"
+let m_quarantine = counter "fleet.quarantine"
+let m_readmit = counter "fleet.readmit"
+let m_probe = counter "fleet.probe"
+let m_node_join = counter "fleet.node_join"
+let m_node_retire = counter "fleet.node_retire"
+let m_wipe = counter "fleet.wipe"
+let m_migrate = counter "fleet.migrate"
+let m_shard_rebuild = counter "fleet.shard_rebuild"
+let demote_class = Inject.recovery "fleet.demote"
 
 let node_gauges nd =
   if !Obs.enabled then begin
-    let g n v = Obs.Metrics.set_gauge ~label:nd.nd_name ("fleet.node." ^ n) v in
-    g "used_pages" (float_of_int (Remote_node.used_pages nd.nd_remote));
-    g "member" (if nd.nd_member then 1.0 else 0.0);
-    g "quarantined" (if nd.nd_quarantined then 1.0 else 0.0);
-    g "streak" (float_of_int nd.nd_streak)
+    let g = nd.nd_gauges in
+    Obs.Metrics.set g.used_pages (Remote_node.used_pages nd.nd_remote);
+    Obs.Metrics.set g.member (Bool.to_int nd.nd_member);
+    Obs.Metrics.set g.quarantined (Bool.to_int nd.nd_quarantined);
+    Obs.Metrics.set g.streak nd.nd_streak
   end
 
 (* Bytes of one entry on the wire: one shard (a whole page at k = 1). *)
@@ -213,7 +240,7 @@ let quarantine t nd =
     nd.nd_quarantines <- nd.nd_quarantines + 1;
     t.counts.quarantines <- t.counts.quarantines + 1;
     nd.nd_next_probe <- Time.add (Sim.now t.sim) probe_period;
-    metric "quarantine";
+    metric m_quarantine;
     node_gauges nd
   end
 
@@ -228,7 +255,7 @@ let readmit t nd =
   nd.nd_streak <- 0;
   nd.nd_readmissions <- nd.nd_readmissions + 1;
   t.counts.readmissions <- t.counts.readmissions + 1;
-  metric "readmit";
+  metric m_readmit;
   node_gauges nd
 
 let find_node t name =
@@ -237,13 +264,13 @@ let find_node t name =
 let apply_join t nd =
   nd.nd_member <- true;
   t.counts.node_joins <- t.counts.node_joins + 1;
-  metric "node_join";
+  metric m_node_join;
   node_gauges nd
 
 let apply_retire t nd =
   nd.nd_member <- false;
   t.counts.node_retires <- t.counts.node_retires + 1;
-  metric "node_retire";
+  metric m_node_retire;
   node_gauges nd
 
 let add_node t ~name =
@@ -279,7 +306,7 @@ let poll_faults t =
       if Inject.node_wipe_due ~name:nd.nd_name ~now then begin
         Remote_node.wipe nd.nd_remote;
         t.counts.wipes_applied <- t.counts.wipes_applied + 1;
-        metric "wipe";
+        metric m_wipe;
         node_gauges nd
       end;
       if (not nd.nd_member) && Inject.node_join_due ~name:nd.nd_name ~now then
@@ -346,13 +373,13 @@ let send_frag t nd client ~retries bytes =
           else t.counts.unreachable <- t.counts.unreachable + 1;
           if left > 0 then begin
             t.counts.retransmits <- t.counts.retransmits + 1;
-            metric "retransmit";
+            metric m_retransmit;
             Proc.sleep (backoff ~base:ack_deadline ~attempt:n);
             attempt (left - 1) (n + 1)
           end
           else begin
             t.counts.frag_timeouts <- t.counts.frag_timeouts + 1;
-            metric "frag_timeout";
+            metric m_frag_timeout;
             Error `Timeout
           end
         end
@@ -436,7 +463,7 @@ let fetch_shard t nd client ~shard ~owner ~slot =
   | `Ok ->
       if Inject.shard_corrupt ~name:nd.nd_name then begin
         t.counts.corrupt_shards <- t.counts.corrupt_shards + 1;
-        metric "corrupt_shard";
+        metric m_corrupt_shard;
         `Corrupt
       end
       else `Ok
@@ -447,7 +474,7 @@ let fetch_shard t nd client ~shard ~owner ~slot =
 
 let probe t nd =
   t.counts.probes <- t.counts.probes + 1;
-  metric "probe";
+  metric m_probe;
   match send_frag t nd nd.nd_repair ~retries:0 64 with
   | Ok () ->
       Proc.sleep Remote_node.service_time;
@@ -491,7 +518,7 @@ let rebuild_shard t ~reps ~owner ~slot ~p ~dst =
       match push_page t dst dst.nd_repair ~shard:p ~owner ~slot with
       | `Acked ->
           t.counts.stores <- t.counts.stores + 1;
-          metric "store";
+          metric m_store;
           `Acked
       | (`Full | `Timeout) as e -> e
   in
@@ -561,13 +588,13 @@ let repair_round t =
                     (* rebalance: the entry lived, it just moved *)
                     Remote_node.drop cur_nd.nd_remote ~shard:p ~owner ~slot;
                     t.counts.migrations <- t.counts.migrations + 1;
-                    metric "migrate"
+                    metric m_migrate
                   end
                   else begin
                     (* a lost shard observed and answered here *)
                     t.counts.lost_shards <- t.counts.lost_shards + 1;
                     t.counts.rebuilds <- t.counts.rebuilds + 1;
-                    metric "shard_rebuild"
+                    metric m_shard_rebuild
                   end;
                   reps.(p) <- tgt
               | `No_source | `Full | `Timeout | `Stale | `Corrupt -> ()
@@ -628,7 +655,13 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
       nd_quarantines = 0;
       nd_readmissions = 0;
       nd_stores = 0;
-      nd_serves = 0 }
+      nd_serves = 0;
+      nd_gauges =
+        (let g n = Obs.Metrics.gauge ~label:name n in
+         { used_pages = g "fleet.node.used_pages";
+           member = g "fleet.node.member";
+           quarantined = g "fleet.node.quarantined";
+           streak = g "fleet.node.streak" }) }
   in
   let all =
     List.mapi (mk_node true) nodes
@@ -693,19 +726,24 @@ let attach ?(mode = Store.Write_through) ?(cache_pages = 32)
   if Array.length clients <> Array.length t.nodes then
     invalid_arg "Fleet.attach: need one admitted client per node";
   let cap = Usbs.Sfs.page_capacity swap in
+  let owner = Usbs.Sfs.swap_name swap in
   { fl = t;
     mode;
     label;
     swap;
     clients;
-    owner = Usbs.Sfs.swap_name swap;
+    owner;
     cache_cap = cache_pages;
     lru = Ilist.create ();
     lnodes = Hashtbl.create 64;
     evicting = Hashtbl.create 8;
     disk_valid = Array.make (max 1 cap) true;
     dead = Array.make (max 1 cap) false;
-    tally = no_store_stats () }
+    tally = no_store_stats ();
+    m_cache_hit = counter ~label:owner "fleet.cache_hit";
+    m_hit = counter ~label:owner "fleet.hit";
+    m_disk_fallback = counter ~label:owner "fleet.disk_fallback";
+    m_degraded_us = Obs.Metrics.histogram ~label "fleet.degraded_us" }
 
 (* ------------------------------------------------------------------ *)
 (* Local RAM tier (LRU over slot indices)                             *)
@@ -746,7 +784,7 @@ let disk_write_slot st s =
   match Usbs.Sfs.write_page st.swap ~page_index:s with
   | Ok () -> st.disk_valid.(s) <- true
   | Error (`Lost_pages _) ->
-      Inject.note_killed "fleet.demote";
+      Inject.note_killed demote_class;
       st.dead.(s) <- true;
       st.tally.st_lost_slots <- st.tally.st_lost_slots + 1
   | Error (`Retired | `Crashed) -> ()
@@ -774,7 +812,7 @@ let demote st s =
       else if not (Remote_node.has_room nd.nd_remote) then begin
         (* known-full before any byte moves *)
         t.counts.remote_fulls <- t.counts.remote_fulls + 1;
-        metric "remote_full"
+        metric m_remote_full
       end
       else
         match
@@ -784,10 +822,10 @@ let demote st s =
             incr placed;
             acked.(p) <- true;
             t.counts.stores <- t.counts.stores + 1;
-            metric "store"
+            metric m_store
         | `Full ->
             t.counts.remote_fulls <- t.counts.remote_fulls + 1;
-            metric "remote_full"
+            metric m_remote_full
         | `Timeout -> t.counts.replica_timeouts <- t.counts.replica_timeouts + 1
     in
     in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
@@ -867,7 +905,7 @@ let fetch_fleet st s =
     let nd = t.nodes.(i) in
     if nd.nd_quarantined then begin
       incr losses;
-      metric "lost_shard"
+      metric m_lost_shard
     end
     else
       match
@@ -878,7 +916,7 @@ let fetch_fleet st s =
           nd.nd_serves <- nd.nd_serves + 1
       | `Stale | `Timeout | `Corrupt ->
           incr losses;
-          metric "lost_shard"
+          metric m_lost_shard
   in
   (* Gather in parallel rounds: the k lowest live positions first
      (data shards — the systematic fast path needs no decode), then
@@ -899,9 +937,9 @@ let fetch_fleet st s =
       (* the GF(256) decode itself is CPU noise next to the wire *)
       t.counts.degraded_reads <- t.counts.degraded_reads + 1;
       t.counts.reconstructions <- t.counts.reconstructions + !losses;
-      metric "degraded_read";
+      metric m_degraded_read;
       if !Obs.enabled then
-        Obs.Metrics.observe ~label:st.label "fleet.degraded_us"
+        Obs.Metrics.observe st.m_degraded_us
           (Time.to_us (Sim.now t.sim) -. t0)
     end;
     `Served
@@ -948,7 +986,7 @@ let read_pages st ~page_index ~npages =
       flush_run ();
       touch st s;
       st.tally.st_cache_hits <- st.tally.st_cache_hits + 1;
-      smetric st "cache_hit"
+      metric st.m_cache_hit
     end
     else if tracked st s then begin
       flush_run ();
@@ -957,13 +995,13 @@ let read_pages st ~page_index ~npages =
       match fetch_fleet st s with
       | `Served ->
           st.tally.st_fleet_hits <- st.tally.st_fleet_hits + 1;
-          smetric st "hit";
+          metric st.m_hit;
           st.tally.st_promotes <- st.tally.st_promotes + 1;
           (* inclusive: the nodes keep their entries *)
           insert_cache st s
       | `All_lost n ->
           st.fl.counts.disk_fallbacks <- st.fl.counts.disk_fallbacks + n;
-          smetric st "disk_fallback";
+          metric st.m_disk_fallback;
           if st.disk_valid.(s) then begin
             from_disk s;
             flush_run ()

@@ -58,6 +58,9 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
 let free_blocks t = Extents.free_blocks t.extents
 let journaled t = t.journal <> None
 
+let m_journal_degraded = Obs.Metrics.counter "fs.journal_degraded"
+let recovery = Inject.recovery "file_store"
+
 (* Same degradation contract as {!Sfs}: only a crash surfaces; a full
    or sick journal latches degraded and the store keeps working
    without durability. *)
@@ -72,7 +75,7 @@ let journal_append t ~site record : (unit, [ `Crashed ]) result =
         | Error `Crashed -> Error `Crashed
         | Error `Full | Error `Io ->
             t.jdegraded <- true;
-            if !Obs.enabled then Obs.Metrics.inc "fs.journal_degraded";
+            if !Obs.enabled then Obs.Metrics.inc m_journal_degraded;
             Ok ()
       end
 
@@ -204,10 +207,10 @@ let rw t f ~client op ~page_index =
     with
     | Ok () -> Ok ()
     | Error (`Media m) when (not m.Usd.persistent) && attempt < 3 ->
-      Inject.note_retried "file_store";
+      Inject.note_retried recovery;
       go ~attempt:(attempt + 1)
     | Error (`Media m) ->
-      Inject.note_killed "file_store";
+      Inject.note_killed recovery;
       Error (`Media m)
     | Error `Cancelled | Error `Retired -> Error `Retired
   in

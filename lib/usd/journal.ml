@@ -213,7 +213,13 @@ let bloks_of_string t s =
 
 type append_error = [ `Crashed | `Full | `Io ]
 
-let metric name = if !Obs.enabled then Obs.Metrics.inc ("journal." ^ name)
+let metric c = if !Obs.enabled then Obs.Metrics.inc c
+let m_full = Obs.Metrics.counter "journal.full"
+let m_torn_appends = Obs.Metrics.counter "journal.torn_appends"
+let m_appends = Obs.Metrics.counter "journal.appends"
+let m_io_errors = Obs.Metrics.counter "journal.io_errors"
+let m_torn_found = Obs.Metrics.counter "journal.torn_found"
+let recovery = Inject.recovery "journal"
 
 let store_bloks t ~at bloks =
   List.iteri (fun i b -> Disk_model.store t.dm ~lba:(at + i) b) bloks
@@ -228,7 +234,7 @@ let append_locked t ~site record : (unit, append_error) result =
     let nb = List.length bloks in
     if t.head + nb > t.nblocks then begin
       t.full <- true;
-      metric "full";
+      metric m_full;
       Error `Full
     end
     else begin
@@ -240,7 +246,7 @@ let append_locked t ~site record : (unit, append_error) result =
              rest never do. The head does not advance — a later append
              (or the remount quarantine) overwrites the tear. *)
           store_bloks t ~at:lba (List.filteri (fun i _ -> i < k) bloks);
-          metric "torn_appends";
+          metric m_torn_appends;
           Error `Crashed
       | None ->
           let rec go attempt =
@@ -250,21 +256,21 @@ let append_locked t ~site record : (unit, append_error) result =
                 t.head <- t.head + nb;
                 t.seq <- t.seq + 1;
                 t.appended <- t.appended + 1;
-                metric "appends";
+                metric m_appends;
                 Ok ()
             | Error (`Media m) ->
                 if m.Usd.persistent || attempt >= max_retries then begin
-                  Inject.note_killed "journal";
-                  metric "io_errors";
+                  Inject.note_killed recovery;
+                  metric m_io_errors;
                   Error `Io
                 end
                 else begin
-                  Inject.note_retried "journal";
+                  Inject.note_retried recovery;
                   Proc.sleep (Time.ms (1 lsl attempt));
                   go (attempt + 1)
                 end
             | Error `Cancelled | Error `Retired ->
-                metric "io_errors";
+                metric m_io_errors;
                 Error `Io
           in
           go 0
@@ -357,7 +363,7 @@ let replay_locked t =
      journal scan like any other client. *)
   if !pos > 0 then
     ignore (Usd.transact t.u t.client Usd.Read ~lba:t.first ~nblocks:!pos);
-  if !torn > 0 then metric "torn_found";
+  if !torn > 0 then metric m_torn_found;
   ( List.rev !records,
     { rp_replayed = List.length !records; rp_torn = !torn; rp_scanned = !pos }
   )

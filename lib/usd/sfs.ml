@@ -86,6 +86,9 @@ let free_blocks t = Extents.free_blocks t.extents
 let journaled t = t.journal <> None
 let journal_degraded t = t.jdegraded
 
+let m_journal_degraded = Obs.Metrics.counter "sfs.journal_degraded"
+let m_remounts = Obs.Metrics.counter "sfs.remounts"
+
 (* Append an intent record, degrading (never failing the operation) on
    a full or sick journal. Only a torn append — a crash point firing —
    surfaces, because the writer is then considered dead. *)
@@ -100,7 +103,7 @@ let journal_append t ~site record : (unit, [ `Crashed ]) result =
         | Error `Crashed -> Error `Crashed
         | Error `Full | Error `Io ->
             t.jdegraded <- true;
-            if !Obs.enabled then Obs.Metrics.inc "sfs.journal_degraded";
+            if !Obs.enabled then Obs.Metrics.inc m_journal_degraded;
             Ok ()
       end
 
@@ -296,7 +299,9 @@ let stamp_write sf ~page_index ~npages =
 
 type io_error = [ `Lost_pages of int list | `Retired | `Crashed ]
 
-let op_class = function Usd.Read -> "sfs.read" | Usd.Write -> "sfs.write"
+let read_class = Inject.recovery "sfs.read"
+let write_class = Inject.recovery "sfs.write"
+let op_class = function Usd.Read -> read_class | Usd.Write -> write_class
 
 (* Journal a spare remap as an intent — durable before the remap table
    mutates — then install it. *)
@@ -594,7 +599,7 @@ let remount t =
     Hashtbl.iter (fun name sf -> Hashtbl.replace t.swaps name sf) keep;
     t.extents <- extents;
     t.jdegraded <- false;
-    if !Obs.enabled then Obs.Metrics.inc "sfs.remounts";
+    if !Obs.enabled then Obs.Metrics.inc m_remounts;
     Ok
       { rm_replayed = rp.Journal.rp_replayed;
         rm_torn = rp.Journal.rp_torn;

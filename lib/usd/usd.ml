@@ -29,7 +29,26 @@ type stream = {
   channel : request Io_channel.t;
   mutable txns : int;
   mutable bytes : int;
+  m : metrics;
 }
+
+(* The stream's telemetry handles, labelled with its client name. *)
+and metrics = {
+  m_bytes : Obs.Metrics.counter;
+  m_txns : Obs.Metrics.counter;
+  m_slack_txns : Obs.Metrics.counter;
+  m_txn_errors : Obs.Metrics.counter;
+  m_txn_us : Obs.Metrics.histogram;
+  m_lax_ns : Obs.Metrics.counter;
+}
+
+let metrics label =
+  { m_bytes = Obs.Metrics.counter ~label "usd.bytes";
+    m_txns = Obs.Metrics.counter ~label "usd.txns";
+    m_slack_txns = Obs.Metrics.counter ~label "usd.slack_txns";
+    m_txn_errors = Obs.Metrics.counter ~label "usd.txn_errors";
+    m_txn_us = Obs.Metrics.histogram ~label "usd.txn_us";
+    m_lax_ns = Obs.Metrics.counter ~label "usd.lax_ns" }
 
 type client = stream Atropos.client
 
@@ -90,13 +109,13 @@ let execute_txn dm events loop (c : client) ~slack =
   in
   Trace.record events (Sim.now sim) ev;
   if !Obs.enabled then begin
-    let label = client_name c in
-    Obs.Metrics.add ~label "usd.bytes" nbytes;
-    Obs.Metrics.inc ~label (if slack then "usd.slack_txns" else "usd.txns");
+    let m = c.work.m in
+    Obs.Metrics.add m.m_bytes nbytes;
+    Obs.Metrics.inc (if slack then m.m_slack_txns else m.m_txns);
     (match result with
-    | Error _ -> Obs.Metrics.inc ~label "usd.txn_errors"
+    | Error _ -> Obs.Metrics.inc m.m_txn_errors
     | Ok _ -> ());
-    Obs.Metrics.observe ~label "usd.txn_us" (float_of_int dur /. 1e3)
+    Obs.Metrics.observe m.m_txn_us (float_of_int dur /. 1e3)
   end;
   match result with
   | Ok _ -> Sync.Ivar.fill req.completion (Ok ())
@@ -116,13 +135,12 @@ let create ?rollover sim dm =
           lax =
             (fun c dur ->
               record (Lax { client = client_name c; dur });
-              if !Obs.enabled then
-                Obs.Metrics.add ~label:(client_name c) "usd.lax_ns" dur) } }
+              if !Obs.enabled then Obs.Metrics.add c.work.m.m_lax_ns dur) } }
 
 let admit t ~name ~qos ?(channel_depth = 64) () =
   let stream =
     { cqos = qos; channel = Io_channel.create ~depth:channel_depth; txns = 0;
-      bytes = 0 }
+      bytes = 0; m = metrics name }
   in
   let r =
     Atropos.admit t.loop ~name ~period:qos.Qos.period ~slice:qos.Qos.slice

@@ -30,7 +30,9 @@ type sender = {
   senders : Proc.waiter Queue.t;
   mutable packets : int;
   mutable sent_bytes : int;
-  label : string; (* "<link>.<client>", the metrics label *)
+  (* gauges labelled "<link>.<client>" *)
+  tx_bytes : Obs.Metrics.gauge;
+  queue_depth : Obs.Metrics.gauge;
 }
 
 type client = sender Atropos.client
@@ -56,10 +58,8 @@ let utilisation t = Atropos.utilisation t.loop
 
 let gauges s =
   if !Obs.enabled then begin
-    Obs.Metrics.set_gauge ~label:s.label "link.tx_bytes"
-      (float_of_int s.sent_bytes);
-    Obs.Metrics.set_gauge ~label:s.label "link.queue_depth"
-      (float_of_int (Queue.length s.ring))
+    Obs.Metrics.set s.tx_bytes s.sent_bytes;
+    Obs.Metrics.set s.queue_depth (Queue.length s.ring)
   end
 
 let transmit_one params events loop (c : client) ~slack =
@@ -99,9 +99,12 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
     Error (Bad_qos { reason = "laxity must be non-negative" })
   else
     let before = Atropos.utilisation t.loop in
+    let label = t.lname ^ "." ^ name in
     let s =
       { ring = Queue.create (); depth = queue_depth; senders = Queue.create ();
-        packets = 0; sent_bytes = 0; label = t.lname ^ "." ^ name }
+        packets = 0; sent_bytes = 0;
+        tx_bytes = Obs.Metrics.gauge ~label "link.tx_bytes";
+        queue_depth = Obs.Metrics.gauge ~label "link.queue_depth" }
     in
     match Atropos.admit t.loop ~name ~period ~slice ~extra ~laxity s with
     | Error reason ->

@@ -385,7 +385,7 @@ let cpu_consume_allocation () =
 (* One pager's transactions through the USD, back to back: the request
    and its completion ivar, the channel hand-off, the loop's lax wait
    for the next submission, the disk service and the trace record. *)
-let usd_transact_allocation () =
+let usd_transact_words () =
   let sim = Sim.create () in
   let usd = Usbs.Usd.create sim (Disk.Disk_model.create ()) in
   let c =
@@ -411,12 +411,15 @@ let usd_transact_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "USD transact" ~bound:76. (words_per ~warm:1_000 ~n:10_000 cycle)
+  words_per ~warm:1_000 ~n:10_000 cycle
+
+let usd_transact_allocation () =
+  check_words "USD transact" ~bound:76. (usd_transact_words ())
 
 (* One MTU packet at a time over the link: the packet and its ivar, the
    wake of the waiting loop, the wire-time sleep and the trace
    record. *)
-let link_transmit_allocation () =
+let link_transmit_words () =
   let sim = Sim.create () in
   let link = Usnet.Link.create sim in
   let c =
@@ -440,7 +443,10 @@ let link_transmit_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "link transmit" ~bound:55. (words_per ~warm:1_000 ~n:10_000 cycle)
+  words_per ~warm:1_000 ~n:10_000 cycle
+
+let link_transmit_allocation () =
+  check_words "link transmit" ~bound:55. (link_transmit_words ())
 
 (* A waiter signalled before its timeout: its list cell, the timer's
    handle (cancelled on resume) and the park. *)

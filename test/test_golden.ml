@@ -397,6 +397,28 @@ let remote_tier_pins =
             [ "disk_hot"; "replicated"; "erasure"; "erasure_wipe" ]));
     Alcotest.test_case "backing matrix pinned" `Quick backing_matrix_pinned ]
 
+(* --- The telemetry ---------------------------------------------------- *)
+
+(* A seed-42, 20 s chaos run with Obs on: faults, revocations and
+   injected errors write per-domain counters, gauges, histograms and
+   about 1.1 MB of span CSV. The MD5s of the metrics JSON and of the
+   span CSV pin what the instrumentation records and in which order,
+   so a change to how metrics or spans are stored must leave both
+   byte-identical. *)
+let telemetry_pinned () =
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      ignore (Experiments.Chaos.run ~seed:42 ~duration:(Time.sec 20) ());
+      Alcotest.(check string) "metrics JSON, chaos seed 42, 20 s"
+        "8b8ee99e2796882f85670e6cf140ca18"
+        (md5 (Json.to_string (Obs.Metrics.to_json ())));
+      Alcotest.(check string) "span CSV, chaos seed 42, 20 s"
+        "f069045e637a69c11cd7254ffe07baa4"
+        (md5 (Obs.Span.to_csv ())))
+
 let suite =
   [ ( "golden.schedulers",
       [ Alcotest.test_case "CPU, USD and link decisions pinned" `Quick
@@ -406,4 +428,7 @@ let suite =
           (scale_digest 64 "0d55062187871b9e5eb5994820559876");
         Alcotest.test_case "128-domain report pinned" `Slow
           (scale_digest 128 "3ab592f3cca8a1f74f2705c5d58ec39c") ] );
-    ("golden.remote-tier", remote_tier_pins) ]
+    ("golden.remote-tier", remote_tier_pins);
+    ( "golden.telemetry",
+      [ Alcotest.test_case "chaos metrics and spans pinned" `Quick
+          telemetry_pinned ] ) ]

@@ -231,7 +231,7 @@ let sfs_write_loss_is_callers_debt () =
          the books stay open until the caller answers it. *)
       checkb "unaccounted until the caller answers" false
         (Inject.accounted ());
-      Inject.note_killed "test";
+      Inject.note_killed (Inject.recovery "test");
       checkb "books balance once answered" true (Inject.accounted ()))
 
 (* --- USD typed errors ---------------------------------------------- *)

@@ -690,7 +690,22 @@ let policy_compare_smoke () =
     row.Experiments.Policy_compare.miss_rate
   in
   checkb "read-ahead cuts the sequential miss rate" true
-    (miss "fifo+ra8" "seq" < miss "fifo" "seq")
+    (miss "fifo+ra8" "seq" < miss "fifo" "seq");
+  checkb "verdict" true (Experiments.Policy_compare.ok r);
+  (* One violating or idle cell fails the whole comparison. *)
+  let with_first f =
+    match r.Experiments.Policy_compare.rows with
+    | row :: rest -> { r with Experiments.Policy_compare.rows = f row :: rest }
+    | [] -> r
+  in
+  checkb "a violation fails the verdict" false
+    (Experiments.Policy_compare.ok
+       (with_first (fun row ->
+            { row with Experiments.Policy_compare.violations = 1 })));
+  checkb "an idle cell fails the verdict" false
+    (Experiments.Policy_compare.ok
+       (with_first (fun row ->
+            { row with Experiments.Policy_compare.accesses = 0 })))
 
 let suite =
   [ ( "policy.replacement",
