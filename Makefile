@@ -1,4 +1,4 @@
-.PHONY: all build test loc bench perfbench-smoke smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test loc bench perfbench-smoke examples smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
 
 # Each experiment step below writes its JSON report to
 # reports/<step>.json (gitignored), so a report can be diffed against
@@ -70,6 +70,16 @@ perfbench-smoke:
 				" > 1.1 x " base[$$1]; bad = 1 } \
 			END { exit bad }' test/perfbench_alloc.txt .bench_build/perfbench-alloc.txt \
 		&& echo "perfbench alloc_mwords within 10% of test/perfbench_alloc.txt"
+
+# Run the five demos under examples/; a demo that exits non-zero fails
+# the target. quickstart pages through the paged stretch driver.
+EXAMPLES = quickstart video_vs_compile revocation_demo crosstalk_demo mapped_file
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		dune exec examples/$$e.exe || exit 1; \
+	done
 
 # Quick end-to-end run of the policy-compare figure (two contrasting
 # policies, short duration).
@@ -151,7 +161,7 @@ share:
 lint-registry:
 	dune exec bin/nemesis_sim.exe -- lint-registry
 
-check: fmt build test lint-registry smoke chaos crash remote failover erasure scale share
+check: fmt build test lint-registry examples smoke chaos crash remote failover erasure scale share
 	@echo "check OK"
 
 clean:

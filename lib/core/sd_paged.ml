@@ -1,21 +1,23 @@
 open Hw
 
-(* Residency state of one page of the stretch.
+(* A resident page. [clean] says the backing store holds its current
+   contents, so evicting it needs no write: true only for a page read
+   in from swap whose dirty bit has not been seen set since. Policies
+   that clear the referenced bit do so by unmap+remap, which discards
+   the PTE's dirty bit, so a set bit is latched here as [clean =
+   false]. [via_prefetch] marks a page brought in by read-ahead whose
+   first reference has not been observed yet — resolved to a hit or a
+   waste at the first reference-sample or at eviction. *)
+type resident = {
+  pfn : int;
+  mutable clean : bool;
+  mutable via_prefetch : bool;
+}
 
-   [dirty_latched] accumulates dirty bits lost to reference-sampling:
-   policies that clear the referenced bit do so by unmap+remap, which
-   discards the PTE's dirty bit, so it is latched here. [via_prefetch]
-   marks a page brought in by read-ahead whose first reference has not
-   been observed yet — resolved to a hit or a waste at the first
-   reference-sample or at eviction. *)
+(* Residency state of one page of the stretch. *)
 type pstate =
   | Fresh  (* no contents yet: demand-zero on touch *)
-  | Resident of {
-      pfn : int;
-      clean_on_disk : bool;
-      mutable dirty_latched : bool;
-      mutable via_prefetch : bool;
-    }
+  | Resident of resident
   | Wb_pending of { pfn : int }
       (* evicted dirty, parked in the write-behind buffer: the frame
          still holds the only up-to-date copy until the flush *)
@@ -26,42 +28,6 @@ type pstate =
          fault on the page is a domain fault *)
 
 type info = {
-  page_ins : int;
-  page_outs : int;
-  demand_zeros : int;
-  evictions : int;
-  prefetched : int;
-  prefetch_hits : int;
-  prefetch_waste : int;
-  wb_flushes : int;
-  rescues : int;
-  lost_pages : int;
-  rebloks : int;
-  shed_frames : int;
-  restored_pages : int;
-  wb_degraded : bool;
-  swap_exhausted : bool;
-  crashed : bool;
-}
-
-type state = {
-  env : Stretch_driver.env;
-  swap : Usbs.Sfs.swapfile;
-  (* every data-path transaction goes through [backing]; the default
-     ([Tier.Backing.of_sfs swap]) is the swapfile itself, bit-for-bit.
-     [swap] stays for identity (journal reattach, extent scoping). *)
-  backing : Tier.Backing.t;
-  forgetful : bool;
-  spec : Policy.Spec.t;
-  repl : Policy.Replacement.t;
-  pf : Policy.Prefetch.t;
-  mutable wb : Policy.Writeback.t;
-  bitmap : Bloks.t;
-  mutable stretch : Stretch.t option;
-  mutable pages : pstate array;       (* per page of the stretch *)
-  mutable blok_of_page : int array;   (* -1 = none assigned *)
-  mutable pool : int list;            (* owned, unmapped frames *)
-  mutable tick : int;                 (* per-domain virtual time *)
   mutable page_ins : int;
   mutable page_outs : int;
   mutable demand_zeros : int;
@@ -69,27 +35,48 @@ type state = {
   mutable prefetched : int;
   mutable prefetch_hits : int;
   mutable prefetch_waste : int;
+  mutable wb_flushes : int;
   mutable rescues : int;
   mutable lost_pages : int;
   mutable rebloks : int;
-  mutable shed : int;
-  (* Degradations (sticky): [degraded_sync] disables write-behind
+  mutable shed_frames : int;
+  mutable restored_pages : int;
+  (* Degradations (sticky): [wb_degraded] disables write-behind
      parking after a flush lost data; [swap_exhausted] marks the blok
      bitmap dry — only clean victims can yield frames, and the driver
-     stops holding optimistic pool frames. *)
-  mutable degraded_sync : bool;
+     stops holding optimistic pool frames. [crashed] latches when a
+     crash point tears one of our writes — the backing store is gone
+     mid-operation and every later fault is a domain fault (the reaper
+     then kills the domain). *)
+  mutable wb_degraded : bool;
   mutable swap_exhausted : bool;
+  mutable crashed : bool;
+}
+
+type state = {
+  env : Stretch_driver.env;
+  (* every data-path transaction goes through [backing]; the default
+     ([Tier.Backing.of_sfs swap]) is the swapfile itself, bit-for-bit. *)
+  backing : Tier.Backing.t;
+  forgetful : bool;
+  spec : Policy.Spec.t;
+  repl : Policy.Replacement.t;
+  pf : Policy.Prefetch.t;
+  wb : Policy.Writeback.t;
+  bitmap : Bloks.t;
+  mutable stretch : Stretch.t option;
+  mutable pages : pstate array;       (* per page of the stretch *)
+  mutable blok_of_page : int array;   (* -1 = none assigned *)
+  mutable pool : int list;            (* owned, unmapped frames *)
+  tick : int ref;                     (* per-domain virtual time *)
+  stats : info;
   (* Crash consistency (journaled backing store only): [restore] is
      the committed (page, slot) image a restarted domain re-adopts at
      bind; [retiring] maps a page to the committed slot its in-flight
-     out-of-place rewrite supersedes (freed when the rewrite commits);
-     [crashed] latches when a crash point tears one of our writes —
-     the backing store is gone mid-operation and every later fault is
-     a domain fault (the reaper then kills the domain). *)
+     out-of-place rewrite supersedes (freed when the rewrite
+     commits). *)
   restore : (int * int) list;
   retiring : (int, int) Hashtbl.t;
-  mutable restored : int;
-  mutable crashed : bool;
   m : metrics;
 }
 
@@ -133,7 +120,7 @@ let metrics label =
     sd_crashed = c "sd.crashed" }
 
 (* Write-behind is in force only while it has not been degraded away. *)
-let wb_on st = Policy.Writeback.enabled st.wb && not st.degraded_sync
+let wb_on st = Policy.Writeback.enabled st.wb && not st.stats.wb_degraded
 
 let stack st = Frames.frame_stack st.env.Stretch_driver.frames_client
 
@@ -168,6 +155,8 @@ let the_stretch st =
   | Some s -> s
   | None -> failwith "paged driver: no stretch bound"
 
+let page_va st p = Stretch.page_base (the_stretch st) p
+
 let take_pool st =
   match st.pool with
   | [] -> None
@@ -201,10 +190,10 @@ let bind st (s : Stretch.t) =
       then begin
         st.pages.(p) <- Swapped;
         st.blok_of_page.(p) <- b;
-        st.restored <- st.restored + 1
+        st.stats.restored_pages <- st.stats.restored_pages + 1
       end)
     st.restore;
-  if st.restored > 0 then metric_add st.m.sd_restored_pages st.restored
+  metric_add st.m.sd_restored_pages st.stats.restored_pages
 
 let owns_fault st (fault : Fault.t) =
   match (fault.sid, st.stretch) with
@@ -213,13 +202,12 @@ let owns_fault st (fault : Fault.t) =
 
 (* A prefetched page's fate is decided at the first point we observe
    its referenced bit (a reference-sampling pass or its eviction). *)
-let settle_prefetch st p referenced =
-  match st.pages.(p) with
-  | Resident r when r.via_prefetch && referenced ->
+let settle_prefetch st r referenced =
+  if r.via_prefetch && referenced then begin
     r.via_prefetch <- false;
-    st.prefetch_hits <- st.prefetch_hits + 1;
+    st.stats.prefetch_hits <- st.stats.prefetch_hits + 1;
     metric_inc st.m.policy_prefetch_hit
-  | _ -> ()
+  end
 
 (* The window through which replacement policies see the hardware:
    referenced bits live in the PTEs; clearing one is the user-level
@@ -233,8 +221,9 @@ let make_probe st =
       (fun p ->
         match st.pages.(p) with
         | Resident _ ->
-          let va = Stretch.page_base (the_stretch st) p in
-          let pte, cost = Translation.trans env.Stretch_driver.translation ~va in
+          let pte, cost =
+            Translation.trans env.Stretch_driver.translation ~va:(page_va st p)
+          in
           env.Stretch_driver.consume_cpu cost;
           Pte.referenced pte
         | _ -> false);
@@ -242,31 +231,33 @@ let make_probe st =
       (fun p ->
         match st.pages.(p) with
         | Resident r ->
-          let va = Stretch.page_base (the_stretch st) p in
+          let va = page_va st p in
           let pte = Stretch_driver.unmap_page env va in
-          if Pte.dirty pte then r.dirty_latched <- true;
-          settle_prefetch st p (Pte.referenced pte);
+          if Pte.dirty pte then r.clean <- false;
+          settle_prefetch st r (Pte.referenced pte);
           Stretch_driver.map_page env va ~pfn:r.pfn
         | _ -> ()) }
+
+(* Make [p] resident in [pfn] (already mapped): its record, the
+   replacement policy's view of it, and the frame's place at the
+   bottom of the frame stack, the last to be revoked. *)
+let make_resident st p pfn ~clean ~via_prefetch =
+  st.pages.(p) <- Resident { pfn; clean; via_prefetch };
+  st.repl.Policy.Replacement.insert p;
+  Frame_stack.move_to_bottom (stack st) pfn
 
 (* Map [page] into [pfn] as a demand-zeroed page. *)
 let install_zero st page pfn =
   let env = st.env in
-  let va = Stretch.page_base (the_stretch st) page in
-  Stretch_driver.map_page env va ~pfn;
+  Stretch_driver.map_page env (page_va st page) ~pfn;
   env.Stretch_driver.consume_cpu env.Stretch_driver.cost.Cost.page_zero;
-  st.pages.(page) <-
-    Resident
-      { pfn; clean_on_disk = false; dirty_latched = false;
-        via_prefetch = false };
-  st.repl.Policy.Replacement.insert page;
-  st.tick <- st.tick + 1;
-  Frame_stack.move_to_bottom (stack st) pfn;
-  st.demand_zeros <- st.demand_zeros + 1
+  make_resident st page pfn ~clean:false ~via_prefetch:false;
+  incr st.tick;
+  st.stats.demand_zeros <- st.stats.demand_zeros + 1
 
 let note_swap_exhausted st =
-  if not st.swap_exhausted then begin
-    st.swap_exhausted <- true;
+  if not st.stats.swap_exhausted then begin
+    st.stats.swap_exhausted <- true;
     metric_inc st.m.sd_swap_exhausted
   end
 
@@ -326,8 +317,8 @@ let release_retired st pages =
     pages
 
 let note_crashed st =
-  if not st.crashed then begin
-    st.crashed <- true;
+  if not st.stats.crashed then begin
+    st.stats.crashed <- true;
     metric_inc st.m.sd_crashed
   end
 
@@ -342,8 +333,12 @@ let pages_for_run st ~blok ~nbloks =
 
 let mark_lost st page =
   st.pages.(page) <- Lost;
-  st.lost_pages <- st.lost_pages + 1;
+  st.stats.lost_pages <- st.stats.lost_pages + 1;
   metric_inc st.m.sd_lost_pages
+
+let lost_fault st =
+  metric_inc st.m.sd_lost_faults;
+  Stretch_driver.Failure "page contents lost to media error"
 
 (* Write [page]'s blok synchronously, re-blokking around bad bloks: a
    write that exhausts the USBS recovery ladder (retries, spare
@@ -366,7 +361,7 @@ let write_now st ~page blok =
     match r with
     | Ok () ->
       if journaled then release_retired st [ page ];
-      st.page_outs <- st.page_outs + 1;
+      st.stats.page_outs <- st.stats.page_outs + 1;
       metric_inc st.m.policy_page_out;
       true
     | Error `Retired -> false
@@ -377,7 +372,7 @@ let write_now st ~page blok =
       match Bloks.alloc st.bitmap with
       | Some b' ->
         st.blok_of_page.(page) <- b';
-        st.rebloks <- st.rebloks + 1;
+        st.stats.rebloks <- st.stats.rebloks + 1;
         Inject.note_remapped reblok_class;
         metric_inc st.m.sd_rebloks;
         go b'
@@ -388,45 +383,136 @@ let write_now st ~page blok =
   in
   go blok
 
+(* The write-behind buffer's writer: one coalesced run of parked
+   pages, committing on a journaled store. *)
+let write_run st ~blok ~nbloks =
+  (* Counted when issued, before the write blocks: a snapshot taken
+     mid-flush sees the run as flushed. *)
+  st.stats.wb_flushes <- st.stats.wb_flushes + 1;
+  let sp = span_start st ~parent:Obs.Span.none "usd.write" in
+  let journaled = st.backing.Tier.Backing.journaled () in
+  let run_pages = if journaled then pages_for_run st ~blok ~nbloks else [] in
+  let r =
+    if journaled then
+      st.backing.Tier.Backing.write_pages_commit ~page_index:blok
+        ~npages:nbloks ~pages:run_pages
+        ~retire:(retire_for st (List.map fst run_pages))
+    else st.backing.Tier.Backing.write_pages ~page_index:blok ~npages:nbloks
+  in
+  span_finish sp;
+  (match r with
+  | Ok () when journaled -> release_retired st (List.map fst run_pages)
+  | Error `Crashed ->
+    (* Torn on the platter mid-flush: this rewrite's Commit record
+       never landed, so on restart the run's pages still answer to
+       their last committed slots. The domain itself is dead — the
+       crashed latch fails its next fault. *)
+    note_crashed st
+  | _ -> ());
+  let lost = match r with Error (`Lost_pages l) -> l | _ -> [] in
+  if lost <> [] then begin
+    (* Parked data gone: by flush time the frames are committed for
+       release, so no rewrite source remains. Mark the owning pages,
+       answer each lost slot's final error in the accounting, and fall
+       back to synchronous write-through — write-behind has shown it
+       can lose data here. *)
+    let n = Array.length st.blok_of_page in
+    List.iter
+      (fun bad ->
+        Inject.note_killed wb_class;
+        let rec find i =
+          if i >= n then ()
+          else if st.blok_of_page.(i) = bad then (
+            match st.pages.(i) with
+            | Swapped -> mark_lost st i
+            | _ -> ())
+          else find (i + 1)
+        in
+        find 0)
+      lost;
+    if not st.stats.wb_degraded then begin
+      st.stats.wb_degraded <- true;
+      metric_inc st.m.sd_wb_degraded
+    end
+  end;
+  st.stats.page_outs <- st.stats.page_outs + nbloks - List.length lost;
+  metric_add st.m.policy_page_out (nbloks - List.length lost);
+  metric_inc st.m.policy_wb_flush
+
 (* Issue every parked write-behind entry (coalesced by the buffer into
    contiguous USD transactions) and return the freed frames to the
-   pool. A page's state flips to Swapped at the commit point — the
-   instant its run's write is issued, not when the whole flush
-   returns — so pages in runs not yet written stay Wb_pending and
-   rescuable while earlier runs block on disk. Flipping at issue time
-   is sound because one client's USD requests are served FIFO: a fault
-   that then reads the page queues its read behind the in-flight write
-   and cannot observe stale disk contents. The frame returns to the
-   pool only once its run's write has completed (it is pinned while
-   the "DMA" is in flight). Blocking (disk I/O): worker-thread context
-   only; safe to run concurrently from the fault and revocation
-   workers (each flush iteration claims a disjoint run). *)
+   pool; [false] when nothing was parked. A page's state flips to
+   Swapped at the commit point — the instant its run's write is
+   issued, not when the whole flush returns — so pages in runs not yet
+   written stay Wb_pending and rescuable while earlier runs block on
+   disk. Flipping at issue time is sound because one client's USD
+   requests are served FIFO: a fault that then reads the page queues
+   its read behind the in-flight write and cannot observe stale disk
+   contents. The frame returns to the pool only once its run's write
+   has completed (it is pinned while the "DMA" is in flight).
+   Blocking (disk I/O): worker-thread context only; safe to run
+   concurrently from the fault and revocation workers (each flush
+   iteration claims a disjoint run). *)
 let flush_wb st =
-  if Policy.Writeback.pending st.wb > 0 then begin
+  if Policy.Writeback.pending st.wb = 0 then false
+  else begin
     st.env.Stretch_driver.assert_idc_allowed "USBS write";
     ignore
       (Policy.Writeback.flush st.wb
          ~commit:(fun ~page ->
            st.pages.(page) <- (if st.forgetful then Fresh else Swapped))
-         ~release:(fun ~page:_ ~frame -> st.pool <- frame :: st.pool))
+         ~release:(fun ~page:_ ~frame -> st.pool <- frame :: st.pool)
+         ~write:(write_run st));
+    true
   end
 
 type evicted = No_victim | Freed of int | Parked | Swap_full
 
+(* Must the page be written before its frame can go, as far as the
+   driver knows without reading the PTE? *)
+let must_clean st r = st.forgetful || not r.clean
+
 (* Non-destructive "would cleaning be needed" probe (costed like any
    other PTE inspection). *)
-let needs_clean st (r : pstate) victim =
-  match r with
-  | Resident r ->
-    st.forgetful || r.dirty_latched
-    || (not r.clean_on_disk)
-    ||
-    let env = st.env in
-    let va = Stretch.page_base (the_stretch st) victim in
-    let pte, cost = Translation.trans env.Stretch_driver.translation ~va in
-    env.Stretch_driver.consume_cpu cost;
-    Pte.dirty pte
-  | _ -> false
+let needs_clean st p r =
+  must_clean st r
+  ||
+  let env = st.env in
+  let pte, cost =
+    Translation.trans env.Stretch_driver.translation ~va:(page_va st p)
+  in
+  env.Stretch_driver.consume_cpu cost;
+  Pte.dirty pte
+
+type cleaning = Clean | Clean_to of int | Dry
+
+(* Unmap resident page [p] and decide how it leaves: [Clean] needs no
+   write, [Clean_to b] must first be written to blok [b]. The PTE's
+   dirty bit is latched into [r] first. On a dry blok bitmap the page
+   cannot be cleaned, so it is mapped again and [Dry] returned — the
+   caller degrades instead of dying. *)
+let unmap_and_decide st p r =
+  let env = st.env in
+  let va = page_va st p in
+  let pte = Stretch_driver.unmap_page env va in
+  settle_prefetch st r (Pte.referenced pte);
+  if Pte.dirty pte then r.clean <- false;
+  if not (must_clean st r) then Clean
+  else
+    match blok_for st p with
+    | Some b -> Clean_to b
+    | None ->
+      Stretch_driver.map_page env va ~pfn:r.pfn;
+      Dry
+
+(* Book an eviction's read-ahead outcome: a prefetched page leaving
+   without its first reference observed was a waste. *)
+let note_evict st r =
+  if r.via_prefetch then begin
+    st.stats.prefetch_waste <- st.stats.prefetch_waste + 1;
+    metric_inc st.m.policy_prefetch_waste
+  end;
+  metric_inc st.m.policy_evict
 
 (* Evict the policy's victim, cleaning it to the USBS first if needed
    (immediately, or by parking it in the write-behind buffer), and
@@ -440,93 +526,61 @@ let needs_clean st (r : pstate) victim =
    write-behind setting. Blocking (disk I/O): worker-thread context
    only. *)
 let evict_one ?(clean_only = false) ?(no_clean = false) st =
-  let env = st.env in
   match st.repl.Policy.Replacement.victim (make_probe st) with
   | None -> No_victim
-  | Some victim ->
-    (match st.pages.(victim) with
-    | Resident _
-      when (clean_only && wb_on st && needs_clean st st.pages.(victim) victim)
-           || (no_clean && needs_clean st st.pages.(victim) victim) ->
+  | Some victim -> (
+    match st.pages.(victim) with
+    | Resident r
+      when ((clean_only && wb_on st) || no_clean) && needs_clean st victim r
+      ->
       (* Re-insert: the policy sees the page as freshly mapped — cheap
          protection for a page we just chose not to lose. *)
       st.repl.Policy.Replacement.insert victim;
       No_victim
-    | Resident r ->
-      let va = Stretch.page_base (the_stretch st) victim in
-      let pte = Stretch_driver.unmap_page env va in
-      settle_prefetch st victim (Pte.referenced pte);
-      let dirty = Pte.dirty pte || r.dirty_latched in
-      let must_clean = st.forgetful || dirty || not r.clean_on_disk in
-      let decision =
-        if not must_clean then `Clean_already
-        else
-          match blok_for st victim with
-          | Some b -> `Clean_to b
-          | None -> `Exhausted
-      in
-      (match decision with
-      | `Exhausted ->
-        (* Swap space exhausted: the victim cannot be cleaned, so it
-           cannot be evicted either — remap it and tell the caller to
-           degrade (clean-only eviction, shedding) instead of dying. *)
-        if Pte.dirty pte then r.dirty_latched <- true;
-        Stretch_driver.map_page env va ~pfn:r.pfn;
+    | Resident r -> (
+      match unmap_and_decide st victim r with
+      | Dry ->
         st.repl.Policy.Replacement.insert victim;
         Swap_full
-      | (`Clean_already | `Clean_to _) as decision ->
-        (match st.pages.(victim) with
-        | Resident { via_prefetch = true; _ } ->
-          st.prefetch_waste <- st.prefetch_waste + 1;
-          metric_inc st.m.policy_prefetch_waste
-        | _ -> ());
-        metric_inc st.m.policy_evict;
-        (match decision with
-        | `Clean_to blok ->
-          if wb_on st then begin
-            st.evictions <- st.evictions + 1;
-            st.pages.(victim) <- Wb_pending { pfn = r.pfn };
-            Policy.Writeback.enqueue st.wb ~page:victim ~blok ~frame:r.pfn;
-            Parked
-          end
-          else begin
-            let ok = write_now st ~page:victim blok in
-            st.evictions <- st.evictions + 1;
-            (* The paging-out experiment's driver forgets the disk
-               copy; a failed write loses the contents but still
-               frees the frame. *)
-            if st.forgetful then st.pages.(victim) <- Fresh
-            else if ok then st.pages.(victim) <- Swapped
-            else mark_lost st victim;
-            Freed r.pfn
-          end
-        | `Clean_already ->
-          st.evictions <- st.evictions + 1;
-          st.pages.(victim) <- Swapped;
-          Freed r.pfn))
+      | Clean ->
+        note_evict st r;
+        st.stats.evictions <- st.stats.evictions + 1;
+        st.pages.(victim) <- Swapped;
+        Freed r.pfn
+      | Clean_to blok when wb_on st ->
+        note_evict st r;
+        st.stats.evictions <- st.stats.evictions + 1;
+        st.pages.(victim) <- Wb_pending { pfn = r.pfn };
+        Policy.Writeback.enqueue st.wb ~page:victim ~blok ~frame:r.pfn;
+        Parked
+      | Clean_to blok ->
+        note_evict st r;
+        let ok = write_now st ~page:victim blok in
+        st.stats.evictions <- st.stats.evictions + 1;
+        (* The paging-out experiment's driver forgets the disk copy; a
+           failed write loses the contents but still frees the
+           frame. *)
+        if st.forgetful then st.pages.(victim) <- Fresh
+        else if ok then st.pages.(victim) <- Swapped
+        else mark_lost st victim;
+        Freed r.pfn)
     | Fresh | Swapped | Wb_pending _ | Lost ->
       (* The policy's probe guarantees victims are resident. *)
       No_victim)
 
 (* Read-your-writes fast path: a fault on a parked page cancels the
    pending write and remaps the very frame that holds the data — no
-   disk I/O. The page is still dirty, so it stays clean_on_disk:false
-   and will be cleaned again on its next eviction. *)
+   disk I/O. The page is still dirty, so it is not clean and will be
+   cleaned again on its next eviction. *)
 let try_rescue st page =
   match st.pages.(page) with
   | Wb_pending { pfn } ->
     (match Policy.Writeback.rescue st.wb ~page with
     | Some _ ->
-      let va = Stretch.page_base (the_stretch st) page in
-      Stretch_driver.map_page st.env va ~pfn;
-      st.pages.(page) <-
-        Resident
-          { pfn; clean_on_disk = false; dirty_latched = true;
-            via_prefetch = false };
-      st.repl.Policy.Replacement.insert page;
-      st.tick <- st.tick + 1;
-      Frame_stack.move_to_bottom (stack st) pfn;
-      st.rescues <- st.rescues + 1;
+      Stretch_driver.map_page st.env (page_va st page) ~pfn;
+      make_resident st page pfn ~clean:false ~via_prefetch:false;
+      incr st.tick;
+      st.stats.rescues <- st.stats.rescues + 1;
       metric_inc st.m.policy_rescue;
       true
     | None -> false)
@@ -539,7 +593,7 @@ let fast st (fault : Fault.t) =
     match fault.kind with
     | Mmu.Access_violation -> Stretch_driver.Failure "access violation"
     | Mmu.Unallocated -> Stretch_driver.Failure "unallocated address"
-    | Mmu.Page_fault when st.crashed ->
+    | Mmu.Page_fault when st.stats.crashed ->
       (* The backing store tore one of our writes mid-operation: the
          domain's durable state is unrecoverable until remount +
          restart, so every fault is a domain fault from here on. *)
@@ -554,9 +608,7 @@ let fast st (fault : Fault.t) =
         if try_rescue st page then Stretch_driver.Success
         else Stretch_driver.Retry
       | Swapped -> Stretch_driver.Retry (* needs disk: worker path *)
-      | Lost ->
-        metric_inc st.m.sd_lost_faults;
-        Stretch_driver.Failure "page contents lost to media error"
+      | Lost -> lost_fault st
       | Fresh ->
         (match take_pool st with
         | Some pfn ->
@@ -581,10 +633,8 @@ let shed_optimistic st =
       incr freed
     | None -> ()
   done;
-  if !freed > 0 then begin
-    st.shed <- st.shed + !freed;
-    metric_add st.m.sd_shed_frames !freed
-  end
+  st.stats.shed_frames <- st.stats.shed_frames + !freed;
+  metric_add st.m.sd_shed_frames !freed
 
 (* Swap-exhaustion degradation, rung 1: only victims needing no
    cleaning can yield a frame. Bounded by the resident count — each
@@ -619,14 +669,12 @@ let obtain_frame st =
       let rec try_evict () =
         match evict_one st with
         | Freed pfn -> Some pfn
-        | Parked ->
-          if Policy.Writeback.full st.wb then begin
-            flush_wb st;
-            match take_pool st with
-            | Some pfn -> Some pfn
-            | None -> try_evict ()
-          end
-          else try_evict ()
+        | Parked when Policy.Writeback.full st.wb -> (
+          ignore (flush_wb st);
+          match take_pool st with
+          | Some pfn -> Some pfn
+          | None -> try_evict ())
+        | Parked -> try_evict ()
         | Swap_full -> (
           (* Typed degradation ladder instead of the old abort: scan
              for a victim that needs no cleaning; failing that, drain
@@ -635,36 +683,61 @@ let obtain_frame st =
              not a simulator crash. *)
           match evict_clean_scan st with
           | Some pfn -> Some pfn
-          | None ->
-            if Policy.Writeback.pending st.wb > 0 then begin
-              flush_wb st;
-              take_pool st
-            end
-            else None)
-        | No_victim ->
-          if Policy.Writeback.pending st.wb > 0 then begin
-            flush_wb st;
-            take_pool st
-          end
-          else None
+          | None -> if flush_wb st then take_pool st else None)
+        | No_victim -> if flush_wb st then take_pool st else None
       in
       try_evict ())
 
 (* A frame for read-ahead only: spare frames first, else recycle a
    victim (for a streaming reader it is clean, so this costs no disk
    write) — but never flush the write-behind buffer just to prefetch,
-   and ([clean_only]) never park a dirty victim on a prefetch's
-   behalf: that would sacrifice a resident page without yielding a
-   frame. *)
+   and never park a dirty victim on a prefetch's behalf: that would
+   sacrifice a resident page without yielding a frame. *)
 let prefetch_frame st =
   match take_pool st with
   | Some f -> Some f
-  | None ->
-    (match evict_one ~clean_only:true st with Freed f -> Some f | _ -> None)
+  | None -> (
+    match evict_one ~clean_only:true st with Freed f -> Some f | _ -> None)
 
 let is_swapped st p =
   p >= 0 && p < Array.length st.pages
   && (match st.pages.(p) with Swapped -> true | _ -> false)
+
+let read_bloks st ~parent ~blok ~npages =
+  let sp = span_start st ~parent "usd.read" in
+  let r = st.backing.Tier.Backing.read_pages ~page_index:blok ~npages in
+  span_finish sp;
+  r
+
+(* Did read result [r] lose blok [b]? A retired or crashed store lost
+   the whole read. *)
+let lost_in r b =
+  match r with
+  | Ok () -> false
+  | Error (`Retired | `Crashed) -> true
+  | Error (`Lost_pages l) -> List.mem b l
+
+(* Map a run of [(page, frame)] pairs just read with result [r]. A
+   page whose blok came back lost is marked [Lost] (a retired or
+   crashed store leaves it [Swapped]) and its frame goes back to the
+   pool; the others become resident, clean. Every page but [demand]
+   (-1 for none) came in by read-ahead and counts as prefetched. *)
+let map_run st r ~demand run =
+  let mapped = ref 0 in
+  List.iter
+    (fun (p, f) ->
+      if lost_in r st.blok_of_page.(p) then begin
+        (match r with Error (`Lost_pages _) -> mark_lost st p | _ -> ());
+        st.pool <- f :: st.pool
+      end
+      else begin
+        Stretch_driver.map_page st.env (page_va st p) ~pfn:f;
+        make_resident st p f ~clean:true ~via_prefetch:(p <> demand);
+        if p <> demand then incr mapped
+      end)
+    run;
+  st.stats.prefetched <- st.stats.prefetched + !mapped;
+  metric_add st.m.policy_prefetched !mapped
 
 (* Fetch left-over read-ahead candidates that are not contiguous with
    the demand run in the virtual address space but still coalesce on
@@ -673,8 +746,15 @@ let is_swapped st p =
    only. *)
 let max_extra_txns = 2
 
+(* Pool frames for a prefix of [chain]. *)
+let rec claim st acc = function
+  | [] -> List.rev acc
+  | p :: rest -> (
+    match take_pool st with
+    | Some f -> claim st ((p, f) :: acc) rest
+    | None -> List.rev acc)
+
 let fetch_extras st parent extras =
-  let env = st.env in
   let extras =
     List.filter (fun p -> is_swapped st p && st.blok_of_page.(p) >= 0) extras
   in
@@ -693,63 +773,88 @@ let fetch_extras st parent extras =
         | _ -> [ p ] :: acc)
       [] by_blok
   in
-  let chains = List.rev_map List.rev chains in
   let txns = ref 0 in
   List.iter
     (fun chain ->
-      if !txns < max_extra_txns then begin
-        (* Take pool frames for a prefix of the chain. *)
-        let rec claim acc = function
-          | [] -> List.rev acc
-          | p :: rest ->
-            (match take_pool st with
-            | Some f -> claim ((p, f) :: acc) rest
-            | None -> List.rev acc)
-        in
-        match claim [] chain with
+      if !txns < max_extra_txns then
+        match claim st [] chain with
         | [] -> ()
-        | ((first, _) :: _ as got) ->
+        | (first, _) :: _ as got ->
           incr txns;
-          let sp = span_start st ~parent "usd.read" in
           let r =
-            st.backing.Tier.Backing.read_pages
-              ~page_index:st.blok_of_page.(first)
+            read_bloks st ~parent ~blok:st.blok_of_page.(first)
               ~npages:(List.length got)
           in
-          span_finish sp;
-          let lost_blok =
-            match r with
-            | Ok () -> fun _ -> false
-            | Error (`Retired | `Crashed) -> fun _ -> true
-            | Error (`Lost_pages l) -> fun b -> List.mem b l
-          in
-          let mapped = ref 0 in
-          List.iter
-            (fun (p, f) ->
-              if lost_blok st.blok_of_page.(p) then begin
-                (* Speculative read of a bad blok: the page is gone,
-                   the frame is not. *)
-                (match r with
-                | Error (`Retired | `Crashed) -> ()
-                | _ -> mark_lost st p);
-                st.pool <- f :: st.pool
-              end
-              else begin
-                let va = Stretch.page_base (the_stretch st) p in
-                Stretch_driver.map_page env va ~pfn:f;
-                st.pages.(p) <-
-                  Resident
-                    { pfn = f; clean_on_disk = true; dirty_latched = false;
-                      via_prefetch = true };
-                st.repl.Policy.Replacement.insert p;
-                Frame_stack.move_to_bottom (stack st) f;
-                incr mapped
-              end)
-            got;
-          st.prefetched <- st.prefetched + !mapped;
-          metric_add st.m.policy_prefetched !mapped
-      end)
-    chains
+          map_run st r ~demand:(-1) got)
+    (List.rev_map List.rev chains)
+
+(* Demand page-in of swapped [page] into [pfn]. Read-ahead extends the
+   read to a run of consecutive swapped pages whose bloks are
+   contiguous on disk, as far as spare frames allow — one bigger disk
+   transaction instead of several small ones. The policy's prefetch
+   engine proposes the candidates; [Stream] mode reproduces the seed's
+   fixed-window behaviour exactly. *)
+let page_in st (fault : Fault.t) page pfn =
+  st.env.Stretch_driver.assert_idc_allowed "USBS read";
+  let npages = Array.length st.pages in
+  let blok0 = st.blok_of_page.(page) in
+  assert (blok0 >= 0);
+  let stream_mode =
+    match Policy.Prefetch.mode st.pf with
+    | Policy.Prefetch.Stream _ -> true
+    | _ -> false
+  in
+  let candidates = Policy.Prefetch.plan st.pf ~page in
+  let frames = ref [ (page, pfn) ] in
+  let run = ref 1 in
+  let extras = ref [] in
+  let stop = ref false in
+  List.iter
+    (fun p ->
+      if not !stop then
+        if
+          p = page + !run
+          && p < npages
+          && is_swapped st p
+          && st.blok_of_page.(p) = blok0 + !run
+        then begin
+          match prefetch_frame st with
+          | Some f ->
+            frames := (p, f) :: !frames;
+            incr run
+          | None -> stop := true
+        end
+        else if stream_mode then
+          (* The seed's loop stops at the first break in the run; keep
+             that bit-for-bit. *)
+          stop := true
+        else if
+          is_swapped st p
+          && st.blok_of_page.(p) >= 0
+          && not (List.mem_assoc p !frames)
+          && not (List.mem p !extras)
+        then extras := p :: !extras)
+    candidates;
+  let r = read_bloks st ~parent:fault.Fault.span ~blok:blok0 ~npages:!run in
+  let mp = span_start st ~parent:fault.Fault.span "map" in
+  map_run st r ~demand:page (List.rev !frames);
+  span_finish mp;
+  incr st.tick;
+  if lost_in r blok0 then begin
+    (* The demanded page itself is unrecoverable: a domain fault, not
+       a simulator abort. *)
+    metric_inc st.m.sd_lost_faults;
+    match r with
+    | Error `Retired -> Stretch_driver.Failure "backing store retired"
+    | Error `Crashed -> Stretch_driver.Failure "backing store crashed"
+    | _ -> Stretch_driver.Failure "page contents lost to media error"
+  end
+  else begin
+    st.stats.page_ins <- st.stats.page_ins + 1;
+    metric_inc st.m.policy_page_in;
+    fetch_extras st fault.Fault.span (List.rev !extras);
+    Stretch_driver.Success
+  end
 
 let full st (fault : Fault.t) =
   if not (owns_fault st fault) then
@@ -759,7 +864,6 @@ let full st (fault : Fault.t) =
     | Mmu.Access_violation -> Stretch_driver.Failure "access violation"
     | Mmu.Unallocated -> Stretch_driver.Failure "unallocated address"
     | Mmu.Page_fault ->
-      let env = st.env in
       let page = Stretch.page_index (the_stretch st) fault.va in
       (* Bounded re-examination: blocking on disk (or a concurrent
          worker's flush) can flip the page's state under this worker;
@@ -770,148 +874,46 @@ let full st (fault : Fault.t) =
       let rec resolve attempt =
         if attempt > 8 then
           Stretch_driver.Failure "fault resolution livelock"
-        else if st.crashed then
+        else if st.stats.crashed then
           Stretch_driver.Failure "backing store crashed"
         else
-      match st.pages.(page) with
-      | Resident _ -> Stretch_driver.Success
-      | Lost ->
-        metric_inc st.m.sd_lost_faults;
-        Stretch_driver.Failure "page contents lost to media error"
-      | Wb_pending _ ->
-        if try_rescue st page then Stretch_driver.Success
-        else resolve (attempt + 1)
-      | Fresh ->
-        (match obtain_frame st with
-        | Some pfn ->
-          install_zero st page pfn;
-          Stretch_driver.Success
-        | None -> Stretch_driver.Failure "no frame obtainable")
-      | Swapped ->
-        Policy.Prefetch.record_fault st.pf page;
-        (match obtain_frame st with
-        | Some pfn ->
-          env.Stretch_driver.assert_idc_allowed "USBS read";
-          (* Read-ahead: extend the read to a run of consecutive
-             swapped pages whose bloks are contiguous on disk, as far
-             as spare frames allow — one bigger disk transaction
-             instead of several small ones. The policy's prefetch
-             engine proposes the candidates; [Stream] mode reproduces
-             the seed's fixed-window behaviour exactly. *)
-          let npages = Array.length st.pages in
-          let blok0 = st.blok_of_page.(page) in
-          assert (blok0 >= 0);
-          let stream_mode =
-            match Policy.Prefetch.mode st.pf with
-            | Policy.Prefetch.Stream _ -> true
-            | _ -> false
-          in
-          let candidates = Policy.Prefetch.plan st.pf ~page in
-          let frames = ref [ (page, pfn) ] in
-          let run = ref 1 in
-          let extras = ref [] in
-          let stop = ref false in
-          List.iter
-            (fun p ->
-              if not !stop then
-                if
-                  p = page + !run
-                  && p < npages
-                  && is_swapped st p
-                  && st.blok_of_page.(p) = blok0 + !run
-                then begin
-                  match prefetch_frame st with
-                  | Some f ->
-                    frames := (p, f) :: !frames;
-                    incr run
-                  | None -> stop := true
-                end
-                else if stream_mode then
-                  (* The seed's loop stops at the first break in the
-                     run; keep that bit-for-bit. *)
-                  stop := true
-                else if
-                  is_swapped st p
-                  && st.blok_of_page.(p) >= 0
-                  && not (List.mem_assoc p !frames)
-                  && not (List.mem p !extras)
-                then extras := p :: !extras)
-            candidates;
-          let sp = span_start st ~parent:fault.Fault.span "usd.read" in
-          let r =
-            st.backing.Tier.Backing.read_pages ~page_index:blok0 ~npages:!run
-          in
-          span_finish sp;
-          let lost_blok =
-            match r with
-            | Ok () -> fun _ -> false
-            | Error (`Retired | `Crashed) -> fun _ -> true
-            | Error (`Lost_pages l) -> fun b -> List.mem b l
-          in
-          let mp = span_start st ~parent:fault.Fault.span "map" in
-          let mapped_extra = ref 0 in
-          List.iter
-            (fun (p, f) ->
-              if lost_blok st.blok_of_page.(p) then begin
-                (* The blok under this page of the run is gone; its
-                   frame goes back to the pool. *)
-                (match r with
-                | Error (`Retired | `Crashed) -> ()
-                | _ -> mark_lost st p);
-                st.pool <- f :: st.pool
-              end
-              else begin
-                let va = Stretch.page_base (the_stretch st) p in
-                Stretch_driver.map_page env va ~pfn:f;
-                st.pages.(p) <-
-                  Resident
-                    { pfn = f; clean_on_disk = true; dirty_latched = false;
-                      via_prefetch = p <> page };
-                st.repl.Policy.Replacement.insert p;
-                Frame_stack.move_to_bottom (stack st) f;
-                if p <> page then incr mapped_extra
-              end)
-            (List.rev !frames);
-          span_finish mp;
-          st.tick <- st.tick + 1;
-          st.prefetched <- st.prefetched + !mapped_extra;
-          metric_add st.m.policy_prefetched !mapped_extra;
-          if lost_blok blok0 then begin
-            (* The demanded page itself is unrecoverable: a domain
-               fault, not a simulator abort. *)
-            metric_inc st.m.sd_lost_faults;
-            match r with
-            | Error `Retired ->
-              Stretch_driver.Failure "backing store retired"
-            | Error `Crashed ->
-              Stretch_driver.Failure "backing store crashed"
-            | _ -> Stretch_driver.Failure "page contents lost to media error"
-          end
-          else begin
-            st.page_ins <- st.page_ins + 1;
-            metric_inc st.m.policy_page_in;
-            fetch_extras st fault.Fault.span (List.rev !extras);
-            Stretch_driver.Success
-          end
-        | None -> Stretch_driver.Failure "no frame obtainable")
+          match st.pages.(page) with
+          | Resident _ -> Stretch_driver.Success
+          | Lost -> lost_fault st
+          | Wb_pending _ ->
+            if try_rescue st page then Stretch_driver.Success
+            else resolve (attempt + 1)
+          | Fresh -> (
+            match obtain_frame st with
+            | Some pfn ->
+              install_zero st page pfn;
+              Stretch_driver.Success
+            | None -> Stretch_driver.Failure "no frame obtainable")
+          | Swapped -> (
+            Policy.Prefetch.record_fault st.pf page;
+            match obtain_frame st with
+            | Some pfn -> page_in st fault page pfn
+            | None -> Stretch_driver.Failure "no frame obtainable")
       in
       let outcome = resolve 0 in
       (* Swap-exhaustion degradation, rung 2 (see [shed_optimistic]):
          while the bitmap is dry, surplus pool frames are a kill risk
          under revocation — give them back promptly. *)
-      if st.swap_exhausted then shed_optimistic st;
+      if st.stats.swap_exhausted then shed_optimistic st;
       outcome
 
 (* Revocation: expose pool frames, then flush parked writes and evict
    residents (cleaning dirty pages first). *)
 let relinquish st ~want =
   let given = ref 0 in
+  let give pfn =
+    Frame_stack.move_to_top (stack st) pfn;
+    incr given
+  in
   let give_pool () =
     while !given < want && st.pool <> [] do
       match take_pool st with
-      | Some pfn ->
-        Frame_stack.move_to_top (stack st) pfn;
-        incr given
+      | Some pfn -> give pfn
       | None -> ()
     done
   in
@@ -919,107 +921,21 @@ let relinquish st ~want =
   let continue_ = ref true in
   while !given < want && !continue_ do
     match evict_one st with
-    | Freed pfn ->
-      Frame_stack.move_to_top (stack st) pfn;
-      incr given
+    | Freed pfn -> give pfn
     | Parked ->
-      flush_wb st;
+      ignore (flush_wb st);
       give_pool ()
     | Swap_full -> (
       (* Dirty residents cannot be cleaned any more: give what the
          write-behind buffer still holds, then only clean victims. *)
-      if Policy.Writeback.pending st.wb > 0 then begin
-        flush_wb st;
-        give_pool ()
-      end
+      if flush_wb st then give_pool ()
       else
         match evict_clean_scan st with
-        | Some pfn ->
-          Frame_stack.move_to_top (stack st) pfn;
-          incr given
+        | Some pfn -> give pfn
         | None -> continue_ := false)
-    | No_victim ->
-      if Policy.Writeback.pending st.wb > 0 then begin
-        flush_wb st;
-        give_pool ()
-      end
-      else continue_ := false
+    | No_victim -> if flush_wb st then give_pool () else continue_ := false
   done;
   !given
-
-(* The advice channel (madvise-style). Dontneed evicts synchronously
-   under the domain's own guarantee, so it must run in a worker/domain
-   thread, not a notification handler. *)
-let drop_page st p =
-  match st.pages.(p) with
-  | Resident r ->
-    let env = st.env in
-    st.repl.Policy.Replacement.remove p;
-    let va = Stretch.page_base (the_stretch st) p in
-    let pte = Stretch_driver.unmap_page env va in
-    settle_prefetch st p (Pte.referenced pte);
-    (match st.pages.(p) with
-    | Resident { via_prefetch = true; _ } ->
-      st.prefetch_waste <- st.prefetch_waste + 1;
-      metric_inc st.m.policy_prefetch_waste
-    | _ -> ());
-    let dirty = Pte.dirty pte || r.dirty_latched in
-    let must_clean = st.forgetful || dirty || not r.clean_on_disk in
-    let blok = if must_clean then blok_for st p else None in
-    if must_clean && blok = None then begin
-      (* Swap exhausted: the advice cannot be honoured for a dirty
-         page — keep it resident rather than lose it. *)
-      if Pte.dirty pte then r.dirty_latched <- true;
-      Stretch_driver.map_page env va ~pfn:r.pfn;
-      st.repl.Policy.Replacement.insert p
-    end
-    else begin
-      metric_inc st.m.policy_evict;
-      st.evictions <- st.evictions + 1;
-      if must_clean then begin
-        let blok = Option.get blok in
-        if wb_on st then begin
-          st.pages.(p) <- Wb_pending { pfn = r.pfn };
-          Policy.Writeback.enqueue st.wb ~page:p ~blok ~frame:r.pfn;
-          (* Keep the buffer bounded even across a huge Dontneed range
-             (obtain_frame applies the same rule). *)
-          if Policy.Writeback.full st.wb then flush_wb st
-        end
-        else begin
-          let ok = write_now st ~page:p blok in
-          if st.forgetful then st.pages.(p) <- Fresh
-          else if ok then st.pages.(p) <- Swapped
-          else mark_lost st p;
-          st.pool <- r.pfn :: st.pool
-        end
-      end
-      else begin
-        st.pages.(p) <- Swapped;
-        st.pool <- r.pfn :: st.pool
-      end
-    end
-  | Fresh | Swapped | Wb_pending _ | Lost -> ()
-
-let advise st adv =
-  st.tick <- st.tick + 1;
-  Policy.Prefetch.advise st.pf adv;
-  match adv with
-  | Policy.Advice.Willneed { page; npages } ->
-    for p = page to page + npages - 1 do
-      if p >= 0 && p < Array.length st.pages then
-        match st.pages.(p) with
-        | Resident _ -> st.repl.Policy.Replacement.touch p
-        | _ -> ()
-    done
-  | Policy.Advice.Dontneed { page; npages } ->
-    for p = page to page + npages - 1 do
-      if p >= 0 && p < Array.length st.pages then drop_page st p
-    done;
-    (* Dontneed promises prompt release: flush the remainder so the
-       dropped frames actually reach the pool now instead of sitting
-       parked until some later memory-pressure flush. *)
-    flush_wb st
-  | Policy.Advice.Sequential | Policy.Advice.Random -> ()
 
 (* Freeze seam (PR 7 stacked pagers): surrender every resident page so
    a CoW template can donate its image to the share host. Each page is
@@ -1035,33 +951,22 @@ let advise st adv =
 let surrender_resident st =
   if st.forgetful then
     failwith "paged driver: cannot surrender a forgetful stretch";
-  let env = st.env in
-  flush_wb st;
+  ignore (flush_wb st);
   let out = ref [] in
   for p = 0 to Array.length st.pages - 1 do
     match st.pages.(p) with
-    | Resident r ->
-      let va = Stretch.page_base (the_stretch st) p in
-      let pte = Stretch_driver.unmap_page env va in
-      settle_prefetch st p (Pte.referenced pte);
-      let dirty = Pte.dirty pte || r.dirty_latched in
-      let must_clean = dirty || not r.clean_on_disk in
-      let cleaned =
-        (not must_clean)
-        ||
-        match blok_for st p with
-        | Some b -> write_now st ~page:p b
-        | None -> false
-      in
-      if cleaned then begin
+    | Resident r -> (
+      let surrender () =
         st.repl.Policy.Replacement.remove p;
         st.pages.(p) <- Swapped;
         out := (p, r.pfn) :: !out
-      end
-      else begin
-        if Pte.dirty pte then r.dirty_latched <- true;
-        Stretch_driver.map_page env va ~pfn:r.pfn
-      end
+      in
+      match unmap_and_decide st p r with
+      | Clean -> surrender ()
+      | Clean_to b ->
+        if write_now st ~page:p b then surrender ()
+        else Stretch_driver.map_page st.env (page_va st p) ~pfn:r.pfn
+      | Dry -> ())
     | Fresh | Swapped | Wb_pending _ | Lost -> ()
   done;
   List.rev !out
@@ -1071,7 +976,7 @@ let surrender_resident st =
    already allocated the frame under this driver's client and mapped
    it read-write; from here on the page is managed like any other
    resident — evictable, cleanable, revocable. The copy has no disk
-   image yet, so it enters dirty-latched. *)
+   image yet, so it enters dirty. *)
 let adopt st ~page ~pfn =
   if page < 0 || page >= Array.length st.pages then
     invalid_arg "Sd_paged.adopt: page out of range";
@@ -1079,25 +984,29 @@ let adopt st ~page ~pfn =
   | Fresh | Swapped -> ()
   | Resident _ | Wb_pending _ | Lost ->
     invalid_arg "Sd_paged.adopt: page already resident");
-  st.pages.(page) <-
-    Resident
-      { pfn; clean_on_disk = false; dirty_latched = true;
-        via_prefetch = false };
-  st.repl.Policy.Replacement.insert page;
-  st.tick <- st.tick + 1;
-  Frame_stack.move_to_bottom (stack st) pfn
+  make_resident st page pfn ~clean:false ~via_prefetch:false;
+  incr st.tick
 
 type handle = state
 
-let info st =
-  { page_ins = st.page_ins; page_outs = st.page_outs;
-    demand_zeros = st.demand_zeros; evictions = st.evictions;
-    prefetched = st.prefetched; prefetch_hits = st.prefetch_hits;
-    prefetch_waste = st.prefetch_waste;
-    wb_flushes = Policy.Writeback.flushes st.wb; rescues = st.rescues;
-    lost_pages = st.lost_pages; rebloks = st.rebloks; shed_frames = st.shed;
-    restored_pages = st.restored; wb_degraded = st.degraded_sync;
-    swap_exhausted = st.swap_exhausted; crashed = st.crashed }
+let info st = { st.stats with page_ins = st.stats.page_ins }
+
+let info_since st (s : info) =
+  let d = info st in
+  d.page_ins <- d.page_ins - s.page_ins;
+  d.page_outs <- d.page_outs - s.page_outs;
+  d.demand_zeros <- d.demand_zeros - s.demand_zeros;
+  d.evictions <- d.evictions - s.evictions;
+  d.prefetched <- d.prefetched - s.prefetched;
+  d.prefetch_hits <- d.prefetch_hits - s.prefetch_hits;
+  d.prefetch_waste <- d.prefetch_waste - s.prefetch_waste;
+  d.wb_flushes <- d.wb_flushes - s.wb_flushes;
+  d.rescues <- d.rescues - s.rescues;
+  d.lost_pages <- d.lost_pages - s.lost_pages;
+  d.rebloks <- d.rebloks - s.rebloks;
+  d.shed_frames <- d.shed_frames - s.shed_frames;
+  d.restored_pages <- d.restored_pages - s.restored_pages;
+  d
 
 let policy_name st = Policy.Spec.name st.spec
 let swap_extent st = st.backing.Tier.Backing.extent ()
@@ -1108,87 +1017,25 @@ let create ?(forgetful = false) ?(initial_frames = 0)
   let backing =
     match backing with Some b -> b | None -> Tier.Backing.of_sfs swap
   in
-  let tick_ref = ref (fun () -> 0) in
+  let tick = ref 0 in
   let st =
-    { env; swap; backing; forgetful; spec;
-      repl = Policy.Spec.make_replacement spec ~now:(fun () -> !tick_ref ());
+    { env; backing; forgetful; spec;
+      repl = Policy.Spec.make_replacement spec ~now:(fun () -> !tick);
       pf = Policy.Spec.make_prefetch spec;
-      wb = Policy.Writeback.create ~write:(fun ~blok:_ ~nbloks:_ -> ()) ();
+      wb = Policy.Writeback.create ~max_batch:spec.Policy.Spec.wb_batch ();
       bitmap =
         Bloks.create
           ~nbloks:(max 1 (backing.Tier.Backing.page_capacity ()));
-      stretch = None; pages = [||]; blok_of_page = [||]; pool = [];
-      tick = 0; page_ins = 0; page_outs = 0; demand_zeros = 0; evictions = 0;
-      prefetched = 0; prefetch_hits = 0; prefetch_waste = 0; rescues = 0;
-      lost_pages = 0; rebloks = 0; shed = 0; degraded_sync = false;
-      swap_exhausted = false; restore; retiring = Hashtbl.create 7;
-      restored = 0; crashed = false;
+      stretch = None; pages = [||]; blok_of_page = [||]; pool = []; tick;
+      stats =
+        { page_ins = 0; page_outs = 0; demand_zeros = 0; evictions = 0;
+          prefetched = 0; prefetch_hits = 0; prefetch_waste = 0;
+          wb_flushes = 0; rescues = 0; lost_pages = 0; rebloks = 0;
+          shed_frames = 0; restored_pages = 0; wb_degraded = false;
+          swap_exhausted = false; crashed = false };
+      restore; retiring = Hashtbl.create 7;
       m = metrics env.Stretch_driver.domain_name }
   in
-  tick_ref := (fun () -> st.tick);
-  st.wb <-
-    Policy.Writeback.create ~max_batch:spec.Policy.Spec.wb_batch
-      ~write:(fun ~blok ~nbloks ->
-        let sp = span_start st ~parent:Obs.Span.none "usd.write" in
-        let journaled = st.backing.Tier.Backing.journaled () in
-        let run_pages =
-          if journaled then pages_for_run st ~blok ~nbloks else []
-        in
-        let r =
-          if journaled then
-            st.backing.Tier.Backing.write_pages_commit ~page_index:blok
-              ~npages:nbloks ~pages:run_pages
-              ~retire:(retire_for st (List.map fst run_pages))
-          else
-            st.backing.Tier.Backing.write_pages ~page_index:blok
-              ~npages:nbloks
-        in
-        span_finish sp;
-        (match r with
-        | Ok () when journaled -> release_retired st (List.map fst run_pages)
-        | Error `Crashed ->
-          (* Torn on the platter mid-flush: this rewrite's Commit
-             record never landed, so on restart the run's pages still
-             answer to their last committed slots. The domain itself
-             is dead — the crashed latch fails its next fault. *)
-          note_crashed st
-        | _ -> ());
-        let lost =
-          match r with
-          | Ok () -> []
-          | Error (`Retired | `Crashed) -> []
-          | Error (`Lost_pages l) -> l
-        in
-        (match lost with
-        | [] -> ()
-        | lost ->
-          (* Parked data gone: by flush time the frames are committed
-             for release, so no rewrite source remains. Mark the
-             owning pages, answer each lost slot's final error in the
-             accounting, and fall back to synchronous write-through —
-             write-behind has shown it can lose data here. *)
-          let n = Array.length st.blok_of_page in
-          List.iter
-            (fun bad ->
-              Inject.note_killed wb_class;
-              let rec find i =
-                if i >= n then ()
-                else if st.blok_of_page.(i) = bad then (
-                  match st.pages.(i) with
-                  | Swapped -> mark_lost st i
-                  | _ -> ())
-                else find (i + 1)
-              in
-              find 0)
-            lost;
-          if not st.degraded_sync then begin
-            st.degraded_sync <- true;
-            metric_inc st.m.sd_wb_degraded
-          end);
-        st.page_outs <- st.page_outs + nbloks - List.length lost;
-        metric_add st.m.policy_page_out (nbloks - List.length lost);
-        metric_inc st.m.policy_wb_flush)
-      ();
   let shortfall = ref 0 in
   for _ = 1 to initial_frames do
     match Frames.alloc env.Stretch_driver.frames env.Stretch_driver.frames_client with

@@ -17,15 +17,19 @@
     - {b read-ahead} ([Stream]/[Adaptive]) widens a page-in to a run
       of further swapped pages whose bloks are contiguous on disk,
       using spare frames, so several page-ins collapse into one disk
-      transaction (an adaptive engine also follows strided faults);
+      transaction (an adaptive engine also follows strided faults,
+      reading strided pages whose bloks are consecutive in up to two
+      further transactions);
     - {b write-behind} ([wb_batch > 1]) parks dirty evictions — frame
       pinned — and flushes them as coalesced transactions; a fault on
       a parked page is {e rescued} from the buffer with no disk I/O,
       so read-your-writes is preserved.
 
-    [Policy.Spec.default] (FIFO, no read-ahead, write-through)
-    reproduces the seed driver's behaviour — same fault handling, same
-    eviction order, same disk transactions.
+    The spec is fixed at {!create}; the application side ({!handle})
+    reads statistics and cannot retune it. [Policy.Spec.default] (FIFO,
+    no read-ahead, write-through) reproduces the seed driver's
+    behaviour — same fault handling, same eviction order, same disk
+    transactions.
 
     [forgetful] reproduces the paper's paging-{e out} experiment
     (Figure 8): the driver "forgets" that pages have a copy on disk, so
@@ -34,64 +38,64 @@
 
     One paged driver backs exactly one stretch. *)
 
-type info = {
-  page_ins : int;
+type info = private {
+  mutable page_ins : int;
       (** Demand page-ins: pages read from swap because a fault needed
           them. Disjoint from [prefetched] — a page read from swap is
           counted in exactly one of the two, so
           [page_ins + prefetched] is the total pages read. *)
-  page_outs : int;  (** pages written to swap (immediate or batched) *)
-  demand_zeros : int;
-  evictions : int;  (** victims unmapped (cleaned, parked or clean) *)
-  prefetched : int;
+  mutable page_outs : int;
+      (** pages written to swap (immediate or batched) *)
+  mutable demand_zeros : int;
+  mutable evictions : int;
+      (** victims unmapped (cleaned, parked or clean) *)
+  mutable prefetched : int;
       (** pages brought in by read-ahead, never by demand; disjoint
           from [page_ins] (see above) *)
-  prefetch_hits : int;
+  mutable prefetch_hits : int;
       (** prefetched pages observed referenced before eviction *)
-  prefetch_waste : int;
+  mutable prefetch_waste : int;
       (** prefetched pages evicted without ever being referenced;
           hits + waste <= prefetched (still-resident ones pending) *)
-  wb_flushes : int;
+  mutable wb_flushes : int;
       (** coalesced write-behind transactions issued *)
-  rescues : int;
+  mutable rescues : int;
       (** faults satisfied from the write-behind buffer (cancelled
           write, remapped frame, no disk I/O) *)
-  lost_pages : int;
+  mutable lost_pages : int;
       (** pages whose contents were lost to media errors after every
           recovery rung (retry, spare remap, re-blok) was exhausted;
           a later fault on such a page is a domain fault *)
-  rebloks : int;
+  mutable rebloks : int;
       (** pages re-sited to a fresh blok after their blok went bad
           (on top of the USBS's own spare-slot remapping) *)
-  shed_frames : int;
+  mutable shed_frames : int;
       (** pool frames returned to the allocator by the swap-exhaustion
           degradation (optimistic holdings above the guarantee) *)
-  restored_pages : int;
+  mutable restored_pages : int;
       (** committed pages re-adopted from the journal's recovered
           image at bind time (restarted domains only) *)
-  wb_degraded : bool;
+  mutable wb_degraded : bool;
       (** write-behind lost parked data once and the driver fell back
           to synchronous write-through (sticky) *)
-  swap_exhausted : bool;
+  mutable swap_exhausted : bool;
       (** the blok bitmap ran dry at least once (sticky) *)
-  crashed : bool;
+  mutable crashed : bool;
       (** a crash point tore one of this driver's writes: the backing
           store is gone mid-operation, every later fault is a domain
           fault, and recovery happens at remount + restart (sticky) *)
 }
+(** The driver's counters; {!info} returns a copy. *)
 
 type handle
-(** The application side of the driver: statistics and the advice
-    channel. *)
+(** The application side of the driver: its statistics. *)
 
 val info : handle -> info
 
-val advise : handle -> Policy.Advice.t -> unit
-(** Steer the policy (madvise-style). [Sequential]/[Random] retune
-    read-ahead; [Willneed] queues pages for the next read-ahead
-    opportunity; [Dontneed] evicts the range now (cleaning dirty pages
-    under the domain's own guarantee — call from a domain thread, not
-    a notification handler). *)
+val info_since : handle -> info -> info
+(** [info_since h before]: the counters accumulated since [before], an
+    earlier {!info} of the same driver; the sticky flags are the
+    current ones. *)
 
 val policy_name : handle -> string
 
@@ -120,7 +124,7 @@ val adopt : handle -> page:int -> pfn:int -> unit
 (** Register a private copy installed by an outer driver (a CoW
     break): the frame must already be allocated under this driver's
     frames client and mapped read-write at the page's address. The
-    page enters residency dirty-latched (no disk image yet) and is
+    page enters residency dirty (no disk image yet) and is
     thereafter evicted, cleaned and revoked like any other. *)
 
 val obtain : handle -> int option

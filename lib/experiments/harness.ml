@@ -317,7 +317,6 @@ type fleet_cell = {
   c_stores : Tier.Fleet.store_stats;
   c_overhead : float;
   c_tally : Inject.tally;
-  c_link_utilisation : float;
   c_disk_floor_us : float;
   c_degraded_mean_us : float;
   c_bystander_violations : int;
@@ -374,7 +373,7 @@ let disk_floor reports =
 let run_fleet_cell sc ~seed ~duration (name, mode, redundancy) =
   let experiment = sc.sc_name in
   let sys = cell_system ~seed in
-  let fl, members =
+  let fl, _ =
     fleet sys ~seed ~params:sc.sc_params ~capacity:sc.sc_capacity ~redundancy
       ~standby:sc.sc_standby
       ?repair_period:(Option.map fst sc.sc_repair)
@@ -397,11 +396,6 @@ let run_fleet_cell sc ~seed ~duration (name, mode, redundancy) =
   Inject.disarm ();
   System.run ~until:(Time.add duration (Time.sec 2)) sys;
   let reports = domain_reports apps in
-  let utilisation =
-    List.fold_left (fun u (_, _, link) -> u +. Usnet.Link.utilisation link)
-      0. members
-    /. float_of_int (List.length members)
-  in
   { c_name = name;
     c_mode = mode;
     c_domains = reports;
@@ -411,7 +405,6 @@ let run_fleet_cell sc ~seed ~duration (name, mode, redundancy) =
     c_stores = Tier.Fleet.store_totals !stores;
     c_overhead = Tier.Fleet.storage_overhead fl;
     c_tally = Inject.tally ();
-    c_link_utilisation = utilisation;
     c_disk_floor_us = disk_floor reports;
     c_degraded_mean_us =
       (match Obs.Metrics.hist_view ~label:"fleet" "fleet.degraded_us" with
@@ -441,7 +434,6 @@ let fleet_cell_json c =
             ("link_delays", t.Inject.link_delays);
             ("node_wipes", t.Inject.node_wipes);
             ("node_partitions", t.Inject.node_partitions) ] );
-      ("link_utilisation", Json.fixed 3 c.c_link_utilisation);
       ("degraded_mean_us", Json.fixed 1 c.c_degraded_mean_us);
       ("disk_floor_us", Json.fixed 1 c.c_disk_floor_us);
       ("degraded_vs_disk_speedup", Json.fixed 1 (degraded_speedup c));
@@ -493,9 +485,9 @@ let print_fleet_cell sc c =
      else "DISAGREES");
   print_fleet f ~balanced:c.c_books_balanced c.c_nodes;
   Printf.printf
-    "storage overhead %.3fx, link utilisation %.2f; degraded read mean %s us \
-     vs disk floor %s us (%sx faster)\n"
-    c.c_overhead c.c_link_utilisation (us c.c_degraded_mean_us)
+    "storage overhead %.3fx; degraded read mean %s us vs disk floor %s us \
+     (%sx faster)\n"
+    c.c_overhead (us c.c_degraded_mean_us)
     (us c.c_disk_floor_us)
     (us (degraded_speedup c));
   Printf.printf "committed pages lost: %d\n" c.c_stores.Tier.Fleet.st_lost_slots;

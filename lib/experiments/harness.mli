@@ -84,9 +84,6 @@ type fleet_cell = {
       (** per-domain store counters summed across the tiered domains *)
   c_overhead : float;  (** {!Tier.Fleet.storage_overhead} at the end *)
   c_tally : Inject.tally;  (** what the injector dealt, per its own count *)
-  c_link_utilisation : float;
-      (** {!Usnet.Link.utilisation} (the admitted share), mean over the
-          member links *)
   c_disk_floor_us : float;
       (** the bystanders' pooled fault latency — the penalty a disk
           fallback would have paid *)

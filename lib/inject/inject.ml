@@ -352,29 +352,29 @@ let crash_fired : (int, unit) Hashtbl.t = Hashtbl.create 7
 let node_fired : (string, unit) Hashtbl.t = Hashtbl.create 7
 
 type tally = {
-  injected_errors : int;
-  spikes : int;
-  stalls_injected : int;
-  chan_drops : int;
-  chan_delays : int;
-  link_drops : int;
-  link_delays : int;
-  node_wipes : int;
-  node_crashes : int;
-  node_partitions : int;
-  node_joins : int;
-  node_retires : int;
-  shard_corruptions : int;
-  pressure_bursts : int;
-  zpool_bursts : int;
-  crashes : int;
-  retried : int;
-  remapped : int;
-  degraded : int;
-  killed : int;
+  mutable injected_errors : int;
+  mutable spikes : int;
+  mutable stalls_injected : int;
+  mutable chan_drops : int;
+  mutable chan_delays : int;
+  mutable link_drops : int;
+  mutable link_delays : int;
+  mutable node_wipes : int;
+  mutable node_crashes : int;
+  mutable node_partitions : int;
+  mutable node_joins : int;
+  mutable node_retires : int;
+  mutable shard_corruptions : int;
+  mutable pressure_bursts : int;
+  mutable zpool_bursts : int;
+  mutable crashes : int;
+  mutable retried : int;
+  mutable remapped : int;
+  mutable degraded : int;
+  mutable killed : int;
 }
 
-let zero_tally =
+let zero_tally () =
   {
     injected_errors = 0;
     spikes = 0;
@@ -398,7 +398,7 @@ let zero_tally =
     killed = 0;
   }
 
-let counts = ref zero_tally
+let counts = ref (zero_tally ())
 let classes : (string, int) Hashtbl.t = Hashtbl.create 16
 
 let bump_class cls =
@@ -450,7 +450,7 @@ let recovery cls =
 
 let reset () =
   rng := Rng.create ~seed:!the_plan.seed;
-  counts := zero_tally;
+  counts := zero_tally ();
   Hashtbl.reset transient_left;
   Hashtbl.reset crash_fired;
   Hashtbl.reset node_fired;
@@ -486,7 +486,7 @@ let op_matches bf op =
   match bf.bf_op with None -> true | Some o -> o = op
 
 let note_error ~op ~persistent =
-  counts := { !counts with injected_errors = !counts.injected_errors + 1 };
+  !counts.injected_errors <- !counts.injected_errors + 1;
   let dir = match op with Read -> "read" | Write -> "write" in
   let kind = if persistent then "persistent" else "transient" in
   bump_class (Printf.sprintf "disk.%s.%s" dir kind);
@@ -548,7 +548,7 @@ let disk ~op ~lba ~nblocks =
                   persistent = false }
             end
             else if chance rf.rf_spike then begin
-              counts := { !counts with spikes = !counts.spikes + 1 };
+              !counts.spikes <- !counts.spikes + 1;
               bump_class "disk.spike";
               metric m_spikes;
               Spike rf.rf_spike_span
@@ -562,8 +562,7 @@ let stall ~site =
     | None -> None
     | Some st ->
         if chance st.st_rate then begin
-          counts :=
-            { !counts with stalls_injected = !counts.stalls_injected + 1 };
+          !counts.stalls_injected <- !counts.stalls_injected + 1;
           bump_class ("stall." ^ site);
           metric m_stalls;
           Some st.st_span
@@ -579,13 +578,13 @@ let chan ~name =
     | None -> Deliver
     | Some cf ->
         if chance cf.cf_drop then begin
-          counts := { !counts with chan_drops = !counts.chan_drops + 1 };
+          !counts.chan_drops <- !counts.chan_drops + 1;
           bump_class ("chan.drop." ^ name);
           metric m_chan_drops;
           Drop
         end
         else if chance cf.cf_delay then begin
-          counts := { !counts with chan_delays = !counts.chan_delays + 1 };
+          !counts.chan_delays <- !counts.chan_delays + 1;
           bump_class ("chan.delay." ^ name);
           metric m_chan_delays;
           Delay cf.cf_delay_span
@@ -605,13 +604,13 @@ let link ~name =
     | None -> Deliver
     | Some lf ->
         if chance lf.lf_drop then begin
-          counts := { !counts with link_drops = !counts.link_drops + 1 };
+          !counts.link_drops <- !counts.link_drops + 1;
           bump_class ("link.drop." ^ name);
           metric m_link_drops;
           Drop
         end
         else if chance lf.lf_delay then begin
-          counts := { !counts with link_delays = !counts.link_delays + 1 };
+          !counts.link_delays <- !counts.link_delays + 1;
           bump_class ("link.delay." ^ name);
           metric m_link_delays;
           Delay lf.lf_delay_span
@@ -644,8 +643,7 @@ let node_reachable ~name ~now =
         in
         if crashed then begin
           fire_once ("crash:" ^ name) (fun () ->
-              counts :=
-                { !counts with node_crashes = !counts.node_crashes + 1 };
+              !counts.node_crashes <- !counts.node_crashes + 1;
               bump_class ("node.crash." ^ name);
               metric m_node_crashes);
           false
@@ -658,9 +656,7 @@ let node_reachable ~name ~now =
                   fire_once
                     (Printf.sprintf "part:%s:%d" name i)
                     (fun () ->
-                      counts :=
-                        { !counts with
-                          node_partitions = !counts.node_partitions + 1 };
+                      !counts.node_partitions <- !counts.node_partitions + 1;
                       bump_class ("node.partition." ^ name);
                       metric m_node_partitions);
                   true
@@ -692,7 +688,7 @@ let node_wipe_due ~name ~now =
         let wiped =
           due "wipe"
             (fun () ->
-              counts := { !counts with node_wipes = !counts.node_wipes + 1 };
+              !counts.node_wipes <- !counts.node_wipes + 1;
               bump_class ("node.wipe." ^ name);
               metric m_node_wipes)
             nf.nf_wipe_at
@@ -725,7 +721,7 @@ let node_join_due ~name ~now =
   membership_due "join"
     (fun nf -> nf.nf_join_at)
     (fun () ->
-      counts := { !counts with node_joins = !counts.node_joins + 1 };
+      !counts.node_joins <- !counts.node_joins + 1;
       bump_class ("node.join." ^ name);
       metric m_node_joins)
     ~name ~now
@@ -734,7 +730,7 @@ let node_retire_due ~name ~now =
   membership_due "retire"
     (fun nf -> nf.nf_retire_at)
     (fun () ->
-      counts := { !counts with node_retires = !counts.node_retires + 1 };
+      !counts.node_retires <- !counts.node_retires + 1;
       bump_class ("node.retire." ^ name);
       metric m_node_retires)
     ~name ~now
@@ -750,9 +746,7 @@ let shard_corrupt ~name =
     | None -> false
     | Some nf ->
         if chance nf.nf_corrupt then begin
-          counts :=
-            { !counts with
-              shard_corruptions = !counts.shard_corruptions + 1 };
+          !counts.shard_corruptions <- !counts.shard_corruptions + 1;
           bump_class ("shard.corrupt." ^ name);
           metric m_shard_corruptions;
           true
@@ -786,7 +780,7 @@ let crash_write ~now ~site ~lba ~nblocks =
     | None -> None
     | Some i ->
         Hashtbl.replace crash_fired i ();
-        counts := { !counts with crashes = !counts.crashes + 1 };
+        !counts.crashes <- !counts.crashes + 1;
         bump_class "crash.write";
         metric m_crashes;
         Some (Rng.int !rng nblocks)
@@ -795,28 +789,27 @@ let crash_write ~now ~site ~lba ~nblocks =
 (* -- recovery accounting --------------------------------------------- *)
 
 let note_retried cls =
-  counts := { !counts with retried = !counts.retried + 1 };
+  !counts.retried <- !counts.retried + 1;
   metric m_retried;
   metric cls.rc_retried
 
 let note_remapped cls =
-  counts := { !counts with remapped = !counts.remapped + 1 };
+  !counts.remapped <- !counts.remapped + 1;
   metric m_remapped;
   metric cls.rc_remapped
 
 let note_degraded cls =
-  counts := { !counts with degraded = !counts.degraded + 1 };
+  !counts.degraded <- !counts.degraded + 1;
   metric m_degraded;
   metric cls.rc_degraded
 
 let note_killed cls =
-  counts := { !counts with killed = !counts.killed + 1 };
+  !counts.killed <- !counts.killed + 1;
   metric m_killed;
   metric cls.rc_killed
 
 let note_pressure_burst () =
-  counts :=
-    { !counts with pressure_bursts = !counts.pressure_bursts + 1 };
+  !counts.pressure_bursts <- !counts.pressure_bursts + 1;
   metric m_pressure_bursts
 
 (* Zpool bursts, like frame-pressure bursts, are tallied outside the
@@ -825,12 +818,12 @@ let note_pressure_burst () =
    is no media error to answer — the recovery is the shed itself,
    tallied per class here. *)
 let note_zpool_burst ~shed =
-  counts := { !counts with zpool_bursts = !counts.zpool_bursts + 1 };
+  !counts.zpool_bursts <- !counts.zpool_bursts + 1;
   bump_class "zpool.burst";
   metric m_zpool_bursts;
   if shed > 0 && !Obs.enabled then Obs.Metrics.add m_zpool_shed_frames shed
 
-let tally () = !counts
+let tally () = { !counts with injected_errors = !counts.injected_errors }
 
 let accounted () =
   let t = !counts in

@@ -275,28 +275,31 @@ val note_killed : recovery -> unit
 
 (** {2 Introspection} *)
 
-type tally = {
-  injected_errors : int;  (** media errors injected *)
-  spikes : int;
-  stalls_injected : int;
-  chan_drops : int;
-  chan_delays : int;
-  link_drops : int;  (** packets lost on an injected lossy link *)
-  link_delays : int;
-  node_wipes : int;  (** node wipes applied (amnesia, node stays up) *)
-  node_crashes : int;  (** nodes gone for good *)
-  node_partitions : int;  (** partition windows entered *)
-  node_joins : int;  (** standby nodes joined into membership *)
-  node_retires : int;  (** nodes retired out of membership *)
-  shard_corruptions : int;  (** checksum-detected corrupt shard serves *)
-  pressure_bursts : int;
-  zpool_bursts : int;  (** compressed-tier budget-shrink bursts fired *)
-  crashes : int;  (** crash points fired (torn writes) *)
-  retried : int;
-  remapped : int;
-  degraded : int;
-  killed : int;
+type tally = private {
+  mutable injected_errors : int;  (** media errors injected *)
+  mutable spikes : int;
+  mutable stalls_injected : int;
+  mutable chan_drops : int;
+  mutable chan_delays : int;
+  mutable link_drops : int;  (** packets lost on an injected lossy link *)
+  mutable link_delays : int;
+  mutable node_wipes : int;  (** node wipes applied (amnesia, node stays up) *)
+  mutable node_crashes : int;  (** nodes gone for good *)
+  mutable node_partitions : int;  (** partition windows entered *)
+  mutable node_joins : int;  (** standby nodes joined into membership *)
+  mutable node_retires : int;  (** nodes retired out of membership *)
+  mutable shard_corruptions : int;
+      (** checksum-detected corrupt shard serves *)
+  mutable pressure_bursts : int;
+  mutable zpool_bursts : int;
+      (** compressed-tier budget-shrink bursts fired *)
+  mutable crashes : int;  (** crash points fired (torn writes) *)
+  mutable retried : int;
+  mutable remapped : int;
+  mutable degraded : int;
+  mutable killed : int;
 }
+(** The injector's counters; {!tally} returns a copy. *)
 
 val tally : unit -> tally
 

@@ -1,37 +1,18 @@
 type mode = Off | Stream of int | Adaptive of int
 
-let default_window = 8
-
 type t = {
-  mutable mode : mode;
+  mode : mode;
   mutable last_fault : int;  (* -1 = none yet *)
   mutable stride : int;      (* detected stride; 0 = none *)
   mutable run : int;         (* consecutive faults matching the stride *)
   mutable expected : int;    (* next demand fault if the pattern holds
                                 and the last plan was fully consumed *)
-  mutable willneed : int list;  (* advice queue, oldest first *)
 }
 
 let create mode =
-  { mode; last_fault = -1; stride = 0; run = 0; expected = min_int;
-    willneed = [] }
+  { mode; last_fault = -1; stride = 0; run = 0; expected = min_int }
 
 let mode t = t.mode
-
-let advise t = function
-  | Advice.Sequential ->
-    let w =
-      match t.mode with
-      | Stream w | Adaptive w -> max w default_window
-      | Off -> default_window
-    in
-    t.mode <- Stream w
-  | Advice.Random -> t.mode <- Off
-  | Advice.Willneed { page; npages } ->
-    t.willneed <- t.willneed @ List.init (max 0 npages) (fun i -> page + i)
-  | Advice.Dontneed { page; npages } ->
-    t.willneed <-
-      List.filter (fun p -> p < page || p >= page + npages) t.willneed
 
 (* Window the detector currently believes in: grows with the run so a
    lone coincidence fetches little and a real scan opens up fast. *)
@@ -66,14 +47,8 @@ let record_fault t page =
   t.last_fault <- page
 
 let plan t ~page =
-  let hinted = t.willneed in
-  t.willneed <- [];
-  let predicted =
-    match t.mode with
-    | Off -> []
-    | Stream w -> List.init w (fun i -> page + i + 1)
-    | Adaptive w ->
-      let k = adaptive_window t w in
-      List.init k (fun i -> page + ((i + 1) * t.stride))
-  in
-  hinted @ List.filter (fun p -> not (List.mem p hinted)) predicted
+  match t.mode with
+  | Off -> []
+  | Stream w -> List.init w (fun i -> page + i + 1)
+  | Adaptive w ->
+    List.init (adaptive_window t w) (fun i -> page + ((i + 1) * t.stride))

@@ -19,9 +19,8 @@
       covers [k] pages, the next demand fault lands [k+1] strides away
       and still extends the run.
 
-    {!Advice.Sequential} forces a wide stream, {!Advice.Random} forces
-    [Off] (both until the next advice), and {!Advice.Willneed} queues
-    pages that [plan] emits, front of the line, at the next fault. *)
+    The mode is fixed at {!create}: [plan] returns the engine's own
+    prediction and nothing else. *)
 
 type mode = Off | Stream of int | Adaptive of int
 
@@ -30,8 +29,6 @@ type t
 val create : mode -> t
 val mode : t -> mode
 
-val advise : t -> Advice.t -> unit
-
 val record_fault : t -> int -> unit
 (** Note a demand fault (not satisfied by read-ahead) on [page]. *)
 
@@ -39,6 +36,3 @@ val plan : t -> page:int -> int list
 (** Pages worth reading ahead after a demand fault on [page], nearest
     first. May contain out-of-range or non-swapped pages — the driver
     filters. *)
-
-val default_window : int
-(** Window used when {!Advice.Sequential} arrives in [Off] mode. *)

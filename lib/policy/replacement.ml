@@ -7,7 +7,6 @@ type probe = {
 type t = {
   name : string;
   insert : int -> unit;
-  touch : int -> unit;
   victim : probe -> int option;
   remove : int -> unit;
   residents : unit -> int;
@@ -39,7 +38,6 @@ let fifo () =
   in
   { name = "fifo";
     insert;
-    touch = (fun _ -> ());
     victim;
     remove = (fun p -> Hashtbl.remove epoch p);
     residents = (fun () -> Hashtbl.length epoch) }
@@ -79,7 +77,6 @@ let clock () =
   in
   { name = "clock";
     insert;
-    touch = (fun _ -> ());
     victim;
     remove = (fun p -> Hashtbl.remove epoch p);
     residents = (fun () -> Hashtbl.length epoch) }
@@ -125,7 +122,6 @@ let lru ~now () =
   in
   { name = "lru";
     insert = restamp;
-    touch = (fun p -> if Hashtbl.mem stamp p then restamp p);
     victim;
     remove = (fun p -> Hashtbl.remove stamp p);
     residents = (fun () -> Hashtbl.length stamp) }
@@ -194,7 +190,6 @@ let wsclock ?(window = 16) ~now () =
   in
   { name = Printf.sprintf "wsclock(w=%d)" window;
     insert;
-    touch = (fun p -> if Hashtbl.mem stamp p then restamp p);
     victim;
     remove = (fun p ->
         Hashtbl.remove epoch p;

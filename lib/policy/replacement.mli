@@ -16,15 +16,15 @@
 
     LRU and WSClock order pages by {e per-domain virtual time}: the
     [now] thunk supplied at creation, which the paged driver advances
-    once per fault (and advice call) it handles — a domain paging hard
+    once per fault it handles — a domain paging hard
     ages its pages fast; an idle domain's working set does not decay
     just because others are busy. *)
 
 type probe = {
   resident : int -> bool;
       (** Is the page still resident? Guards against stale entries:
-          pages evicted behind the policy's back (revocation, advice)
-          are skipped, never nominated. *)
+          pages that left residency behind the policy's back are
+          skipped, never nominated. *)
   referenced : int -> bool;
       (** Hardware referenced bit: touched since last cleared. *)
   clear_referenced : int -> unit;
@@ -35,14 +35,12 @@ type t = {
   name : string;
   insert : int -> unit;
       (** The page became resident (mapped). *)
-  touch : int -> unit;
-      (** A software-visible touch (fault resolution, advice) — refresh
-          recency for policies that track it. *)
   victim : probe -> int option;
       (** Nominate and forget a victim; [None] when nothing is
           resident. May clear referenced bits through the probe. *)
   remove : int -> unit;
-      (** The page was evicted externally (advice, revocation). *)
+      (** The page left residency without being nominated (the
+          driver surrendered it to an outer pager). *)
   residents : unit -> int;
 }
 

@@ -2,16 +2,12 @@ type entry = { page : int; blok : int; frame : int }
 
 type t = {
   batch : int;
-  write : blok:int -> nbloks:int -> unit;
   mutable parked : entry list;  (* unordered *)
-  mutable nflushes : int;
 }
 
-let create ?(max_batch = 1) ~write () =
-  { batch = max_batch; write; parked = []; nflushes = 0 }
+let create ?(max_batch = 1) () = { batch = max_batch; parked = [] }
 
 let enabled t = t.batch > 1
-let max_batch t = t.batch
 let pending t = List.length t.parked
 let full t = pending t >= t.batch
 let member t ~page = List.exists (fun e -> e.page = page) t.parked
@@ -29,7 +25,7 @@ let rescue t ~page =
   | _ -> None
 
 let flush ?(commit = fun ~page:_ -> ())
-    ?(release = fun ~page:_ ~frame:_ -> ()) t =
+    ?(release = fun ~page:_ ~frame:_ -> ()) ~write t =
   let released = ref [] in
   let rec loop () =
     match List.sort (fun a b -> compare a.blok b.blok) t.parked with
@@ -50,13 +46,10 @@ let flush ?(commit = fun ~page:_ -> ())
       let in_run e = List.exists (fun r -> r.page = e.page) run in
       t.parked <- List.filter (fun e -> not (in_run e)) t.parked;
       List.iter (fun e -> commit ~page:e.page) run;
-      t.nflushes <- t.nflushes + 1;
-      t.write ~blok:first.blok ~nbloks:(List.length run);
+      write ~blok:first.blok ~nbloks:(List.length run);
       List.iter (fun e -> release ~page:e.page ~frame:e.frame) run;
       released := !released @ run;
       loop ()
   in
   loop ();
   List.map (fun e -> (e.page, e.frame)) !released
-
-let flushes t = t.nflushes

@@ -18,20 +18,19 @@
     backing store while this buffer holds a newer, not-yet-issued
     copy; [member] is exact, so the driver can always tell.
 
-    The buffer holds metadata only; the [write] callback (supplied by
-    the driver, running under the domain's own disk guarantee) does the
-    actual transaction. *)
+    The buffer holds metadata only; the [write] callback the driver
+    passes to {!flush} (running under the domain's own disk guarantee)
+    does the actual transaction. *)
 
 type entry = { page : int; blok : int; frame : int }
 
 type t
 
-val create : ?max_batch:int -> write:(blok:int -> nbloks:int -> unit) -> unit -> t
+val create : ?max_batch:int -> unit -> t
 (** [max_batch <= 1] disables batching: [enabled t = false] and the
     driver writes through synchronously, as the seed did. *)
 
 val enabled : t -> bool
-val max_batch : t -> int
 
 val pending : t -> int
 (** Entries (= pinned frames) currently parked. *)
@@ -53,6 +52,7 @@ val rescue : t -> page:int -> entry option
 val flush :
   ?commit:(page:int -> unit) ->
   ?release:(page:int -> frame:int -> unit) ->
+  write:(blok:int -> nbloks:int -> unit) ->
   t -> (int * int) list
 (** Drain the buffer, coalescing into one [write] call per contiguous
     blok run (ascending). Runs are issued one at a time; entries of a
@@ -66,6 +66,3 @@ val flush :
     are flushed too; entries rescued meanwhile are skipped. Returns
     the [(page, frame)] pairs written by this call. Empty buffer: no
     calls, empty list. *)
-
-val flushes : t -> int
-(** Number of [write] calls issued so far (coalesced transactions). *)

@@ -67,7 +67,6 @@ let sustained_mbit t =
 
 let paging_info t = Sd_paged.info t.handle
 let policy_name t = Sd_paged.policy_name t.handle
-let advise t adv = Sd_paged.advise t.handle adv
 let swap_extent t = Sd_paged.swap_extent t.handle
 
 let measured_accesses t =
@@ -76,26 +75,9 @@ let measured_accesses t =
   | Some _ -> !(t.accesses) - !(t.start_accesses)
 
 let measured_info t =
-  let now = paging_info t in
   match !(t.start_info) with
-  | None -> now
-  | Some s ->
-    { Sd_paged.page_ins = now.page_ins - s.page_ins;
-      page_outs = now.page_outs - s.page_outs;
-      demand_zeros = now.demand_zeros - s.demand_zeros;
-      evictions = now.evictions - s.evictions;
-      prefetched = now.prefetched - s.prefetched;
-      prefetch_hits = now.prefetch_hits - s.prefetch_hits;
-      prefetch_waste = now.prefetch_waste - s.prefetch_waste;
-      wb_flushes = now.wb_flushes - s.wb_flushes;
-      rescues = now.rescues - s.rescues;
-      lost_pages = now.lost_pages - s.lost_pages;
-      rebloks = now.rebloks - s.rebloks;
-      shed_frames = now.shed_frames - s.shed_frames;
-      restored_pages = now.restored_pages - s.restored_pages;
-      wb_degraded = now.wb_degraded;
-      swap_exhausted = now.swap_exhausted;
-      crashed = now.crashed }
+  | None -> paging_info t
+  | Some s -> Sd_paged.info_since t.handle s
 
 let stop t = Domains.kill t.d.System.dom
 

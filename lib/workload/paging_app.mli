@@ -78,7 +78,6 @@ val sustained_mbit : t -> float
 val in_measured_loop : t -> bool
 val paging_info : t -> Sd_paged.info
 val policy_name : t -> string
-val advise : t -> Policy.Advice.t -> unit
 
 val swap_extent : t -> int * int
 (** [(first_lba, nblocks)] of the app's swap extent — what a chaos

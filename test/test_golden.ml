@@ -370,7 +370,7 @@ let remote_tier_pins =
   let open Experiments in
   [ Alcotest.test_case "remote report pinned" `Quick
       (report_digest "remote report, seed 5, 6 s"
-         "720aa846f2c320e2aa657073bc4f9915"
+         "23ada269e9a253aef7bc9bed469829c2"
          (fleet_report Remote_tier.remote ~seed:5 ~duration:6));
     Alcotest.test_case "remote bench pinned" `Quick
       (report_digest "remote bench cells, seed 42, 6 s"
@@ -380,7 +380,7 @@ let remote_tier_pins =
               "tier_hot" ]));
     Alcotest.test_case "failover report pinned" `Quick
       (report_digest "failover report, seed 5, 6 s"
-         "459353a9c8c25d401e569bb516c8a4ab"
+         "39e802ca5a0b6b075de23c921bb72c04"
          (fleet_report Remote_tier.failover ~seed:5 ~duration:6));
     Alcotest.test_case "failover bench pinned" `Quick
       (report_digest "failover bench cells, seed 42, 6 s"
@@ -388,7 +388,7 @@ let remote_tier_pins =
          (matrix_slice [ "disk_hot"; "replicated"; "replicated_wipe" ]));
     Alcotest.test_case "erasure report pinned" `Quick
       (report_digest "erasure report, seed 5, 8 s"
-         "8823dbe30a076643b31e1899ebb5f8ff"
+         "518a837d6ca17a5131b78ce3001ecca4"
          (fleet_report Remote_tier.erasure ~seed:5 ~duration:8));
     Alcotest.test_case "erasure bench pinned" `Quick
       (report_digest "erasure bench cells, seed 42, 6 s"

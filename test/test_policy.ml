@@ -63,8 +63,8 @@ let fifo_matches_queue_model =
 
 (* Every policy's victims are pages it was told about and that are
    still resident — never a foreign (nailed, wired) frame, never a
-   removed page. Interleaves inserts, removes, touches and victim
-   calls with pseudo-random referenced bits. *)
+   removed page. Interleaves inserts, removes, references (the
+   referenced bit set) and victim calls. *)
 let victims_always_resident =
   let mk_policy = function
     | 0 -> Policy.Replacement.fifo ()
@@ -99,10 +99,7 @@ let victims_always_resident =
             end;
             true
           | 2 ->
-            if Model.mem m p then begin
-              Model.set_ref m p true;
-              pol.Policy.Replacement.touch p
-            end;
+            if Model.mem m p then Model.set_ref m p true;
             true
           | _ ->
             (match pol.Policy.Replacement.victim (Model.probe m) with
@@ -217,76 +214,42 @@ let adaptive_ignores_random () =
   Alcotest.(check (list int))
     "no pattern, no plan" [] (Policy.Prefetch.plan pf ~page:23)
 
-let advice_steers_prefetch () =
-  let pf = Policy.Prefetch.create (Policy.Prefetch.Adaptive 8) in
-  Policy.Prefetch.advise pf Policy.Advice.Random;
-  List.iter (Policy.Prefetch.record_fault pf) [ 5; 6; 7 ];
-  Alcotest.(check (list int))
-    "Random advice disables read-ahead" []
-    (Policy.Prefetch.plan pf ~page:7);
-  let pf = Policy.Prefetch.create Policy.Prefetch.Off in
-  Policy.Prefetch.advise pf
-    (Policy.Advice.Willneed { page = 40; npages = 2 });
-  Policy.Prefetch.record_fault pf 3;
-  Alcotest.(check (list int))
-    "Willneed pages drain first" [ 40; 41 ]
-    (Policy.Prefetch.plan pf ~page:3);
-  Alcotest.(check (list int))
-    "hint queue drains once" [] (Policy.Prefetch.plan pf ~page:3);
-  let pf = Policy.Prefetch.create Policy.Prefetch.Off in
-  Policy.Prefetch.advise pf
-    (Policy.Advice.Willneed { page = 40; npages = 4 });
-  Policy.Prefetch.advise pf
-    (Policy.Advice.Dontneed { page = 41; npages = 2 });
-  Alcotest.(check (list int))
-    "Dontneed cancels queued hints" [ 40; 43 ]
-    (Policy.Prefetch.plan pf ~page:3)
-
 (* --- Write-behind -------------------------------------------------- *)
 
 let writeback_coalesces_contiguous () =
   let txns = ref [] in
-  let wb =
-    Policy.Writeback.create ~max_batch:8
-      ~write:(fun ~blok ~nbloks -> txns := (blok, nbloks) :: !txns)
-      ()
-  in
+  let write ~blok ~nbloks = txns := (blok, nbloks) :: !txns in
+  let wb = Policy.Writeback.create ~max_batch:8 () in
   List.iter
     (fun (p, b) -> Policy.Writeback.enqueue wb ~page:p ~blok:b ~frame:(100 + p))
     [ (0, 5); (1, 3); (2, 9); (3, 4) ];
-  let freed = Policy.Writeback.flush wb in
+  let freed = Policy.Writeback.flush ~write wb in
   (* Bloks 3,4,5 coalesce; 9 stands alone. *)
   Alcotest.(check (list (pair int int)))
     "contiguous bloks become one transaction"
     [ (3, 3); (9, 1) ] (List.sort compare !txns);
   check "all frames freed" 4 (List.length freed);
   check "buffer drained" 0 (Policy.Writeback.pending wb);
-  check "one transaction counted per coalesced run" 2
-    (Policy.Writeback.flushes wb)
+  check "one write per coalesced run" 2 (List.length !txns)
 
 (* The race the commit-point design closes: while one run's write
    blocks on disk, entries of *later* runs must still be rescuable —
    a concurrent fault on one of them must win the frame back rather
    than find the buffer mysteriously empty. *)
 let writeback_rescuable_during_flush () =
-  let the_wb = ref None in
   let rescued = ref None in
   let writes = ref [] in
-  let wb =
-    Policy.Writeback.create ~max_batch:8
-      ~write:(fun ~blok ~nbloks ->
-        writes := (blok, nbloks) :: !writes;
-        (* "During" the first run's disk time, fault page 9 (blok 9,
-           a later run): it must still be parked and rescuable. *)
-        if blok = 0 then
-          rescued := Policy.Writeback.rescue (Option.get !the_wb) ~page:9)
-      ()
+  let wb = Policy.Writeback.create ~max_batch:8 () in
+  let write ~blok ~nbloks =
+    writes := (blok, nbloks) :: !writes;
+    (* "During" the first run's disk time, fault page 9 (blok 9, a
+       later run): it must still be parked and rescuable. *)
+    if blok = 0 then rescued := Policy.Writeback.rescue wb ~page:9
   in
-  the_wb := Some wb;
   List.iter
     (fun (p, b) -> Policy.Writeback.enqueue wb ~page:p ~blok:b ~frame:(100 + p))
     [ (0, 0); (1, 1); (9, 9) ];
-  let freed = Policy.Writeback.flush wb in
+  let freed = Policy.Writeback.flush ~write wb in
   (match !rescued with
   | Some e -> check "rescued mid-flush entry is page 9" 9 e.Policy.Writeback.page
   | None -> Alcotest.fail "page 9 was not rescuable during the first write");
@@ -302,18 +265,16 @@ let writeback_rescuable_during_flush () =
 let writeback_commit_at_issue () =
   let events = ref [] in
   let ev e = events := e :: !events in
-  let wb =
-    Policy.Writeback.create ~max_batch:8
-      ~write:(fun ~blok ~nbloks -> ev (Printf.sprintf "write %d+%d" blok nbloks))
-      ()
-  in
+  let wb = Policy.Writeback.create ~max_batch:8 () in
   List.iter
     (fun (p, b) -> Policy.Writeback.enqueue wb ~page:p ~blok:b ~frame:p)
     [ (0, 0); (1, 1); (5, 5) ];
   ignore
     (Policy.Writeback.flush wb
        ~commit:(fun ~page -> ev (Printf.sprintf "commit %d" page))
-       ~release:(fun ~page ~frame:_ -> ev (Printf.sprintf "release %d" page)));
+       ~release:(fun ~page ~frame:_ -> ev (Printf.sprintf "release %d" page))
+       ~write:(fun ~blok ~nbloks ->
+         ev (Printf.sprintf "write %d+%d" blok nbloks)));
   Alcotest.(check (list string))
     "per-run commit -> write -> release ordering"
     [ "commit 0"; "commit 1"; "write 0+2"; "release 0"; "release 1";
@@ -335,14 +296,12 @@ let writeback_read_your_writes =
       (* Pages rescued back into residency: their frame holds the
          latest copy until they are evicted (parked) again. *)
       let resident = Hashtbl.create 8 in
-      let wb =
-        Policy.Writeback.create ~max_batch:4
-          ~write:(fun ~blok ~nbloks ->
-            for b = blok to blok + nbloks - 1 do
-              disk.(b) <- Hashtbl.find wb_versions b;
-              Hashtbl.remove wb_versions b
-            done)
-          ()
+      let wb = Policy.Writeback.create ~max_batch:4 () in
+      let write ~blok ~nbloks =
+        for b = blok to blok + nbloks - 1 do
+          disk.(b) <- Hashtbl.find wb_versions b;
+          Hashtbl.remove wb_versions b
+        done
       in
       List.for_all
         (fun (kind, p) ->
@@ -354,7 +313,8 @@ let writeback_read_your_writes =
               latest.(p) <- !version;
               Hashtbl.remove resident p;
               Hashtbl.replace wb_versions p !version;
-              if Policy.Writeback.full wb then ignore (Policy.Writeback.flush wb);
+              if Policy.Writeback.full wb then
+                ignore (Policy.Writeback.flush ~write wb);
               Policy.Writeback.enqueue wb ~page:p ~blok:p ~frame:p
             end;
             true
@@ -377,7 +337,7 @@ let writeback_read_your_writes =
             in
             seen = latest.(p)
           | _ ->
-            ignore (Policy.Writeback.flush wb);
+            ignore (Policy.Writeback.flush ~write wb);
             Hashtbl.length wb_versions = 0)
         ops)
 
@@ -402,20 +362,18 @@ let writeback_coalesces_usd_txns () =
         | Ok f -> f
         | Error e -> failwith e
       in
-      let wb =
-        Policy.Writeback.create ~max_batch:8
-          ~write:(fun ~blok ~nbloks ->
-            Usbs.Usd.transact_exn usd client Usbs.Usd.Write
-              ~lba:(Usbs.File_store.lba_of_page file blok)
-              ~nblocks:(nbloks * 16))
-          ()
+      let wb = Policy.Writeback.create ~max_batch:8 () in
+      let write ~blok ~nbloks =
+        Usbs.Usd.transact_exn usd client Usbs.Usd.Write
+          ~lba:(Usbs.File_store.lba_of_page file blok)
+          ~nblocks:(nbloks * 16)
       in
       List.iter
         (fun (p, b) ->
           Policy.Writeback.enqueue wb ~page:p ~blok:b ~frame:p)
         [ (0, 8); (1, 6); (2, 7); (3, 20); (4, 21); (5, 30) ];
       let before = Usbs.Usd.txn_count client in
-      let freed = Policy.Writeback.flush wb in
+      let freed = Policy.Writeback.flush ~write wb in
       check "six entries freed" 6 (List.length freed);
       check "three coalesced transactions, not six" 3
         (Usbs.Usd.txn_count client - before))
@@ -612,41 +570,64 @@ let writeback_rescue_in_driver () =
     (info.Sd_paged.wb_flushes >= 1
     && info.Sd_paged.wb_flushes < info.Sd_paged.page_outs)
 
-(* Dontneed promises prompt release: dirty dropped pages must be
-   flushed (not left parked holding their frames captive) by the time
-   the advice call returns, even when the batch is not full. *)
-let dontneed_flushes_writeback () =
+(* Adaptive read-ahead's non-contiguous extras: with stride-4
+   accesses no read-ahead candidate is the demand page's neighbour, so
+   every prefetched page comes through the chain fetch of strided
+   pages whose bloks are consecutive on disk. Nine writes into eight
+   frames park the first eight pages (bloks 0-7, in page order) and
+   the full buffer's flush returns their frames to the pool; reading
+   the first eight pages back then finds spare frames for the
+   extras. *)
+let adaptive_fetches_strided_extras () =
   let sys = small_sys () in
-  let d = add_domain_exn sys ~name:"app" ~guarantee:4 ~optimistic:0 in
-  let s = alloc_exn d ~bytes:(6 * Addr.page_size) in
+  let d = add_domain_exn sys ~name:"app" ~guarantee:8 ~optimistic:0 in
+  let s = alloc_exn d ~bytes:(36 * Addr.page_size) in
   let policy =
-    match Policy.Spec.of_string "fifo+wb8" with
+    match Policy.Spec.of_string "fifo+ad8+wb8" with
     | Ok p -> p
     | Error e -> failwith e
   in
-  let info, free =
+  let got =
     in_domain sys d (fun () ->
         let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) () in
-        let drv, h =
+        let _, h =
           match
-            System.bind_paged d ~initial_frames:4 ~policy
-              ~swap_bytes:(16 * Addr.page_size) ~qos s ()
+            System.bind_paged d ~initial_frames:8 ~policy
+              ~swap_bytes:(64 * Addr.page_size) ~qos s ()
           with
           | Ok x -> x
           | Error e -> failwith (System.error_message e)
         in
-        for i = 0 to 3 do
-          Domains.access d.System.dom (Stretch.page_base s i) `Write
+        for i = 0 to 8 do
+          Domains.access d.System.dom (Stretch.page_base s (4 * i)) `Write
         done;
-        Sd_paged.advise h (Policy.Advice.Dontneed { page = 0; npages = 4 });
-        (Sd_paged.info h, drv.Stretch_driver.free_frames ()))
+        for i = 0 to 7 do
+          Domains.access d.System.dom (Stretch.page_base s (4 * i)) `Read
+        done;
+        Sd_paged.info h)
   in
-  (* Four dirty pages, batch of eight: without the end-of-range flush
-     they would all sit parked with zero frames free. *)
-  check "all four dirty pages written out" 4 info.Sd_paged.page_outs;
-  check "all four frames back in the pool" 4 free;
-  checkb "writes were coalesced" true
-    (info.Sd_paged.wb_flushes >= 1 && info.Sd_paged.wb_flushes < 4)
+  let open Sd_paged in
+  checkb "read-ahead fetched extras" true (got.prefetched > 0);
+  checkb "hits + waste <= prefetched" true
+    (got.prefetch_hits + got.prefetch_waste <= got.prefetched);
+  (* Four demand reads (pages 0, 4, 16, 28) and four extras (8, 12,
+     20, 24); the last read evicts page 32 (parked) and page 0. *)
+  Alcotest.(check string)
+    "whole info pinned"
+    "page_ins 4, page_outs 8, demand_zeros 9, evictions 10, prefetched 4, \
+     prefetch_hits 0, prefetch_waste 0, wb_flushes 1, rescues 0, \
+     lost_pages 0, rebloks 0, shed_frames 0, restored_pages 0, \
+     wb_degraded false, swap_exhausted false, crashed false"
+    (Printf.sprintf
+       "page_ins %d, page_outs %d, demand_zeros %d, evictions %d, \
+        prefetched %d, prefetch_hits %d, prefetch_waste %d, wb_flushes %d, \
+        rescues %d, lost_pages %d, rebloks %d, shed_frames %d, \
+        restored_pages %d, wb_degraded %b, swap_exhausted %b, crashed %b"
+       got.page_ins got.page_outs got.demand_zeros got.evictions
+       got.prefetched got.prefetch_hits got.prefetch_waste
+       got.wb_flushes got.rescues got.lost_pages got.rebloks
+       got.shed_frames got.restored_pages got.wb_degraded
+       got.swap_exhausted got.crashed)
 
 (* End-to-end: the policy-compare experiment differentiates policies
    on miss rate without QoS violations. *)
@@ -722,9 +703,8 @@ let suite =
         Alcotest.test_case "adaptive sequential" `Quick
           adaptive_detects_sequential;
         Alcotest.test_case "adaptive stride" `Quick adaptive_detects_stride;
-        Alcotest.test_case "adaptive random" `Quick adaptive_ignores_random;
-        Alcotest.test_case "advice steers prefetch" `Quick
-          advice_steers_prefetch ] );
+        Alcotest.test_case "adaptive random" `Quick adaptive_ignores_random
+      ] );
     ( "policy.writeback",
       [ Alcotest.test_case "coalesces contiguous bloks" `Quick
           writeback_coalesces_contiguous;
@@ -742,8 +722,8 @@ let suite =
           policies_never_evict_nailed;
         Alcotest.test_case "write-behind rescue in driver" `Quick
           writeback_rescue_in_driver;
-        Alcotest.test_case "Dontneed flushes write-behind" `Quick
-          dontneed_flushes_writeback ] );
+        Alcotest.test_case "adaptive read-ahead fetches strided extras"
+          `Quick adaptive_fetches_strided_extras ] );
     ( "policy.compare",
       [ Alcotest.test_case "policy-compare smoke" `Slow policy_compare_smoke ]
     ) ]

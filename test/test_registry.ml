@@ -319,7 +319,6 @@ let () =
                    in
                    { Policy.Replacement.name = "random";
                      insert = (fun p -> resident := p :: !resident);
-                     touch = (fun _ -> ());
                      victim =
                        (fun probe ->
                          let live =
