@@ -1,4 +1,4 @@
-.PHONY: all build test loc bench perfbench-smoke examples smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test loc unused bench perfbench-smoke examples smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
 
 # Each experiment step below writes its JSON report to
 # reports/<step>.json (gitignored), so a report can be diffed against
@@ -21,7 +21,32 @@ loc:
 		printf '%-16s %6d\n' "$$d" "$$(cat $$d/*.ml $$d/*.mli 2>/dev/null | wc -l)"; \
 	done; \
 	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"; \
-	printf '%-16s %6d\n' "tests" "$$(dune exec test/test_main.exe -- list 2>/dev/null | grep -cE '^[^ ]+ +[0-9]+ ')"
+	printf '%-16s %6d\n' "tests" "$$(dune exec test/test_main.exe -- list 2>/dev/null | grep -cE '^[^ ]+ +[0-9]+ ')"; \
+	printf '%-16s %6d\n' "settable values" "$$(grep -o '?[a-z_0-9]*:' lib/*/*.mli | wc -l)"
+
+# Uncalled exports: every `val` of a lib .mli that no file outside its
+# module references — neither qualified (M.v, or Sub.v for a val of a
+# submodule Sub) in any .ml under lib, bin, bench, perfbench, examples
+# or test, nor bare in a file that opens, includes or aliases M.
+# Lists them and exits 1 when there is any. Must run from the repo
+# root.
+unused:
+	@files=$$(ls lib/*/*.ml bin/*.ml bench/*.ml perfbench/*.ml examples/*.ml test/*.ml); \
+	out=$$(for mli in lib/*/*.mli; do \
+		others=$$(echo "$$files" | grep -vx "$${mli%i}"); \
+		top=$$(basename $$mli .mli | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
+		awk '/^ *module [A-Z][A-Za-z0-9_]* *: *sig/ { m[++d] = $$2; next } \
+			/^ *end/ && d > 0 { d--; next } \
+			/^ *val [a-z_]/ { v = $$2; sub(/:.*/, "", v); print (d ? m[d] : "-"), v }' $$mli | \
+		while read sub v; do \
+			q=$$top; [ "$$sub" = - ] || q=$$sub; \
+			grep -qE "\\b$$q\\.$$v\\b" $$others && continue; \
+			openers=$$(grep -lE "\\b(open!?|include) +([A-Z][A-Za-z0-9_]*\\.)*$$q\\b|\\bmodule +[A-Z][A-Za-z0-9_]* *= *([A-Z][A-Za-z0-9_]*\\.)*$$q\\b|\\b$$q\\.\\(" $$others); \
+			[ -n "$$openers" ] && grep -qw "$$v" $$openers && continue; \
+			echo "$$mli: $$q.$$v"; \
+		done; \
+	done); \
+	[ -z "$$out" ] || { echo "$$out"; exit 1; }
 
 # The Bechamel micro-benchmarks, then every machine-readable record
 # (BENCH_<name>.json) in one process; exits 1 once all are written if
@@ -161,7 +186,7 @@ share:
 lint-registry:
 	dune exec bin/nemesis_sim.exe -- lint-registry
 
-check: fmt build test lint-registry examples smoke chaos crash remote failover erasure scale share
+check: fmt build test unused lint-registry examples smoke chaos crash remote failover erasure scale share
 	@echo "check OK"
 
 clean:

@@ -11,7 +11,6 @@ type t = {
   swap_qos : Usbs.Qos.t;
 }
 
-let queue_depth t = Sync.Mailbox.length t.queue
 let pager_domain t = t.pager
 
 (* The pager's service loop: strict FCFS over all clients' faults. *)

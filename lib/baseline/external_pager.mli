@@ -35,5 +35,4 @@ val attach :
     queue; the pager resolves it with a paged driver running on the
     pager's own resources (2 frames per client). *)
 
-val queue_depth : t -> int
 val pager_domain : t -> System.domain

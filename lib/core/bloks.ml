@@ -29,7 +29,6 @@ let create ~nbloks =
 
 let capacity t = t.capacity
 let in_use t = t.used
-let free_count t = t.capacity - t.used
 
 let chunk_full c =
   if c.nbits = chunk_bits then Int64.equal c.bits Int64.minus_one

@@ -13,7 +13,6 @@ val create : nbloks:int -> t
 
 val capacity : t -> int
 val in_use : t -> int
-val free_count : t -> int
 
 val alloc : t -> int option
 (** First-fit allocation; [None] when full. *)

@@ -46,7 +46,6 @@ let metrics label =
 let id t = t.id
 let name t = t.dname
 let pdom t = t.pdom
-let mmu t = t.mmu
 let cost t = t.cost
 let sim t = t.sim
 let alive t = t.alive

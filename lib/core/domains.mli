@@ -26,7 +26,6 @@ val create :
 val id : t -> int
 val name : t -> string
 val pdom : t -> Pdom.t
-val mmu : t -> Mmu.t
 val cost : t -> Cost.t
 val sim : t -> Sim.t
 val alive : t -> bool

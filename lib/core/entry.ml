@@ -2,7 +2,6 @@ open Engine
 
 type 'job t = {
   dom : Domains.t;
-  ename : string;
   fast : 'job -> [ `Done | `Defer ];
   slow : 'job -> unit;
   work : 'job Sync.Mailbox.t;
@@ -10,7 +9,6 @@ type 'job t = {
   mutable slow_count : int;
 }
 
-let name t = t.ename
 let depth t = Sync.Mailbox.length t.work
 let fast_handled t = t.fast_count
 let slow_handled t = t.slow_count
@@ -28,17 +26,13 @@ let worker_loop t () =
   in
   loop ()
 
-let create dom ~name ?(workers = 1) ~fast ~slow () =
+let create dom ~name ~fast ~slow () =
   let t =
-    { dom; ename = name; fast; slow; work = Sync.Mailbox.create ();
+    { dom; fast; slow; work = Sync.Mailbox.create ();
       fast_count = 0; slow_count = 0 }
   in
-  for i = 1 to workers do
-    ignore
-      (Domains.spawn_thread dom
-         ~name:(Printf.sprintf "%s-worker%d" name i)
-         (worker_loop t))
-  done;
+  ignore
+    (Domains.spawn_thread dom ~name:(name ^ "-worker1") (worker_loop t));
   t
 
 let handle_now t job =

@@ -10,8 +10,6 @@ let create ?(name = "chan") () =
   { ev_name = name; count = 0; acked = 0; notify = None;
     sends = Obs.Metrics.counter ~label:name "event.sends" }
 
-let name t = t.ev_name
-
 let deliver t = match t.notify with Some f -> f () | None -> ()
 
 let send t =
@@ -31,7 +29,6 @@ let send t =
       | exception _ -> deliver t)
 
 let count t = t.count
-let acked t = t.acked
 let pending t = t.count - t.acked
 
 let ack t =

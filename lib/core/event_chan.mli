@@ -10,16 +10,11 @@ type t
 
 val create : ?name:string -> unit -> t
 
-val name : t -> string
-
 val send : t -> unit
 (** Increment the receive count and prod the receiver. *)
 
 val count : t -> int
 (** Total events ever sent. *)
-
-val acked : t -> int
-(** Events already processed by the receiver. *)
 
 val pending : t -> int
 

@@ -23,8 +23,6 @@ val push : t -> int -> unit
 (** Push a frame on top (most-revocable position). Raises
     [Invalid_argument] if already present. *)
 
-val mem : t -> int -> bool
-
 val remove : t -> int -> bool
 (** Remove a frame wherever it is; [false] if absent. *)
 

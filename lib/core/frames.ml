@@ -20,16 +20,11 @@ type client = {
   revoke_latency : Obs.Metrics.histogram; (* label "dom<id>" *)
 }
 
-type region = { rname : string; first : int; count : int }
-
 type error =
   | Negative_quota
   | Admission_overcommit of { requested : int; available : int }
-  | Frame_out_of_range of { pfn : int; nframes : int }
   | Frame_in_use of { pfn : int }
   | Quota_exhausted of { held : int; quota : int }
-  | No_such_region of { region : string }
-  | No_matching_frame
 
 let pp_error ppf = function
   | Negative_quota -> Format.pp_print_string ppf "negative quota"
@@ -37,14 +32,9 @@ let pp_error ppf = function
     Format.fprintf ppf
       "admission refused: %d guaranteed frames requested, %d available"
       requested available
-  | Frame_out_of_range { pfn; nframes } ->
-    Format.fprintf ppf "frame %d out of range (0..%d)" pfn (nframes - 1)
   | Frame_in_use { pfn } -> Format.fprintf ppf "frame %d not free" pfn
   | Quota_exhausted { held; quota } ->
     Format.fprintf ppf "quota exhausted (%d/%d frames held)" held quota
-  | No_such_region { region } ->
-    Format.fprintf ppf "no region named %S" region
-  | No_matching_frame -> Format.pp_print_string ppf "no matching free frame"
 
 let error_message e = Format.asprintf "%a" pp_error e
 
@@ -52,17 +42,10 @@ type t = {
   sim : Sim.t;
   ramtab : Ramtab.t;
   nframes : int;
-  (* Free pool as a scannable bitmap so that requests for specific
-     frames, coloured frames or frames inside a special region can be
-     honoured (the default policy scans round-robin from a cursor). *)
+  (* Free pool as a bitmap, scanned round-robin from a cursor. *)
   avail : bool array;
   mutable free_count : int;
   mutable cursor : int;
-  (* Regions both as an ordered list (the [regions] accessor reports
-     declaration recency, as the seed did) and keyed by name for O(1)
-     placement lookups. *)
-  mutable region_list : region list;
-  region_by_name : (string, region) Hashtbl.t;
   (* Members in admission order (victim picking folds it, and ties go
      to the earliest-admitted holder, as with the seed list). *)
   members : client Ilist.t;
@@ -81,20 +64,10 @@ let create ?(revocation_deadline = Time.ms 100) sim ramtab ~nframes =
   if nframes <= 0 || nframes > Ramtab.nframes ramtab then
     invalid_arg "Frames.create: bad frame count";
   { sim; ramtab; nframes; avail = Array.make nframes true;
-    free_count = nframes; cursor = 0; region_list = [];
-    region_by_name = Hashtbl.create 16; members = Ilist.create (); gsum = 0;
+    free_count = nframes; cursor = 0; members = Ilist.create (); gsum = 0;
     kill = (fun _ -> ()); deadline_span = revocation_deadline;
     rev_lock = Sync.Semaphore.create 1; intrusive_count = 0;
     transparent_count = 0 }
-
-let add_region t ~name ~first ~count =
-  if first < 0 || count <= 0 || first + count > t.nframes then
-    invalid_arg "Frames.add_region: out of range";
-  if Hashtbl.mem t.region_by_name name then
-    invalid_arg "Frames.add_region: duplicate name";
-  let r = { rname = name; first; count } in
-  t.region_list <- r :: t.region_list;
-  Hashtbl.replace t.region_by_name name r
 
 (* Free-pool primitives. *)
 
@@ -124,17 +97,6 @@ let pool_take_any t =
     in
     scan t.cursor 0
   end
-
-let pool_take_matching t pred =
-  let rec scan i =
-    if i >= t.nframes then None
-    else if t.avail.(i) && pred i then begin
-      pool_take t i;
-      Some i
-    end
-    else scan (i + 1)
-  in
-  scan 0
 
 let guaranteed_total t = t.gsum
 
@@ -171,7 +133,6 @@ let set_kill_handler t f = t.kill <- f
 let frame_stack c = c.stack
 let guarantee c = c.g
 let held c = c.n
-let domain_id c = c.domain
 let is_live c = c.live
 let free_frames t = t.free_count
 let total_frames t = t.nframes
@@ -356,84 +317,6 @@ let alloc t c =
     | None -> None
   end
   else None
-
-(* Quota check shared by the placement-constrained allocators: these
-   never trigger revocation (a constrained request "may or may not
-   succeed", as the paper notes for multi-frame requests under
-   fragmentation). *)
-let within_quota c = c.live && c.n < c.g + c.o
-
-let alloc_matching t c pred =
-  if not (within_quota c) then None
-  else
-    match pool_take_matching t pred with
-    | Some pfn ->
-      grant t c pfn;
-      Some pfn
-    | None -> None
-
-let alloc_specific t c ~pfn =
-  if pfn < 0 || pfn >= t.nframes then
-    Error (Frame_out_of_range { pfn; nframes = t.nframes })
-  else if not (within_quota c) then
-    Error (Quota_exhausted { held = c.n; quota = c.g + c.o })
-  else if not t.avail.(pfn) then Error (Frame_in_use { pfn })
-  else begin
-    pool_take t pfn;
-    grant t c pfn;
-    Ok ()
-  end
-
-let alloc_in_region t c ~region =
-  match Hashtbl.find_opt t.region_by_name region with
-  | None -> Error (No_such_region { region })
-  | Some r -> (
-    if not (within_quota c) then
-      Error (Quota_exhausted { held = c.n; quota = c.g + c.o })
-    else
-      match
-        alloc_matching t c (fun pfn -> pfn >= r.first && pfn < r.first + r.count)
-      with
-      | Some pfn -> Ok pfn
-      | None -> Error No_matching_frame)
-
-(* Superpage support: an aligned run of 2^log2 contiguous frames, so a
-   single wide TLB mapping can cover it. The RamTab records the logical
-   frame width on every frame of the run. *)
-let alloc_run t c ~log2 =
-  if log2 < 0 || log2 > 10 then invalid_arg "Frames.alloc_run: bad width";
-  let count = 1 lsl log2 in
-  if not c.live || c.n + count > c.g + c.o then None
-  else begin
-    let rec scan base =
-      if base + count > t.nframes then None
-      else begin
-        let all_free = ref true in
-        for i = base to base + count - 1 do
-          if not t.avail.(i) then all_free := false
-        done;
-        if !all_free then Some base else scan (base + count)
-      end
-    in
-    match scan 0 with
-    | None -> None
-    | Some base ->
-      for pfn = base to base + count - 1 do
-        pool_take t pfn;
-        Ramtab.set_owner t.ramtab ~pfn ~owner:c.domain
-          ~width:(Addr.page_shift + log2);
-        Frame_stack.push c.stack pfn
-      done;
-      c.n <- c.n + count;
-      Some base
-  end
-
-let alloc_colored t c ~color ~colors =
-  if colors <= 0 || color < 0 || color >= colors then
-    invalid_arg "Frames.alloc_colored: bad colour";
-  alloc_matching t c (fun pfn -> pfn mod colors = color)
-
-let regions t = List.map (fun r -> (r.rname, r.first, r.count)) t.region_list
 
 (* Donate a frame from one client's stack to another's (PR 7: a frozen
    CoW template surrenders its resident frames to the share host, which

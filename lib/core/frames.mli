@@ -34,11 +34,8 @@ type error =
   | Admission_overcommit of { requested : int; available : int }
       (** [requested] guaranteed frames were asked for but only
           [available] remain unguaranteed. *)
-  | Frame_out_of_range of { pfn : int; nframes : int }
   | Frame_in_use of { pfn : int }
   | Quota_exhausted of { held : int; quota : int }
-  | No_such_region of { region : string }
-  | No_matching_frame
 
 val pp_error : Format.formatter -> error -> unit
 val error_message : error -> string
@@ -74,36 +71,6 @@ val alloc : t -> client -> int option
     what its guarantee covers. The frame is recorded in the RamTab and
     pushed on top of the client's frame stack. *)
 
-(** {2 Fine-grained placement}
-
-    Applications with platform knowledge may request specific physical
-    frames, frames within a "special" region (e.g. DMA-accessible
-    memory), or frames of a particular cache colour. Constrained
-    requests never trigger revocation, so — like the paper's
-    multi-frame requests under fragmentation — they may fail even
-    within the guarantee. *)
-
-val add_region : t -> name:string -> first:int -> count:int -> unit
-(** Declare a named frame region (I/O space, DMA window, ...). *)
-
-val regions : t -> (string * int * int) list
-
-val alloc_specific : t -> client -> pfn:int -> (unit, error) result
-(** Request exactly frame [pfn]. *)
-
-val alloc_in_region : t -> client -> region:string -> (int, error) result
-(** A frame inside the named region: [No_such_region] if the region
-    was never declared, [No_matching_frame] if it has no free frame. *)
-
-val alloc_colored : t -> client -> color:int -> colors:int -> int option
-(** A frame whose number is congruent to [color] modulo [colors] —
-    page colouring for large direct-mapped caches. *)
-
-val alloc_run : t -> client -> log2:int -> int option
-(** An aligned run of [2^log2] contiguous frames for a superpage TLB
-    mapping; the RamTab records the logical frame width. Returns the
-    first frame of the run. *)
-
 val free : t -> client -> int -> unit
 (** Voluntarily return a frame. It must be unused (unmapped) in the
     RamTab. *)
@@ -124,7 +91,6 @@ val revocation_ready : t -> client -> unit
 val frame_stack : client -> Frame_stack.t
 val guarantee : client -> int
 val held : client -> int
-val domain_id : client -> int
 
 val is_live : client -> bool
 val free_frames : t -> int

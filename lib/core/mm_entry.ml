@@ -9,8 +9,6 @@ type t = {
   mutable rev_entry : rev_request Entry.t option;
 }
 
-let domain t = t.dom
-
 let driver_for t ~sid = Hashtbl.find_opt t.bindings sid
 
 let drivers t = Hashtbl.fold (fun _ d acc -> d :: acc) t.bindings []
@@ -110,9 +108,3 @@ let wire_revocation t frames client =
 let faults_fast t = Entry.fast_handled (the_fault_entry t)
 let faults_slow t = Entry.slow_handled (the_fault_entry t)
 let revocations_handled t = Entry.slow_handled (the_rev_entry t)
-let queue_depth t = Entry.depth (the_fault_entry t)
-let idle t = queue_depth t = 0
-
-let pp_stats ppf t =
-  Format.fprintf ppf "fast=%d slow=%d revocations=%d" (faults_fast t)
-    (faults_slow t) (revocations_handled t)

@@ -26,10 +26,6 @@ val bind : t -> Stretch.t -> Stretch_driver.t -> unit
 
 val unbind : t -> Stretch.t -> unit
 
-val driver_for : t -> sid:int -> Stretch_driver.t option
-
-val drivers : t -> Stretch_driver.t list
-
 val wire_revocation : t -> Frames.t -> Frames.client -> unit
 (** Install this entry as the revocation notification handler for the
     domain's frames contract. *)
@@ -41,13 +37,3 @@ val faults_slow : t -> int
 (** Faults that needed a worker thread. *)
 
 val revocations_handled : t -> int
-
-val pp_stats : Format.formatter -> t -> unit
-
-val queue_depth : t -> int
-(** Faults currently queued for workers (diagnostics). *)
-
-val domain : t -> Domains.t
-
-val idle : t -> bool
-(** No queued fault work (diagnostics for tests). *)

@@ -61,6 +61,7 @@ type state = {
   forgetful : bool;
   spec : Policy.Spec.t;
   repl : Policy.Replacement.t;
+  probe : Policy.Replacement.probe;   (* [repl]'s view of the pages *)
   pf : Policy.Prefetch.t;
   wb : Policy.Writeback.t;
   bitmap : Bloks.t;
@@ -211,32 +212,32 @@ let settle_prefetch st r referenced =
 
 (* The window through which replacement policies see the hardware:
    referenced bits live in the PTEs; clearing one is the user-level
-   unmap+remap dance (which re-arms FOR/FOW), charged to the domain. *)
-let make_probe st =
-  let env = st.env in
-  { Policy.Replacement.resident =
-      (fun p ->
-        match st.pages.(p) with Resident _ -> true | _ -> false);
-    referenced =
-      (fun p ->
-        match st.pages.(p) with
-        | Resident _ ->
-          let pte, cost =
-            Translation.trans env.Stretch_driver.translation ~va:(page_va st p)
-          in
-          env.Stretch_driver.consume_cpu cost;
-          Pte.referenced pte
-        | _ -> false);
-    clear_referenced =
-      (fun p ->
-        match st.pages.(p) with
-        | Resident r ->
-          let va = page_va st p in
-          let pte = Stretch_driver.unmap_page env va in
-          if Pte.dirty pte then r.clean <- false;
-          settle_prefetch st r (Pte.referenced pte);
-          Stretch_driver.map_page env va ~pfn:r.pfn
-        | _ -> ()) }
+   unmap+remap dance (which re-arms FOR/FOW), charged to the domain.
+   [create] builds each driver's one probe over these three. *)
+let probe_resident st p =
+  match st.pages.(p) with Resident _ -> true | _ -> false
+
+let probe_referenced st p =
+  match st.pages.(p) with
+  | Resident _ ->
+    let env = st.env in
+    let pte, cost =
+      Translation.trans env.Stretch_driver.translation ~va:(page_va st p)
+    in
+    env.Stretch_driver.consume_cpu cost;
+    Pte.referenced pte
+  | _ -> false
+
+let probe_clear_referenced st p =
+  match st.pages.(p) with
+  | Resident r ->
+    let env = st.env in
+    let va = page_va st p in
+    let pte = Stretch_driver.unmap_page env va in
+    if Pte.dirty pte then r.clean <- false;
+    settle_prefetch st r (Pte.referenced pte);
+    Stretch_driver.map_page env va ~pfn:r.pfn
+  | _ -> ()
 
 (* Make [p] resident in [pfn] (already mapped): its record, the
    replacement policy's view of it, and the frame's place at the
@@ -526,7 +527,7 @@ let note_evict st r =
    write-behind setting. Blocking (disk I/O): worker-thread context
    only. *)
 let evict_one ?(clean_only = false) ?(no_clean = false) st =
-  match st.repl.Policy.Replacement.victim (make_probe st) with
+  match st.repl.Policy.Replacement.victim st.probe with
   | None -> No_victim
   | Some victim -> (
     match st.pages.(victim) with
@@ -1018,9 +1019,10 @@ let create ?(forgetful = false) ?(initial_frames = 0)
     match backing with Some b -> b | None -> Tier.Backing.of_sfs swap
   in
   let tick = ref 0 in
-  let st =
+  let rec st =
     { env; backing; forgetful; spec;
       repl = Policy.Spec.make_replacement spec ~now:(fun () -> !tick);
+      probe;
       pf = Policy.Spec.make_prefetch spec;
       wb = Policy.Writeback.create ~max_batch:spec.Policy.Spec.wb_batch ();
       bitmap =
@@ -1035,6 +1037,10 @@ let create ?(forgetful = false) ?(initial_frames = 0)
           swap_exhausted = false; crashed = false };
       restore; retiring = Hashtbl.create 7;
       m = metrics env.Stretch_driver.domain_name }
+  and probe =
+    { Policy.Replacement.resident = (fun p -> probe_resident st p);
+      referenced = (fun p -> probe_referenced st p);
+      clear_referenced = (fun p -> probe_clear_referenced st p) }
   in
   let shortfall = ref 0 in
   for _ = 1 to initial_frames do

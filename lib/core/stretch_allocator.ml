@@ -108,15 +108,3 @@ let destroy t (s : Stretch.t) =
       ~npages:(Stretch.npages s);
     release t s.Stretch.base s.Stretch.bytes
   end
-
-let find t ~sid = Hashtbl.find_opt t.by_sid sid
-
-let lookup t va =
-  Hashtbl.fold
-    (fun _ s acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if Stretch.contains s va then Some s else None)
-    t.by_sid None
-
-let stretches t = Hashtbl.fold (fun _ s acc -> s :: acc) t.by_sid []

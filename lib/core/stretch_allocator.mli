@@ -29,11 +29,4 @@ val destroy : t -> Stretch.t -> unit
 (** Remove the stretch's page-table entries and return its range to
     the free pool. *)
 
-val lookup : t -> Addr.vaddr -> Stretch.t option
-(** Stretch containing the address, if any. *)
-
-val find : t -> sid:int -> Stretch.t option
-
-val stretches : t -> Stretch.t list
-
 val free_bytes : t -> int

@@ -25,11 +25,6 @@ type t = {
   free_frames : unit -> int;
 }
 
-let pp_result ppf = function
-  | Success -> Format.pp_print_string ppf "success"
-  | Retry -> Format.pp_print_string ppf "retry"
-  | Failure m -> Format.fprintf ppf "failure (%s)" m
-
 let map_page env va ~pfn =
   match
     Translation.map env.translation ~pdom:env.pdom ~domain:env.domain_id ~va

@@ -44,8 +44,6 @@ type t = {
   free_frames : unit -> int;
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 (** {2 Shared helpers for driver implementations} *)
 
 val map_page :

@@ -7,26 +7,18 @@ type config = {
   seed : int;
   main_memory_mb : int;
   page_table : [ `Linear | `Guarded ];
-  cost : Cost.t;
-  disk_params : Disk_params.t;
   usd_rollover : bool;
   revocation_deadline : Time.span;
-  va_bits : int;
   sfs_journal_blocks : int;
-  fs_journal_blocks : int;
 }
 
 let default_config =
   { seed = 42;
     main_memory_mb = 64;
     page_table = `Linear;
-    cost = Cost.nemesis;
-    disk_params = Disk_params.vp3221;
     usd_rollover = true;
     revocation_deadline = Time.ms 100;
-    va_bits = 32;
-    sfs_journal_blocks = 0;
-    fs_journal_blocks = 0 }
+    sfs_journal_blocks = 0 }
 
 type error =
   | Cpu_admission of { reason : string }
@@ -37,8 +29,6 @@ type error =
   | Swap_attached of { name : string }
   | Store_error of { reason : string }
   | Driver_error of { reason : string }
-  | Not_a_driver_factory of { path : string }
-  | No_driver_published of { path : string }
 
 (* The printers reproduce the exact strings the stringly API returned,
    so reports and failwith-style consumers keep their messages. *)
@@ -54,10 +44,6 @@ let pp_error ppf = function
     Format.fprintf ppf "swapfile %S is still attached" name
   | Store_error { reason } | Driver_error { reason } ->
     Format.pp_print_string ppf reason
-  | Not_a_driver_factory { path } ->
-    Format.fprintf ppf "%S is not a stretch-driver factory" path
-  | No_driver_published { path } ->
-    Format.fprintf ppf "no driver published at %S" path
 
 let error_message e = Format.asprintf "%a" pp_error e
 
@@ -79,7 +65,6 @@ type domain = {
 }
 
 and t = {
-  cfg : config;
   simulator : Sim.t;
   the_mmu : Mmu.t;
   ramtab : Ramtab.t;
@@ -95,27 +80,25 @@ and t = {
   fs_len : int;
   mutable members : domain list;
   mutable next_id : int;
-  names : Namespace.t;
 }
 
-type Namespace.entry +=
-  | Driver_factory of (domain -> Stretch.t -> (Stretch_driver.t, error) result)
-
-(* Stretchable virtual addresses start above a reserved system region. *)
+(* Stretchable virtual addresses start above a reserved system region
+   of a 32-bit address space. *)
+let va_bits = 32
 let va_base = 0x1000_0000
 
 let create ?(config = default_config) () =
   let simulator = Sim.create ~seed:config.seed () in
   let pt_impl =
     match config.page_table with
-    | `Linear -> Linear_pt.impl (Linear_pt.create ~va_bits:config.va_bits ())
-    | `Guarded -> Guarded_pt.impl (Guarded_pt.create ~va_bits:config.va_bits ())
+    | `Linear -> Linear_pt.impl (Linear_pt.create ~va_bits ())
+    | `Guarded -> Guarded_pt.impl (Guarded_pt.create ~va_bits ())
   in
-  let the_mmu = Mmu.create ~pt:pt_impl ~cost:config.cost () in
+  let the_mmu = Mmu.create ~pt:pt_impl ~cost:Cost.nemesis () in
   let nframes = config.main_memory_mb * 1024 * 1024 / Addr.page_size in
   let ramtab = Ramtab.create ~nframes in
   let the_translation = Translation.create the_mmu ramtab in
-  let va_bytes = (1 lsl config.va_bits) - va_base - Addr.page_size in
+  let va_bytes = (1 lsl va_bits) - va_base - Addr.page_size in
   let va_bytes = va_bytes / Addr.page_size * Addr.page_size in
   let salloc =
     Stretch_allocator.create the_translation ~va_base ~va_bytes
@@ -124,14 +107,14 @@ let create ?(config = default_config) () =
     Frames.create ~revocation_deadline:config.revocation_deadline simulator
       ramtab ~nframes
   in
-  let dm = Disk_model.create ~params:config.disk_params () in
+  let dm = Disk_model.create () in
   let the_usd =
     Usbs.Usd.create ~rollover:config.usd_rollover simulator dm
   in
   (* Partitions: swap in the first half of the disk, a raw region for
      streaming file-system clients in the third quarter, and the file
      store (named extent files, mapped stretches) in the last. *)
-  let nblocks = config.disk_params.Disk_params.nblocks in
+  let nblocks = (Disk_model.params dm).Disk_params.nblocks in
   let half = nblocks / 2 in
   let three_quarters = nblocks * 3 / 4 in
   let the_sfs =
@@ -139,14 +122,14 @@ let create ?(config = default_config) () =
       ~nblocks:half the_usd
   in
   let the_store =
-    Usbs.File_store.create ~journal_blocks:config.fs_journal_blocks
-      ~first_block:three_quarters ~nblocks:(nblocks - three_quarters) the_usd
+    Usbs.File_store.create ~first_block:three_quarters
+      ~nblocks:(nblocks - three_quarters) the_usd
   in
   let t =
-    { cfg = config; simulator; the_mmu; ramtab; the_translation;
+    { simulator; the_mmu; ramtab; the_translation;
       the_cpu = Cpu.create simulator; salloc; the_frames; dm; the_usd;
       the_sfs; the_store; fs_start = half; fs_len = three_quarters - half;
-      members = []; next_id = 1; names = Namespace.create () }
+      members = []; next_id = 1 }
   in
   Frames.set_kill_handler t.the_frames (fun domain_id ->
       List.iter
@@ -155,9 +138,6 @@ let create ?(config = default_config) () =
   t
 
 let sim t = t.simulator
-let config t = t.cfg
-let namespace t = t.names
-let cpu t = t.the_cpu
 let mmu t = t.the_mmu
 let translation t = t.the_translation
 let ramtab t = t.ramtab
@@ -189,7 +169,7 @@ let add_domain t ~name ?(cpu_period = Time.ms 10) ?(cpu_slice = Time.us 500)
       let pd = Pdom.create ~asn:id in
       let dom =
         Domains.create ~sim:t.simulator ~id ~name ~cpu:t.the_cpu ~cpu_client
-          ~pdom:pd ~mmu:t.the_mmu ~cost:t.cfg.cost ()
+          ~pdom:pd ~mmu:t.the_mmu ~cost:Cost.nemesis ()
       in
       let mm = Mm_entry.create dom in
       Mm_entry.wire_revocation mm t.the_frames frames_client;
@@ -202,7 +182,7 @@ let add_domain t ~name ?(cpu_period = Time.ms 10) ?(cpu_slice = Time.us 500)
           frames_client;
           consume_cpu = Domains.consume_cpu dom;
           assert_idc_allowed = Domains.assert_idc_allowed dom;
-          cost = t.cfg.cost }
+          cost = Cost.nemesis }
       in
       let dspec =
         { sp_name = name; sp_cpu_period = cpu_period;
@@ -386,28 +366,3 @@ let bind_paged_restored d ?initial_frames ?policy ~qos s () =
       Domains.on_kill d.dom (fun () ->
           Usbs.Sfs.detach_swap d.sys.the_sfs swap);
       Ok (driver, info))
-
-(* Publish the standard stretch-driver creators in the system
-   name-space so applications can pick implementations by name (the
-   paper's "plug and play extensibility"). Parameterised drivers
-   (paged, mapped) are published by applications with their QoS baked
-   in; the two parameterless ones are system defaults. *)
-let publish_standard_drivers t =
-  List.iter
-    (fun (path, factory) ->
-      match Namespace.bind t.names ~path (Driver_factory factory) with
-      | Ok () -> ()
-      (* Boot-time registration of literal paths into a fresh
-         namespace: a bind failure means two publishers claimed the
-         same path, a programmer error. Loud failure at startup is the
-         convention (same as Registry.register_exn); run-time
-         resolution ([bind_by_name]) stays typed. *)
-      | Error e -> failwith ("publish_standard_drivers: " ^ e))
-    [ ("drivers/nailed", fun d s -> bind_nailed d s);
-      ("drivers/physical", fun d s -> bind_physical d s) ]
-
-let bind_by_name d ~path s =
-  match Namespace.lookup d.sys.names ~path with
-  | Some (Driver_factory f) -> f d s
-  | Some _ -> Error (Not_a_driver_factory { path })
-  | None -> Error (No_driver_published { path })

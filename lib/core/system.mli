@@ -15,28 +15,24 @@
 open Engine
 open Hw
 open Disk
-open Sched
 
 type config = {
   seed : int;
   main_memory_mb : int;
   page_table : [ `Linear | `Guarded ];
-  cost : Cost.t;
-  disk_params : Disk_params.t;
   usd_rollover : bool;
   revocation_deadline : Time.span;
-  va_bits : int;
   sfs_journal_blocks : int;
       (** bloks reserved at the head of the swap partition for the
           SFS's crash-consistency intent journal (0 = no journal, the
           seed behaviour) *)
-  fs_journal_blocks : int;
-      (** same, for the file store's partition *)
 }
+(** Every machine has a 32-bit virtual address space, the paper's cost
+    model ({!Hw.Cost.nemesis}) and its disk ({!Disk.Disk_params.vp3221}). *)
 
 val default_config : config
-(** 64 MB of main memory, linear page table, the paper's cost model and
-    disk, roll-over enabled, T = 100 ms, no journals. *)
+(** 64 MB of main memory, linear page table, roll-over enabled,
+    T = 100 ms, no journal. *)
 
 type t
 
@@ -54,10 +50,7 @@ type error =
   | Swap_attached of { name : string }
   | Store_error of { reason : string }
   | Driver_error of { reason : string }
-  | Not_a_driver_factory of { path : string }
-  | No_driver_published of { path : string }
 
-val pp_error : Format.formatter -> error -> unit
 val error_message : error -> string
 
 type domain_spec = {
@@ -79,18 +72,11 @@ type domain = private {
   sys : t;
 }
 
-type Namespace.entry +=
-  | Driver_factory of (domain -> Stretch.t -> (Stretch_driver.t, error) result)
-        (** A published stretch-driver creator: applications look these
-            up in the system name-space and bind by name. *)
-
 val create : ?config:config -> unit -> t
 
 (** {2 Accessors} *)
 
 val sim : t -> Sim.t
-val config : t -> config
-val cpu : t -> Cpu.t
 val mmu : t -> Mmu.t
 val translation : t -> Translation.t
 
@@ -108,17 +94,6 @@ val domains : t -> domain list
 
 val fs_partition : t -> int * int
 (** [(first_lba, nblocks)] of the file-system partition. *)
-
-val namespace : t -> Namespace.t
-(** The system name-space (Plan-9-style contexts). *)
-
-val publish_standard_drivers : t -> unit
-(** Bind the parameterless driver factories at ["drivers/nailed"] and
-    ["drivers/physical"]. *)
-
-val bind_by_name :
-  domain -> path:string -> Stretch.t -> (Stretch_driver.t, error) result
-(** Look up a {!Driver_factory} in the name-space and bind with it. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Run the simulation (see {!Sim.run}). *)

@@ -22,7 +22,8 @@ type t = {
   mutable seeks : int;
 }
 
-let create ?(params = Disk_params.vp3221) () =
+let create () =
+  let params = Disk_params.vp3221 in
   { p = params;
     segments = Array.init params.Disk_params.cache_segments
         (fun _ -> { next = -1; lru = 0 });

@@ -25,7 +25,8 @@ type op = Read | Write
 
 type t
 
-val create : ?params:Disk_params.t -> unit -> t
+val create : unit -> t
+(** The paper's disk, {!Disk_params.vp3221}. *)
 
 val params : t -> Disk_params.t
 

@@ -26,7 +26,6 @@ type t = {
 val vp3221 : t
 
 val cylinders : t -> int
-val blocks_per_cylinder : t -> int
 val blocks_per_track : t -> int
 
 val cylinder_of_lba : t -> int -> int

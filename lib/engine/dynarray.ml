@@ -3,7 +3,6 @@ type 'a t = { mutable arr : 'a array; mutable len : int }
 let create () = { arr = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let check t i =
   if i < 0 || i >= t.len then invalid_arg "Dynarray: index out of bounds"
@@ -27,18 +26,9 @@ let add_last t v =
   t.arr.(t.len) <- v;
   t.len <- t.len + 1
 
-let clear t =
-  t.arr <- [||];
-  t.len <- 0
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.arr.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.arr.(i)
   done
 
 let fold_left f init t =

@@ -5,16 +5,13 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] when out of bounds. *)
 
 val set : 'a t -> int -> 'a -> unit
 val add_last : 'a t -> 'a -> unit
-val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list

@@ -13,10 +13,8 @@ type 'a t = {
 
 let create () = { first = None; last = None; count = 0 }
 let make_node v = { v; prev = None; next = None; linked = false }
-let value n = n.v
 let active n = n.linked
 let length t = t.count
-let is_empty t = t.count = 0
 
 let push_front t n =
   if n.linked then invalid_arg "Ilist.push_front: node already linked";
@@ -53,19 +51,6 @@ let move_back t n =
   remove t n;
   push_back t n
 
-let front t = t.first
-let back t = t.last
-
-let iter f t =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-      let next = n.next in
-      f n.v;
-      go next
-  in
-  go t.first
-
 let fold f acc t =
   let rec go acc = function
     | None -> acc
@@ -74,12 +59,5 @@ let fold f acc t =
       go (f acc n.v) next
   in
   go acc t.first
-
-let exists p t =
-  let rec go = function
-    | None -> false
-    | Some n -> p n.v || go n.next
-  in
-  go t.first
 
 let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)

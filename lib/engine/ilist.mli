@@ -18,12 +18,10 @@ type 'a node
 val create : unit -> 'a t
 val make_node : 'a -> 'a node
 
-val value : 'a node -> 'a
 val active : 'a node -> bool
 (** [active n] is true while [n] is linked into some list. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push_front : 'a t -> 'a node -> unit
 val push_back : 'a t -> 'a node -> unit
@@ -35,12 +33,7 @@ val move_front : 'a t -> 'a node -> unit
 val move_back : 'a t -> 'a node -> unit
 (** O(1) reposition of a linked node within the same list. *)
 
-val front : 'a t -> 'a node option
-val back : 'a t -> 'a node option
-
-val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 (** Front to back. [iter]/[fold]/[to_list] must not add or remove
     nodes mid-walk, except for the node currently visited. *)

@@ -30,8 +30,3 @@ let float t bound =
   v /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (int64 t) 1L = 1L
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u

@@ -37,7 +37,6 @@ let add t x =
   match t.samples with Some d -> Dynarray.add_last d x | None -> ()
 
 let count t = t.n
-let total t = t.m.total
 let mean t = if t.n = 0 then 0.0 else t.m.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m.m2 /. float_of_int (t.n - 1)
@@ -66,10 +65,6 @@ let percentile t p =
       end
     end
 
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-    (stddev t) t.m.minv t.m.maxv
-
 module Series = struct
   type t = { times : Time.t Dynarray.t; vals : float Dynarray.t }
 
@@ -84,8 +79,6 @@ module Series = struct
   let to_list t =
     List.init (length t) (fun i ->
         (Dynarray.get t.times i, Dynarray.get t.vals i))
-
-  let values t = Dynarray.to_list t.vals
 
   let mean_after t cutoff =
     let sum = ref 0.0 and n = ref 0 in

@@ -9,12 +9,8 @@ val create : ?keep_samples:bool -> unit -> t
 val add : t -> float -> unit
 
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 (** 0.0 when empty. *)
-
-val variance : t -> float
-(** Sample variance; 0.0 with fewer than two observations. *)
 
 val stddev : t -> float
 val min_value : t -> float
@@ -31,8 +27,6 @@ val percentile : t -> float -> float
     @raise Invalid_argument when [p] is outside [0,100] (or NaN), or
     when samples were not kept. *)
 
-val pp : Format.formatter -> t -> unit
-
 module Series : sig
   (** Time-stamped scalar series, e.g. the bandwidth-vs-time plots of
       Figures 7–9. *)
@@ -41,9 +35,7 @@ module Series : sig
 
   val create : unit -> t
   val add : t -> Time.t -> float -> unit
-  val length : t -> int
   val to_list : t -> (Time.t * float) list
-  val values : t -> float list
 
   val mean_after : t -> Time.t -> float
   (** Mean of the values sampled at or after the given instant — used

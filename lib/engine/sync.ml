@@ -45,7 +45,6 @@ module Ivar = struct
       if Proc.park_timeout d then Some (filled t) else None
 
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
-  let is_filled t = match t.state with Full _ -> true | Empty _ -> false
 end
 
 module Handoff = struct
@@ -78,8 +77,6 @@ module Mailbox = struct
     if Handoff.is_empty t.receivers then Queue.add v t.items
     else Handoff.give t.receivers v
 
-  let try_recv t = Queue.take_opt t.items
-
   let recv t =
     if Queue.is_empty t.items then Handoff.recv t.receivers
     else Queue.take t.items
@@ -111,7 +108,6 @@ module Semaphore = struct
     if Queue.is_empty t.waiters then t.count <- t.count + 1
     else Proc.wake (Queue.take t.waiters)
 
-  let count t = t.count
 end
 
 module Waitq = struct

@@ -25,7 +25,6 @@ module Ivar : sig
   (** Block until filled or until the timeout elapses ([None]). *)
 
   val peek : 'a t -> 'a option
-  val is_filled : 'a t -> bool
 end
 
 module Handoff : sig
@@ -62,7 +61,6 @@ module Mailbox : sig
   (** Block until a message is available. Messages are delivered in
       FIFO order; competing receivers are served in arrival order. *)
 
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 end
 
@@ -73,9 +71,7 @@ module Semaphore : sig
   (** Initial count must be >= 0. *)
 
   val acquire : t -> unit
-  val try_acquire : t -> bool
   val release : t -> unit
-  val count : t -> int
 end
 
 module Waitq : sig

@@ -19,7 +19,6 @@ let to_sec t = float_of_int t /. 1e9
 let add t d = t + d
 let diff a b = a - b
 
-let min = Stdlib.min
 let max = Stdlib.max
 
 let pp ppf t =

@@ -41,7 +41,6 @@ val to_sec : t -> float
 val add : t -> span -> t
 val diff : t -> t -> span
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -8,12 +8,6 @@ let length = Dynarray.length
 
 let to_list = Dynarray.to_list
 
-let filter p t =
-  Dynarray.fold_left
-    (fun acc (time, v) -> if p v then (time, v) :: acc else acc)
-    [] t
-  |> List.rev
-
 let between t lo hi =
   Dynarray.fold_left
     (fun acc (time, v) ->

@@ -15,8 +15,6 @@ val length : 'a t -> int
 
 val to_list : 'a t -> (Time.t * 'a) list
 
-val filter : ('a -> bool) -> 'a t -> (Time.t * 'a) list
-
 val between : 'a t -> Time.t -> Time.t -> (Time.t * 'a) list
 (** Records with timestamp in [\[lo, hi)]. *)
 

@@ -47,9 +47,6 @@ type ctx = (string * value) list
 let geti ctx name ~default =
   match List.assoc_opt name ctx with Some (I i) -> i | _ -> default
 
-let getf ctx name ~default =
-  match List.assoc_opt name ctx with Some (F f) -> f | _ -> default
-
 let getb ctx name =
   match List.assoc_opt name ctx with Some (Bool b) -> b | _ -> false
 

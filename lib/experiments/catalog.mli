@@ -15,12 +15,6 @@ type value =
 
 type ctx = (string * value) list
 
-val geti : ctx -> string -> default:int -> int
-val getf : ctx -> string -> default:float -> float
-val getb : ctx -> string -> bool
-val gets : ctx -> string -> string option
-val getl : ctx -> string -> default:string list -> string list
-
 type entry = {
   e_modules : string list;
       (** lib/experiments modules this entry exercises (for lint). *)
@@ -39,21 +33,10 @@ val ablation_axis : (int -> unit) Registry.axis
 val ablation_names : string list
 (** The built-in ablations, in their historical run order. *)
 
-val run_ablation : int -> string -> unit
-(** [run_ablation d name] resolves [name] on {!ablation_axis} and runs
-    it for [d] seconds; unknown names print a did-you-mean message to
-    stderr and continue (matching the legacy ablate behaviour). *)
-
 val write_file : string -> string -> unit
 (** Write [contents] (plus a trailing newline) to a path, printing
     "wrote PATH"; prints to stderr and exits 1 if the path is
     unwritable. *)
-
-val write_csv : string -> (string * float * float) list -> unit
-(** Write (series, seconds, mbit/s) rows under the standard header,
-    through {!write_file}. *)
-
-val paging_csv : Paging_fig.result -> (string * float * float) list
 
 val lint : docs:string list -> experiments_dir:string -> string list
 (** [lint ~docs ~experiments_dir] returns human-readable complaints:

@@ -50,13 +50,10 @@ type result = {
 }
 
 val plan_specs : first:int -> nblocks:int -> string list
-(** The victim's injection plan as chaos-site specs (resolved through
-    {!Inject.site_axis}), scoped to its swap extent — exposed so the
+(** The victim's injection plan as chaos-site specs (resolved by
+    {!Inject.plan_of_specs}), scoped to its swap extent — exposed so the
     registry tests can pin the spec route against the hand-built plan
     record. *)
-
-val plan_for : seed:int -> first:int -> nblocks:int -> Inject.plan
-(** {!plan_specs} resolved and applied to [{default_plan with seed}]. *)
 
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 (** Enables {!Obs}, resets collectors, arms the injection plan derived

@@ -1,8 +1,5 @@
 (** Plain-text report helpers shared by the experiment printers. *)
 
-val rule : unit -> unit
-(** Print a horizontal rule. *)
-
 val heading : string -> unit
 
 val table : header:string list -> string list list -> unit

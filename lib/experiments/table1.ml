@@ -59,7 +59,7 @@ let bench_dirty ~page_table () =
           (if i mod 2 = 0 then `Write else `Read)
       done);
   let mmu = System.mmu sys in
-  let cost = (System.config sys).System.cost in
+  let cost = Mmu.cost mmu in
   let rng = Rng.create ~seed:7 in
   let samples =
     List.init iterations (fun _ ->

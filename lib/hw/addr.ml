@@ -16,4 +16,3 @@ let is_page_aligned va = offset va = 0
 let round_up_pages bytes = (bytes + page_size - 1) lsr page_shift
 
 let pp_vaddr ppf va = Format.fprintf ppf "0x%x" va
-let pp_paddr ppf pa = Format.fprintf ppf "0x%x" pa

@@ -33,4 +33,3 @@ val round_up_pages : int -> int
     [bytes]. *)
 
 val pp_vaddr : Format.formatter -> vaddr -> unit
-val pp_paddr : Format.formatter -> paddr -> unit

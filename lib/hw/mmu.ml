@@ -21,7 +21,6 @@ let set_pte t ~vpn pte =
   t.pt.Page_table.set vpn pte;
   Tlb.invalidate t.tlb ~vpn
 
-let tlb t = t.tlb
 let cost t = t.cost
 
 let access t ~rights ~asn va kind =

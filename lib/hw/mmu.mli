@@ -44,5 +44,4 @@ val set_pte : t -> vpn:int -> Pte.t -> unit
 
 val pp_fault_kind : Format.formatter -> fault_kind -> unit
 
-val tlb : t -> Tlb.t
 val cost : t -> Cost.t

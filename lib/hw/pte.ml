@@ -56,13 +56,3 @@ let set_dirty t = t lor b_dirty
 let set_referenced t = t lor b_ref
 let clear_fow t = t land lnot b_fow
 let clear_for t = t land lnot b_for
-let clear_referenced t = t land lnot b_ref
-
-let pp ppf t =
-  if is_absent t then Format.fprintf ppf "<absent>"
-  else
-    Format.fprintf ppf "sid=%d %a%s pfn=%s%s%s" (sid t) Rights.pp (global t)
-      (if valid t then " valid" else " null")
-      (if valid t then string_of_int (pfn t) else "-")
-      (if dirty t then " dirty" else "")
-      (if referenced t then " ref" else "")

@@ -53,9 +53,6 @@ val set_dirty : t -> t
 val set_referenced : t -> t
 val clear_fow : t -> t
 val clear_for : t -> t
-val clear_referenced : t -> t
 
 val max_sid : int
 val max_pfn : int
-
-val pp : Format.formatter -> t -> unit

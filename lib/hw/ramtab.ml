@@ -84,8 +84,3 @@ let is_available_for_mapping t ~pfn ~domain =
   &&
   let e = t.(pfn) in
   e.owner = domain && e.st = Unused
-
-let pp_state ppf = function
-  | Unused -> Format.pp_print_string ppf "unused"
-  | Mapped -> Format.pp_print_string ppf "mapped"
-  | Nailed -> Format.pp_print_string ppf "nailed"

@@ -52,5 +52,3 @@ val drop_ref : t -> pfn:int -> int
 val is_available_for_mapping : t -> pfn:int -> domain:int -> bool
 (** The validation used by the low-level [map] call: the calling
     domain owns the frame and it is not currently mapped or nailed. *)
-
-val pp_state : Format.formatter -> state -> unit

@@ -6,9 +6,6 @@ let read_write = { none with r = true; w = true }
 let all = { r = true; w = true; x = true; m = true }
 let rw_meta = { r = true; w = true; x = false; m = true }
 
-let union a b = { r = a.r || b.r; w = a.w || b.w; x = a.x || b.x; m = a.m || b.m }
-let inter a b = { r = a.r && b.r; w = a.w && b.w; x = a.x && b.x; m = a.m && b.m }
-
 let subset a b =
   (not a.r || b.r) && (not a.w || b.w) && (not a.x || b.x) && (not a.m || b.m)
 

@@ -15,8 +15,6 @@ val all : t
 
 val rw_meta : t
 
-val union : t -> t -> t
-val inter : t -> t -> t
 val subset : t -> t -> bool
 
 val permits : t -> [ `Read | `Write | `Execute ] -> bool

@@ -50,21 +50,16 @@ type crash_point = {
 type node_fault = {
   nf_node : string;
   nf_wipe_at : Time.t option;
-  nf_crash_at : Time.t option;
   nf_partitions : (Time.t * Time.t) list;
   nf_join_at : Time.t option;
-  nf_retire_at : Time.t option;
   nf_corrupt : float;
 }
 
-let node_fault ?wipe_at ?crash_at ?(partitions = []) ?join_at ?retire_at
-    ?(corrupt = 0.0) node =
+let node_fault ?wipe_at ?(partitions = []) ?join_at ?(corrupt = 0.0) node =
   { nf_node = node;
     nf_wipe_at = wipe_at;
-    nf_crash_at = crash_at;
     nf_partitions = partitions;
     nf_join_at = join_at;
-    nf_retire_at = retire_at;
     nf_corrupt = corrupt }
 
 type plan = {
@@ -285,20 +280,16 @@ let () =
           cp_len = Option.value len ~default:0 }
       in
       Ok (fun p -> { p with crashes = p.crashes @ [ cp ] }));
-  reg "node" "remote-node faults: wipe, crash, partitions, membership"
+  reg "node" "remote-node faults: wipe, partitions, join, corruption"
     [ sp "name" "the node name, e.g. mem1";
       fp "wipe-ms" "lose RAM contents at this instant";
-      fp "crash-ms" "unreachable (and wiped) from this instant on";
       fp "join-ms" "join the fleet at this instant";
-      fp "retire-ms" "planned drain-and-leave at this instant";
       fp "corrupt" "per-shard-fetch corruption probability";
       sp "part" "partition window 'A-B' in ms (repeatable)" ]
     (fun a ->
       let* nf_node = rs a "name" in
       let* wipe = p_span a "wipe-ms" in
-      let* crash = p_span a "crash-ms" in
       let* join = p_span a "join-ms" in
-      let* retire = p_span a "retire-ms" in
       let* corrupt = p_float a "corrupt" in
       let* parts =
         List.fold_left
@@ -318,9 +309,8 @@ let () =
           (Ok []) a.Registry.Spec.params
       in
       let nf =
-        { nf_node; nf_wipe_at = wipe; nf_crash_at = crash;
-          nf_partitions = parts; nf_join_at = join; nf_retire_at = retire;
-          nf_corrupt = Option.value corrupt ~default:0. }
+        { nf_node; nf_wipe_at = wipe; nf_partitions = parts;
+          nf_join_at = join; nf_corrupt = Option.value corrupt ~default:0. }
       in
       Ok (fun p -> { p with node_faults = p.node_faults @ [ nf ] }))
 
@@ -338,19 +328,6 @@ let enabled = ref false
 let the_plan = ref default_plan
 let rng = ref (Rng.create ~seed:0)
 
-(* Transient blok faults fail the first [k] transactions that touch the
-   range, then heal; one decrementing counter per fault entry. *)
-let transient_left : (blok_fault, int) Hashtbl.t = Hashtbl.create 7
-
-(* Crash points are one-shot: each entry of [plan.crashes] fires at
-   most once per arm/reset, keyed by its position in the list. *)
-let crash_fired : (int, unit) Hashtbl.t = Hashtbl.create 7
-
-(* Node faults are tallied once each: a wipe / crash / partition window
-   bumps its counter the first time a hook observes it, keyed by
-   ["wipe:<node>"], ["crash:<node>"] or ["part:<node>:<i>"]. *)
-let node_fired : (string, unit) Hashtbl.t = Hashtbl.create 7
-
 type tally = {
   mutable injected_errors : int;
   mutable spikes : int;
@@ -360,10 +337,8 @@ type tally = {
   mutable link_drops : int;
   mutable link_delays : int;
   mutable node_wipes : int;
-  mutable node_crashes : int;
   mutable node_partitions : int;
   mutable node_joins : int;
-  mutable node_retires : int;
   mutable shard_corruptions : int;
   mutable pressure_bursts : int;
   mutable zpool_bursts : int;
@@ -384,10 +359,8 @@ let zero_tally () =
     link_drops = 0;
     link_delays = 0;
     node_wipes = 0;
-    node_crashes = 0;
     node_partitions = 0;
     node_joins = 0;
-    node_retires = 0;
     shard_corruptions = 0;
     pressure_bursts = 0;
     zpool_bursts = 0;
@@ -399,31 +372,39 @@ let zero_tally () =
   }
 
 let counts = ref (zero_tally ())
-let classes : (string, int) Hashtbl.t = Hashtbl.create 16
 
-let bump_class cls =
-  let n = try Hashtbl.find classes cls with Not_found -> 0 in
-  Hashtbl.replace classes cls (n + 1)
+(* Injection counts per class name (e.g. ["disk.write.persistent"],
+   ["chan.drop.victim.fault"]). A class's cell is made once — a module
+   constant for the fixed classes, at [reset] for the classes named
+   after a plan entry — so an injection only bumps a counter. [reset]
+   zeroes every cell; {!by_class} reports the cells that counted. *)
+type cls = { mutable hits : int }
+
+let classes : (string, cls) Hashtbl.t = Hashtbl.create 16
+
+let cls name =
+  match Hashtbl.find_opt classes name with
+  | Some c -> c
+  | None ->
+      let c = { hits = 0 } in
+      Hashtbl.replace classes name c;
+      c
+
+let bump c = c.hits <- c.hits + 1
 
 (* The injector's counters, written only while Obs is on. *)
 let metric c = if !Obs.enabled then Obs.Metrics.inc c
 let counter = Obs.Metrics.counter
 let m_errors = counter "inject.errors"
-let m_errors_read_transient = counter "inject.errors.read.transient"
-let m_errors_read_persistent = counter "inject.errors.read.persistent"
-let m_errors_write_transient = counter "inject.errors.write.transient"
-let m_errors_write_persistent = counter "inject.errors.write.persistent"
 let m_spikes = counter "inject.spikes"
 let m_stalls = counter "inject.stalls"
 let m_chan_drops = counter "inject.chan_drops"
 let m_chan_delays = counter "inject.chan_delays"
 let m_link_drops = counter "inject.link_drops"
 let m_link_delays = counter "inject.link_delays"
-let m_node_crashes = counter "inject.node_crashes"
 let m_node_partitions = counter "inject.node_partitions"
 let m_node_wipes = counter "inject.node_wipes"
 let m_node_joins = counter "inject.node_joins"
-let m_node_retires = counter "inject.node_retires"
 let m_shard_corruptions = counter "inject.shard_corruptions"
 let m_crashes = counter "inject.crashes"
 let m_retried = counter "inject.retried"
@@ -433,6 +414,21 @@ let m_killed = counter "inject.killed"
 let m_pressure_bursts = counter "inject.pressure_bursts"
 let m_zpool_bursts = counter "inject.zpool_bursts"
 let m_zpool_shed_frames = counter "inject.zpool_shed_frames"
+
+(* The four kinds of injected media error, each with its class and its
+   [inject.errors.<op>.<kind>] counter. *)
+type error_kind = { ek_cls : cls; ek_metric : Obs.Metrics.counter }
+
+let error_kind name =
+  { ek_cls = cls ("disk." ^ name); ek_metric = counter ("inject.errors." ^ name) }
+
+let read_transient = error_kind "read.transient"
+let read_persistent = error_kind "read.persistent"
+let write_transient = error_kind "write.transient"
+let write_persistent = error_kind "write.persistent"
+let c_spike = cls "disk.spike"
+let c_crash = cls "crash.write"
+let c_zpool_burst = cls "zpool.burst"
 
 (* A recovering site's class (e.g. ["sfs.read"]) and its per-outcome
    counters, made once by the site's module. *)
@@ -448,19 +444,91 @@ let recovery cls =
   { rc_retried = c "retried"; rc_remapped = c "remapped";
     rc_degraded = c "degraded"; rc_killed = c "killed" }
 
+(* -- the armed plan ---------------------------------------------------
+
+   [reset] turns each plan entry into its armed form: its class cells
+   and its one-shot state (a transient blok's remaining failures, a
+   node's fired wipe, join and partition windows), so a hook looks up
+   the entry and touches nothing else. Lookups by name go to the
+   first entry of that name, as a plan's lists are read in order. *)
+
+type armed_blok = { ab : blok_fault; mutable ab_left : int }
+
+type armed_drops = {
+  ad_drop : float;
+  ad_delay : float;
+  ad_span : Time.span;
+  ad_drop_cls : cls;
+  ad_delay_cls : cls;
+}
+
+type armed_stall = { as_stall : stall; as_cls : cls }
+
+type armed_node = {
+  an : node_fault;
+  mutable an_wiped : bool;
+  mutable an_joined : bool;
+  an_entered : bool array;  (* partition windows already tallied *)
+  an_wipe_cls : cls;
+  an_part_cls : cls;
+  an_join_cls : cls;
+  an_corrupt_cls : cls;
+}
+
+let armed_bloks = ref []
+let armed_stalls = ref []
+let armed_chans = ref []
+let armed_links = ref []
+let armed_nodes = ref []
+
+(* Crash points are one-shot: each entry of [plan.crashes] fires at
+   most once per arm/reset, keyed by its position in the list. *)
+let crash_fired : (int, unit) Hashtbl.t = Hashtbl.create 7
+
+let arm_drops kind name ~drop ~delay ~span =
+  ( name,
+    { ad_drop = drop; ad_delay = delay; ad_span = span;
+      ad_drop_cls = cls (kind ^ ".drop." ^ name);
+      ad_delay_cls = cls (kind ^ ".delay." ^ name) } )
+
 let reset () =
-  rng := Rng.create ~seed:!the_plan.seed;
+  let p = !the_plan in
+  rng := Rng.create ~seed:p.seed;
   counts := zero_tally ();
-  Hashtbl.reset transient_left;
   Hashtbl.reset crash_fired;
-  Hashtbl.reset node_fired;
-  Hashtbl.reset classes;
-  List.iter
-    (fun bf ->
-      match bf.bf_transient with
-      | Some k -> Hashtbl.replace transient_left bf k
-      | None -> ())
-    !the_plan.blok_faults
+  Hashtbl.iter (fun _ c -> c.hits <- 0) classes;
+  armed_bloks :=
+    List.map
+      (fun bf -> { ab = bf; ab_left = Option.value bf.bf_transient ~default:0 })
+      p.blok_faults;
+  armed_stalls :=
+    List.map
+      (fun (site, st) -> (site, { as_stall = st; as_cls = cls ("stall." ^ site) }))
+      p.stalls;
+  armed_chans :=
+    List.map
+      (fun (n, cf) ->
+        arm_drops "chan" n ~drop:cf.cf_drop ~delay:cf.cf_delay
+          ~span:cf.cf_delay_span)
+      p.chans;
+  armed_links :=
+    List.map
+      (fun (n, lf) ->
+        arm_drops "link" n ~drop:lf.lf_drop ~delay:lf.lf_delay
+          ~span:lf.lf_delay_span)
+      p.links;
+  armed_nodes :=
+    List.map
+      (fun nf ->
+        let name = nf.nf_node in
+        ( name,
+          { an = nf; an_wiped = false; an_joined = false;
+            an_entered = Array.make (List.length nf.nf_partitions) false;
+            an_wipe_cls = cls ("node.wipe." ^ name);
+            an_part_cls = cls ("node.partition." ^ name);
+            an_join_cls = cls ("node.join." ^ name);
+            an_corrupt_cls = cls ("shard.corrupt." ^ name) } ))
+      p.node_faults
 
 let arm plan =
   the_plan := plan;
@@ -485,255 +553,187 @@ let chance p = p > 0. && Rng.float !rng 1.0 < p
 let op_matches bf op =
   match bf.bf_op with None -> true | Some o -> o = op
 
-let note_error ~op ~persistent =
+let media_error ~op ~persistent ~bad_lba =
+  let k =
+    match (op, persistent) with
+    | Read, false -> read_transient
+    | Read, true -> read_persistent
+    | Write, false -> write_transient
+    | Write, true -> write_persistent
+  in
   !counts.injected_errors <- !counts.injected_errors + 1;
-  let dir = match op with Read -> "read" | Write -> "write" in
-  let kind = if persistent then "persistent" else "transient" in
-  bump_class (Printf.sprintf "disk.%s.%s" dir kind);
+  bump k.ek_cls;
   metric m_errors;
-  metric
-    (match (op, persistent) with
-    | Read, false -> m_errors_read_transient
-    | Read, true -> m_errors_read_persistent
-    | Write, false -> m_errors_write_transient
-    | Write, true -> m_errors_write_persistent)
+  metric k.ek_metric;
+  Media_error { bad_lba; persistent }
 
-let disk ~op ~lba ~nblocks =
-  if not !enabled then Pass
-  else
-    (* Bad-blok ranges take precedence over probabilistic regions. *)
-    let hit =
-      List.find_opt
-        (fun bf ->
-          op_matches bf op
+(* Probabilistic regions, consulted when no bad-blok range matched. *)
+let rec region_outcome ~op ~lba ~nblocks = function
+  | [] -> Pass
+  | rf :: rest ->
+      if not (overlaps ~first:rf.rf_first ~len:rf.rf_len ~lba ~nblocks) then
+        region_outcome ~op ~lba ~nblocks rest
+      else
+        let err_p =
+          match op with Read -> rf.rf_read_error | Write -> rf.rf_write_error
+        in
+        if chance err_p then
+          media_error ~op ~persistent:false
+            ~bad_lba:(lba + Rng.int !rng (max 1 nblocks))
+        else if chance rf.rf_spike then begin
+          !counts.spikes <- !counts.spikes + 1;
+          bump c_spike;
+          metric m_spikes;
+          Spike rf.rf_spike_span
+        end
+        else Pass
+
+(* Bad-blok ranges take precedence over probabilistic regions; a
+   transient range fails its first [k] transactions, then heals. *)
+let rec blok_outcome ~op ~lba ~nblocks = function
+  | [] -> region_outcome ~op ~lba ~nblocks !the_plan.regions
+  | b :: rest ->
+      let bf = b.ab in
+      if
+        not
+          (op_matches bf op
           && overlaps ~first:bf.bf_first ~len:bf.bf_len ~lba ~nblocks)
-        !the_plan.blok_faults
-    in
-    match hit with
-    | Some bf -> (
+      then blok_outcome ~op ~lba ~nblocks rest
+      else
         let bad_lba = max lba bf.bf_first in
         match bf.bf_transient with
-        | None ->
-            note_error ~op ~persistent:true;
-            Media_error { bad_lba; persistent = true }
+        | None -> media_error ~op ~persistent:true ~bad_lba
         | Some _ ->
-            let left =
-              try Hashtbl.find transient_left bf with Not_found -> 0
-            in
-            if left > 0 then begin
-              Hashtbl.replace transient_left bf (left - 1);
-              note_error ~op ~persistent:false;
-              Media_error { bad_lba; persistent = false }
+            if b.ab_left > 0 then begin
+              b.ab_left <- b.ab_left - 1;
+              media_error ~op ~persistent:false ~bad_lba
             end
-            else Pass)
-    | None -> (
-        let region =
-          List.find_opt
-            (fun rf ->
-              overlaps ~first:rf.rf_first ~len:rf.rf_len ~lba ~nblocks)
-            !the_plan.regions
-        in
-        match region with
-        | None -> Pass
-        | Some rf ->
-            let err_p =
-              match op with
-              | Read -> rf.rf_read_error
-              | Write -> rf.rf_write_error
-            in
-            if chance err_p then begin
-              note_error ~op ~persistent:false;
-              Media_error
-                { bad_lba = lba + Rng.int !rng (max 1 nblocks);
-                  persistent = false }
-            end
-            else if chance rf.rf_spike then begin
-              !counts.spikes <- !counts.spikes + 1;
-              bump_class "disk.spike";
-              metric m_spikes;
-              Spike rf.rf_spike_span
-            end
-            else Pass)
+            else Pass
+
+let disk ~op ~lba ~nblocks =
+  if not !enabled then Pass else blok_outcome ~op ~lba ~nblocks !armed_bloks
 
 let stall ~site =
   if not !enabled then None
   else
-    match List.assoc_opt site !the_plan.stalls with
+    match List.assoc_opt site !armed_stalls with
     | None -> None
-    | Some st ->
-        if chance st.st_rate then begin
+    | Some a ->
+        if chance a.as_stall.st_rate then begin
           !counts.stalls_injected <- !counts.stalls_injected + 1;
-          bump_class ("stall." ^ site);
+          bump a.as_cls;
           metric m_stalls;
-          Some st.st_span
+          Some a.as_stall.st_span
         end
         else None
 
 type chan_outcome = Deliver | Drop | Delay of Time.span
 
-let chan ~name =
+(* Event channels and network links share one body: the named entry
+   drops or delays the message per the plan. [dropped]/[delayed] bump
+   the kind's tally field and counter. *)
+let drops table ~name ~dropped ~delayed =
   if not !enabled then Deliver
   else
-    match List.assoc_opt name !the_plan.chans with
+    match List.assoc_opt name table with
     | None -> Deliver
-    | Some cf ->
-        if chance cf.cf_drop then begin
-          !counts.chan_drops <- !counts.chan_drops + 1;
-          bump_class ("chan.drop." ^ name);
-          metric m_chan_drops;
+    | Some a ->
+        if chance a.ad_drop then begin
+          bump a.ad_drop_cls;
+          dropped ();
           Drop
         end
-        else if chance cf.cf_delay then begin
-          !counts.chan_delays <- !counts.chan_delays + 1;
-          bump_class ("chan.delay." ^ name);
-          metric m_chan_delays;
-          Delay cf.cf_delay_span
+        else if chance a.ad_delay then begin
+          bump a.ad_delay_cls;
+          delayed ();
+          Delay a.ad_span
         end
         else Deliver
 
-(* Per-packet consultation by the network-link instrumentation: the
-   named link drops or delays the packet per the plan. Drops model a
-   lossy wire — the transmit completes locally but the receiver never
-   sees the payload, so the tier layer retransmits or falls back;
-   they need no recovery accounting of their own (the tier's books
-   are checked separately by the remote experiment). *)
+let chan_dropped () =
+  !counts.chan_drops <- !counts.chan_drops + 1;
+  metric m_chan_drops
+
+let chan_delayed () =
+  !counts.chan_delays <- !counts.chan_delays + 1;
+  metric m_chan_delays
+
+let link_dropped () =
+  !counts.link_drops <- !counts.link_drops + 1;
+  metric m_link_drops
+
+let link_delayed () =
+  !counts.link_delays <- !counts.link_delays + 1;
+  metric m_link_delays
+
+let chan ~name =
+  drops !armed_chans ~name ~dropped:chan_dropped ~delayed:chan_delayed
+
+(* Per-packet consultation by the network-link instrumentation. Drops
+   model a lossy wire — the transmit completes locally but the
+   receiver never sees the payload, so the tier layer retransmits or
+   falls back; they need no recovery accounting of their own (the
+   tier's books are checked separately by the remote experiment). *)
 let link ~name =
-  if not !enabled then Deliver
-  else
-    match List.assoc_opt name !the_plan.links with
-    | None -> Deliver
-    | Some lf ->
-        if chance lf.lf_drop then begin
-          !counts.link_drops <- !counts.link_drops + 1;
-          bump_class ("link.drop." ^ name);
-          metric m_link_drops;
-          Drop
-        end
-        else if chance lf.lf_delay then begin
-          !counts.link_delays <- !counts.link_delays + 1;
-          bump_class ("link.delay." ^ name);
-          metric m_link_delays;
-          Delay lf.lf_delay_span
-        end
-        else Deliver
+  drops !armed_links ~name ~dropped:link_dropped ~delayed:link_delayed
 
 (* -- node faults ------------------------------------------------------ *)
 
-let node_plan name =
-  List.find_opt (fun nf -> nf.nf_node = name) !the_plan.node_faults
-
-let fire_once key bump =
-  if not (Hashtbl.mem node_fired key) then begin
-    Hashtbl.replace node_fired key ();
-    bump ()
-  end
+(* Whether [now] falls in one of [a]'s partition windows, from the
+   [i]-th on; a window is tallied the first time it is observed. *)
+let rec partitioned a ~now i = function
+  | [] -> false
+  | (from, until) :: rest ->
+      if now >= from && now < until then begin
+        if not a.an_entered.(i) then begin
+          a.an_entered.(i) <- true;
+          !counts.node_partitions <- !counts.node_partitions + 1;
+          bump a.an_part_cls;
+          metric m_node_partitions
+        end;
+        true
+      end
+      else partitioned a ~now (i + 1) rest
 
 (* Reachability is consulted per packet by the replicated tier: a
-   crashed node is gone from its crash time on; a partitioned node is
-   unreachable inside each window and answers again after it. Each
-   fault is tallied once, on first observation. *)
+   partitioned node is unreachable inside each window and answers
+   again after it. *)
 let node_reachable ~name ~now =
   if not !enabled then true
   else
-    match node_plan name with
+    match List.assoc_opt name !armed_nodes with
     | None -> true
-    | Some nf ->
-        let crashed =
-          match nf.nf_crash_at with Some t -> now >= t | None -> false
-        in
-        if crashed then begin
-          fire_once ("crash:" ^ name) (fun () ->
-              !counts.node_crashes <- !counts.node_crashes + 1;
-              bump_class ("node.crash." ^ name);
-              metric m_node_crashes);
-          false
-        end
-        else
-          let rec partitioned i = function
-            | [] -> false
-            | (a, b) :: rest ->
-                if now >= a && now < b then begin
-                  fire_once
-                    (Printf.sprintf "part:%s:%d" name i)
-                    (fun () ->
-                      !counts.node_partitions <- !counts.node_partitions + 1;
-                      bump_class ("node.partition." ^ name);
-                      metric m_node_partitions);
-                  true
-                end
-                else partitioned (i + 1) rest
-          in
-          not (partitioned 0 nf.nf_partitions)
+    | Some a -> not (partitioned a ~now 0 a.an.nf_partitions)
 
-(* One-shot: the first consultation at/after the wipe (or crash —
-   a crashed node loses its RAM contents too) answers [true] and the
-   caller must empty the node's pool. *)
+(* Wipes and joins are one-shot and driven by virtual time, never
+   dice, so a plan names exactly which node fails or joins when: the
+   first consultation at/after the planned time answers [true] and
+   the caller (the fleet) must apply it. *)
 let node_wipe_due ~name ~now =
   if not !enabled then false
   else
-    match node_plan name with
-    | None -> false
-    | Some nf ->
-        let due kind bump_it = function
-          | Some t when now >= t ->
-              let key = kind ^ ":" ^ name in
-              if Hashtbl.mem node_fired key then false
-              else begin
-                Hashtbl.replace node_fired key ();
-                bump_it ();
-                true
-              end
-          | _ -> false
-        in
-        let wiped =
-          due "wipe"
-            (fun () ->
-              !counts.node_wipes <- !counts.node_wipes + 1;
-              bump_class ("node.wipe." ^ name);
-              metric m_node_wipes)
-            nf.nf_wipe_at
-        in
-        let crashed = due "crashwipe" (fun () -> ()) nf.nf_crash_at in
-        wiped || crashed
-
-(* Membership events share the one-shot machinery: the first
-   consultation at/after the planned time answers [true] and the
-   caller (the fleet) must apply the join/retire. Virtual-time
-   driven, never dice, so a plan names exactly who joins when. *)
-let membership_due kind field bump ~name ~now =
-  if not !enabled then false
-  else
-    match node_plan name with
-    | None -> false
-    | Some nf -> (
-        match field nf with
-        | Some t when now >= t ->
-            let key = kind ^ ":" ^ name in
-            if Hashtbl.mem node_fired key then false
-            else begin
-              Hashtbl.replace node_fired key ();
-              bump ();
-              true
-            end
-        | _ -> false)
+    match List.assoc_opt name !armed_nodes with
+    | Some ({ an = { nf_wipe_at = Some t; _ }; an_wiped = false; _ } as a)
+      when now >= t ->
+        a.an_wiped <- true;
+        !counts.node_wipes <- !counts.node_wipes + 1;
+        bump a.an_wipe_cls;
+        metric m_node_wipes;
+        true
+    | _ -> false
 
 let node_join_due ~name ~now =
-  membership_due "join"
-    (fun nf -> nf.nf_join_at)
-    (fun () ->
-      !counts.node_joins <- !counts.node_joins + 1;
-      bump_class ("node.join." ^ name);
-      metric m_node_joins)
-    ~name ~now
-
-let node_retire_due ~name ~now =
-  membership_due "retire"
-    (fun nf -> nf.nf_retire_at)
-    (fun () ->
-      !counts.node_retires <- !counts.node_retires + 1;
-      bump_class ("node.retire." ^ name);
-      metric m_node_retires)
-    ~name ~now
+  if not !enabled then false
+  else
+    match List.assoc_opt name !armed_nodes with
+    | Some ({ an = { nf_join_at = Some t; _ }; an_joined = false; _ } as a)
+      when now >= t ->
+        a.an_joined <- true;
+        !counts.node_joins <- !counts.node_joins + 1;
+        bump a.an_join_cls;
+        metric m_node_joins;
+        true
+    | _ -> false
 
 (* Per-shard-fetch consultation: the named node flips a bit in the
    shard it is serving, the receiver's checksum catches it, and the
@@ -742,12 +742,12 @@ let node_retire_due ~name ~now =
 let shard_corrupt ~name =
   if not !enabled then false
   else
-    match node_plan name with
+    match List.assoc_opt name !armed_nodes with
     | None -> false
-    | Some nf ->
-        if chance nf.nf_corrupt then begin
+    | Some a ->
+        if chance a.an.nf_corrupt then begin
           !counts.shard_corruptions <- !counts.shard_corruptions + 1;
-          bump_class ("shard.corrupt." ^ name);
+          bump a.an_corrupt_cls;
           metric m_shard_corruptions;
           true
         end
@@ -781,7 +781,7 @@ let crash_write ~now ~site ~lba ~nblocks =
     | Some i ->
         Hashtbl.replace crash_fired i ();
         !counts.crashes <- !counts.crashes + 1;
-        bump_class "crash.write";
+        bump c_crash;
         metric m_crashes;
         Some (Rng.int !rng nblocks)
   end
@@ -819,7 +819,7 @@ let note_pressure_burst () =
    tallied per class here. *)
 let note_zpool_burst ~shed =
   !counts.zpool_bursts <- !counts.zpool_bursts + 1;
-  bump_class "zpool.burst";
+  bump c_zpool_burst;
   metric m_zpool_bursts;
   if shed > 0 && !Obs.enabled then Obs.Metrics.add m_zpool_shed_frames shed
 
@@ -830,5 +830,7 @@ let accounted () =
   t.injected_errors = t.retried + t.remapped + t.degraded + t.killed
 
 let by_class () =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) classes []
+  Hashtbl.fold
+    (fun k c acc -> if c.hits > 0 then (k, c.hits) :: acc else acc)
+    classes []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

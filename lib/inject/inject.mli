@@ -103,34 +103,27 @@ type node_fault = {
   nf_node : string;  (** the remote node's link name ({!Usnet.Link.name}) *)
   nf_wipe_at : Time.t option;
       (** node RAM contents lost at this virtual time (node stays up) *)
-  nf_crash_at : Time.t option;
-      (** node gone for good from this time on (contents lost too) *)
   nf_partitions : (Time.t * Time.t) list;
       (** [[(from, until); ...]] windows during which the node is
           unreachable; contents survive and it answers again after *)
   nf_join_at : Time.t option;
       (** a standby node joins the fleet membership at this time *)
-  nf_retire_at : Time.t option;
-      (** the node is retired (drained, then unused) at this time *)
   nf_corrupt : float;
       (** probability per shard/copy fetch that the served bytes fail
           their checksum — detected corruption, treated as a lost
           shard by the tier layer *)
 }
 (** Node-scoped faults for the replicated/erasure-coded remote tier:
-    a node can be wiped (amnesia), crashed (permanent loss) or
-    partitioned away for a window; membership can change (join /
-    retire); and served shards can arrive corrupted. Wipes, crashes,
-    partitions and membership changes are driven by virtual time, not
-    dice, so a plan names exactly which node fails when; corruption
-    is probabilistic on the plan's seeded stream. *)
+    a node can be wiped (amnesia) or partitioned away for a window; a
+    standby node can join the membership; and served shards can
+    arrive corrupted. Wipes, partitions and joins are driven by
+    virtual time, not dice, so a plan names exactly which node fails
+    when; corruption is probabilistic on the plan's seeded stream. *)
 
 val node_fault :
   ?wipe_at:Time.t ->
-  ?crash_at:Time.t ->
   ?partitions:(Time.t * Time.t) list ->
   ?join_at:Time.t ->
-  ?retire_at:Time.t ->
   ?corrupt:float ->
   string ->
   node_fault
@@ -153,22 +146,17 @@ type plan = {
 val default_plan : plan
 (** Seed 0, nothing injected. *)
 
-val site_axis : (plan -> plan) Registry.axis
-(** Hook point for fault-site kinds. A spec string names a kind and
-    its parameters as [k=v] pairs — e.g.
-    ["bad-blok:first=2048,len=16,op=write"],
-    ["stall:site=victim.swap,rate=0.02,ms=30"],
-    ["node:name=mem1,crash-ms=4000,part=1000-2000"] — and resolving
-    it yields the function that appends that fault to a plan under
-    construction. The built-in kinds ([bad-blok], [region], [stall],
-    [chan], [link], [pressure], [zpool], [crash], [node]) are
-    ordinary registrations; a new fault site registers here without
-    editing this module. *)
-
 val plan_of_specs : seed:int -> string list -> (plan, Registry.error) result
 (** Build a plan from site specs, applied in order to
     [{default_plan with seed}] — list-valued sites append, so spec
-    order is plan order; [pressure]/[zpool] overwrite. *)
+    order is plan order; [pressure]/[zpool] overwrite. A spec names a
+    fault-site kind and its parameters as [k=v] pairs — e.g.
+    ["bad-blok:first=2048,len=16,op=write"],
+    ["stall:site=victim.swap,rate=0.02,ms=30"],
+    ["node:name=mem1,wipe-ms=4000,part=1000-2000"]. The kinds
+    ([bad-blok], [region], [stall], [chan], [link], [pressure],
+    [zpool], [crash], [node]) are registrations on the ["chaos-site"]
+    registry axis. *)
 
 val enabled : bool ref
 (** Do not write directly; use {!arm}/{!disarm}. *)
@@ -213,26 +201,19 @@ val link : name:string -> chan_outcome
 
 val node_reachable : name:string -> now:Time.t -> bool
 (** Consulted per packet by the replicated tier: [false] while the
-    named node is crashed (from [nf_crash_at] on) or inside a
-    partition window — the packet is lost and the sender must
-    retransmit, fail over or quarantine. Each crash and each
+    named node is inside a partition window — the packet is lost and
+    the sender must retransmit, fail over or quarantine. Each
     partition window is tallied once, on first observation. *)
 
 val node_wipe_due : name:string -> now:Time.t -> bool
-(** One-shot per arm/reset (separately for wipe and crash): [true] on
-    the first consultation at/after the node's [nf_wipe_at] (or
-    [nf_crash_at] — a crashed node loses its contents too), and the
-    caller must empty the node's page pool. *)
+(** One-shot per arm/reset: [true] on the first consultation at/after
+    the node's [nf_wipe_at], and the caller must empty the node's page
+    pool. *)
 
 val node_join_due : name:string -> now:Time.t -> bool
 (** One-shot per arm/reset: [true] on the first consultation at/after
     the node's [nf_join_at] — the fleet must admit the standby node
     into membership and rebalance. *)
-
-val node_retire_due : name:string -> now:Time.t -> bool
-(** One-shot per arm/reset: [true] on the first consultation at/after
-    the node's [nf_retire_at] — the fleet must drop the node from
-    placement and migrate its copies away (budgeted, like repair). *)
 
 val shard_corrupt : name:string -> bool
 (** Consulted once per shard/copy fetched from the named node:
@@ -284,10 +265,8 @@ type tally = private {
   mutable link_drops : int;  (** packets lost on an injected lossy link *)
   mutable link_delays : int;
   mutable node_wipes : int;  (** node wipes applied (amnesia, node stays up) *)
-  mutable node_crashes : int;  (** nodes gone for good *)
   mutable node_partitions : int;  (** partition windows entered *)
   mutable node_joins : int;  (** standby nodes joined into membership *)
-  mutable node_retires : int;  (** nodes retired out of membership *)
   mutable shard_corruptions : int;
       (** checksum-detected corrupt shard serves *)
   mutable pressure_bursts : int;

@@ -39,10 +39,6 @@ type violation =
   | Revocation_overdue of { dom : int; deadline : Time.t; finished : Time.t }
   | Guarantee_starved of { dom : int }
 
-val class_of : violation -> string
-(** ["cpu.undersupply"] etc.; the label used on the
-    ["qos.violations"] counter. *)
-
 val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Configuration} *)

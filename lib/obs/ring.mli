@@ -28,7 +28,4 @@ val total : 'a t -> int
 val to_list : 'a t -> (Engine.Time.t * 'a) list
 (** Oldest first. *)
 
-val iter : (Engine.Time.t -> 'a -> unit) -> 'a t -> unit
-(** Oldest first. *)
-
 val clear : 'a t -> unit

@@ -38,8 +38,6 @@ let name t =
   in
   if t.wb_batch > 1 then Printf.sprintf "%s+wb%d" base t.wb_batch else base
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 (* --- Hook points ---
 
    Base names resolve through [replacement_axis], '+'-separated

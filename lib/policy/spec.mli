@@ -15,9 +15,9 @@
 
     Since the extension-registry redesign the textual form resolves
     through {!Registry}: base names through {!replacement_axis},
-    modifiers through {!modifier_axis}. The built-ins above are
-    ordinary registrations, and a new policy registers itself the same
-    way — no edit to this module:
+    modifiers through the ["policy-modifier"] axis. The built-ins
+    above are ordinary registrations, and a new policy registers
+    itself the same way — no edit to this module:
 
     {[
       Registry.register_exn Policy.Spec.replacement_axis
@@ -52,28 +52,20 @@ type t = {
   wb_batch : int;  (** <= 1 = write-through *)
 }
 
-type modifier = t -> (t, string) result
-(** What a ['+']-modifier does to the spec being built. *)
-
 val default : t
 
 val replacement_axis : replacement Registry.axis
 (** Hook point for base policy names ([fifo], [clock], ...). *)
 
-val modifier_axis : modifier Registry.axis
-(** Hook point for ['+']-separated modifiers ([ra], [ad], [wb]). *)
-
 val name : t -> string
 (** Canonical textual form (parsable by {!of_string}). *)
 
-val resolve : string -> (t, Registry.error) result
-(** Parse and resolve through the registry, with typed errors — the
-    CLI path ({!Registry.error_message} adds a did-you-mean hint). *)
-
 val of_string : string -> (t, string) result
-(** Thin wrapper over {!resolve} that renders errors as strings;
-    accepts every pre-registry spec string byte-for-byte (golden
-    test in [test/test_registry.ml]). *)
+(** Parse a base policy name and its ['+']-separated modifiers ([ra],
+    [ad], [wb]) and resolve both through the registry, rendering errors
+    as strings (with a did-you-mean hint); accepts every pre-registry
+    spec string byte-for-byte (golden test in
+    [test/test_registry.ml]). *)
 
 val presets : (string * t) list
 (** The line-up [policy-compare] runs by default: fifo, fifo+ra8,
@@ -81,5 +73,3 @@ val presets : (string * t) list
 
 val make_replacement : t -> now:(unit -> int) -> Replacement.t
 val make_prefetch : t -> Prefetch.t
-
-val pp : Format.formatter -> t -> unit

@@ -61,8 +61,6 @@ module Spec = struct
     if i = 0 || i = n then None
     else Some (String.sub head 0 i, String.sub head i (n - i))
 
-  let arg a = match a.args with [] -> None | x :: _ -> Some x
-
   let param a k =
     List.fold_left (fun acc (k', v) -> if k' = k then Some v else acc) None
       a.params
@@ -129,8 +127,6 @@ let error_message = function
     Printf.sprintf "duplicate %s %S: already registered" axis name
   | Malformed_spec { axis; spec; reason } ->
     Printf.sprintf "malformed %s spec %S: %s" axis spec reason
-
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
 
 type param_kind =
   | Flag

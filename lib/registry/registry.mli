@@ -6,7 +6,7 @@
 
     A {e hook point} is an {!type:axis}: a typed table the owning
     subsystem creates once ([Policy.Spec.replacement_axis],
-    [Tier.Backing.axis], [Inject.site_axis],
+    [Tier.Backing.axis], Inject's ["chaos-site"] axis,
     [Workload.Paging_app.pattern_axis], [Experiments.Catalog.axis]).
     A module that wants to extend the simulator {!register}s a
     {!manifest} (name, doc line, parameter descriptors, default
@@ -64,9 +64,6 @@ module Spec : sig
       and the trailing decimal digits; [None] when the head has no
       such split. *)
 
-  val arg : atom -> string option
-  (** First bare argument, if any ([Some "32"] for ["wsclock:32"]). *)
-
   val param : atom -> string -> string option
   (** Last [k=v] value for the key, if any. *)
 
@@ -91,8 +88,6 @@ val error_message : error -> string
 val suggest : known:string list -> string -> string list
 (** Close matches (edit distance <= 2, or prefix), best first — the
     did-you-mean candidates. *)
-
-val pp_error : Format.formatter -> error -> unit
 
 (** {1 Manifests} *)
 

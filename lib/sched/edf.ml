@@ -292,7 +292,3 @@ let next_backlogged_deadline t =
   | 0, _ -> Some (Dq.min t.backlog).deadline
   | _, 0 -> Some (Dq.min t.slack).deadline
   | _ -> Some (min (Dq.min t.slack).deadline (Dq.min t.backlog).deadline)
-
-let pp_client ppf c =
-  Format.fprintf ppf "%s(p=%a,s=%a,dl=%a,rem=%a)" c.cname Time.pp_span
-    c.period Time.pp_span c.slice Time.pp c.deadline Time.pp_span c.remaining

@@ -119,5 +119,3 @@ val next_deadline : t -> Time.t option
 
 val next_backlogged_deadline : t -> Time.t option
 (** Earliest pending period boundary over the backlogged clients. *)
-
-val pp_client : Format.formatter -> client -> unit

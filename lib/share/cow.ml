@@ -27,13 +27,10 @@ type template = {
   tpl_reg : Registry.t;
   tpl_npages : int;
   tpl_frames : int option array;  (* template page -> shared pfn *)
-  mutable tpl_tenants : int;
 }
 
-let template_pages t = t.tpl_npages
 let shared_frames t =
   Array.fold_left (fun a f -> if f = None then a else a + 1) 0 t.tpl_frames
-let tenants t = t.tpl_tenants
 
 (* Freeze: settle + surrender the template's resident pages and move
    their frames to the share host's stack, so the template domain's
@@ -45,7 +42,7 @@ let freeze ~reg ~name (d : System.domain) (handle : Sd_paged.handle)
     ~npages =
   let t =
     { tpl_name = name; tpl_reg = reg; tpl_npages = npages;
-      tpl_frames = Array.make npages None; tpl_tenants = 0 }
+      tpl_frames = Array.make npages None }
   in
   let surrendered = Sd_paged.surrender_resident handle in
   List.iter
@@ -293,5 +290,4 @@ let spawn sys ~template:(tpl : template) ~tpl_domain ~name ?backing
           in
           System.bind_driver d stretch (driver c);
           Domains.on_kill d.System.dom (fun () -> detach c);
-          tpl.tpl_tenants <- tpl.tpl_tenants + 1;
           Ok (c, stretch)))

@@ -49,13 +49,9 @@ val freeze :
     freeze (never touched, or evicted) have no shared frame; tenants
     fault them privately. *)
 
-val template_pages : template -> int
-
 val shared_frames : template -> int
 (** Template frames currently shared (shrinks as last references
     break away). *)
-
-val tenants : template -> int
 
 (** {2 Tenants} *)
 
@@ -80,7 +76,3 @@ type stats = {
 }
 
 val stats : tenant -> stats
-
-val detach : tenant -> unit
-(** Drop every surviving shared mapping (idempotent; also runs
-    automatically when the tenant domain is killed). *)

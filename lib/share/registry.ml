@@ -10,7 +10,6 @@ open Core
 
 type t = {
   sys : System.t;
-  host_id : int;
   client : Frames.client;
   (* live shared frames -> cleanup run when the frame is freed *)
   by_pfn : (int, unit -> unit) Hashtbl.t;
@@ -23,20 +22,14 @@ type t = {
 
 type error = Map_failed of Translation.error
 
-let pp_error ppf = function
-  | Map_failed e ->
-    Format.fprintf ppf "shared mapping failed: %a" Translation.pp_error e
-
 let create sys ~guarantee =
   match System.admit_service sys ~guarantee ~optimistic:0 with
   | Error e -> Error e
-  | Ok (host_id, client) ->
+  | Ok (_, client) ->
     Ok
-      { sys; host_id; client; by_pfn = Hashtbl.create 64; installs = 0;
+      { sys; client; by_pfn = Hashtbl.create 64; installs = 0;
         frees = 0; grants = 0; breaks = 0; detaches = 0 }
 
-let system t = t.sys
-let host_id t = t.host_id
 let client t = t.client
 
 let metric c = if !Obs.enabled then Obs.Metrics.inc c

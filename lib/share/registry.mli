@@ -20,15 +20,11 @@ type t
 
 type error = Map_failed of Translation.error
 
-val pp_error : Format.formatter -> error -> unit
-
 val create : System.t -> guarantee:int -> (t, System.error) result
 (** Admit the host service client with [guarantee] frames (optimistic
     0 — shared frames are precious; the host must not be picked as a
     revocation victim). *)
 
-val system : t -> System.t
-val host_id : t -> int
 val client : t -> Frames.client
 
 val alloc_shared : t -> on_free:(unit -> unit) -> int option

@@ -15,10 +15,6 @@ type t = {
      contents distinguishable while keeping the entropy class (and so
      the compressed size) a pure function of the slot *)
   versions : (int, int) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable below_writes : int;
-  mutable dropped_on_error : int;
   (* counters labelled with [label] *)
   m_stored : Obs.Metrics.counter;
   m_incompressible : Obs.Metrics.counter;
@@ -33,8 +29,7 @@ let decompress_us = Time.us 2
 
 let create ?(label = "zram") ~zpool ~below () =
   let c = Obs.Metrics.counter ~label in
-  { zpool; below; label; versions = Hashtbl.create 256; hits = 0;
-    misses = 0; below_writes = 0; dropped_on_error = 0;
+  { zpool; below; label; versions = Hashtbl.create 256;
     m_stored = c "zram.stored"; m_incompressible = c "zram.incompressible";
     m_overflow = c "zram.overflow"; m_hit = c "zram.hit";
     m_miss = c "zram.miss" }
@@ -67,15 +62,12 @@ let put_slot t slot =
 
 let drop_range t ~page_index ~npages =
   for s = page_index to page_index + npages - 1 do
-    if Zpool.mem t.zpool ~key:(key_of t s) then begin
-      Zpool.drop t.zpool ~key:(key_of t s);
-      t.dropped_on_error <- t.dropped_on_error + 1
-    end
+    if Zpool.mem t.zpool ~key:(key_of t s) then
+      Zpool.drop t.zpool ~key:(key_of t s)
   done
 
 let write_page t ~page_index =
   put_slot t page_index;
-  t.below_writes <- t.below_writes + 1;
   match t.below.Tier.Backing.write_page ~page_index with
   | Ok () -> Ok ()
   | Error e ->
@@ -86,7 +78,6 @@ let write_pages t ~page_index ~npages =
   for s = page_index to page_index + npages - 1 do
     put_slot t s
   done;
-  t.below_writes <- t.below_writes + 1;
   match t.below.Tier.Backing.write_pages ~page_index ~npages with
   | Ok () -> Ok ()
   | Error e ->
@@ -103,7 +94,6 @@ let write_pages_commit t ~page_index ~npages ~pages ~retire =
       if Zpool.mem t.zpool ~key:(key_of t old_slot) then
         Zpool.drop t.zpool ~key:(key_of t old_slot))
     retire;
-  t.below_writes <- t.below_writes + 1;
   match
     t.below.Tier.Backing.write_pages_commit ~page_index ~npages ~pages ~retire
   with
@@ -153,13 +143,11 @@ let read_pages t ~page_index ~npages =
       (* exercise the exact-inverse pair so a broken codec faults loud *)
       if String.length data <> Zpool.page_bytes then
         invalid_arg "Sd_zram: decompressed page has wrong size";
-      t.hits <- t.hits + 1;
       metric t.m_hit;
       Proc.sleep decompress_us;
       if !Obs.enabled then
         Obs.Metrics.observe m_hit_us (Time.to_us decompress_us)
     | None ->
-      t.misses <- t.misses + 1;
       metric t.m_miss;
       if !run_len = 0 then begin
         run_start := !s;
@@ -176,19 +164,6 @@ let read_pages t ~page_index ~npages =
     else Error (`Lost_pages (List.sort_uniq compare !lost))
 
 (* ------------------------------------------------------------------ *)
-
-type stats = {
-  s_hits : int;
-  s_misses : int;
-  s_below_writes : int;
-  s_dropped_on_error : int;
-}
-
-let stats t =
-  { s_hits = t.hits; s_misses = t.misses; s_below_writes = t.below_writes;
-    s_dropped_on_error = t.dropped_on_error }
-
-let zpool t = t.zpool
 
 let backing t =
   { Tier.Backing.label = t.label;

@@ -35,17 +35,6 @@ val create : ?label:string -> zpool:Zpool.t -> below:Tier.Backing.t -> unit -> t
 val backing : t -> Tier.Backing.t
 (** The record to pass to [System.bind_paged ~backing]. *)
 
-type stats = {
-  s_hits : int;  (** reads served from the pool *)
-  s_misses : int;  (** reads that went below *)
-  s_below_writes : int;  (** write transactions forwarded below *)
-  s_dropped_on_error : int;
-      (** pool entries dropped because the floor write failed *)
-}
-
-val stats : t -> stats
-val zpool : t -> Zpool.t
-
 type zram_cap = {
   zc_zpool : Zpool.t;  (** the pool shared by the tenant fleet *)
   zc_label : string;  (** per-tenant label (entries are keyed [label:slot]) *)

@@ -16,7 +16,6 @@ type t = {
   sg_npages : int;
   sg_frames : int option array;  (* page -> the one resident copy *)
   mutable sg_fills : int;
-  mutable sg_attached : int;
 }
 
 (* The per-page materialization delay: fetching the segment's contents
@@ -25,11 +24,8 @@ let fill = Time.us 50
 
 let create ~reg ~name ~npages () =
   { sg_name = name; sg_reg = reg; sg_npages = npages;
-    sg_frames = Array.make npages None; sg_fills = 0; sg_attached = 0 }
+    sg_frames = Array.make npages None; sg_fills = 0 }
 
-let name t = t.sg_name
-let npages t = t.sg_npages
-let attached t = t.sg_attached
 let fills t = t.sg_fills
 
 let resident t =
@@ -43,7 +39,6 @@ type attachment = {
   a_env : Stretch_driver.env;
   mutable a_stretch : Stretch.t option;
   a_mapped : bool array;
-  mutable a_hits : int;
   a_hit_metric : Obs.Metrics.counter; (* labelled with the domain *)
 }
 
@@ -74,7 +69,6 @@ let map_resident a page =
      with
     | Ok () ->
       a.a_mapped.(page) <- true;
-      a.a_hits <- a.a_hits + 1;
       if !Obs.enabled then Obs.Metrics.inc a.a_hit_metric;
       true
     | Error _ -> false)
@@ -167,17 +161,14 @@ let attach t (d : System.domain) =
     Pdom.clear (Domains.pdom d.System.dom) ~sid:stretch.Stretch.sid;
     let a =
       { a_seg = t; a_env = d.System.env; a_stretch = None;
-        a_mapped = Array.make t.sg_npages false; a_hits = 0;
+        a_mapped = Array.make t.sg_npages false;
         a_hit_metric =
           Obs.Metrics.counter ~label:d.System.env.Stretch_driver.domain_name
             "seg.hit" }
     in
     System.bind_driver d stretch (driver a);
     Domains.on_kill d.System.dom (fun () -> detach a);
-    t.sg_attached <- t.sg_attached + 1;
     Ok (a, stretch)
-
-let hits a = a.a_hits
 
 let mapped a =
   Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 a.a_mapped

@@ -29,10 +29,6 @@ val create : reg:Registry.t -> name:string -> npages:int -> unit -> t
 (** Materializing a page costs a 50 us sleep — fetching the segment's
     contents from wherever "text" lives. *)
 
-val name : t -> string
-val npages : t -> int
-val attached : t -> int
-
 val resident : t -> int
 (** Pages with a materialized frame right now — the segment's whole
     physical footprint, however many domains map it. *)
@@ -48,9 +44,4 @@ val attach : t -> System.domain -> (attachment * Stretch.t, System.error) result
     write), bind the segment driver and register the kill-hook
     detach. *)
 
-val detach : attachment -> unit
-(** Drop this domain's shared references (idempotent; automatic on
-    domain death). *)
-
-val hits : attachment -> int
 val mapped : attachment -> int

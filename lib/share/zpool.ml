@@ -113,8 +113,6 @@ type t = {
 let max_entry_bytes = page_bytes / 2
 
 let frames_held t = List.length t.held
-let budget t = t.budget
-let entries t = Hashtbl.length t.entries
 
 type stats = {
   z_stored : int;

@@ -69,17 +69,9 @@ val set_budget : t -> int -> int
 (** Change the frame budget, shedding oldest-first down to it; returns
     the number of frames shed. *)
 
-val expose_for_revocation : t -> k:int -> unit
-(** Revocation handler body: drop the oldest [k] frames' entries and
-    leave the frames [Unused] at the top of the client's stack for the
-    allocator's verify pass. Call {!Core.Frames.revocation_ready}
-    after. *)
-
 (** {2 Introspection} *)
 
 val frames_held : t -> int
-val budget : t -> int
-val entries : t -> int
 
 type stats = {
   z_stored : int;

@@ -117,7 +117,6 @@ let make ~k ~m =
   { ck = k; cm = m; rows }
 
 let k c = c.ck
-let m c = c.cm
 let width c = c.ck + c.cm
 let shard_length c ~page_bytes = (page_bytes + c.ck - 1) / c.ck
 

@@ -29,9 +29,6 @@ val make : k:int -> m:int -> code
 val k : code -> int
 (** Data shards per page. *)
 
-val m : code -> int
-(** Parity shards per page. *)
-
 val width : code -> int
 (** [k + m] — shards placed per page, on distinct nodes. *)
 

@@ -294,11 +294,8 @@ let retire_node t ~name =
       apply_retire t nd
 
 (* Faults are applied lazily: before any fleet operation consults a
-   node's contents or the placement, honour pending wipes (a crash
-   implies a wipe — the RAM went with the node) and membership
-   changes from the chaos plan. Joins land before retires so a plan
-   that swaps a node in and another out in the same instant never
-   dips below the stripe width. *)
+   node's contents or the placement, honour pending wipes and joins
+   from the chaos plan. *)
 let poll_faults t =
   let now = Sim.now t.sim in
   Array.iter
@@ -311,13 +308,6 @@ let poll_faults t =
       end;
       if (not nd.nd_member) && Inject.node_join_due ~name:nd.nd_name ~now then
         apply_join t nd)
-    t.nodes;
-  Array.iter
-    (fun nd ->
-      if
-        nd.nd_member && member_count t > t.width
-        && Inject.node_retire_due ~name:nd.nd_name ~now
-      then apply_retire t nd)
     t.nodes
 
 (* ------------------------------------------------------------------ *)
@@ -340,7 +330,7 @@ let backoff ~base ~attempt = base * (1 lsl min attempt 3)
 (* One packet towards [nd] on [client]. The transmit burns the
    client's slice whether or not the far end is reachable — the
    sender cannot know — then the packet is lost if the node is
-   crashed/partitioned ({!Inject.node_reachable}) or the link's own
+   partitioned ({!Inject.node_reachable}) or the link's own
    fault plan drops it. Lost packets retransmit on the {!backoff}
    ladder, [retries] times, then time out. The sender learns of a
    loss when the ack deadline passes, and books it together with its

@@ -35,15 +35,15 @@
     fault fall back to the disk durability floor.
 
     {b Health.} Every node is reached over its own {!Usnet.Link};
-    packets to a crashed or partitioned node (per
+    packets to a partitioned node (per
     {!Inject.node_reachable}) are never acked, and neither are packets
     the link's own fault plan ({!Inject.link}) drops. The sender waits
     the 1 ms ack deadline, retransmits three times on the
     deterministic {!backoff} ladder and then times out. Three
     consecutive timeouts quarantine the node: it stops being asked
     for pages, and a background process probes it every 50 ms,
-    re-admitting it when a probe is answered (a healed partition) —
-    a crashed node just stays quarantined. A served entry that fails
+    re-admitting it when a probe is answered (a healed partition). A
+    served entry that fails
     its checksum ({!Inject.shard_corrupt}) is treated exactly like a
     lost one.
 
@@ -62,8 +62,8 @@
     {b Membership.} Nodes can join and retire at run time:
     {!add_node} admits a standby node (declared at {!create} so its
     link clients exist from the start) into the placement ring, and
-    {!retire_node} removes one — both also drivable from the chaos
-    plan via {!Inject.node_join_due}/{!Inject.node_retire_due}.
+    {!retire_node} removes one; a join can also come from the chaos
+    plan via {!Inject.node_join_due}.
     Rebalancing is rendezvous re-ranking: only pages whose top-[width]
     set involves the changed node move, and the moves are budgeted
     through the same repair loop (a {e migration} — the entry lived,
@@ -136,7 +136,7 @@ type stats = private {
   mutable link_drops : int;  (** packets the links' fault plans dropped *)
   mutable link_delays : int;  (** packets the links' fault plans delayed *)
   mutable unreachable : int;
-      (** packets sent to a crashed or partitioned node *)
+      (** packets sent to a partitioned node *)
   mutable frag_timeouts : int;  (** packets abandoned after the last retry *)
   mutable quarantines : int;  (** nodes quarantined (streak of timeouts) *)
   mutable readmissions : int;  (** quarantined nodes probed back in *)

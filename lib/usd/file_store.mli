@@ -7,49 +7,19 @@
     then access through {e its own} USD channel. All data-path QoS
     therefore belongs to the client doing the I/O, not to the store. *)
 
-open Engine
-
 type t
 
 type file
 
-val create :
-  ?journal_blocks:int ->
-  ?journal_qos:Qos.t ->
-  ?first_block:int ->
-  ?nblocks:int ->
-  Usd.t ->
-  t
-(** [journal_blocks] (default 0 = no journal) reserves that many bloks
-    at the head of the region for a write-ahead intent journal of
-    extent alloc/free records, with a dedicated ["fs.journal"] USD
-    client under [journal_qos] (default 10 ms / 200 ms). *)
+val create : ?first_block:int -> ?nblocks:int -> Usd.t -> t
 
 val create_file : t -> name:string -> bytes:int -> (file, string) result
 (** Allocates an extent of whole pages covering [bytes]. Fails on a
-    duplicate name or when space is exhausted. With a journal, the
-    allocation intent is durable before the file becomes visible. *)
+    duplicate name or when space is exhausted. *)
 
 val find : t -> string -> file option
 val delete : t -> file -> unit
 val free_blocks : t -> int
-val journaled : t -> bool
-
-type remount_stats = {
-  rm_replayed : int;
-  rm_torn : int;
-  rm_files : int;  (** files rebuilt from the journal *)
-  rm_conflicts : int;  (** replayed files whose extent could not be placed *)
-}
-
-val remount : t -> (remount_stats, string) result
-(** Replay the journal and rebuild the file table and free map from
-    scratch. Idempotent; quarantines torn records. Must run inside a
-    simulation process. Fails only when no journal is mounted. *)
-
-val snapshot : t -> string
-(** Canonical dump (free blocks + sorted file extents) for the
-    recovery idempotence tests. *)
 
 val file_name : file -> string
 val file_pages : file -> int
@@ -70,7 +40,3 @@ val read_page :
 val write_page :
   t -> file -> client:Usd.client -> page_index:int ->
   (unit, [ `Media of Usd.media | `Retired ]) result
-
-val read_page_async :
-  t -> file -> client:Usd.client -> page_index:int ->
-  (Usd.status Sync.Ivar.t, [ `Retired ]) result

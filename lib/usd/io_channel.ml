@@ -12,8 +12,6 @@ let create ~depth =
   { depth; items = Queue.create (); senders = Queue.create ();
     receivers = Sync.Handoff.create () }
 
-let depth t = t.depth
-let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
 
 let enqueue t v =
@@ -46,5 +44,3 @@ let try_recv t = if Queue.is_empty t.items then None else Some (take t)
 
 let recv t =
   if Queue.is_empty t.items then Sync.Handoff.recv t.receivers else take t
-
-let peek t = Queue.peek_opt t.items

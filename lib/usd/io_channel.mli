@@ -12,8 +12,6 @@ type 'a t
 val create : depth:int -> 'a t
 (** [depth] must be positive. *)
 
-val depth : 'a t -> int
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
@@ -25,5 +23,3 @@ val recv : 'a t -> 'a
 (** Blocks while the channel is empty. *)
 
 val try_recv : 'a t -> 'a option
-
-val peek : 'a t -> 'a option

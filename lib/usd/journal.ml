@@ -2,8 +2,6 @@ open Engine
 open Disk
 
 type record =
-  | Ext_alloc of { start : int; len : int; tag : string }
-  | Ext_free of { start : int; len : int; tag : string }
   | Swap_open of {
       name : string;
       start : int;
@@ -47,7 +45,6 @@ let create ~u ~client ~first ~nblocks =
 
 let first_block t = t.first
 let nblocks t = t.nblocks
-let head t = t.head
 let appended t = t.appended
 let full t = t.full
 
@@ -65,12 +62,6 @@ let pairs_to_string ps =
     :: List.map (fun (p, s) -> Printf.sprintf "%d:%d" p s) ps)
 
 let body_of_record = function
-  | Ext_alloc { start; len; tag } ->
-      check_name tag;
-      Printf.sprintf "ealloc %d %d %s" start len tag
-  | Ext_free { start; len; tag } ->
-      check_name tag;
-      Printf.sprintf "efree %d %d %s" start len tag
   | Swap_open { name; start; len; data_pages; spare_pages } ->
       check_name name;
       Printf.sprintf "sopen %d %d %d %d %s" start len data_pages spare_pages
@@ -86,57 +77,37 @@ let body_of_record = function
       Printf.sprintf "commit %s %s %s" (pairs_to_string pairs)
         (pairs_to_string retire) name
 
-(* Typed parse errors (PR 5 convention): a malformed record body is
-   data, not a programming error — replay quarantines it by treating
-   the body as invalid. The printers render the legacy failwith
-   strings. *)
-type parse_error =
-  | Bad_pair of string  (** token is not a "page:slot" pair *)
-  | Missing_pairs  (** the record body ended short of its pair count *)
-
-let pp_parse_error ppf = function
-  | Bad_pair _ -> Format.pp_print_string ppf "pair"
-  | Missing_pairs -> Format.pp_print_string ppf "pairs"
-
-let parse_error_message e = Format.asprintf "%a" pp_parse_error e
-
+(* A malformed record body is data, not a programming error: parsing
+   answers [None] and replay quarantines the record as invalid. *)
 let pair_of_token tok =
   match String.index_opt tok ':' with
-  | None -> Error (Bad_pair tok)
+  | None -> None
   | Some i -> (
       match
         ( int_of_string_opt (String.sub tok 0 i),
           int_of_string_opt (String.sub tok (i + 1) (String.length tok - i - 1))
         )
       with
-      | Some p, Some s -> Ok (p, s)
-      | _ -> Error (Bad_pair tok))
+      | Some p, Some s -> Some (p, s)
+      | _ -> None)
 
 (* Take [n] "p:s" tokens off the front. *)
 let rec take_pairs n toks =
-  if n = 0 then Ok ([], toks)
+  if n = 0 then Some ([], toks)
   else
     match toks with
-    | [] -> Error Missing_pairs
+    | [] -> None
     | tok :: rest -> (
         match pair_of_token tok with
-        | Error e -> Error e
-        | Ok p -> (
+        | None -> None
+        | Some p -> (
             match take_pairs (n - 1) rest with
-            | Error e -> Error e
-            | Ok (ps, rest) -> Ok (p :: ps, rest)))
+            | None -> None
+            | Some (ps, rest) -> Some (p :: ps, rest)))
 
 let record_of_body body =
   try
     match String.split_on_char ' ' body with
-    | [ "ealloc"; start; len; tag ] ->
-        Some
-          (Ext_alloc
-             { start = int_of_string start; len = int_of_string len; tag })
-    | [ "efree"; start; len; tag ] ->
-        Some
-          (Ext_free
-             { start = int_of_string start; len = int_of_string len; tag })
     | [ "sopen"; start; len; dp; sp; name ] ->
         Some
           (Swap_open
@@ -152,13 +123,13 @@ let record_of_body body =
              { name; slot = int_of_string slot; spare = int_of_string spare })
     | "commit" :: np :: rest -> (
         match take_pairs (int_of_string np) rest with
-        | Error _ -> None
-        | Ok (pairs, rest) -> (
+        | None -> None
+        | Some (pairs, rest) -> (
             match rest with
             | nr :: rest -> (
                 match take_pairs (int_of_string nr) rest with
-                | Error _ -> None
-                | Ok (retire, rest) -> (
+                | None -> None
+                | Some (retire, rest) -> (
                     match rest with
                     | [ name ] -> Some (Commit { name; pairs; retire })
                     | _ -> None))
@@ -375,6 +346,3 @@ let replay t =
   Fun.protect
     ~finally:(fun () -> Sync.Semaphore.release t.lock)
     (fun () -> replay_locked t)
-
-let pp_record ppf r =
-  Format.pp_print_string ppf (body_of_record r)

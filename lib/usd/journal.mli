@@ -2,8 +2,8 @@
 
     A reserved region at the head of the {!Sfs} disk partition holds a
     sequence of checksummed, sequence-numbered records describing every
-    metadata mutation of the backing store — extent alloc/free, swap
-    open/close, spare remaps — plus the data-commit records that make
+    metadata mutation of the backing store — swap open/close, spare
+    remaps — plus the data-commit records that make
     page-out writes durable. Metadata records are appended {e before}
     the in-heap structures mutate (write-ahead); a commit record is
     appended {e after} its data write completed, so a record's presence
@@ -23,8 +23,6 @@
     same record list and the same journal state. *)
 
 type record =
-  | Ext_alloc of { start : int; len : int; tag : string }
-  | Ext_free of { start : int; len : int; tag : string }
   | Swap_open of {
       name : string;
       start : int;
@@ -41,17 +39,6 @@ type record =
       retire : (int * int) list;
           (** (stretch page, old slot) superseded by this commit *)
     }
-
-type parse_error =
-  | Bad_pair of string
-      (** a token of a Commit body is not a ["page:slot"] pair *)
-  | Missing_pairs
-      (** the body ended short of its declared pair count *)
-
-val pp_parse_error : Format.formatter -> parse_error -> unit
-(** Renders the legacy failwith strings (["pair"] / ["pairs"]). *)
-
-val parse_error_message : parse_error -> string
 
 type t
 
@@ -90,10 +77,6 @@ val replay : t -> record list * replay_stats
 
 val first_block : t -> int
 val nblocks : t -> int
-val head : t -> int
-(** Next free blok offset within the region. *)
 
 val appended : t -> int
 val full : t -> bool
-
-val pp_record : Format.formatter -> record -> unit

@@ -15,7 +15,3 @@ let make ~period ~slice ?(extra = false) ?(laxity = Time.ms 10) () =
   { period; slice; extra; laxity }
 
 let share t = float_of_int t.slice /. float_of_int t.period
-
-let pp ppf t =
-  Format.fprintf ppf "(p=%a, s=%a, x=%b, l=%a)" Time.pp_span t.period
-    Time.pp_span t.slice t.extra Time.pp_span t.laxity

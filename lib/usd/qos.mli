@@ -25,5 +25,3 @@ val make :
 
 val share : t -> float
 (** s/p. *)
-
-val pp : Format.formatter -> t -> unit

@@ -49,10 +49,9 @@ let page_bytes = 8192
 let max_retries = 4
 let backoff_base = Time.of_ms_float 1.0
 
-let default_journal_qos =
-  Qos.make ~period:(Time.ms 100) ~slice:(Time.ms 20) ()
+let journal_qos = Qos.make ~period:(Time.ms 100) ~slice:(Time.ms 20) ()
 
-let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
+let create ?(journal_blocks = 0) ?(first_block = 0) ?nblocks u =
   let dm = Usd.disk u in
   let total = (Disk_model.params dm).Disk_params.nblocks in
   let nblocks = match nblocks with Some n -> n | None -> total - first_block in
@@ -67,10 +66,7 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
       (match Extents.alloc_at extents ~start:first_block ~len:journal_blocks with
       | Some _ -> ()
       | None -> assert false (* fresh region *));
-      let qos =
-        match journal_qos with Some q -> q | None -> default_journal_qos
-      in
-      match Usd.admit u ~name:"sfs.journal" ~qos () with
+      match Usd.admit u ~name:"sfs.journal" ~qos:journal_qos () with
       | Error e -> invalid_arg ("Sfs.create: journal client: " ^ e)
       | Ok client ->
           Some (Journal.create ~u ~client ~first:first_block
@@ -83,8 +79,6 @@ let create ?(journal_blocks = 0) ?journal_qos ?(first_block = 0) ?nblocks u =
     extents; journal; jdegraded = false; swaps = Hashtbl.create 7 }
 
 let free_blocks t = Extents.free_blocks t.extents
-let journaled t = t.journal <> None
-let journal_degraded t = t.jdegraded
 
 let m_journal_degraded = Obs.Metrics.counter "sfs.journal_degraded"
 let m_remounts = Obs.Metrics.counter "sfs.remounts"
@@ -208,21 +202,6 @@ let page_capacity sf = sf.data_pages
 let swap_name sf = sf.sname
 let attached sf = sf.client <> None
 let swap_journaled sf = sf.fs.journal <> None
-
-(* Typed error (PR 5 convention) replacing the failwith escape: a
-   detached swapfile has no USD client until reattached. The printer
-   renders the legacy message. *)
-type client_error = Detached of { name : string }
-
-let pp_client_error ppf (Detached { name }) =
-  Format.fprintf ppf "Sfs.usd_client: %s is detached" name
-
-let client_error_message e = Format.asprintf "%a" pp_client_error e
-
-let usd_client sf =
-  match sf.client with
-  | Some c -> Ok c
-  | None -> Error (Detached { name = sf.sname })
 
 let retry_count sf = sf.retries
 let remap_count sf = sf.remapped
@@ -474,13 +453,6 @@ let write_pages_commit sf ~page_index ~npages ~pages ~retire =
         Ok ()
     end
 
-let read_page_async sf ~page_index =
-  match sf.client with
-  | None -> Error `Retired
-  | Some client ->
-    Usd.submit sf.fs.u client Usd.Read ~lba:(lba_of_page sf page_index)
-      ~nblocks:sf.page_blocks
-
 (* -- remount / recovery ----------------------------------------------- *)
 
 type remount_stats = {
@@ -541,10 +513,7 @@ let remount t =
               (fun (p, s) ->
                 Hashtbl.replace rs.rs_assigns p s;
                 Hashtbl.replace rs.rs_committed s ())
-              pairs)
-        | Journal.Ext_alloc _ | Journal.Ext_free _ ->
-          (* File-store records never land in the SFS journal. *)
-          ())
+              pairs))
       records;
     (* Rebuild the free map from scratch: journal region first, then
        every surviving extent at its recorded place. *)

@@ -20,25 +20,17 @@
     {!reattach_swap}) with its committed pages intact. Without a
     journal the behaviour is bit-for-bit the seed semantics. *)
 
-open Engine
-
 type t
 
 type swapfile
 
 val create :
-  ?journal_blocks:int ->
-  ?journal_qos:Qos.t ->
-  ?first_block:int ->
-  ?nblocks:int ->
-  Usd.t ->
-  t
+  ?journal_blocks:int -> ?first_block:int -> ?nblocks:int -> Usd.t -> t
 (** Manage [nblocks] of disk starting at [first_block] (defaults: the
     whole disk). [journal_blocks] (default 0 = no journal) reserves
     that many bloks at the head of the region for the intent journal
-    and admits a dedicated USD client ["sfs.journal"] under
-    [journal_qos] (default 20 ms / 100 ms) so journal traffic is
-    scheduled like any other client. *)
+    and admits a dedicated USD client ["sfs.journal"] under 20 ms per
+    100 ms so journal traffic is scheduled like any other client. *)
 
 type open_error = [ `Exists | `Sfs of string ]
 (** [`Exists]: a swapfile of that name is already open — opening it
@@ -81,11 +73,6 @@ val find_swap : t -> string -> swapfile option
 
 val free_blocks : t -> int
 
-val journaled : t -> bool
-val journal_degraded : t -> bool
-(** The journal filled up or failed; operation continues without
-    durability (latched until {!remount}). *)
-
 (** {2 Data path} *)
 
 val extent_blocks : swapfile -> int
@@ -122,11 +109,6 @@ val read_page : swapfile -> page_index:int -> (unit, io_error) result
     process for the transaction's duration (including any retries). *)
 
 val write_page : swapfile -> page_index:int -> (unit, io_error) result
-
-val read_page_async :
-  swapfile -> page_index:int -> (Usd.status Sync.Ivar.t, [ `Retired ]) result
-(** Raw submission — no retry/remap ladder; prefetchers that can shrug
-    off a failed speculative read use it. *)
 
 val read_pages :
   swapfile -> page_index:int -> npages:int -> (unit, io_error) result
@@ -168,19 +150,6 @@ val committed_pairs : swapfile -> (int * int) list
 val slot_ok : swapfile -> slot:int -> bool
 (** The durable stamp for this slot is present and intact — the
     remount verification primitive. *)
-
-type client_error = Detached of { name : string }
-      (** the swapfile has no USD client until reattached *)
-
-val pp_client_error : Format.formatter -> client_error -> unit
-(** Renders the legacy message
-    (["Sfs.usd_client: NAME is detached"]). *)
-
-val client_error_message : client_error -> string
-
-val usd_client : swapfile -> (Usd.client, client_error) result
-(** [Detached] on a detached swapfile (the old API raised
-    [Failure]). *)
 
 val retry_count : swapfile -> int
 (** Transient-error retries performed so far. *)

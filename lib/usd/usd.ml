@@ -25,7 +25,6 @@ type request = {
 }
 
 type stream = {
-  cqos : Qos.t;
   channel : request Io_channel.t;
   mutable txns : int;
   mutable bytes : int;
@@ -61,7 +60,6 @@ type t = {
 }
 
 let client_name = Atropos.name
-let qos (c : client) = c.work.cqos
 let txn_count (c : client) = c.work.txns
 let bytes_moved (c : client) = c.work.bytes
 let used_time (c : client) = c.edf.Edf.used_total
@@ -139,7 +137,7 @@ let create ?rollover sim dm =
 
 let admit t ~name ~qos ?(channel_depth = 64) () =
   let stream =
-    { cqos = qos; channel = Io_channel.create ~depth:channel_depth; txns = 0;
+    { channel = Io_channel.create ~depth:channel_depth; txns = 0;
       bytes = 0; m = metrics name }
   in
   let r =

@@ -80,8 +80,6 @@ val transact_exn : t -> client -> op -> lba:int -> nblocks:int -> unit
     any error (unreachable while {!Inject} is disarmed and the client
     is never retired mid-flight). *)
 
-val client_name : client -> string
-val qos : client -> Qos.t
 val txn_count : client -> int
 val bytes_moved : client -> int
 val used_time : client -> Time.span

@@ -19,9 +19,6 @@ let admit_error_message = function
     Printf.sprintf "admission refused: utilisation %.3f > 1"
       (requested +. (1. -. available))
 
-let pp_admit_error ppf e =
-  Format.pp_print_string ppf (admit_error_message e)
-
 type packet = { bytes : int; completion : unit Sync.Ivar.t }
 
 type sender = {
@@ -54,7 +51,6 @@ let bytes_sent (c : client) = c.work.sent_bytes
 let used_time (c : client) = c.edf.Edf.used_total
 let lax_time (c : client) = c.lax_used
 let trace t = t.events
-let utilisation t = Atropos.utilisation t.loop
 
 let gauges s =
   if !Obs.enabled then begin

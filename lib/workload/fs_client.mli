@@ -14,7 +14,4 @@ val start :
 (** Keep 16 transactions outstanding; the sampler reads the
     throughput every 5 s. *)
 
-val usd_client : t -> Usbs.Usd.client
 val sampler : t -> Sampler.t
-val sustained_mbit : t -> float
-val stop : t -> unit

@@ -17,5 +17,3 @@ val series : t -> Stats.Series.t
 val sustained : t -> ?after:Time.t -> unit -> float
 (** Mean Mbit/s of samples at or after [after] (default: second sample
     onwards, skipping warm-up). *)
-
-val stop : t -> unit

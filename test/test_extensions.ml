@@ -53,74 +53,6 @@ let entry_defer_skips_fast () =
   check "fast path bypassed" 0 (Entry.fast_handled entry);
   check "worker handled it" 1 (Entry.slow_handled entry)
 
-(* --- Frame placement --- *)
-
-let placement_fixture () =
-  let sim = Sim.create () in
-  let ramtab = Ramtab.create ~nframes:64 in
-  let fr = Frames.create sim ramtab ~nframes:64 in
-  let c =
-    match Frames.admit fr ~domain:1 ~guarantee:8 ~optimistic:8 with
-    | Ok c -> c
-    | Error e -> failwith (Frames.error_message e)
-  in
-  (fr, c)
-
-let frames_specific () =
-  let fr, c = placement_fixture () in
-  (match Frames.alloc_specific fr c ~pfn:17 with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Frames.error_message e));
-  checkb "on the stack" true (Frame_stack.mem (Frames.frame_stack c) 17);
-  (match Frames.alloc_specific fr c ~pfn:17 with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "double allocation of the same frame");
-  (match Frames.alloc_specific fr c ~pfn:999 with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "out-of-range frame accepted")
-
-let frames_region () =
-  let fr, c = placement_fixture () in
-  Frames.add_region fr ~name:"dma" ~first:32 ~count:8;
-  Alcotest.(check (list (triple string int int)))
-    "region recorded" [ ("dma", 32, 8) ] (Frames.regions fr);
-  for _ = 1 to 8 do
-    match Frames.alloc_in_region fr c ~region:"dma" with
-    | Ok pfn -> checkb "inside region" true (pfn >= 32 && pfn < 40)
-    | Error e -> Alcotest.fail (Frames.error_message e)
-  done;
-  (* Region exhausted (and the client also hit its g+o quota of 16). *)
-  checkb "region exhausted" true
-    (Frames.alloc_in_region fr c ~region:"dma" = Error Frames.No_matching_frame);
-  (match Frames.alloc_in_region fr c ~region:"nvram" with
-  | Error (Frames.No_such_region { region }) ->
-    Alcotest.(check string) "unknown region" "nvram" region
-  | _ -> Alcotest.fail "expected No_such_region")
-
-let frames_colored () =
-  let fr, c = placement_fixture () in
-  for _ = 1 to 4 do
-    match Frames.alloc_colored fr c ~color:3 ~colors:4 with
-    | Some pfn -> check "colour respected" 3 (pfn mod 4)
-    | None -> Alcotest.fail "coloured allocation failed"
-  done;
-  Alcotest.check_raises "bad colour"
-    (Invalid_argument "Frames.alloc_colored: bad colour") (fun () ->
-      ignore (Frames.alloc_colored fr c ~color:4 ~colors:4))
-
-let frames_placement_quota () =
-  let fr, c = placement_fixture () in
-  (* g + o = 16: the 17th constrained allocation must be refused. *)
-  for _ = 1 to 16 do
-    ignore (Frames.alloc_colored fr c ~color:0 ~colors:1)
-  done;
-  check "held everything" 16 (Frames.held c);
-  checkb "over quota refused" true
-    (Frames.alloc_colored fr c ~color:0 ~colors:1 = None);
-  (match Frames.alloc_specific fr c ~pfn:60 with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "specific allocation ignored the quota")
-
 (* --- Extents --- *)
 
 let extents_basics () =
@@ -365,11 +297,6 @@ let suite =
   [ ( "ext.entry",
       [ Alcotest.test_case "fast path and workers" `Quick entry_fast_and_slow;
         Alcotest.test_case "defer skips fast path" `Quick entry_defer_skips_fast ] );
-    ( "ext.frame_placement",
-      [ Alcotest.test_case "specific frames" `Quick frames_specific;
-        Alcotest.test_case "special regions" `Quick frames_region;
-        Alcotest.test_case "page colouring" `Quick frames_colored;
-        Alcotest.test_case "quota still applies" `Quick frames_placement_quota ] );
     ( "ext.extents",
       [ Alcotest.test_case "alloc/alloc_at/coalesce" `Quick extents_basics;
         qtest extents_never_overlap ] );
@@ -385,116 +312,6 @@ let suite =
           stream_paging_single_txn;
         Alcotest.test_case "throughput gain under fixed guarantee" `Slow
           stream_paging_throughput ] ) ]
-
-(* --- Namespace --- *)
-
-type Namespace.entry += Test_value of int
-
-let namespace_paths () =
-  let ns = Namespace.create () in
-  (match Namespace.bind ns ~path:"drivers/custom/fast" (Test_value 1) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Namespace.bind ns ~path:"drivers/custom/slow" (Test_value 2) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Namespace.lookup ns ~path:"drivers/custom/fast" with
-  | Some (Test_value 1) -> ()
-  | _ -> Alcotest.fail "lookup failed");
-  Alcotest.(check (option (list string)))
-    "list context" (Some [ "fast"; "slow" ])
-    (Namespace.list ns ~path:"drivers/custom");
-  Alcotest.(check (option (list string)))
-    "root list" (Some [ "drivers" ]) (Namespace.list ns ~path:"");
-  (match Namespace.bind ns ~path:"drivers/custom/fast" (Test_value 3) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "duplicate bind accepted");
-  (match Namespace.rebind ns ~path:"drivers/custom/fast" (Test_value 3) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Namespace.lookup ns ~path:"drivers/custom/fast" with
-  | Some (Test_value 3) -> ()
-  | _ -> Alcotest.fail "rebind did not replace");
-  checkb "unbind value" true (Namespace.unbind ns ~path:"drivers/custom/slow");
-  checkb "context not unbindable" false (Namespace.unbind ns ~path:"drivers");
-  checkb "lookup through a value fails" true
-    (Namespace.lookup ns ~path:"drivers/custom/fast/deeper" = None)
-
-let namespace_driver_factories () =
-  let sys = Experiments.Harness.fresh_system ~main_memory_mb:1 () in
-  System.publish_standard_drivers sys;
-  Alcotest.(check (option (list string)))
-    "published" (Some [ "nailed"; "physical" ])
-    (Namespace.list (System.namespace sys) ~path:"drivers");
-  let d =
-    match System.add_domain sys ~name:"app" ~guarantee:4 ~optimistic:0 () with
-    | Ok d -> d
-    | Error e -> failwith (System.error_message e)
-  in
-  let s =
-    match System.alloc_stretch d ~bytes:(2 * Addr.page_size) () with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  (* Pick an implementation by name, then fault through it. *)
-  (match System.bind_by_name d ~path:"drivers/physical" s with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (System.error_message e));
-  let done_ = ref false in
-  ignore
-    (Domains.spawn_thread d.System.dom ~name:"touch" (fun () ->
-         Domains.access d.System.dom s.Stretch.base `Write;
-         done_ := true));
-  System.run sys ~until:(Time.sec 10);
-  checkb "fault resolved through named driver" true !done_;
-  (match System.bind_by_name d ~path:"drivers/teleport" s with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown name bound")
-
-(* --- Superpage runs --- *)
-
-let superpage_runs () =
-  let fr, c = placement_fixture () in
-  (match Frames.alloc_run fr c ~log2:3 with
-  | None -> Alcotest.fail "aligned run not found in empty memory"
-  | Some base ->
-    check "aligned" 0 (base mod 8);
-    check "held all eight" 8 (Frames.held c));
-  (* A second run still fits within g+o = 16. *)
-  checkb "second run" true (Frames.alloc_run fr c ~log2:3 <> None);
-  (* A third would exceed the quota. *)
-  checkb "quota enforced" true (Frames.alloc_run fr c ~log2:3 = None);
-  Alcotest.check_raises "bad width"
-    (Invalid_argument "Frames.alloc_run: bad width") (fun () ->
-      ignore (Frames.alloc_run fr c ~log2:(-1)))
-
-let superpage_width_recorded () =
-  let sim = Sim.create () in
-  let ramtab = Ramtab.create ~nframes:64 in
-  let fr = Frames.create sim ramtab ~nframes:64 in
-  let c =
-    match Frames.admit fr ~domain:1 ~guarantee:16 ~optimistic:0 with
-    | Ok c -> c
-    | Error e -> failwith (Frames.error_message e)
-  in
-  match Frames.alloc_run fr c ~log2:2 with
-  | None -> Alcotest.fail "no run"
-  | Some base ->
-    for pfn = base to base + 3 do
-      check "logical width recorded" (Addr.page_shift + 2)
-        (Ramtab.width ramtab ~pfn)
-    done
-
-let extra_suite =
-  [ ( "ext.namespace",
-      [ Alcotest.test_case "paths, contexts, rebind" `Quick namespace_paths;
-        Alcotest.test_case "driver factories by name" `Quick
-          namespace_driver_factories ] );
-    ( "ext.superpages",
-      [ Alcotest.test_case "aligned runs under quota" `Quick superpage_runs;
-        Alcotest.test_case "ramtab width" `Quick superpage_width_recorded ] ) ]
-
-let suite = suite @ extra_suite
 
 (* --- More lifecycle behaviours --- *)
 
@@ -601,32 +418,6 @@ let mapped_driver_relinquish () =
   check "claimant satisfied" 60 !got;
   checkb "hog cooperated and lives" true (Domains.alive hog.System.dom)
 
-let entry_multiple_workers_overlap () =
-  (* With two workers, two blocking jobs are serviced concurrently. *)
-  let sys = Experiments.Harness.fresh_system ~main_memory_mb:1 () in
-  let d =
-    match System.add_domain sys ~name:"e" ~guarantee:2 ~optimistic:0 () with
-    | Ok d -> d
-    | Error e -> failwith (System.error_message e)
-  in
-  let inside = ref 0 and peak = ref 0 in
-  let entry =
-    Entry.create d.System.dom ~name:"par" ~workers:2
-      ~fast:(fun _ -> `Defer)
-      ~slow:(fun () ->
-        incr inside;
-        if !inside > !peak then peak := !inside;
-        Proc.sleep (Time.ms 5);
-        decr inside)
-      ()
-  in
-  for _ = 1 to 4 do
-    Entry.notify entry ()
-  done;
-  System.run sys ~until:(Time.sec 2);
-  check "all served" 4 (Entry.slow_handled entry);
-  check "two at a time" 2 !peak
-
 let free_stretch_reuses_address_space () =
   let sys = Experiments.Harness.fresh_system ~main_memory_mb:1 () in
   let d =
@@ -667,8 +458,6 @@ let lifecycle_suite =
           kill_mid_paging_releases_swap;
         Alcotest.test_case "mapped driver under revocation" `Quick
           mapped_driver_relinquish;
-        Alcotest.test_case "entry with two workers" `Quick
-          entry_multiple_workers_overlap;
         Alcotest.test_case "free_stretch reuses address space" `Quick
           free_stretch_reuses_address_space ] ) ]
 

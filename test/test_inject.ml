@@ -450,6 +450,56 @@ let chaos_deterministic () =
   checkb "doomed frames reclaimed" true
     r1.Experiments.Chaos.doomed_frames_reclaimed
 
+(* --- Allocation per injected event --------------------------------- *)
+
+(* Words allocated by one call of [f], measured over [n] calls after
+   [warm] warm-up calls. *)
+let words_per ~warm ~n f =
+  for _ = 1 to warm do f () done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_words name ~bound per =
+  if per > bound +. 0.01 then
+    Alcotest.failf "%s: %.2f words per event (bound %.0f)" name per bound
+
+(* Every hook below injects on every call (probability 1, a standing
+   bad blok, an open partition window). Class names and one-shot state
+   are built when the plan is armed, so what is left per event is the
+   plan lookup's option (2 words), the RNG draw where dice are rolled
+   (its boxed state, draw and float, 8), and the outcome handed back
+   (a media error 3, a stall's span 2). *)
+let injected_event_words () =
+  let plan =
+    { Inject.default_plan with
+      blok_faults =
+        [ { Inject.bf_first = 0; bf_len = page_blocks; bf_op = None;
+            bf_transient = None } ];
+      stalls = [ ("s", { Inject.st_rate = 1.0; st_span = Time.ms 1 }) ];
+      chans =
+        [ ("c", { Inject.cf_drop = 1.0; cf_delay = 0.0; cf_delay_span = 0 }) ];
+      links =
+        [ ("l", { Inject.lf_drop = 1.0; lf_delay = 0.0; lf_delay_span = 0 }) ];
+      node_faults =
+        [ Inject.node_fault ~partitions:[ (Time.zero, Time.sec 1) ] "n" ] }
+  in
+  let measure name ~bound f =
+    check_words name ~bound (words_per ~warm:1_000 ~n:100_000 f)
+  in
+  with_plan plan (fun () ->
+      measure "chan drop" ~bound:10. (fun () -> ignore (Inject.chan ~name:"c"));
+      measure "link drop" ~bound:10. (fun () -> ignore (Inject.link ~name:"l"));
+      measure "stall" ~bound:12. (fun () -> ignore (Inject.stall ~site:"s"));
+      measure "disk media error" ~bound:3. (fun () ->
+          ignore (Inject.disk ~op:Inject.Write ~lba:0 ~nblocks:page_blocks));
+      measure "packet to a partitioned node" ~bound:2. (fun () ->
+          ignore (Inject.node_reachable ~name:"n" ~now:(Time.ms 5))));
+  let t = Inject.tally () in
+  check "every chan call dropped" 101_000 t.Inject.chan_drops;
+  check "every disk call failed" 101_000 t.Inject.injected_errors;
+  check "one partition window entered" 1 t.Inject.node_partitions
+
 let suite =
   [ ( "inject.layer",
       [ Alcotest.test_case "disarmed hooks are inert" `Quick
@@ -459,7 +509,9 @@ let suite =
         Alcotest.test_case "disk errors carry mechanical time" `Quick
           disk_errors_carry_mechanical_time;
         Alcotest.test_case "event-channel drop and delay" `Quick
-          chan_drop_and_delay ] );
+          chan_drop_and_delay;
+        Alcotest.test_case "injected events allocate" `Quick
+          injected_event_words ] );
     ( "inject.sfs",
       [ Alcotest.test_case "transient errors retried" `Quick
           sfs_transient_errors_retried;

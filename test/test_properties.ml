@@ -86,41 +86,6 @@ let io_channel_order =
       Sim.run sim;
       List.rev !received = items)
 
-(* --- Namespace: random bind/lookup/unbind vs an association model --- *)
-
-type Namespace.entry += Prop_value of int
-
-let ns_path_gen =
-  QCheck.Gen.(
-    map (String.concat "/")
-      (list_size (int_range 1 3)
-         (oneofl [ "a"; "b"; "c"; "drivers"; "svc" ])))
-
-let namespace_model =
-  QCheck.Test.make ~name:"namespace matches an assoc model" ~count:100
-    QCheck.(list (pair (make ~print:Fun.id ns_path_gen) small_int))
-    (fun ops ->
-      let ns = Namespace.create () in
-      let model = Hashtbl.create 8 in
-      List.iter
-        (fun (path, v) ->
-          match Namespace.bind ns ~path (Prop_value v) with
-          | Ok () ->
-            (* A successful bind must be on a fresh, non-conflicting
-               path. *)
-            assert (not (Hashtbl.mem model path));
-            Hashtbl.replace model path v
-          | Error _ -> ())
-        ops;
-      Hashtbl.fold
-        (fun path v acc ->
-          acc
-          &&
-          match Namespace.lookup ns ~path with
-          | Some (Prop_value v') -> v' = v
-          | _ -> false)
-        model true)
-
 (* --- Trace.between is a filter by timestamp --- *)
 
 let trace_between_filter =
@@ -185,7 +150,6 @@ let suite =
   [ ( "properties",
       [ qtest frame_stack_model;
         qtest io_channel_order;
-        qtest namespace_model;
         qtest trace_between_filter;
         qtest tlb_soundness;
         qtest edf_capacity ] ) ]

@@ -469,33 +469,43 @@ let frames_overcommit_payload () =
     (Frames.error_message
        (Frames.Admission_overcommit { requested = 4; available = 3 }))
 
-let frames_alloc_specific_errors () =
-  let fr = frames_fixture () in
-  let a =
-    match Frames.admit fr ~domain:1 ~guarantee:2 ~optimistic:0 with
+(* [transfer]'s three refusals: a frame still in use (mapped, or
+   shared by another mapping), a destination at its quota, and a frame
+   its source does not own. *)
+let frames_transfer_errors () =
+  let sim = Sim.create () in
+  let rt = Hw.Ramtab.create ~nframes:8 in
+  let fr = Frames.create sim rt ~nframes:8 in
+  let admit domain guarantee =
+    match Frames.admit fr ~domain ~guarantee ~optimistic:0 with
     | Ok c -> c
     | Error e -> failwith (Frames.error_message e)
   in
-  let b =
-    match Frames.admit fr ~domain:2 ~guarantee:2 ~optimistic:0 with
-    | Ok c -> c
-    | Error e -> failwith (Frames.error_message e)
+  let src = admit 1 3 and dst = admit 2 1 in
+  let take c =
+    match Frames.alloc fr c with
+    | Some pfn -> pfn
+    | None -> Alcotest.fail "guaranteed allocation refused"
   in
-  (match Frames.alloc_specific fr a ~pfn:99 with
-  | Error (Frames.Frame_out_of_range { pfn = 99; nframes = 8 }) -> ()
-  | _ -> Alcotest.fail "out-of-range not typed");
-  (match Frames.alloc_specific fr a ~pfn:5 with
-  | Ok () -> ()
-  | Error e -> failwith (Frames.error_message e));
-  (match Frames.alloc_specific fr b ~pfn:5 with
-  | Error (Frames.Frame_in_use { pfn = 5 }) -> ()
-  | _ -> Alcotest.fail "in-use not typed");
-  (match Frames.alloc_specific fr a ~pfn:6 with
-  | Ok () -> ()
-  | Error e -> failwith (Frames.error_message e));
-  match Frames.alloc_specific fr a ~pfn:7 with
-  | Error (Frames.Quota_exhausted { held = 2; quota = 2 }) -> ()
-  | _ -> Alcotest.fail "quota exhaustion not typed"
+  let mapped = take src in
+  let shared = take src in
+  let settled = take src in
+  Hw.Ramtab.set_state rt ~pfn:mapped Hw.Ramtab.Mapped;
+  (match Frames.transfer fr ~src ~dst mapped with
+  | Error (Frames.Frame_in_use { pfn }) -> check "mapped frame named" mapped pfn
+  | _ -> Alcotest.fail "mapped frame transferred");
+  Hw.Ramtab.add_ref rt ~pfn:shared;
+  (match Frames.transfer fr ~src ~dst shared with
+  | Error (Frames.Frame_in_use { pfn }) -> check "shared frame named" shared pfn
+  | _ -> Alcotest.fail "shared frame transferred");
+  ignore (take dst);
+  (match Frames.transfer fr ~src ~dst settled with
+  | Error (Frames.Quota_exhausted { held = 1; quota = 1 }) -> ()
+  | _ -> Alcotest.fail "quota exhaustion not typed");
+  check "refused transfers leave the source's frames" 3 (Frames.held src);
+  Alcotest.check_raises "frame the source does not own"
+    (Invalid_argument "Frames.transfer: frame not owned by source client")
+    (fun () -> ignore (Frames.transfer fr ~src:dst ~dst:src settled))
 
 let cpu_consume_removed () =
   let sim = Sim.create () in
@@ -625,8 +635,8 @@ let suite =
     ( "scale.errors",
       [ Alcotest.test_case "admission overcommit payload" `Quick
           frames_overcommit_payload;
-        Alcotest.test_case "alloc_specific variants" `Quick
-          frames_alloc_specific_errors;
+        Alcotest.test_case "transfer refusals typed" `Quick
+          frames_transfer_errors;
         Alcotest.test_case "consume on removed CPU contract" `Quick
           cpu_consume_removed;
         Alcotest.test_case "send on retired link client" `Quick

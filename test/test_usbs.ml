@@ -276,7 +276,7 @@ let sfs_data_path () =
   checkb "write+read completed" true !ok;
   Alcotest.check_raises "page index bounds"
     (Invalid_argument "Sfs: page index out of extent") (fun () ->
-      ignore (Sfs.read_page_async sf ~page_index:32))
+      ignore (Sfs.read_page sf ~page_index:32))
 
 let extents_no_overlap =
   QCheck.Test.make ~name:"sfs extents never overlap" ~count:50
