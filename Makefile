@@ -18,6 +18,7 @@ test:
 # the number of tests, from the suite's own list (nothing runs).
 loc:
 	@for d in lib/* bin bench test; do \
+		[ -d $$d ] || continue; \
 		printf '%-16s %6d\n' "$$d" "$$(cat $$d/*.ml $$d/*.mli 2>/dev/null | wc -l)"; \
 	done; \
 	printf '%-16s %6d\n' "lib total" "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"; \
@@ -70,10 +71,12 @@ bench-%:
 # gauge is the host-side gate: it repeats exactly for a fixed build,
 # so every workload must report that its untraced spans allocated the
 # same, and its seed-1 alloc_mwords may be at most 10% above its line
-# in test/perfbench_alloc.txt.
+# in test/perfbench_alloc.txt. The heap gauge repeats exactly too: its
+# seed-1 peak_heap_mb may be at most 5% (the metric's bound in
+# BENCHMARK.json) above its line in test/perfbench_heap.txt.
 perfbench-smoke:
 	@mkdir -p .bench_build; : > .bench_build/perfbench-figures.txt; \
-	: > .bench_build/perfbench-alloc.txt; \
+	: > .bench_build/perfbench-alloc.txt; : > .bench_build/perfbench-heap.txt; \
 	for w in disk-paper many-domains fleet-degraded; do \
 		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
 			--trace 0 > .bench_build/perfbench-$$w.txt; \
@@ -86,6 +89,8 @@ perfbench-smoke:
 			>> .bench_build/perfbench-figures.txt; \
 		awk -v w=$$w '$$1 == "alloc_mwords" { print w ": " $$2 }' \
 			.bench_build/perfbench-$$w.txt >> .bench_build/perfbench-alloc.txt; \
+		awk -v w=$$w '$$1 == "peak_heap_mb" { print w ": " $$2 }' \
+			.bench_build/perfbench-$$w.txt >> .bench_build/perfbench-heap.txt; \
 	done; \
 	diff -u test/perfbench_figures.txt .bench_build/perfbench-figures.txt \
 		&& echo "perfbench simulated figures match test/perfbench_figures.txt" \
@@ -94,7 +99,13 @@ perfbench-smoke:
 			$$2 > 1.1 * base[$$1] { print "perfbench " $$1 " alloc_mwords " $$2 \
 				" > 1.1 x " base[$$1]; bad = 1 } \
 			END { exit bad }' test/perfbench_alloc.txt .bench_build/perfbench-alloc.txt \
-		&& echo "perfbench alloc_mwords within 10% of test/perfbench_alloc.txt"
+		&& echo "perfbench alloc_mwords within 10% of test/perfbench_alloc.txt" \
+		&& awk 'NR == FNR { base[$$1] = $$2; next } \
+			!($$1 in base) { print "perfbench " $$1 " no peak_heap_mb baseline"; bad = 1; next } \
+			$$2 > 1.05 * base[$$1] { print "perfbench " $$1 " peak_heap_mb " $$2 \
+				" > 1.05 x " base[$$1]; bad = 1 } \
+			END { exit bad }' test/perfbench_heap.txt .bench_build/perfbench-heap.txt \
+		&& echo "perfbench peak_heap_mb within 5% of test/perfbench_heap.txt"
 
 # Run the five demos under examples/; a demo that exits non-zero fails
 # the target. quickstart pages through the paged stretch driver.

@@ -4,11 +4,11 @@ type chunk = {
   base : int;  (* first blok index covered *)
   nbits : int; (* bloks covered (<= 64) *)
   mutable bits : int64; (* 1 = allocated *)
-  mutable next : chunk option;
+  next : chunk option;
 }
 
 type t = {
-  mutable head : chunk option;
+  head : chunk option;
   mutable hint : chunk option;
       (* earliest structure known to have free bloks *)
   capacity : int;

@@ -8,8 +8,8 @@ type revocation = {
 
 type client = {
   domain : int;
-  mutable g : int;
-  mutable o : int;
+  g : int;
+  o : int;
   mutable n : int;
   stack : Frame_stack.t;
   mutable notify_revoke : (k:int -> deadline:Time.t -> unit) option;

@@ -26,11 +26,6 @@ let add_last t v =
   t.arr.(t.len) <- v;
   t.len <- t.len + 1
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.arr.(i)
-  done
-
 let fold_left f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do
@@ -39,5 +34,3 @@ let fold_left f init t =
   !acc
 
 let to_array t = Array.sub t.arr 0 t.len
-
-let to_list t = Array.to_list (to_array t)

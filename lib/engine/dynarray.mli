@@ -11,7 +11,5 @@ val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> unit
 val add_last : 'a t -> 'a -> unit
-val iter : ('a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
-val to_list : 'a t -> 'a list

@@ -118,7 +118,6 @@ let tenant_fault_stats () =
   end
 
 type tenant_rec = {
-  tr_name : string;
   tr_dom : System.domain;
   tr_cow : Share.Cow.tenant;
   tr_seg : Share.Seg.attachment;
@@ -324,8 +323,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
                     (System.error_message e))
              | Ok (att, seg_stretch) ->
                recs :=
-                 { tr_name = name; tr_dom = d; tr_cow = cow; tr_seg = att;
-                   tr_live = true }
+                 { tr_dom = d; tr_cow = cow; tr_seg = att; tr_live = true }
                  :: !recs;
                ignore
                  (Domains.spawn_thread d.System.dom ~name:(name ^ ".work")

@@ -4,8 +4,9 @@
     8 GB array in the virtual address space, mapped on demand via a
     secondary table); an earlier guarded-page-table implementation was
     measured to be about three times slower on the [dirty]
-    micro-benchmark. Both are provided; the MMU takes either through
-    this record-of-functions interface.
+    micro-benchmark. Both are provided ({!Linear_pt} maps its PTE
+    pages on demand through a directory, as the paper's does); the MMU
+    takes either through this record-of-functions interface.
 
     [lookup_refs] reports how many dependent memory references the
     lookup performs — the cost model multiplies this by the memory

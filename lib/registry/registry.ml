@@ -152,7 +152,6 @@ type 'a entry = { manifest : manifest; parse : Spec.atom -> ('a, string) result 
 
 type 'a axis = {
   ax_name : string;
-  ax_doc : string;
   entries : (string, 'a entry) Hashtbl.t;
 }
 
@@ -169,7 +168,7 @@ let manifests_of entries =
   |> List.map (fun n -> (Hashtbl.find entries n).manifest)
 
 let axis ~name ~doc =
-  let t = { ax_name = name; ax_doc = doc; entries = Hashtbl.create 8 } in
+  let t = { ax_name = name; entries = Hashtbl.create 8 } in
   all_axes := !all_axes @ [ (name, doc, fun () -> manifests_of t.entries) ];
   t
 

@@ -104,7 +104,6 @@ type t = {
   mutable dropped : int;
   mutable shed_frames : int;
   mutable bursts : int;
-  mutable burst_active : bool;
 }
 
 (* Only the frames whose compressed payload halves (or better) earn a
@@ -201,14 +200,12 @@ let spawn_pressure t sim zp =
            Proc.sleep zp.Inject.zp_period;
            let saved = t.budget in
            let before = frames_held t in
-           t.burst_active <- true;
            ignore (set_budget t (max 0 (saved - zp.Inject.zp_shrink)));
            let shed = before - frames_held t in
            t.bursts <- t.bursts + 1;
            Inject.note_zpool_burst ~shed;
            Proc.sleep zp.Inject.zp_hold;
            t.budget <- saved;
-           t.burst_active <- false;
            loop ()
          in
          loop ()))
@@ -218,7 +215,7 @@ let create ~sim ~frames ~client ~ramtab ~budget () =
   let t =
     { frames; client; ramtab; budget; entries = Hashtbl.create 256;
       held = []; stored = 0; incompressible = 0; overflow = 0; dropped = 0;
-      shed_frames = 0; bursts = 0; burst_active = false }
+      shed_frames = 0; bursts = 0 }
   in
   Frames.set_revocation_handler client (fun ~k ~deadline:_ ->
       expose_for_revocation t ~k;
@@ -290,5 +287,3 @@ let get t ~key =
   match Hashtbl.find_opt t.entries key with
   | None -> None
   | Some e -> Some (decompress e.e_data)
-
-let mem t ~key = Hashtbl.mem t.entries key

@@ -60,10 +60,9 @@ val put : t -> key:string -> data:string -> [ `Stored | `Incompressible | `No_sp
 val get : t -> key:string -> string option
 (** Decompressed contents, if present. *)
 
-val mem : t -> key:string -> bool
-
 val drop : t -> key:string -> unit
-(** Remove an entry; an emptied frame returns to the allocator. *)
+(** Remove the entry, if there is one; an emptied frame returns to the
+    allocator. *)
 
 val set_budget : t -> int -> int
 (** Change the frame budget, shedding oldest-first down to it; returns

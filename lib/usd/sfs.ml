@@ -4,7 +4,7 @@ open Disk
 type swapfile = {
   fs : t;
   sname : string;
-  mutable ext : Extents.extent;
+  ext : Extents.extent;
   (* [None] = detached: the owning domain died and its USD client was
      retired, but the extent and recovered metadata stay registered so
      a restarted domain can reattach by name. *)

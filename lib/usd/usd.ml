@@ -54,10 +54,44 @@ type client = stream Atropos.client
 type t = {
   dm : Disk_model.t;
   events : event Trace.t;
+  names : string Dynarray.t;
+      (* client names by EDF id: ids are handed out in admission
+         order from 0 *)
   (* Replenishes in admission order: the [Alloc] records it leads to
      are compared bit-for-bit by tests. *)
   loop : stream Atropos.t;
 }
+
+(* A trace row's kind bits: the event's tag, then the op, the media
+   error's [persistent] bit and the client's EDF id. The fields follow
+   the tag: [Txn] lba, nblocks, dur; [Txn_error] those and bad_lba;
+   [Lax] and [Slack] dur; [Alloc] none. *)
+let k_txn = 0
+let k_txn_error = 1
+let k_alloc = 2
+let k_lax = 3
+let k_slack = 4
+let op_bit = 8
+let persistent_bit = 16
+let id_shift = 5
+
+let kind tag (c : client) = tag lor (c.edf.Edf.id lsl id_shift)
+let with_op k = function Read -> k | Write -> k lor op_bit
+
+let decode names k row i =
+  let client = Dynarray.get names (k lsr id_shift) in
+  let op = if k land op_bit = 0 then Read else Write in
+  match k land (op_bit - 1) with
+  | 0 ->
+    Txn { client; op; lba = row.(i); nblocks = row.(i + 1); dur = row.(i + 2) }
+  | 1 ->
+    Txn_error
+      { client; op; lba = row.(i); nblocks = row.(i + 1); dur = row.(i + 2);
+        media =
+          { bad_lba = row.(i + 3); persistent = k land persistent_bit <> 0 } }
+  | 2 -> Alloc { client }
+  | 3 -> Lax { client; dur = row.(i) }
+  | _ -> Slack { client; op; dur = row.(i) }
 
 let client_name = Atropos.name
 let txn_count (c : client) = c.work.txns
@@ -94,18 +128,18 @@ let execute_txn dm events loop (c : client) ~slack =
   let nbytes = req.nblocks * (Disk_model.params dm).Disk_params.block_size in
   c.work.txns <- c.work.txns + 1;
   c.work.bytes <- c.work.bytes + nbytes;
-  let ev =
-    match result with
-    | Error (_, { Disk_model.bad_lba; persistent }) ->
-      Txn_error { client = client_name c; op = req.op; lba = req.lba;
-                  nblocks = req.nblocks; dur;
-                  media = { bad_lba; persistent } }
-    | Ok _ when slack -> Slack { client = client_name c; op = req.op; dur }
-    | Ok _ ->
-      Txn { client = client_name c; op = req.op; lba = req.lba;
-            nblocks = req.nblocks; dur }
-  in
-  Trace.record events (Sim.now sim) ev;
+  let now = Sim.now sim in
+  (match result with
+  | Error (_, { Disk_model.bad_lba; persistent }) ->
+    let k = with_op (kind k_txn_error c) req.op in
+    Trace.record4 events now
+      ~kind:(if persistent then k lor persistent_bit else k)
+      req.lba req.nblocks dur bad_lba
+  | Ok _ when slack ->
+    Trace.record1 events now ~kind:(with_op (kind k_slack c) req.op) dur
+  | Ok _ ->
+    Trace.record3 events now ~kind:(with_op (kind k_txn c) req.op) req.lba
+      req.nblocks dur);
   if !Obs.enabled then begin
     let m = c.work.m in
     Obs.Metrics.add m.m_bytes nbytes;
@@ -121,18 +155,19 @@ let execute_txn dm events loop (c : client) ~slack =
     Sync.Ivar.fill req.completion (Error (Media { bad_lba; persistent }))
 
 let create ?rollover sim dm =
-  let events = Trace.create () in
-  let record ev = Trace.record events (Sim.now sim) ev in
-  { dm; events;
+  let names = Dynarray.create () in
+  let events = Trace.create (decode names) in
+  { dm; events; names;
     loop =
       Atropos.create ~name:"usd-sched" ?rollover ~order:Edf.By_admission
         ~audit:Obs.Qos_audit.Usd ~empty:Atropos.Stays_runnable sim
         { has_work = (fun s -> not (Io_channel.is_empty s.channel));
           serve = (fun loop c ~slack -> execute_txn dm events loop c ~slack);
-          alloc = (fun c -> record (Alloc { client = client_name c }));
+          alloc =
+            (fun c -> Trace.record0 events (Sim.now sim) ~kind:(kind k_alloc c));
           lax =
             (fun c dur ->
-              record (Lax { client = client_name c; dur });
+              Trace.record1 events (Sim.now sim) ~kind:(kind k_lax c) dur;
               if !Obs.enabled then Obs.Metrics.add c.work.m.m_lax_ns dur) } }
 
 let admit t ~name ~qos ?(channel_depth = 64) () =
@@ -144,7 +179,10 @@ let admit t ~name ~qos ?(channel_depth = 64) () =
     Atropos.admit t.loop ~name ~period:qos.Qos.period ~slice:qos.Qos.slice
       ~extra:qos.Qos.extra ~laxity:qos.Qos.laxity stream
   in
-  if Result.is_ok r then Atropos.kick t.loop;
+  if Result.is_ok r then begin
+    Dynarray.add_last t.names name;
+    Atropos.kick t.loop
+  end;
   r
 
 (* Fill every request still queued on a dead client's channel with a

@@ -18,7 +18,12 @@
     problem, which the A-laxity ablation measures.
 
     Every transaction, new allocation and lax charge is recorded in a
-    trace — the data behind the scheduler traces in Figures 7 and 8. *)
+    trace — the data behind the scheduler traces in Figures 7 and 8.
+    The trace keeps every record of the run as a row of ints (the
+    kind, the op, the media error's [persistent] bit and the client's
+    EDF id in the row's header, then only that kind's fields), written
+    without building an {!event}; reading it rebuilds the events, with
+    each client's name looked up by its id. *)
 
 open Engine
 open Disk

@@ -38,14 +38,35 @@ type t = {
   lname : string;
   params : Net_params.t;
   events : event Trace.t;
+  names : string Dynarray.t;
+      (* client names by EDF id: ids are handed out in admission
+         order from 0 *)
   (* Replenishes in admission order, the order of the [Alloc] trace
      records. *)
   loop : sender Atropos.t;
 }
 
+(* A trace row's kind bits: the event's tag, then the client's EDF id.
+   [Tx] and [Slack_tx] carry bytes and dur, [Lax] dur, [Alloc]
+   nothing. *)
+let k_tx = 0
+let k_alloc = 1
+let k_slack_tx = 2
+let k_lax = 3
+let id_shift = 2
+
+let kind tag (c : client) = tag lor (c.edf.Edf.id lsl id_shift)
+
+let decode names k row i =
+  let client = Dynarray.get names (k lsr id_shift) in
+  match k land ((1 lsl id_shift) - 1) with
+  | 0 -> Tx { client; bytes = row.(i); dur = row.(i + 1) }
+  | 1 -> Alloc { client }
+  | 2 -> Slack_tx { client; bytes = row.(i); dur = row.(i + 1) }
+  | _ -> Lax { client; dur = row.(i) }
+
 let name t = t.lname
 let params t = t.params
-let client_name = Atropos.name
 let packets_sent (c : client) = c.work.packets
 let bytes_sent (c : client) = c.work.sent_bytes
 let used_time (c : client) = c.edf.Edf.used_total
@@ -68,25 +89,28 @@ let transmit_one params events loop (c : client) ~slack =
   Atropos.charge c ~slack dur;
   s.packets <- s.packets + 1;
   s.sent_bytes <- s.sent_bytes + pkt.bytes;
-  Trace.record events
+  Trace.record2 events
     (Sim.now (Atropos.sim loop))
-    (if slack then Slack_tx { client = client_name c; bytes = pkt.bytes; dur }
-     else Tx { client = client_name c; bytes = pkt.bytes; dur });
+    ~kind:(kind (if slack then k_slack_tx else k_tx) c)
+    pkt.bytes dur;
   gauges s;
   Sync.Ivar.fill pkt.completion ()
 
 let create ?(name = "link") ?(params = Net_params.fast_ethernet) ?rollover sim =
-  let events = Trace.create () in
-  let record ev = Trace.record events (Sim.now sim) ev in
-  { lname = name; params; events;
+  let names = Dynarray.create () in
+  let events = Trace.create (decode names) in
+  { lname = name; params; events; names;
     loop =
       Atropos.create ~name:"link-sched" ?rollover ~order:Edf.By_admission
         ~empty:Atropos.Leaves_runnable sim
         { has_work = (fun s -> not (Queue.is_empty s.ring));
           serve =
             (fun loop c ~slack -> transmit_one params events loop c ~slack);
-          alloc = (fun c -> record (Alloc { client = client_name c }));
-          lax = (fun c dur -> record (Lax { client = client_name c; dur })) } }
+          alloc =
+            (fun c -> Trace.record0 events (Sim.now sim) ~kind:(kind k_alloc c));
+          lax =
+            (fun c dur ->
+              Trace.record1 events (Sim.now sim) ~kind:(kind k_lax c) dur) } }
 
 let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
     ?(laxity = 0) () =
@@ -113,6 +137,7 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
                available = 1. -. before })
       else Error (Bad_qos { reason })
     | Ok c ->
+      Dynarray.add_last t.names name;
       Atropos.kick t.loop;
       Ok c
 

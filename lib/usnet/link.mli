@@ -79,3 +79,6 @@ val lax_time : client -> Time.span
 (** Lifetime lax (empty-ring) time charged to the client. *)
 
 val trace : t -> event Trace.t
+(** Every packet, allocation and lax charge of the run, kept as int
+    rows (the kind and the client's EDF id in the header, then only
+    that kind's fields) and rebuilt into {!event}s when read. *)

@@ -493,6 +493,14 @@ let frames_kill_on_timeout () =
   checkb "dead" false (Frames.is_live hoarder);
   checkb "kill took the full deadline" true (!t_done >= Time.ms 100)
 
+(* --- System --- *)
+
+(* A fresh system maps no page-table page it does not use; a flat
+   linear table of the 32-bit space would be 2^19 words on its own. *)
+let fresh_system_is_small () =
+  let words = Obj.reachable_words (Obj.repr (System.create ())) in
+  checkb (Printf.sprintf "%d words < 100000" words) true (words < 100_000)
+
 let suite =
   [ ( "core.bloks",
       [ Alcotest.test_case "first fit with hint" `Quick bloks_first_fit;
@@ -532,4 +540,6 @@ let suite =
           frames_transparent_revocation;
         Alcotest.test_case "intrusive revocation" `Quick
           frames_intrusive_revocation;
-        Alcotest.test_case "kill on deadline miss" `Quick frames_kill_on_timeout ] ) ]
+        Alcotest.test_case "kill on deadline miss" `Quick frames_kill_on_timeout ] );
+    ( "core.system",
+      [ Alcotest.test_case "fresh system is small" `Quick fresh_system_is_small ] ) ]

@@ -80,6 +80,22 @@ let rng_deterministic () =
   let c = Rng.split a in
   checkb "split differs" true (Rng.int64 c <> Rng.int64 a)
 
+(* The first 1,000 draws of seed 42, cycling through the four kinds
+   of draw. Every seeded report depends on this stream, so a change to
+   how the generator keeps its state must leave the digest as it is. *)
+let rng_stream_pinned () =
+  let r = Rng.create ~seed:42 in
+  let b = Buffer.create 16_384 in
+  for i = 0 to 999 do
+    match i mod 4 with
+    | 0 -> Printf.bprintf b "%Ld\n" (Rng.int64 r)
+    | 1 -> Printf.bprintf b "%d\n" (Rng.int r 1_000_003)
+    | 2 -> Printf.bprintf b "%h\n" (Rng.float r 1.0)
+    | _ -> Printf.bprintf b "%b\n" (Rng.bool r)
+  done;
+  Alcotest.(check string) "md5" "f5c17a62377dc54e91b96868b7d0acc1"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- Sim --- *)
 
 let sim_ordering () =
@@ -315,6 +331,23 @@ let check_words name ~bound per =
   if per > bound +. 0.01 then
     Alcotest.failf "%s: %.2f words (bound %.0f)" name per bound
 
+(* A draw allocates nothing but its boxed float result: the state is
+   read and written unboxed. *)
+let rng_draw_allocation () =
+  let r = Rng.create ~seed:42 in
+  let per draw =
+    words_per ~warm:1_000 ~n:100_000 (fun n ->
+        for _ = 1 to n do
+          draw ()
+        done)
+  in
+  check_words "int draw" ~bound:0.
+    (per (fun () -> ignore (Sys.opaque_identity (Rng.int r 1000))));
+  check_words "bool draw" ~bound:0.
+    (per (fun () -> ignore (Sys.opaque_identity (Rng.bool r))));
+  check_words "float draw" ~bound:2.
+    (per (fun () -> ignore (Sys.opaque_identity (Rng.float r 1.0))))
+
 (* Park, wake from outside, resume: the waiter (3 words), the
    continuation parked in its box (4) and the test's own option (2).
    The effect is a constant, its handler is built once per process,
@@ -384,7 +417,8 @@ let cpu_consume_allocation () =
 
 (* One pager's transactions through the USD, back to back: the request
    and its completion ivar, the channel hand-off, the loop's lax wait
-   for the next submission, the disk service and the trace record. *)
+   for the next submission and the disk service. The trace rows are
+   written into preallocated chunks. *)
 let usd_transact_words () =
   let sim = Sim.create () in
   let usd = Usbs.Usd.create sim (Disk.Disk_model.create ()) in
@@ -414,11 +448,11 @@ let usd_transact_words () =
   words_per ~warm:1_000 ~n:10_000 cycle
 
 let usd_transact_allocation () =
-  check_words "USD transact" ~bound:76. (usd_transact_words ())
+  check_words "USD transact" ~bound:67. (usd_transact_words ())
 
 (* One MTU packet at a time over the link: the packet and its ivar, the
-   wake of the waiting loop, the wire-time sleep and the trace
-   record. *)
+   wake of the waiting loop and the wire-time sleep. The trace rows
+   are written into preallocated chunks. *)
 let link_transmit_words () =
   let sim = Sim.create () in
   let link = Usnet.Link.create sim in
@@ -446,7 +480,7 @@ let link_transmit_words () =
   words_per ~warm:1_000 ~n:10_000 cycle
 
 let link_transmit_allocation () =
-  check_words "link transmit" ~bound:55. (link_transmit_words ())
+  check_words "link transmit" ~bound:48. (link_transmit_words ())
 
 (* A waiter signalled before its timeout: its list cell, the timer's
    handle (cancelled on resume) and the park. *)
@@ -908,9 +942,10 @@ let series_mean_after () =
 (* --- Trace / Dynarray --- *)
 
 let trace_between () =
-  let t = Trace.create () in
-  List.iter (fun (ts, v) -> Trace.record t ts v)
-    [ (1, "a"); (5, "b"); (9, "c") ];
+  let names = [| "a"; "b"; "c" |] in
+  let t = Trace.create (fun kind _ _ -> names.(kind)) in
+  List.iter (fun (ts, kind) -> Trace.record0 t ts ~kind)
+    [ (1, 0); (5, 1); (9, 2) ];
   Alcotest.(check int) "len" 3 (Trace.length t);
   Alcotest.(check (list (pair int string))) "window" [ (5, "b") ]
     (Trace.between t 2 9)
@@ -941,7 +976,10 @@ let suite =
         qtest heap_sorts ] );
     ( "engine.rng",
       [ qtest rng_bounds;
-        Alcotest.test_case "deterministic streams" `Quick rng_deterministic ] );
+        Alcotest.test_case "deterministic streams" `Quick rng_deterministic;
+        Alcotest.test_case "first 1,000 draws pinned" `Quick rng_stream_pinned;
+        Alcotest.test_case "draws allocate only a float result" `Quick
+          rng_draw_allocation ] );
     ( "engine.sim",
       [ Alcotest.test_case "time ordering" `Quick sim_ordering;
         Alcotest.test_case "same-instant FIFO" `Quick sim_same_instant_fifo;

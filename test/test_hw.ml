@@ -103,10 +103,68 @@ let linear_pt_basics () =
   Linear_pt.set pt 100 Pte.absent;
   check "deleted" 0 ((Linear_pt.impl pt).Page_table.entries ())
 
+(* A fresh table maps no PTE page: every directory slot shares one
+   all-absent page, where a flat array of the 32-bit space would be
+   2^19 words. *)
+let linear_pt_fresh_is_small () =
+  let pt = Linear_pt.create () in
+  let words = Obj.reachable_words (Obj.repr pt) in
+  checkb (Printf.sprintf "%d words < 2000" words) true (words < 2_000);
+  checkb "absent" true (Pte.is_absent (Linear_pt.lookup pt ((1 lsl 19) - 1)))
+
+(* Deleting where nothing is mapped neither writes the shared page nor
+   maps one of its own. *)
+let linear_pt_absent_set_allocates_nothing () =
+  let pt = Linear_pt.create () in
+  let reach () = Obj.reachable_words (Obj.repr pt) in
+  let before = reach () in
+  let allocated f =
+    let b = Gc.allocated_bytes () in
+    f ();
+    Gc.allocated_bytes () -. b
+  in
+  let idle = allocated (fun () -> ()) in
+  let sets =
+    allocated (fun () ->
+        for vpn = 0 to (1 lsl 19) - 1 do
+          Linear_pt.set pt vpn Pte.absent
+        done)
+  in
+  Alcotest.(check (float 0.)) "bytes allocated" idle sets;
+  check "reachable words" before (reach ());
+  check "entries" 0 ((Linear_pt.impl pt).Page_table.entries ());
+  Linear_pt.set pt 5000 (Pte.make ~sid:1 ~global:Rights.read);
+  checkb "other pages still unmapped" true
+    (Pte.is_absent (Linear_pt.lookup pt 4000)
+     && Pte.is_absent (Linear_pt.lookup pt 6000))
+
+let linear_pt_out_of_range () =
+  let pt = Linear_pt.create ~va_bits:25 () in
+  let bad vpn =
+    Invalid_argument (Printf.sprintf "Linear_pt: vpn %d out of range" vpn)
+  in
+  Alcotest.check_raises "lookup past the end" (bad 4096) (fun () ->
+      ignore (Linear_pt.lookup pt 4096));
+  Alcotest.check_raises "lookup below 0" (bad (-1)) (fun () ->
+      ignore (Linear_pt.lookup pt (-1)));
+  Alcotest.check_raises "set past the end" (bad 4096) (fun () ->
+      Linear_pt.set pt 4096 (Pte.make ~sid:1 ~global:Rights.read));
+  Alcotest.check_raises "delete past the end" (bad 4096) (fun () ->
+      Linear_pt.set pt 4096 Pte.absent)
+
 (* Drive the guarded page table against the linear one with random
-   operation sequences: they must agree everywhere. *)
+   operation sequences: they must agree everywhere. A quarter of the
+   operations delete, and VPNs are drawn often from both sides of the
+   linear table's 1,024-entry page boundaries and from the last VPN. *)
 let guarded_matches_linear =
-  let gen = QCheck.(list (pair (int_range 0 4095) (int_range 0 64))) in
+  let edges = [ 0; 1; 1022; 1023; 1024; 1025; 2047; 2048; 3071; 3072; 4094; 4095 ] in
+  let gen =
+    QCheck.(
+      list
+        (pair
+           (oneof [ int_range 0 4095; oneofl edges ])
+           (frequency [ (1, always 0); (3, int_range 1 64) ])))
+  in
   QCheck.Test.make ~name:"guarded pt behaves like linear pt" ~count:100 gen
     (fun ops ->
       let lin = Linear_pt.create ~va_bits:25 () in
@@ -122,8 +180,8 @@ let guarded_matches_linear =
           Guarded_pt.set gua vpn pte)
         ops;
       List.for_all
-        (fun (vpn, _) -> Linear_pt.lookup lin vpn = Guarded_pt.lookup gua vpn)
-        ops
+        (fun vpn -> Linear_pt.lookup lin vpn = Guarded_pt.lookup gua vpn)
+        (edges @ List.map fst ops)
       && (Linear_pt.impl lin).Page_table.entries ()
          = (Guarded_pt.impl gua).Page_table.entries ())
 
@@ -271,6 +329,11 @@ let suite =
     ( "hw.ramtab", [ Alcotest.test_case "lifecycle" `Quick ramtab_lifecycle ] );
     ( "hw.page_table",
       [ Alcotest.test_case "linear basics" `Quick linear_pt_basics;
+        Alcotest.test_case "fresh linear table is small" `Quick
+          linear_pt_fresh_is_small;
+        Alcotest.test_case "deleting where unmapped allocates nothing" `Quick
+          linear_pt_absent_set_allocates_nothing;
+        Alcotest.test_case "out-of-range vpn" `Quick linear_pt_out_of_range;
         qtest guarded_matches_linear;
         Alcotest.test_case "guarded depth" `Quick guarded_deeper_lookups;
         Alcotest.test_case "guarded collapse on delete" `Quick

@@ -94,9 +94,9 @@ let trace_between_filter =
               (int_range 0 100))
     (fun (stamps, a, b) ->
       let lo = min a b and hi = max a b in
-      let tr = Trace.create () in
+      let tr = Trace.create (fun _ row i -> row.(i)) in
       let sorted = List.sort compare stamps in
-      List.iteri (fun i ts -> Trace.record tr ts i) sorted;
+      List.iteri (fun i ts -> Trace.record1 tr ts ~kind:0 i) sorted;
       let expected =
         List.filteri (fun _ _ -> true) sorted
         |> List.mapi (fun i ts -> (ts, i))

@@ -216,6 +216,142 @@ let usd_allocation_trace () =
   (* One allocation per 250 ms period boundary. *)
   checkb "period allocations recorded" true (!allocs >= 9 && !allocs <= 11)
 
+(* Every event kind, both media-error flavours among them, recorded as
+   int rows and read back from a trace that spans many chunks. Each
+   field has a witness outside the trace: the requests each client made
+   and the outcomes it got back, in order, and the service and lax time
+   the USD charged it. *)
+let usd_trace_round_trip () =
+  let plan =
+    { Inject.default_plan with
+      blok_faults =
+        [ { Inject.bf_first = 0; bf_len = 16; bf_op = None;
+            bf_transient = None };
+          { Inject.bf_first = 4096; bf_len = 16; bf_op = None;
+            bf_transient = Some max_int } ] }
+  in
+  Inject.arm plan;
+  Fun.protect ~finally:Inject.disarm @@ fun () ->
+  let sim, u = mk_usd () in
+  let pager =
+    admit_exn u ~name:"pager"
+      ~qos:(Qos.make ~period:(Time.ms 50) ~slice:(Time.ms 20)
+              ~laxity:(Time.ms 2) ())
+  in
+  let bulk =
+    admit_exn u ~name:"bulk"
+      ~qos:(Qos.make ~period:(Time.ms 100) ~slice:(Time.ms 5) ~extra:true
+              ~laxity:0 ())
+  in
+  (* what each client asked for and got, newest first *)
+  let asked = Hashtbl.create 2 in
+  let run name c request =
+    Hashtbl.replace asked name [];
+    ignore
+      (Proc.spawn sim (fun () ->
+           let rec loop i =
+             let op, lba, think = request i in
+             let r = Usd.transact u c op ~lba ~nblocks:16 in
+             Hashtbl.replace asked name
+               ((op, lba, r) :: Hashtbl.find asked name);
+             Proc.sleep think;
+             loop (i + 1)
+           in
+           loop 0))
+  in
+  let op i = if i mod 2 = 0 then Usd.Read else Usd.Write in
+  (* the pager hits the persistent range on every 7th request and the
+     transient one on every 11th, and thinks for 1-3 ms in between *)
+  run "pager" pager (fun i ->
+      let lba =
+        if i mod 7 = 3 then 0
+        else if i mod 11 = 5 then 4096
+        else 8192 + (16 * (i mod 1_000))
+      in
+      (op i, lba, Time.ms (1 + (i mod 3))));
+  run "bulk" bulk (fun i -> (op i, 32_768 + (16 * (i mod 1_000)), 0));
+  Sim.run ~until:(Time.sec 30) sim;
+  let rows = Trace.to_list (Usd.trace u) in
+  checkb "trace spans many chunks" true (Trace.length (Usd.trace u) > 3_000);
+  check "length agrees" (Trace.length (Usd.trace u)) (List.length rows);
+  checkb "times never fall" true
+    (fst
+       (List.fold_left
+          (fun (ok, last) (at, _) -> (ok && at >= last, at))
+          (true, 0) rows));
+  let kinds = Hashtbl.create 8 in
+  let seen k = Hashtbl.replace kinds k () in
+  List.iter
+    (fun (_, ev) ->
+      match ev with
+      | Usd.Txn _ -> seen "txn"
+      | Usd.Txn_error { media = { persistent = true; _ }; _ } ->
+        seen "persistent error"
+      | Usd.Txn_error { media = { persistent = false; _ }; _ } ->
+        seen "transient error"
+      | Usd.Alloc _ -> seen "alloc"
+      | Usd.Lax _ -> seen "lax"
+      | Usd.Slack _ -> seen "slack")
+    rows;
+  List.iter
+    (fun k -> checkb ("some " ^ k) true (Hashtbl.mem kinds k))
+    [ "txn"; "persistent error"; "transient error"; "alloc"; "lax"; "slack" ];
+  let check_client name c ~period =
+    let mine =
+      List.filter
+        (fun (_, ev) ->
+          match ev with
+          | Usd.Txn { client; _ } | Usd.Txn_error { client; _ }
+          | Usd.Alloc { client } | Usd.Lax { client; _ }
+          | Usd.Slack { client; _ } -> client = name)
+        rows
+    in
+    let served =
+      Array.of_list @@ List.filter_map
+        (fun (_, ev) ->
+          match ev with
+          | Usd.Txn { op; lba; nblocks; dur; _ } ->
+            Some (op, Some (lba, nblocks), Ok (), dur)
+          | Usd.Txn_error { op; lba; nblocks; dur; media; _ } ->
+            Some (op, Some (lba, nblocks), Error (`Media media), dur)
+          | Usd.Slack { op; dur; _ } -> Some (op, None, Ok (), dur)
+          | Usd.Alloc _ | Usd.Lax _ -> None)
+        mine
+    in
+    let lax =
+      List.fold_left
+        (fun acc (_, ev) -> match ev with Usd.Lax { dur; _ } -> acc + dur | _ -> acc)
+        0 mine
+    in
+    let allocs =
+      List.length
+        (List.filter (fun (_, ev) -> match ev with Usd.Alloc _ -> true | _ -> false) mine)
+    in
+    let asked = List.rev (Hashtbl.find asked name) in
+    (* the last request may have been served as the run stopped *)
+    let n = List.length asked in
+    checkb (name ^ ": one row per request") true
+      (Array.length served = n || Array.length served = n + 1);
+    List.iteri
+      (fun i (op, lba, r) ->
+        let op', at, r', dur = served.(i) in
+        checkb (name ^ ": op") true (op = op');
+        checkb (name ^ ": lba and size") true
+          (match at with None -> true | Some (l, nb) -> l = lba && nb = 16);
+        checkb (name ^ ": outcome") true (r = r');
+        checkb (name ^ ": positive duration") true (dur > 0))
+      asked;
+    let busy = Array.fold_left (fun acc (_, _, _, d) -> acc + d) 0 served in
+    check (name ^ ": service and lax time charged") (Usd.used_time c)
+      (busy + lax);
+    check (name ^ ": lax time charged") (Usd.lax_time c) lax;
+    (* one allocation per period boundary passed *)
+    checkb (name ^ ": allocations") true
+      (abs (allocs - (Time.sec 30 / period)) <= 1)
+  in
+  check_client "pager" pager ~period:(Time.ms 50);
+  check_client "bulk" bulk ~period:(Time.ms 100)
+
 (* --- Sfs --- *)
 
 let mk_sfs () =
@@ -322,7 +458,9 @@ let suite =
         Alcotest.test_case "roll-over bounds overrun" `Slow usd_rollover_carry;
         Alcotest.test_case "slack events for x clients" `Quick usd_slack_events;
         Alcotest.test_case "period allocations traced" `Quick
-          usd_allocation_trace ] );
+          usd_allocation_trace;
+        Alcotest.test_case "every event kind round-trips its trace" `Quick
+          usd_trace_round_trip ] );
     ( "usbs.sfs",
       [ Alcotest.test_case "extent allocation" `Quick sfs_extent_allocation;
         Alcotest.test_case "space exhaustion" `Quick sfs_space_exhaustion;

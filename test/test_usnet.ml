@@ -162,6 +162,111 @@ let link_think_time_without_laxity () =
     (!finished > Time.zero && !finished < Time.ms 20);
   check "no lax time" 0 (Usnet.Link.lax_time c)
 
+(* Every event kind recorded as int rows and read back from a trace
+   that spans many chunks. Each field has a witness outside the trace:
+   the packets each client sent, in order, their wire time, and the
+   service and lax time the link charged it. *)
+let link_trace_round_trip () =
+  let sim, link = mk () in
+  let params = Usnet.Link.params link in
+  (* a bulk sender with laxity that pauses between bursts, and an
+     x-flagged flood that lives on slack *)
+  let bulk =
+    admit_exn link ~name:"bulk" ~period:(Time.ms 10) ~slice:(Time.ms 2)
+      ~laxity:(Time.us 300) ()
+  in
+  let flood =
+    admit_exn link ~name:"flood" ~period:(Time.ms 20) ~slice:(Time.ms 1)
+      ~extra:true ()
+  in
+  let sent = Hashtbl.create 2 in
+  let run name c size think =
+    Hashtbl.replace sent name [];
+    ignore
+      (Proc.spawn sim (fun () ->
+           let rec loop i =
+             let bytes = size i in
+             transmit_exn link c ~bytes;
+             Hashtbl.replace sent name (bytes :: Hashtbl.find sent name);
+             Proc.sleep (think i);
+             loop (i + 1)
+           in
+           loop 0))
+  in
+  run "bulk" bulk
+    (fun i -> 64 + (i * 97 mod 1400))
+    (fun i -> if i mod 4 = 3 then Time.us (100 + (i mod 500)) else 0);
+  run "flood" flood (fun i -> 1514 - (i mod 300)) (fun _ -> 0);
+  Sim.run ~until:(Time.sec 2) sim;
+  let tr = Usnet.Link.trace link in
+  let rows = Trace.to_list tr in
+  checkb "trace spans many chunks" true (Trace.length tr > 3_000);
+  check "length agrees" (Trace.length tr) (List.length rows);
+  let kinds = Hashtbl.create 4 in
+  List.iter
+    (fun (_, ev) ->
+      Hashtbl.replace kinds
+        (match ev with
+        | Usnet.Link.Tx _ -> "tx"
+        | Usnet.Link.Alloc _ -> "alloc"
+        | Usnet.Link.Slack_tx _ -> "slack"
+        | Usnet.Link.Lax _ -> "lax")
+        ())
+    rows;
+  List.iter
+    (fun k -> checkb ("some " ^ k) true (Hashtbl.mem kinds k))
+    [ "tx"; "alloc"; "slack"; "lax" ];
+  let check_client name c ~period =
+    let mine =
+      List.filter
+        (fun (_, ev) ->
+          match ev with
+          | Usnet.Link.Tx { client; _ } | Usnet.Link.Alloc { client }
+          | Usnet.Link.Slack_tx { client; _ } | Usnet.Link.Lax { client; _ } ->
+            client = name)
+        rows
+    in
+    let packets =
+      Array.of_list @@ List.filter_map
+        (fun (_, ev) ->
+          match ev with
+          | Usnet.Link.Tx { bytes; dur; _ } | Usnet.Link.Slack_tx { bytes; dur; _ }
+            ->
+            Some (bytes, dur)
+          | Usnet.Link.Alloc _ | Usnet.Link.Lax _ -> None)
+        mine
+    in
+    let lax, allocs =
+      List.fold_left
+        (fun (lax, allocs) (_, ev) ->
+          match ev with
+          | Usnet.Link.Lax { dur; _ } -> (lax + dur, allocs)
+          | Usnet.Link.Alloc _ -> (lax, allocs + 1)
+          | _ -> (lax, allocs))
+        (0, 0) mine
+    in
+    let sent = List.rev (Hashtbl.find sent name) in
+    (* the last packet may have left the wire as the run stopped *)
+    let n = List.length sent in
+    checkb (name ^ ": one row per packet") true
+      (Array.length packets = n || Array.length packets = n + 1);
+    List.iteri
+      (fun i bytes ->
+        let bytes', dur = packets.(i) in
+        check (name ^ ": bytes") bytes bytes';
+        check (name ^ ": wire time") (Usnet.Net_params.tx_time params ~bytes)
+          dur)
+      sent;
+    let busy = Array.fold_left (fun acc (_, d) -> acc + d) 0 packets in
+    check (name ^ ": service and lax time charged")
+      (Usnet.Link.used_time c) (busy + lax);
+    check (name ^ ": lax time charged") (Usnet.Link.lax_time c) lax;
+    checkb (name ^ ": allocations") true
+      (abs (allocs - (Time.sec 2 / period)) <= 1)
+  in
+  check_client "bulk" bulk ~period:(Time.ms 10);
+  check_client "flood" flood ~period:(Time.ms 20)
+
 let netiso_shares_shape () =
   let r = Experiments.Net_iso.run_shares ~duration:(Time.sec 10) () in
   match r.Experiments.Net_iso.senders with
@@ -192,7 +297,9 @@ let suite =
         Alcotest.test_case "CM latency bounded" `Quick
           link_latency_under_guarantee;
         Alcotest.test_case "think time without laxity keeps the link" `Quick
-          link_think_time_without_laxity ] );
+          link_think_time_without_laxity;
+        Alcotest.test_case "every event kind round-trips its trace" `Quick
+          link_trace_round_trip ] );
     ( "usnet.experiments",
       [ Alcotest.test_case "1:2:4 link shares" `Slow netiso_shares_shape;
         Alcotest.test_case "kernel crosstalk direction" `Slow
