@@ -61,14 +61,10 @@ let value_term (p : Registry.param) : Catalog.value Term.t =
     Term.(
       const (fun i -> Catalog.I i)
       $ Arg.(value & opt int default & info flags ~docv ~doc))
-  | Registry.Float default ->
-    Term.(
-      const (fun f -> Catalog.F f)
-      $ Arg.(value & opt float default & info [ pname ] ~docv:"X" ~doc))
-  | Registry.String default ->
+  | Registry.String ->
     Term.(
       const (fun s -> Catalog.S s)
-      $ Arg.(value & opt (some string) default & info [ pname ] ~docv:"VAL" ~doc))
+      $ Arg.(value & opt (some string) None & info [ pname ] ~docv:"VAL" ~doc))
   | Registry.Names defaults ->
     Term.(
       const (fun l -> Catalog.L l)
@@ -100,8 +96,7 @@ let list_extensions_cmd =
     (Cmd.info "list-extensions"
        ~doc:
          "Dump every extension axis (replacement policies, policy \
-          modifiers, workloads, backing drivers, chaos sites, ablations, \
-          experiments) with manifests as JSON")
+          modifiers, experiments, ablations) with manifests as JSON")
     Term.(const run $ const ())
 
 let lint_registry_cmd =

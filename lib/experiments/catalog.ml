@@ -38,7 +38,6 @@ let paging_csv (r : Paging_fig.result) =
 type value =
   | Bool of bool
   | I of int
-  | F of float
   | S of string option
   | L of string list
 
@@ -81,31 +80,36 @@ let ablation_axis : (int -> unit) Registry.axis =
   Registry.axis ~name:"ablation"
     ~doc:"design-choice ablations the ablate subcommand can run by name"
 
-let () =
-  let reg name doc run =
-    Registry.register_exn ablation_axis
-      (Registry.manifest ~name ~doc ())
-      (fun a ->
-        if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then Ok run
-        else Error (Printf.sprintf "%s takes no parameter" name))
-  in
-  reg "laxity" "the short-block problem: USD laxity on vs off" (fun d ->
+(* The one list of ablations: [(name, doc, run)] in run order. *)
+let ablations =
+  [ ("laxity", "the short-block problem: USD laxity on vs off", fun d ->
       let r = Ablations.run_laxity ~duration:(sec (min d 120)) () in
       Ablations.print_laxity r;
       Ablations.print_laxity_sweep r);
-  reg "rollover" "slack rollover accounting on vs off" (fun d ->
+    ("rollover", "slack rollover accounting on vs off", fun d ->
       Ablations.print_rollover (Ablations.run_rollover ~duration:(sec d) ()));
-  reg "pt" "linear vs guarded page tables" (fun _ ->
+    ("pt", "linear vs guarded page tables", fun _ ->
       Ablations.print_pt (Ablations.run_pt ()));
-  reg "slack" "slack-time distribution policies" (fun d ->
+    ("slack", "slack-time distribution policies", fun d ->
       Ablations.print_slack (Ablations.run_slack ~duration:(sec d) ()));
-  reg "stream" "stream read-ahead on vs off" (fun d ->
+    ("stream", "stream read-ahead on vs off", fun d ->
       Ablations.print_stream
         (Ablations.run_stream ~duration:(sec (max d 170)) ()));
-  reg "revoke" "frame revocation protocol variants" (fun _ ->
-      Ablations.print_revoke (Ablations.run_revoke ()))
+    ("revoke", "frame revocation protocol variants", fun _ ->
+      Ablations.print_revoke (Ablations.run_revoke ())) ]
 
-let ablation_names = [ "laxity"; "rollover"; "pt"; "slack"; "stream"; "revoke" ]
+let () =
+  List.iter
+    (fun (name, doc, run) ->
+      Registry.register_exn ablation_axis
+        (Registry.manifest ~name ~doc ())
+        (fun a ->
+          if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
+            Ok run
+          else Error (Printf.sprintf "%s takes no parameter" name)))
+    ablations
+
+let ablation_names = List.map (fun (name, _, _) -> name) ablations
 
 let run_ablation d name =
   match Registry.resolve ablation_axis name with
@@ -125,7 +129,7 @@ let p_seed =
     p_kind = Registry.Int 42 }
 
 let p_file name doc =
-  { Registry.p_name = name; p_doc = doc; p_kind = Registry.String None }
+  { Registry.p_name = name; p_doc = doc; p_kind = Registry.String }
 
 let p_json doc = p_file "json" doc
 
@@ -224,7 +228,7 @@ let () =
             "Comma-separated policy specs to compare (e.g. \
              fifo,fifo+ra8,clock,lru,wsclock:32,fifo+wb8); default: the \
              built-in presets.";
-          p_kind = Registry.String None } ]
+          p_kind = Registry.String } ]
     ~modules:[ "policy_compare" ]
     (fun ctx ->
       let policies =
@@ -248,8 +252,9 @@ let () =
       [ p_duration 120;
         { Registry.p_name = "names";
           p_doc =
-            "Which ablations to run (laxity|rollover|pt|slack|revoke); \
-             default all.";
+            "Which ablations to run ("
+            ^ String.concat "|" ablation_names
+            ^ "); default all.";
           p_kind = Registry.Names ablation_names } ]
     ~modules:[ "ablations" ]
     (fun ctx ->
@@ -440,10 +445,21 @@ let lint ~docs ~experiments_dir =
                (fun () -> really_input_string ic (in_channel_length ic)))
          docs)
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
+  (* A whole-name mention: the characters on both sides of [name]
+     are not name characters, so "ra" is not found in "parameter". *)
+  let mentions hay name =
+    let nh = String.length hay and nn = String.length name in
+    let apart i =
+      i < 0 || i >= nh
+      ||
+      match hay.[i] with
+      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '-' -> false
+      | _ -> true
+    in
     let rec go i =
-      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+      i + nn <= nh
+      && ((String.sub hay i nn = name && apart (i - 1) && apart (i + nn))
+         || go (i + 1))
     in
     nn > 0 && go 0
   in
@@ -454,7 +470,7 @@ let lint ~docs ~experiments_dir =
       | Some ms ->
         List.iter
           (fun (m : Registry.manifest) ->
-            if not (contains doc_text m.Registry.m_name) then
+            if not (mentions doc_text m.Registry.m_name) then
               err "lint-registry: %s %S is not mentioned in %s" axis_name
                 m.Registry.m_name
                 (String.concat ", " docs))

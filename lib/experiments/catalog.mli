@@ -9,7 +9,6 @@
 type value =
   | Bool of bool
   | I of int
-  | F of float
   | S of string option
   | L of string list
 
@@ -40,6 +39,8 @@ val write_file : string -> string -> unit
 
 val lint : docs:string list -> experiments_dir:string -> string list
 (** [lint ~docs ~experiments_dir] returns human-readable complaints:
-    registered names (on any axis) not mentioned in any of the [docs]
-    files, and lib/experiments modules not claimed by any catalog
-    entry's [e_modules]. Empty list means clean. *)
+    registered names (on any axis) not mentioned as a whole name in
+    any of the [docs] files — neither neighbouring character may be a
+    letter, digit, ['_'] or ['-'] — and lib/experiments modules not
+    claimed by any catalog entry's [e_modules]. Empty list means
+    clean. *)

@@ -35,28 +35,37 @@ let page_blocks = Addr.page_size / 512
    media errors and latency spikes across the whole extent, USD
    stalls, fault-channel drop/delay, and periodic frame-pressure
    bursts for the gremlin. *)
-let plan_specs ~first ~nblocks =
+let plan ~seed ~first ~nblocks =
   let bad_page slot len =
-    Printf.sprintf "bad-blok:first=%d,len=%d,op=write"
-      (first + (slot * page_blocks))
-      (len * page_blocks)
+    { Inject.bf_first = first + (slot * page_blocks);
+      bf_len = len * page_blocks;
+      bf_op = Some Inject.Write;
+      bf_transient = None }
   in
-  [ bad_page 3 1; bad_page 17 1; bad_page 40 2;
-    Printf.sprintf "bad-blok:first=%d,len=%d,transient=2"
-      (first + (60 * page_blocks))
-      (4 * page_blocks);
-    Printf.sprintf
-      "region:first=%d,len=%d,read=0.02,write=0.02,spike=0.02,spike-ms=20"
-      first nblocks;
-    "stall:site=victim.swap,rate=0.02,ms=30";
-    "stall:site=doomed.revoke,rate=1.0,ms=250";
-    "chan:name=victim.fault,drop=0.05,delay=0.05,delay-ms=2";
-    "pressure:period-ms=500,hold-ms=150" ]
-
-let plan_for ~seed ~first ~nblocks =
-  match Inject.plan_of_specs ~seed (plan_specs ~first ~nblocks) with
-  | Ok plan -> plan
-  | Error e -> Harness.fail_verdict ~experiment:"chaos" (Registry.error_message e)
+  { Inject.default_plan with
+    seed;
+    blok_faults =
+      [ bad_page 3 1; bad_page 17 1; bad_page 40 2;
+        { Inject.bf_first = first + (60 * page_blocks);
+          bf_len = 4 * page_blocks;
+          bf_op = None;
+          bf_transient = Some 2 } ];
+    regions =
+      [ { Inject.rf_first = first;
+          rf_len = nblocks;
+          rf_read_error = 0.02;
+          rf_write_error = 0.02;
+          rf_spike = 0.02;
+          rf_spike_span = Time.ms 20 } ];
+    stalls =
+      [ ("victim.swap", { Inject.st_rate = 0.02; st_span = Time.ms 30 });
+        ("doomed.revoke", { Inject.st_rate = 1.0; st_span = Time.ms 250 }) ];
+    chans =
+      [ ( "victim.fault",
+          { Inject.cf_drop = 0.05;
+            cf_delay = 0.05;
+            cf_delay_span = Time.ms 2 } ) ];
+    pressure = Some { Inject.pr_period = Time.ms 500; pr_hold = Time.ms 150 } }
 
 let start_app sys ~name ?policy ?spare_pages ?(optimistic = 0) () =
   let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 50) () in
@@ -67,8 +76,7 @@ let start_app sys ~name ?policy ?spare_pages ?(optimistic = 0) () =
   with
   | Ok a -> a
   (* Setup failwiths throughout: an experiment that cannot build its
-     world has no verdict to report. Spec resolution is typed and
-     funnelled through Harness.fail_verdict / plan_for. *)
+     world has no verdict to report. *)
   | Error e -> failwith (Printf.sprintf "chaos: %s: %s" name e)
 
 (* The doomed domain: hogs [hog_pages] mapped optimistic frames behind a
@@ -155,13 +163,10 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
   let sys = Harness.cell_system ~seed in
   let clean1 = start_app sys ~name:"clean1" () in
   let clean2 = start_app sys ~name:"clean2" () in
-  let wb =
-    match Policy.Spec.of_string "fifo+wb8" with
-    | Ok s -> s
-    | Error e -> failwith ("chaos: " ^ e)
-  in
   let victim =
-    start_app sys ~name:"victim" ~policy:wb ~spare_pages:4 ~optimistic:12 ()
+    start_app sys ~name:"victim"
+      ~policy:{ Policy.Spec.default with wb_batch = 8 }
+      ~spare_pages:4 ~optimistic:12 ()
   in
   let doomed = start_doomed sys in
   let press =
@@ -173,7 +178,7 @@ let run ?(seed = 42) ?(duration = Time.sec 30) () =
     | Error e -> failwith ("chaos: press: " ^ Frames.error_message e)
   in
   let first, nblocks = Workload.Paging_app.swap_extent victim in
-  Inject.arm (plan_for ~seed ~first ~nblocks);
+  Inject.arm (plan ~seed ~first ~nblocks);
   start_press sys press;
   System.run ~until:duration sys;
   (* Injection-free drain: in-flight retries and write-behind flushes

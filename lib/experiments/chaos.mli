@@ -49,11 +49,10 @@ type result = {
   audit : Obs.Qos_audit.summary;
 }
 
-val plan_specs : first:int -> nblocks:int -> string list
-(** The victim's injection plan as chaos-site specs (resolved by
-    {!Inject.plan_of_specs}), scoped to its swap extent — exposed so the
-    registry tests can pin the spec route against the hand-built plan
-    record. *)
+val plan : seed:int -> first:int -> nblocks:int -> Inject.plan
+(** The victim's injection plan, scoped to its swap extent
+    [(first, nblocks)] — exposed so the registry tests can pin it
+    field for field. *)
 
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 (** Enables {!Obs}, resets collectors, arms the injection plan derived

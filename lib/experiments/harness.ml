@@ -52,20 +52,6 @@ let fail_verdict ~experiment ?(context = []) msg =
   flush stderr;
   failwith msg
 
-let pattern ~experiment name =
-  match Workload.Paging_app.pattern_of_string name with
-  | Ok p -> p
-  | Error e -> fail_verdict ~experiment (Registry.error_message e)
-
-let backing ~experiment spec ctx =
-  match Tier.Backing.resolve spec with
-  | Error e -> fail_verdict ~experiment (Registry.error_message e)
-  | Ok factory -> (
-      fun swap ->
-        match factory ctx swap with
-        | Ok b -> b
-        | Error msg -> fail_verdict ~experiment msg)
-
 let mean_span spans =
   match spans with
   | [] -> nan
@@ -105,8 +91,10 @@ type domain_report = {
   dr_violations : int;
 }
 
-let patterns ~experiment =
-  List.map (fun n -> (n, pattern ~experiment n)) [ "seq"; "rand"; "hot" ]
+let patterns =
+  List.map
+    (fun p -> (Workload.Paging_app.pattern_name p, p))
+    Workload.Paging_app.[ Sequential; Random; Hotspot ]
 
 (* Mean and p95 of the named domain's fault-service latency, µs. *)
 let fault_hist name =
@@ -139,7 +127,7 @@ let start_domains ~experiment sys ~tiered_prefix ~backing =
         let backing = Option.map (fun f -> f name) backing in
         (name, pat, Option.is_some backing,
          start_app ~experiment sys ~name ~pattern ?backing ()))
-      (patterns ~experiment)
+      patterns
   in
   let disk = start "disk_" None in
   disk @ start tiered_prefix (Some backing)
@@ -158,8 +146,9 @@ let fleet sys ~seed ~params ~capacity ~redundancy ?(standby = [])
     nodes )
 
 (* Admit a domain on every node link (5 ms every 20 ms, slack-eligible,
-   2 ms laxity) and resolve the fleet backing [spec] over it. *)
-let fleet_backing ~experiment ?(context = []) fleet ~client ~spec ~on_store =
+   2 ms laxity) now; attach its swapfile to the fleet under [label],
+   with a 24-page RAM cache, when the paged driver binds. *)
+let fleet_backing ~experiment ?(context = []) fleet ~client ~label ~on_store =
   let clients =
     match
       Tier.Fleet.admit_clients fleet ~name:client ~period:(Time.ms 20)
@@ -170,9 +159,10 @@ let fleet_backing ~experiment ?(context = []) fleet ~client ~spec ~on_store =
         fail_verdict ~experiment ~context
           (experiment ^ ": " ^ Usnet.Link.admit_error_message e)
   in
-  backing ~experiment spec
-    [ Tier.Fleet.Fleet_tier
-        { fc_fleet = fleet; fc_clients = clients; fc_on_store = on_store } ]
+  fun swap ->
+    let s = Tier.Fleet.attach ~cache_pages:24 ~label fleet ~clients ~swap () in
+    on_store s;
+    Tier.Fleet.backing s
 
 let domain_reports apps =
   List.map
@@ -336,7 +326,6 @@ type scenario = {
   sc_capacity : int;
   sc_repair : (Time.span * int) option;
   sc_cells : (string * string * Tier.Fleet.redundancy) list;
-  sc_spec : string;
   sc_label : string;
   sc_plan : seed:int -> duration:Time.span -> Inject.plan;
   sc_arm : arm;
@@ -386,7 +375,7 @@ let run_fleet_cell sc ~seed ~duration (name, mode, redundancy) =
       ~backing:(fun app ->
         fleet_backing ~experiment
           ~context:[ ("cell", name); ("app", app) ]
-          fl ~client:(app ^ ".tier") ~spec:sc.sc_spec
+          fl ~client:(app ^ ".tier") ~label:sc.sc_label
           ~on_store:(fun s -> stores := s :: !stores))
   in
   if sc.sc_arm = At_half then
@@ -538,18 +527,19 @@ type matrix_backing = Disk | Tier | Fleet of Tier.Fleet.redundancy
 let matrix_cells =
   let r2 = Fleet (Tier.Fleet.Replicated 2)
   and ec = Fleet (Tier.Fleet.Erasure { k = 4; m = 2 }) in
-  [ ("disk_seq", Disk, "seq", false); ("disk_rand", Disk, "rand", false);
-    ("disk_hot", Disk, "hot", false); ("tier_seq", Tier, "seq", false);
-    ("tier_rand", Tier, "rand", false); ("tier_hot", Tier, "hot", false);
-    ("replicated", r2, "hot", false); ("replicated_wipe", r2, "hot", true);
-    ("erasure", ec, "hot", false); ("erasure_wipe", ec, "hot", true) ]
+  let open Workload.Paging_app in
+  [ ("disk_seq", Disk, Sequential, false); ("disk_rand", Disk, Random, false);
+    ("disk_hot", Disk, Hotspot, false); ("tier_seq", Tier, Sequential, false);
+    ("tier_rand", Tier, Random, false); ("tier_hot", Tier, Hotspot, false);
+    ("replicated", r2, Hotspot, false); ("replicated_wipe", r2, Hotspot, true);
+    ("erasure", ec, Hotspot, false); ("erasure_wipe", ec, Hotspot, true) ]
 
 (* Every cell runs in two legs split at T/2. A wipe cell's n0 loses its
    contents between them, with repair off, so every post-wipe read of
    a page n0 held takes the degraded path. The latency histogram is
    cumulative, so the second-half mean comes from (count, sum)
    snapshots at T/2 and T. *)
-let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
+let run_matrix_cell ~seed ~duration (name, backing, pattern, wipe) =
   let experiment = "backing" in
   let sys = cell_system ~seed in
   let built =
@@ -557,12 +547,12 @@ let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
     | Disk -> None
     | Tier ->
       Some
-        ( "tiered:cache-pages=24",
+        ( "tier",
           fleet sys ~seed ~params:Usnet.Net_params.fast_ethernet
             ~capacity:128 ~redundancy:(Tier.Fleet.Replicated 1) [ "bench0" ] )
     | Fleet redundancy ->
       Some
-        ( "fleet:cache-pages=24",
+        ( "fleet",
           fleet sys ~seed ~params:Usnet.Net_params.gigabit ~capacity:420
             ~redundancy ~repair:(not wipe)
             (List.init 6 (Printf.sprintf "n%d")) )
@@ -570,15 +560,12 @@ let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
   let store = ref None in
   let backing =
     Option.map
-      (fun (spec, (fl, _)) ->
+      (fun (label, (fl, _)) ->
         fleet_backing ~experiment ~context:[ ("cell", name) ] fl
-          ~client:"bench.tier" ~spec ~on_store:(fun s -> store := Some s))
+          ~client:"bench.tier" ~label ~on_store:(fun s -> store := Some s))
       built
   in
-  let app =
-    start_app ~experiment sys ~name:"bench" ~pattern:(pattern ~experiment pat)
-      ?backing ()
-  in
+  let app = start_app ~experiment sys ~name:"bench" ~pattern ?backing () in
   let snap () =
     match Obs.Metrics.hist_view ~label:"bench" "fault.latency_us" with
     | Some v ->
@@ -597,7 +584,7 @@ let run_matrix_cell ~seed ~duration (name, backing, pat, wipe) =
   let fl = Option.map (fun (_, (fl, _)) -> fl) built in
   let of_fleet f default = Option.fold ~none:default ~some:f fl in
   { mc_name = name;
-    mc_pattern = pat;
+    mc_pattern = Workload.Paging_app.pattern_name pattern;
     mc_mbit = Workload.Paging_app.sustained_mbit app;
     mc_accesses = Workload.Paging_app.measured_accesses app;
     mc_fault_mean_us = mean;

@@ -25,19 +25,9 @@ val bench_domain :
 val mean_span : Time.span list -> float
 (** Mean in microseconds. *)
 
-val pattern : experiment:string -> string -> Workload.Paging_app.pattern
-(** Resolve a workload-pattern name through the registry
-    ({!Workload.Paging_app.pattern_axis}), aborting the experiment
-    with a did-you-mean hint on an unknown name — the one resolution
-    route every experiment's pattern table shares. *)
-
-val backing :
-  experiment:string -> string -> Tier.Backing.ctx ->
-  Usbs.Sfs.swapfile -> Tier.Backing.t
-(** Resolve a backing spec (["tiered:cache-pages=24"], ["zram"], ...)
-    through {!Tier.Backing.axis} into the [swapfile -> Backing.t]
-    shape [Paging_app.start ?backing] takes, aborting the experiment
-    on an unknown name or a missing capability. *)
+val patterns : (string * Workload.Paging_app.pattern) list
+(** The three built-in patterns in report order, each with its
+    {!Workload.Paging_app.pattern_name}: [seq], [rand], [hot]. *)
 
 val fail_verdict :
   experiment:string -> ?context:(string * string) list -> string -> 'a
@@ -110,10 +100,9 @@ type scenario = {
       (** repair period and budget; [None] keeps the fleet's *)
   sc_cells : (string * string * Tier.Fleet.redundancy) list;
       (** one cell per [(name, mode, redundancy)], in order *)
-  sc_spec : string;  (** the tiered domains' backing spec *)
   sc_label : string;
-      (** ["tier"] or ["fleet"]: the tiered domains' backing column and
-          name prefix (["<label>_<pattern>"]) *)
+      (** ["tier"] or ["fleet"]: the tiered domains' store label,
+          backing column and name prefix (["<label>_<pattern>"]) *)
   sc_plan : seed:int -> duration:Time.span -> Inject.plan;
   sc_arm : arm;
   sc_ok : fleet_cell list -> bool;  (** the scenario's own verdict *)
@@ -151,15 +140,15 @@ val print_fleet_run : fleet_run -> unit
 (** {1 The backing matrix}
 
     The backings this repo compares, each under one domain alone in a
-    fresh system (2 MiB of main memory, fault-free): the disk
-    and the one-node tier (fast ethernet, 128 pages,
-    ["tiered:cache-pages=24"]) under each pattern, and a six-node
-    gigabit fleet (420 pages per node, ["fleet:cache-pages=24"]) under
-    the hotspot only, as [replicated] (R = 2), [replicated_wipe],
-    [erasure] (k = 4, m = 2) and [erasure_wipe]. Every cell runs in
-    two legs split at T/2; a [_wipe] cell's node n0 loses its
-    contents between the legs, with repair off, so every read of a
-    page n0 held takes the degraded path. *)
+    fresh system (2 MiB of main memory, fault-free): the disk and the
+    one-node tier (fast ethernet, 128 pages, store label ["tier"])
+    under each pattern, and a six-node gigabit fleet (420 pages per
+    node, store label ["fleet"]) under the hotspot only, as
+    [replicated] (R = 2), [replicated_wipe], [erasure] (k = 4, m = 2)
+    and [erasure_wipe]; each store has a 24-page RAM cache. Every
+    cell runs in two legs split at T/2; a [_wipe] cell's node n0
+    loses its contents between the legs, with repair off, so every
+    read of a page n0 held takes the degraded path. *)
 
 type matrix_cell = {
   mc_name : string;  (** ["disk_seq"] … ["tier_hot"], ["replicated"] … *)

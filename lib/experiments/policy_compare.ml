@@ -25,11 +25,6 @@ type row = {
 
 type result = { duration : Time.t; rows : row list }
 
-let patterns =
-  List.map
-    (fun n -> (n, Harness.pattern ~experiment:"policy-compare" n))
-    [ "seq"; "rand"; "hot" ]
-
 (* The probe app: 256 pages of VM over 48 guaranteed frames, so the
    residency ratio is ~19% — small enough that sequential and random
    scans page hard, large enough that the hotspot working set (32
@@ -126,7 +121,7 @@ let run ?(duration = Time.sec 60) ?(seed = 42)
   Obs.set_enabled true;
   let rows =
     List.concat_map
-      (fun spec -> List.map (run_cell ~duration ~seed spec) patterns)
+      (fun spec -> List.map (run_cell ~duration ~seed spec) Harness.patterns)
       policies
   in
   Obs.reset ();

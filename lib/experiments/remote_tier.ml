@@ -23,7 +23,6 @@ let remote =
     sc_capacity = 160;
     sc_repair = None;
     sc_cells = [ ("tier", "R=1", Tier.Fleet.Replicated 1) ];
-    sc_spec = "tiered:cache-pages=24";
     sc_label = "tier";
     sc_plan =
       (fun ~seed ~duration:_ ->
@@ -65,7 +64,6 @@ let failover =
     sc_capacity = 160;
     sc_repair = Some (Time.ms 250, 2);
     sc_cells = [ ("replicated", "R=2", Tier.Fleet.Replicated 2) ];
-    sc_spec = "fleet:cache-pages=24";
     sc_label = "fleet";
     sc_plan =
       (fun ~seed ~duration ->
@@ -125,7 +123,6 @@ let erasure =
     sc_cells =
       [ ("replicated", "R=2", Tier.Fleet.Replicated 2);
         ("erasure", "k=4,m=2", Tier.Fleet.Erasure { k = 4; m = 2 }) ];
-    sc_spec = "fleet:cache-pages=24";
     sc_label = "fleet";
     sc_plan =
       (fun ~seed ~duration ->

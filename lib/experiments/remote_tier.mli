@@ -9,10 +9,10 @@ val remote : Harness.scenario
     and three tiered domains (local RAM cache → remote memory node →
     disk), one of each per access pattern (sequential, random,
     hotspot). The tier is a one-node [Replicated 1] {!Tier.Fleet}
-    reached through the registered ["tiered"] backing; the tiered
-    domains' page transfers ride the node's {!Usnet.Link} under
-    per-domain [(p, s, x, l)] guarantees. Halfway through, a seeded
-    fault plan starts dropping and delaying packets on that link.
+    attached under the label ["tier"]; the tiered domains' page
+    transfers ride the node's {!Usnet.Link} under per-domain
+    [(p, s, x, l)] guarantees. Halfway through, a seeded fault plan
+    starts dropping and delaying packets on that link.
 
     The experiment passes when the chaos stays bought-and-paid-for:
     the disk-only bystanders see zero QoS violations, the fleet's

@@ -41,10 +41,6 @@ let guarantee = 6
 let vm_pages = 16
 let swap_pages = 32
 
-let pattern_of i =
-  let n = [| "seq"; "rand"; "hot" |].(i mod 3) in
-  (Harness.pattern ~experiment:"scale" n, n)
-
 let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
   if domains < 1 then invalid_arg "Scale.run: domains must be positive";
   Obs.set_enabled true;
@@ -71,7 +67,7 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
   let qos = Usbs.Qos.make ~period:usd_period ~slice:usd_slice () in
   let apps =
     List.init domains (fun i ->
-        let pattern, pname = pattern_of i in
+        let pname, pattern = List.nth Harness.patterns (i mod 3) in
         let name = Printf.sprintf "d%03d" i in
         match
           Workload.Paging_app.start sys ~name
@@ -125,7 +121,7 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
           0 mine;
       pr_mbit = (if measured = [] then Float.nan else mbit) }
   in
-  let patterns = List.map agg [ "seq"; "rand"; "hot" ] in
+  let patterns = List.map (fun (pname, _) -> agg pname) Harness.patterns in
   let held_sum =
     List.fold_left
       (fun acc d -> acc + Frames.held d.System.frames_client)

@@ -193,8 +193,8 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
         with
         | Ok a -> a
         | Error e -> failwith (Printf.sprintf "tenancy: %s: %s" name e))
-      [ ("bystander0", Harness.pattern ~experiment:"tenancy" "seq");
-        ("bystander1", Harness.pattern ~experiment:"tenancy" "hot") ]
+      [ ("bystander0", Workload.Paging_app.Sequential);
+        ("bystander1", Workload.Paging_app.Hotspot) ]
   in
   (* The template: a domain big enough to keep the whole image
      resident for the freeze. *)
@@ -253,9 +253,10 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
     | None -> None
     | Some zp ->
       Some
-        (fun label ->
-          Harness.backing ~experiment:"tenancy" "zram"
-            [ Share.Sd_zram.Zram { zc_zpool = zp; zc_label = label } ])
+        (fun label swap ->
+          Share.Sd_zram.backing
+            (Share.Sd_zram.create ~label ~zpool:zp
+               ~below:(Tier.Backing.of_sfs swap) ()))
   in
   (* Tenant behaviour: read the segment and the shared low pages, then
      write the top [wspan] pages once (the CoW breaks) and settle into

@@ -89,241 +89,6 @@ let default_plan =
     node_faults = [];
   }
 
-(* --- chaos-site registry ---------------------------------------------
-
-   Fault sites resolve by registered key: each spec string names a
-   site kind and appends one fault to the plan under construction, so
-   a whole plan is a [seed] plus a list of specs. A new fault site is
-   a registration here, not an edit to this file. *)
-
-let site_axis : (plan -> plan) Registry.axis =
-  Registry.axis ~name:"chaos-site"
-    ~doc:
-      "fault sites an Inject plan can name; each spec appends one \
-       fault (Inject.plan_of_specs)"
-
-let ( let* ) = Result.bind
-
-let p_int a key =
-  match Registry.Spec.param a key with
-  | None -> Ok None
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok (Some i)
-      | None -> Error (Printf.sprintf "bad integer %s=%S" key v))
-
-let p_float a key =
-  match Registry.Spec.param a key with
-  | None -> Ok None
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "bad number %s=%S" key v))
-
-(* A duration/instant parameter, in (possibly fractional) ms. *)
-let p_span a key =
-  let* v = p_float a key in
-  Ok (Option.map Time.of_ms_float v)
-
-let req key = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing %s=" key)
-
-let ri a key = Result.bind (p_int a key) (req key)
-let rf a key = Result.bind (p_float a key) (req key)
-let rs a key = req key (Registry.Spec.param a key)
-let rspan a key = Result.bind (p_span a key) (req key)
-
-(* Sites take only [k=v] parameters, and only the declared ones — a
-   typoed key must not silently weaken a chaos plan. *)
-let check_keys a allowed =
-  match a.Registry.Spec.args with
-  | arg :: _ -> Error (Printf.sprintf "unexpected argument %S" arg)
-  | [] -> (
-      match
-        List.find_opt
-          (fun (k, _) -> not (List.mem k allowed))
-          a.Registry.Spec.params
-      with
-      | Some (k, _) -> Error (Printf.sprintf "unknown parameter %S" k)
-      | None -> Ok ())
-
-let ip name doc = { Registry.p_name = name; p_doc = doc; p_kind = Registry.Int 0 }
-
-let fp name doc =
-  { Registry.p_name = name; p_doc = doc; p_kind = Registry.Float 0. }
-
-let sp name doc =
-  { Registry.p_name = name; p_doc = doc; p_kind = Registry.String None }
-
-let () =
-  let reg name doc params parse =
-    Registry.register_exn site_axis
-      (Registry.manifest ~name ~doc ~params ())
-      (fun a ->
-        let* () =
-          check_keys a (List.map (fun p -> p.Registry.p_name) params)
-        in
-        parse a)
-  in
-  reg "bad-blok" "a bad blok range: transactions touching it fail"
-    [ ip "first" "first LBA of the bad range";
-      ip "len" "length of the range, in bloks";
-      sp "op" "restrict to 'read' or 'write' transactions (default both)";
-      ip "transient" "heal after N failures (persistent when absent)" ]
-    (fun a ->
-      let* bf_first = ri a "first" in
-      let* bf_len = ri a "len" in
-      let* bf_op =
-        match Registry.Spec.param a "op" with
-        | None -> Ok None
-        | Some "read" -> Ok (Some Read)
-        | Some "write" -> Ok (Some Write)
-        | Some v -> Error (Printf.sprintf "bad op=%S (read or write)" v)
-      in
-      let* bf_transient = p_int a "transient" in
-      Ok
-        (fun p ->
-          { p with
-            blok_faults =
-              p.blok_faults @ [ { bf_first; bf_len; bf_op; bf_transient } ] }));
-  reg "region"
-    "a probabilistic disk region: per-transaction error and latency-spike dice"
-    [ ip "first" "first LBA of the region";
-      ip "len" "length of the region, in bloks";
-      fp "read" "per-read media-error probability (default 0)";
-      fp "write" "per-write media-error probability (default 0)";
-      fp "spike" "per-transaction latency-spike probability (default 0)";
-      fp "spike-ms" "spike duration, ms (default 0)" ]
-    (fun a ->
-      let* rf_first = ri a "first" in
-      let* rf_len = ri a "len" in
-      let* read = p_float a "read" in
-      let* write = p_float a "write" in
-      let* spike = p_float a "spike" in
-      let* span = p_span a "spike-ms" in
-      let r =
-        { rf_first; rf_len;
-          rf_read_error = Option.value read ~default:0.;
-          rf_write_error = Option.value write ~default:0.;
-          rf_spike = Option.value spike ~default:0.;
-          rf_spike_span = Option.value span ~default:0 }
-      in
-      Ok (fun p -> { p with regions = p.regions @ [ r ] }));
-  reg "stall" "a named code site that randomly sleeps instead of proceeding"
-    [ sp "site" "the Inject.stall site name, e.g. victim.swap";
-      fp "rate" "per-consultation stall probability";
-      fp "ms" "stall duration, ms" ]
-    (fun a ->
-      let* site = rs a "site" in
-      let* st_rate = rf a "rate" in
-      let* st_span = rspan a "ms" in
-      Ok
-        (fun p -> { p with stalls = p.stalls @ [ (site, { st_rate; st_span }) ] }));
-  let chan_like name doc set =
-    reg name doc
-      [ sp "name" "the channel/link name, e.g. victim.fault";
-        fp "drop" "per-message drop probability (default 0)";
-        fp "delay" "per-message delay probability (default 0)";
-        fp "delay-ms" "delay duration, ms (default 0)" ]
-      (fun a ->
-        let* nm = rs a "name" in
-        let* drop = p_float a "drop" in
-        let* delay = p_float a "delay" in
-        let* span = p_span a "delay-ms" in
-        Ok
-          (set nm
-             (Option.value drop ~default:0.)
-             (Option.value delay ~default:0.)
-             (Option.value span ~default:0)))
-  in
-  chan_like "chan" "an event channel that drops or delays messages"
-    (fun nm cf_drop cf_delay cf_delay_span p ->
-      { p with chans = p.chans @ [ (nm, { cf_drop; cf_delay; cf_delay_span }) ] });
-  chan_like "link" "a network link that drops or delays packets"
-    (fun nm lf_drop lf_delay lf_delay_span p ->
-      { p with links = p.links @ [ (nm, { lf_drop; lf_delay; lf_delay_span }) ] });
-  reg "pressure" "periodic system frame-pressure bursts"
-    [ fp "period-ms" "burst period, ms"; fp "hold-ms" "burst duration, ms" ]
-    (fun a ->
-      let* pr_period = rspan a "period-ms" in
-      let* pr_hold = rspan a "hold-ms" in
-      Ok (fun p -> { p with pressure = Some { pr_period; pr_hold } }));
-  reg "zpool" "periodic compressed-tier budget shrinks"
-    [ fp "period-ms" "shrink period, ms";
-      fp "hold-ms" "shrink duration, ms";
-      ip "shrink" "frames to take from the zpool budget per burst" ]
-    (fun a ->
-      let* zp_period = rspan a "period-ms" in
-      let* zp_hold = rspan a "hold-ms" in
-      let* shrink = p_int a "shrink" in
-      Ok
-        (fun p ->
-          { p with
-            zpool_pressure =
-              Some
-                { zp_period; zp_hold;
-                  zp_shrink = Option.value shrink ~default:0 } }));
-  reg "crash" "a one-shot crash point tearing a durable write"
-    [ fp "after-ms" "armed from this instant, ms";
-      sp "site" "restrict to one crash site (default any)";
-      ip "first" "restrict to writes overlapping this LBA range";
-      ip "len" "length of the LBA restriction (0 = anywhere)" ]
-    (fun a ->
-      let* cp_after = rspan a "after-ms" in
-      let* first = p_int a "first" in
-      let* len = p_int a "len" in
-      let cp =
-        { cp_after;
-          cp_site = Registry.Spec.param a "site";
-          cp_first = Option.value first ~default:0;
-          cp_len = Option.value len ~default:0 }
-      in
-      Ok (fun p -> { p with crashes = p.crashes @ [ cp ] }));
-  reg "node" "remote-node faults: wipe, partitions, join, corruption"
-    [ sp "name" "the node name, e.g. mem1";
-      fp "wipe-ms" "lose RAM contents at this instant";
-      fp "join-ms" "join the fleet at this instant";
-      fp "corrupt" "per-shard-fetch corruption probability";
-      sp "part" "partition window 'A-B' in ms (repeatable)" ]
-    (fun a ->
-      let* nf_node = rs a "name" in
-      let* wipe = p_span a "wipe-ms" in
-      let* join = p_span a "join-ms" in
-      let* corrupt = p_float a "corrupt" in
-      let* parts =
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            if k <> "part" then Ok acc
-            else
-              match String.index_opt v '-' with
-              | None -> Error (Printf.sprintf "bad part=%S (want A-B)" v)
-              | Some i -> (
-                  let a' = String.sub v 0 i in
-                  let b = String.sub v (i + 1) (String.length v - i - 1) in
-                  match (float_of_string_opt a', float_of_string_opt b) with
-                  | Some x, Some y ->
-                      Ok (acc @ [ (Time.of_ms_float x, Time.of_ms_float y) ])
-                  | _ -> Error (Printf.sprintf "bad part=%S (want A-B)" v)))
-          (Ok []) a.Registry.Spec.params
-      in
-      let nf =
-        { nf_node; nf_wipe_at = wipe; nf_partitions = parts;
-          nf_join_at = join; nf_corrupt = Option.value corrupt ~default:0. }
-      in
-      Ok (fun p -> { p with node_faults = p.node_faults @ [ nf ] }))
-
-let plan_of_specs ~seed specs =
-  let rec go plan = function
-    | [] -> Ok plan
-    | s :: tl -> (
-        match Registry.resolve site_axis s with
-        | Error _ as e -> e
-        | Ok f -> go (f plan) tl)
-  in
-  go { default_plan with seed } specs
-
 let enabled = ref false
 let the_plan = ref default_plan
 let rng = ref (Rng.create ~seed:0)

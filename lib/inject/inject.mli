@@ -144,19 +144,9 @@ type plan = {
 }
 
 val default_plan : plan
-(** Seed 0, nothing injected. *)
-
-val plan_of_specs : seed:int -> string list -> (plan, Registry.error) result
-(** Build a plan from site specs, applied in order to
-    [{default_plan with seed}] — list-valued sites append, so spec
-    order is plan order; [pressure]/[zpool] overwrite. A spec names a
-    fault-site kind and its parameters as [k=v] pairs — e.g.
-    ["bad-blok:first=2048,len=16,op=write"],
-    ["stall:site=victim.swap,rate=0.02,ms=30"],
-    ["node:name=mem1,wipe-ms=4000,part=1000-2000"]. The kinds
-    ([bad-blok], [region], [stall], [chan], [link], [pressure],
-    [zpool], [crash], [node]) are registrations on the ["chaos-site"]
-    registry axis. *)
+(** Seed 0, nothing injected. A plan is built as a record value —
+    [{ default_plan with seed; regions = [ ... ] }] — so a mistyped
+    field is a compile error. *)
 
 val enabled : bool ref
 (** Do not write directly; use {!arm}/{!disarm}. *)

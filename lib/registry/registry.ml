@@ -9,8 +9,8 @@ module Spec = struct
   type t = { base : atom; mods : atom list; raw : string }
 
   (* Segments after the head are separated by ':' or ',' — ':' reads
-     naturally for a single argument (wsclock:32), ',' for parameter
-     lists (stall:site=x,rate=0.5). *)
+     naturally for a single argument (wsclock:32), ',' for a list of
+     [k=v] parameters. *)
   let split_segments s =
     String.split_on_char ':' s
     |> List.concat_map (String.split_on_char ',')
@@ -64,16 +64,6 @@ module Spec = struct
   let param a k =
     List.fold_left (fun acc (k', v) -> if k' = k then Some v else acc) None
       a.params
-
-  let int_param a k ~default =
-    match param a k with
-    | None -> Ok default
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some i -> Ok i
-        | None -> Error (Printf.sprintf "bad integer %s=%S" k v))
-
-  let string_param a k ~default = Option.value (param a k) ~default
 end
 
 type error =
@@ -131,8 +121,7 @@ let error_message = function
 type param_kind =
   | Flag
   | Int of int
-  | Float of float
-  | String of string option
+  | String
   | Names of string list
 
 type param = { p_name : string; p_doc : string; p_kind : param_kind }
@@ -241,8 +230,7 @@ let json_of_param p =
     match p.p_kind with
     | Flag -> ("flag", Json.bool false)
     | Int d -> ("int", Json.int d)
-    | Float d -> ("float", Json.signif 17 d)
-    | String d -> ("string", json_opt d)
+    | String -> ("string", Json.null)
     | Names ds -> ("names", Json.list (List.map Json.string ds))
   in
   Json.obj

@@ -1,20 +1,24 @@
-(** The extension registry: every pluggable axis of the simulator —
-    replacement / prefetch / writeback policy, backing-store stack,
-    fault-injection site, workload pattern, experiment — resolves
-    names through one typed API instead of a per-axis closed variant
-    match.
+(** The extension registry: every name that reaches the simulator from
+    outside — a policy spec on the command line, a subcommand, an
+    ablation — resolves through one typed API instead of a per-axis
+    closed variant match.
 
     A {e hook point} is an {!type:axis}: a typed table the owning
-    subsystem creates once ([Policy.Spec.replacement_axis],
-    [Tier.Backing.axis], Inject's ["chaos-site"] axis,
-    [Workload.Paging_app.pattern_axis], [Experiments.Catalog.axis]).
-    A module that wants to extend the simulator {!register}s a
-    {!manifest} (name, doc line, parameter descriptors, default
-    config) together with a parser that turns a {!Spec.atom} into the
-    axis's value type. Core code then {!resolve}s spec strings like
-    ["fifo+ra8"] or ["stall:site=victim.swap,rate=0.02"] through the
-    axis — so adding a policy, a workload or an experiment is a
-    registration, not an edit to five match statements.
+    subsystem creates once ([Policy.Spec.replacement_axis], the
+    ["policy-modifier"] axis, [Experiments.Catalog.axis],
+    [Experiments.Catalog.ablation_axis]). A module that wants to
+    extend the simulator {!register}s a {!manifest} (name, doc line,
+    parameter descriptors, default config) together with a parser
+    that turns a {!Spec.atom} into the axis's value type. The CLI then
+    {!resolve}s spec strings like ["fifo+ra8"] or ["wsclock:32"]
+    through the axis — so adding a policy or an experiment is a
+    registration, not an edit to a match statement.
+
+    A name is resolved only where it comes from outside the program.
+    What the program builds itself — a workload pattern, a backing
+    stack, a fault-injection plan — it passes as a value
+    ([Workload.Paging_app.Ext], a [swapfile -> Tier.Backing.t]
+    function, an [Inject.plan] record).
 
     {b Data isolation.} Registered values are factories by
     convention: each instantiation (e.g. each
@@ -28,12 +32,11 @@
 
 (** {1 Spec strings}
 
-    One grammar shared by policy specs, chaos-plan sites, workload
-    patterns and experiment parameters:
+    One grammar shared by policy specs, subcommands and ablations:
 
     {v
       spec    :=  atom ('+' atom)*            fifo+ra8
-      atom    :=  head ((':' | ',') seg)*     wsclock:32   stall:site=x,rate=0.5
+      atom    :=  head ((':' | ',') seg)*     wsclock:32   wsclock:window=32
       seg     :=  key '=' value | value
     v}
 
@@ -66,12 +69,6 @@ module Spec : sig
 
   val param : atom -> string -> string option
   (** Last [k=v] value for the key, if any. *)
-
-  val int_param : atom -> string -> default:int -> (int, string) result
-  (** [k=v] integer parameter with a default; [Error] on a
-      non-integer value. *)
-
-  val string_param : atom -> string -> default:string -> string
 end
 
 (** {1 Typed errors} *)
@@ -94,8 +91,7 @@ val suggest : known:string list -> string -> string list
 type param_kind =
   | Flag  (** boolean, off by default *)
   | Int of int  (** integer with default *)
-  | Float of float
-  | String of string option
+  | String  (** optional string, absent by default *)
   | Names of string list
       (** free-form name list (CLI: positional args); default list *)
 

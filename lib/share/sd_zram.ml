@@ -178,35 +178,3 @@ let backing t =
         write_pages_commit t ~page_index ~npages ~pages ~retire);
     slot_committed = t.below.Tier.Backing.slot_committed;
     extent = t.below.Tier.Backing.extent }
-
-(* --- backing-axis registration --------------------------------------- *)
-
-type zram_cap = {
-  zc_zpool : Zpool.t;
-  zc_label : string;
-}
-
-type Tier.Backing.cap += Zram of zram_cap
-
-let () =
-  Tier.Reg.register_exn Tier.Backing.axis
-    (Tier.Reg.manifest ~name:"zram"
-       ~doc:
-         "compressed-RAM tier over the swapfile's own data path \
-          (Share.Sd_zram over a shared Zpool)"
-       ())
-    (fun a ->
-      if a.Tier.Reg.Spec.args <> [] || a.Tier.Reg.Spec.params <> [] then
-        Error "zram takes no parameter (pool and label come from the ctx)"
-      else
-        Ok
-          (fun ctx swap ->
-            match
-              List.find_map (function Zram c -> Some c | _ -> None) ctx
-            with
-            | None -> Error "zram backing needs a Share.Sd_zram.Zram capability"
-            | Some c ->
-                Ok
-                  (backing
-                     (create ~label:c.zc_label ~zpool:c.zc_zpool
-                        ~below:(Tier.Backing.of_sfs swap) ()))))

@@ -34,14 +34,3 @@ val create : ?label:string -> zpool:Zpool.t -> below:Tier.Backing.t -> unit -> t
 
 val backing : t -> Tier.Backing.t
 (** The record to pass to [System.bind_paged ~backing]. *)
-
-type zram_cap = {
-  zc_zpool : Zpool.t;  (** the pool shared by the tenant fleet *)
-  zc_label : string;  (** per-tenant label (entries are keyed [label:slot]) *)
-}
-
-type Tier.Backing.cap += Zram of zram_cap
-(** The live capability the registered ["zram"] backing consumes:
-    [Tier.Backing.resolve "zram"] yields a factory that, given a ctx
-    holding one of these and a swapfile, stacks {!create} over the
-    swapfile's own data path and returns its {!backing}. *)

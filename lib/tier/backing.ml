@@ -34,27 +34,3 @@ let of_sfs swap =
     slot_committed = (fun slot -> Usbs.Sfs.slot_committed swap slot);
     extent =
       (fun () -> (Usbs.Sfs.extent_start swap, Usbs.Sfs.extent_blocks swap)) }
-
-(* --- the backing hook point ------------------------------------------ *)
-
-type cap = ..
-type ctx = cap list
-type factory = ctx -> Usbs.Sfs.swapfile -> (t, string) result
-
-let axis : factory Registry.axis =
-  Registry.axis ~name:"backing"
-    ~doc:
-      "backing stores a paged driver writes through (Tier.Backing.t); \
-       tiered stacks take their live capabilities from the ctx"
-
-let () =
-  Registry.register_exn axis
-    (Registry.manifest ~name:"sfs"
-       ~doc:"the swapfile's own data path — the seed semantics, bit-for-bit"
-       ())
-    (fun a ->
-      if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
-        Ok (fun _ctx swap -> Ok (of_sfs swap))
-      else Error "sfs takes no parameter")
-
-let resolve s = Registry.resolve axis s

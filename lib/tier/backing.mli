@@ -41,28 +41,3 @@ type t = {
 val of_sfs : Usbs.Sfs.swapfile -> t
 (** Pure delegation to the swapfile's data path: the seed semantics,
     bit-for-bit. *)
-
-(** {1 The backing hook point}
-
-    Backing stacks resolve by name — ["sfs"] (here),
-    ["tiered:cache-pages=24"] (a one-node {!Fleet}), ["fleet"] ({!Fleet}),
-    ["zram"] ([Share.Sd_zram]) — through {!Registry}. A registered
-    factory may need live capabilities a spec string cannot carry
-    (an admitted network client, a shared zpool, somewhere to report
-    the created store); the instantiation site passes those as
-    {!type:cap}s, one {!type:ctx} per driver, so per-driver state
-    stays per-driver (registry isolation rule). *)
-
-type cap = ..
-(** Capabilities for registered factories, extended by the providing
-    modules ([Fleet.Fleet_tier] for ["fleet"] and ["tiered"],
-    [Share.Sd_zram.Zram]). *)
-
-type ctx = cap list
-
-type factory = ctx -> Usbs.Sfs.swapfile -> (t, string) result
-
-val axis : factory Registry.axis
-(** Hook point for backing-store names (axis ["backing"]). *)
-
-val resolve : string -> (factory, Registry.error) result

@@ -1137,60 +1137,3 @@ let books_balanced t =
   c.stores = c.acks
   && c.link_drops + c.unreachable = c.retransmits + c.frag_timeouts
   && c.lost_shards = c.reconstructions + c.rebuilds + c.disk_fallbacks
-
-(* --- backing-axis registration --------------------------------------- *)
-
-type fleet_cap = {
-  fc_fleet : t;
-  fc_clients : Usnet.Link.client array;
-  fc_on_store : store -> unit;
-}
-
-type Backing.cap += Fleet_tier of fleet_cap
-
-(* One parser behind two names: ["fleet"], and ["tiered"] — the
-   RAM cache → one remote node → disk stack, which is a one-node
-   [Replicated 1] fleet attached under the label ["tier"]. *)
-let register ~name ~label ~doc =
-  Registry.register_exn Backing.axis
-    (Registry.manifest ~name ~doc
-       ~params:
-         [ { Registry.p_name = "cache-pages";
-             p_doc = "local RAM cache size, pages";
-             p_kind = Registry.Int 32 };
-           { Registry.p_name = "label";
-             p_doc = "store label for metrics and driver names";
-             p_kind = Registry.String (Some label) } ]
-       ~default:(name ^ ":cache-pages=32") ())
-    (fun a ->
-      match Registry.Spec.int_param a "cache-pages" ~default:32 with
-      | Error e -> Error e
-      | Ok cache_pages ->
-          let label = Registry.Spec.string_param a "label" ~default:label in
-          Ok
-            (fun ctx swap ->
-              match
-                List.find_map
-                  (function Fleet_tier c -> Some c | _ -> None)
-                  ctx
-              with
-              | None ->
-                  Error
-                    (name ^ " backing needs a Tier.Fleet.Fleet_tier capability")
-              | Some c ->
-                  let s =
-                    attach ~cache_pages ~label c.fc_fleet
-                      ~clients:c.fc_clients ~swap ()
-                  in
-                  c.fc_on_store s;
-                  Ok (backing s)))
-
-let () =
-  register ~name:"fleet" ~label:"fleet"
-    ~doc:
-      "replicated / erasure-coded remote-memory fleet over the disk \
-       (Tier.Fleet)";
-  register ~name:"tiered" ~label:"tier"
-    ~doc:
-      "local RAM cache over one remote memory node over the disk (a \
-       one-node Tier.Fleet)"

@@ -18,9 +18,9 @@
     [Replicated r] is the [(k = 1, m = r - 1)] code, whose shards
     are whole-page copies — the primary is position 0. A one-node
     [Replicated 1] fleet is the plain tiered store (RAM cache → one
-    remote node → disk) that the ["tiered"] backing builds. Nodes key
-    every entry by its stripe position ({!Remote_node.store}
-    [~shard]).
+    remote node → disk) that the [remote] experiment pages through.
+    Nodes key every entry by its stripe position
+    ({!Remote_node.store} [~shard]).
 
     Stripe legs travel {e in parallel} (one transfer process per
     node, demotes and reads both), so a stripe costs its slowest leg,
@@ -237,21 +237,6 @@ val attach :
 val backing : store -> Backing.t
 (** The store as a {!Backing.t} — what [Sd_paged.create ?backing] and
     [Workload.Paging_app.start ?backing] take. *)
-
-type fleet_cap = {
-  fc_fleet : t;
-  fc_clients : Usnet.Link.client array;  (** from {!admit_clients} *)
-  fc_on_store : store -> unit;
-      (** receives the attached store (for [stats] at teardown) *)
-}
-
-type Backing.cap += Fleet_tier of fleet_cap
-(** The live capability the registered ["fleet"] and ["tiered"]
-    backings consume: [Backing.resolve "fleet:cache-pages=24"] yields
-    a factory that, given a ctx holding one of these and a swapfile,
-    {!attach}es the domain to the fleet and returns the store's
-    {!backing}. ["tiered"] is the same parser with the default label
-    ["tier"]; its fleet is a one-node [Replicated 1] fleet. *)
 
 val backoff : base:Time.span -> attempt:int -> Time.span
 (** The deterministic retransmit ladder (the disk path's {!Usbs.Sfs}

@@ -11,26 +11,6 @@ type gen = {
 
 type pattern = Sequential | Random | Hotspot | Ext of gen
 
-(* Hook point: workload pattern names ("seq"/"rand"/"hot" and any
-   registered extension) resolve here instead of a closed match. *)
-let pattern_axis : pattern Registry.axis =
-  Registry.axis ~name:"workload"
-    ~doc:"access patterns a paging app can follow (Paging_app.pattern)"
-
-let () =
-  let reg name doc p =
-    Registry.register_exn pattern_axis
-      (Registry.manifest ~name ~doc ())
-      (fun a ->
-        if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then Ok p
-        else Error (Printf.sprintf "%s takes no parameter" name))
-  in
-  reg "seq" "wrap-around linear scan (the paper's workload)" Sequential;
-  reg "rand" "uniform page per access" Random;
-  reg "hot" "90% of accesses in the first eighth of the stretch" Hotspot
-
-let pattern_of_string s = Registry.resolve pattern_axis s
-
 let pattern_name = function
   | Sequential -> "seq"
   | Random -> "rand"
@@ -42,7 +22,7 @@ type t = {
   stretch : Stretch.t;
   handle : Sd_paged.handle;
   pattern : pattern;
-  (* Instantiated once per app (registry isolation rule: pattern
+  (* Instantiated once per app (isolation rule: pattern
      extensions never share state between apps). *)
   pattern_gen : (rng:Rng.t -> npages:int -> int) option;
   rng : Rng.t;

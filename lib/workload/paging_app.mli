@@ -30,8 +30,8 @@ type gen = {
           apps); called once per access with the app's seeded RNG, it
           returns the page to touch (reduced modulo [npages]) *)
 }
-(** A registered workload-pattern extension: how the pages of one
-    round of [npages] accesses are chosen. *)
+(** A workload-pattern extension: how the pages of one round of
+    [npages] accesses are chosen. *)
 
 type pattern =
   | Sequential  (** wrap-around linear scan (the paper's workload) *)
@@ -39,15 +39,10 @@ type pattern =
   | Hotspot
       (** 90 % of accesses in the first eighth of the stretch, the
           rest uniform — a cacheable working set *)
-  | Ext of gen  (** a registered extension ({!pattern_axis}) *)
-
-val pattern_axis : pattern Registry.axis
-(** Hook point for pattern names: the built-ins register as ["seq"],
-    ["rand"] and ["hot"], and a new workload (say ["zipf"]) registers
-    an {!Ext} here — no edit to this module. *)
-
-val pattern_of_string : string -> (pattern, Registry.error) result
-(** Resolve a pattern name through the registry. *)
+  | Ext of gen
+      (** a caller's own pattern, passed by value — a new workload
+          (say a zipf scan) is [Ext { g_name = "zipf"; g_make }], no
+          edit to this module *)
 
 val pattern_name : pattern -> string
 (** ["seq"], ["rand"], ["hot"], or the extension's name. *)

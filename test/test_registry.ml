@@ -1,10 +1,11 @@
 (* Tests for lib/registry and its adopters: the spec grammar, typed
    errors with did-you-mean, register/resolve round-trips (qcheck),
    the data-isolation convention, byte-identical legacy behaviour
-   (golden spec table, USD-trace seed equivalence, chaos-plan
-   equality), and two extensions — a [random] replacement policy and
-   a [zipf] workload — registered end-to-end from this file with zero
-   edits to core modules. *)
+   (golden spec table, USD-trace seed equivalence, the chaos plan
+   pinned field for field), two extensions — a [random] replacement
+   policy registered and a [zipf] workload passed by value —
+   end-to-end from this file with zero edits to core modules, and the
+   whole-name rule of [lint-registry]. *)
 
 open Engine
 open Hw
@@ -118,9 +119,12 @@ let register_resolve_roundtrip =
                    | _ -> ())
                  s;
                (* A leading letter keeps the numeric-suffix fallback
-                  out of the picture. *)
+                  out of the picture. The axis outlives a batch, so
+                  the batch number ends at a '_' (no filtered name
+                  has one): batch 1's "23" and batch 12's "3" must
+                  not both be "b123". *)
                if Buffer.length b = 0 then None
-               else Some (Printf.sprintf "b%d%s" !batch (Buffer.contents b)))
+               else Some (Printf.sprintf "b%d_%s" !batch (Buffer.contents b)))
              names)
       in
       List.iteri
@@ -183,7 +187,8 @@ let golden_legacy_specs () =
 (* --- Data isolation --------------------------------------------------- *)
 
 (* Registered values are factories: two instantiations must not share
-   state. Checked for a replacement policy and a workload pattern. *)
+   state. Checked for a replacement policy and a workload pattern's
+   per-app generator. *)
 let data_isolation () =
   let spec =
     match Policy.Spec.of_string "fifo" with
@@ -198,30 +203,21 @@ let data_isolation () =
   check "first instance sees its pages" 2 (a.Policy.Replacement.residents ());
   check "second instance is fresh" 0 (b.Policy.Replacement.residents ());
   (* Same for a pattern extension's per-app generator. *)
-  let calls = ref [] in
-  Registry.register_exn Workload.Paging_app.pattern_axis
-    (Registry.manifest ~name:"iso-probe" ~doc:"isolation scratch" ())
-    (fun _ ->
-      Ok
-        (Workload.Paging_app.Ext
-           { Workload.Paging_app.g_name = "iso-probe";
-             g_make =
-               (fun () ->
-                 let count = ref 0 in
-                 fun ~rng:_ ~npages:_ ->
-                   incr count;
-                   calls := !count :: !calls;
-                   !count) }));
-  match Workload.Paging_app.pattern_of_string "iso-probe" with
-  | Error e -> Alcotest.fail (Registry.error_message e)
-  | Ok (Workload.Paging_app.Ext g) ->
-    let g1 = g.Workload.Paging_app.g_make () in
-    let g2 = g.Workload.Paging_app.g_make () in
-    let rng = Rng.create ~seed:1 in
-    check "g1 first" 1 (g1 ~rng ~npages:8);
-    check "g1 second" 2 (g1 ~rng ~npages:8);
-    check "g2 unaffected by g1" 1 (g2 ~rng ~npages:8)
-  | Ok _ -> Alcotest.fail "iso-probe resolved to a builtin"
+  let g =
+    { Workload.Paging_app.g_name = "iso-probe";
+      g_make =
+        (fun () ->
+          let count = ref 0 in
+          fun ~rng:_ ~npages:_ ->
+            incr count;
+            !count) }
+  in
+  let g1 = g.Workload.Paging_app.g_make () in
+  let g2 = g.Workload.Paging_app.g_make () in
+  let rng = Rng.create ~seed:1 in
+  check "g1 first" 1 (g1 ~rng ~npages:8);
+  check "g1 second" 2 (g1 ~rng ~npages:8);
+  check "g2 unaffected by g1" 1 (g2 ~rng ~npages:8)
 
 (* --- Seed equivalence through the registry ---------------------------- *)
 
@@ -336,24 +332,16 @@ let () =
                      residents = (fun () -> List.length !resident) }) })
       else Error "random takes no parameter")
 
-(* ... and a genuinely new workload: log-uniform ("zipf-ish") page
-   choice, skewed toward low page numbers. *)
-let () =
-  Registry.register_exn Workload.Paging_app.pattern_axis
-    (Registry.manifest ~name:"zipf"
-       ~doc:"log-uniform page choice, skewed to low pages (test extension)" ())
-    (fun a ->
-      if a.Registry.Spec.args = [] && a.Registry.Spec.params = [] then
-        Ok
-          (Workload.Paging_app.Ext
-             { Workload.Paging_app.g_name = "zipf";
-               g_make =
-                 (fun () ->
-                   fun ~rng ~npages ->
-                    let u = Rng.float rng 1.0 in
-                    let p = int_of_float (float_of_int npages ** u) - 1 in
-                    if p < 0 then 0 else p) })
-      else Error "zipf takes no parameter")
+(* ... and a genuinely new workload, passed by value: log-uniform
+   ("zipf-ish") page choice, skewed toward low page numbers. *)
+let zipf =
+  { Workload.Paging_app.g_name = "zipf";
+    g_make =
+      (fun () ->
+        fun ~rng ~npages ->
+         let u = Rng.float rng 1.0 in
+         let p = int_of_float (float_of_int npages ** u) - 1 in
+         if p < 0 then 0 else p) }
 
 let new_replacement_end_to_end () =
   (* The new policy composes with built-in modifiers... *)
@@ -372,11 +360,7 @@ let new_replacement_end_to_end () =
   checkb "random-policy run pages" true (List.length trace >= 12)
 
 let new_workload_end_to_end () =
-  let pattern =
-    match Workload.Paging_app.pattern_of_string "zipf" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail (Registry.error_message e)
-  in
+  let pattern = Workload.Paging_app.Ext zipf in
   checks "pattern name round-trips" "zipf"
     (Workload.Paging_app.pattern_name pattern);
   let sys = Experiments.Harness.fresh_system () in
@@ -394,11 +378,10 @@ let new_workload_end_to_end () =
   checkb "zipf app made progress" true
     (Workload.Paging_app.bytes_processed app > 0)
 
-(* --- Chaos plans from spec strings ------------------------------------ *)
+(* --- The chaos plan ------------------------------------------------------ *)
 
-(* The chaos experiment's plan, built from registered site specs, must
-   equal the hand-written record it replaced — field for field,
-   including Time spans parsed from decimal ms. *)
+(* The chaos experiment's plan must equal this record field for field:
+   any change to what the victim is hit with moves the pin. *)
 let chaos_plan_golden () =
   let first = 2048 and nblocks = 4096 and seed = 7 in
   let page_blocks = Addr.page_size / 512 in
@@ -437,19 +420,8 @@ let chaos_plan_golden () =
       zpool_pressure = None;
       node_faults = [] }
   in
-  (match Inject.plan_of_specs ~seed (Experiments.Chaos.plan_specs ~first ~nblocks) with
-  | Error e -> Alcotest.fail (Registry.error_message e)
-  | Ok plan ->
-    checkb "spec-built chaos plan equals the legacy literal" true
-      (plan = expected));
-  (* A typoed key must not silently weaken a plan. *)
-  (match Inject.plan_of_specs ~seed [ "stall:sight=victim.swap,rate=1.0" ] with
-  | Error (Registry.Malformed_spec _) -> ()
-  | _ -> Alcotest.fail "typoed stall key accepted");
-  match Inject.plan_of_specs ~seed [ "bad-blck:first=0,len=1" ] with
-  | Error (Registry.Unknown_extension { known; _ }) ->
-    checkb "unknown site lists bad-blok" true (List.mem "bad-blok" known)
-  | _ -> Alcotest.fail "unknown site accepted"
+  checkb "chaos plan equals the pinned literal" true
+    (Experiments.Chaos.plan ~seed ~first ~nblocks = expected)
 
 (* --- The experiment axis ---------------------------------------------- *)
 
@@ -473,24 +445,60 @@ let experiment_axis_complete () =
   Alcotest.(check (list string))
     "every ablation is registered"
     (List.sort compare Experiments.Catalog.ablation_names)
-    (Registry.names Experiments.Catalog.ablation_axis);
-  (* The backing axis carries all four stack drivers. *)
-  Alcotest.(check (list string))
-    "backing drivers" [ "fleet"; "sfs"; "tiered"; "zram" ]
-    (Registry.names Tier.Backing.axis)
+    (Registry.names Experiments.Catalog.ablation_axis)
 
 (* --- Introspection ----------------------------------------------------- *)
 
+(* The program's axes are exactly the four a name from outside reaches
+   (CLI flags and subcommands); this suite's scratch axes are
+   ["test-*"]. *)
 let introspection_json () =
+  Alcotest.(check (list string))
+    "the program's axes"
+    [ "replacement"; "policy-modifier"; "experiment"; "ablation" ]
+    (List.filter
+       (fun a -> not (String.starts_with ~prefix:"test-" a))
+       (List.map fst (Registry.axes ())));
   let json = Json.to_string (Registry.to_json ()) in
   List.iter
     (fun needle ->
       checkb (Printf.sprintf "to_json mentions %S" needle) true
         (contains json needle))
-    [ "\"axis\": \"replacement\""; "\"axis\": \"workload\"";
-      "\"axis\": \"chaos-site\""; "\"axis\": \"backing\"";
-      "\"axis\": \"experiment\""; "\"name\": \"wsclock\"";
-      "\"name\": \"bad-blok\""; "\"default\": \"wsclock:16\"" ]
+    [ "\"axis\": \"replacement\""; "\"axis\": \"experiment\"";
+      "\"name\": \"wsclock\""; "\"default\": \"wsclock:16\"" ]
+
+(* --- lint-registry matches whole names ---------------------------------- *)
+
+(* A short name inside a longer word is not a mention: "read the
+   parameters, except call" names none of [ad], [ra], [pt] and [all];
+   the same names set apart by punctuation are all mentioned. The
+   experiments directory is empty, so only names are linted. *)
+let lint_whole_names () =
+  let dir = Filename.temp_dir "lint" "" in
+  let doc = Filename.concat dir "doc.md" in
+  let lint text =
+    Out_channel.with_open_text doc (fun oc -> output_string oc text);
+    Experiments.Catalog.lint ~docs:[ doc ] ~experiments_dir:dir
+  in
+  let flags complaints (axis, name) =
+    List.exists
+      (fun c ->
+        contains c (Printf.sprintf "lint-registry: %s %S is not" axis name))
+      complaints
+  in
+  let short =
+    [ ("policy-modifier", "ad"); ("policy-modifier", "ra");
+      ("ablation", "pt"); ("experiment", "all") ]
+  in
+  let hidden = lint "read the parameters, except call" in
+  let apart = lint "`ad`, (ra) pt; all." in
+  Sys.remove doc;
+  Sys.rmdir dir;
+  List.iter
+    (fun ((_, name) as n) ->
+      checkb (name ^ " inside a word is not a mention") true (flags hidden n);
+      checkb (name ^ " as a whole name is a mention") false (flags apart n))
+    short
 
 let suite =
   [ ( "registry",
@@ -510,4 +518,6 @@ let suite =
           chaos_plan_golden;
         Alcotest.test_case "experiment axis complete" `Quick
           experiment_axis_complete;
-        Alcotest.test_case "introspection JSON" `Quick introspection_json ] ) ]
+        Alcotest.test_case "introspection JSON" `Quick introspection_json;
+        Alcotest.test_case "lint matches whole names" `Quick
+          lint_whole_names ] ) ]
