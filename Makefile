@@ -1,4 +1,4 @@
-.PHONY: all build test loc unused bench perfbench-smoke examples smoke chaos crash remote failover erasure scale share fmt lint-registry check clean
+.PHONY: all build test loc unused bench perfbench-smoke examples smoke chaos crash remote failover erasure scale share fmt lint-names cli-help check clean
 
 # Each experiment step below writes its JSON report to
 # reports/<step>.json (gitignored), so a report can be diffed against
@@ -190,14 +190,28 @@ scale:
 share:
 	dune exec bin/nemesis_sim.exe -- tenancy -d 20 --tenants 12 $(REPORT)
 
-# Registry hygiene: every registered extension name (on every axis)
-# must be documented in README.md/DESIGN.md, and every lib/experiments
-# module must be claimed by a registered experiment (non-zero exit on
-# either breach). Must run from the repo root.
-lint-registry:
-	dune exec bin/nemesis_sim.exe -- lint-registry
+# Name hygiene: every name the command line accepts (replacement
+# policy, policy modifier, subcommand, ablation) must be documented in
+# README.md/DESIGN.md as a whole word, and every lib/experiments module
+# must be claimed by a subcommand (non-zero exit on either breach).
+# Must run from the repo root.
+lint-names:
+	dune exec bin/nemesis_sim.exe -- lint-names
 
-check: fmt build test unused lint-registry examples smoke chaos crash remote failover erasure scale share
+# The CLI surface: the --help=plain page of every subcommand, each
+# under a `== <name>` header, must equal test/cli_help.txt, so a
+# change to a flag, a default or a doc string updates that file on
+# purpose.
+CLI_COMMANDS = table1 fig7 fig8 fig9 crosstalk netiso policy-compare ablate \
+	chaos crash-recover remote failover erasure scale tenancy all
+
+cli-help:
+	@dune build bin/nemesis_sim.exe && \
+	for c in $(CLI_COMMANDS); do \
+		echo "== $$c"; dune exec bin/nemesis_sim.exe -- $$c --help=plain || echo "FAILED"; \
+	done | diff -u test/cli_help.txt - && echo "cli-help: OK"
+
+check: fmt build test unused lint-names cli-help examples smoke chaos crash remote failover erasure scale share
 	@echo "check OK"
 
 clean:

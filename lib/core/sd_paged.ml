@@ -323,15 +323,6 @@ let note_crashed st =
     metric_inc st.m.sd_crashed
   end
 
-(* Invert [blok_of_page] over a write-behind run: the (page, slot)
-   assignment pairs a committing flush must record. *)
-let pages_for_run st ~blok ~nbloks =
-  let acc = ref [] in
-  Array.iteri
-    (fun p b -> if b >= blok && b < blok + nbloks then acc := (p, b) :: !acc)
-    st.blok_of_page;
-  List.sort (fun (_, a) (_, b) -> compare a b) !acc
-
 let mark_lost st page =
   st.pages.(page) <- Lost;
   st.stats.lost_pages <- st.stats.lost_pages + 1;
@@ -385,24 +376,26 @@ let write_now st ~page blok =
   go blok
 
 (* The write-behind buffer's writer: one coalesced run of parked
-   pages, committing on a journaled store. *)
-let write_run st ~blok ~nbloks =
+   pages, in blok order, committing on a journaled store. *)
+let write_run st (run : Policy.Writeback.entry list) =
+  let blok = (List.hd run).Policy.Writeback.blok and nbloks = List.length run in
   (* Counted when issued, before the write blocks: a snapshot taken
      mid-flush sees the run as flushed. *)
   st.stats.wb_flushes <- st.stats.wb_flushes + 1;
   let sp = span_start st ~parent:Obs.Span.none "usd.write" in
   let journaled = st.backing.Tier.Backing.journaled () in
-  let run_pages = if journaled then pages_for_run st ~blok ~nbloks else [] in
+  let run_pages = List.map (fun e -> e.Policy.Writeback.page) run in
   let r =
     if journaled then
       st.backing.Tier.Backing.write_pages_commit ~page_index:blok
-        ~npages:nbloks ~pages:run_pages
-        ~retire:(retire_for st (List.map fst run_pages))
+        ~npages:nbloks
+        ~pages:(List.map (fun e -> (e.Policy.Writeback.page, e.blok)) run)
+        ~retire:(retire_for st run_pages)
     else st.backing.Tier.Backing.write_pages ~page_index:blok ~npages:nbloks
   in
   span_finish sp;
   (match r with
-  | Ok () when journaled -> release_retired st (List.map fst run_pages)
+  | Ok () when journaled -> release_retired st run_pages
   | Error `Crashed ->
     (* Torn on the platter mid-flush: this rewrite's Commit record
        never landed, so on restart the run's pages still answer to
@@ -417,19 +410,15 @@ let write_run st ~blok ~nbloks =
        answer each lost slot's final error in the accounting, and fall
        back to synchronous write-through — write-behind has shown it
        can lose data here. *)
-    let n = Array.length st.blok_of_page in
     List.iter
       (fun bad ->
         Inject.note_killed wb_class;
-        let rec find i =
-          if i >= n then ()
-          else if st.blok_of_page.(i) = bad then (
-            match st.pages.(i) with
-            | Swapped -> mark_lost st i
+        List.iter
+          (fun (e : Policy.Writeback.entry) ->
+            match st.pages.(e.page) with
+            | Swapped when e.blok = bad -> mark_lost st e.page
             | _ -> ())
-          else find (i + 1)
-        in
-        find 0)
+          run)
       lost;
     if not st.stats.wb_degraded then begin
       st.stats.wb_degraded <- true;

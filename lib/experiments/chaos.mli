@@ -51,8 +51,8 @@ type result = {
 
 val plan : seed:int -> first:int -> nblocks:int -> Inject.plan
 (** The victim's injection plan, scoped to its swap extent
-    [(first, nblocks)] — exposed so the registry tests can pin it
-    field for field. *)
+    [(first, nblocks)] — exposed so a test can pin it field for
+    field. *)
 
 val run : ?seed:int -> ?duration:Time.span -> unit -> result
 (** Enables {!Obs}, resets collectors, arms the injection plan derived

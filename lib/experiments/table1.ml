@@ -37,8 +37,7 @@ let pool_driver env pool =
 
 (* Setup failwiths (here and in the other benches): a bench that
    cannot build its world has no number to report, so construction
-   errors abort the run. Name resolution, by contrast, goes through
-   the registry with typed errors. *)
+   errors abort the run. *)
 let bench_dirty ~page_table () =
   let sys = Harness.fresh_system ~page_table () in
   let d = Harness.bench_domain sys ~name:"dirty" () in

@@ -1,10 +1,10 @@
 (** JSON values and their one printed layout.
 
     Every machine-readable record — the experiments' [--json] dumps,
-    the BENCH records, the [--metrics] registry and [list-extensions]
-    — is built as a {!t} and printed by {!to_string}, so a new field
-    is one more pair in a list rather than one more format string
-    kept in step with its arguments.
+    the BENCH records and the [--metrics] dump — is built as a {!t}
+    and printed by {!to_string}, so a new field is one more pair in a
+    list rather than one more format string kept in step with its
+    arguments.
 
     Numbers are stored as their printed literal: each field chooses
     its own decimals when the value is built ({!fixed}, {!signif}),

@@ -1,22 +1,14 @@
-type maker = {
-  mk_name : string;
-  mk_make : now:(unit -> int) -> Replacement.t;
-}
-
 type replacement =
   | Fifo
   | Clock
   | Lru
   | Wsclock of { window : int }
-  | Ext of maker
 
 type t = {
   replacement : replacement;
   prefetch : Prefetch.mode;
   wb_batch : int;
 }
-
-type modifier = t -> (t, string) result
 
 let default = { replacement = Fifo; prefetch = Prefetch.Off; wb_batch = 1 }
 
@@ -26,7 +18,6 @@ let replacement_name = function
   | Lru -> "lru"
   | Wsclock { window } ->
     if window = 16 then "wsclock" else Printf.sprintf "wsclock:%d" window
-  | Ext m -> m.mk_name
 
 let name t =
   let base = replacement_name t.replacement in
@@ -38,139 +29,138 @@ let name t =
   in
   if t.wb_batch > 1 then Printf.sprintf "%s+wb%d" base t.wb_batch else base
 
-(* --- Hook points ---
+(* --- Parsing ---
 
-   Base names resolve through [replacement_axis], '+'-separated
-   modifiers through [modifier_axis]. The built-ins below reproduce
-   the pre-registry closed grammar byte-for-byte (golden-tested);
-   anything else is a registration, not an edit to this file. *)
+   A spec is '+'-separated atoms: the base name, then modifiers. An
+   atom is a name followed by ':'-separated segments, each a bare
+   argument or a [k=v] parameter. *)
 
-let replacement_axis : replacement Registry.axis =
-  Registry.axis ~name:"replacement"
-    ~doc:"page-replacement policies (base name of a Policy.Spec string)"
+type atom = {
+  raw : string;  (* as written, for error messages *)
+  head : string;
+  args : string list;
+  params : (string * string) list;
+}
 
-let modifier_axis : modifier Registry.axis =
-  Registry.axis ~name:"policy-modifier"
-    ~doc:
-      "'+'-separated policy-spec modifiers (read-ahead, write-behind); \
-       a trailing integer is the modifier's argument, e.g. ra8"
+let atom raw =
+  let segs = String.split_on_char ':' raw in
+  let args, params =
+    List.partition_map
+      (fun seg ->
+        match String.index_opt seg '=' with
+        | None -> Either.Left seg
+        | Some i ->
+          let n = String.length seg in
+          Either.Right (String.sub seg 0 i, String.sub seg (i + 1) (n - i - 1)))
+      (List.tl segs)
+  in
+  { raw; head = List.hd segs; args; params }
 
-(* A single optional argument: positional ([wsclock:32]), [k=v], or —
-   via the registry's numeric-suffix fallback — glued on ([ra8]). *)
-let one_arg atom ~key =
-  match atom.Registry.Spec.args with
-  | [ a ] -> Ok (Some a)
+(* [split_suffix "ra8"] is [Some ("ra", "8")]: the alphabetic stem and
+   the trailing digits. *)
+let split_suffix head =
+  let n = String.length head in
+  let rec start i =
+    if i > 0 && head.[i - 1] >= '0' && head.[i - 1] <= '9' then start (i - 1)
+    else i
+  in
+  let i = start n in
+  if i = 0 || i = n then None
+  else Some (String.sub head 0 i, String.sub head i (n - i))
+
+(* The atom's one optional argument: positional ([wsclock:32]), glued
+   on ([ra8]) or by name ([wsclock:window=32], the last one given). *)
+let one_arg a ~key =
+  match a.args with
+  | [ v ] -> Ok (Some v)
   | [] ->
-    (match Registry.Spec.param atom key with
+    (match List.assoc_opt key (List.rev a.params) with
     | Some _ as v -> Ok v
-    | None ->
-      if atom.Registry.Spec.params = [] then Ok None
-      else Error (Printf.sprintf "unknown parameter in %S" atom.Registry.Spec.raw))
-  | _ -> Error (Printf.sprintf "too many arguments in %S" atom.Registry.Spec.raw)
+    | None when a.params = [] -> Ok None
+    | None -> Error (Printf.sprintf "unknown parameter in %S" a.raw))
+  | _ -> Error (Printf.sprintf "too many arguments in %S" a.raw)
 
-let no_args atom v =
-  if atom.Registry.Spec.args = [] && atom.Registry.Spec.params = [] then Ok v
-  else Error (Printf.sprintf "%s takes no parameter" atom.Registry.Spec.head)
+let positive v =
+  match int_of_string_opt v with Some n when n > 0 -> Some n | _ -> None
 
-let () =
-  let reg name doc ?params ?default parse =
-    Registry.register_exn replacement_axis
-      (Registry.manifest ~name ~doc ?params ?default ())
-      parse
+let no_arg v a =
+  if a.args = [] && a.params = [] then Ok v
+  else Error (a.head ^ " takes no parameter")
+
+let base_table =
+  [ ("clock", no_arg Clock);
+    ("fifo", no_arg Fifo);
+    ("lru", no_arg Lru);
+    ( "wsclock",
+      fun a ->
+        match one_arg a ~key:"window" with
+        | Error e -> Error e
+        | Ok None -> Ok (Wsclock { window = 16 })
+        | Ok (Some w) ->
+          (match positive w with
+          | Some window -> Ok (Wsclock { window })
+          | None -> Error (Printf.sprintf "bad wsclock window %S" w)) ) ]
+
+let modifier ~key apply a =
+  match one_arg a ~key with
+  | Error e -> Error e
+  | Ok v ->
+    (match Option.bind v positive with
+    | Some n -> Ok (fun t -> apply t n)
+    | None -> Error (Printf.sprintf "bad modifier %S" a.raw))
+
+let modifier_table =
+  let prefetch mode t w = { t with prefetch = mode w } in
+  [ ("ad", modifier ~key:"window" (prefetch (fun w -> Prefetch.Adaptive w)));
+    ("ra", modifier ~key:"window" (prefetch (fun w -> Prefetch.Stream w)));
+    ("wb", modifier ~key:"batch" (fun t b -> { t with wb_batch = b })) ]
+
+let replacements = List.map fst base_table
+let modifiers = List.map fst modifier_table
+
+(* Look the atom's name up in [table] — a name with trailing digits
+   as its stem, the digits its first argument — and parse the atom. *)
+let resolve kind table raw =
+  let a = atom raw in
+  let a =
+    match split_suffix a.head with
+    | Some (stem, digits) when List.mem_assoc stem table ->
+      { a with head = stem; args = digits :: a.args }
+    | _ -> a
   in
-  reg "fifo" "evict in map order — the seed driver's policy, bit-for-bit"
-    (fun a -> no_args a Fifo);
-  reg "clock" "second chance: sweep a circular list, referenced pages survive"
-    (fun a -> no_args a Clock);
-  reg "lru" "sampled least-recently-used over per-domain virtual time"
-    (fun a -> no_args a Lru);
-  reg "wsclock"
-    "working-set clock: in-window pages survive even with a clear bit"
-    ~params:
-      [ { Registry.p_name = "window";
-          p_doc = "working-set window in virtual-time units";
-          p_kind = Registry.Int 16 } ]
-    ~default:"wsclock:16"
-    (fun a ->
-      match one_arg a ~key:"window" with
-      | Error _ as e -> e
-      | Ok None -> Ok (Wsclock { window = 16 })
-      | Ok (Some w) ->
-        (match int_of_string_opt w with
-        | Some w when w > 0 -> Ok (Wsclock { window = w })
-        | _ -> Error (Printf.sprintf "bad wsclock window %S" w)))
-
-let () =
-  let reg name doc ~key apply =
-    Registry.register_exn modifier_axis
-      (Registry.manifest ~name ~doc
-         ~params:
-           [ { Registry.p_name = key;
-               p_doc = "positive integer argument (also accepted glued on: "
-                       ^ name ^ "8)";
-               p_kind = Registry.Int 8 } ]
-         ())
-      (fun a ->
-        match one_arg a ~key with
-        | Error _ as e -> e
-        | Ok None -> Error (Printf.sprintf "bad modifier %S" a.Registry.Spec.raw)
-        | Ok (Some v) ->
-          (match int_of_string_opt v with
-          | Some v when v > 0 -> Ok (apply v)
-          | _ -> Error (Printf.sprintf "bad modifier %S" a.Registry.Spec.raw)))
-  in
-  reg "ra" "stream read-ahead, window N (e.g. fifo+ra8)" ~key:"window"
-    (fun w t -> Ok { t with prefetch = Prefetch.Stream w });
-  reg "ad" "adaptive stride read-ahead, window up to N (e.g. clock+ad8)"
-    ~key:"window" (fun w t -> Ok { t with prefetch = Prefetch.Adaptive w });
-  reg "wb" "write-behind, batch N frames (e.g. lru+wb16)" ~key:"batch"
-    (fun b t -> Ok { t with wb_batch = b })
-
-let resolve_parsed (spec : Registry.Spec.t) =
-  match Registry.resolve_atom replacement_axis spec.Registry.Spec.base with
-  | Error _ as e -> e
-  | Ok replacement ->
-    List.fold_left
-      (fun acc m ->
-        Result.bind acc (fun t ->
-            match Registry.resolve_atom modifier_axis m with
-            | Error _ as e -> e
-            | Ok f ->
-              (match f t with
-              | Ok _ as ok -> ok
-              | Error reason ->
-                Error
-                  (Registry.Malformed_spec
-                     { axis = Registry.axis_name modifier_axis;
-                       spec = m.Registry.Spec.raw;
-                       reason }))))
-      (Ok { default with replacement })
-      spec.Registry.Spec.mods
-
-let resolve s =
-  match Registry.Spec.of_string s with
-  | Error reason ->
+  match List.assoc_opt a.head table with
+  | None ->
     Error
-      (Registry.Malformed_spec
-         { axis = Registry.axis_name replacement_axis; spec = s; reason })
-  | Ok spec -> resolve_parsed spec
+      (Printf.sprintf "unknown %s %S; known: %s" kind a.head
+         (String.concat ", " (List.map fst table)))
+  | Some parse ->
+    Result.map_error
+      (Printf.sprintf "malformed %s spec %S: %s" kind raw)
+      (parse a)
 
 let of_string s =
-  match resolve s with
-  | Ok _ as ok -> ok
-  | Error (Registry.Malformed_spec { reason = "empty spec"; _ }) ->
-    (* The pre-registry parser's wording, kept for callers that match
-       on it. *)
-    Error "empty policy"
-  | Error e -> Error (Registry.error_message e)
+  match String.split_on_char '+' (String.trim (String.lowercase_ascii s)) with
+  | [] | [ "" ] -> Error "empty policy"
+  | base :: mods ->
+    Result.bind (resolve "replacement" base_table base) (fun replacement ->
+        List.fold_left
+          (fun acc m ->
+            Result.bind acc (fun t ->
+                Result.map
+                  (fun f -> f t)
+                  (resolve "policy-modifier" modifier_table m)))
+          (Ok { default with replacement })
+          mods)
 
 let presets =
   List.map
-    (fun s ->
-      match of_string s with
-      | Ok t -> (name t, t)
-      | Error e -> invalid_arg ("Spec.presets: " ^ e))
-    [ "fifo"; "fifo+ra8"; "fifo+wb8"; "clock"; "lru"; "wsclock" ]
+    (fun t -> (name t, t))
+    [ default;
+      { default with prefetch = Prefetch.Stream 8 };
+      { default with wb_batch = 8 };
+      { default with replacement = Clock };
+      { default with replacement = Lru };
+      { default with replacement = Wsclock { window = 16 } } ]
 
 let make_replacement t ~now =
   match t.replacement with
@@ -178,6 +168,5 @@ let make_replacement t ~now =
   | Clock -> Replacement.clock ()
   | Lru -> Replacement.lru ~now ()
   | Wsclock { window } -> Replacement.wsclock ~window ~now ()
-  | Ext m -> m.mk_make ~now
 
 let make_prefetch t = Prefetch.create t.prefetch

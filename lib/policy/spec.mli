@@ -3,7 +3,8 @@
 
     A spec is a small immutable value that workloads thread down to
     {e their own} driver — per-domain policy choice is the point of
-    self-paging. Specs have a compact textual form for CLI use:
+    self-paging. Specs have a compact textual form for CLI use, parsed
+    by {!of_string}:
 
     {v
       fifo | clock | lru | wsclock | wsclock:32
@@ -13,38 +14,18 @@
       +wbN       write-behind, batch N frames    (e.g. lru+wb16)
     v}
 
-    Since the extension-registry redesign the textual form resolves
-    through {!Registry}: base names through {!replacement_axis},
-    modifiers through the ["policy-modifier"] axis. The built-ins
-    above are ordinary registrations, and a new policy registers
-    itself the same way — no edit to this module:
-
-    {[
-      Registry.register_exn Policy.Spec.replacement_axis
-        (Registry.manifest ~name:"random" ~doc:"uniform random victim" ())
-        (fun _atom ->
-          Ok (Policy.Spec.Ext { mk_name = "random"; mk_make = my_make }))
-    ]}
+    An argument may also follow a [':'] ([wsclock:32], [ra:8]) or be
+    given by name ([wsclock:window=32], [wb:batch=16]). A new policy
+    is one more {!replacement} constructor.
 
     [default] — FIFO, no read-ahead, write-through — reproduces the
     seed driver's behaviour exactly. *)
-
-type maker = {
-  mk_name : string;
-      (** canonical, re-parsable name reported by {!name} — bake any
-          parameters in (e.g. ["zipf:90"]) *)
-  mk_make : now:(unit -> int) -> Replacement.t;
-      (** build a {e fresh} policy instance — one per driver, no
-          shared state between instantiations (registry isolation
-          rule, asserted by the registry tests) *)
-}
 
 type replacement =
   | Fifo
   | Clock
   | Lru
   | Wsclock of { window : int }
-  | Ext of maker  (** a registered extension ({!replacement_axis}) *)
 
 type t = {
   replacement : replacement;
@@ -54,18 +35,22 @@ type t = {
 
 val default : t
 
-val replacement_axis : replacement Registry.axis
-(** Hook point for base policy names ([fifo], [clock], ...). *)
+val replacements : string list
+(** The base names {!of_string} accepts, sorted. *)
+
+val modifiers : string list
+(** The modifier names {!of_string} accepts, sorted. *)
 
 val name : t -> string
 (** Canonical textual form (parsable by {!of_string}). *)
 
 val of_string : string -> (t, string) result
-(** Parse a base policy name and its ['+']-separated modifiers ([ra],
-    [ad], [wb]) and resolve both through the registry, rendering errors
-    as strings (with a did-you-mean hint); accepts every pre-registry
-    spec string byte-for-byte (golden test in
-    [test/test_registry.ml]). *)
+(** Parse a base policy name and its ['+']-separated modifiers
+    ([ra], [ad], [wb]; a later one overrides an earlier). Case is
+    ignored and the whole string is trimmed. Errors read ["empty
+    policy"], ["unknown replacement \"fifp\"; known: clock, fifo, lru,
+    wsclock"] or ["malformed policy-modifier spec \"ra0\": bad
+    modifier \"ra0\""]. *)
 
 val presets : (string * t) list
 (** The line-up [policy-compare] runs by default: fifo, fifo+ra8,

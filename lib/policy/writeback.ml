@@ -46,7 +46,7 @@ let flush ?(commit = fun ~page:_ -> ())
       let in_run e = List.exists (fun r -> r.page = e.page) run in
       t.parked <- List.filter (fun e -> not (in_run e)) t.parked;
       List.iter (fun e -> commit ~page:e.page) run;
-      write ~blok:first.blok ~nbloks:(List.length run);
+      write run;
       List.iter (fun e -> release ~page:e.page ~frame:e.frame) run;
       released := !released @ run;
       loop ()

@@ -52,10 +52,11 @@ val rescue : t -> page:int -> entry option
 val flush :
   ?commit:(page:int -> unit) ->
   ?release:(page:int -> frame:int -> unit) ->
-  write:(blok:int -> nbloks:int -> unit) ->
+  write:(entry list -> unit) ->
   t -> (int * int) list
 (** Drain the buffer, coalescing into one [write] call per contiguous
-    blok run (ascending). Runs are issued one at a time; entries of a
+    blok run (ascending), which gets the run's entries in blok order
+    (bloks [b], [b + 1], ...). Runs are issued one at a time; entries of a
     run stay parked — and therefore rescuable — until the instant that
     run's write is issued. Per run: [commit ~page] fires for each
     entry immediately before the write (with no intervening blocking

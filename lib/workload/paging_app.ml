@@ -4,27 +4,18 @@ open Core
 
 type mode = Paging_in | Paging_out
 
-type gen = {
-  g_name : string;
-  g_make : unit -> rng:Rng.t -> npages:int -> int;
-}
-
-type pattern = Sequential | Random | Hotspot | Ext of gen
+type pattern = Sequential | Random | Hotspot
 
 let pattern_name = function
   | Sequential -> "seq"
   | Random -> "rand"
   | Hotspot -> "hot"
-  | Ext g -> g.g_name
 
 type t = {
   d : System.domain;
   stretch : Stretch.t;
   handle : Sd_paged.handle;
   pattern : pattern;
-  (* Instantiated once per app (isolation rule: pattern
-     extensions never share state between apps). *)
-  pattern_gen : (rng:Rng.t -> npages:int -> int) option;
   rng : Rng.t;
   bytes : int ref;
   accesses : int ref;
@@ -101,14 +92,6 @@ let sweep_pattern t ~access =
       in
       touch t p ~access
     done
-  | Ext g ->
-    let next =
-      match t.pattern_gen with Some f -> f | None -> g.g_make ()
-    in
-    for _ = 1 to npages do
-      let p = next ~rng:t.rng ~npages in
-      touch t (((p mod npages) + npages) mod npages) ~access
-    done
 
 let begin_measured t =
   t.loop_start := Some (Sim.now (Proc.sim (Proc.self ())));
@@ -174,10 +157,6 @@ let start sys ~name ~mode ~qos ?(vm_bytes = 4 * 1024 * 1024)
                in
                let t =
                  { d; stretch; handle; pattern;
-                   pattern_gen =
-                     (match pattern with
-                     | Ext g -> Some (g.g_make ())
-                     | Sequential | Random | Hotspot -> None);
                    rng = Rng.create ~seed:(Hashtbl.hash name land 0xffffff);
                    bytes; accesses = ref 0; watcher;
                    loop_start = ref None; start_info = ref None;

@@ -23,29 +23,15 @@ open Core
 
 type mode = Paging_in | Paging_out
 
-type gen = {
-  g_name : string;  (** the name {!pattern_name} reports *)
-  g_make : unit -> rng:Rng.t -> npages:int -> int;
-      (** build a {e fresh} per-app chooser (no state shared between
-          apps); called once per access with the app's seeded RNG, it
-          returns the page to touch (reduced modulo [npages]) *)
-}
-(** A workload-pattern extension: how the pages of one round of
-    [npages] accesses are chosen. *)
-
 type pattern =
   | Sequential  (** wrap-around linear scan (the paper's workload) *)
   | Random  (** uniform page per access *)
   | Hotspot
       (** 90 % of accesses in the first eighth of the stretch, the
           rest uniform — a cacheable working set *)
-  | Ext of gen
-      (** a caller's own pattern, passed by value — a new workload
-          (say a zipf scan) is [Ext { g_name = "zipf"; g_make }], no
-          edit to this module *)
 
 val pattern_name : pattern -> string
-(** ["seq"], ["rand"], ["hot"], or the extension's name. *)
+(** ["seq"], ["rand"] or ["hot"]. *)
 
 type t
 

@@ -343,6 +343,75 @@ let crash_run_deterministic =
       in
       run_once () = run_once ())
 
+(* --- journaled write-behind across a restart --- *)
+
+(* A restartable driver under write-behind commits each flushed run's
+   (page, slot) pairs through the journal, so its respawned successor
+   restores exactly the pages it paged out, and every page reads back
+   (a page whose contents were gone would kill the reading thread). *)
+let wb_journaled_restart () =
+  let open Core in
+  let config = { System.default_config with sfs_journal_blocks = 256 } in
+  let sys = System.create ~config () in
+  let policy = { Policy.Spec.default with wb_batch = 4 } in
+  let npages = 16 in
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.fail (System.error_message e)
+  in
+  let stretch d =
+    match System.alloc_stretch d ~bytes:(npages * Hw.Addr.page_size) () with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let in_domain d f =
+    let out = ref None in
+    ignore
+      (Domains.spawn_thread d.System.dom ~name:"main" (fun () ->
+           out := Some (f ())));
+    System.run sys ~until:(Time.add (Sim.now (System.sim sys)) (Time.sec 60));
+    match !out with
+    | Some v -> v
+    | None -> Alcotest.fail "domain thread did not finish"
+  in
+  let sweep d s access =
+    for p = 0 to npages - 1 do
+      Domains.access d.System.dom (Stretch.page_base s p) access
+    done
+  in
+  let d = ok (System.add_domain sys ~name:"wb" ~guarantee:2 ~optimistic:0 ()) in
+  let s = stretch d in
+  let first =
+    in_domain d (fun () ->
+        let _, h =
+          ok
+            (System.bind_paged d ~initial_frames:2 ~policy ~restartable:true
+               ~swap_bytes:(2 * npages * Hw.Addr.page_size) ~qos:(qos ()) s ())
+        in
+        sweep d s `Write;
+        Sd_paged.info h)
+  in
+  checkb "runs coalesced" true
+    (first.Sd_paged.wb_flushes > 0
+    && first.Sd_paged.wb_flushes < first.Sd_paged.page_outs);
+  System.kill_domain sys d;
+  (match in_proc (System.sim sys) (fun () -> Sfs.remount (System.sfs sys)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let d2 = ok (System.respawn sys (System.spec d)) in
+  let s2 = stretch d2 in
+  let restored =
+    in_domain d2 (fun () ->
+        let _, h =
+          ok
+            (System.bind_paged_restored d2 ~initial_frames:2 ~policy
+               ~qos:(qos ()) s2 ())
+        in
+        sweep d2 s2 `Read;
+        (Sd_paged.info h).Sd_paged.restored_pages)
+  in
+  check "restored = paged out" first.Sd_paged.page_outs restored
+
 (* --- the experiment end to end --- *)
 
 let crash_recover_end_to_end () =
@@ -370,5 +439,7 @@ let suite =
     ( "crash.properties",
       [ qtest remount_idempotent; qtest crash_run_deterministic ] );
     ( "crash.experiment",
-      [ Alcotest.test_case "crash-recover verdict" `Slow
+      [ Alcotest.test_case "journaled write-behind restores its runs" `Quick
+          wb_journaled_restart;
+        Alcotest.test_case "crash-recover verdict" `Slow
           crash_recover_end_to_end ] ) ]

@@ -6,5 +6,5 @@ let () =
    @ Test_properties.suite @ Test_stress.suite @ Test_policy.suite
    @ Test_experiments.suite @ Test_inject.suite @ Test_crash.suite
    @ Test_scale.suite @ Test_tier.suite @ Test_share.suite
-   @ Test_fleet.suite @ Test_erasure.suite @ Test_registry.suite
+   @ Test_fleet.suite @ Test_erasure.suite @ Test_cli.suite
    @ Test_golden.suite @ Test_json.suite)

@@ -216,9 +216,12 @@ let adaptive_ignores_random () =
 
 (* --- Write-behind -------------------------------------------------- *)
 
+(* The first blok and the length of a write-behind run. *)
+let run_span run = ((List.hd run).Policy.Writeback.blok, List.length run)
+
 let writeback_coalesces_contiguous () =
   let txns = ref [] in
-  let write ~blok ~nbloks = txns := (blok, nbloks) :: !txns in
+  let write run = txns := run_span run :: !txns in
   let wb = Policy.Writeback.create ~max_batch:8 () in
   List.iter
     (fun (p, b) -> Policy.Writeback.enqueue wb ~page:p ~blok:b ~frame:(100 + p))
@@ -240,7 +243,8 @@ let writeback_rescuable_during_flush () =
   let rescued = ref None in
   let writes = ref [] in
   let wb = Policy.Writeback.create ~max_batch:8 () in
-  let write ~blok ~nbloks =
+  let write run =
+    let blok, nbloks = run_span run in
     writes := (blok, nbloks) :: !writes;
     (* "During" the first run's disk time, fault page 9 (blok 9, a
        later run): it must still be parked and rescuable. *)
@@ -273,7 +277,8 @@ let writeback_commit_at_issue () =
     (Policy.Writeback.flush wb
        ~commit:(fun ~page -> ev (Printf.sprintf "commit %d" page))
        ~release:(fun ~page ~frame:_ -> ev (Printf.sprintf "release %d" page))
-       ~write:(fun ~blok ~nbloks ->
+       ~write:(fun run ->
+         let blok, nbloks = run_span run in
          ev (Printf.sprintf "write %d+%d" blok nbloks)));
   Alcotest.(check (list string))
     "per-run commit -> write -> release ordering"
@@ -297,7 +302,8 @@ let writeback_read_your_writes =
          latest copy until they are evicted (parked) again. *)
       let resident = Hashtbl.create 8 in
       let wb = Policy.Writeback.create ~max_batch:4 () in
-      let write ~blok ~nbloks =
+      let write run =
+        let blok, nbloks = run_span run in
         for b = blok to blok + nbloks - 1 do
           disk.(b) <- Hashtbl.find wb_versions b;
           Hashtbl.remove wb_versions b
@@ -363,7 +369,8 @@ let writeback_coalesces_usd_txns () =
         | Error e -> failwith e
       in
       let wb = Policy.Writeback.create ~max_batch:8 () in
-      let write ~blok ~nbloks =
+      let write run =
+        let blok, nbloks = run_span run in
         Usbs.Usd.transact_exn usd client Usbs.Usd.Write
           ~lba:(Usbs.File_store.lba_of_page file blok)
           ~nblocks:(nbloks * 16)
