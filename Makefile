@@ -107,15 +107,18 @@ perfbench-smoke:
 			END { exit bad }' test/perfbench_heap.txt .bench_build/perfbench-heap.txt \
 		&& echo "perfbench peak_heap_mb within 5% of test/perfbench_heap.txt"
 
-# Run the five demos under examples/; a demo that exits non-zero fails
-# the target. quickstart pages through the paged stretch driver.
+# Run the five demos under examples/: their stdout, each under a
+# `== <name>` header, must equal test/examples.txt (the demos are
+# deterministic), and a demo that exits non-zero fails the target.
+# quickstart pages through the paged stretch driver, mapped_file
+# through the same driver over a file backing.
 EXAMPLES = quickstart video_vs_compile revocation_demo crosstalk_demo mapped_file
 
 examples:
-	@for e in $(EXAMPLES); do \
-		echo "== examples/$$e"; \
-		dune exec examples/$$e.exe || exit 1; \
-	done
+	@dune build $(EXAMPLES:%=examples/%.exe) && \
+	for e in $(EXAMPLES); do \
+		echo "== $$e"; dune exec examples/$$e.exe || echo "FAILED"; \
+	done | diff -u test/examples.txt - && echo "examples: OK"
 
 # Quick end-to-end run of the policy-compare figure (two contrasting
 # policies, short duration).
