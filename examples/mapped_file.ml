@@ -3,7 +3,9 @@
    The paper closes on the point that demand paging and memory-mapped
    files must not be lost in a QoS operating system. Here two domains
    map the same file-store file — one shared, one private
-   (copy-on-write) — and each pages it under its own disk guarantee:
+   (copy-on-write) — and each pages it under its own disk guarantee,
+   through the same paged stretch driver that pages anonymous memory
+   to swap, here over the file:
 
    - the shared mapping's dirty pages are written back to the file;
    - the private mapping never touches the file: its first dirty
@@ -71,16 +73,15 @@ let () =
    with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let _, shared_info = map_and_work sys "editor" Sd_mapped.Shared 4 in
-  let _, private_info = map_and_work sys "viewer" Sd_mapped.Private 4 in
+  let _, shared_info = map_and_work sys "editor" System.Shared 4 in
+  let _, private_info = map_and_work sys "viewer" System.Private 4 in
   System.run sys ~until:(Time.sec 120);
   let show name = function
     | Some info ->
-      let i : Sd_mapped.info = info () in
+      let i : Tier.Backing.file_io = info () in
       Format.printf
         "%-8s file-reads=%3d  writebacks=%3d  cow-writes=%3d  cow-reads=%3d@."
-        name i.Sd_mapped.file_reads i.Sd_mapped.file_writebacks
-        i.Sd_mapped.cow_writes i.Sd_mapped.cow_reads
+        name i.file_reads i.file_writebacks i.cow_writes i.cow_reads
     | None -> Format.printf "%-8s did not bind@." name
   in
   show "editor" !shared_info;

@@ -73,8 +73,8 @@ let attach t client stretch ?(swap_bytes = 16 * 1024 * 1024)
   | Ok swap ->
     (* The backing driver runs entirely on pager resources. *)
     (match
-       Sd_paged.create ~forgetful ~initial_frames:cache_frames_per_client ~swap
-         t.pager.System.env
+       Sd_paged.create ~forgetful ~initial_frames:cache_frames_per_client
+         ~backing:(Tier.Backing.of_sfs swap) t.pager.System.env
      with
     | Error _ as e -> e
     | Ok (backing, _info) ->

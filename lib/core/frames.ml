@@ -139,6 +139,18 @@ let total_frames t = t.nframes
 let revocations t = t.intrusive_count
 let transparent_revocations t = t.transparent_count
 
+type books = { b_held : int; b_owned : int; b_balanced : bool }
+
+let books t =
+  let held = Ilist.fold (fun acc c -> acc + c.n) 0 t.members in
+  let owned = ref 0 in
+  for pfn = 0 to Ramtab.nframes t.ramtab - 1 do
+    if Ramtab.owner t.ramtab ~pfn <> None then incr owned
+  done;
+  { b_held = held;
+    b_owned = !owned;
+    b_balanced = t.free_count + held = t.nframes && !owned = held }
+
 let grant t c pfn =
   Ramtab.set_owner t.ramtab ~pfn ~owner:c.domain ~width:Addr.page_shift;
   Frame_stack.push c.stack pfn;

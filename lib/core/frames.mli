@@ -100,3 +100,15 @@ val revocations : t -> int
 (** Count of intrusive revocation rounds performed. *)
 
 val transparent_revocations : t -> int
+
+type books = {
+  b_held : int;  (** frames on the live clients' stacks *)
+  b_owned : int;  (** frames the RamTab names an owner for *)
+  b_balanced : bool;
+      (** free + held is every frame, and the RamTab owns exactly the
+          held ones *)
+}
+
+val books : t -> books
+(** The double-entry check of the frame books, over every live client
+    (domains and services alike) and a scan of the whole RamTab. *)

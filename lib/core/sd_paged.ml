@@ -55,8 +55,8 @@ type info = {
 
 type state = {
   env : Stretch_driver.env;
-  (* every data-path transaction goes through [backing]; the default
-     ([Tier.Backing.of_sfs swap]) is the swapfile itself, bit-for-bit. *)
+  (* every data-path transaction goes through [backing]:
+     [Tier.Backing.of_sfs swap] is the swapfile itself, bit-for-bit. *)
   backing : Tier.Backing.t;
   forgetful : bool;
   spec : Policy.Spec.t;
@@ -71,10 +71,11 @@ type state = {
   mutable pool : int list;            (* owned, unmapped frames *)
   tick : int ref;                     (* per-domain virtual time *)
   stats : info;
-  (* Crash consistency (journaled backing store only): [restore] is
-     the committed (page, slot) image a restarted domain re-adopts at
-     bind; [retiring] maps a page to the committed slot its in-flight
-     out-of-place rewrite supersedes (freed when the rewrite
+  (* [restore] is the (page, slot) image the backing already holds,
+     adopted at bind: a restarted domain's journal-committed pages, or
+     every page of a mapped file. Crash consistency (journaled backing
+     store only): [retiring] maps a page to the committed slot its
+     in-flight out-of-place rewrite supersedes (freed when the rewrite
      commits). *)
   restore : (int * int) list;
   retiring : (int, int) Hashtbl.t;
@@ -148,7 +149,7 @@ let write_class = Inject.recovery "sd.write"
 let wb_class = Inject.recovery "sd.wb"
 
 (* Bind-time failwiths: faulting before bind, binding twice, or
-   binding a stretch larger than the swap are wiring bugs in the
+   binding a stretch larger than the backing are wiring bugs in the
    domain that created the driver. Run-time store errors, by
    contrast, flow through the typed degradation path. *)
 let the_stretch st =
@@ -178,9 +179,10 @@ let bind st (s : Stretch.t) =
   st.stretch <- Some s;
   st.pages <- Array.make npages Fresh;
   st.blok_of_page <- Array.make npages (-1);
-  (* Restart: re-adopt the committed (page, slot) image recovered from
-     the journal — the pages start Swapped and fault back in from the
-     swapfile; their slots are claimed out of the fresh bitmap. *)
+  (* Adopt the pages the backing already holds (a restart's committed
+     image, a mapped file's pages): they start Swapped and fault in
+     from the backing; their slots are claimed out of the fresh
+     bitmap. *)
   List.iter
     (fun (p, b) ->
       if
@@ -1003,10 +1005,7 @@ let swap_extent st = st.backing.Tier.Backing.extent ()
 let obtain = obtain_frame
 
 let create ?(forgetful = false) ?(initial_frames = 0)
-    ?policy:(spec = Policy.Spec.default) ?(restore = []) ?backing ~swap env =
-  let backing =
-    match backing with Some b -> b | None -> Tier.Backing.of_sfs swap
-  in
+    ?policy:(spec = Policy.Spec.default) ?(restore = []) ~backing env =
   let tick = ref 0 in
   let rec st =
     { env; backing; forgetful; spec;

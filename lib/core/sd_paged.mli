@@ -1,11 +1,15 @@
 (** The paged stretch driver.
 
     An extension of the physical stretch driver with a binding to the
-    User-Safe Backing Store: pages may be swapped in and out of a swap
-    file whose disk transactions run under the domain's own disk
-    guarantee. Swap space is tracked as a bitmap of {e bloks} (see
+    User-Safe Backing Store: pages may be swapped in and out of a
+    backing store ({!Tier.Backing.t}: a swap file, the remote-memory
+    tier, compressed RAM or a memory-mapped file) whose disk
+    transactions run under the domain's own disk guarantee. The
+    backing's slots are tracked as a bitmap of {e bloks} (see
     {!Bloks}); a page is assigned a blok the first time it must be
-    cleaned, and keeps it.
+    cleaned, and keeps it. It is the one driver that pages a stretch
+    to a backing store, so every backing pages through the same
+    eviction, cleaning and revocation code.
 
     The driver is parameterised over a {!Policy.Spec.t} — this is the
     degree of freedom the paper claims for self-paging ("applications
@@ -136,23 +140,25 @@ val obtain : handle -> int option
 
 val create :
   ?forgetful:bool -> ?initial_frames:int -> ?policy:Policy.Spec.t ->
-  ?restore:(int * int) list -> ?backing:Tier.Backing.t ->
-  swap:Usbs.Sfs.swapfile -> Stretch_driver.env ->
-  (Stretch_driver.t * handle, string) result
+  ?restore:(int * int) list -> backing:Tier.Backing.t ->
+  Stretch_driver.env -> (Stretch_driver.t * handle, string) result
 (** [initial_frames] are allocated from the frames allocator up front
     (the paper's time-sensitive applications take all their guaranteed
-    frames at initialisation). Fails if they cannot be obtained or the
-    swap file is too small for the stretch once bound.
+    frames at initialisation). Fails if they cannot be obtained; the
+    bind fails if the backing is too small for the stretch.
 
-    [backing] routes every data-path transaction (page-ins, page-outs,
-    committing flushes) through an alternative backing store — e.g.
-    {!Tier.Fleet.backing} for the RAM-cache → remote-memory → disk
-    tier. The default, {!Tier.Backing.of_sfs}[ swap], is the swapfile
-    itself and reproduces the seed behaviour bit-for-bit. Non-default
-    backends are named in the driver name ([paged(fifo@tier)]).
+    [backing] carries every data-path transaction (page-ins,
+    page-outs, committing flushes): {!Tier.Backing.of_sfs}[ swap] is
+    the swapfile itself, the seed behaviour bit-for-bit;
+    {!Tier.Fleet.backing} is the RAM-cache → remote-memory → disk
+    tier; {!Tier.Backing.of_file} is a memory-mapped file. A backing
+    other than the SFS is named in the driver name
+    ([paged(fifo@tier)]).
 
-    [restore] is the committed [(stretch page, slot)] image recovered
-    from the backing store's journal (see {!Usbs.Sfs.reattach_swap}):
-    at bind time those pages start [Swapped] with their slots claimed
-    out of the bitmap, so a restarted domain faults its previous
-    contents back in instead of demand-zeroing. *)
+    [restore] is the [(stretch page, slot)] image the backing already
+    holds: at bind time those pages start [Swapped] with their slots
+    claimed out of the bitmap, so they fault their contents in from
+    the backing instead of demand-zeroing. A restarted domain passes
+    the committed image recovered from the swap journal (see
+    {!Usbs.Sfs.reattach_swap}); a mapped file passes every page at its
+    own slot. *)

@@ -277,71 +277,47 @@ let bind_physical d ?prealloc s =
     Mm_entry.bind d.mm s driver;
     Ok driver
 
-let bind_mapped d ~mode ?initial_frames ~file ~qos s () =
-  let dom_name = Domains.name d.dom in
+(* The step every paging bind shares: create a paged driver over
+   [backing], bind it and make [release] the domain's kill hook. If
+   the driver cannot be created, [abandon] runs instead. *)
+let bind_over d ?forgetful ?initial_frames ?policy ?restore ~backing
+    ~abandon ~release s =
   match
-    Usbs.Usd.admit d.sys.the_usd
-      ~name:(dom_name ^ "." ^ Usbs.File_store.file_name file) ~qos ()
+    Sd_paged.create ?forgetful ?initial_frames ?policy ?restore ~backing d.env
   with
-  | Error reason -> Error (Usd_admission { reason })
-  | Ok client ->
-    let cow_backing =
-      match mode with
-      | Sd_mapped.Shared -> Ok None
-      | Sd_mapped.Private ->
-        (match
-           Usbs.File_store.create_file d.sys.the_store
-             ~name:(Printf.sprintf "%s.cow.%d" dom_name s.Stretch.sid)
-             ~bytes:s.Stretch.bytes
-         with
-        | Ok f -> Ok (Some f)
-        | Error reason -> Error (Store_error { reason }))
-    in
-    (match cow_backing with
-    | Error e ->
-      Usbs.Usd.retire d.sys.the_usd client;
-      Error e
-    | Ok cow_backing ->
-      (match
-         Sd_mapped.create ?initial_frames ~mode ~store:d.sys.the_store ~file
-           ~client ?cow_backing d.env
-       with
-      | Error reason ->
-        Usbs.Usd.retire d.sys.the_usd client;
-        Error (Driver_error { reason })
-      | Ok (driver, info) ->
-        Mm_entry.bind d.mm s driver;
-        Domains.on_kill d.dom (fun () ->
-            Usbs.Usd.retire d.sys.the_usd client);
-        Ok (driver, info)))
+  | Error reason ->
+    abandon ();
+    Error (Driver_error { reason })
+  | Ok (driver, h) ->
+    Mm_entry.bind d.mm s driver;
+    Domains.on_kill d.dom release;
+    Ok (driver, h)
 
 let bind_paged d ?forgetful ?initial_frames ?policy ?spare_pages
     ?(restartable = false) ?backing ~swap_bytes ~qos s () =
   let swap_name = Domains.name d.dom ^ ".swap" in
+  let sfs = d.sys.the_sfs in
   match
-    Usbs.Sfs.open_swap d.sys.the_sfs ~name:swap_name ~bytes:swap_bytes ~qos
+    Usbs.Sfs.open_swap sfs ~name:swap_name ~bytes:swap_bytes ~qos
       ?spare_pages ()
   with
   | Error e -> Error (Swap_open { name = swap_name; error = e })
   | Ok swap ->
     (* [backing] sees the just-opened swapfile so it can layer a tiered
-       store over it; the swapfile's lifecycle stays System's. *)
-    let backing = Option.map (fun f -> f swap) backing in
-    (match
-       Sd_paged.create ?forgetful ?initial_frames ?policy ?backing ~swap d.env
-     with
-    | Error reason ->
-      Usbs.Sfs.close_swap d.sys.the_sfs swap;
-      Error (Driver_error { reason })
-    | Ok (driver, info) ->
-      Mm_entry.bind d.mm s driver;
-      (* A restartable domain's swapfile survives its death detached —
-         the name, extent and recovered metadata stay registered so a
-         respawned incarnation can reattach and restore. *)
-      Domains.on_kill d.dom (fun () ->
-          if restartable then Usbs.Sfs.detach_swap d.sys.the_sfs swap
-          else Usbs.Sfs.close_swap d.sys.the_sfs swap);
-      Ok (driver, info))
+       store over it; the swapfile's lifecycle stays System's. A
+       restartable domain's swapfile survives its death detached — the
+       name, extent and recovered metadata stay registered so a
+       respawned incarnation can reattach and restore. *)
+    bind_over d ?forgetful ?initial_frames ?policy
+      ~backing:
+        (match backing with
+        | Some f -> f swap
+        | None -> Tier.Backing.of_sfs swap)
+      ~abandon:(fun () -> Usbs.Sfs.close_swap sfs swap)
+      ~release:(fun () ->
+        if restartable then Usbs.Sfs.detach_swap sfs swap
+        else Usbs.Sfs.close_swap sfs swap)
+      s
 
 (* Restart path: reattach the swapfile the previous incarnation left
    detached (same domain name, so same swap name), restore the
@@ -355,14 +331,54 @@ let bind_paged_restored d ?initial_frames ?policy ~qos s () =
   | Error `Attached -> Error (Swap_attached { name })
   | Error (`Sfs reason) -> Error (Store_error { reason })
   | Ok (swap, restore) ->
-    (match
-       Sd_paged.create ?initial_frames ?policy ~restore ~swap d.env
-     with
-    | Error reason ->
-      Usbs.Sfs.detach_swap d.sys.the_sfs swap;
-      Error (Driver_error { reason })
-    | Ok (driver, info) ->
-      Mm_entry.bind d.mm s driver;
-      Domains.on_kill d.dom (fun () ->
-          Usbs.Sfs.detach_swap d.sys.the_sfs swap);
-      Ok (driver, info))
+    let detach () = Usbs.Sfs.detach_swap d.sys.the_sfs swap in
+    bind_over d ?initial_frames ?policy ~restore
+      ~backing:(Tier.Backing.of_sfs swap) ~abandon:detach ~release:detach s
+
+type mapping = Shared | Private
+
+(* A mapped file is the paged driver over the file: every page starts
+   on the backing at its own slot, and a private mapping overlays an
+   anonymous copy file. *)
+let bind_mapped d ~mode ?initial_frames ~file ~qos s () =
+  let dom_name = Domains.name d.dom in
+  let usd = d.sys.the_usd and store = d.sys.the_store in
+  match
+    Usbs.Usd.admit usd
+      ~name:(dom_name ^ "." ^ Usbs.File_store.file_name file) ~qos ()
+  with
+  | Error reason -> Error (Usd_admission { reason })
+  | Ok client -> (
+    let retire () = Usbs.Usd.retire usd client in
+    let copy =
+      match mode with
+      | Shared -> Ok None
+      | Private -> (
+        match
+          Usbs.File_store.create_file store
+            ~name:(Printf.sprintf "%s.cow.%d" dom_name s.Stretch.sid)
+            ~bytes:s.Stretch.bytes
+        with
+        | Ok cow ->
+          let env = d.env in
+          Ok
+            (Some
+               ( cow,
+                 fun () ->
+                   env.Stretch_driver.consume_cpu
+                     env.Stretch_driver.cost.Cost.page_copy ))
+        | Error reason -> Error (Store_error { reason }))
+    in
+    match copy with
+    | Error e ->
+      retire ();
+      Error e
+    | Ok copy ->
+      let npages = Stretch.npages s in
+      let backing, io =
+        Tier.Backing.of_file store ~client file ~npages ~copy
+      in
+      bind_over d ?initial_frames
+        ~restore:(List.init npages (fun p -> (p, p)))
+        ~backing ~abandon:retire ~release:retire s
+      |> Result.map (fun (driver, _) -> (driver, io)))

@@ -174,8 +174,10 @@ val bind_paged :
     [backing] is applied to the freshly opened swapfile and the
     resulting {!Tier.Backing.t} carries the driver's data path — pass
     [(fun swap -> Tier.Fleet.backing (Tier.Fleet.attach fleet … ~swap ()))]
-    to page through the disaggregated-memory tier. The swapfile itself
-    remains System-owned (closed or detached on domain death). *)
+    to page through the disaggregated-memory tier. Without it the
+    driver pages the swapfile itself ({!Tier.Backing.of_sfs}). The
+    swapfile remains System-owned (closed or detached on domain
+    death). *)
 
 val bind_paged_restored :
   domain -> ?initial_frames:int -> ?policy:Policy.Spec.t ->
@@ -189,10 +191,24 @@ val bind_paged_restored :
     touch; run {!Usbs.Sfs.remount} first so the committed image is the
     recovered one. *)
 
+type mapping =
+  | Shared  (** dirty pages are written back to the file *)
+  | Private
+      (** copy-on-write: the file is never written; each page's first
+          write goes to an anonymous copy file, which serves the page
+          from then on *)
+
 val bind_mapped :
-  domain -> mode:Sd_mapped.mode -> ?initial_frames:int ->
+  domain -> mode:mapping -> ?initial_frames:int ->
   file:Usbs.File_store.file -> qos:Usbs.Qos.t -> Stretch.t -> unit ->
-  (Stretch_driver.t * (unit -> Sd_mapped.info), error) result
-(** Map a file-store file behind the stretch: admits a USD client under
-    the domain's own guarantee for the data path; a [Private] mapping
-    also allocates an anonymous copy-on-write backing file. *)
+  (Stretch_driver.t * (unit -> Tier.Backing.file_io), error) result
+(** Map a file-store file behind the stretch: the paged driver
+    ({!Sd_paged}, default policy) over {!Tier.Backing.of_file}, with
+    every page of the stretch starting on the file at its own slot. The
+    data path runs on a USD client admitted under [qos], the domain's
+    own guarantee. A [Private] mapping also allocates the copy file and
+    charges the domain {!Hw.Cost.page_copy} per page copied. Eviction,
+    cleaning and revocation are the paged driver's; so is an
+    unrecoverable store error, which loses the page (a later fault on
+    it is a domain fault) and leaves the domain running. The second
+    result reads the mapping's file and copy traffic. *)

@@ -59,11 +59,13 @@ let at_least lo =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let val_opt name doc =
-  Arg.(value & opt (some string) None & info [ name ] ~docv:"VAL" ~doc)
+let val_opt name ~docv doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
 
-let json doc = val_opt "json" doc
-let csv = val_opt "csv" "Also write the bandwidth series as CSV to FILE."
+let json doc = val_opt "json" ~docv:"FILE" doc
+
+let csv =
+  val_opt "csv" ~docv:"FILE" "Also write the bandwidth series as CSV to FILE."
 
 let metrics =
   Arg.(
@@ -234,7 +236,7 @@ let commands =
               (Policy_compare.run ~duration:(sec d) ?policies ()))
         $ duration 60
         $ json "Also write the comparison matrix as JSON to FILE."
-        $ val_opt "policies"
+        $ val_opt "policies" ~docv:"SPECS"
             "Comma-separated policy specs to compare (e.g. \
              fifo,fifo+ra8,clock,lru,wsclock:32,fifo+wb8); default: the \
              built-in presets.");

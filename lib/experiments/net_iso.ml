@@ -227,8 +227,8 @@ let run_shared ~duration =
   in
   let backing =
     match
-      Sd_paged.create ~forgetful:true ~initial_frames:2 ~swap
-        kernel.System.env
+      Sd_paged.create ~forgetful:true ~initial_frames:2
+        ~backing:(Tier.Backing.of_sfs swap) kernel.System.env
     with
     | Ok (b, _) -> b
     | Error e -> failwith e

@@ -122,21 +122,7 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
       pr_mbit = (if measured = [] then Float.nan else mbit) }
   in
   let patterns = List.map (fun (pname, _) -> agg pname) Harness.patterns in
-  let held_sum =
-    List.fold_left
-      (fun acc d -> acc + Frames.held d.System.frames_client)
-      0 (System.domains sys)
-  in
-  let rt = System.ramtab sys in
-  let owned = ref 0 in
-  for pfn = 0 to Ramtab.nframes rt - 1 do
-    if Ramtab.owner rt ~pfn <> None then incr owned
-  done;
-  let frames_total = Frames.total_frames fr in
-  let frames_free = Frames.free_frames fr in
-  let books_balanced =
-    frames_free + held_sum = frames_total && !owned = held_sum
-  in
+  let books = Frames.books fr in
   let audit = Obs.Qos_audit.summarize () in
   { seed;
     domains;
@@ -155,12 +141,12 @@ let run ?(seed = 42) ?(domains = 128) ?(duration = Time.sec 60) () =
     refusal_message;
     violations = audit.Obs.Qos_audit.violations;
     audit;
-    frames_total;
-    frames_free;
-    frames_held = held_sum;
-    frames_owned = !owned;
+    frames_total = Frames.total_frames fr;
+    frames_free = Frames.free_frames fr;
+    frames_held = books.Frames.b_held;
+    frames_owned = books.Frames.b_owned;
     guaranteed_total = Frames.guaranteed_total fr;
-    books_balanced;
+    books_balanced = books.Frames.b_balanced;
     usd_utilisation = Usbs.Usd.utilisation (System.usd sys);
     revocations = Frames.revocations fr;
     events = Sim.executed (System.sim sys) }

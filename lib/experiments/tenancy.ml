@@ -375,22 +375,7 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
     total_refs := !total_refs + Ramtab.refs rt ~pfn
   done;
   let refs_leaked = !total_refs - reg_books.Share.Registry.b_live_refs in
-  let held_sum =
-    List.fold_left
-      (fun acc d -> acc + Frames.held d.System.frames_client)
-      0 (System.domains sys)
-    + Frames.held (Share.Registry.client reg)
-    + (match zpool with Some z -> Share.Zpool.frames_held z | None -> 0)
-  in
-  let owned = ref 0 in
-  for pfn = 0 to Ramtab.nframes rt - 1 do
-    if Ramtab.owner rt ~pfn <> None then incr owned
-  done;
-  let frames_total = Frames.total_frames fr in
-  let frames_free = Frames.free_frames fr in
-  let books_balanced =
-    frames_free + held_sum = frames_total && !owned = held_sum
-  in
+  let books = Frames.books fr in
   let break_mean_us, break_p95_us =
     match Obs.Metrics.hist_view "share.break_us" with
     | Some v -> (v.Obs.Metrics.hv_mean, Obs.Metrics.hist_quantile v 0.95)
@@ -444,11 +429,11 @@ let run ?(seed = 42) ?(tenants = 32) ?(duration = Time.sec 40)
     fault_count;
     fault_mean_us;
     fault_p95_us;
-    frames_total;
-    frames_free;
-    frames_held = held_sum;
-    frames_owned = !owned;
-    books_balanced;
+    frames_total = Frames.total_frames fr;
+    frames_free = Frames.free_frames fr;
+    frames_held = books.Frames.b_held;
+    frames_owned = books.Frames.b_owned;
+    books_balanced = books.Frames.b_balanced;
     bystander_violations;
     violations = audit.Obs.Qos_audit.violations;
     inject_accounted = Inject.accounted ();

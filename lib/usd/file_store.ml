@@ -58,6 +58,7 @@ let delete t f =
 let file_name f = f.fname
 let file_pages f = f.ext.Extents.len / f.page_blocks
 let extent_start f = f.ext.Extents.start
+let extent_blocks f = f.ext.Extents.len
 
 let lba_of_page f page_index =
   if f.deleted then invalid_arg "File_store: file deleted";
@@ -65,9 +66,9 @@ let lba_of_page f page_index =
     invalid_arg "File_store: page index out of file";
   f.ext.Extents.start + (page_index * f.page_blocks)
 
-(* File-store clients (the Fig. 7/8 streamers) have no recovery story
-   of their own: retry transient errors a few times, give up loudly on
-   anything worse. *)
+(* Retry transient errors a few times and report anything worse. A
+   lost read is answered here; a lost write is left to the caller, as
+   the SFS leaves it (see the interface). *)
 let rw t f ~client op ~page_index =
   let rec go ~attempt =
     match
@@ -79,7 +80,7 @@ let rw t f ~client op ~page_index =
       Inject.note_retried recovery;
       go ~attempt:(attempt + 1)
     | Error (`Media m) ->
-      Inject.note_killed recovery;
+      if op = Usd.Read then Inject.note_killed recovery;
       Error (`Media m)
     | Error `Cancelled | Error `Retired -> Error `Retired
   in

@@ -25,6 +25,9 @@ val file_name : file -> string
 val file_pages : file -> int
 val extent_start : file -> int
 
+val extent_blocks : file -> int
+(** Length of the file's extent in disk blocks. *)
+
 val lba_of_page : file -> int -> int
 (** Raises [Invalid_argument] outside the file. *)
 
@@ -34,9 +37,14 @@ val read_page :
   t -> file -> client:Usd.client -> page_index:int ->
   (unit, [ `Media of Usd.media | `Retired ]) result
 (** Retries transient media errors a few times; [`Media] reports an
-    unrecoverable error (already tallied against the recovery books),
-    [`Retired] a client retired or cancelled mid-request. *)
+    unrecoverable error, [`Retired] a client retired or cancelled
+    mid-request. As with {!Sfs.io_error}, a read loss is already
+    tallied against the {!Inject} recovery books here (no caller can
+    conjure the data back). *)
 
 val write_page :
   t -> file -> client:Usd.client -> page_index:int ->
   (unit, [ `Media of Usd.media | `Retired ]) result
+(** Retries like {!read_page}. A write loss is {e not} tallied: the
+    caller still holds the source frame, and answering the final error
+    is its duty, exactly once. *)

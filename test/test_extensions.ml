@@ -1,6 +1,6 @@
 (* Tests for the extension features: the Entry abstraction, frame
-   placement controls, extents, the file store, mapped-file stretch
-   drivers (shared and copy-on-write) and stream paging. *)
+   placement controls, extents, the file store, mapped files (shared
+   and copy-on-write, paged over a file backing) and stream paging. *)
 
 open Engine
 open Hw
@@ -145,7 +145,11 @@ let writes_in sys ~start ~len =
     (Usbs.Usd.trace (System.usd sys));
   !n
 
-let mapped_fixture ~mode =
+(* Map an 8-page file into a fresh domain that has two frames, run
+   [work d s file] on the domain's thread once the mapping is bound,
+   and return the system, the file, the mapping's counters and what
+   [work] returned. *)
+let mapped_fixture ~mode work =
   let sys = Experiments.Harness.fresh_system ~main_memory_mb:1 () in
   let store = System.file_store sys in
   let file =
@@ -164,40 +168,45 @@ let mapped_fixture ~mode =
     | Error e -> failwith e
   in
   let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) () in
-  let info = ref (fun () -> failwith "not bound") in
   let result = ref None in
   ignore
     (Domains.spawn_thread d.System.dom ~name:"main" (fun () ->
-         (match
-            System.bind_mapped d ~mode ~initial_frames:2 ~file ~qos s ()
-          with
-         | Ok (_, i) -> info := i
-         | Error e -> failwith (System.error_message e));
-         (* Read every page twice (two sweeps with 2 frames), then
-            dirty every page, then read everything once more. *)
-         for _ = 1 to 2 do
-           for i = 0 to 7 do
-             Domains.access d.System.dom (Stretch.page_base s i) `Read
-           done
-         done;
-         for i = 0 to 7 do
-           Domains.access d.System.dom (Stretch.page_base s i) `Write
-         done;
-         for i = 0 to 7 do
-           Domains.access d.System.dom (Stretch.page_base s i) `Read
-         done;
-         result := Some (!info ())));
+         let info =
+           match
+             System.bind_mapped d ~mode ~initial_frames:2 ~file ~qos s ()
+           with
+           | Ok (_, info) -> info
+           | Error e -> failwith (System.error_message e)
+         in
+         let r = work d s file in
+         result := Some (info (), r)));
   System.run sys ~until:(Time.sec 60);
   match !result with
-  | Some info -> (sys, file, info)
+  | Some (info, r) -> (sys, file, info, r)
   | None -> Alcotest.fail "mapped workload did not finish"
 
+(* Read every page twice (two sweeps with 2 frames), then dirty every
+   page, then read everything once more. *)
+let sweep d s _ =
+  for _ = 1 to 2 do
+    for i = 0 to 7 do
+      Domains.access d.System.dom (Stretch.page_base s i) `Read
+    done
+  done;
+  for i = 0 to 7 do
+    Domains.access d.System.dom (Stretch.page_base s i) `Write
+  done;
+  for i = 0 to 7 do
+    Domains.access d.System.dom (Stretch.page_base s i) `Read
+  done
+
 let mapped_shared_writes_back () =
-  let sys, file, info = mapped_fixture ~mode:Sd_mapped.Shared in
-  checkb "read from the file" true (info.Sd_mapped.file_reads >= 8);
+  let sys, file, info, () = mapped_fixture ~mode:System.Shared sweep in
+  checkb "read from the file" true (info.Tier.Backing.file_reads >= 8);
   checkb "dirty pages written back to the file" true
-    (info.Sd_mapped.file_writebacks >= 6);
-  check "no cow traffic" 0 (info.Sd_mapped.cow_writes + info.Sd_mapped.cow_reads);
+    (info.Tier.Backing.file_writebacks >= 6);
+  check "no cow traffic" 0
+    (info.Tier.Backing.cow_writes + info.Tier.Backing.cow_reads);
   (* The write-backs really landed in the file's extent. *)
   checkb "file extent written" true
     (writes_in sys
@@ -206,17 +215,53 @@ let mapped_shared_writes_back () =
      > 0)
 
 let mapped_private_cow () =
-  let sys, file, info = mapped_fixture ~mode:Sd_mapped.Private in
-  checkb "read from the file" true (info.Sd_mapped.file_reads >= 8);
-  check "the file is never written" 0 info.Sd_mapped.file_writebacks;
+  let sys, file, info, () = mapped_fixture ~mode:System.Private sweep in
+  checkb "read from the file" true (info.Tier.Backing.file_reads >= 8);
+  check "the file is never written" 0 info.Tier.Backing.file_writebacks;
   check "file extent untouched" 0
     (writes_in sys
        ~start:(Usbs.File_store.extent_start file)
        ~len:(16 * Usbs.File_store.file_pages file));
   checkb "dirty copies went to the cow backing" true
-    (info.Sd_mapped.cow_writes >= 6);
+    (info.Tier.Backing.cow_writes >= 6);
   checkb "paged back in from the cow backing" true
-    (info.Sd_mapped.cow_reads >= 6)
+    (info.Tier.Backing.cow_reads >= 6)
+
+(* A persistent write fault on a shared mapping's file: the paged
+   driver answers the lost write exactly once (the mapped range leaves
+   no slot to re-site the page to), the domain lives on, and the lost
+   page's next access is a domain fault, not a simulator abort. *)
+let mapped_lost_write_is_a_fault () =
+  let _, _, _, (d, next) =
+    mapped_fixture ~mode:System.Shared (fun d s file ->
+        Inject.arm
+          { Inject.default_plan with
+            seed = 3;
+            blok_faults =
+              [ { Inject.bf_first = Usbs.File_store.lba_of_page file 0;
+                  bf_len =
+                    Usbs.File_store.extent_blocks file
+                    / Usbs.File_store.file_pages file;
+                  bf_op = Some Inject.Write;
+                  bf_transient = None } ] };
+        (* Dirty page 0, then read two more pages through the two
+           frames: FIFO evicts page 0 and its write-back is lost. *)
+        Domains.access d.System.dom (Stretch.page_base s 0) `Write;
+        for i = 1 to 2 do
+          Domains.access d.System.dom (Stretch.page_base s i) `Read
+        done;
+        (d, Domains.try_access d.System.dom (Stretch.page_base s 0) `Read))
+  in
+  let injected = (Inject.tally ()).Inject.injected_errors
+  and killed = (Inject.tally ()).Inject.killed
+  and accounted = Inject.accounted () in
+  Inject.disarm ();
+  checkb "the domain lives" true (Domains.alive d.System.dom);
+  check "one write fault injected" 1 injected;
+  check "answered once, as a loss" 1 killed;
+  checkb "books balance" true accounted;
+  checkb "the lost page's next read is a domain fault" true
+    (Result.is_error next)
 
 (* --- Stream paging --- *)
 
@@ -306,7 +351,9 @@ let suite =
       [ Alcotest.test_case "shared mapping writes back" `Quick
           mapped_shared_writes_back;
         Alcotest.test_case "private mapping is copy-on-write" `Quick
-          mapped_private_cow ] );
+          mapped_private_cow;
+        Alcotest.test_case "a lost write is a domain fault" `Quick
+          mapped_lost_write_is_a_fault ] );
     ( "ext.stream_paging",
       [ Alcotest.test_case "page-ins batch into one txn" `Quick
           stream_paging_single_txn;
@@ -386,7 +433,7 @@ let mapped_driver_relinquish () =
     (Domains.spawn_thread hog.System.dom ~name:"main" (fun () ->
          let qos = Usbs.Qos.make ~period:(Time.ms 250) ~slice:(Time.ms 125) () in
          (match
-            System.bind_mapped hog ~mode:Sd_mapped.Private ~initial_frames:2
+            System.bind_mapped hog ~mode:System.Private ~initial_frames:2
               ~file ~qos s ()
           with
          | Ok _ -> ()
