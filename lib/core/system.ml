@@ -374,11 +374,17 @@ let bind_mapped d ~mode ?initial_frames ~file ~qos s () =
       retire ();
       Error e
     | Ok copy ->
+      (* The copy file dies with the mapping, once no transaction of
+         the domain's can reach it. *)
+      let release () =
+        retire ();
+        Option.iter (fun (cow, _) -> Usbs.File_store.delete store cow) copy
+      in
       let npages = Stretch.npages s in
       let backing, io =
         Tier.Backing.of_file store ~client file ~npages ~copy
       in
       bind_over d ?initial_frames
         ~restore:(List.init npages (fun p -> (p, p)))
-        ~backing ~abandon:retire ~release:retire s
+        ~backing ~abandon:release ~release s
       |> Result.map (fun (driver, _) -> (driver, io)))

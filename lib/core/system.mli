@@ -207,7 +207,9 @@ val bind_mapped :
     every page of the stretch starting on the file at its own slot. The
     data path runs on a USD client admitted under [qos], the domain's
     own guarantee. A [Private] mapping also allocates the copy file and
-    charges the domain {!Hw.Cost.page_copy} per page copied. Eviction,
+    charges the domain {!Hw.Cost.page_copy} per page copied; the copy
+    file is deleted when the domain dies, after its USD client is
+    retired, or at once if the driver cannot be created. Eviction,
     cleaning and revocation are the paged driver's; so is an
     unrecoverable store error, which loses the page (a later fault on
     it is a domain fault) and leaves the domain running. The second

@@ -10,6 +10,7 @@ type redundancy = Replicated of int | Erasure of { k : int; m : int }
 type node = {
   nd_idx : int;
   nd_name : string;
+  nd_hash : int; (* the seeded name hash every placement weight mixes in *)
   nd_remote : Remote_node.t;
   nd_link : Usnet.Link.t;
   nd_repair : Usnet.Link.client; (* fleet-owned probe/repair client *)
@@ -89,9 +90,19 @@ let link_retries = 3
 let ack_deadline = Time.ms 1
 let repair_guarantee = (Time.ms 20, Time.ms 2)
 
+(* A reusable transfer process: it runs one stripe leg, [run leg], per
+   start and then parks until the next. The caller that started it
+   owns it until it has seen [finished], then stacks it as idle. *)
+type xfer = {
+  mutable run : int -> unit;
+  mutable leg : int;
+  mutable finished : bool; (* the leg's done flag *)
+  mutable joiner : Proc.waiter option; (* the caller, parked on the flag *)
+  mutable idle : Proc.waiter option; (* the process, parked between legs *)
+}
+
 type t = {
   sim : Sim.t;
-  seed : int;
   ec : Ec.code; (* replicas are the k = 1 code *)
   width : int; (* entries placed per page: k + m *)
   repair_period : Time.span;
@@ -107,6 +118,7 @@ type t = {
      hot-first order — fleet state, so observability cannot move it *)
   heat : (string * int, int ref) Hashtbl.t;
   counts : stats;
+  mutable idle_xfers : xfer list; (* a stack *)
 }
 
 type node_health = {
@@ -174,8 +186,10 @@ let node_gauges nd =
 (* Bytes of one entry on the wire: one shard (a whole page at k = 1). *)
 let xfer_len t = Ec.shard_length t.ec ~page_bytes
 
-let heat t ~owner ~slot =
-  match Hashtbl.find_opt t.heat (owner, slot) with Some r -> !r | None -> 0
+let heat_of t key =
+  match Hashtbl.find t.heat key with r -> !r | exception Not_found -> 0
+
+let heat t ~owner ~slot = heat_of t (owner, slot)
 
 let note_heat t ~owner ~slot =
   match Hashtbl.find_opt t.heat (owner, slot) with
@@ -194,31 +208,39 @@ let mix x =
   let x = x * 0x1d8e4e27c47d124 land max_int in
   x lxor (x lsr 31)
 
-let weight t ~node_name ~owner ~slot =
-  mix
-    (mix (t.seed lxor Hashtbl.hash node_name)
-    lxor (Hashtbl.hash owner * 0x9e3779b9)
-    lxor (slot * 0x85ebca6b))
-
 (* Every member node scores the page; the [width] highest win (the
-   highest is the primary / shard 0). A pure function of (seed,
-   member names, owner, slot), so a restarted fleet over the same
-   membership recomputes the same book — and a membership change
-   re-ranks with minimal movement: pages whose top [width] set does
-   not involve the joined/retired node keep their placement. *)
+   highest is the primary / shard 0), ties to the higher node index.
+   A pure function of (seed, member names, owner, slot), so a
+   restarted fleet over the same membership recomputes the same book —
+   and a membership change re-ranks with minimal movement: pages whose
+   top [width] set does not involve the joined/retired node keep their
+   placement. The winners are kept by insertion, best first; nodes
+   come in index order, so a new score goes above every equal one.
+   Members never number fewer than [width]: [create] and [retire_node]
+   refuse it. *)
 let placement t ~owner ~slot =
-  let scored = ref [] in
-  Array.iter
-    (fun nd ->
-      if nd.nd_member then
-        scored :=
-          (weight t ~node_name:nd.nd_name ~owner ~slot, nd.nd_idx) :: !scored)
-    t.nodes;
-  let scored =
-    List.sort (fun (wa, ia) (wb, ib) -> compare (wb, ib) (wa, ia)) !scored
-  in
-  Array.of_list
-    (List.filteri (fun n _ -> n < t.width) scored |> List.map snd)
+  let page = (Hashtbl.hash owner * 0x9e3779b9) lxor (slot * 0x85ebca6b) in
+  let width = t.width in
+  let idx = Array.make width 0 and score = Array.make width 0 in
+  let n = ref 0 in
+  for i = 0 to Array.length t.nodes - 1 do
+    let nd = t.nodes.(i) in
+    if nd.nd_member then begin
+      let w = mix (nd.nd_hash lxor page) in
+      if !n < width || w >= score.(width - 1) then begin
+        let j = ref (min !n (width - 1)) in
+        while !j > 0 && w >= score.(!j - 1) do
+          score.(!j) <- score.(!j - 1);
+          idx.(!j) <- idx.(!j - 1);
+          decr j
+        done;
+        score.(!j) <- w;
+        idx.(!j) <- i;
+        if !n < width then incr n
+      end
+    end
+  done;
+  idx
 
 let node_names t = Array.map (fun nd -> nd.nd_name) t.nodes
 
@@ -313,13 +335,6 @@ let poll_faults t =
 (* ------------------------------------------------------------------ *)
 (* Link transfers                                                      *)
 
-(* MTU-sized fragments of one [len]-byte entry, smallest last (per
-   node link). *)
-let fragments nd len =
-  let mtu = (Usnet.Link.params nd.nd_link).Usnet.Net_params.mtu in
-  let n = (len + mtu - 1) / mtu in
-  List.init n (fun i -> if i = n - 1 then len - ((n - 1) * mtu) else mtu)
-
 (* The Sfs retry ladder at network scale: the [n]-th retransmit of a
    packet backs off [base * 2^n], bounded at [8 * base] so a long
    retry budget degenerates to a steady (still deterministic) pulse
@@ -335,78 +350,116 @@ let backoff ~base ~attempt = base * (1 lsl min attempt 3)
    ladder, [retries] times, then time out. The sender learns of a
    loss when the ack deadline passes, and books it together with its
    answer (retransmit or timeout), so the packet ledger balances at
-   every instant. *)
-let send_frag t nd client ~retries bytes =
-  let rec attempt left n =
-    match Usnet.Link.transmit nd.nd_link client ~bytes with
-    | Error `Retired -> Error `Timeout
-    | Ok () ->
-        let reachable =
-          Inject.node_reachable ~name:nd.nd_name ~now:(Sim.now t.sim)
-        in
-        let delivered =
-          reachable
-          &&
-          match Inject.link ~name:(Usnet.Link.name nd.nd_link) with
-          | Inject.Deliver -> true
-          | Inject.Delay d ->
-              t.counts.link_delays <- t.counts.link_delays + 1;
-              Proc.sleep d;
-              true
-          | Inject.Drop -> false
-        in
-        if delivered then Ok ()
-        else begin
-          (* waited the ack deadline in vain *)
-          Proc.sleep ack_deadline;
-          if reachable then t.counts.link_drops <- t.counts.link_drops + 1
-          else t.counts.unreachable <- t.counts.unreachable + 1;
-          if left > 0 then begin
-            t.counts.retransmits <- t.counts.retransmits + 1;
-            metric m_retransmit;
-            Proc.sleep (backoff ~base:ack_deadline ~attempt:n);
-            attempt (left - 1) (n + 1)
-          end
-          else begin
-            t.counts.frag_timeouts <- t.counts.frag_timeouts + 1;
-            metric m_frag_timeout;
-            Error `Timeout
-          end
+   every instant. [left] retransmits remain after [n]. *)
+let rec send_attempt t nd client ~left ~n bytes =
+  match Usnet.Link.transmit nd.nd_link client ~bytes with
+  | Error `Retired -> Error `Timeout
+  | Ok () ->
+      let reachable =
+        Inject.node_reachable ~name:nd.nd_name ~now:(Sim.now t.sim)
+      in
+      let delivered =
+        reachable
+        &&
+        match Inject.link ~name:(Usnet.Link.name nd.nd_link) with
+        | Inject.Deliver -> true
+        | Inject.Delay d ->
+            t.counts.link_delays <- t.counts.link_delays + 1;
+            Proc.sleep d;
+            true
+        | Inject.Drop -> false
+      in
+      if delivered then Ok ()
+      else begin
+        (* waited the ack deadline in vain *)
+        Proc.sleep ack_deadline;
+        if reachable then t.counts.link_drops <- t.counts.link_drops + 1
+        else t.counts.unreachable <- t.counts.unreachable + 1;
+        if left > 0 then begin
+          t.counts.retransmits <- t.counts.retransmits + 1;
+          metric m_retransmit;
+          Proc.sleep (backoff ~base:ack_deadline ~attempt:n);
+          send_attempt t nd client ~left:(left - 1) ~n:(n + 1) bytes
         end
-  in
-  attempt retries 0
+        else begin
+          t.counts.frag_timeouts <- t.counts.frag_timeouts + 1;
+          metric m_frag_timeout;
+          Error `Timeout
+        end
+      end
 
-let send_frags t nd client frags =
-  let rec go = function
-    | [] -> Ok ()
-    | b :: rest -> (
-        match send_frag t nd client ~retries:link_retries b with
-        | Ok () -> go rest
-        | Error _ as e -> e)
-  in
-  go frags
+let send_frag t nd client ~retries bytes =
+  send_attempt t nd client ~left:retries ~n:0 bytes
 
-(* Fan [jobs] out as child processes and wait for them all. A stripe
-   touches every node at once, but each leg rides a distinct node
-   link under a distinct client of the same domain, so the domain is
-   still charged per link while the stripe costs its slowest leg, not
-   the sum of k + m serial transfers — without this a (4, 2) stripe
-   pays ~6x the replicated path's latency per fault and queues
-   collapse under load. Spawn order is fixed and the sim's event loop
-   is deterministic, so same-seed runs stay byte-identical. *)
-let in_parallel t jobs =
-  match jobs with
-  | [] -> ()
-  | [ job ] -> job ()
-  | jobs ->
-      List.map (fun job -> Proc.spawn ~name:"fleet.xfer" t.sim job) jobs
-      |> List.iter Proc.join
+(* One [len]-byte entry to [nd] as MTU-sized fragments, smallest
+   last (per node link), stopping at the first that times out. *)
+let rec send_frags t nd client len =
+  if len <= 0 then Ok ()
+  else
+    let mtu = (Usnet.Link.params nd.nd_link).Usnet.Net_params.mtu in
+    match send_frag t nd client ~retries:link_retries (min len mtu) with
+    | Ok () -> send_frags t nd client (len - mtu)
+    | Error _ as e -> e
+
+(* Run [leg] on a transfer process: wake an idle one, or spawn one if
+   none is idle. Either way one resume is queued now, in call order. *)
+let start_leg t run leg =
+  match t.idle_xfers with
+  | x :: rest ->
+      t.idle_xfers <- rest;
+      x.run <- run;
+      x.leg <- leg;
+      x.finished <- false;
+      Option.iter Proc.wake x.idle;
+      x.idle <- None;
+      x
+  | [] ->
+      let x = { run; leg; finished = false; joiner = None; idle = None } in
+      ignore
+        (Proc.spawn ~name:"fleet.xfer" t.sim (fun () ->
+             while true do
+               x.run x.leg;
+               (* an idle process keeps nothing of its caller's alive *)
+               x.run <- ignore;
+               x.finished <- true;
+               Option.iter Proc.wake x.joiner;
+               x.joiner <- None;
+               x.idle <- Some (Proc.waiter ());
+               Proc.park ()
+             done));
+      x
+
+(* Wait for [x]'s leg, then stack [x] as idle. A leg that has
+   finished has parked its process, since a process runs from its
+   leg's end to its park without yielding. *)
+let finish_leg t x =
+  if not x.finished then begin
+    x.joiner <- Some (Proc.waiter ());
+    Proc.park ()
+  end;
+  t.idle_xfers <- x :: t.idle_xfers
+
+(* Run legs [0 .. n - 1] of a stripe at once and wait for them all. A
+   stripe touches every node at once, but each leg rides a distinct
+   node link under a distinct client of the same domain, so the domain
+   is still charged per link while the stripe costs its slowest leg,
+   not the sum of k + m serial transfers — without this a (4, 2)
+   stripe pays ~6x the replicated path's latency per fault and queues
+   collapse under load. Legs run on the fleet's reused transfer
+   processes: each start queues one resume, in leg order, and the
+   caller waits on each leg's done flag in leg order, so the sim's
+   deterministic event loop keeps same-seed runs byte-identical. A
+   single leg runs inline. *)
+let in_parallel t n leg =
+  if n = 1 then leg 0
+  else if n > 1 then
+    Array.iter (finish_leg t) (Array.init n (start_leg t leg))
 
 (* Push one entry (copy or shard) to [nd]: fragments out, node
    service, store. Health is noted here; the caller classifies the
    outcome. *)
 let push_page t nd client ~shard ~owner ~slot =
-  match send_frags t nd client (fragments nd (xfer_len t)) with
+  match send_frags t nd client (xfer_len t) with
   | Error `Timeout ->
       note_timeout t nd;
       `Timeout
@@ -436,7 +489,7 @@ let fetch_page t nd client ~shard ~owner ~slot =
         `Stale
       end
       else (
-        match send_frags t nd client (fragments nd (xfer_len t)) with
+        match send_frags t nd client (xfer_len t) with
         | Ok () ->
             note_ok nd;
             `Ok
@@ -549,16 +602,16 @@ let repair_round t =
   probe_due t;
   let budget = ref t.repair_budget in
   (* Demand-driven order: hottest pages first, with the (owner, slot)
-     key as a deterministic tie-break. *)
-  let heat (owner, slot) = heat t ~owner ~slot in
+     key as a deterministic tie-break. Each page's heat is looked up
+     once, as the round takes its snapshot of the book. *)
   let book =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pages []
-    |> List.sort (fun (ka, _) (kb, _) ->
-           let ha = heat ka and hb = heat kb in
+    Hashtbl.fold (fun key reps acc -> (heat_of t key, key, reps) :: acc)
+      t.pages []
+    |> List.sort (fun (ha, ka, _) (hb, kb, _) ->
            if ha <> hb then compare hb ha else compare ka kb)
   in
   List.iter
-    (fun ((owner, slot), reps) ->
+    (fun (_, (owner, slot), reps) ->
       if !budget > 0 then begin
         let want = placement t ~owner ~slot in
         for p = 0 to t.width - 1 do
@@ -635,6 +688,7 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
     in
     { nd_idx = i;
       nd_name = name;
+      nd_hash = mix (seed lxor Hashtbl.hash name);
       nd_remote = remote;
       nd_link = link;
       nd_repair = repair_client;
@@ -659,7 +713,6 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
   in
   let t =
     { sim;
-      seed;
       ec;
       width = Ec.width ec;
       repair_period;
@@ -674,7 +727,8 @@ let create ?(redundancy = Replicated 2) ?(standby = [])
           migrations = 0; node_joins = 0; node_retires = 0; retransmits = 0;
           link_drops = 0; link_delays = 0; unreachable = 0; frag_timeouts = 0;
           quarantines = 0; readmissions = 0; probes = 0; probe_failures = 0;
-          wipes_applied = 0; repair_rounds = 0 } }
+          wipes_applied = 0; repair_rounds = 0 };
+      idle_xfers = [] }
   in
   if repair then
     ignore
@@ -818,7 +872,7 @@ let demote st s =
             metric m_remote_full
         | `Timeout -> t.counts.replica_timeouts <- t.counts.replica_timeouts + 1
     in
-    in_parallel t (List.init (Array.length reps) (fun p () -> push_one p));
+    in_parallel t (Array.length reps) push_one;
     if !placed >= Ec.k t.ec then begin
       Hashtbl.replace t.pages (st.owner, s) reps;
       st.tally.st_demotes <- st.tally.st_demotes + 1
@@ -888,7 +942,7 @@ let fetch_fleet st s =
   poll_faults t;
   let reps = Hashtbl.find t.pages (st.owner, s) in
   let k = Ec.k t.ec in
-  let t0 = Time.to_us (Sim.now t.sim) in
+  let t0 = Sim.now t.sim in
   let got = ref 0 and losses = ref 0 in
   let fetch_one p =
     let i = reps.(p) in
@@ -919,7 +973,7 @@ let fetch_fleet st s =
     let batch = min (k - !got) (t.width - !next) in
     let first = !next in
     next := first + batch;
-    in_parallel t (List.init batch (fun j () -> fetch_one (first + j)))
+    in_parallel t batch (fun j -> fetch_one (first + j))
   done;
   t.counts.lost_shards <- t.counts.lost_shards + !losses;
   if !got >= k then begin
@@ -930,7 +984,7 @@ let fetch_fleet st s =
       metric m_degraded_read;
       if !Obs.enabled then
         Obs.Metrics.observe st.m_degraded_us
-          (Time.to_us (Sim.now t.sim) -. t0)
+          (Time.to_us (Sim.now t.sim) -. Time.to_us t0)
     end;
     `Served
   end

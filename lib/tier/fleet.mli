@@ -22,9 +22,11 @@
     Nodes key every entry by its stripe position
     ({!Remote_node.store} [~shard]).
 
-    Stripe legs travel {e in parallel} (one transfer process per
-    node, demotes and reads both), so a stripe costs its slowest leg,
-    not the sum of [k + m] serial transfers. Reads gather the first
+    Stripe legs travel {e in parallel} (each on a transfer process of
+    its own, demotes and reads both), so a stripe costs its slowest
+    leg, not the sum of [k + m] serial transfers. The transfer
+    processes are the fleet's and are reused: a leg wakes an idle one
+    and spawns one only when none is idle. Reads gather the first
     [k] positions of the stripe in one parallel round (the systematic
     fast path needs no decode) and, per shard lost, widen the round
     into the parity — a {e degraded read} reconstructs from any [k]

@@ -16,7 +16,10 @@
 
     Capacity is a hard bound: {!store} on a full node returns
     [`Remote_full] and the caller degrades to the disk tier — a full
-    remote node never kills anything. *)
+    remote node never kills anything.
+
+    Slots run below [2^32] and shards below [256]; {!store},
+    {!holds} and {!drop} raise [Invalid_argument] outside them. *)
 
 open Engine
 

@@ -131,7 +131,7 @@ let open_swap_exn fs ~name ~bytes =
    standby), one attached store over a 32-page swapfile. Tests drive
    repair themselves. *)
 let mk_ec_fleet ?(seed = 7) ?(k = 4) ?(m = 2) ?(nodes = 6) ?(standby = 0)
-    ?(node_pages = 64) ?(cache_pages = 2) ?repair_budget () =
+    ?(node_pages = 64) ?(cache_pages = 2) ?repair_budget ?mode () =
   let sim, _, fs = mk_sfs () in
   let swap = open_swap_exn fs ~name:"e" ~bytes:(256 * 1024) in
   let mk i =
@@ -153,7 +153,7 @@ let mk_ec_fleet ?(seed = 7) ?(k = 4) ?(m = 2) ?(nodes = 6) ?(standby = 0)
     | Ok cs -> cs
     | Error e -> failwith (Usnet.Link.admit_error_message e)
   in
-  let store = Tier.Fleet.attach fleet ~cache_pages ~clients ~swap () in
+  let store = Tier.Fleet.attach ?mode fleet ~cache_pages ~clients ~swap () in
   (sim, fleet, store, swap, Array.of_list (triples @ standbys))
 
 let write_exn b slot =
@@ -440,6 +440,82 @@ let erasure_experiment_smoke () =
     r.Harness.fr_cells;
   checkb "same-seed rerun byte-identical" true r.Harness.fr_deterministic
 
+(* --- Allocation on the stripe path ------------------------------ *)
+
+(* A quiet rig: a (4, 2) fleet over six nodes with repair off, Obs
+   off and a one-page cache, so each operation [body] measures is one
+   stripe operation and nothing else runs. [body] runs inside the
+   simulation, so everything the event loop does meanwhile counts:
+   the caller, its transfer processes and the link schedulers. *)
+let on_quiet_fleet ?mode body =
+  let was = !Obs.enabled in
+  Obs.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let sim, fleet, store, swap, triples =
+        mk_ec_fleet ~cache_pages:1 ?mode ()
+      in
+      let words = ref 0. in
+      ignore
+        (Proc.spawn sim (fun () ->
+             words :=
+               body fleet (Tier.Fleet.backing store)
+                 (Usbs.Sfs.swap_name swap) (remotes_of triples)));
+      Sim.run ~until:(Time.sec 60) sim;
+      (fleet, !words))
+
+(* [Test_engine.words_per] over [op 0], [op 1], ... *)
+let words_per ~warm ~n op =
+  let i = ref 0 in
+  Test_engine.words_per ~warm ~n (fun count ->
+      for _ = 1 to count do
+        op !i;
+        incr i
+      done)
+
+(* A write-back write evicts the page written before it: one six-leg
+   demote. Slots cycle through the swapfile, so each write also drops
+   its slot's old stripe. With a process spawned per leg and a
+   list-building placement this took 1,875.7 words. *)
+let demote_words () =
+  let fleet, per =
+    on_quiet_fleet ~mode:Tier.Store.Write_back (fun _ b _ _ ->
+        words_per ~warm:64 ~n:256 (fun i -> write_exn b (i mod 32)))
+  in
+  check "every demote placed six shards" (6 * (64 + 256 - 1))
+    (Tier.Fleet.stats fleet).Tier.Fleet.stores;
+  Test_engine.check_words "one six-leg demote" ~bound:918. per
+
+(* A fleet read of a stripe whose node en0 was wiped, where en0 held
+   a data shard: four legs at once, one of them answered stale, then
+   one parity fetch. With a process spawned per leg this took 1,451.3
+   words. *)
+let degraded_read_words () =
+  let reads = ref 0 in
+  let fleet, per =
+    on_quiet_fleet (fun fleet b owner remotes ->
+        for slot = 0 to 31 do
+          write_exn b slot
+        done;
+        Tier.Remote_node.wipe remotes.(0);
+        let slots =
+          List.filter
+            (fun slot ->
+              Array.mem 0
+                (Array.sub (Tier.Fleet.placement fleet ~owner ~slot) 0 4))
+            (List.init 31 Fun.id)
+          |> Array.of_list
+        in
+        let len = Array.length slots in
+        reads := 5 * len;
+        words_per ~warm:len ~n:(4 * len) (fun i ->
+            read_exn b slots.(i mod len)))
+  in
+  check "every read was degraded" !reads
+    (Tier.Fleet.stats fleet).Tier.Fleet.degraded_reads;
+  Test_engine.check_words "one degraded (4, 2) read" ~bound:929. per
+
 let suite =
   [ ( "ec.coder",
       [ qtest ec_any_k_subset; qtest ec_over_budget; qtest ec_deterministic;
@@ -461,6 +537,9 @@ let suite =
           `Quick ec_join_retire;
         Alcotest.test_case "corrupt shards reconstructed over" `Quick
           ec_corrupt_shards ] );
+    ( "ec.words",
+      [ Alcotest.test_case "one six-leg demote" `Quick demote_words;
+        Alcotest.test_case "one degraded read" `Quick degraded_read_words ] );
     ( "ec.experiment",
       [ Alcotest.test_case "erasure smoke" `Slow erasure_experiment_smoke ]
     ) ]

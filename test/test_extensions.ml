@@ -147,8 +147,9 @@ let writes_in sys ~start ~len =
 
 (* Map an 8-page file into a fresh domain that has two frames, run
    [work d s file] on the domain's thread once the mapping is bound,
-   and return the system, the file, the mapping's counters and what
-   [work] returned. *)
+   and return the system, the file, the mapping's counters, the file
+   store's free blocks just before the bind and what [work]
+   returned. *)
 let mapped_fixture ~mode work =
   let sys = Experiments.Harness.fresh_system ~main_memory_mb:1 () in
   let store = System.file_store sys in
@@ -171,6 +172,7 @@ let mapped_fixture ~mode work =
   let result = ref None in
   ignore
     (Domains.spawn_thread d.System.dom ~name:"main" (fun () ->
+         let free = Usbs.File_store.free_blocks store in
          let info =
            match
              System.bind_mapped d ~mode ~initial_frames:2 ~file ~qos s ()
@@ -179,10 +181,10 @@ let mapped_fixture ~mode work =
            | Error e -> failwith (System.error_message e)
          in
          let r = work d s file in
-         result := Some (info (), r)));
+         result := Some (info (), free, r)));
   System.run sys ~until:(Time.sec 60);
   match !result with
-  | Some (info, r) -> (sys, file, info, r)
+  | Some (info, free, r) -> (sys, file, info, free, r)
   | None -> Alcotest.fail "mapped workload did not finish"
 
 (* Read every page twice (two sweeps with 2 frames), then dirty every
@@ -201,7 +203,7 @@ let sweep d s _ =
   done
 
 let mapped_shared_writes_back () =
-  let sys, file, info, () = mapped_fixture ~mode:System.Shared sweep in
+  let sys, file, info, _, () = mapped_fixture ~mode:System.Shared sweep in
   checkb "read from the file" true (info.Tier.Backing.file_reads >= 8);
   checkb "dirty pages written back to the file" true
     (info.Tier.Backing.file_writebacks >= 6);
@@ -215,7 +217,7 @@ let mapped_shared_writes_back () =
      > 0)
 
 let mapped_private_cow () =
-  let sys, file, info, () = mapped_fixture ~mode:System.Private sweep in
+  let sys, file, info, _, () = mapped_fixture ~mode:System.Private sweep in
   checkb "read from the file" true (info.Tier.Backing.file_reads >= 8);
   check "the file is never written" 0 info.Tier.Backing.file_writebacks;
   check "file extent untouched" 0
@@ -227,12 +229,30 @@ let mapped_private_cow () =
   checkb "paged back in from the cow backing" true
     (info.Tier.Backing.cow_reads >= 6)
 
+(* Killing a domain that mapped a file privately deletes the copy
+   file, so the file store gets back every block the bind took. *)
+let mapped_private_copy_deleted () =
+  let sys, _, _, free_before, (d, cow) =
+    mapped_fixture ~mode:System.Private (fun d s _ ->
+        for i = 0 to 7 do
+          Domains.access d.System.dom (Stretch.page_base s i) `Write
+        done;
+        (d, Printf.sprintf "app.cow.%d" s.Stretch.sid))
+  in
+  let store = System.file_store sys in
+  checkb "the copy file exists while mapped" true
+    (Option.is_some (Usbs.File_store.find store cow));
+  System.kill_domain sys d;
+  check "every block back" free_before (Usbs.File_store.free_blocks store);
+  checkb "the copy file is gone" true
+    (Option.is_none (Usbs.File_store.find store cow))
+
 (* A persistent write fault on a shared mapping's file: the paged
    driver answers the lost write exactly once (the mapped range leaves
    no slot to re-site the page to), the domain lives on, and the lost
    page's next access is a domain fault, not a simulator abort. *)
 let mapped_lost_write_is_a_fault () =
-  let _, _, _, (d, next) =
+  let _, _, _, _, (d, next) =
     mapped_fixture ~mode:System.Shared (fun d s file ->
         Inject.arm
           { Inject.default_plan with
@@ -353,7 +373,9 @@ let suite =
         Alcotest.test_case "private mapping is copy-on-write" `Quick
           mapped_private_cow;
         Alcotest.test_case "a lost write is a domain fault" `Quick
-          mapped_lost_write_is_a_fault ] );
+          mapped_lost_write_is_a_fault;
+        Alcotest.test_case "a killed private mapping frees its copy" `Quick
+          mapped_private_copy_deleted ] );
     ( "ext.stream_paging",
       [ Alcotest.test_case "page-ins batch into one txn" `Quick
           stream_paging_single_txn;

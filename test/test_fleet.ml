@@ -91,6 +91,50 @@ let placement_clamp () =
   let p = Tier.Fleet.placement f ~owner ~slot:0 in
   check "replicas clamp to fleet size" 3 (Array.length p)
 
+(* The MD5 of every placement over a grid of owners x slots, taken on
+   a fleet of [nodes] members and one standby, then again after the
+   standby joins and again after member pn1 retires. Any reordering of
+   the rendezvous ranking, ties included, moves it. *)
+let placement_digest redundancy ~nodes =
+  let sim = Sim.create () in
+  let node i =
+    let name = Printf.sprintf "pn%d" i in
+    ( name,
+      Tier.Remote_node.create ~capacity_pages:1 (),
+      Usnet.Link.create ~name sim )
+  in
+  let fleet =
+    Tier.Fleet.create ~seed:42 ~redundancy ~repair:false
+      ~nodes:(List.init nodes node) ~standby:[ node nodes ] sim
+  in
+  let b = Buffer.create 65536 in
+  let dump () =
+    List.iter
+      (fun owner ->
+        List.iter
+          (fun slot ->
+            Array.iter
+              (fun i -> Buffer.add_string b (string_of_int i ^ ","))
+              (Tier.Fleet.placement fleet ~owner ~slot);
+            Buffer.add_char b ';')
+          (List.init 256 Fun.id @ List.init 64 (fun i -> (i * 7919) + 65536)))
+      [ "a"; "app.swap"; "d17.swap"; "fleet-degraded.r0.swap" ]
+  in
+  dump ();
+  Tier.Fleet.add_node fleet ~name:(Printf.sprintf "pn%d" nodes);
+  dump ();
+  Tier.Fleet.retire_node fleet ~name:"pn1";
+  dump ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned from the list-sorting placement that preceded the insertion
+   one, so both rank every page alike. *)
+let placement_pinned () =
+  checks "(4, 2) over six nodes" "ff5bc84a78ee0d5973a49446f688ccb7"
+    (placement_digest (Tier.Fleet.Erasure { k = 4; m = 2 }) ~nodes:6);
+  checks "two replicas over four nodes" "7dc60f6d2fb032c48123491da0dac195"
+    (placement_digest (Tier.Fleet.Replicated 2) ~nodes:4)
+
 (* --- Demote / fetch through the Backing seam --- *)
 
 let fleet_demote_fetch () =
@@ -385,7 +429,9 @@ let suite =
       [ Alcotest.test_case "rendezvous determinism" `Quick
           placement_determinism;
         Alcotest.test_case "replicas clamp to fleet size" `Quick
-          placement_clamp ] );
+          placement_clamp;
+        Alcotest.test_case "pinned over owners x slots, join and retire"
+          `Quick placement_pinned ] );
     ( "fleet.store",
       [ Alcotest.test_case "demote replicates, fetch promotes" `Quick
           fleet_demote_fetch;
