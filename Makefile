@@ -73,14 +73,17 @@ bench-%:
 # same, and its seed-1 alloc_mwords may be at most 10% above its line
 # in test/perfbench_alloc.txt. The heap gauge repeats exactly too: its
 # seed-1 peak_heap_mb may be at most 5% (the metric's bound in
-# BENCHMARK.json) above its line in test/perfbench_heap.txt.
+# BENCHMARK.json) above its line in test/perfbench_heap.txt. Each
+# workload's output is also kept as reports/perfbench-<workload>.txt
+# (gitignored), so a run's gauges outlive it (CI uploads them).
 perfbench-smoke:
-	@mkdir -p .bench_build; : > .bench_build/perfbench-figures.txt; \
+	@mkdir -p .bench_build reports; : > .bench_build/perfbench-figures.txt; \
 	: > .bench_build/perfbench-alloc.txt; : > .bench_build/perfbench-heap.txt; \
 	for w in disk-paper many-domains fleet-degraded; do \
 		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
 			--trace 0 > .bench_build/perfbench-$$w.txt; \
 		status=$$?; cat .bench_build/perfbench-$$w.txt; \
+		cp .bench_build/perfbench-$$w.txt reports/perfbench-$$w.txt; \
 		[ $$status -eq 0 ] || exit 1; \
 		grep -qx 'allocation repeats exactly across untraced spans: true' \
 			.bench_build/perfbench-$$w.txt \

@@ -79,13 +79,20 @@ let queue_notification t f = Sync.Mailbox.send t.activations f
 
 (* The activation dispatcher: the user-level event demultiplexer. Each
    queued notification costs an activation plus demux, charged to this
-   domain, then runs with IDC disabled. *)
+   domain, then runs with IDC disabled. The loop runs in [t.dispatcher],
+   so that option is the handler process; it is cleared however the
+   notification ends, [Killed] included. *)
 let dispatcher_loop t () =
   let rec loop () =
     let notification = Sync.Mailbox.recv t.activations in
     consume_cpu t (t.cost.Cost.activation + t.cost.Cost.user_demux);
-    t.handler_proc <- Some (Proc.self ());
-    Fun.protect ~finally:(fun () -> t.handler_proc <- None) notification;
+    t.handler_proc <- t.dispatcher;
+    (match notification () with
+    | () -> t.handler_proc <- None
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.handler_proc <- None;
+      Printexc.raise_with_backtrace e bt);
     loop ()
   in
   loop ()
@@ -122,7 +129,8 @@ let create ~sim ~id ~name ~cpu ~cpu_client ~pdom ~mmu ~cost () =
       fault_handler = None; handler_proc = None; threads = []; alive = true;
       kill_hooks = []; dispatcher = None; faults = 0; m = metrics name }
   in
-  Event_chan.attach t.fault_chan (fun () -> queue_notification t (drain_faults t));
+  let drain = drain_faults t in
+  Event_chan.attach t.fault_chan (fun () -> queue_notification t drain);
   t.dispatcher <-
     Some (Proc.spawn ~name:(name ^ ".dispatch") sim (dispatcher_loop t));
   t

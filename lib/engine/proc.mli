@@ -37,9 +37,13 @@ val yield : unit -> unit
 (** {2 Waiters}
 
     A blocking primitive suspends a process in three steps: take the
-    process's {!waiter}, record it where the waking side will find it,
-    then {!park}. The waker calls {!wake}; a value it hands over goes
-    through the waiting structure, not through the wake. *)
+    process's {!waiter} (or {!Fifo.push} it), record it where the
+    waking side will find it, then {!park}. The waker calls {!wake}
+    (or {!Fifo.wake_first}); a value it hands over goes through the
+    waiting structure, not through the wake. Parking allocates only
+    the continuation, which the process's record keeps; a sleep or a
+    timed park re-arms the process's one timer handle, and takes a
+    fresh one only while a cancelled arm of it is still queued. *)
 
 type waiter
 (** One suspension of one process: the process and its suspension
@@ -65,9 +69,43 @@ val wake : waiter -> unit
 (** Queue the process's resume at the current instant, if the
     waiter's suspension is still current. *)
 
-val is_waiting : waiter -> bool
-(** Whether {!wake} would resume the process: no resume has been
-    queued since the waiter was taken. *)
+(** {2 Queues of suspensions} *)
+
+module Fifo : sig
+  (** Processes blocked in arrival order, served oldest first: the
+      waiter queue of every blocking primitive with more than one
+      slot. An entry is the process and its suspension number, as a
+      {!waiter} holds them, plus one int the caller may use; they
+      live in growable ring arrays made on the first {!push}, so
+      neither pushing nor waking allocates once the arrays have
+      grown. As with a {!waiter}, an entry whose process was killed
+      (or otherwise resumed) while queued wakes nothing. *)
+
+  type t
+
+  val create : unit -> t
+  val is_empty : t -> bool
+
+  val push : t -> int -> unit
+  (** [push q x] queues the current process's next suspension, with
+      [x], for the caller to {!park} on. Raises {!Killed} if a kill is
+      pending, before anything is queued. *)
+
+  val first : t -> int
+  (** The oldest entry's int. Raises [Invalid_argument] if [q] is
+      empty. *)
+
+  val set_first : t -> int -> unit
+
+  val wake_first : t -> bool
+  (** Drop the oldest entry and {!wake} its suspension: [true] if that
+      suspension was still current. Raises [Invalid_argument] if [q]
+      is empty. *)
+
+  val wake_all : t -> unit
+  (** Drop every entry, waking each current suspension, oldest
+      first. *)
+end
 
 val kill : t -> unit
 (** Mark the process dead. If it is blocked, it is woken immediately

@@ -1,4 +1,8 @@
-type handle = { mutable cancelled : bool; fn : unit -> unit; owner : t }
+(* Where a handle is: on a queue and due to run, on a queue but
+   cancelled (it is dropped when popped), or on no queue. *)
+type state = Queued | Cancelled | Idle
+
+type handle = { mutable state : state; fn : unit -> unit; owner : t }
 
 and t = {
   mutable clock : Time.t;
@@ -46,36 +50,51 @@ let pop_now t =
   t.now_len <- t.now_len - 1;
   h
 
-let at t time fn =
+(* Queue [h] at [time], after every event already scheduled for it. *)
+let schedule t time h =
   if time < t.clock then
     invalid_arg
       (Format.asprintf "Sim.at: %a is in the past (now %a)" Time.pp time
          Time.pp t.clock);
-  let h = { cancelled = false; fn; owner = t } in
+  h.state <- Queued;
   if time = t.clock then push_now t h
   else begin
     Heap.push t.queue ~key:time ~sub:t.seq h;
     t.seq <- t.seq + 1
   end;
-  t.live <- t.live + 1;
+  t.live <- t.live + 1
+
+let at t time fn =
+  let h = { state = Idle; fn; owner = t } in
+  schedule t time h;
   h
 
 let after t d fn = at t (Time.add t.clock d) fn
 
-let task t fn = { cancelled = false; fn; owner = t }
+let rearm h time =
+  match h.state with
+  | Idle ->
+    schedule h.owner time h;
+    true
+  | Queued | Cancelled -> false
+
+let task t fn = { state = Idle; fn; owner = t }
 
 let post_now h =
+  h.state <- Queued;
   push_now h.owner h;
   h.owner.live <- h.owner.live + 1
 
-(* [live] is decremented exactly once per handle: either at [cancel]
-   time, or when a non-cancelled handle is popped and executed. *)
+(* [live] is decremented exactly once per queuing: either at [cancel]
+   time, or when a queued handle is popped and executed. A handle that
+   already ran is not queued, so cancelling it does nothing. *)
 let cancel h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
+  match h.state with
+  | Queued ->
+    h.state <- Cancelled;
     h.owner.live <- h.owner.live - 1;
     h.owner.cancelled_events <- h.owner.cancelled_events + 1
-  end
+  | Cancelled | Idle -> ()
 
 let has_next t = t.now_len > 0 || not (Heap.is_empty t.queue)
 
@@ -86,7 +105,8 @@ let next_time t = if t.now_len > 0 then t.clock else Heap.top_key t.queue
    cancelled. A heap event due now goes first: it was scheduled before
    the clock reached now, so its sequence number is below that of
    every event on the same-instant queue, and (time, seq) order is
-   kept. *)
+   kept. A popped handle is idle before its handler runs, so the
+   handler may re-arm it. *)
 let fire_next t =
   let from_heap =
     t.now_len = 0
@@ -94,15 +114,19 @@ let fire_next t =
   in
   let time = if from_heap then Heap.top_key t.queue else t.clock in
   let h = if from_heap then Heap.pop t.queue else pop_now t in
-  if h.cancelled then false
-  else begin
+  match h.state with
+  | Cancelled ->
+    h.state <- Idle;
+    false
+  | Queued | Idle ->
+    (* [Idle]: a task posted twice, whose first queuing already ran. *)
+    h.state <- Idle;
     t.live <- t.live - 1;
     t.executed <- t.executed + 1;
     t.clock <- time;
     h.fn ();
     if t.live > t.peak then t.peak <- t.live;
     true
-  end
 
 let rec step t = has_next t && (fire_next t || step t)
 

@@ -9,7 +9,9 @@
 type t
 
 type handle
-(** A scheduled event; may be cancelled before it fires. *)
+(** A scheduled event; may be cancelled before it fires. Once it has
+    fired, or been cancelled and then dropped from the queue, it is
+    idle and may be re-armed with {!rearm}. *)
 
 type task
 (** A reusable callback that can be queued at the current instant any
@@ -32,6 +34,12 @@ val at : t -> Time.t -> (unit -> unit) -> handle
 val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after sim d f] = [at sim (now + d) f]. *)
 
+val rearm : handle -> Time.t -> bool
+(** [rearm h t] schedules [h]'s callback again at [t] on [h] itself,
+    exactly as [at] would schedule a fresh handle, if [h] is idle.
+    It does nothing and returns [false] while [h] is queued, or
+    cancelled but not yet dropped from the queue. *)
+
 val task : t -> (unit -> unit) -> task
 (** [task sim f] makes a task that runs [f] each time it is posted. *)
 
@@ -41,7 +49,8 @@ val post_now : task -> unit
     Posting a task that is already queued runs it twice. *)
 
 val cancel : handle -> unit
-(** Prevent a pending event from firing; idempotent. *)
+(** Prevent a queued event from firing; a no-op on a handle that has
+    already fired or been cancelled. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Run the event loop until the queue drains, or until the clock would

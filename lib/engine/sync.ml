@@ -1,71 +1,81 @@
-(* Wake every waiter, oldest first: a waiter list holds the newest at
-   its head. Allocates nothing. *)
-let rec wake_all = function
-  | [] -> ()
-  | w :: rest ->
-    wake_all rest;
-    Proc.wake w
-
 module Ivar = struct
-  type 'a state = Empty of Proc.waiter list | Full of 'a
+  (* The first reader, nearly always the only one, takes a waiter slot;
+     later readers queue behind it. Filling wakes them oldest first. *)
+  type 'a state =
+    | Empty
+    | Awaited of Proc.waiter
+    | Awaited_more of Proc.waiter * Proc.Fifo.t
+    | Full of 'a
 
   type 'a t = { mutable state : 'a state }
 
-  let create () = { state = Empty [] }
+  let create () = { state = Empty }
 
   let try_fill t v =
     match t.state with
     | Full _ -> false
-    | Empty waiters ->
+    | Empty ->
       t.state <- Full v;
-      wake_all waiters;
+      true
+    | Awaited w ->
+      t.state <- Full v;
+      Proc.wake w;
+      true
+    | Awaited_more (w, more) ->
+      t.state <- Full v;
+      Proc.wake w;
+      Proc.Fifo.wake_all more;
       true
 
   let fill t v =
     if not (try_fill t v) then invalid_arg "Ivar.fill: already filled"
 
   (* Only [try_fill] wakes a reader, so a woken reader finds the value. *)
-  let filled t = match t.state with Full v -> v | Empty _ -> assert false
+  let filled t = match t.state with Full v -> v | _ -> assert false
 
-  let enter t waiters = t.state <- Empty (Proc.waiter () :: waiters)
+  (* Register the current process as a reader of the empty cell. *)
+  let enter t =
+    match t.state with
+    | Empty -> t.state <- Awaited (Proc.waiter ())
+    | Awaited w ->
+      let more = Proc.Fifo.create () in
+      Proc.Fifo.push more 0;
+      t.state <- Awaited_more (w, more)
+    | Awaited_more (_, more) -> Proc.Fifo.push more 0
+    | Full _ -> assert false
 
   let read t =
     match t.state with
     | Full v -> v
-    | Empty waiters ->
-      enter t waiters;
+    | Empty | Awaited _ | Awaited_more _ ->
+      enter t;
       Proc.park ();
       filled t
 
   let read_timeout t d =
     match t.state with
     | Full v -> Some v
-    | Empty waiters ->
-      enter t waiters;
+    | Empty | Awaited _ | Awaited_more _ ->
+      enter t;
       if Proc.park_timeout d then Some (filled t) else None
 
-  let peek t = match t.state with Full v -> Some v | Empty _ -> None
+  let peek t = match t.state with Full v -> Some v | _ -> None
 end
 
 module Handoff = struct
   (* Woken receivers resume in the order they were woken, through the
      same-instant queue, so each takes its own value off [handed]. *)
-  type 'a t = { waiting : Proc.waiter Queue.t; handed : 'a Queue.t }
+  type 'a t = { waiting : Proc.Fifo.t; handed : 'a Queue.t }
 
-  let create () = { waiting = Queue.create (); handed = Queue.create () }
-  let is_empty t = Queue.is_empty t.waiting
+  let create () = { waiting = Proc.Fifo.create (); handed = Queue.create () }
+  let is_empty t = Proc.Fifo.is_empty t.waiting
 
   let recv t =
-    Queue.add (Proc.waiter ()) t.waiting;
+    Proc.Fifo.push t.waiting 0;
     Proc.park ();
     Queue.take t.handed
 
-  let give t v =
-    let w = Queue.take t.waiting in
-    if Proc.is_waiting w then begin
-      Queue.add v t.handed;
-      Proc.wake w
-    end
+  let give t v = if Proc.Fifo.wake_first t.waiting then Queue.add v t.handed
 end
 
 module Mailbox = struct
@@ -85,11 +95,11 @@ module Mailbox = struct
 end
 
 module Semaphore = struct
-  type t = { mutable count : int; waiters : Proc.waiter Queue.t }
+  type t = { mutable count : int; waiters : Proc.Fifo.t }
 
   let create n =
     if n < 0 then invalid_arg "Semaphore.create: negative count";
-    { count = n; waiters = Queue.create () }
+    { count = n; waiters = Proc.Fifo.create () }
 
   let try_acquire t =
     if t.count > 0 then begin
@@ -100,33 +110,27 @@ module Semaphore = struct
 
   let acquire t =
     if not (try_acquire t) then begin
-      Queue.add (Proc.waiter ()) t.waiters;
+      Proc.Fifo.push t.waiters 0;
       Proc.park ()
     end
 
   let release t =
-    if Queue.is_empty t.waiters then t.count <- t.count + 1
-    else Proc.wake (Queue.take t.waiters)
-
+    if Proc.Fifo.is_empty t.waiters then t.count <- t.count + 1
+    else ignore (Proc.Fifo.wake_first t.waiters)
 end
 
 module Waitq = struct
-  type t = { mutable waiters : Proc.waiter list }
+  type t = Proc.Fifo.t
 
-  let create () = { waiters = [] }
-
-  let enter t = t.waiters <- Proc.waiter () :: t.waiters
+  let create = Proc.Fifo.create
 
   let wait t =
-    enter t;
+    Proc.Fifo.push t 0;
     Proc.park ()
 
   let wait_timeout t d =
-    enter t;
+    Proc.Fifo.push t 0;
     Proc.park_timeout d
 
-  let broadcast t =
-    let ws = t.waiters in
-    t.waiters <- [];
-    wake_all ws
+  let broadcast = Proc.Fifo.wake_all
 end

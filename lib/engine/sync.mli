@@ -3,8 +3,11 @@
     All blocking operations must be called from inside a process. The
     wake-up side ([fill], [send], [broadcast], ...) may be called from
     anywhere, including plain simulator callbacks. Each blocked process
-    is a {!Proc.waiter}: a waker that finds a waiter whose process was
-    killed while blocked wakes nothing. *)
+    is a {!Proc.waiter} (an {!Ivar}'s first reader) or a {!Proc.Fifo}
+    entry (everything else): a waker that finds one whose process was
+    killed while blocked wakes nothing. Blocking and waking allocate
+    nothing beyond the parked continuation, bar an {!Ivar}'s reader
+    and a {!Mailbox}'s or {!Handoff}'s value in transit. *)
 
 module Ivar : sig
   (** Write-once cell. *)

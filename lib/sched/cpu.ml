@@ -1,9 +1,9 @@
 open Engine
 
-type request = { mutable left : Time.span; waiter : Proc.waiter }
-
-type client = request Queue.t Atropos.client
-type t = request Queue.t Atropos.t
+(* Each client's requests: its callers' suspensions, oldest first, each
+   carrying the span it has left to run. *)
+type client = Proc.Fifo.t Atropos.client
+type t = Proc.Fifo.t Atropos.t
 
 (* Upper bound on one uninterrupted slack grant, so that budgeted
    clients never wait long behind a slack hog. *)
@@ -14,28 +14,28 @@ let used (c : client) = c.edf.Edf.used_total
 let edf_client (c : client) = c.edf
 
 (* Run the head request for up to its budget (or a slack quantum);
-   wake its caller once all of it has run. *)
+   wake its caller once all of it has run. Requests only join at the
+   tail, so the head is the same request after the sleep. *)
 let run_chunk t (c : client) ~slack =
-  let req = Queue.peek c.work in
   let budget_cap = if slack then slack_quantum else max 0 c.edf.Edf.remaining in
-  let chunk = max 1 (min req.left budget_cap) in
+  let chunk = max 1 (min (Proc.Fifo.first c.work) budget_cap) in
   Proc.sleep chunk;
   Atropos.charge c ~slack chunk;
-  req.left <- req.left - chunk;
-  if req.left <= 0 then begin
-    ignore (Queue.pop c.work);
-    Atropos.taken t c;
-    Proc.wake req.waiter
+  let left = Proc.Fifo.first c.work - chunk in
+  if left > 0 then Proc.Fifo.set_first c.work left
+  else begin
+    ignore (Proc.Fifo.wake_first c.work);
+    Atropos.taken t c
   end
 
 let create sim =
   Atropos.create ~name:"cpu-sched" ~audit:Obs.Qos_audit.Cpu
     ~empty:Atropos.Leaves_runnable sim
-    { has_work = (fun q -> not (Queue.is_empty q)); serve = run_chunk;
+    { has_work = (fun q -> not (Proc.Fifo.is_empty q)); serve = run_chunk;
       alloc = ignore; lax = (fun _ _ -> ()) }
 
 let admit t ~name ~period ~slice ?(extra = true) () =
-  Atropos.admit t ~name ~period ~slice ~extra ~laxity:0 (Queue.create ())
+  Atropos.admit t ~name ~period ~slice ~extra ~laxity:0 (Proc.Fifo.create ())
 
 let remove = Atropos.remove
 
@@ -44,9 +44,8 @@ let consume t (c : client) span =
   if span = 0 then Ok ()
   else if not c.live then Error `Removed
   else begin
-    let waiter = Proc.waiter () in
-    let was_empty = Queue.is_empty c.work in
-    Queue.add { left = span; waiter } c.work;
+    let was_empty = Proc.Fifo.is_empty c.work in
+    Proc.Fifo.push c.work span;
     Atropos.queued t c ~was_empty;
     Proc.park ();
     Ok ()

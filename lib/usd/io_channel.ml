@@ -3,13 +3,13 @@ open Engine
 type 'a t = {
   depth : int;
   items : 'a Queue.t;
-  senders : Proc.waiter Queue.t;
+  senders : Proc.Fifo.t;
   receivers : 'a Sync.Handoff.t;
 }
 
 let create ~depth =
   if depth <= 0 then invalid_arg "Io_channel.create: depth must be positive";
-  { depth; items = Queue.create (); senders = Queue.create ();
+  { depth; items = Queue.create (); senders = Proc.Fifo.create ();
     receivers = Sync.Handoff.create () }
 
 let is_empty t = Queue.is_empty t.items
@@ -28,7 +28,7 @@ let try_send t v =
 
 let send t v =
   if not (try_send t v) then begin
-    Queue.add (Proc.waiter ()) t.senders;
+    Proc.Fifo.push t.senders 0;
     Proc.park ();
     enqueue t v
   end
@@ -37,7 +37,8 @@ let send t v =
    sender. *)
 let take t =
   let v = Queue.take t.items in
-  if not (Queue.is_empty t.senders) then Proc.wake (Queue.take t.senders);
+  if not (Proc.Fifo.is_empty t.senders) then
+    ignore (Proc.Fifo.wake_first t.senders);
   v
 
 let try_recv t = if Queue.is_empty t.items then None else Some (take t)

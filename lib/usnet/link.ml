@@ -24,7 +24,7 @@ type packet = { bytes : int; completion : unit Sync.Ivar.t }
 type sender = {
   ring : packet Queue.t;
   depth : int;
-  senders : Proc.waiter Queue.t;
+  senders : Proc.Fifo.t;
   mutable packets : int;
   mutable sent_bytes : int;
   (* gauges labelled "<link>.<client>" *)
@@ -83,7 +83,8 @@ let transmit_one params events loop (c : client) ~slack =
   let s = c.work in
   let pkt = Queue.pop s.ring in
   Atropos.taken loop c;
-  if not (Queue.is_empty s.senders) then Proc.wake (Queue.take s.senders);
+  if not (Proc.Fifo.is_empty s.senders) then
+    ignore (Proc.Fifo.wake_first s.senders);
   let dur = Net_params.tx_time params ~bytes:pkt.bytes in
   Proc.sleep dur;
   Atropos.charge c ~slack dur;
@@ -121,8 +122,8 @@ let admit t ~name ~period ~slice ?(extra = false) ?(queue_depth = 64)
     let before = Atropos.utilisation t.loop in
     let label = t.lname ^ "." ^ name in
     let s =
-      { ring = Queue.create (); depth = queue_depth; senders = Queue.create ();
-        packets = 0; sent_bytes = 0;
+      { ring = Queue.create (); depth = queue_depth;
+        senders = Proc.Fifo.create (); packets = 0; sent_bytes = 0;
         tx_bytes = Obs.Metrics.gauge ~label "link.tx_bytes";
         queue_depth = Obs.Metrics.gauge ~label "link.queue_depth" }
     in
@@ -148,7 +149,7 @@ let send t (c : client) ~bytes =
   else begin
     let s = c.work in
     if Queue.length s.ring >= s.depth then begin
-      Queue.add (Proc.waiter ()) s.senders;
+      Proc.Fifo.push s.senders 0;
       Proc.park ()
     end;
     let completion = Sync.Ivar.create () in

@@ -349,9 +349,10 @@ let rng_draw_allocation () =
     (per (fun () -> ignore (Sys.opaque_identity (Rng.float r 1.0))))
 
 (* Park, wake from outside, resume: the waiter (3 words), the
-   continuation parked in its box (4) and the test's own option (2).
-   The effect is a constant, its handler is built once per process,
-   and the resume is a reusable task on the same-instant queue. *)
+   continuation (2), kept unboxed in the process record, and the
+   test's own option (2). The effect is a constant, its handler is
+   built once per process, and the resume is a reusable task on the
+   same-instant queue. *)
 let proc_switch_allocation () =
   let sim = Sim.create () in
   let waiter = ref None in
@@ -368,10 +369,11 @@ let proc_switch_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "park, wake, resume" ~bound:9.
+  check_words "park, wake, resume" ~bound:7.
     (words_per ~warm:1_000 ~n:10_000 cycle)
 
-(* A sleep parks with no waiter, and adds its timer's handle (4). *)
+(* A sleep parks with no waiter and re-arms the process's timer handle
+   in place: only the continuation (2) is new. *)
 let proc_sleep_allocation () =
   let sim = Sim.create () in
   ignore
@@ -386,10 +388,12 @@ let proc_sleep_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "sleep" ~bound:8. (words_per ~warm:1_000 ~n:10_000 cycle)
+  check_words "sleep" ~bound:2. (words_per ~warm:1_000 ~n:10_000 cycle)
 
-(* One client consuming 20 us at a time: the request, the scheduler's
-   sleep and the two hand-offs between client and scheduler. *)
+(* One client consuming 20 us at a time: the request is an entry of
+   the client's FIFO and the scheduler's sleep re-arms its timer, so
+   what is left is the three continuations (client, the scheduler's
+   sleep and its idle wait) and the scheduler's [Edf.select] option. *)
 let cpu_consume_allocation () =
   let sim = Sim.create () in
   let cpu = Sched.Cpu.create sim in
@@ -413,7 +417,7 @@ let cpu_consume_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "20 us consume" ~bound:33. (words_per ~warm:1_000 ~n:10_000 cycle)
+  check_words "20 us consume" ~bound:8. (words_per ~warm:1_000 ~n:10_000 cycle)
 
 (* One pager's transactions through the USD, back to back: the request
    and its completion ivar, the channel hand-off, the loop's lax wait
@@ -448,7 +452,7 @@ let usd_transact_words () =
   words_per ~warm:1_000 ~n:10_000 cycle
 
 let usd_transact_allocation () =
-  check_words "USD transact" ~bound:67. (usd_transact_words ())
+  check_words "USD transact" ~bound:48. (usd_transact_words ())
 
 (* One MTU packet at a time over the link: the packet and its ivar, the
    wake of the waiting loop and the wire-time sleep. The trace rows
@@ -480,10 +484,11 @@ let link_transmit_words () =
   words_per ~warm:1_000 ~n:10_000 cycle
 
 let link_transmit_allocation () =
-  check_words "link transmit" ~bound:48. (link_transmit_words ())
+  check_words "link transmit" ~bound:28. (link_transmit_words ())
 
-(* A waiter signalled before its timeout: its list cell, the timer's
-   handle (cancelled on resume) and the park. *)
+(* A waiter signalled before its timeout: the timer's handle, fresh
+   each time because the cancelled one is still queued, and the
+   continuation. The queue entry allocates nothing. *)
 let waitq_timeout_allocation () =
   let sim = Sim.create () in
   let q = Sync.Waitq.create () in
@@ -499,11 +504,11 @@ let waitq_timeout_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "signalled wait_timeout" ~bound:14.
+  check_words "signalled wait_timeout" ~bound:6.
     (words_per ~warm:1_000 ~n:10_000 cycle)
 
-(* A fresh Ivar read before it is filled: the cell, its waiter list and
-   the park, then the filled state. *)
+(* A fresh Ivar read before it is filled: the cell, its reader's
+   waiter in its slot and the continuation, then the filled state. *)
 let ivar_allocation () =
   let sim = Sim.create () in
   let iv = ref (Sync.Ivar.create ()) in
@@ -521,11 +526,11 @@ let ivar_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "Ivar create, read, fill" ~bound:16.
+  check_words "Ivar create, read, fill" ~bound:11.
     (words_per ~warm:1_000 ~n:10_000 cycle)
 
-(* A send to a blocked receiver: the receiver's queue cell, the value's
-   cell on its way over, and the park. *)
+(* A send to a blocked receiver: the value's cell on its way over and
+   the continuation; the receiver's queue entry allocates nothing. *)
 let mailbox_allocation () =
   let sim = Sim.create () in
   let mb = Sync.Mailbox.create () in
@@ -541,7 +546,7 @@ let mailbox_allocation () =
       ignore (Sim.step sim)
     done
   in
-  check_words "Mailbox send, recv" ~bound:13.
+  check_words "Mailbox send, recv" ~bound:5.
     (words_per ~warm:1_000 ~n:10_000 cycle)
 
 (* A process that calls [Cpu.consume] with a kill pending raises
@@ -625,6 +630,63 @@ let proc_kill_mid_sleep () =
   check "nothing pending" 0 (Sim.pending sim);
   check "clock stopped early" (Time.ms 1) (Sim.now sim)
 
+(* An event due at the same instant as a timed wait's timer, and
+   ordered before it, wakes the process: the timer then runs as a
+   no-op, and the woken process's cancel finds it already run, so
+   nothing is counted as cancelled and nothing stays pending. *)
+let proc_woken_as_timer_fires () =
+  let sim = Sim.create () in
+  let waiter = ref None and woken = ref None in
+  ignore (Sim.at sim 10 (fun () -> Option.iter Proc.wake !waiter));
+  ignore
+    (Proc.spawn sim (fun () ->
+         waiter := Some (Proc.waiter ());
+         woken := Some (Proc.park_timeout 10)));
+  Sim.run sim;
+  Alcotest.(check (option bool)) "woken, not timed out" (Some true) !woken;
+  (* the wake, the start, the timer and the resume *)
+  check "executed" 4 (Sim.executed sim);
+  check "nothing pending" 0 (Sim.pending sim);
+  check "nothing cancelled" 0 (Sim.cancelled sim)
+
+(* A timed wait woken early leaves its cancelled timer queued, so the
+   shorter sleep after it arms a fresh handle: the process wakes at
+   the sleep's time, and the old timer's instant wakes nothing. *)
+let proc_timer_rearm_after_cancel () =
+  let sim = Sim.create () in
+  let q = Sync.Waitq.create () in
+  let slept_to = ref Time.zero and woken = ref None and last = ref None in
+  ignore
+    (Proc.spawn sim (fun () ->
+         woken := Some (Sync.Waitq.wait_timeout q (Time.ms 10));
+         Proc.sleep (Time.ms 2);
+         slept_to := Sim.now sim;
+         last := Some (Sync.Waitq.wait_timeout q (Time.ms 20))));
+  ignore (Sim.after sim (Time.ms 1) (fun () -> Sync.Waitq.broadcast q));
+  Sim.run sim;
+  Alcotest.(check (option bool)) "woken early" (Some true) !woken;
+  check "sleep woke at its own time" (Time.ms 3) !slept_to;
+  Alcotest.(check (option bool)) "last wait timed out" (Some false) !last;
+  check "at its own time" (Time.ms 23) (Sim.now sim);
+  check "the early wake's timer cancelled" 1 (Sim.cancelled sim);
+  check "nothing pending" 0 (Sim.pending sim)
+
+(* A kill mid-sleep cancels the timer also when the sleep re-armed the
+   handle an earlier sleep used. *)
+let proc_kill_rearmed_sleep () =
+  let sim = Sim.create () in
+  let p =
+    Proc.spawn sim (fun () ->
+        Proc.sleep (Time.ms 1);
+        Proc.sleep (Time.sec 100))
+  in
+  ignore (Sim.after sim (Time.ms 2) (fun () -> Proc.kill p));
+  Sim.run sim;
+  checkb "dead" false (Proc.is_alive p);
+  check "timer cancelled" 1 (Sim.cancelled sim);
+  check "nothing pending" 0 (Sim.pending sim);
+  check "clock stopped early" (Time.ms 2) (Sim.now sim)
+
 let proc_on_terminate () =
   let sim = Sim.create () in
   let hooks = ref 0 in
@@ -667,34 +729,25 @@ let proc_stale_wake_ignored () =
   Sim.run sim;
   check "current wake resumed" 2 !resumed
 
-(* The woken process takes its value from a one-slot structure that
-   only a waker finding the suspension current may fill, as the
-   library's hand-overs do. *)
+(* Two wakes of one suspension queue one resume, and a wake after that
+   resume queues nothing. *)
 let proc_second_wake_ignored () =
   let sim = Sim.create () in
-  let waiter = ref None and slot = ref 0 and got = ref [] in
+  let waiter = ref None and resumed = ref 0 in
   ignore
     (Proc.spawn sim (fun () ->
          waiter := Some (Proc.waiter ());
          Proc.park ();
-         got := !slot :: !got));
+         incr resumed));
   Sim.run sim;
-  let give v =
-    Option.iter
-      (fun w ->
-        if Proc.is_waiting w then begin
-          slot := v;
-          Proc.wake w
-        end)
-      !waiter
-  in
-  give 1;
-  give 2;
+  let wake () = Option.iter Proc.wake !waiter in
+  wake ();
+  wake ();
   check "one resume queued" 1 (Sim.pending sim);
   Sim.run sim;
-  give 3;
-  Sim.run sim;
-  Alcotest.(check (list int)) "first value only" [ 1 ] !got
+  wake ();
+  check "a wake after the resume queued nothing" 0 (Sim.pending sim);
+  check "resumed once" 1 !resumed
 
 let proc_kill_after_wake () =
   let sim = Sim.create () in
@@ -826,7 +879,9 @@ let waitq_timeout_then_broadcast () =
   check "sleep ran its full length" (Time.ms 11) !slept_to
 
 (* A process killed in [wait_timeout] leaves its timer queued, as
-   [Ivar.read_timeout] does: it fires at its time and does nothing. *)
+   [Ivar.read_timeout] does: it fires at its time and does nothing.
+   The second case arms the timer on the handle a finished sleep
+   used. *)
 let waitq_timeout_killed () =
   let sim = Sim.create () in
   let q = Sync.Waitq.create () in
@@ -845,7 +900,21 @@ let waitq_timeout_killed () =
   (* start, kill, the interrupted resume and the timer *)
   check "executed" 4 (Sim.executed sim);
   Sync.Waitq.broadcast q;
-  check "broadcast to the dead waiter queued nothing" 0 (Sim.pending sim)
+  check "broadcast to the dead waiter queued nothing" 0 (Sim.pending sim);
+  let sim = Sim.create () in
+  let p =
+    Proc.spawn sim (fun () ->
+        Proc.sleep (Time.ms 1);
+        ignore (Sync.Waitq.wait_timeout q (Time.ms 10)))
+  in
+  ignore (Sim.after sim (Time.ms 2) (fun () -> Proc.kill p));
+  Sim.run sim;
+  checkb "re-armed: dead" false (Proc.is_alive p);
+  check "re-armed: timer fired at its time" (Time.ms 11) (Sim.now sim);
+  check "re-armed: nothing cancelled" 0 (Sim.cancelled sim);
+  (* start, sleep timer, its resume, kill, the interrupted resume and
+     the timer *)
+  check "re-armed: executed" 6 (Sim.executed sim)
 
 let waitq_timeout () =
   let sim = Sim.create () in
@@ -877,6 +946,111 @@ let sync_wake_order () =
   Sim.run sim;
   Alcotest.(check (list int)) "oldest first" [ 1; 2; 3; 11; 12; 13 ]
     (List.rev !log)
+
+(* [Proc.Fifo] against a [Stdlib.Queue] of process ids. Each process
+   waits for its turn to queue, pushes itself with its id and parks;
+   woken, it logs its id and waits again. A killed process's entries
+   stay queued and wake nothing. After every op the sim runs dry, and
+   the log, each [wake_first] result and the head's int (or emptiness)
+   must match the model. *)
+type fifo_op = Push of int | Wake_first | Wake_all | Kill of int
+
+let fifo_procs = 10
+
+let fifo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun i -> Push i) (int_bound (fifo_procs - 1)));
+        (3, return Wake_first);
+        (1, return Wake_all);
+        (1, map (fun i -> Kill i) (int_bound (fifo_procs - 1))) ])
+
+let print_fifo_op = function
+  | Push i -> Printf.sprintf "push %d" i
+  | Wake_first -> "wake_first"
+  | Wake_all -> "wake_all"
+  | Kill i -> Printf.sprintf "kill %d" i
+
+let run_fifo_sim ops =
+  let sim = Sim.create () and q = Proc.Fifo.create () and log = ref [] in
+  let turn = Array.make fifo_procs None in
+  let procs =
+    Array.init fifo_procs (fun i ->
+        Proc.spawn sim (fun () ->
+            while true do
+              turn.(i) <- Some (Proc.waiter ());
+              Proc.park ();
+              Proc.Fifo.push q i;
+              Proc.park ();
+              log := i :: !log
+            done))
+  in
+  Sim.run sim;
+  List.map
+    (fun op ->
+      let woke =
+        match op with
+        | Push i ->
+          Option.iter Proc.wake turn.(i);
+          None
+        | Wake_first ->
+          if Proc.Fifo.is_empty q then None else Some (Proc.Fifo.wake_first q)
+        | Wake_all ->
+          Proc.Fifo.wake_all q;
+          None
+        | Kill i ->
+          Proc.kill procs.(i);
+          None
+      in
+      Sim.run sim;
+      let first =
+        if Proc.Fifo.is_empty q then None else Some (Proc.Fifo.first q)
+      in
+      (List.rev !log, woke, first))
+    ops
+
+let run_fifo_model ops =
+  let q = Queue.create () and log = ref [] in
+  let alive = Array.make fifo_procs true in
+  let queued = Array.make fifo_procs false in
+  let wake () =
+    let i = Queue.take q in
+    let current = alive.(i) && queued.(i) in
+    if current then begin
+      queued.(i) <- false;
+      log := i :: !log
+    end;
+    current
+  in
+  List.map
+    (fun op ->
+      let woke =
+        match op with
+        | Push i ->
+          if alive.(i) && not queued.(i) then begin
+            queued.(i) <- true;
+            Queue.add i q
+          end;
+          None
+        | Wake_first -> if Queue.is_empty q then None else Some (wake ())
+        | Wake_all ->
+          while not (Queue.is_empty q) do
+            ignore (wake ())
+          done;
+          None
+        | Kill i ->
+          alive.(i) <- false;
+          None
+      in
+      (List.rev !log, woke, Queue.peek_opt q))
+    ops
+
+let fifo_matches_queue =
+  QCheck.Test.make ~name:"Proc.Fifo wakes in Stdlib.Queue order" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map print_fifo_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) fifo_op_gen))
+    (fun ops -> run_fifo_sim ops = run_fifo_model ops)
 
 (* --- Stats --- *)
 
@@ -1009,6 +1183,12 @@ let suite =
       [ Alcotest.test_case "sleep advances time" `Quick proc_sleep;
         Alcotest.test_case "join" `Quick proc_join;
         Alcotest.test_case "kill mid-sleep" `Quick proc_kill_mid_sleep;
+        Alcotest.test_case "woken at the instant its timer fires" `Quick
+          proc_woken_as_timer_fires;
+        Alcotest.test_case "a sleep after an early wake takes its own time"
+          `Quick proc_timer_rearm_after_cancel;
+        Alcotest.test_case "kill mid-sleep on a re-armed timer" `Quick
+          proc_kill_rearmed_sleep;
         Alcotest.test_case "on_terminate" `Quick proc_on_terminate;
         Alcotest.test_case "kill before start" `Quick proc_kill_before_start;
         Alcotest.test_case "a wake from an earlier suspension is ignored"
@@ -1030,7 +1210,8 @@ let suite =
           waitq_timeout_then_broadcast;
         Alcotest.test_case "a timer left by a killed wait_timeout" `Quick
           waitq_timeout_killed;
-        Alcotest.test_case "waiters wake oldest first" `Quick sync_wake_order ] );
+        Alcotest.test_case "waiters wake oldest first" `Quick sync_wake_order;
+        qtest fifo_matches_queue ] );
     ( "engine.stats",
       [ Alcotest.test_case "moments" `Quick stats_moments;
         Alcotest.test_case "percentiles" `Quick stats_percentile;

@@ -485,7 +485,7 @@ let demote_words () =
   in
   check "every demote placed six shards" (6 * (64 + 256 - 1))
     (Tier.Fleet.stats fleet).Tier.Fleet.stores;
-  Test_engine.check_words "one six-leg demote" ~bound:918. per
+  Test_engine.check_words "one six-leg demote" ~bound:639. per
 
 (* A fleet read of a stripe whose node en0 was wiped, where en0 held
    a data shard: four legs at once, one of them answered stale, then
@@ -514,7 +514,7 @@ let degraded_read_words () =
   in
   check "every read was degraded" !reads
     (Tier.Fleet.stats fleet).Tier.Fleet.degraded_reads;
-  Test_engine.check_words "one degraded (4, 2) read" ~bound:929. per
+  Test_engine.check_words "one degraded (4, 2) read" ~bound:637. per
 
 let suite =
   [ ( "ec.coder",

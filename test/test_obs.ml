@@ -168,11 +168,11 @@ let obs_on_cycle_allocation () =
       Obs.reset ())
     (fun () ->
       Obs.reset ();
-      Test_engine.check_words "USD transact, Obs on" ~bound:69.
+      Test_engine.check_words "USD transact, Obs on" ~bound:50.
         (Test_engine.usd_transact_words ());
       checkb "USD stream metrics written" true
         (Obs.Metrics.counter_value ~label:"c" "usd.txns" > 0);
-      Test_engine.check_words "link transmit, Obs on" ~bound:48.
+      Test_engine.check_words "link transmit, Obs on" ~bound:28.
         (Test_engine.link_transmit_words ());
       checkb "link gauges written" true
         (Obs.Metrics.gauge_value ~label:"link.c" "link.tx_bytes" <> None))
